@@ -112,6 +112,8 @@ class Utterance:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise ConfigError("frames must be a 2-D (n_frames, dim) array")
+        if not np.isfinite(self.frames).all():
+            raise ConfigError("frames must be finite (no NaN or inf)")
         if self.frame_period_sec <= 0:
             raise ConfigError("frame_period_sec must be positive")
         self.reference_tokens = tuple(self.reference_tokens)
@@ -261,13 +263,3 @@ class CommitLog:
         for tok in tokens:
             self._entries.append(TimedToken(tok, chunk_index, t))
         return self
-
-
-def commit(
-    log: CommitLog,
-    tokens: Sequence[str],
-    chunk_index: int,
-    chunk_len_sec: float,
-) -> CommitLog:
-    """Module-level alias for CommitLog.commit."""
-    return log.commit(tokens, chunk_index, chunk_len_sec)

@@ -89,7 +89,8 @@ def beam_search(
     cap_tokens_per_sec * available audio seconds, and stops once the best
     finished path provably beats every live one (token log-probs are
     non-positive, so extensions never raise a score). Ties rank the smaller
-    token-id sequence first.
+    token-id sequence first. Each beam step advances every kept child in one
+    ``dec_advance_batch`` call.
     """
     vocab = model.vocab
     prefix = tuple(int(t) for t in forced_prefix)
@@ -124,48 +125,74 @@ def beam_search(
     if len(root.tokens) >= max_total:
         return [replace(root, finished=True)]
 
-    gen_ids = [i for i in range(len(vocab)) if i not in (vocab.pad_id, vocab.bos_id, vocab.eos_id)]
-    active: list[tuple[BeamHypothesis, np.ndarray]] = [(root, logps)]
+    gen_ids = np.array(vocab.word_ids(), dtype=np.int64)
+    active: list[BeamHypothesis] = [root]
+    active_lps = logps[None, :]  # (len(active), vocab)
     finished: list[BeamHypothesis] = []
     while active:
         if finished:
             best_fin = max(f.log_prob for f in finished)
-            best_act = max(h.log_prob for h, _ in active)
+            best_act = max(h.log_prob for h in active)
             if best_fin > best_act:
                 break
-        candidates: list[tuple[float, tuple[int, ...], BeamHypothesis, int, float]] = []
-        for hyp, lps in active:
-            # the finished path keeps its state (after its last real token)
-            # so a later chunk can resume from it
-            finished.append(
-                replace(
-                    hyp,
-                    log_prob=hyp.log_prob + float(lps[vocab.eos_id]),
-                    finished=True,
-                )
-            )
-            for tok in gen_ids:
-                lp = float(lps[tok])
-                candidates.append(
-                    (hyp.log_prob + lp, hyp.tokens + (tok,), hyp, tok, lp)
-                )
+        parent_lp = np.array([h.log_prob for h in active])
+        eos_scores = parent_lp + active_lps[:, vocab.eos_id]
+        scores = parent_lp[:, None] + active_lps[:, gen_ids]  # (B, G)
+        if np.isnan(scores).any() or np.isnan(eos_scores).any():
+            raise ContractViolation("model returned NaN log-probabilities")
+        # the finished path keeps its state (after its last real token)
+        # so a later chunk can resume from it
+        for hyp, score in zip(active, eos_scores.tolist()):
+            finished.append(replace(hyp, log_prob=score, finished=True))
         finished.sort(key=lambda h: _rank_key(h, False))
-        del finished[max(cfg.beam_width, 1):]
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        new_active: list[tuple[BeamHypothesis, np.ndarray]] = []
-        for score, toks, parent, tok, lp in candidates[: cfg.beam_width]:
-            state, lps = model.dec_advance(parent.state, tok, enc)
+        del finished[cfg.beam_width:]
+
+        # every live path has the same length, so ranking children by
+        # (-score, tokens) is ranking by (-score, parent's tokens, token id)
+        n_par, n_gen = scores.shape
+        parent_rank = np.empty(n_par, dtype=np.int64)
+        parent_rank[sorted(range(n_par), key=lambda i: active[i].tokens)] = (
+            np.arange(n_par)
+        )
+        keep = np.lexsort((
+            np.tile(np.arange(n_gen), n_par),
+            np.repeat(parent_rank, n_gen),
+            -scores.ravel(),
+        ))[: cfg.beam_width]
+        if not keep.size:
+            active = []
+            break
+        parents, cols = np.divmod(keep, n_gen)
+        toks = gen_ids[cols]
+        states, child_lps = model.dec_advance_batch(
+            [active[i].state for i in parents], toks.tolist(), enc
+        )
+        new_active: list[BeamHypothesis] = []
+        rows: list[int] = []
+        for r, (i, tok, score, lp) in enumerate(zip(
+            parents.tolist(),
+            toks.tolist(),
+            scores[parents, cols].tolist(),
+            active_lps[parents, toks].tolist(),
+        )):
+            parent = active[i]
             child = BeamHypothesis(
-                toks, score, parent.step_log_probs + (lp,), False, state
+                parent.tokens + (tok,),
+                score,
+                parent.step_log_probs + (lp,),
+                False,
+                states[r],
             )
             if len(child.tokens) >= max_total:
                 finished.append(replace(child, finished=True))
             else:
-                new_active.append((child, lps))
+                new_active.append(child)
+                rows.append(r)
         active = new_active
-    result = finished + [h for h, _ in active]
+        active_lps = child_lps[rows]
+    result = finished + active
     result.sort(key=lambda h: _rank_key(h, cfg.length_normalize))
-    return result[: max(cfg.beam_width, 1)]
+    return result[: cfg.beam_width]
 
 
 def offline_decode(

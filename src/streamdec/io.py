@@ -40,16 +40,25 @@ def load_utterances(path: str) -> list[Utterance]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{path}:{line_no}: not a JSON object")
+            missing = [k for k in ("id", "frames", "ref") if k not in rec]
+            if missing:
+                raise ConfigError(
+                    f"{path}:{line_no}: missing key {missing[0]!r}"
+                )
             tgt = rec.get("tgt")
-            out.append(
-                Utterance(
+            try:
+                utt = Utterance(
                     id=rec["id"],
                     frames=np.asarray(rec["frames"], dtype=np.float64),
                     reference_tokens=tuple(rec["ref"]),
                     target_tokens=tuple(tgt) if tgt is not None else None,
                     frame_period_sec=rec.get("frame_period_sec", 0.010),
                 )
-            )
+            except (TypeError, ValueError) as e:  # ConfigError included
+                raise ConfigError(f"{path}:{line_no}: {e}") from e
+            out.append(utt)
     return out
 
 

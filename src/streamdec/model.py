@@ -4,7 +4,11 @@ oracle model, and single-file model serialization.
 A model exposes: incremental encoding of a growing frame stream, and an
 incremental decoder interface (``dec_init`` / ``dec_advance``) that yields a
 normalized next-token log-probability vector after each consumed token.
-``decode_step`` composes these into the one-shot form used by tests.
+``dec_advance_batch`` advances a block of states that have all consumed the
+same number of positions in one call; row i of its result equals
+``dec_advance(states[i], token_ids[i], enc)``, and a block whose states
+differ in length is a ``ContractViolation``. ``decode_step`` composes these
+into the one-shot form used by tests.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ class SequenceModel(Protocol):
     def dec_advance(
         self, state: Any, token_id: int, enc: EncoderStates
     ) -> tuple[Any, np.ndarray]: ...
+
+    def dec_advance_batch(
+        self,
+        states: Sequence[Any],
+        token_ids: Sequence[int],
+        enc: EncoderStates,
+    ) -> tuple[list[Any], np.ndarray]: ...
 
     def dec_logits(self, state: Any, enc: EncoderStates) -> np.ndarray: ...
 
@@ -231,6 +242,18 @@ class SyntheticAlignedModel:
     ) -> tuple[int, np.ndarray]:
         _check_token_id(self.vocab, token_id)
         return state + 1, self._emission(enc, state + 1)
+
+    def dec_advance_batch(
+        self, states: Sequence[int], token_ids: Sequence[int], enc: EncoderStates
+    ) -> tuple[list[int], np.ndarray]:
+        if len(states) != len(token_ids):
+            raise ContractViolation("a block needs one token id per state")
+        if len(set(states)) > 1:
+            raise ContractViolation(
+                "every state of a block must have consumed the same positions"
+            )
+        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
+        return [s for s, _ in rows], np.array([lps for _, lps in rows])
 
     def dec_logits(self, state: int, enc: EncoderStates) -> np.ndarray:
         return self._emission(enc, state)

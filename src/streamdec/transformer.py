@@ -3,8 +3,9 @@
 The encoder can run with causal (unidirectional) self-attention, in which
 case encoder states for earlier positions never change as more frames arrive
 and encoding is append-only. Decoding is incremental: per-layer key/value
-rows are cached per hypothesis and cross-attention always spans every encoder
-state available at the time of the call.
+rows are cached per hypothesis, a block of hypotheses of equal length
+advances in one pass, and cross-attention always spans every encoder state
+available at the time of the call.
 
 Inference runs on plain float64 numpy. Training builds the same math as an
 autodiff graph (see training.py for the loop).
@@ -277,27 +278,33 @@ class TinyTransformer:
             enc.attn_cache[key] = hit
         return hit
 
-    def _advance_one(
-        self, x: np.ndarray, kv: tuple, enc: EncoderStates
-    ) -> tuple[tuple, np.ndarray]:
-        """Push one embedded input position through the decoder stack."""
+    def _advance_block(
+        self, x: np.ndarray, kv: Sequence, enc: EncoderStates
+    ) -> tuple[list, np.ndarray]:
+        """Push one embedded input position per row through the decoder
+        stack. x is (B, d_model); kv holds per layer the (K, V) self-attention
+        cache of every row, each (B, heads, pos, head_dim). Returns the grown
+        caches and the next-token log-probabilities (B, vocab)."""
         p = self.params
         cfg = self.cfg
         h, dh = cfg.heads, cfg.head_dim
-        row = x[None, :]
+        b_sz = len(x)
+        row = x
         new_kv = []
         for l in range(cfg.dec_layers):
             ln = _ln_np(row, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
-            q = _heads(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"], h, dh)
-            k_new = _heads(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"], h, dh)
-            v_new = _heads(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"], h, dh)
+            q = (ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"]).reshape(b_sz, h, 1, dh)
+            k_new = (ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"]).reshape(b_sz, h, 1, dh)
+            v_new = (ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"]).reshape(b_sz, h, 1, dh)
             k_old, v_old = kv[l]
-            k_all = np.concatenate([k_old, k_new], axis=1)
-            v_all = np.concatenate([v_old, v_new], axis=1)
-            scores = q @ k_all.transpose(0, 2, 1) / math.sqrt(dh)
-            ctx = _merge(_softmax_np(scores) @ v_all, cfg.d_model)
+            k_all = np.concatenate([k_old, k_new], axis=2)
+            v_all = np.concatenate([v_old, v_new], axis=2)
+            scores = q @ k_all.transpose(0, 1, 3, 2) / math.sqrt(dh)
+            ctx = (_softmax_np(scores) @ v_all).reshape(b_sz, cfg.d_model)
             row = row + (ctx @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
 
+            # cross-attention has no per-row cache: the rows attend to the
+            # shared encoder K/V like the query positions of one sequence
             ln2 = _ln_np(row, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
             q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
             ke, ve = self._cross_kv(enc, l)
@@ -310,46 +317,78 @@ class TinyTransformer:
             row = row + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
             new_kv.append((k_all, v_all))
         out = _ln_np(row, p["dec_lnf_g"], p["dec_lnf_b"])
-        logits = out @ self.params["out_w"] + self.params["out_b"]
-        return tuple(new_kv), _log_softmax_np(logits)[0]
+        logits = out @ p["out_w"] + p["out_b"]
+        return new_kv, _log_softmax_np(logits)
 
-    def _embed_token(self, token_id: int, position: int) -> np.ndarray:
-        d = self.cfg.d_model
+    def _embed(self, token_ids: Sequence[int], position: int) -> np.ndarray:
+        """Decoder input rows (B, d_model) for tokens at one position."""
         return (
-            self.params["tok_emb"][token_id] * math.sqrt(d)
+            self.params["tok_emb"][np.asarray(token_ids)]
+            * math.sqrt(self.cfg.d_model)
             + self._pos(position + 1)[position]
         )
+
+    def _states(
+        self, kv: list, logps: np.ndarray, enc: EncoderStates, pos: int
+    ) -> list[DecState]:
+        """Split a block's caches and distributions into per-row states."""
+        return [
+            DecState(
+                id(self), enc.frames_covered, pos,
+                tuple((k[i], v[i]) for k, v in kv), logps[i],
+            )
+            for i in range(len(logps))
+        ]
 
     def dec_init(self, enc: EncoderStates) -> tuple[DecState, np.ndarray]:
         if enc.owner != id(self):
             raise ContractViolation("encoder states from a different model")
         if enc.frames_covered == 0:
             raise ContractViolation("cannot decode with no encoder states")
-        empty = tuple(
-            (
-                np.zeros((self.cfg.heads, 0, self.cfg.head_dim)),
-                np.zeros((self.cfg.heads, 0, self.cfg.head_dim)),
-            )
-            for _ in range(self.cfg.dec_layers)
+        empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
+        kv, logps = self._advance_block(
+            self._embed([self.vocab.bos_id], 0),
+            [(empty, empty)] * self.cfg.dec_layers,
+            enc,
         )
-        kv, logps = self._advance_one(
-            self._embed_token(self.vocab.bos_id, 0), empty, enc
-        )
-        state = DecState(id(self), enc.frames_covered, 1, kv, logps)
-        return state, logps
+        return self._states(kv, logps, enc, 1)[0], logps[0]
 
     def dec_advance(
         self, state: DecState, token_id: int, enc: EncoderStates
     ) -> tuple[DecState, np.ndarray]:
-        _check_token_id(self.vocab, token_id)
-        if not self.state_covers(state, enc):
+        states, logps = self.dec_advance_batch([state], [token_id], enc)
+        return states[0], logps[0]
+
+    def dec_advance_batch(
+        self,
+        states: Sequence[DecState],
+        token_ids: Sequence[int],
+        enc: EncoderStates,
+    ) -> tuple[list[DecState], np.ndarray]:
+        if len(states) != len(token_ids) or not states:
             raise ContractViolation(
-                "decoder state does not match the given encoder states"
+                "a block needs one token id per state and at least one row"
             )
-        kv, logps = self._advance_one(
-            self._embed_token(token_id, state.pos), state.kv, enc
-        )
-        return DecState(id(self), enc.frames_covered, state.pos + 1, kv, logps), logps
+        for state, token_id in zip(states, token_ids):
+            _check_token_id(self.vocab, token_id)
+            if not self.state_covers(state, enc):
+                raise ContractViolation(
+                    "decoder state does not match the given encoder states"
+                )
+        pos = states[0].pos
+        if any(s.pos != pos for s in states):
+            raise ContractViolation(
+                "every state of a block must have consumed the same positions"
+            )
+        kv = [
+            (
+                np.stack([s.kv[l][0] for s in states]),
+                np.stack([s.kv[l][1] for s in states]),
+            )
+            for l in range(self.cfg.dec_layers)
+        ]
+        kv, logps = self._advance_block(self._embed(token_ids, pos), kv, enc)
+        return self._states(kv, logps, enc, pos + 1), logps
 
     def dec_logits(self, state: DecState, enc: EncoderStates) -> np.ndarray:
         if not self.state_covers(state, enc):

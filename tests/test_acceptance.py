@@ -376,6 +376,10 @@ class CachedRandomModel:
         new = state + (int(token_id),)
         return new, self._logps(new)
 
+    def dec_advance_batch(self, states, token_ids, enc):
+        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
+        return [s for s, _ in rows], np.array([lps for _, lps in rows])
+
     def dec_logits(self, state, enc):
         return self._logps(state)
 

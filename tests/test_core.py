@@ -79,6 +79,13 @@ class TestUtterance:
         with pytest.raises(ConfigError):
             Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        frames = np.zeros((3, 2))
+        frames[1, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            Utterance("u1", frames, ("a",))
+
 
 class TestChunkStream:
     def test_exact_division(self):

@@ -16,7 +16,8 @@ from streamdec.decoder import (
 from streamdec.model import EncoderStates, UNIDIRECTIONAL
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
 
-from .oracles import beam_oracle
+from .oracles import beam_oracle, scalar_beam_search
+from .test_acceptance import CachedRandomModel
 
 
 class RandomWalkModel:
@@ -52,6 +53,10 @@ class RandomWalkModel:
     def dec_advance(self, state, token_id, enc):
         new = state + (int(token_id),)
         return new, self._logps(new)
+
+    def dec_advance_batch(self, states, token_ids, enc):
+        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
+        return [s for s, _ in rows], np.array([lps for _, lps in rows])
 
     def dec_logits(self, state, enc):
         return self._logps(state)
@@ -205,6 +210,80 @@ class TestLengthCapAndNormalization:
             BeamConfig(beam_width=0)
         with pytest.raises(ConfigError):
             BeamConfig(cap_tokens_per_sec=0.0)
+
+
+class QuantizedWalkModel(RandomWalkModel):
+    """Log-probs on a 0.5 grid: paths through different parents tie exactly,
+    so their order is decided by the token tie-break."""
+
+    def _logps(self, prefix):
+        return np.round(super()._logps(prefix) * 2.0) / 2.0
+
+
+def _differential_cases(kind, micro_model):
+    """(model, encoder states) pairs of one model kind, 0.5 s of audio each."""
+    if kind == "random_walk":
+        models = [RandomWalkModel(n_words=4, seed=s) for s in range(3)]
+        return [(m, m.encode(np.zeros((50, 1)))) for m in models]
+    if kind == "uniform":  # every score ties: order is the token tie-break
+        m = RandomWalkModel(n_words=3, seed=0, spread=0.0)
+        return [(m, m.encode(np.zeros((50, 1))))]
+    if kind == "quantized":
+        models = [QuantizedWalkModel(n_words=4, seed=s) for s in range(12)]
+        return [(m, m.encode(np.zeros((50, 1)))) for m in models]
+    if kind == "cached_random":
+        models = [CachedRandomModel(s) for s in range(3)]
+        return [(m, m.encode(np.zeros((50, 1)))) for m in models]
+    rng = np.random.default_rng(17)
+    return [
+        (micro_model, micro_model.encode(rng.normal(size=(50, 4)), None))
+        for _ in range(3)
+    ]
+
+
+class TestBatchedAgainstScalar:
+    """The batched search returns what the one-call-per-child search does."""
+
+    @pytest.mark.parametrize("length_normalize", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random_walk", "uniform", "quantized", "cached_random", "transformer"],
+    )
+    def test_same_hypotheses(self, kind, width, length_normalize, micro_model):
+        for model, enc in _differential_cases(kind, micro_model):
+            words = list(model.vocab.word_ids())
+            for rate in (4.0, 8.0, 12.0):  # caps of 2, 4 and 6 tokens
+                cfg = BeamConfig(width, rate, length_normalize)
+                cap = int(rate * enc.audio_sec + 1e-9)
+                for n_forced in (0, cap // 2, cap):
+                    prefix = tuple(
+                        words[(3 * i + 1) % len(words)] for i in range(n_forced)
+                    )
+                    got = beam_search(model, enc, prefix, cfg)
+                    want = scalar_beam_search(model, enc, prefix, cfg)
+                    assert [h.tokens for h in got] == [h.tokens for h in want]
+                    for g, w in zip(got, want):
+                        assert g.finished == w.finished
+                        assert abs(g.log_prob - w.log_prob) <= 1e-12
+                        np.testing.assert_allclose(
+                            g.step_log_probs, w.step_log_probs,
+                            rtol=0, atol=1e-12,
+                        )
+
+    def test_nan_log_probs_are_rejected(self):
+        model = RandomWalkModel(n_words=3, seed=4)
+        clean = model._logps
+
+        def poisoned(prefix):
+            lps = clean(prefix).copy()
+            lps[4] = np.nan
+            return lps
+
+        model._logps = poisoned
+        enc = model.encode(np.zeros((50, 1)))
+        with pytest.raises(ContractViolation, match="NaN"):
+            beam_search(model, enc, (), BeamConfig(beam_width=3))
 
 
 class TestSeedReuse:

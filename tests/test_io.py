@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,26 @@ class TestUtteranceFiles:
             fh.write('{"id": "a", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": 0.01}\n')
             fh.write("not json\n")
         with pytest.raises(ConfigError, match=r":2: bad JSON"):
+            load_utterances(path)
+
+    @pytest.mark.parametrize("line, why", [
+        ('{"frames": [[0.1]], "ref": ["x"]}', "missing key 'id'"),
+        ('{"id": "b", "ref": ["x"]}', "missing key 'frames'"),
+        ('{"id": "b", "frames": [[0.1]]}', "missing key 'ref'"),
+        ('{"id": "b", "frames": [[0.1, 0.2], [0.3]], "ref": ["x"]}', ""),
+        ('{"id": "b", "frames": [0.1, 0.2], "ref": ["x"]}', "2-D"),
+        ('{"id": "b", "frames": [[[0.1]]], "ref": ["x"]}', "2-D"),
+        ('{"id": "b", "frames": [[NaN]], "ref": ["x"]}', "finite"),
+        ('{"id": "b", "frames": [[Infinity]], "ref": ["x"]}', "finite"),
+        ('{"id": "b", "frames": [["x"]], "ref": ["x"]}', ""),
+        ('["b", [[0.1]], ["x"]]', "not a JSON object"),
+    ])
+    def test_malformed_record_reports_line(self, tmp_path, line, why):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write('{"id": "a", "frames": [[0.1]], "ref": ["x"]}\n')
+            fh.write(line + "\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
             load_utterances(path)
 
 
