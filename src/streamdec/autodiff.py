@@ -4,6 +4,12 @@ A Tensor wraps an ndarray and remembers the closure that propagates its
 gradient to its parents. Calling backward() on a scalar walks the graph in
 reverse topological order. Only the ops needed by the sequence model are
 implemented.
+
+Gradients move by reference: an op may hand one array to several parents or
+pass a view of its incoming gradient on, and accumulation always builds a new
+array, so no gradient array is ever written in place. Once a node has
+propagated its gradient the node drops it; after backward() only leaf
+tensors (those without a backward closure) hold ``.grad``.
 """
 
 from __future__ import annotations
@@ -38,10 +44,8 @@ class Tensor:
         return self.data.ndim
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        # never in place: g may be shared with another parent or be a view
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -65,6 +69,7 @@ class Tensor:
         for node in reversed(topo):
             if node._bw is not None and node.grad is not None:
                 node._bw(node.grad)
+                node.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -189,16 +194,23 @@ def transpose(a, axes: tuple) -> Tensor:
     return _child(a.data.transpose(axes), (a,), bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1, *, scale: float = 1.0, mask=None) -> Tensor:
+    """softmax(a * scale + mask) in one buffer; ``mask`` is a constant that
+    broadcasts to a's shape (e.g. -1e9 at disallowed attention keys)."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data * scale
+    if mask is not None:
+        y += mask
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bw(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accum(y * (g - dot))
+            d = g - (g * y).sum(axis=axis, keepdims=True)
+            d *= y
+            d *= scale
+            a._accum(d)
 
     return _child(y, (a,), bw)
 
@@ -220,9 +232,11 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalization over the last axis followed by an affine map."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # sum / n is ndarray.mean without its Python wrapper, bit for bit
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out_data = gain.data * xhat + bias.data
@@ -234,8 +248,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             bias._accum(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
             x._accum(inv_std * (dxhat - m1 - xhat * m2))
 
     return _child(out_data, (x, gain, bias), bw)

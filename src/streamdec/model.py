@@ -14,6 +14,7 @@ into the one-shot form used by tests.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence, runtime_checkable
@@ -321,45 +322,121 @@ def save_model(model: Any, path: str) -> None:
             _write_block(fh, name, params[name])
 
 
+class _Reader:
+    """Bounds-checked reads over a model file's bytes; every error names the
+    file and the byte offset at which the bad field starts."""
+
+    def __init__(self, path: str, data: bytes, pos: int) -> None:
+        self.path, self.data, self.pos = path, data, pos
+
+    def error(self, what: str, at: int) -> ConfigError:
+        return ConfigError(f"{self.path}: {what} at byte {at}")
+
+    def take(self, n: int, what: str) -> bytes:
+        left = len(self.data) - self.pos
+        if n > left:
+            raise self.error(f"truncated {what}: {n} bytes needed, {left} left",
+                             self.pos)
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def json_object(self, what: str) -> dict:
+        """A u32 length followed by that many bytes of UTF-8 JSON object."""
+        raw = self.take(self.u32(f"{what} length"), what)
+        at = self.pos - len(raw)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise self.error(f"malformed {what} ({e})", at) from None
+        if not isinstance(obj, dict):
+            raise self.error(f"{what} is not a JSON object", at)
+        return obj
+
+
+def _read_params(r: _Reader) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+    """The parameter table: arrays by name and the offset of each block."""
+    params: dict[str, np.ndarray] = {}
+    where: dict[str, int] = {}
+    for _ in range(r.u32("parameter count")):
+        at = r.pos
+        meta = r.json_object("parameter header")
+        name, shape = meta.get("name"), meta.get("shape")
+        if not isinstance(name, str) or name in params:
+            raise r.error(f"missing or repeated parameter name {name!r}", at)
+        if meta.get("dtype") != "float64":
+            raise r.error(f"parameter {name}: unsupported dtype "
+                          f"{meta.get('dtype')!r}", at)
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise r.error(f"parameter {name}: bad shape {shape!r}", at)
+        buf = r.take(8 * math.prod(shape), f"data of parameter {name}")
+        arr = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise r.error(f"parameter {name} has non-finite values",
+                          r.pos - len(buf))
+        params[name], where[name] = arr, at
+    if r.pos != len(r.data):
+        raise r.error(f"{len(r.data) - r.pos} trailing bytes", r.pos)
+    return params, where
+
+
 def load_model(path: str) -> Any:
-    """Inverse of save_model; the header tells which model type to rebuild."""
+    """Inverse of save_model; the header tells which model type to rebuild.
+
+    A truncated, malformed or inconsistent file raises ConfigError naming
+    the path and the byte offset of the offending field."""
     from . import transformer
 
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ConfigError(f"{path} is not a serialized model")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise ConfigError(
-                f"unsupported model format version {header.get('format_version')}"
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ConfigError(f"{path} is not a serialized model")
+    r = _Reader(path, data, len(_MAGIC))
+    header = r.json_object("header")
+    header_at = len(_MAGIC) + 4
+    if header.get("format_version") != 1:
+        raise r.error(f"unsupported model format version "
+                      f"{header.get('format_version')!r}", header_at)
+    params, where = _read_params(r)
+    kind = header.get("model_type")
+    try:
+        if kind == "synthetic":
+            meta = header["meta"]
+            spec = SyntheticTaskSpec(**meta["task"])
+            return SyntheticAlignedModel.from_task(
+                spec,
+                int(meta["count"]),
+                int(meta["seed"]),
+                int(meta["instability_frames"]),
+                int(meta["perturb_seed"]),
             )
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (mlen,) = struct.unpack("<I", fh.read(4))
-            meta = json.loads(fh.read(mlen).decode("utf-8"))
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            dtype = np.dtype(meta["dtype"])
-            buf = fh.read(count * dtype.itemsize)
-            params[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
-                shape
-            ).copy()
-
-    if header["model_type"] == "synthetic":
-        meta = header["meta"]
-        spec = SyntheticTaskSpec(**meta["task"])
-        return SyntheticAlignedModel.from_task(
-            spec,
-            int(meta["count"]),
-            int(meta["seed"]),
-            int(meta["instability_frames"]),
-            int(meta["perturb_seed"]),
+        if kind == "transformer":
+            conf = header["config"]
+            cfg = transformer.TransformerConfig(**conf)
+            if any(type(v) is not int for k, v in conf.items() if k != "mode"):
+                raise ConfigError("config sizes must be integers")
+            tokens = header["vocab"]
+            if not all(isinstance(t, str) for t in tokens):
+                raise ConfigError("vocab entries must be strings")
+            vocab = Vocab(tuple(tokens))
+            model = transformer.TinyTransformer(cfg, vocab, params)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise r.error(f"invalid {kind} header ({type(e).__name__}: {e})",
+                      header_at) from None
+    if kind != "transformer":
+        raise r.error(f"unknown model type {kind!r}", header_at)
+    expected = transformer.param_shapes(cfg)
+    got = {k: v.shape for k, v in params.items()}
+    if got != expected:
+        bad = sorted((k for k in got if got[k] != expected.get(k)), key=where.get)
+        missing = sorted(expected.keys() - got.keys())
+        raise r.error(
+            f"parameters differ from the config: unexpected or misshapen "
+            f"{bad}, missing {missing}",
+            where[bad[0]] if bad else r.pos,
         )
-    if header["model_type"] == "transformer":
-        cfg = transformer.TransformerConfig(**header["config"])
-        vocab = Vocab(tuple(header["vocab"]))
-        return transformer.TinyTransformer(cfg, vocab, params)
-    raise ConfigError(f"unknown model type {header['model_type']!r}")
+    return model

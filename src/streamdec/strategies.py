@@ -64,7 +64,6 @@ class StrategyState:
 
     discard_buffer: tuple = ()
     budget: float = 0.0
-    chunks_seen: int = 0
 
 
 def initial_state() -> StrategyState:
@@ -94,17 +93,13 @@ def wait_k(
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if chunk_index <= k:
-        return (), replace(state, chunks_seen=state.chunks_seen + 1)
+        return (), state
     budget = state.budget + rate * chunk_len_sec
     # the epsilon lets accumulated float dust (e.g. 3.9999999996) count as a
     # whole token; the max() keeps the carried budget from dipping below zero
     emit = min(len(w), math.floor(budget + 1e-9))
     out = w[:emit]
-    return out, replace(
-        state,
-        budget=max(budget - emit, 0.0),
-        chunks_seen=state.chunks_seen + 1,
-    )
+    return out, replace(state, budget=max(budget - emit, 0.0))
 
 
 def lcp(a: Sequence, b: Sequence) -> tuple:
@@ -126,15 +121,9 @@ def local_agreement(
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if chunk_index == 1:
-        return (), replace(
-            state, discard_buffer=w, chunks_seen=state.chunks_seen + 1
-        )
+        return (), replace(state, discard_buffer=w)
     agreed = lcp(state.discard_buffer, w)
-    return agreed, replace(
-        state,
-        discard_buffer=w[len(agreed) :],
-        chunks_seen=state.chunks_seen + 1,
-    )
+    return agreed, replace(state, discard_buffer=w[len(agreed) :])
 
 
 def _strip_eos(tokens: tuple) -> tuple:
@@ -158,12 +147,10 @@ def select_prefix(
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if is_final:
-        return _strip_eos(w), replace(
-            state, discard_buffer=(), chunks_seen=state.chunks_seen + 1
-        )
+        return _strip_eos(w), replace(state, discard_buffer=())
     if isinstance(cfg, HoldN):
         out = hold_n(w, cfg.n)
-        new_state = replace(state, chunks_seen=state.chunks_seen + 1)
+        new_state = state
     elif isinstance(cfg, WaitK):
         out, new_state = wait_k(
             w, chunk_index, state, cfg.k, cfg.rate, chunk_len_sec
@@ -172,7 +159,7 @@ def select_prefix(
         out, new_state = local_agreement(w, chunk_index, state)
     elif isinstance(cfg, Offline):
         out = ()
-        new_state = replace(state, chunks_seen=state.chunks_seen + 1)
+        new_state = state
     else:
         raise ConfigError(f"unknown strategy config {cfg!r}")
     return _strip_eos(out), new_state

@@ -64,50 +64,75 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, std, (fan_in, fan_out))
 
 
-def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(cfg.init_seed)
+def _param_specs(cfg: TransformerConfig) -> list[tuple[str, tuple, str]]:
+    """(name, shape, initializer) of every parameter, in the order
+    init_params draws them from its generator."""
     d, ff, v = cfg.d_model, cfg.ff_dim, cfg.vocab_size
-    p: dict[str, np.ndarray] = {
-        "enc_in_w": _xavier(rng, cfg.frame_dim, d),
-        "enc_in_b": np.zeros(d),
-        "tok_emb": rng.normal(0.0, d ** -0.5, (v, d)),
-        "enc_lnf_g": np.ones(d),
-        "enc_lnf_b": np.zeros(d),
-        "dec_lnf_g": np.ones(d),
-        "dec_lnf_b": np.zeros(d),
-        "out_w": _xavier(rng, d, v),
-        "out_b": np.zeros(v),
-    }
+
+    def ffn(pre: str) -> list[tuple[str, tuple, str]]:
+        return [
+            (f"{pre}_ff1_w", (d, ff), "xavier"),
+            (f"{pre}_ff1_b", (ff,), "zeros"),
+            (f"{pre}_ff2_w", (ff, d), "xavier"),
+            (f"{pre}_ff2_b", (d,), "zeros"),
+        ]
+
+    def ln(pre: str, i: int) -> list[tuple[str, tuple, str]]:
+        return [(f"{pre}_ln{i}_g", (d,), "ones"),
+                (f"{pre}_ln{i}_b", (d,), "zeros")]
+
+    specs = [
+        ("enc_in_w", (cfg.frame_dim, d), "xavier"),
+        ("enc_in_b", (d,), "zeros"),
+        ("tok_emb", (v, d), "embedding"),
+        ("enc_lnf_g", (d,), "ones"),
+        ("enc_lnf_b", (d,), "zeros"),
+        ("dec_lnf_g", (d,), "ones"),
+        ("dec_lnf_b", (d,), "zeros"),
+        ("out_w", (d, v), "xavier"),
+        ("out_b", (v,), "zeros"),
+    ]
     for l in range(cfg.enc_layers):
         for nm in ("wq", "wk", "wv", "wo"):
-            p[f"enc{l}_{nm}"] = _xavier(rng, d, d)
-            p[f"enc{l}_b{nm[1]}"] = np.zeros(d)
-        p[f"enc{l}_ln1_g"] = np.ones(d)
-        p[f"enc{l}_ln1_b"] = np.zeros(d)
-        p[f"enc{l}_ln2_g"] = np.ones(d)
-        p[f"enc{l}_ln2_b"] = np.zeros(d)
-        p[f"enc{l}_ff1_w"] = _xavier(rng, d, ff)
-        p[f"enc{l}_ff1_b"] = np.zeros(ff)
-        p[f"enc{l}_ff2_w"] = _xavier(rng, ff, d)
-        p[f"enc{l}_ff2_b"] = np.zeros(d)
+            specs += [(f"enc{l}_{nm}", (d, d), "xavier"),
+                      (f"enc{l}_b{nm[1]}", (d,), "zeros")]
+        specs += ln(f"enc{l}", 1) + ln(f"enc{l}", 2) + ffn(f"enc{l}")
     for l in range(cfg.dec_layers):
         for nm in ("sq", "sk", "sv", "so", "cq", "ck", "cv", "co"):
-            p[f"dec{l}_{nm}"] = _xavier(rng, d, d)
-            p[f"dec{l}_b{nm}"] = np.zeros(d)
+            specs += [(f"dec{l}_{nm}", (d, d), "xavier"),
+                      (f"dec{l}_b{nm}", (d,), "zeros")]
         for i in (1, 2, 3):
-            p[f"dec{l}_ln{i}_g"] = np.ones(d)
-            p[f"dec{l}_ln{i}_b"] = np.zeros(d)
-        p[f"dec{l}_ff1_w"] = _xavier(rng, d, ff)
-        p[f"dec{l}_ff1_b"] = np.zeros(ff)
-        p[f"dec{l}_ff2_w"] = _xavier(rng, ff, d)
-        p[f"dec{l}_ff2_b"] = np.zeros(d)
+            specs += ln(f"dec{l}", i)
+        specs += ffn(f"dec{l}")
+    return specs
+
+
+def param_shapes(cfg: TransformerConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter init_params makes, without making it."""
+    return {name: shape for name, shape, _ in _param_specs(cfg)}
+
+
+def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(cfg.init_seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape, init in _param_specs(cfg):
+        if init == "xavier":
+            p[name] = _xavier(rng, *shape)
+        elif init == "embedding":
+            p[name] = rng.normal(0.0, cfg.d_model ** -0.5, shape)
+        elif init == "ones":
+            p[name] = np.ones(shape)
+        else:
+            p[name] = np.zeros(shape)
     return p
 
 
 def _ln_np(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / n is ndarray.mean without its Python wrapper, bit for bit
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     c = x - mu
-    var = (c * c).mean(axis=-1, keepdims=True)
+    var = (c * c).sum(axis=-1, keepdims=True) / n
     return g * (c / np.sqrt(var + LN_EPS)) + b
 
 
@@ -527,10 +552,8 @@ def _attn_graph(
     qh = ad.transpose(ad.reshape(q, (b_sz, tq, heads, dh)), (0, 2, 1, 3))
     kh = ad.transpose(ad.reshape(k, (b_sz, tk, heads, dh)), (0, 2, 3, 1))
     vh = ad.transpose(ad.reshape(v, (b_sz, tk, heads, dh)), (0, 2, 1, 3))
-    scores = ad.scale(ad.matmul(qh, kh), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, Tensor(mask))
-    ctx = ad.matmul(ad.softmax(scores), vh)
+    att = ad.softmax(ad.matmul(qh, kh), scale=1.0 / math.sqrt(dh), mask=mask)
+    ctx = ad.matmul(att, vh)
     ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b_sz, tq, d))
     return ad.add(ad.matmul(ctx, wo), bo)
 

@@ -22,6 +22,7 @@ from streamdec.autodiff import (
     sum_all,
     transpose,
 )
+from streamdec.transformer import _ln_np
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -150,6 +151,38 @@ class TestSoftmaxFamily:
             np.log(np.sum(np.exp(y.data), axis=-1)), np.zeros(4), atol=1e-12
         )
 
+    def test_fused_softmax_grad_non_unit_scale(self, rng):
+        x = rng.normal(size=(2, 3, 5))
+        mask = np.where(rng.random((1, 3, 5)) < 0.3, -1e9, 0.0)
+        check(lambda t: softmax(t, scale=0.37), x, rtol=1e-5)
+        check(lambda t: softmax(t, scale=0.37, mask=mask), x, rtol=1e-5)
+
+    @pytest.mark.parametrize("s", [0.25, 1.0 / np.sqrt(3.0)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_fused_softmax_matches_unfused_bitwise(self, rng, s, masked):
+        # softmax(x, scale=s, mask=m) is the old scale -> add -> softmax chain
+        # in one buffer, with the same operations in the same order
+        x = rng.normal(size=(2, 2, 4, 6)) * 4
+        mask = None
+        if masked:
+            mask = np.where(rng.random((2, 1, 4, 6)) < 0.3, -1e9, 0.0)
+            mask[..., 0] = 0.0  # keep one key per row
+        w = rng.normal(size=x.shape)
+
+        def run(fused: bool):
+            t = Tensor(x, requires_grad=True)
+            if fused:
+                y = softmax(t, scale=s, mask=mask)
+            else:
+                z = scale(t, s)
+                y = softmax(z if mask is None else add(z, Tensor(mask)))
+            sum_all(mul(y, Tensor(w))).backward()
+            return y.data, t.grad
+
+        (y1, g1), (y2, g2) = run(True), run(False)
+        assert np.array_equal(y1, y2)
+        assert np.array_equal(g1, g2)
+
     def test_softmax_shift_invariance(self, rng):
         x = rng.normal(size=(2, 5))
         a = softmax(Tensor(x)).data
@@ -178,6 +211,27 @@ class TestLayerNorm:
         ).data
         np.testing.assert_allclose(y.mean(axis=-1), np.zeros(4), atol=1e-10)
         np.testing.assert_allclose(y.std(axis=-1), np.ones(4), atol=1e-4)
+
+
+    @pytest.mark.parametrize("shape", [(8, 32), (3, 7), (2, 5, 16), (1, 1), (4, 64)])
+    def test_sum_over_n_is_mean_bitwise(self, shape):
+        # layer norm computes means as sum / n; it must equal ndarray.mean
+        x = np.random.default_rng(sum(shape)).normal(size=shape) * 3 + 1
+        gain, bias = np.full(shape[-1], 1.5), np.full(shape[-1], 0.25)
+        for a in (x, x * x):
+            assert np.array_equal(
+                a.mean(axis=-1, keepdims=True),
+                a.sum(axis=-1, keepdims=True) / shape[-1],
+            )
+        mu = x.mean(axis=-1, keepdims=True)
+        c = x - mu
+        var = (c * c).mean(axis=-1, keepdims=True)
+        ref = gain * (c * (1.0 / np.sqrt(var + 1e-5))) + bias
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5).data
+        assert np.array_equal(out, ref)
+        assert np.array_equal(
+            _ln_np(x, gain, bias), gain * (c / np.sqrt(var + 1e-5)) + bias
+        )
 
 
 class TestEmbedding:
@@ -219,6 +273,36 @@ class TestGraphMechanics:
         y = Tensor(rng.normal(size=(3,)))
         sum_all(mul(x, y)).backward()
         assert y.grad is None
+
+    @pytest.mark.parametrize("x_first", [True, False])
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_shared_gradient_array_is_not_mutated(self, rng, x_first, shared_first):
+        # add hands one gradient array to both parents; x's second
+        # contribution, arriving before or after that one, must not leak
+        # into y's gradient
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = rng.normal(size=(3, 4))
+        z = add(x, y) if x_first else add(y, x)
+        shared, other = mul(z, Tensor(w)), scale(x, 2.0)
+        out = add(shared, other) if shared_first else add(other, shared)
+        sum_all(out).backward()
+        assert np.array_equal(y.grad, w)
+        assert np.array_equal(x.grad, w + 2.0)
+
+    def test_only_leaves_keep_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        const = Tensor(rng.normal(size=(2, 4)))
+        h = matmul(x, w)
+        a = softmax(add(h, const), scale=0.5)
+        r = transpose(reshape(a, (4, 2)), (1, 0))
+        loss = sum_all(log_softmax(r))
+        loss.backward()
+        assert x.grad is not None and w.grad is not None
+        assert const.grad is None
+        for node in (h, a, r, loss):
+            assert node.grad is None
 
     def test_operator_overloads(self, rng):
         x = Tensor(np.array([2.0]), requires_grad=True)

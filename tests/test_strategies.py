@@ -118,20 +118,20 @@ class TestLocalAgreement:
         assert state.discard_buffer == ("a", "b")
 
     def test_second_chunk_commits_agreement(self):
-        state = StrategyState(discard_buffer=("a", "b"), chunks_seen=1)
+        state = StrategyState(discard_buffer=("a", "b"))
         out, state = local_agreement(("a", "b", "c"), 2, state)
         assert out == ("a", "b")
         assert state.discard_buffer == ("c",)
 
     def test_no_agreement(self):
-        state = StrategyState(discard_buffer=("a", "b"), chunks_seen=1)
+        state = StrategyState(discard_buffer=("a", "b"))
         out, state = local_agreement(("x", "y"), 2, state)
         assert out == ()
         assert state.discard_buffer == ("x", "y")
 
     @given(tokens, tokens)
     def test_commit_appeared_in_both(self, prev, cur):
-        state = StrategyState(discard_buffer=prev, chunks_seen=1)
+        state = StrategyState(discard_buffer=prev)
         out, _ = local_agreement(cur, 2, state)
         assert out == prev[: len(out)]
         assert out == cur[: len(out)]

@@ -1,7 +1,13 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from streamdec.core import ContractViolation, Vocab
+from streamdec.core import ConfigError, ContractViolation, Vocab
 from streamdec.model import (
     BIDIRECTIONAL,
     UNIDIRECTIONAL,
@@ -335,6 +341,99 @@ class TestCloneAndSerialization:
         a = micro_model.encode(frames, None)
         b = m2.encode(frames, None)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+def _tiny_model() -> TinyTransformer:
+    vocab = Vocab.build(["a", "b"])
+    cfg = TransformerConfig(
+        frame_dim=2, vocab_size=len(vocab), d_model=2, heads=1, ff_dim=2,
+        enc_layers=1, dec_layers=1, init_seed=3,
+    )
+    return TinyTransformer(cfg, vocab)
+
+
+@pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "tiny.bin"
+    save_model(_tiny_model(), str(path))
+    return path
+
+
+def _with_header(data: bytes, edit) -> bytes:
+    """The model file with its JSON header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = edit(json.loads(data[8 : 8 + hlen]))
+    head = json.dumps(header).encode()
+    return data[:4] + struct.pack("<I", len(head)) + head + data[8 + hlen :]
+
+
+class TestLoadRejectsBadFiles:
+    def test_every_truncation_raises_config_error(self, tiny_file, tmp_path):
+        data = tiny_file.read_bytes()
+        path = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(ConfigError, match=re.escape(str(path))):
+                load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, tiny_file, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(tiny_file.read_bytes() + b"\0")
+        with pytest.raises(ConfigError, match="trailing"):
+            load_model(str(path))
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                    min_size=1, max_size=6))
+    def test_byte_flips_load_or_raise_config_error(self, tiny_file, flips):
+        data = bytearray(tiny_file.read_bytes())
+        for pos, bits in flips:
+            data[pos % len(data)] ^= bits
+        path = tiny_file.with_name("flipped.bin")
+        path.write_bytes(bytes(data))
+        try:
+            model = load_model(str(path))
+        except ConfigError as e:
+            assert str(path) in str(e)
+            return
+        assert isinstance(model, TinyTransformer)
+        assert all(np.isfinite(v).all() for v in model.params.values())
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.pop("out_b"), r"missing \['out_b'\]"),
+            (lambda p: p.update(out_b=np.zeros(7)), r"misshapen \['out_b'\]"),
+            (lambda p: p.update(extra=np.zeros(2)), r"misshapen \['extra'\]"),
+            (lambda p: p.update(out_b=np.zeros(5, np.float32)), "dtype"),
+            (lambda p: p.update(out_b=np.full(5, np.nan)), "non-finite"),
+        ],
+    )
+    def test_parameters_must_match_config(self, tmp_path, edit, match):
+        model = _tiny_model()
+        edit(model.params)
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        with pytest.raises(ConfigError, match=match):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {**h, "config": {**h["config"], "d_model": 2.0}},
+            lambda h: {**h, "config": {**h["config"], "bogus": 1}},
+            lambda h: {**h, "config": [1, 2]},
+            lambda h: {**h, "vocab": h["vocab"][:-1] + [7]},
+            lambda h: {**h, "model_type": "rnn"},
+            lambda h: {**h, "format_version": 2},
+            lambda h: {k: v for k, v in h.items() if k != "vocab"},
+            lambda h: [h],
+        ],
+    )
+    def test_malformed_header(self, tiny_file, tmp_path, edit):
+        path = tmp_path / "m.bin"
+        path.write_bytes(_with_header(tiny_file.read_bytes(), edit))
+        with pytest.raises(ConfigError, match=r"at byte 8\b"):
+            load_model(str(path))
 
 
 class TestSinusoids:
