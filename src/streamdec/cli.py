@@ -2,7 +2,7 @@
 
 Subcommands cover the full loop: synthesize data, train and adapt the
 transformer, stream utterances through a commit strategy, sweep the
-accuracy-latency grid, check forced-vs-buffered agreement, score outputs,
+accuracy-latency grid, check that two lockstep sessions agree, score outputs,
 and dump attention grids.
 
 A `--config path` file holds `key = value` lines (keys match option names
@@ -28,13 +28,7 @@ from .core import (
     Vocab,
 )
 from .data import SyntheticTaskSpec, gen_dataset
-from .decoder import (
-    BUFFERED_STATE,
-    FORCED_REDECODE,
-    BeamConfig,
-    Session,
-    step_chunk,
-)
+from .decoder import BeamConfig, Session, step_chunk
 from .harness import (
     ModeComparison,
     SweepSpec,
@@ -55,13 +49,7 @@ from .training import (
 )
 from .transformer import TinyTransformer, TransformerConfig
 
-MODE_ALIASES = {
-    "forced": FORCED_REDECODE,
-    "buffered": BUFFERED_STATE,
-    FORCED_REDECODE: FORCED_REDECODE,
-    BUFFERED_STATE: BUFFERED_STATE,
-}
-ENC_MODE_ALIASES = {
+ENCODER_ALIASES = {
     "uni": "unidirectional",
     "bidi": "bidirectional",
     "unidirectional": "unidirectional",
@@ -70,18 +58,9 @@ ENC_MODE_ALIASES = {
 
 
 def _strategy_from_args(args) -> StrategyConfig:
-    spec = args.strategy
-    if ":" in spec:
-        name, *params = spec.split(":")
-        n = k = rate = None
-        if name == "hold-n" and params:
-            n = int(params[0])
-        elif name == "wait-k" and params:
-            k = int(params[0])
-            if len(params) > 1:
-                rate = float(params[1])
-        return parse_strategy(name, n=n, k=k, rate=rate)
-    return parse_strategy(spec, n=args.n, k=args.k, rate=args.rate)
+    if ":" in args.strategy:
+        return _strategy_from_spec(args.strategy)
+    return parse_strategy(args.strategy, n=args.n, k=args.k, rate=args.rate)
 
 
 def _beam_from_args(args) -> BeamConfig:
@@ -120,7 +99,6 @@ def _add_beam_opts(p: argparse.ArgumentParser) -> None:
 
 def _add_chunk_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-sec", type=float, default=0.5, help="chunk length in seconds")
-    p.add_argument("--mode", default="forced", choices=sorted(set(MODE_ALIASES)), help="session mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ff-dim", type=int, default=128)
     p.add_argument("--enc-layers", type=int, default=2)
     p.add_argument("--dec-layers", type=int, default=2)
-    p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENC_MODE_ALIASES)))
+    p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENCODER_ALIASES)))
     p.add_argument("--curve", default=None, help="optional loss-curve CSV")
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
@@ -312,7 +290,7 @@ def cmd_train(args) -> int:
         ff_dim=args.ff_dim,
         enc_layers=args.enc_layers,
         dec_layers=args.dec_layers,
-        mode=ENC_MODE_ALIASES[args.enc_mode],
+        mode=ENCODER_ALIASES[args.enc_mode],
         init_seed=args.seed,
     )
     model = TinyTransformer(cfg, vocab)
@@ -367,7 +345,6 @@ def cmd_run(args) -> int:
     utts = sio.load_utterances(args.inp)
     strategy = _strategy_from_args(args)
     beam = _beam_from_args(args)
-    mode = MODE_ALIASES[args.mode]
     logs = {}
     n_tokens = 0
     t_sum = 0.0
@@ -378,7 +355,6 @@ def cmd_run(args) -> int:
             strategy=strategy,
             chunk_len_sec=args.chunk_sec,
             beam=beam,
-            mode=mode,
         )
         for chunk in session.chunks():
             if args.realtime:
@@ -412,7 +388,6 @@ def cmd_sweep(args) -> int:
         strategies=strategies,
         chunk_len_sec=args.chunk_sec,
         beam=_beam_from_args(args),
-        mode=MODE_ALIASES[args.mode],
         workers=args.workers,
     )
     rows = sweep(models, utts, spec)

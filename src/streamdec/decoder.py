@@ -1,18 +1,17 @@
 """Beam search with forced prefixes, and the chunk-by-chunk session loop.
 
-Each chunk: extend (or rebuild) the encoder states, run beam search forced
-through every token committed so far, hand the fresh continuation to the
-commit strategy, and append its choice to the commit log. Committed tokens
-are never revised; they condition all later decoding.
+Each chunk: extend the encoder states by the new frames (a causal encoder
+appends rows; a bidirectional one re-encodes the whole prefix), run beam
+search forced through every token committed so far, hand the fresh
+continuation to the commit strategy, and append its choice to the commit
+log. Committed tokens are never revised; they condition all later decoding.
 
-Two session modes produce identical commit logs for a deterministic model:
-
-* forced-redecode: each chunk starts a fresh beam and re-scores the committed
-  prefix token by token.
-* buffered-state:  the decoder state of the committed path is kept between
-  chunks and reused whenever the model confirms it is still valid for the
-  grown encoder states; otherwise it is rebuilt by the same forced walk,
-  computing identical numbers.
+The decoder runs again on every chunk: its cross-attention spans the grown
+encoder output, so no decoder state outlives the chunk that made it, and
+each beam search walks the committed prefix from ``dec_init``. A session's
+``mode`` (``forced`` or ``buffered``) is a label only; both run this same
+code, so two lockstep sessions on one model produce identical commit logs
+(``harness.compare_modes`` checks it).
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ def beam_search(
     enc: EncoderStates | None,
     forced_prefix: Sequence[int],
     cfg: BeamConfig = BeamConfig(),
-    seed: BeamHypothesis | None = None,
 ) -> list[BeamHypothesis]:
     """Ranked hypotheses continuing forced_prefix.
 
@@ -89,8 +87,9 @@ def beam_search(
     cap_tokens_per_sec * available audio seconds, and stops once the best
     finished path provably beats every live one (token log-probs are
     non-positive, so extensions never raise a score). Ties rank the smaller
-    token-id sequence first. Each beam step advances every kept child in one
-    ``dec_advance_batch`` call.
+    token-id sequence first. The forced prefix is walked with one
+    ``dec_advance`` per token; each beam step then advances every kept child
+    in one ``dec_advance_batch`` call.
     """
     vocab = model.vocab
     prefix = tuple(int(t) for t in forced_prefix)
@@ -104,23 +103,14 @@ def beam_search(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
 
-    if (
-        seed is not None
-        and seed.tokens == prefix
-        and seed.state is not None
-        and model.state_covers(seed.state, enc)
-    ):
-        root = replace(seed, finished=False)
-        logps = model.dec_logits(seed.state, enc)
-    else:
-        state, logps = model.dec_init(enc)
-        score = 0.0
-        steps: list[float] = []
-        for tok in prefix:
-            score += float(logps[tok])
-            steps.append(float(logps[tok]))
-            state, logps = model.dec_advance(state, tok, enc)
-        root = BeamHypothesis(prefix, score, tuple(steps), False, state)
+    state, logps = model.dec_init(enc)
+    score = 0.0
+    steps: list[float] = []
+    for tok in prefix:
+        score += float(logps[tok])
+        steps.append(float(logps[tok]))
+        state, logps = model.dec_advance(state, tok, enc)
+    root = BeamHypothesis(prefix, score, tuple(steps), False, state)
 
     if len(root.tokens) >= max_total:
         return [replace(root, finished=True)]
@@ -140,8 +130,6 @@ def beam_search(
         scores = parent_lp[:, None] + active_lps[:, gen_ids]  # (B, G)
         if np.isnan(scores).any() or np.isnan(eos_scores).any():
             raise ContractViolation("model returned NaN log-probabilities")
-        # the finished path keeps its state (after its last real token)
-        # so a later chunk can resume from it
         for hyp, score in zip(active, eos_scores.tolist()):
             finished.append(replace(hyp, log_prob=score, finished=True))
         finished.sort(key=lambda h: _rank_key(h, False))
@@ -214,7 +202,8 @@ def offline_decode(
 
 @dataclass
 class Session:
-    """Mutable streaming-decode state for one utterance."""
+    """Mutable streaming-decode state for one utterance. ``mode`` labels the
+    session for comparisons; it does not change what a chunk computes."""
 
     model: SequenceModel
     utterance: Utterance
@@ -227,7 +216,6 @@ class Session:
     strategy_state: StrategyState = field(default_factory=initial_state)
     committed_ids: tuple[int, ...] = ()
     enc: EncoderStates | None = None
-    seed: BeamHypothesis | None = None
     next_chunk_index: int = 1
     positions_encoded: int = 0
 
@@ -271,11 +259,7 @@ def step_chunk(
     else:
         session.positions_encoded += session.enc.frames_covered
 
-    seed = session.seed if session.mode == BUFFERED_STATE else None
-    hyps = beam_search(
-        model, session.enc, session.committed_ids, session.beam, seed
-    )
-    best = hyps[0]
+    best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
     n_prev = len(session.committed_ids)
     cont_ids = best.tokens[n_prev:]
     cont_lps = best.step_log_probs[n_prev:]
@@ -290,35 +274,10 @@ def step_chunk(
         surfaces,
         session.chunk_len_sec,
     )
-    n_commit = len(committed)
-    session.committed_ids = session.committed_ids + cont_ids[:n_commit]
+    session.committed_ids = session.committed_ids + cont_ids[: len(committed)]
     session.log.commit(committed, chunk.index, session.chunk_len_sec)
-
-    if session.mode == BUFFERED_STATE:
-        session.seed = _seed_for_prefix(model, best, n_prev + n_commit)
     session.next_chunk_index = chunk.index + 1
     return out, committed
-
-
-def _seed_for_prefix(
-    model: SequenceModel, best: BeamHypothesis, n_tokens: int
-) -> BeamHypothesis | None:
-    """Decoder state for the committed path, trimmed to the committed length
-    when the model supports it."""
-    if best.state is None:
-        return None
-    if n_tokens == len(best.tokens):
-        return replace(best, finished=False)
-    state = model.trim_state(best.state, n_tokens)
-    if state is None:
-        return None
-    return BeamHypothesis(
-        best.tokens[:n_tokens],
-        float(sum(best.step_log_probs[:n_tokens])),
-        best.step_log_probs[:n_tokens],
-        False,
-        state,
-    )
 
 
 def run_session(
@@ -327,7 +286,6 @@ def run_session(
     strategy: StrategyConfig,
     chunk_len_sec: float = 0.5,
     beam: BeamConfig = BeamConfig(),
-    mode: str = FORCED_REDECODE,
 ) -> CommitLog:
     """Stream one utterance through the chunk loop and return its commit log."""
     session = Session(
@@ -336,7 +294,6 @@ def run_session(
         strategy=strategy,
         chunk_len_sec=chunk_len_sec,
         beam=beam,
-        mode=mode,
     )
     for chunk in session.chunks():
         step_chunk(session, chunk)

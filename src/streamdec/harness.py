@@ -1,4 +1,4 @@
-"""Accuracy-latency sweeps and the forced-vs-buffered comparison harness.
+"""Accuracy-latency sweeps and the lockstep session comparison harness.
 
 The sweep runs every (model, strategy) cell over the same utterance list, so
 mean-output-time deltas between rows are directly comparable: the timing of
@@ -51,7 +51,6 @@ class SweepSpec:
     strategies: tuple[StrategyConfig, ...]
     chunk_len_sec: float = 0.5
     beam: BeamConfig = field(default_factory=BeamConfig)
-    mode: str = FORCED_REDECODE
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -89,23 +88,20 @@ def _run_cell(
     strategy: StrategyConfig,
     chunk_len_sec: float,
     beam: BeamConfig,
-    mode: str,
 ) -> tuple[float, LatencyReport]:
     logs: dict[str, CommitLog] = {}
     pairs = []
     for u in utts:
-        log = run_session(model, u, strategy, chunk_len_sec, beam, mode)
+        log = run_session(model, u, strategy, chunk_len_sec, beam)
         logs[u.id] = log
         pairs.append((eval_tokens(u), log.tokens))
     return corpus_wer(pairs).rate, mean_output_time(logs)
 
 
 def _cell_job(args):
-    name, model, utts, strategy, chunk_len_sec, beam, mode = args
+    name, model, utts, strategy, chunk_len_sec, beam = args
     try:
-        wer_rate, report = _run_cell(
-            model, utts, strategy, chunk_len_sec, beam, mode
-        )
+        wer_rate, report = _run_cell(model, utts, strategy, chunk_len_sec, beam)
         return name, strategy, wer_rate, report, None
     except Exception as e:  # failed cells become nan rows, not a dead sweep
         return name, strategy, float("nan"), None, repr(e)
@@ -133,13 +129,13 @@ def sweep(
     for name in names:
         for strat in spec.strategies:
             jobs.append(
-                (name, models[name], utts, strat, spec.chunk_len_sec, spec.beam, spec.mode)
+                (name, models[name], utts, strat, spec.chunk_len_sec, spec.beam)
             )
             requested.add((name, strat))
     baseline_key = (names[0], HoldN(0))
     if baseline_key not in requested:
         jobs.append(
-            (names[0], models[names[0]], utts, HoldN(0), spec.chunk_len_sec, spec.beam, spec.mode)
+            (names[0], models[names[0]], utts, HoldN(0), spec.chunk_len_sec, spec.beam)
         )
 
     if spec.workers > 1:
@@ -214,11 +210,15 @@ def compare_modes(
     chunk_len_sec: float = 0.5,
     beam: BeamConfig = BeamConfig(),
 ) -> ModeComparison:
-    """Run each utterance through both session modes in lockstep.
+    """Run each utterance through two sessions on the one shared model in
+    lockstep, labelled ``forced`` and ``buffered``, which must agree.
 
-    Chunk outputs (tokens and per-token log-probs) and commits are compared
-    chunk by chunk; the first mismatch is reported. Wall-clock and
-    encoder-position counts accumulate per mode either way.
+    Both sessions run the same chunk loop, so any mismatch means the model
+    is not deterministic or one session's calls changed state the other
+    reads (a cache keyed wrongly, a state shared by mistake). Chunk outputs
+    (tokens and per-token log-probs) and commits are compared chunk by
+    chunk; the first mismatch is reported. Wall-clock and encoder-position
+    counts accumulate per session either way.
     """
     wall = {FORCED_REDECODE: 0.0, BUFFERED_STATE: 0.0}
     pos = {FORCED_REDECODE: 0, BUFFERED_STATE: 0}

@@ -9,6 +9,14 @@ same number of positions in one call; row i of its result equals
 ``dec_advance(states[i], token_ids[i], enc)``, and a block whose states
 differ in length is a ``ContractViolation``. ``decode_step`` composes these
 into the one-shot form used by tests.
+
+A decoder state is only good for the encoder states it was made with: once
+the encoder grows, cross-attention spans new rows, so every chunk walks its
+forced prefix again from ``dec_init``. What carries over between chunks is
+the encoder output, which a causal encoder extends append-only. Each model
+instance holds a private ownership token that its encoder states (and the
+transformer's decoder states) carry, so a state from another model is
+refused even after that model is gone and its ``id()`` reused.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ class EncoderStates:
     frames_covered: int
     frame_period_sec: float = 0.010
     utt_id: str | None = None
-    owner: int = 0  # id() of the producing model; guards cross-model reuse
+    owner: object = None  # the producing model's ownership token
     layer_inputs: Any = None  # model-internal cache for incremental extension
     attn_cache: dict = field(default_factory=dict)
 
@@ -77,12 +85,6 @@ class SequenceModel(Protocol):
         enc: EncoderStates,
     ) -> tuple[list[Any], np.ndarray]: ...
 
-    def dec_logits(self, state: Any, enc: EncoderStates) -> np.ndarray: ...
-
-    def state_covers(self, state: Any, enc: EncoderStates) -> bool: ...
-
-    def trim_state(self, state: Any, n_tokens: int) -> Any | None: ...
-
 
 def decode_step(
     model: SequenceModel, enc: EncoderStates, prefix: Sequence[int]
@@ -102,7 +104,7 @@ def _check_token_id(vocab: Vocab, token_id: int) -> None:
 def _check_prior(
     model: Any, prior: EncoderStates, n_frames: int, utt_id: str | None
 ) -> None:
-    if prior.owner != id(model):
+    if prior.owner is not model._owner:
         raise ContractViolation("prior states come from a different model")
     if prior.frames_covered > n_frames:
         raise ContractViolation(
@@ -140,6 +142,7 @@ class SyntheticAlignedModel:
             raise ConfigError("instability_frames must be >= 0")
         self.vocab = vocab
         self.mode = UNIDIRECTIONAL
+        self._owner = object()  # held by every state this instance makes
         self.alignments = alignments
         self.instability_frames = instability_frames
         self.perturb_seed = perturb_seed
@@ -200,7 +203,7 @@ class SyntheticAlignedModel:
             frames_covered=len(frames),
             frame_period_sec=frame_period_sec,
             utt_id=utt_id,
-            owner=id(self),
+            owner=self._owner,
         )
 
     # --- decoding ---------------------------------------------------------
@@ -255,16 +258,6 @@ class SyntheticAlignedModel:
             )
         rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
         return [s for s, _ in rows], np.array([lps for _, lps in rows])
-
-    def dec_logits(self, state: int, enc: EncoderStates) -> np.ndarray:
-        return self._emission(enc, state)
-
-    def state_covers(self, state: int, enc: EncoderStates) -> bool:
-        # position-counter state is valid for any coverage of the same stream
-        return True
-
-    def trim_state(self, state: int, n_tokens: int) -> int:
-        return n_tokens
 
     def dump_attention(self, enc: EncoderStates, prefix: Sequence[int]):
         raise UnsupportedOperation(

@@ -2,10 +2,11 @@
 
 The encoder can run with causal (unidirectional) self-attention, in which
 case encoder states for earlier positions never change as more frames arrive
-and encoding is append-only. Decoding is incremental: per-layer key/value
-rows are cached per hypothesis, a block of hypotheses of equal length
-advances in one pass, and cross-attention always spans every encoder state
-available at the time of the call.
+and encoding is append-only. One decoder forward (``_advance_block``) runs a
+block of rows over one or more positions: the incremental calls are its
+one-position case, with per-layer key/value rows cached per hypothesis, and
+the attention dump is one row over bos and the whole prefix. Cross-attention
+always spans every encoder state available at the time of the call.
 
 Inference runs on plain float64 numpy. Training builds the same math as an
 autodiff graph (see training.py for the loop).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,13 +162,13 @@ def _merge(x: np.ndarray, d: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DecState:
     """Immutable incremental decoder state: per-layer self-attention K/V for
-    every consumed position, plus the cached next-token distribution."""
+    every consumed position, valid only for the encoder states it was made
+    with."""
 
-    owner: int
+    owner: object  # the producing model's ownership token
     frames_covered: int
     pos: int  # consumed input positions, bos included
     kv: tuple  # per layer: (K, V) with shape (heads, pos, head_dim)
-    logps: np.ndarray
 
 
 class TinyTransformer:
@@ -184,6 +185,7 @@ class TinyTransformer:
         self.cfg = cfg
         self.vocab = vocab
         self.params = params if params is not None else init_params(cfg)
+        self._owner = object()  # held by every state this instance makes
         self._pos_table = np.zeros((0, cfg.d_model))
 
     @property
@@ -241,7 +243,7 @@ class TinyTransformer:
 
         if total == start:
             return EncoderStates(
-                old_states, total, frame_period_sec, utt_id, id(self),
+                old_states, total, frame_period_sec, utt_id, self._owner,
                 layer_inputs,
             )
 
@@ -252,7 +254,7 @@ class TinyTransformer:
             full_in = (
                 np.concatenate([layer_inputs[l], x]) if start else x
             )
-            x = self._enc_layer(l, x, full_in, start)
+            x, _ = self._enc_layer(l, x, full_in, start)
             layer_inputs[l] = full_in
         layer_inputs[cfg.enc_layers] = (
             np.concatenate([layer_inputs[cfg.enc_layers], x]) if start else x
@@ -262,13 +264,14 @@ class TinyTransformer:
         )
         states = np.concatenate([old_states, new_states]) if start else new_states
         return EncoderStates(
-            states, total, frame_period_sec, utt_id, id(self), layer_inputs
+            states, total, frame_period_sec, utt_id, self._owner, layer_inputs
         )
 
     def _enc_layer(
         self, l: int, x_new: np.ndarray, full_in: np.ndarray, start: int
-    ) -> np.ndarray:
-        """One pre-norm encoder block evaluated for the new rows only."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One pre-norm encoder block evaluated for the new rows only; returns
+        their outputs and attention weights (heads, new rows, all rows)."""
         p = self.params
         cfg = self.cfg
         h, dh = cfg.heads, cfg.head_dim
@@ -283,16 +286,17 @@ class TinyTransformer:
             cols = np.arange(t_full)[None, :]
             rows = start + np.arange(n_new)[:, None]
             scores = np.where(cols > rows, -np.inf, scores)
-        ctx = _merge(_softmax_np(scores) @ v, cfg.d_model)
+        attn = _softmax_np(scores)
+        ctx = _merge(attn @ v, cfg.d_model)
         x_attn = x_new + (ctx @ p[f"enc{l}_wo"] + p[f"enc{l}_bo"])
         ln2 = _ln_np(x_attn, p[f"enc{l}_ln2_g"], p[f"enc{l}_ln2_b"])
         f = np.maximum(ln2 @ p[f"enc{l}_ff1_w"] + p[f"enc{l}_ff1_b"], 0.0)
-        return x_attn + (f @ p[f"enc{l}_ff2_w"] + p[f"enc{l}_ff2_b"])
+        return x_attn + (f @ p[f"enc{l}_ff2_w"] + p[f"enc{l}_ff2_b"]), attn
 
-    # --- incremental decoder --------------------------------------------------
+    # --- decoder ------------------------------------------------------------
 
     def _cross_kv(self, enc: EncoderStates, l: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("cross_kv", id(self), l)
+        key = ("cross_kv", self._owner, l)
         hit = enc.attn_cache.get(key)
         if hit is None:
             p = self.params
@@ -305,78 +309,103 @@ class TinyTransformer:
 
     def _advance_block(
         self, x: np.ndarray, kv: Sequence, enc: EncoderStates
-    ) -> tuple[list, np.ndarray]:
-        """Push one embedded input position per row through the decoder
-        stack. x is (B, d_model); kv holds per layer the (K, V) self-attention
-        cache of every row, each (B, heads, pos, head_dim). Returns the grown
-        caches and the next-token log-probabilities (B, vocab)."""
+    ) -> tuple[np.ndarray, list, list, list]:
+        """The decoder stack over T embedded input positions per row.
+
+        x is (B, T, d_model); kv holds per layer the (K, V) self-attention
+        cache of every row, each (B, heads, pos, head_dim). Position t of a
+        row attends to the row's cache and to positions 0..t of its block.
+        Returns the next-token log-probabilities (B, T, vocab), the grown
+        caches, and per layer the self-attention weights (B, heads, T,
+        pos + T) and the cross-attention weights (B, heads, T, frames)."""
         p = self.params
         cfg = self.cfg
-        h, dh = cfg.heads, cfg.head_dim
-        b_sz = len(x)
-        row = x
-        new_kv = []
+        h, dh, d = cfg.heads, cfg.head_dim, cfg.d_model
+        b_sz, t_len, _ = x.shape
+        pos = kv[0][0].shape[2]
+
+        def split(y: np.ndarray) -> np.ndarray:
+            # (B*T, d) -> (B, heads, T, head_dim)
+            return y.reshape(b_sz, t_len, h, dh).transpose(0, 2, 1, 3)
+
+        # projections run on all B*T rows as one 2-D product
+        row = x.reshape(b_sz * t_len, d)
+        if t_len > 1:  # a lone position sees nothing after it
+            future = (
+                np.arange(pos + t_len)[None, :] > pos + np.arange(t_len)[:, None]
+            )
+        new_kv, self_attns, cross_attns = [], [], []
         for l in range(cfg.dec_layers):
             ln = _ln_np(row, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
-            q = (ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"]).reshape(b_sz, h, 1, dh)
-            k_new = (ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"]).reshape(b_sz, h, 1, dh)
-            v_new = (ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"]).reshape(b_sz, h, 1, dh)
+            q = split(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"])
             k_old, v_old = kv[l]
-            k_all = np.concatenate([k_old, k_new], axis=2)
-            v_all = np.concatenate([v_old, v_new], axis=2)
+            k_all = np.concatenate(
+                [k_old, split(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"])], axis=2
+            )
+            v_all = np.concatenate(
+                [v_old, split(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"])], axis=2
+            )
             scores = q @ k_all.transpose(0, 1, 3, 2) / math.sqrt(dh)
-            ctx = (_softmax_np(scores) @ v_all).reshape(b_sz, cfg.d_model)
+            if t_len > 1:
+                scores = np.where(future, -np.inf, scores)
+            attn = _softmax_np(scores)
+            ctx = (attn @ v_all).transpose(0, 2, 1, 3).reshape(b_sz * t_len, d)
             row = row + (ctx @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
 
-            # cross-attention has no per-row cache: the rows attend to the
+            # cross-attention has no per-row cache: the B*T rows attend to the
             # shared encoder K/V like the query positions of one sequence
             ln2 = _ln_np(row, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
             q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
             ke, ve = self._cross_kv(enc, l)
-            scores2 = q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh)
-            ctx2 = _merge(_softmax_np(scores2) @ ve, cfg.d_model)
-            row = row + (ctx2 @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
+            attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
+            row = row + (_merge(attn2 @ ve, d) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
 
             ln3 = _ln_np(row, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
             f = np.maximum(ln3 @ p[f"dec{l}_ff1_w"] + p[f"dec{l}_ff1_b"], 0.0)
             row = row + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
             new_kv.append((k_all, v_all))
+            self_attns.append(attn)
+            cross_attns.append(
+                attn2.reshape(h, b_sz, t_len, -1).transpose(1, 0, 2, 3)
+            )
         out = _ln_np(row, p["dec_lnf_g"], p["dec_lnf_b"])
-        logits = out @ p["out_w"] + p["out_b"]
-        return new_kv, _log_softmax_np(logits)
+        logps = _log_softmax_np(out @ p["out_w"] + p["out_b"])
+        return logps.reshape(b_sz, t_len, -1), new_kv, self_attns, cross_attns
 
-    def _embed(self, token_ids: Sequence[int], position: int) -> np.ndarray:
-        """Decoder input rows (B, d_model) for tokens at one position."""
+    def _embed(self, token_ids: Sequence, start: int) -> np.ndarray:
+        """Decoder input rows (B, T, d_model) for a (B, T) block of token ids
+        at positions start .. start + T - 1."""
+        ids = np.asarray(token_ids)
         return (
-            self.params["tok_emb"][np.asarray(token_ids)]
-            * math.sqrt(self.cfg.d_model)
-            + self._pos(position + 1)[position]
+            self.params["tok_emb"][ids] * math.sqrt(self.cfg.d_model)
+            + self._pos(start + ids.shape[1])[start:]
         )
 
+    def _empty_kv(self) -> list:
+        empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
+        return [(empty, empty)] * self.cfg.dec_layers
+
     def _states(
-        self, kv: list, logps: np.ndarray, enc: EncoderStates, pos: int
+        self, kv: list, enc: EncoderStates, pos: int
     ) -> list[DecState]:
-        """Split a block's caches and distributions into per-row states."""
+        """Split a block's caches into per-row states."""
         return [
             DecState(
-                id(self), enc.frames_covered, pos,
-                tuple((k[i], v[i]) for k, v in kv), logps[i],
+                self._owner, enc.frames_covered, pos,
+                tuple((k[i], v[i]) for k, v in kv),
             )
-            for i in range(len(logps))
+            for i in range(len(kv[0][0]))
         ]
 
     def dec_init(self, enc: EncoderStates) -> tuple[DecState, np.ndarray]:
-        if enc.owner != id(self):
+        if enc.owner is not self._owner:
             raise ContractViolation("encoder states from a different model")
         if enc.frames_covered == 0:
             raise ContractViolation("cannot decode with no encoder states")
-        empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
-        kv, logps = self._advance_block(
-            self._embed([self.vocab.bos_id], 0),
-            [(empty, empty)] * self.cfg.dec_layers,
-            enc,
+        logps, kv, _, _ = self._advance_block(
+            self._embed([[self.vocab.bos_id]], 0), self._empty_kv(), enc
         )
-        return self._states(kv, logps, enc, 1)[0], logps[0]
+        return self._states(kv, enc, 1)[0], logps[0, 0]
 
     def dec_advance(
         self, state: DecState, token_id: int, enc: EncoderStates
@@ -396,7 +425,14 @@ class TinyTransformer:
             )
         for state, token_id in zip(states, token_ids):
             _check_token_id(self.vocab, token_id)
-            if not self.state_covers(state, enc):
+            # a state made by another model, or before the encoder grew,
+            # attended to other encoder rows than enc holds
+            if not (
+                isinstance(state, DecState)
+                and state.owner is self._owner
+                and enc.owner is self._owner
+                and state.frames_covered == enc.frames_covered
+            ):
                 raise ContractViolation(
                     "decoder state does not match the given encoder states"
                 )
@@ -412,70 +448,11 @@ class TinyTransformer:
             )
             for l in range(self.cfg.dec_layers)
         ]
-        kv, logps = self._advance_block(self._embed(token_ids, pos), kv, enc)
-        return self._states(kv, logps, enc, pos + 1), logps
+        ids = np.asarray(token_ids)[:, None]
+        logps, kv, _, _ = self._advance_block(self._embed(ids, pos), kv, enc)
+        return self._states(kv, enc, pos + 1), logps[:, 0]
 
-    def dec_logits(self, state: DecState, enc: EncoderStates) -> np.ndarray:
-        if not self.state_covers(state, enc):
-            raise ContractViolation("stale decoder state")
-        return state.logps
-
-    def state_covers(self, state: Any, enc: EncoderStates) -> bool:
-        return (
-            isinstance(state, DecState)
-            and state.owner == id(self)
-            and enc.owner == id(self)
-            and state.frames_covered == enc.frames_covered
-        )
-
-    def trim_state(self, state: DecState, n_tokens: int) -> None:
-        # hidden rows for intermediate lengths are not kept; a shorter prefix
-        # has to be rebuilt (cross-attention changes with coverage anyway)
-        return None
-
-    # --- whole-prefix decoder pass (attention introspection) -----------------
-
-    def _dec_full(
-        self, enc: EncoderStates, prefix: Sequence[int]
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        p = self.params
-        cfg = self.cfg
-        h, dh = cfg.heads, cfg.head_dim
-        ids = [self.vocab.bos_id] + [int(t) for t in prefix]
-        for t in ids:
-            _check_token_id(self.vocab, t)
-        q_len = len(ids)
-        x = (
-            p["tok_emb"][ids] * math.sqrt(cfg.d_model)
-            + self._pos(q_len)
-        )
-        self_attns: list[np.ndarray] = []
-        cross_attns: list[np.ndarray] = []
-        causal = np.where(
-            np.arange(q_len)[None, :] > np.arange(q_len)[:, None], -np.inf, 0.0
-        )
-        for l in range(cfg.dec_layers):
-            ln = _ln_np(x, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
-            q = _heads(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"], h, dh)
-            k = _heads(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"], h, dh)
-            v = _heads(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"], h, dh)
-            attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + causal)
-            self_attns.append(attn)
-            x = x + (_merge(attn @ v, cfg.d_model) @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
-
-            ln2 = _ln_np(x, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
-            q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
-            ke, ve = self._cross_kv(enc, l)
-            attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
-            cross_attns.append(attn2)
-            x = x + (_merge(attn2 @ ve, cfg.d_model) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
-
-            ln3 = _ln_np(x, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
-            f = np.maximum(ln3 @ p[f"dec{l}_ff1_w"] + p[f"dec{l}_ff1_b"], 0.0)
-            x = x + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
-        out = _ln_np(x, p["dec_lnf_g"], p["dec_lnf_b"])
-        logps = _log_softmax_np(out @ p["out_w"] + p["out_b"])
-        return logps, self_attns, cross_attns
+    # --- attention introspection ----------------------------------------------
 
     def dump_attention(
         self, enc: EncoderStates, prefix: Sequence[int]
@@ -483,35 +460,29 @@ class TinyTransformer:
         """Per-layer, per-head attention weight matrices for the current
         stream: encoder self-attention, decoder self-attention over bos+prefix,
         and cross-attention of those query rows over all encoder states."""
-        if enc.owner != id(self) or enc.layer_inputs is None:
+        if enc.owner is not self._owner or enc.layer_inputs is None:
             raise ContractViolation(
                 "attention dump needs encoder states produced by this model"
             )
-        p = self.params
+        if enc.frames_covered == 0:
+            raise ContractViolation("cannot decode with no encoder states")
+        ids = [self.vocab.bos_id] + [int(t) for t in prefix]
+        for t in ids:
+            _check_token_id(self.vocab, t)
         cfg = self.cfg
-        h, dh = cfg.heads, cfg.head_dim
         grids: dict[str, np.ndarray] = {}
         for l in range(cfg.enc_layers):
             full_in = enc.layer_inputs[l]
-            t = len(full_in)
-            ln = _ln_np(full_in, p[f"enc{l}_ln1_g"], p[f"enc{l}_ln1_b"])
-            q = _heads(ln @ p[f"enc{l}_wq"] + p[f"enc{l}_bq"], h, dh)
-            k = _heads(ln @ p[f"enc{l}_wk"] + p[f"enc{l}_bk"], h, dh)
-            scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
-            if cfg.mode == UNIDIRECTIONAL:
-                scores = np.where(
-                    np.arange(t)[None, :] > np.arange(t)[:, None],
-                    -np.inf,
-                    scores,
-                )
-            attn = _softmax_np(scores)
-            for head in range(h):
+            _, attn = self._enc_layer(l, full_in, full_in, 0)
+            for head in range(cfg.heads):
                 grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
-        _, self_attns, cross_attns = self._dec_full(enc, prefix)
+        _, _, self_attns, cross_attns = self._advance_block(
+            self._embed([ids], 0), self._empty_kv(), enc
+        )
         for l in range(cfg.dec_layers):
-            for head in range(h):
-                grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][head]
-                grids[f"cross.layer{l}.head{head}"] = cross_attns[l][head]
+            for head in range(cfg.heads):
+                grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][0, head]
+                grids[f"cross.layer{l}.head{head}"] = cross_attns[l][0, head]
         return grids
 
 

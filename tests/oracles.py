@@ -16,6 +16,14 @@ import numpy as np
 
 from streamdec.core import ContractViolation
 from streamdec.decoder import BeamConfig, BeamHypothesis
+from streamdec.model import UNIDIRECTIONAL
+from streamdec.transformer import (
+    _heads,
+    _ln_np,
+    _merge,
+    _softmax_np,
+    sinusoid_table,
+)
 
 
 def wer_oracle(ref, hyp):
@@ -99,7 +107,6 @@ def scalar_beam_search(
     enc,
     forced_prefix,
     cfg: BeamConfig = BeamConfig(),
-    seed: BeamHypothesis | None = None,
 ) -> list[BeamHypothesis]:
     """Reference for decoder.beam_search: the same search, advancing each
     kept child with its own dec_advance call and ranking one Python tuple per
@@ -124,23 +131,14 @@ def scalar_beam_search(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
 
-    if (
-        seed is not None
-        and seed.tokens == prefix
-        and seed.state is not None
-        and model.state_covers(seed.state, enc)
-    ):
-        root = replace(seed, finished=False)
-        logps = model.dec_logits(seed.state, enc)
-    else:
-        state, logps = model.dec_init(enc)
-        score = 0.0
-        steps: list[float] = []
-        for tok in prefix:
-            score += float(logps[tok])
-            steps.append(float(logps[tok]))
-            state, logps = model.dec_advance(state, tok, enc)
-        root = BeamHypothesis(prefix, score, tuple(steps), False, state)
+    state, logps = model.dec_init(enc)
+    score = 0.0
+    steps: list[float] = []
+    for tok in prefix:
+        score += float(logps[tok])
+        steps.append(float(logps[tok]))
+        state, logps = model.dec_advance(state, tok, enc)
+    root = BeamHypothesis(prefix, score, tuple(steps), False, state)
 
     if len(root.tokens) >= max_total:
         return [replace(root, finished=True)]
@@ -156,8 +154,6 @@ def scalar_beam_search(
                 break
         candidates: list[tuple[float, tuple[int, ...], BeamHypothesis, int, float]] = []
         for hyp, lps in active:
-            # the finished path keeps its state (after its last real token)
-            # so a later chunk can resume from it
             finished.append(
                 replace(
                     hyp,
@@ -187,6 +183,64 @@ def scalar_beam_search(
     result = finished + [h for h, _ in active]
     result.sort(key=lambda h: _rank_key(h, cfg.length_normalize))
     return result[: max(cfg.beam_width, 1)]
+
+
+def attention_grids_oracle(model, enc, prefix):
+    """Reference for TinyTransformer.dump_attention, written out layer by
+    layer: the encoder grids recomputed from each layer's cached input, and
+    the decoder grids from one whole-prefix pass with an additive causal
+    mask instead of the package's cached decoder forward."""
+    p = model.params
+    cfg = model.cfg
+    h, dh = cfg.heads, cfg.head_dim
+    grids = {}
+    for l in range(cfg.enc_layers):
+        full_in = enc.layer_inputs[l]
+        t = len(full_in)
+        ln = _ln_np(full_in, p[f"enc{l}_ln1_g"], p[f"enc{l}_ln1_b"])
+        q = _heads(ln @ p[f"enc{l}_wq"] + p[f"enc{l}_bq"], h, dh)
+        k = _heads(ln @ p[f"enc{l}_wk"] + p[f"enc{l}_bk"], h, dh)
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
+        if cfg.mode == UNIDIRECTIONAL:
+            scores = np.where(
+                np.arange(t)[None, :] > np.arange(t)[:, None],
+                -np.inf,
+                scores,
+            )
+        attn = _softmax_np(scores)
+        for head in range(h):
+            grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
+
+    ids = [model.vocab.bos_id] + [int(t) for t in prefix]
+    q_len = len(ids)
+    x = p["tok_emb"][ids] * math.sqrt(cfg.d_model) + sinusoid_table(
+        q_len, cfg.d_model
+    )
+    causal = np.where(
+        np.arange(q_len)[None, :] > np.arange(q_len)[:, None], -np.inf, 0.0
+    )
+    for l in range(cfg.dec_layers):
+        ln = _ln_np(x, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
+        q = _heads(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"], h, dh)
+        k = _heads(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"], h, dh)
+        v = _heads(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"], h, dh)
+        attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + causal)
+        x = x + (_merge(attn @ v, cfg.d_model) @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
+
+        ln2 = _ln_np(x, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
+        q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
+        ke = _heads(enc.states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"], h, dh)
+        ve = _heads(enc.states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"], h, dh)
+        attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
+        x = x + (_merge(attn2 @ ve, cfg.d_model) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
+
+        ln3 = _ln_np(x, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
+        f = np.maximum(ln3 @ p[f"dec{l}_ff1_w"] + p[f"dec{l}_ff1_b"], 0.0)
+        x = x + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
+        for head in range(h):
+            grids[f"decoder_self.layer{l}.head{head}"] = attn[head]
+            grids[f"cross.layer{l}.head{head}"] = attn2[head]
+    return grids
 
 
 def mean_or_none(xs):

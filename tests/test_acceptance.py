@@ -349,8 +349,7 @@ class CachedRandomModel:
 
     def encode(self, frames, prior=None, *, utt_id=None, frame_period_sec=0.010):
         return EncoderStates(
-            np.zeros((len(frames), 1)), len(frames), frame_period_sec,
-            utt_id, owner=id(self),
+            np.zeros((len(frames), 1)), len(frames), frame_period_sec, utt_id
         )
 
     def _logps(self, prefix):
@@ -379,15 +378,6 @@ class CachedRandomModel:
     def dec_advance_batch(self, states, token_ids, enc):
         rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
         return [s for s, _ in rows], np.array([lps for _, lps in rows])
-
-    def dec_logits(self, state, enc):
-        return self._logps(state)
-
-    def state_covers(self, state, enc):
-        return True
-
-    def trim_state(self, state, n_tokens):
-        return state[:n_tokens]
 
 
 def test_c06_beam_search_exactness():

@@ -6,7 +6,6 @@ from streamdec.decoder import (
     BUFFERED_STATE,
     FORCED_REDECODE,
     BeamConfig,
-    BeamHypothesis,
     Session,
     beam_search,
     offline_decode,
@@ -32,9 +31,7 @@ class RandomWalkModel:
 
     def encode(self, frames, prior=None, *, utt_id=None, frame_period_sec=0.010):
         n = len(frames)
-        return EncoderStates(
-            np.zeros((n, 1)), n, frame_period_sec, utt_id, owner=id(self)
-        )
+        return EncoderStates(np.zeros((n, 1)), n, frame_period_sec, utt_id)
 
     def _logps(self, prefix):
         key = self._seed
@@ -57,15 +54,6 @@ class RandomWalkModel:
     def dec_advance_batch(self, states, token_ids, enc):
         rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
         return [s for s, _ in rows], np.array([lps for _, lps in rows])
-
-    def dec_logits(self, state, enc):
-        return self._logps(state)
-
-    def state_covers(self, state, enc):
-        return True
-
-    def trim_state(self, state, n_tokens):
-        return state[:n_tokens]
 
 
 def wide_enough(model, enc, cfg):
@@ -286,28 +274,6 @@ class TestBatchedAgainstScalar:
             beam_search(model, enc, (), BeamConfig(beam_width=3))
 
 
-class TestSeedReuse:
-    def test_valid_seed_reproduces_fresh_search(self):
-        model = RandomWalkModel(n_words=4, seed=11)
-        enc = model.encode(np.zeros((50, 1)))
-        prefix = (3, 6)
-        fresh = beam_search(model, enc, prefix, BeamConfig(beam_width=3))
-        steps = fresh[0].step_log_probs[:2]
-        seed = BeamHypothesis(prefix, float(sum(steps)), steps, False, prefix)
-        seeded = beam_search(model, enc, prefix, BeamConfig(beam_width=3), seed)
-        assert [h.tokens for h in seeded] == [h.tokens for h in fresh]
-        for a, b in zip(seeded, fresh):
-            assert a.log_prob == pytest.approx(b.log_prob, abs=1e-12)
-
-    def test_mismatched_seed_ignored(self):
-        model = RandomWalkModel(n_words=4, seed=11)
-        enc = model.encode(np.zeros((50, 1)))
-        stale = BeamHypothesis((4,), -0.5, (-0.5,), False, (4,))
-        fresh = beam_search(model, enc, (3,), BeamConfig(beam_width=3))
-        seeded = beam_search(model, enc, (3,), BeamConfig(beam_width=3), stale)
-        assert [h.tokens for h in seeded] == [h.tokens for h in fresh]
-
-
 class TestOfflineDecode:
     def test_recovers_reference_on_oracle_model(self, stable_model, small_corpus):
         for utt in small_corpus[:4]:
@@ -400,6 +366,13 @@ class TestSession:
             assert eos not in log.tokens
 
 
+def session_log(model, utt, strat, mode, beam=BeamConfig()):
+    s = Session(model, utt, strat, beam=beam, mode=mode)
+    for chunk in s.chunks():
+        step_chunk(s, chunk)
+    return s.log
+
+
 class TestModeEquivalence:
     @pytest.mark.parametrize("strat", [
         HoldN(0), HoldN(2), WaitK(1, rate=4.0),
@@ -407,8 +380,8 @@ class TestModeEquivalence:
     ])
     def test_synthetic_model_modes_agree(self, unstable_model, small_corpus, strat):
         for utt in small_corpus[:3]:
-            a = run_session(unstable_model, utt, strat, mode=FORCED_REDECODE)
-            b = run_session(unstable_model, utt, strat, mode=BUFFERED_STATE)
+            a = session_log(unstable_model, utt, strat, FORCED_REDECODE)
+            b = session_log(unstable_model, utt, strat, BUFFERED_STATE)
             assert a.tokens == b.tokens
             assert [
                 (e.token, e.chunk_index, e.output_time_sec) for e in a.entries
@@ -424,10 +397,8 @@ class TestModeEquivalence:
         )
         beam = BeamConfig(beam_width=3)
         for strat in (HoldN(0), LocalAgreement()):
-            a = run_session(micro_model, utt, strat, beam=beam,
-                            mode=FORCED_REDECODE)
-            b = run_session(micro_model, utt, strat, beam=beam,
-                            mode=BUFFERED_STATE)
+            a = session_log(micro_model, utt, strat, FORCED_REDECODE, beam)
+            b = session_log(micro_model, utt, strat, BUFFERED_STATE, beam)
             assert a.tokens == b.tokens
 
     def test_buffered_unidirectional_encodes_each_frame_once(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from streamdec.core import ConfigError
@@ -171,8 +172,9 @@ class TestCompareModes:
 
     def test_divergence_reported_with_location(self, unstable_model, small_corpus):
         class Flaky:
-            """Delegates everything but makes buffered sessions disagree by
-            flipping the continuation on reused decoder state."""
+            """Delegates everything but swaps the two most likely tokens on
+            every second dec_init: the lockstep sessions each start one
+            search per chunk, so the second session's searches disagree."""
 
             def __init__(self, inner):
                 self._inner = inner
@@ -183,11 +185,14 @@ class TestCompareModes:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-            def dec_logits(self, state, enc):
-                lps = self._inner.dec_logits(state, enc)
-                out = lps.copy()
-                out[3], out[4] = lps[4], lps[3]
-                return out
+            def dec_init(self, enc):
+                state, lps = self._inner.dec_init(enc)
+                self._calls += 1
+                if self._calls % 2 == 0:
+                    lps = lps.copy()
+                    top, second = np.argsort(-lps)[:2]
+                    lps[top], lps[second] = lps[second], lps[top]
+                return state, lps
 
         flaky = Flaky(unstable_model)
         cmp = compare_modes(

@@ -87,8 +87,7 @@ class TestEmissionRule:
         u = utts[0]
         a = aligns[u.id]
         enc = m.encode(u.frames, utt_id=u.id)
-        state = len(a.token_ids) - 1
-        lps = m.dec_logits(state, enc)
+        lps = decode_step(m, enc, a.token_ids[:-1])
         assert int(np.argmax(lps)) == a.token_ids[-1]
 
     def test_confusion_map_is_fixed_point_free(self, world):
@@ -111,7 +110,7 @@ class TestEmissionRule:
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
         u = utts[0]
         enc = m.encode(u.frames, utt_id=u.id)
-        lps = m.dec_logits(len(aligns[u.id].token_ids), enc)
+        lps = decode_step(m, enc, aligns[u.id].token_ids)
         assert int(np.argmax(lps)) == m.vocab.eos_id
 
 
@@ -159,14 +158,6 @@ class TestEncodeContract:
 
 
 class TestPerSlotInvariants:
-    def test_state_covers_and_trim(self, world):
-        spec, utts, _ = world
-        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
-        enc = m.encode(utts[0].frames, utt_id=utts[0].id)
-        state, _ = m.dec_init(enc)
-        assert m.state_covers(state, enc)
-        assert m.trim_state(5, 3) == 3
-
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,24 @@ from streamdec.transformer import (
     training_loss,
 )
 
+from .oracles import attention_grids_oracle
+
 
 @pytest.fixture()
 def bidi_model(micro_vocab):
     cfg = TransformerConfig(
         frame_dim=4, vocab_size=len(micro_vocab), d_model=8, heads=2,
         ff_dim=12, enc_layers=1, dec_layers=1, mode=BIDIRECTIONAL, init_seed=5,
+    )
+    return TinyTransformer(cfg, micro_vocab)
+
+
+@pytest.fixture()
+def deep_model(micro_vocab):
+    cfg = TransformerConfig(
+        frame_dim=4, vocab_size=len(micro_vocab), d_model=16, heads=4,
+        ff_dim=24, enc_layers=1, dec_layers=2, mode=BIDIRECTIONAL,
+        init_seed=9,
     )
     return TinyTransformer(cfg, micro_vocab)
 
@@ -114,18 +127,19 @@ class TestDecoding:
         frames = rng.normal(size=(20, 4))
         enc1 = micro_model.encode(frames[:10], None, utt_id="u")
         state, _ = micro_model.dec_init(enc1)
-        assert micro_model.state_covers(state, enc1)
+        micro_model.dec_advance(state, 3, enc1)  # fine on its own encoding
         enc2 = micro_model.encode(frames, enc1)
-        # more audio means different cross-attention: the cached state is stale
-        assert not micro_model.state_covers(state, enc2)
+        # more audio means different cross-attention: the state is stale
+        with pytest.raises(ContractViolation, match="does not match"):
+            micro_model.dec_advance(state, 3, enc2)
 
     def test_stale_state_logits_rejected(self, micro_model, rng):
         frames = rng.normal(size=(20, 4))
         enc1 = micro_model.encode(frames[:10], None, utt_id="u")
         state, _ = micro_model.dec_init(enc1)
         enc2 = micro_model.encode(frames, enc1)
-        with pytest.raises(ContractViolation):
-            micro_model.dec_logits(state, enc2)
+        with pytest.raises(ContractViolation, match="does not match"):
+            micro_model.dec_advance_batch([state, state], [3, 4], enc2)
 
     def test_rebuilt_walk_is_identical(self, micro_model, rng):
         """Forcing the same prefix after encoder growth gives exactly the
@@ -141,17 +155,32 @@ class TestDecoding:
             state_b, lps_b = micro_model.dec_advance(state_b, t, enc)
         np.testing.assert_array_equal(lps_a, lps_b)
 
-    def test_trim_state_unsupported(self, micro_model, rng):
-        enc = micro_model.encode(rng.normal(size=(10, 4)), None)
-        state, _ = micro_model.dec_init(enc)
-        assert micro_model.trim_state(state, 0) is None
-
     def test_foreign_encoder_rejected(self, micro_cfg, micro_vocab, rng):
         m1 = TinyTransformer(micro_cfg, micro_vocab)
         m2 = TinyTransformer(micro_cfg, micro_vocab)
         enc = m1.encode(rng.normal(size=(10, 4)), None)
         with pytest.raises(ContractViolation):
             m2.dec_init(enc)
+
+    def test_states_of_a_collected_model_rejected(
+        self, micro_cfg, micro_vocab, rng
+    ):
+        """A model built after another was collected can get the same id();
+        the states the collected model made must still be refused."""
+        frames = rng.normal(size=(10, 4))
+        other_cfg = replace(micro_cfg, init_seed=micro_cfg.init_seed + 1)
+        for _ in range(50):
+            a = TinyTransformer(micro_cfg, micro_vocab)
+            enc = a.encode(frames[:6], None)
+            state, _ = a.dec_init(enc)
+            del a  # the last reference: CPython frees the model here
+            b = TinyTransformer(other_cfg, micro_vocab)
+            with pytest.raises(ContractViolation):
+                b.dec_advance(state, 3, enc)
+            with pytest.raises(ContractViolation):
+                b.dec_init(enc)
+            with pytest.raises(ContractViolation):
+                b.encode(frames, enc)
 
     def test_bad_token_id_rejected(self, micro_model, rng):
         enc = micro_model.encode(rng.normal(size=(10, 4)), None)
@@ -162,15 +191,6 @@ class TestDecoding:
 
 class TestBatchAdvance:
     """dec_advance_batch row i equals dec_advance(states[i], token_ids[i])."""
-
-    @pytest.fixture()
-    def deep_model(self, micro_vocab):
-        cfg = TransformerConfig(
-            frame_dim=4, vocab_size=len(micro_vocab), d_model=16, heads=4,
-            ff_dim=24, enc_layers=1, dec_layers=2, mode=BIDIRECTIONAL,
-            init_seed=9,
-        )
-        return TinyTransformer(cfg, micro_vocab)
 
     @staticmethod
     def _parents(model, enc):
@@ -186,7 +206,6 @@ class TestBatchAdvance:
         for r, (state, lps) in enumerate(row_results):
             got = block_states[r]
             np.testing.assert_allclose(block_lps[r], lps, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.logps, lps, rtol=0, atol=1e-12)
             assert got.pos == state.pos
             assert got.frames_covered == state.frames_covered
             for (gk, gv), (wk, wv) in zip(got.kv, state.kv):
@@ -294,6 +313,22 @@ class TestTrainingGraphParity:
 
 
 class TestAttentionDump:
+    @pytest.mark.parametrize("which", ["micro_model", "deep_model"])
+    def test_grids_match_reference(self, request, which, rng):
+        model = request.getfixturevalue(which)
+        frames = rng.normal(size=(13, 4))
+        grown = model.encode(frames[:6], None, utt_id="u")
+        grown = model.encode(frames, grown)
+        for enc in (model.encode(frames, None), grown):
+            for prefix in ((), (3,), (3, 5, 4, 8)):
+                got = model.dump_attention(enc, prefix)
+                want = attention_grids_oracle(model, enc, prefix)
+                assert sorted(got) == sorted(want)
+                for name, grid in want.items():
+                    np.testing.assert_allclose(
+                        got[name], grid, rtol=0, atol=1e-12, err_msg=name
+                    )
+
     def test_grid_names_and_shapes(self, micro_model, rng):
         frames = rng.normal(size=(9, 4))
         enc = micro_model.encode(frames, None)
@@ -313,6 +348,11 @@ class TestAttentionDump:
             np.testing.assert_allclose(
                 g.sum(axis=-1), np.ones(g.shape[0]), atol=1e-9, err_msg=name
             )
+
+    def test_empty_encoding_rejected(self, micro_model):
+        enc = micro_model.encode(np.zeros((0, 4)), None)
+        with pytest.raises(ContractViolation, match="no encoder states"):
+            micro_model.dump_attention(enc, ())
 
     def test_encoder_self_attention_is_causal(self, micro_model, rng):
         enc = micro_model.encode(rng.normal(size=(7, 4)), None)
