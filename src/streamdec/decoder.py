@@ -17,8 +17,8 @@ code, so two lockstep sessions on one model produce identical commit logs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +64,16 @@ class BeamHypothesis:
     log_prob: float
     step_log_probs: tuple[float, ...]
     finished: bool
-    state: Any = None
+
+
+def _score(h: BeamHypothesis, length_normalize: bool) -> float:
+    if length_normalize:
+        return h.log_prob / max(1, len(h.tokens))
+    return h.log_prob
 
 
 def _rank_key(h: BeamHypothesis, length_normalize: bool):
-    score = h.log_prob
-    if length_normalize:
-        score = score / max(1, len(h.tokens))
-    return (-score, h.tokens)
+    return (-_score(h, length_normalize), h.tokens)
 
 
 def beam_search(
@@ -85,20 +87,22 @@ def beam_search(
     Every hypothesis passes through the forced prefix exactly; the search
     never keeps more than beam_width live paths, never extends any path past
     cap_tokens_per_sec * available audio seconds, and stops once the best
-    finished path provably beats every live one (token log-probs are
-    non-positive, so extensions never raise a score). Ties rank the smaller
-    token-id sequence first. The forced prefix is walked with one
-    ``dec_advance`` per token; each beam step then advances every kept child
-    in one ``dec_advance_batch`` call.
+    finished path provably beats every live one under the configured
+    objective: token log-probs are non-positive, so a live path with raw
+    score s ends at most at s, or at s / max_total per token when
+    length-normalizing. Finished hypotheses rank ahead of live ones; ties
+    rank the smaller token-id sequence first. The forced prefix is walked
+    with one ``dec_advance`` per token; each beam step then advances every
+    kept child in one ``dec_advance_batch`` call on the beam's one state,
+    whose row i holds the live path ``active[i]``.
     """
     vocab = model.vocab
+    norm = cfg.length_normalize
     prefix = tuple(int(t) for t in forced_prefix)
     if any(t == vocab.eos_id for t in prefix):
         raise ContractViolation("forced prefix must not contain eos")
     if enc is None or enc.frames_covered == 0:
-        return [
-            BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True, None)
-        ]
+        return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
     max_total = math.floor(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
@@ -110,29 +114,30 @@ def beam_search(
         score += float(logps[tok])
         steps.append(float(logps[tok]))
         state, logps = model.dec_advance(state, tok, enc)
-    root = BeamHypothesis(prefix, score, tuple(steps), False, state)
-
-    if len(root.tokens) >= max_total:
-        return [replace(root, finished=True)]
+    if len(prefix) >= max_total:
+        return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
     gen_ids = np.array(vocab.word_ids(), dtype=np.int64)
-    active: list[BeamHypothesis] = [root]
+    active = [BeamHypothesis(prefix, score, tuple(steps), False)]
     active_lps = logps[None, :]  # (len(active), vocab)
     finished: list[BeamHypothesis] = []
     while active:
-        if finished:
-            best_fin = max(f.log_prob for f in finished)
-            best_act = max(h.log_prob for h in active)
-            if best_fin > best_act:
+        if finished:  # sorted best first by the last step's eos pass
+            bound = max(h.log_prob for h in active)
+            if norm:
+                bound /= max_total
+            if _score(finished[0], norm) > bound:
                 break
         parent_lp = np.array([h.log_prob for h in active])
         eos_scores = parent_lp + active_lps[:, vocab.eos_id]
         scores = parent_lp[:, None] + active_lps[:, gen_ids]  # (B, G)
         if np.isnan(scores).any() or np.isnan(eos_scores).any():
             raise ContractViolation("model returned NaN log-probabilities")
-        for hyp, score in zip(active, eos_scores.tolist()):
-            finished.append(replace(hyp, log_prob=score, finished=True))
-        finished.sort(key=lambda h: _rank_key(h, False))
+        finished += [
+            BeamHypothesis(h.tokens, score, h.step_log_probs, True)
+            for h, score in zip(active, eos_scores.tolist())
+        ]
+        finished.sort(key=lambda h: _rank_key(h, norm))
         del finished[cfg.beam_width:]
 
         # every live path has the same length, so ranking children by
@@ -152,35 +157,33 @@ def beam_search(
             break
         parents, cols = np.divmod(keep, n_gen)
         toks = gen_ids[cols]
-        states, child_lps = model.dec_advance_batch(
-            [active[i].state for i in parents], toks.tolist(), enc
-        )
-        new_active: list[BeamHypothesis] = []
-        rows: list[int] = []
-        for r, (i, tok, score, lp) in enumerate(zip(
-            parents.tolist(),
-            toks.tolist(),
-            scores[parents, cols].tolist(),
-            active_lps[parents, toks].tolist(),
-        )):
-            parent = active[i]
-            child = BeamHypothesis(
-                parent.tokens + (tok,),
+        # equal lengths again: the children all reach the cap or none does
+        at_cap = len(active[0].tokens) + 1 >= max_total
+        children = [
+            BeamHypothesis(
+                active[i].tokens + (tok,),
                 score,
-                parent.step_log_probs + (lp,),
-                False,
-                states[r],
+                active[i].step_log_probs + (lp,),
+                at_cap,
             )
-            if len(child.tokens) >= max_total:
-                finished.append(replace(child, finished=True))
-            else:
-                new_active.append(child)
-                rows.append(r)
-        active = new_active
-        active_lps = child_lps[rows]
-    result = finished + active
-    result.sort(key=lambda h: _rank_key(h, cfg.length_normalize))
-    return result[: cfg.beam_width]
+            for i, tok, score, lp in zip(
+                parents.tolist(),
+                toks.tolist(),
+                scores[parents, cols].tolist(),
+                active_lps[parents, toks].tolist(),
+            )
+        ]
+        if at_cap:
+            finished += children
+            active = []
+        else:
+            state, active_lps = model.dec_advance_batch(
+                state, parents.tolist(), toks.tolist(), enc
+            )
+            active = children
+    finished.sort(key=lambda h: _rank_key(h, norm))
+    active.sort(key=lambda h: _rank_key(h, norm))
+    return (finished + active)[: cfg.beam_width]
 
 
 def offline_decode(

@@ -8,7 +8,8 @@ keeps the corpus diffable and python-free to inspect.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +30,10 @@ def save_utterances(utts: Iterable[Utterance], path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_utterances(path: str) -> list[Utterance]:
-    out = []
+def _records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file; a line
+    that is not a JSON object holding every required key is a ConfigError
+    naming path:line."""
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -42,23 +45,29 @@ def load_utterances(path: str) -> list[Utterance]:
                 raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
             if not isinstance(rec, dict):
                 raise ConfigError(f"{path}:{line_no}: not a JSON object")
-            missing = [k for k in ("id", "frames", "ref") if k not in rec]
+            missing = [k for k in required if k not in rec]
             if missing:
                 raise ConfigError(
                     f"{path}:{line_no}: missing key {missing[0]!r}"
                 )
-            tgt = rec.get("tgt")
-            try:
-                utt = Utterance(
-                    id=rec["id"],
-                    frames=np.asarray(rec["frames"], dtype=np.float64),
-                    reference_tokens=tuple(rec["ref"]),
-                    target_tokens=tuple(tgt) if tgt is not None else None,
-                    frame_period_sec=rec.get("frame_period_sec", 0.010),
-                )
-            except (TypeError, ValueError) as e:  # ConfigError included
-                raise ConfigError(f"{path}:{line_no}: {e}") from e
-            out.append(utt)
+            yield line_no, rec
+
+
+def load_utterances(path: str) -> list[Utterance]:
+    out = []
+    for line_no, rec in _records(path, ("id", "frames", "ref")):
+        tgt = rec.get("tgt")
+        try:
+            utt = Utterance(
+                id=rec["id"],
+                frames=np.asarray(rec["frames"], dtype=np.float64),
+                reference_tokens=tuple(rec["ref"]),
+                target_tokens=tuple(tgt) if tgt is not None else None,
+                frame_period_sec=rec.get("frame_period_sec", 0.010),
+            )
+        except (TypeError, ValueError) as e:  # ConfigError included
+            raise ConfigError(f"{path}:{line_no}: {e}") from e
+        out.append(utt)
     return out
 
 
@@ -77,14 +86,25 @@ def save_commit_logs(logs: Mapping[str, CommitLog], path: str) -> None:
 
 
 def load_commit_logs(path: str) -> dict[str, list[dict]]:
+    """Records by utterance id; a malformed record is a ConfigError naming
+    path:line."""
     out: dict[str, list[dict]] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.setdefault(rec["utt"], []).append(rec)
+    for line_no, rec in _records(path, ("utt", "token", "chunk", "t_out")):
+        t_out = rec["t_out"]
+        if (
+            isinstance(t_out, bool)
+            or not isinstance(t_out, (int, float))
+            or not math.isfinite(t_out)
+        ):
+            raise ConfigError(
+                f"{path}:{line_no}: t_out must be a finite number, "
+                f"got {t_out!r}"
+            )
+        if not isinstance(rec["utt"], str):
+            raise ConfigError(
+                f"{path}:{line_no}: utt must be a string, got {rec['utt']!r}"
+            )
+        out.setdefault(rec["utt"], []).append(rec)
     return out
 
 

@@ -2,13 +2,15 @@
 oracle model, and single-file model serialization.
 
 A model exposes: incremental encoding of a growing frame stream, and an
-incremental decoder interface (``dec_init`` / ``dec_advance``) that yields a
-normalized next-token log-probability vector after each consumed token.
-``dec_advance_batch`` advances a block of states that have all consumed the
-same number of positions in one call; row i of its result equals
-``dec_advance(states[i], token_ids[i], enc)``, and a block whose states
-differ in length is a ``ContractViolation``. ``decode_step`` composes these
-into the one-shot form used by tests.
+incremental decoder interface that yields normalized next-token
+log-probabilities after each consumed token. A decoder state is a block of
+rows that have all consumed the same positions. ``dec_init`` returns a
+one-row state; ``dec_advance_batch(state, rows, token_ids, enc)`` returns
+the block whose row i extends row ``rows[i]`` of ``state`` by
+``token_ids[i]``, with one log-probability row per new row, so a beam step
+reorders and extends its paths by parent index in one call.
+``dec_advance(state, token_id, enc)`` is its one-row case on row 0.
+``decode_step`` composes these into the one-shot form used by tests.
 
 A decoder state is only good for the encoder states it was made with: once
 the encoder grows, cross-attention spans new rows, so every chunk walks its
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -51,7 +53,6 @@ class EncoderStates:
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
     layer_inputs: Any = None  # model-internal cache for incremental extension
-    attn_cache: dict = field(default_factory=dict)
 
     @property
     def audio_sec(self) -> float:
@@ -80,10 +81,11 @@ class SequenceModel(Protocol):
 
     def dec_advance_batch(
         self,
-        states: Sequence[Any],
+        state: Any,
+        rows: Sequence[int],
         token_ids: Sequence[int],
         enc: EncoderStates,
-    ) -> tuple[list[Any], np.ndarray]: ...
+    ) -> tuple[Any, np.ndarray]: ...
 
 
 def decode_step(
@@ -96,9 +98,16 @@ def decode_step(
     return logps
 
 
-def _check_token_id(vocab: Vocab, token_id: int) -> None:
-    if not 0 <= token_id < len(vocab):
-        raise ContractViolation(f"token id {token_id} out of vocab")
+def _check_ids(ids: Any, n: int, what: str) -> np.ndarray:
+    """ids as an integer array; one outside 0..n-1 is a ContractViolation
+    (numpy indexing would wrap a negative one silently)."""
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ContractViolation(f"{what}s must be integers, got {arr.dtype}")
+    bad = arr[(arr < 0) | (arr >= n)]
+    if bad.size:
+        raise ContractViolation(f"{what} {bad[0]} out of range 0..{n - 1}")
+    return arr
 
 
 def _check_prior(
@@ -244,20 +253,21 @@ class SyntheticAlignedModel:
     def dec_advance(
         self, state: int, token_id: int, enc: EncoderStates
     ) -> tuple[int, np.ndarray]:
-        _check_token_id(self.vocab, token_id)
-        return state + 1, self._emission(enc, state + 1)
+        state, logps = self.dec_advance_batch(state, [0], [token_id], enc)
+        return state, logps[0]
 
     def dec_advance_batch(
-        self, states: Sequence[int], token_ids: Sequence[int], enc: EncoderStates
-    ) -> tuple[list[int], np.ndarray]:
-        if len(states) != len(token_ids):
-            raise ContractViolation("a block needs one token id per state")
-        if len(set(states)) > 1:
+        self, state: int, rows: Sequence[int], token_ids: Sequence[int],
+        enc: EncoderStates,
+    ) -> tuple[int, np.ndarray]:
+        """A state is the output slot every row of the block sits at; the
+        emission depends on the slot alone, so all rows share one."""
+        ids = _check_ids(token_ids, len(self.vocab), "token id")
+        if np.shape(rows) != ids.shape or not ids.size:
             raise ContractViolation(
-                "every state of a block must have consumed the same positions"
+                "a block needs one token id per row and at least one row"
             )
-        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
-        return [s for s, _ in rows], np.array([lps for _, lps in rows])
+        return state + 1, np.tile(self._emission(enc, state + 1), (ids.size, 1))
 
     def dump_attention(self, enc: EncoderStates, prefix: Sequence[int]):
         raise UnsupportedOperation(

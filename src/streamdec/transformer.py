@@ -4,9 +4,12 @@ The encoder can run with causal (unidirectional) self-attention, in which
 case encoder states for earlier positions never change as more frames arrive
 and encoding is append-only. One decoder forward (``_advance_block``) runs a
 block of rows over one or more positions: the incremental calls are its
-one-position case, with per-layer key/value rows cached per hypothesis, and
-the attention dump is one row over bos and the whole prefix. Cross-attention
-always spans every encoder state available at the time of the call.
+one-position case, and the attention dump is one row over bos and the whole
+prefix. A ``DecState`` is one block: every row's self-attention keys and
+values, stacked, plus the cross-attention keys and values of the encoding it
+was made with, computed once by ``dec_init``. A beam step gathers the rows
+it extends by parent index. Cross-attention always spans every encoder state
+available when ``dec_init`` ran.
 
 Inference runs on plain float64 numpy. Training builds the same math as an
 autodiff graph (see training.py for the loop).
@@ -27,8 +30,8 @@ from .model import (
     BIDIRECTIONAL,
     UNIDIRECTIONAL,
     EncoderStates,
+    _check_ids,
     _check_prior,
-    _check_token_id,
 )
 
 LN_EPS = 1e-5
@@ -161,14 +164,15 @@ def _merge(x: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecState:
-    """Immutable incremental decoder state: per-layer self-attention K/V for
-    every consumed position, valid only for the encoder states it was made
-    with."""
+    """Immutable incremental decoder state of a block of rows that have all
+    consumed the same positions, valid only for the encoder states it was
+    made with."""
 
     owner: object  # the producing model's ownership token
     frames_covered: int
-    pos: int  # consumed input positions, bos included
-    kv: tuple  # per layer: (K, V) with shape (heads, pos, head_dim)
+    pos: int  # consumed input positions of every row, bos included
+    kv: tuple  # per layer: self-attn (K, V), each (rows, heads, pos, head_dim)
+    cross: tuple  # per layer: cross-attn (K, V), each (heads, frames, head_dim)
 
 
 class TinyTransformer:
@@ -237,7 +241,7 @@ class TinyTransformer:
         else:
             start = 0
             layer_inputs = [
-                np.zeros((0, cfg.d_model)) for _ in range(cfg.enc_layers + 1)
+                np.zeros((0, cfg.d_model)) for _ in range(cfg.enc_layers)
             ]
             old_states = np.zeros((0, cfg.d_model))
 
@@ -247,7 +251,6 @@ class TinyTransformer:
                 layer_inputs,
             )
 
-        n_new = total - start
         x = frames[start:] @ self.params["enc_in_w"] + self.params["enc_in_b"]
         x = x + self._pos(total)[start:]
         for l in range(cfg.enc_layers):
@@ -256,9 +259,6 @@ class TinyTransformer:
             )
             x, _ = self._enc_layer(l, x, full_in, start)
             layer_inputs[l] = full_in
-        layer_inputs[cfg.enc_layers] = (
-            np.concatenate([layer_inputs[cfg.enc_layers], x]) if start else x
-        )
         new_states = _ln_np(
             x, self.params["enc_lnf_g"], self.params["enc_lnf_b"]
         )
@@ -295,26 +295,30 @@ class TinyTransformer:
 
     # --- decoder ------------------------------------------------------------
 
-    def _cross_kv(self, enc: EncoderStates, l: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("cross_kv", self._owner, l)
-        hit = enc.attn_cache.get(key)
-        if hit is None:
-            p = self.params
-            h, dh = self.cfg.heads, self.cfg.head_dim
-            ke = _heads(enc.states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"], h, dh)
-            ve = _heads(enc.states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"], h, dh)
-            hit = (ke, ve)
-            enc.attn_cache[key] = hit
-        return hit
+    def _cross_kv(self, enc: EncoderStates) -> tuple:
+        """Per decoder layer, the cross-attention (K, V) of every encoder
+        row, each (heads, frames, head_dim)."""
+        if enc.owner is not self._owner:
+            raise ContractViolation("encoder states from a different model")
+        if enc.frames_covered == 0:
+            raise ContractViolation("cannot decode with no encoder states")
+        p = self.params
+        h, dh = self.cfg.heads, self.cfg.head_dim
+        return tuple(
+            (_heads(enc.states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"], h, dh),
+             _heads(enc.states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"], h, dh))
+            for l in range(self.cfg.dec_layers)
+        )
 
     def _advance_block(
-        self, x: np.ndarray, kv: Sequence, enc: EncoderStates
+        self, x: np.ndarray, kv: Sequence, cross: Sequence
     ) -> tuple[np.ndarray, list, list, list]:
         """The decoder stack over T embedded input positions per row.
 
         x is (B, T, d_model); kv holds per layer the (K, V) self-attention
-        cache of every row, each (B, heads, pos, head_dim). Position t of a
-        row attends to the row's cache and to positions 0..t of its block.
+        cache of every row, each (B, heads, pos, head_dim), and cross the
+        layer's cross-attention (K, V) that every row shares. Position t of
+        a row attends to the row's cache and to positions 0..t of its block.
         Returns the next-token log-probabilities (B, T, vocab), the grown
         caches, and per layer the self-attention weights (B, heads, T,
         pos + T) and the cross-attention weights (B, heads, T, frames)."""
@@ -356,7 +360,7 @@ class TinyTransformer:
             # shared encoder K/V like the query positions of one sequence
             ln2 = _ln_np(row, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
             q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
-            ke, ve = self._cross_kv(enc, l)
+            ke, ve = cross[l]
             attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
             row = row + (_merge(attn2 @ ve, d) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
 
@@ -385,72 +389,54 @@ class TinyTransformer:
         empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
         return [(empty, empty)] * self.cfg.dec_layers
 
-    def _states(
-        self, kv: list, enc: EncoderStates, pos: int
-    ) -> list[DecState]:
-        """Split a block's caches into per-row states."""
-        return [
-            DecState(
-                self._owner, enc.frames_covered, pos,
-                tuple((k[i], v[i]) for k, v in kv),
-            )
-            for i in range(len(kv[0][0]))
-        ]
-
     def dec_init(self, enc: EncoderStates) -> tuple[DecState, np.ndarray]:
-        if enc.owner is not self._owner:
-            raise ContractViolation("encoder states from a different model")
-        if enc.frames_covered == 0:
-            raise ContractViolation("cannot decode with no encoder states")
+        cross = self._cross_kv(enc)
         logps, kv, _, _ = self._advance_block(
-            self._embed([[self.vocab.bos_id]], 0), self._empty_kv(), enc
+            self._embed([[self.vocab.bos_id]], 0), self._empty_kv(), cross
         )
-        return self._states(kv, enc, 1)[0], logps[0, 0]
+        state = DecState(self._owner, enc.frames_covered, 1, tuple(kv), cross)
+        return state, logps[0, 0]
 
     def dec_advance(
         self, state: DecState, token_id: int, enc: EncoderStates
     ) -> tuple[DecState, np.ndarray]:
-        states, logps = self.dec_advance_batch([state], [token_id], enc)
-        return states[0], logps[0]
+        state, logps = self.dec_advance_batch(state, [0], [token_id], enc)
+        return state, logps[0]
 
     def dec_advance_batch(
         self,
-        states: Sequence[DecState],
+        state: DecState,
+        rows: Sequence[int],
         token_ids: Sequence[int],
         enc: EncoderStates,
-    ) -> tuple[list[DecState], np.ndarray]:
-        if len(states) != len(token_ids) or not states:
+    ) -> tuple[DecState, np.ndarray]:
+        # a state made by another model, or before the encoder grew,
+        # attended to other encoder rows than enc holds
+        if not (
+            isinstance(state, DecState)
+            and state.owner is self._owner
+            and enc.owner is self._owner
+            and state.frames_covered == enc.frames_covered
+        ):
             raise ContractViolation(
-                "a block needs one token id per state and at least one row"
+                "decoder state does not match the given encoder states"
             )
-        for state, token_id in zip(states, token_ids):
-            _check_token_id(self.vocab, token_id)
-            # a state made by another model, or before the encoder grew,
-            # attended to other encoder rows than enc holds
-            if not (
-                isinstance(state, DecState)
-                and state.owner is self._owner
-                and enc.owner is self._owner
-                and state.frames_covered == enc.frames_covered
-            ):
-                raise ContractViolation(
-                    "decoder state does not match the given encoder states"
-                )
-        pos = states[0].pos
-        if any(s.pos != pos for s in states):
+        rows = _check_ids(rows, len(state.kv[0][0]), "row")
+        ids = _check_ids(token_ids, len(self.vocab), "token id")
+        if rows.ndim != 1 or rows.shape != ids.shape or not rows.size:
             raise ContractViolation(
-                "every state of a block must have consumed the same positions"
+                "a block needs one token id per row and at least one row"
             )
-        kv = [
-            (
-                np.stack([s.kv[l][0] for s in states]),
-                np.stack([s.kv[l][1] for s in states]),
-            )
-            for l in range(self.cfg.dec_layers)
-        ]
-        ids = np.asarray(token_ids)[:, None]
-        logps, kv, _, _ = self._advance_block(self._embed(ids, pos), kv, enc)
-        return self._states(kv, enc, pos + 1), logps[:, 0]
+        logps, kv, _, _ = self._advance_block(
+            self._embed(ids[:, None], state.pos),
+            [(k[rows], v[rows]) for k, v in state.kv],
+            state.cross,
+        )
+        state = DecState(
+            self._owner, state.frames_covered, state.pos + 1, tuple(kv),
+            state.cross,
+        )
+        return state, logps[:, 0]
 
     # --- attention introspection ----------------------------------------------
 
@@ -460,15 +446,9 @@ class TinyTransformer:
         """Per-layer, per-head attention weight matrices for the current
         stream: encoder self-attention, decoder self-attention over bos+prefix,
         and cross-attention of those query rows over all encoder states."""
-        if enc.owner is not self._owner or enc.layer_inputs is None:
-            raise ContractViolation(
-                "attention dump needs encoder states produced by this model"
-            )
-        if enc.frames_covered == 0:
-            raise ContractViolation("cannot decode with no encoder states")
+        cross = self._cross_kv(enc)
         ids = [self.vocab.bos_id] + [int(t) for t in prefix]
-        for t in ids:
-            _check_token_id(self.vocab, t)
+        _check_ids(ids, len(self.vocab), "token id")
         cfg = self.cfg
         grids: dict[str, np.ndarray] = {}
         for l in range(cfg.enc_layers):
@@ -477,7 +457,7 @@ class TinyTransformer:
             for head in range(cfg.heads):
                 grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
         _, _, self_attns, cross_attns = self._advance_block(
-            self._embed([ids], 0), self._empty_kv(), enc
+            self._embed([ids], 0), self._empty_kv(), cross
         )
         for l in range(cfg.dec_layers):
             for head in range(cfg.heads):

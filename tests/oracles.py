@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -69,9 +68,10 @@ def beam_oracle(model, enc, cfg):
 
     Enumerates all sequences of generable tokens up to the length cap; a
     sequence shorter than the cap is terminal with the EOS log-prob added,
-    one at the cap is terminal as-is. Returns the ranked (tokens, score)
-    list under the package's tie-break (higher score first, then smaller
-    token tuple).
+    one at the cap is terminal as-is. Returns the (tokens, score) list
+    ranked under the configured objective (score, or score per token when
+    cfg.length_normalize) with the package's tie-break: higher objective
+    first, then smaller token tuple.
     """
     vocab = model.vocab
     gen_ids = [
@@ -91,15 +91,21 @@ def beam_oracle(model, enc, cfg):
             if length < max_total:
                 score += float(lps[vocab.eos_id])
             terminals.append((seq, score))
-    terminals.sort(key=lambda t: (-t[1], t[0]))
+    if cfg.length_normalize:
+        terminals.sort(key=lambda t: (-t[1] / max(1, len(t[0])), t[0]))
+    else:
+        terminals.sort(key=lambda t: (-t[1], t[0]))
     return terminals
 
 
-def _rank_key(h: BeamHypothesis, length_normalize: bool):
-    score = h.log_prob
+def _objective(h: BeamHypothesis, length_normalize: bool) -> float:
     if length_normalize:
-        score = score / max(1, len(h.tokens))
-    return (-score, h.tokens)
+        return h.log_prob / max(1, len(h.tokens))
+    return h.log_prob
+
+
+def _rank_key(h: BeamHypothesis, length_normalize: bool):
+    return (-_objective(h, length_normalize), h.tokens)
 
 
 def scalar_beam_search(
@@ -108,25 +114,26 @@ def scalar_beam_search(
     forced_prefix,
     cfg: BeamConfig = BeamConfig(),
 ) -> list[BeamHypothesis]:
-    """Reference for decoder.beam_search: the same search, advancing each
-    kept child with its own dec_advance call and ranking one Python tuple per
-    candidate instead of one batched call and one sort per beam step.
+    """Reference for decoder.beam_search: the same search, carrying each
+    path's own decoder state beside it, advancing each kept child with its
+    own dec_advance call and ranking one Python tuple per candidate instead
+    of one batched call and one sort per beam step.
 
     Every hypothesis passes through the forced prefix exactly; the search
     never keeps more than beam_width live paths, never extends any path past
     cap_tokens_per_sec * available audio seconds, and stops once the best
-    finished path provably beats every live one (token log-probs are
-    non-positive, so extensions never raise a score). Ties rank the smaller
-    token-id sequence first.
+    finished path beats the best score any live path could still reach:
+    its raw score, or raw score / max_total when length-normalizing (token
+    log-probs are non-positive). Finished paths rank ahead of live ones;
+    ties rank the smaller token-id sequence first.
     """
     vocab = model.vocab
+    norm = cfg.length_normalize
     prefix = tuple(int(t) for t in forced_prefix)
     if any(t == vocab.eos_id for t in prefix):
         raise ContractViolation("forced prefix must not contain eos")
     if enc is None or enc.frames_covered == 0:
-        return [
-            BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True, None)
-        ]
+        return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
     max_total = math.floor(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
@@ -138,51 +145,58 @@ def scalar_beam_search(
         score += float(logps[tok])
         steps.append(float(logps[tok]))
         state, logps = model.dec_advance(state, tok, enc)
-    root = BeamHypothesis(prefix, score, tuple(steps), False, state)
-
-    if len(root.tokens) >= max_total:
-        return [replace(root, finished=True)]
+    if len(prefix) >= max_total:
+        return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
     gen_ids = [i for i in range(len(vocab)) if i not in (vocab.pad_id, vocab.bos_id, vocab.eos_id)]
-    active: list[tuple[BeamHypothesis, np.ndarray]] = [(root, logps)]
+    root = BeamHypothesis(prefix, score, tuple(steps), False)
+    # each live path: (hypothesis, its decoder state, next-token log-probs)
+    active: list[tuple[BeamHypothesis, object, np.ndarray]] = [
+        (root, state, logps)
+    ]
     finished: list[BeamHypothesis] = []
     while active:
         if finished:
-            best_fin = max(f.log_prob for f in finished)
-            best_act = max(h.log_prob for h, _ in active)
-            if best_fin > best_act:
+            best_fin = max(_objective(f, norm) for f in finished)
+            reach = max(h.log_prob for h, _, _ in active)
+            if norm:
+                reach = reach / max_total
+            if best_fin > reach:
                 break
-        candidates: list[tuple[float, tuple[int, ...], BeamHypothesis, int, float]] = []
-        for hyp, lps in active:
+        candidates = []
+        for hyp, state, lps in active:
             finished.append(
-                replace(
-                    hyp,
-                    log_prob=hyp.log_prob + float(lps[vocab.eos_id]),
-                    finished=True,
+                BeamHypothesis(
+                    hyp.tokens,
+                    hyp.log_prob + float(lps[vocab.eos_id]),
+                    hyp.step_log_probs,
+                    True,
                 )
             )
             for tok in gen_ids:
                 lp = float(lps[tok])
                 candidates.append(
-                    (hyp.log_prob + lp, hyp.tokens + (tok,), hyp, tok, lp)
+                    (hyp.log_prob + lp, hyp.tokens + (tok,), hyp, state, tok, lp)
                 )
-        finished.sort(key=lambda h: _rank_key(h, False))
+        finished.sort(key=lambda h: _rank_key(h, norm))
         del finished[max(cfg.beam_width, 1):]
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        new_active: list[tuple[BeamHypothesis, np.ndarray]] = []
-        for score, toks, parent, tok, lp in candidates[: cfg.beam_width]:
-            state, lps = model.dec_advance(parent.state, tok, enc)
+        new_active = []
+        for score, toks, parent, state, tok, lp in candidates[: cfg.beam_width]:
+            child_state, lps = model.dec_advance(state, tok, enc)
             child = BeamHypothesis(
-                toks, score, parent.step_log_probs + (lp,), False, state
+                toks, score, parent.step_log_probs + (lp,), False
             )
             if len(child.tokens) >= max_total:
-                finished.append(replace(child, finished=True))
+                finished.append(
+                    BeamHypothesis(toks, score, child.step_log_probs, True)
+                )
             else:
-                new_active.append((child, lps))
+                new_active.append((child, child_state, lps))
         active = new_active
-    result = finished + [h for h, _ in active]
-    result.sort(key=lambda h: _rank_key(h, cfg.length_normalize))
-    return result[: max(cfg.beam_width, 1)]
+    finished.sort(key=lambda h: _rank_key(h, norm))
+    live = sorted((h for h, _, _ in active), key=lambda h: _rank_key(h, norm))
+    return (finished + live)[: max(cfg.beam_width, 1)]
 
 
 def attention_grids_oracle(model, enc, prefix):

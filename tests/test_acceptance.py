@@ -368,16 +368,17 @@ class CachedRandomModel:
         self._cache[prefix] = out
         return out
 
+    # a state is a tuple of per-row prefixes
     def dec_init(self, enc):
-        return (), self._logps(())
+        return ((),), self._logps(())
 
     def dec_advance(self, state, token_id, enc):
-        new = state + (int(token_id),)
-        return new, self._logps(new)
+        state, lps = self.dec_advance_batch(state, [0], [token_id], enc)
+        return state, lps[0]
 
-    def dec_advance_batch(self, states, token_ids, enc):
-        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
-        return [s for s, _ in rows], np.array([lps for _, lps in rows])
+    def dec_advance_batch(self, state, rows, token_ids, enc):
+        new = tuple(state[r] + (int(t),) for r, t in zip(rows, token_ids))
+        return new, np.array([self._logps(p) for p in new])
 
 
 def test_c06_beam_search_exactness():

@@ -6,6 +6,8 @@ import pytest
 from streamdec.cli import main
 from streamdec.io import load_attention_grids, load_commit_logs, load_utterances
 
+from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
+
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
@@ -173,6 +175,14 @@ class TestConfigFile:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("line, why", MALFORMED_COMMIT_RECORDS)
+    def test_eval_rejects_malformed_hyps(self, work, tmp_path, capsys, line, why):
+        hyps = tmp_path / "hyps.jsonl"
+        write_commit_log_with(hyps, line)
+        rc = main(["eval", "--refs", str(work / "eval.jsonl"), "--hyps", str(hyps)])
+        assert rc == 2
+        assert f"{hyps}:2: " in capsys.readouterr().err
+
     def test_missing_required_flag(self, capsys):
         assert main(["gen-data"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -44,16 +44,17 @@ class RandomWalkModel:
         x = logits - logits.max()
         return x - np.log(np.exp(x).sum())
 
+    # a state is a tuple of per-row prefixes
     def dec_init(self, enc):
-        return (), self._logps(())
+        return ((),), self._logps(())
 
     def dec_advance(self, state, token_id, enc):
-        new = state + (int(token_id),)
-        return new, self._logps(new)
+        state, lps = self.dec_advance_batch(state, [0], [token_id], enc)
+        return state, lps[0]
 
-    def dec_advance_batch(self, states, token_ids, enc):
-        rows = [self.dec_advance(s, t, enc) for s, t in zip(states, token_ids)]
-        return [s for s, _ in rows], np.array([lps for _, lps in rows])
+    def dec_advance_batch(self, state, rows, token_ids, enc):
+        new = tuple(state[r] + (int(t),) for r, t in zip(rows, token_ids))
+        return new, np.array([self._logps(p) for p in new])
 
 
 def wide_enough(model, enc, cfg):
@@ -192,6 +193,20 @@ class TestLengthCapAndNormalization:
         )
         assert raw[0].tokens == (3,)
         assert norm[0].tokens == (4, 5)
+
+    def test_exhaustive_width_matches_normalized_oracle_top(self):
+        # a live path's per-token score can still rise as it grows, so
+        # stopping on raw scores would return a worse or unfinished path
+        for seed in range(200):
+            model = RandomWalkModel(n_words=3, seed=seed)
+            enc = model.encode(np.zeros((50, 1)))  # 0.5 s: cap 4 tokens
+            cfg = BeamConfig(beam_width=200, length_normalize=True)
+            assert wide_enough(model, enc, cfg) <= 200
+            best = beam_search(model, enc, (), cfg)[0]
+            oracle_tokens, oracle_score = beam_oracle(model, enc, cfg)[0]
+            assert best.finished
+            assert best.tokens == oracle_tokens
+            assert best.log_prob == pytest.approx(oracle_score, abs=1e-12)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -94,6 +94,36 @@ class TestCommitLogFiles:
             assert set(row) == {"utt", "token", "chunk", "t_out"}
 
 
+MALFORMED_COMMIT_RECORDS = [
+    ('{"utt": "a", "token": "x", "chunk": 1, "t_out": 0.5', "bad JSON"),
+    ('["a", "x", 1, 0.5]', "not a JSON object"),
+    ('{"token": "x", "chunk": 1, "t_out": 0.5}', "missing key 'utt'"),
+    ('{"utt": "a", "chunk": 1, "t_out": 0.5}', "missing key 'token'"),
+    ('{"utt": "a", "token": "x", "t_out": 0.5}', "missing key 'chunk'"),
+    ('{"utt": "a", "token": "x", "chunk": 1}', "missing key 't_out'"),
+    ('{"utt": "a", "token": "x", "chunk": 1, "t_out": "0.5"}', "finite number"),
+    ('{"utt": "a", "token": "x", "chunk": 1, "t_out": true}', "finite number"),
+    ('{"utt": "a", "token": "x", "chunk": 1, "t_out": NaN}', "finite number"),
+    ('{"utt": "a", "token": "x", "chunk": 1, "t_out": Infinity}', "finite number"),
+    ('{"utt": ["a"], "token": "x", "chunk": 1, "t_out": 0.5}', "string"),
+]
+
+
+def write_commit_log_with(path, line):
+    """A commit log whose second line is the given one."""
+    with open(path, "w") as fh:
+        fh.write('{"utt": "a", "token": "x", "chunk": 1, "t_out": 0.5}\n')
+        fh.write(line + "\n")
+
+
+@pytest.mark.parametrize("line, why", MALFORMED_COMMIT_RECORDS)
+def test_malformed_commit_record_reports_line(tmp_path, line, why):
+    path = str(tmp_path / "bad.jsonl")
+    write_commit_log_with(path, line)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
+        load_commit_logs(path)
+
+
 class TestEvalSummary:
     def test_json_round_trip(self, tmp_path):
         path = str(tmp_path / "summary.json")

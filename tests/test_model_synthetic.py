@@ -158,6 +158,23 @@ class TestEncodeContract:
 
 
 class TestPerSlotInvariants:
+    def test_block_rows_share_the_slot_emission(self, world):
+        spec, utts, aligns = world
+        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        u = utts[0]
+        enc = m.encode(u.frames, utt_id=u.id)
+        ids = aligns[u.id].token_ids
+        state, _ = m.dec_init(enc)
+        state, lps = m.dec_advance_batch(state, [0, 0, 0], list(ids[:3]), enc)
+        assert state == 1
+        want = decode_step(m, enc, ids[:1])
+        for row in lps:
+            np.testing.assert_array_equal(row, want)
+        with pytest.raises(ContractViolation, match="one token id per row"):
+            m.dec_advance_batch(state, [0, 1], [ids[0]], enc)
+        with pytest.raises(ContractViolation, match="token id 99 out of range"):
+            m.dec_advance_batch(state, [0], [99], enc)
+
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)

@@ -139,7 +139,7 @@ class TestDecoding:
         state, _ = micro_model.dec_init(enc1)
         enc2 = micro_model.encode(frames, enc1)
         with pytest.raises(ContractViolation, match="does not match"):
-            micro_model.dec_advance_batch([state, state], [3, 4], enc2)
+            micro_model.dec_advance_batch(state, [0, 0], [3, 4], enc2)
 
     def test_rebuilt_walk_is_identical(self, micro_model, rng):
         """Forcing the same prefix after encoder growth gives exactly the
@@ -190,76 +190,72 @@ class TestDecoding:
 
 
 class TestBatchAdvance:
-    """dec_advance_batch row i equals dec_advance(states[i], token_ids[i])."""
+    """Row i of dec_advance_batch(state, rows, token_ids, enc) extends row
+    rows[i] of state by token_ids[i]."""
 
     @staticmethod
-    def _parents(model, enc):
-        """Three distinct states that have consumed bos and one word."""
+    def _three_rows(model, enc):
+        """A state whose three rows have consumed bos and one word each."""
         root, _ = model.dec_init(enc)
-        return [model.dec_advance(root, 3 + i, enc)[0] for i in range(3)]
-
-    @staticmethod
-    def _assert_rows_match(block_states, block_lps, row_results):
-        # Not bit-identical: BLAS may sum a multi-row product in another
-        # order than a one-row product (up to 8e-15 apart on the benchmark's
-        # bidirectional model).
-        for r, (state, lps) in enumerate(row_results):
-            got = block_states[r]
-            np.testing.assert_allclose(block_lps[r], lps, rtol=0, atol=1e-12)
-            assert got.pos == state.pos
-            assert got.frames_covered == state.frames_covered
-            for (gk, gv), (wk, wv) in zip(got.kv, state.kv):
-                np.testing.assert_allclose(gk, wk, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(gv, wv, rtol=0, atol=1e-12)
+        return model.dec_advance_batch(root, [0, 0, 0], [3, 4, 5], enc)[0]
 
     @pytest.mark.parametrize("b_sz", [1, 3, 8])
     @pytest.mark.parametrize("which", ["micro_model", "deep_model"])
     def test_rows_match_per_row_advance(self, request, which, b_sz, rng):
+        # Not bit-identical: BLAS may sum a multi-row product in another
+        # order than a one-row product (up to 8e-15 apart on the benchmark's
+        # bidirectional model).
         model = request.getfixturevalue(which)
         enc = model.encode(rng.normal(size=(30, 4)), None)
-        parents = self._parents(model, enc)
         words = list(model.vocab.word_ids())
-        block = [parents[i % 3] for i in range(b_sz)]  # repeated parents
-        rows = list(block)
-        for step in range(3):  # then advance the returned states again
+        state, _ = model.dec_init(enc)
+        paths = [()]
+        for step in range(3):  # then advance the returned state again
+            rows = [(i * i + step) % len(paths) for i in range(b_sz)]
             toks = [words[(5 * i + step) % len(words)] for i in range(b_sz)]
-            block, block_lps = model.dec_advance_batch(block, toks, enc)
+            state, block_lps = model.dec_advance_batch(state, rows, toks, enc)
             assert block_lps.shape == (b_sz, len(model.vocab))
-            results = [
-                model.dec_advance(s, t, enc) for s, t in zip(rows, toks)
-            ]
-            self._assert_rows_match(block, block_lps, results)
-            rows = [s for s, _ in results]
+            assert state.pos == step + 2
+            paths = [paths[r] + (t,) for r, t in zip(rows, toks)]
+            for i, path in enumerate(paths):
+                walk, lps = model.dec_init(enc)
+                for t in path:
+                    walk, lps = model.dec_advance(walk, t, enc)
+                np.testing.assert_allclose(block_lps[i], lps, rtol=0, atol=1e-12)
+                for (gk, gv), (wk, wv) in zip(state.kv, walk.kv):
+                    np.testing.assert_allclose(gk[i], wk[0], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(gv[i], wv[0], rtol=0, atol=1e-12)
 
-    def test_mixed_positions_rejected(self, micro_model, rng):
+    @pytest.mark.parametrize("bad", [-1, 3, 99])
+    def test_out_of_range_row_rejected(self, micro_model, rng, bad):
         enc = micro_model.encode(rng.normal(size=(30, 4)), None)
-        root, _ = micro_model.dec_init(enc)
-        child = self._parents(micro_model, enc)[0]
-        with pytest.raises(ContractViolation, match="same positions"):
-            micro_model.dec_advance_batch([child, root], [3, 4], enc)
+        state = self._three_rows(micro_model, enc)
+        with pytest.raises(ContractViolation, match=f"row {bad} out of range"):
+            micro_model.dec_advance_batch(state, [0, bad], [3, 4], enc)
 
     def test_foreign_state_rejected(self, micro_cfg, micro_vocab, rng):
         frames = rng.normal(size=(30, 4))
         m1 = TinyTransformer(micro_cfg, micro_vocab)
         m2 = TinyTransformer(micro_cfg, micro_vocab)
         enc1 = m1.encode(frames, None)
-        own, _ = m1.dec_init(enc1)
         foreign, _ = m2.dec_init(m2.encode(frames, None))
-        with pytest.raises(ContractViolation):
-            m1.dec_advance_batch([own, foreign], [3, 4], enc1)
+        with pytest.raises(ContractViolation, match="does not match"):
+            m1.dec_advance_batch(foreign, [0, 0], [3, 4], enc1)
 
     @pytest.mark.parametrize("bad", [-1, 9, 999])
     def test_out_of_vocab_token_rejected(self, micro_model, rng, bad):
         enc = micro_model.encode(rng.normal(size=(30, 4)), None)
-        parents = self._parents(micro_model, enc)
-        with pytest.raises(ContractViolation, match="out of vocab"):
-            micro_model.dec_advance_batch(parents, [3, bad, 4], enc)
+        state = self._three_rows(micro_model, enc)
+        with pytest.raises(ContractViolation, match=f"token id {bad} out of"):
+            micro_model.dec_advance_batch(state, [0, 1, 2], [3, bad, 4], enc)
 
     def test_one_token_per_state(self, micro_model, rng):
+        """One token id per row, and at least one row."""
         enc = micro_model.encode(rng.normal(size=(30, 4)), None)
-        parents = self._parents(micro_model, enc)
-        with pytest.raises(ContractViolation):
-            micro_model.dec_advance_batch(parents, [3, 4], enc)
+        state = self._three_rows(micro_model, enc)
+        for rows, toks in (([0, 1, 2], [3, 4]), ([], [])):
+            with pytest.raises(ContractViolation, match="one token id per row"):
+                micro_model.dec_advance_batch(state, rows, toks, enc)
 
 
 class TestTrainingGraphParity:
