@@ -8,10 +8,10 @@ log. Committed tokens are never revised; they condition all later decoding.
 
 The decoder runs again on every chunk: its cross-attention spans the grown
 encoder output, so no decoder state outlives the chunk that made it, and
-each beam search walks the committed prefix from ``dec_init``. A session's
-``mode`` (``forced`` or ``buffered``) is a label only; both run this same
-code, so two lockstep sessions on one model produce identical commit logs
-(``harness.compare_modes`` checks it).
+each beam search prefills the committed prefix in one ``dec_init`` call. A
+session's ``mode`` (``forced`` or ``buffered``) is a label only; both run
+this same code, so two lockstep sessions on one model produce identical
+commit logs (``harness.compare_modes`` checks it).
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def beam_search(
     objective: token log-probs are non-positive, so a live path with raw
     score s ends at most at s, or at s / max_total per token when
     length-normalizing. Finished hypotheses rank ahead of live ones; ties
-    rank the smaller token-id sequence first. The forced prefix is walked
-    with one ``dec_advance`` per token; each beam step then advances every
-    kept child in one ``dec_advance_batch`` call on the beam's one state,
-    whose row i holds the live path ``active[i]``.
+    rank the smaller token-id sequence first. One ``dec_init`` prefill
+    scores the forced prefix, and its last row starts the beam; each beam
+    step then advances every kept child in one ``dec_advance`` call on the
+    beam's one state, whose row i holds the live path ``active[i]``.
     """
     vocab = model.vocab
     norm = cfg.length_normalize
@@ -107,19 +107,18 @@ def beam_search(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
 
-    state, logps = model.dec_init(enc)
+    state, logps = model.dec_init(enc, prefix)
     score = 0.0
     steps: list[float] = []
-    for tok in prefix:
-        score += float(logps[tok])
-        steps.append(float(logps[tok]))
-        state, logps = model.dec_advance(state, tok, enc)
+    for j, tok in enumerate(prefix):
+        score += float(logps[j, tok])
+        steps.append(float(logps[j, tok]))
     if len(prefix) >= max_total:
         return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
     gen_ids = np.array(vocab.word_ids(), dtype=np.int64)
     active = [BeamHypothesis(prefix, score, tuple(steps), False)]
-    active_lps = logps[None, :]  # (len(active), vocab)
+    active_lps = logps[-1:]  # (len(active), vocab)
     finished: list[BeamHypothesis] = []
     while active:
         if finished:  # sorted best first by the last step's eos pass
@@ -177,7 +176,7 @@ def beam_search(
             finished += children
             active = []
         else:
-            state, active_lps = model.dec_advance_batch(
+            state, active_lps = model.dec_advance(
                 state, parents.tolist(), toks.tolist(), enc
             )
             active = children

@@ -1,22 +1,22 @@
 """Sequence-model interface, encoder-state container, the aligned synthetic
 oracle model, and single-file model serialization.
 
-A model exposes: incremental encoding of a growing frame stream, and an
-incremental decoder interface that yields normalized next-token
-log-probabilities after each consumed token. A decoder state is a block of
-rows that have all consumed the same positions. ``dec_init`` returns a
-one-row state; ``dec_advance_batch(state, rows, token_ids, enc)`` returns
-the block whose row i extends row ``rows[i]`` of ``state`` by
-``token_ids[i]``, with one log-probability row per new row, so a beam step
-reorders and extends its paths by parent index in one call.
-``dec_advance(state, token_id, enc)`` is its one-row case on row 0.
-``decode_step`` composes these into the one-shot form used by tests.
+A model exposes incremental encoding of a growing frame stream and a
+decoder of two calls that yield normalized next-token log-probabilities. A
+decoder state is a block of rows that have all consumed the same positions.
+``dec_init(enc, prefix)`` is the prefill: it consumes bos and the whole
+forced prefix at once and returns a one-row state with a (len(prefix) + 1,
+vocab) log-probability matrix whose row j follows the first j prefix
+tokens. ``dec_advance(state, rows, token_ids, enc)`` returns the block whose
+row i extends row ``rows[i]`` of ``state`` by ``token_ids[i]``, with one
+log-probability row per new row, so a beam step reorders and extends its
+paths by parent index in one call.
 
 A decoder state is only good for the encoder states it was made with: once
-the encoder grows, cross-attention spans new rows, so every chunk walks its
-forced prefix again from ``dec_init``. What carries over between chunks is
-the encoder output, which a causal encoder extends append-only. Each model
-instance holds a private ownership token that its encoder states (and the
+the encoder grows, cross-attention spans new rows, so every chunk prefills
+its forced prefix again. What carries over between chunks is the encoder
+output, which a causal encoder extends append-only. Each model instance
+holds a private ownership token that its encoder states (and the
 transformer's decoder states) carry, so a state from another model is
 refused even after that model is gone and its ``id()`` reused.
 """
@@ -73,29 +73,17 @@ class SequenceModel(Protocol):
         frame_period_sec: float = 0.010,
     ) -> EncoderStates: ...
 
-    def dec_init(self, enc: EncoderStates) -> tuple[Any, np.ndarray]: ...
-
-    def dec_advance(
-        self, state: Any, token_id: int, enc: EncoderStates
+    def dec_init(
+        self, enc: EncoderStates, prefix: Sequence[int] = ()
     ) -> tuple[Any, np.ndarray]: ...
 
-    def dec_advance_batch(
+    def dec_advance(
         self,
         state: Any,
         rows: Sequence[int],
         token_ids: Sequence[int],
         enc: EncoderStates,
     ) -> tuple[Any, np.ndarray]: ...
-
-
-def decode_step(
-    model: SequenceModel, enc: EncoderStates, prefix: Sequence[int]
-) -> np.ndarray:
-    """Next-token log-probability vector after forcing the given prefix."""
-    state, logps = model.dec_init(enc)
-    for tok in prefix:
-        state, logps = model.dec_advance(state, int(tok), enc)
-    return logps
 
 
 def _check_ids(ids: Any, n: int, what: str) -> np.ndarray:
@@ -247,21 +235,19 @@ class SyntheticAlignedModel:
         shifted = logits - logits.max()
         return shifted - np.log(np.exp(shifted).sum())
 
-    def dec_init(self, enc: EncoderStates) -> tuple[int, np.ndarray]:
-        return 0, self._emission(enc, 0)
+    def dec_init(
+        self, enc: EncoderStates, prefix: Sequence[int] = ()
+    ) -> tuple[int, np.ndarray]:
+        """A state is the output slot every row of the block sits at; the
+        emission depends on the slot alone, so row j is slot j's."""
+        n = len(_check_ids(prefix, len(self.vocab), "token id"))
+        return n, np.stack([self._emission(enc, j) for j in range(n + 1)])
 
     def dec_advance(
-        self, state: int, token_id: int, enc: EncoderStates
-    ) -> tuple[int, np.ndarray]:
-        state, logps = self.dec_advance_batch(state, [0], [token_id], enc)
-        return state, logps[0]
-
-    def dec_advance_batch(
         self, state: int, rows: Sequence[int], token_ids: Sequence[int],
         enc: EncoderStates,
     ) -> tuple[int, np.ndarray]:
-        """A state is the output slot every row of the block sits at; the
-        emission depends on the slot alone, so all rows share one."""
+        """All rows of the block share the next slot's emission."""
         ids = _check_ids(token_ids, len(self.vocab), "token id")
         if np.shape(rows) != ids.shape or not ids.size:
             raise ContractViolation(

@@ -3,16 +3,18 @@
 The encoder can run with causal (unidirectional) self-attention, in which
 case encoder states for earlier positions never change as more frames arrive
 and encoding is append-only. One decoder forward (``_advance_block``) runs a
-block of rows over one or more positions: the incremental calls are its
-one-position case, and the attention dump is one row over bos and the whole
-prefix. A ``DecState`` is one block: every row's self-attention keys and
-values, stacked, plus the cross-attention keys and values of the encoding it
-was made with, computed once by ``dec_init``. A beam step gathers the rows
-it extends by parent index. Cross-attention always spans every encoder state
-available when ``dec_init`` ran.
+block of rows over one or more positions. ``dec_init`` is the prefill: one
+row over bos and the whole forced prefix in a single call, which is also the
+forward the attention dump reads. ``dec_advance`` is the one-position case
+over many rows, one per beam path. A ``DecState`` is one block: every row's
+self-attention keys and values, stacked, plus the cross-attention keys and
+values of the encoding it was made with, computed once by ``dec_init``. A
+beam step gathers the rows it extends by parent index. Cross-attention
+always spans every encoder state available when ``dec_init`` ran.
 
-Inference runs on plain float64 numpy. Training builds the same math as an
-autodiff graph (see training.py for the loop).
+Inference runs on plain float64 numpy, each attention's weights computed
+in place in its score buffer (``_attention_weights``). Training builds the
+same math as an autodiff graph (see training.py for the loop).
 """
 
 from __future__ import annotations
@@ -140,10 +142,26 @@ def _ln_np(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g * (c / np.sqrt(var + LN_EPS)) + b
 
 
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    s = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into out (which may be x itself)
+    or, without out, into a new array that leaves x unchanged."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _attention_weights(
+    scores: np.ndarray, dh: int, masked: np.ndarray | None = None
+) -> np.ndarray:
+    """softmax(scores / sqrt(dh)) over the last axis with the masked
+    positions at -inf, computed in the scores buffer itself in the order a
+    fresh-array formula runs it, so the numbers are the same. A row must
+    keep at least one position unmasked."""
+    scores /= math.sqrt(dh)
+    if masked is not None:
+        np.copyto(scores, -np.inf, where=masked)
+    return _softmax_np(scores, out=scores)
 
 
 def _log_softmax_np(x: np.ndarray) -> np.ndarray:
@@ -281,12 +299,11 @@ class TinyTransformer:
         q = _heads(ln[start:] @ p[f"enc{l}_wq"] + p[f"enc{l}_bq"], h, dh)
         k = _heads(ln @ p[f"enc{l}_wk"] + p[f"enc{l}_bk"], h, dh)
         v = _heads(ln @ p[f"enc{l}_wv"] + p[f"enc{l}_bv"], h, dh)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)  # (h, n_new, t_full)
-        if cfg.mode == UNIDIRECTIONAL:
-            cols = np.arange(t_full)[None, :]
-            rows = start + np.arange(n_new)[:, None]
-            scores = np.where(cols > rows, -np.inf, scores)
-        attn = _softmax_np(scores)
+        future = (
+            np.arange(t_full)[None, :] > start + np.arange(n_new)[:, None]
+        ) if cfg.mode == UNIDIRECTIONAL else None
+        # (h, n_new, t_full)
+        attn = _attention_weights(q @ k.transpose(0, 2, 1), dh, future)
         ctx = _merge(attn @ v, cfg.d_model)
         x_attn = x_new + (ctx @ p[f"enc{l}_wo"] + p[f"enc{l}_bo"])
         ln2 = _ln_np(x_attn, p[f"enc{l}_ln2_g"], p[f"enc{l}_ln2_b"])
@@ -334,10 +351,10 @@ class TinyTransformer:
 
         # projections run on all B*T rows as one 2-D product
         row = x.reshape(b_sz * t_len, d)
-        if t_len > 1:  # a lone position sees nothing after it
-            future = (
-                np.arange(pos + t_len)[None, :] > pos + np.arange(t_len)[:, None]
-            )
+        # a lone position sees nothing after it
+        future = (
+            np.arange(pos + t_len)[None, :] > pos + np.arange(t_len)[:, None]
+        ) if t_len > 1 else None
         new_kv, self_attns, cross_attns = [], [], []
         for l in range(cfg.dec_layers):
             ln = _ln_np(row, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
@@ -349,10 +366,7 @@ class TinyTransformer:
             v_all = np.concatenate(
                 [v_old, split(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"])], axis=2
             )
-            scores = q @ k_all.transpose(0, 1, 3, 2) / math.sqrt(dh)
-            if t_len > 1:
-                scores = np.where(future, -np.inf, scores)
-            attn = _softmax_np(scores)
+            attn = _attention_weights(q @ k_all.transpose(0, 1, 3, 2), dh, future)
             ctx = (attn @ v_all).transpose(0, 2, 1, 3).reshape(b_sz * t_len, d)
             row = row + (ctx @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
 
@@ -361,7 +375,7 @@ class TinyTransformer:
             ln2 = _ln_np(row, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
             q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
             ke, ve = cross[l]
-            attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
+            attn2 = _attention_weights(q2 @ ke.transpose(0, 2, 1), dh)
             row = row + (_merge(attn2 @ ve, d) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
 
             ln3 = _ln_np(row, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
@@ -389,21 +403,24 @@ class TinyTransformer:
         empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
         return [(empty, empty)] * self.cfg.dec_layers
 
-    def dec_init(self, enc: EncoderStates) -> tuple[DecState, np.ndarray]:
+    def _prefill(self, enc: EncoderStates, prefix: Sequence[int]) -> tuple:
+        """One B = 1 decoder forward over bos + prefix from empty caches: the
+        state after the whole prefix, the log-probs after each position
+        (len(prefix) + 1, vocab), and _advance_block's attention weights."""
         cross = self._cross_kv(enc)
-        logps, kv, _, _ = self._advance_block(
-            self._embed([[self.vocab.bos_id]], 0), self._empty_kv(), cross
+        ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
+        logps, kv, self_attns, cross_attns = self._advance_block(
+            self._embed(ids[None], 0), self._empty_kv(), cross
         )
-        state = DecState(self._owner, enc.frames_covered, 1, tuple(kv), cross)
-        return state, logps[0, 0]
+        state = DecState(self._owner, enc.frames_covered, len(ids), tuple(kv), cross)
+        return state, logps[0], self_attns, cross_attns
+
+    def dec_init(
+        self, enc: EncoderStates, prefix: Sequence[int] = ()
+    ) -> tuple[DecState, np.ndarray]:
+        return self._prefill(enc, prefix)[:2]
 
     def dec_advance(
-        self, state: DecState, token_id: int, enc: EncoderStates
-    ) -> tuple[DecState, np.ndarray]:
-        state, logps = self.dec_advance_batch(state, [0], [token_id], enc)
-        return state, logps[0]
-
-    def dec_advance_batch(
         self,
         state: DecState,
         rows: Sequence[int],
@@ -446,9 +463,7 @@ class TinyTransformer:
         """Per-layer, per-head attention weight matrices for the current
         stream: encoder self-attention, decoder self-attention over bos+prefix,
         and cross-attention of those query rows over all encoder states."""
-        cross = self._cross_kv(enc)
-        ids = [self.vocab.bos_id] + [int(t) for t in prefix]
-        _check_ids(ids, len(self.vocab), "token id")
+        _, _, self_attns, cross_attns = self._prefill(enc, prefix)
         cfg = self.cfg
         grids: dict[str, np.ndarray] = {}
         for l in range(cfg.enc_layers):
@@ -456,9 +471,6 @@ class TinyTransformer:
             _, attn = self._enc_layer(l, full_in, full_in, 0)
             for head in range(cfg.heads):
                 grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
-        _, _, self_attns, cross_attns = self._advance_block(
-            self._embed([ids], 0), self._empty_kv(), cross
-        )
         for l in range(cfg.dec_layers):
             for head in range(cfg.heads):
                 grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][0, head]

@@ -63,6 +63,24 @@ def wer_oracle(ref, hyp):
     return int(subs), dels, inss
 
 
+def token_walk(model, enc, prefix):
+    """Reference for dec_init(enc, prefix): start from the empty prefix and
+    consume the prefix one token per dec_advance(state, [0], [tok], enc)
+    call. Returns the one-row state after the whole prefix and the
+    (len(prefix) + 1, vocab) log-probabilities seen along the way."""
+    state, lps = model.dec_init(enc)
+    rows = [lps[0]]
+    for tok in prefix:
+        state, lps = model.dec_advance(state, [0], [int(tok)], enc)
+        rows.append(lps[0])
+    return state, np.array(rows)
+
+
+def decode_step(model, enc, prefix):
+    """Next-token log-probabilities after forcing prefix, by token_walk."""
+    return token_walk(model, enc, prefix)[1][-1]
+
+
 def beam_oracle(model, enc, cfg):
     """Exhaustive search over every token sequence the beam could return.
 
@@ -83,13 +101,12 @@ def beam_oracle(model, enc, cfg):
     terminals = []
     for length in range(0, max_total + 1):
         for seq in itertools.product(gen_ids, repeat=length):
-            state, lps = model.dec_init(enc)
+            _, lps = token_walk(model, enc, seq)
             score = 0.0
-            for tok in seq:
-                score += float(lps[tok])
-                state, lps = model.dec_advance(state, tok, enc)
+            for j, tok in enumerate(seq):
+                score += float(lps[j, tok])
             if length < max_total:
-                score += float(lps[vocab.eos_id])
+                score += float(lps[-1, vocab.eos_id])
             terminals.append((seq, score))
     if cfg.length_normalize:
         terminals.sort(key=lambda t: (-t[1] / max(1, len(t[0])), t[0]))
@@ -116,8 +133,9 @@ def scalar_beam_search(
 ) -> list[BeamHypothesis]:
     """Reference for decoder.beam_search: the same search, carrying each
     path's own decoder state beside it, advancing each kept child with its
-    own dec_advance call and ranking one Python tuple per candidate instead
-    of one batched call and one sort per beam step.
+    own one-row dec_advance call and ranking one Python tuple per candidate
+    instead of one batched call and one sort per beam step. The forced
+    prefix is walked token by token (token_walk), not prefilled.
 
     Every hypothesis passes through the forced prefix exactly; the search
     never keeps more than beam_width live paths, never extends any path past
@@ -138,13 +156,13 @@ def scalar_beam_search(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
     )
 
-    state, logps = model.dec_init(enc)
+    state, walk_lps = token_walk(model, enc, prefix)
     score = 0.0
     steps: list[float] = []
-    for tok in prefix:
-        score += float(logps[tok])
-        steps.append(float(logps[tok]))
-        state, logps = model.dec_advance(state, tok, enc)
+    for j, tok in enumerate(prefix):
+        score += float(walk_lps[j, tok])
+        steps.append(float(walk_lps[j, tok]))
+    logps = walk_lps[-1]
     if len(prefix) >= max_total:
         return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
@@ -183,7 +201,8 @@ def scalar_beam_search(
         candidates.sort(key=lambda c: (-c[0], c[1]))
         new_active = []
         for score, toks, parent, state, tok, lp in candidates[: cfg.beam_width]:
-            child_state, lps = model.dec_advance(state, tok, enc)
+            child_state, lps = model.dec_advance(state, [0], [tok], enc)
+            lps = lps[0]
             child = BeamHypothesis(
                 toks, score, parent.step_log_probs + (lp,), False
             )

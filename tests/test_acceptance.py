@@ -369,14 +369,12 @@ class CachedRandomModel:
         return out
 
     # a state is a tuple of per-row prefixes
-    def dec_init(self, enc):
-        return ((),), self._logps(())
+    def dec_init(self, enc, prefix=()):
+        prefix = tuple(int(t) for t in prefix)
+        rows = [self._logps(prefix[:j]) for j in range(len(prefix) + 1)]
+        return (prefix,), np.array(rows)
 
-    def dec_advance(self, state, token_id, enc):
-        state, lps = self.dec_advance_batch(state, [0], [token_id], enc)
-        return state, lps[0]
-
-    def dec_advance_batch(self, state, rows, token_ids, enc):
+    def dec_advance(self, state, rows, token_ids, enc):
         new = tuple(state[r] + (int(t),) for r, t in zip(rows, token_ids))
         return new, np.array([self._logps(p) for p in new])
 

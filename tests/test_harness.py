@@ -172,9 +172,10 @@ class TestCompareModes:
 
     def test_divergence_reported_with_location(self, unstable_model, small_corpus):
         class Flaky:
-            """Delegates everything but swaps the two most likely tokens on
-            every second dec_init: the lockstep sessions each start one
-            search per chunk, so the second session's searches disagree."""
+            """Delegates everything but swaps the two most likely tokens of
+            the distribution the beam starts from on every second dec_init:
+            the lockstep sessions each start one search per chunk, so the
+            second session's searches disagree."""
 
             def __init__(self, inner):
                 self._inner = inner
@@ -185,13 +186,14 @@ class TestCompareModes:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-            def dec_init(self, enc):
-                state, lps = self._inner.dec_init(enc)
+            def dec_init(self, enc, prefix=()):
+                state, lps = self._inner.dec_init(enc, prefix)
                 self._calls += 1
                 if self._calls % 2 == 0:
                     lps = lps.copy()
-                    top, second = np.argsort(-lps)[:2]
-                    lps[top], lps[second] = lps[second], lps[top]
+                    last = lps[-1]
+                    top, second = np.argsort(-last)[:2]
+                    last[top], last[second] = last[second], last[top]
                 return state, lps
 
         flaky = Flaky(unstable_model)

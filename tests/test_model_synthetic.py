@@ -3,12 +3,9 @@ import pytest
 
 from streamdec.core import ContractViolation, UnsupportedOperation
 from streamdec.data import SyntheticTaskSpec, gen_with_alignments, task_vocab
-from streamdec.model import (
-    SyntheticAlignedModel,
-    decode_step,
-    load_model,
-    save_model,
-)
+from streamdec.model import SyntheticAlignedModel, load_model, save_model
+
+from .oracles import decode_step
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +22,11 @@ def greedy(model, enc, max_steps=30):
     state, lps = model.dec_init(enc)
     out = []
     for _ in range(max_steps):
-        tok = int(np.argmax(lps))
+        tok = int(np.argmax(lps[-1]))
         if tok == model.vocab.eos_id:
             break
         out.append(tok)
-        state, lps = model.dec_advance(state, tok, enc)
+        state, lps = model.dec_advance(state, [0], [tok], enc)
     return out
 
 
@@ -50,9 +47,8 @@ class TestEmissionRule:
         # cut the stream one frame before the end of the second token's span
         cut = a.span_ends[1] - 1
         enc = m.encode(u.frames[:cut], utt_id=u.id)
-        state, lps = m.dec_init(enc)
-        state, lps = m.dec_advance(state, a.token_ids[0], enc)
-        assert int(np.argmax(lps)) == m.vocab.eos_id
+        _, lps = m.dec_init(enc, a.token_ids[:1])
+        assert int(np.argmax(lps[-1])) == m.vocab.eos_id
 
     def test_margin_rule(self, world):
         """A span covered with >= u frames to spare is emitted correctly; one
@@ -67,17 +63,17 @@ class TestEmissionRule:
         # margin exactly u: stable
         enc = m.encode(utt.frames[: end0 + u_frames], utt_id=utt.id)
         _, lps = m.dec_init(enc)
-        assert int(np.argmax(lps)) == tok0
+        assert int(np.argmax(lps[0])) == tok0
         # margin u-1: inside the unstable window, deterministically wrong
         enc = m.encode(utt.frames[: end0 + u_frames - 1], utt_id=utt.id)
         _, lps = m.dec_init(enc)
-        wrong = int(np.argmax(lps))
+        wrong = int(np.argmax(lps[0]))
         assert wrong == m.confusion[tok0]
         assert wrong != tok0
         # deterministic: same truncation, same perturbation
         enc2 = m.encode(utt.frames[: end0 + u_frames - 1], utt_id=utt.id)
         _, lps2 = m.dec_init(enc2)
-        assert int(np.argmax(lps2)) == wrong
+        assert int(np.argmax(lps2[0])) == wrong
 
     def test_full_stream_tail_is_stable(self, world):
         # availability == total frames is not a truncation, even though the
@@ -103,7 +99,7 @@ class TestEmissionRule:
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
         enc = m.encode(utts[0].frames, utt_id=utts[0].id)
         _, lps = m.dec_init(enc)
-        assert np.log(np.sum(np.exp(lps))) == pytest.approx(0.0, abs=1e-6)
+        assert np.log(np.sum(np.exp(lps[0]))) == pytest.approx(0.0, abs=1e-6)
 
     def test_past_final_slot_is_eos(self, world):
         spec, utts, aligns = world
@@ -147,14 +143,37 @@ class TestEncodeContract:
         with pytest.raises(ContractViolation):
             m.dec_init(enc)
 
-    def test_decode_step_walks_prefix(self, world):
+    def test_prefill_forces_prefix(self, world):
         spec, utts, aligns = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
         u = utts[0]
         enc = m.encode(u.frames, utt_id=u.id)
         ids = aligns[u.id].token_ids
-        lps = decode_step(m, enc, ids[:2])
-        assert int(np.argmax(lps)) == ids[2]
+        state, lps = m.dec_init(enc, ids[:2])
+        assert state == 2
+        assert [int(np.argmax(row)) for row in lps] == list(ids[:3])
+
+    def test_prefill_rows_are_slot_emissions(self, world):
+        """Row j of dec_init(enc, prefix) is slot j's emission, the row a
+        token-by-token walk reaches after j tokens."""
+        spec, utts, aligns = world
+        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        u = utts[1]
+        ids = aligns[u.id].token_ids
+        for cut in (len(u.frames) // 2, len(u.frames)):
+            enc = m.encode(u.frames[:cut], utt_id=u.id)
+            for n in range(len(ids) + 2):
+                prefix = (list(ids) + [ids[0]])[:n]
+                state, lps = m.dec_init(enc, prefix)
+                assert state == n
+                assert lps.shape == (n + 1, len(m.vocab))
+                for j in range(n + 1):
+                    np.testing.assert_array_equal(lps[j], m._emission(enc, j))
+                    np.testing.assert_array_equal(
+                        lps[j], decode_step(m, enc, prefix[:j])
+                    )
+        with pytest.raises(ContractViolation, match="token id 99 out of range"):
+            m.dec_init(enc, [ids[0], 99])
 
 
 class TestPerSlotInvariants:
@@ -165,15 +184,15 @@ class TestPerSlotInvariants:
         enc = m.encode(u.frames, utt_id=u.id)
         ids = aligns[u.id].token_ids
         state, _ = m.dec_init(enc)
-        state, lps = m.dec_advance_batch(state, [0, 0, 0], list(ids[:3]), enc)
+        state, lps = m.dec_advance(state, [0, 0, 0], list(ids[:3]), enc)
         assert state == 1
         want = decode_step(m, enc, ids[:1])
         for row in lps:
             np.testing.assert_array_equal(row, want)
         with pytest.raises(ContractViolation, match="one token id per row"):
-            m.dec_advance_batch(state, [0, 1], [ids[0]], enc)
+            m.dec_advance(state, [0, 1], [ids[0]], enc)
         with pytest.raises(ContractViolation, match="token id 99 out of range"):
-            m.dec_advance_batch(state, [0], [99], enc)
+            m.dec_advance(state, [0], [99], enc)
 
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 from dataclasses import replace
@@ -19,13 +20,15 @@ from streamdec.transformer import (
     DecState,
     TinyTransformer,
     TransformerConfig,
+    _attention_weights,
+    _softmax_np,
     leaf_tensors,
     sinusoid_table,
     training_logits,
     training_loss,
 )
 
-from .oracles import attention_grids_oracle
+from .oracles import attention_grids_oracle, token_walk
 
 
 @pytest.fixture()
@@ -118,20 +121,20 @@ class TestEncoderCausality:
 class TestDecoding:
     def test_distribution_normalized(self, micro_model, rng):
         enc = micro_model.encode(rng.normal(size=(12, 4)), None)
-        state, lps = micro_model.dec_init(enc)
-        assert np.log(np.sum(np.exp(lps))) == pytest.approx(0.0, abs=1e-6)
-        state, lps = micro_model.dec_advance(state, 3, enc)
-        assert np.log(np.sum(np.exp(lps))) == pytest.approx(0.0, abs=1e-6)
+        state, lps = micro_model.dec_init(enc, (4, 5))
+        np.testing.assert_allclose(np.exp(lps).sum(axis=1), 1.0, atol=1e-6)
+        state, lps = micro_model.dec_advance(state, [0, 0], [3, 4], enc)
+        np.testing.assert_allclose(np.exp(lps).sum(axis=1), 1.0, atol=1e-6)
 
     def test_state_covers_tracks_encoder_growth(self, micro_model, rng):
         frames = rng.normal(size=(20, 4))
         enc1 = micro_model.encode(frames[:10], None, utt_id="u")
         state, _ = micro_model.dec_init(enc1)
-        micro_model.dec_advance(state, 3, enc1)  # fine on its own encoding
+        micro_model.dec_advance(state, [0], [3], enc1)  # fine on its own encoding
         enc2 = micro_model.encode(frames, enc1)
         # more audio means different cross-attention: the state is stale
         with pytest.raises(ContractViolation, match="does not match"):
-            micro_model.dec_advance(state, 3, enc2)
+            micro_model.dec_advance(state, [0], [3], enc2)
 
     def test_stale_state_logits_rejected(self, micro_model, rng):
         frames = rng.normal(size=(20, 4))
@@ -139,21 +142,20 @@ class TestDecoding:
         state, _ = micro_model.dec_init(enc1)
         enc2 = micro_model.encode(frames, enc1)
         with pytest.raises(ContractViolation, match="does not match"):
-            micro_model.dec_advance_batch(state, [0, 0], [3, 4], enc2)
+            micro_model.dec_advance(state, [0, 0], [3, 4], enc2)
 
     def test_rebuilt_walk_is_identical(self, micro_model, rng):
-        """Forcing the same prefix after encoder growth gives exactly the
-        numbers a fresh walk gives: the cache is an optimization only."""
+        """Forcing the same prefix again gives exactly the numbers the first
+        prefill gave: the cache is an optimization only."""
         frames = rng.normal(size=(24, 4))
         enc = micro_model.encode(frames, None, utt_id="u")
         prefix = (3, 4, 5)
-        state_a, lps_a = micro_model.dec_init(enc)
-        for t in prefix:
-            state_a, lps_a = micro_model.dec_advance(state_a, t, enc)
-        state_b, lps_b = micro_model.dec_init(enc)
-        for t in prefix:
-            state_b, lps_b = micro_model.dec_advance(state_b, t, enc)
+        state_a, lps_a = micro_model.dec_init(enc, prefix)
+        state_b, lps_b = micro_model.dec_init(enc, prefix)
         np.testing.assert_array_equal(lps_a, lps_b)
+        for (ka, va), (kb, vb) in zip(state_a.kv, state_b.kv):
+            np.testing.assert_array_equal(ka, kb)
+            np.testing.assert_array_equal(va, vb)
 
     def test_foreign_encoder_rejected(self, micro_cfg, micro_vocab, rng):
         m1 = TinyTransformer(micro_cfg, micro_vocab)
@@ -176,7 +178,7 @@ class TestDecoding:
             del a  # the last reference: CPython frees the model here
             b = TinyTransformer(other_cfg, micro_vocab)
             with pytest.raises(ContractViolation):
-                b.dec_advance(state, 3, enc)
+                b.dec_advance(state, [0], [3], enc)
             with pytest.raises(ContractViolation):
                 b.dec_init(enc)
             with pytest.raises(ContractViolation):
@@ -186,18 +188,18 @@ class TestDecoding:
         enc = micro_model.encode(rng.normal(size=(10, 4)), None)
         state, _ = micro_model.dec_init(enc)
         with pytest.raises(ContractViolation):
-            micro_model.dec_advance(state, 999, enc)
+            micro_model.dec_advance(state, [0], [999], enc)
 
 
 class TestBatchAdvance:
-    """Row i of dec_advance_batch(state, rows, token_ids, enc) extends row
+    """Row i of dec_advance(state, rows, token_ids, enc) extends row
     rows[i] of state by token_ids[i]."""
 
     @staticmethod
     def _three_rows(model, enc):
         """A state whose three rows have consumed bos and one word each."""
         root, _ = model.dec_init(enc)
-        return model.dec_advance_batch(root, [0, 0, 0], [3, 4, 5], enc)[0]
+        return model.dec_advance(root, [0, 0, 0], [3, 4, 5], enc)[0]
 
     @pytest.mark.parametrize("b_sz", [1, 3, 8])
     @pytest.mark.parametrize("which", ["micro_model", "deep_model"])
@@ -213,15 +215,15 @@ class TestBatchAdvance:
         for step in range(3):  # then advance the returned state again
             rows = [(i * i + step) % len(paths) for i in range(b_sz)]
             toks = [words[(5 * i + step) % len(words)] for i in range(b_sz)]
-            state, block_lps = model.dec_advance_batch(state, rows, toks, enc)
+            state, block_lps = model.dec_advance(state, rows, toks, enc)
             assert block_lps.shape == (b_sz, len(model.vocab))
             assert state.pos == step + 2
             paths = [paths[r] + (t,) for r, t in zip(rows, toks)]
             for i, path in enumerate(paths):
-                walk, lps = model.dec_init(enc)
-                for t in path:
-                    walk, lps = model.dec_advance(walk, t, enc)
-                np.testing.assert_allclose(block_lps[i], lps, rtol=0, atol=1e-12)
+                walk, lps = token_walk(model, enc, path)
+                np.testing.assert_allclose(
+                    block_lps[i], lps[-1], rtol=0, atol=1e-12
+                )
                 for (gk, gv), (wk, wv) in zip(state.kv, walk.kv):
                     np.testing.assert_allclose(gk[i], wk[0], rtol=0, atol=1e-12)
                     np.testing.assert_allclose(gv[i], wv[0], rtol=0, atol=1e-12)
@@ -231,7 +233,7 @@ class TestBatchAdvance:
         enc = micro_model.encode(rng.normal(size=(30, 4)), None)
         state = self._three_rows(micro_model, enc)
         with pytest.raises(ContractViolation, match=f"row {bad} out of range"):
-            micro_model.dec_advance_batch(state, [0, bad], [3, 4], enc)
+            micro_model.dec_advance(state, [0, bad], [3, 4], enc)
 
     def test_foreign_state_rejected(self, micro_cfg, micro_vocab, rng):
         frames = rng.normal(size=(30, 4))
@@ -240,14 +242,14 @@ class TestBatchAdvance:
         enc1 = m1.encode(frames, None)
         foreign, _ = m2.dec_init(m2.encode(frames, None))
         with pytest.raises(ContractViolation, match="does not match"):
-            m1.dec_advance_batch(foreign, [0, 0], [3, 4], enc1)
+            m1.dec_advance(foreign, [0, 0], [3, 4], enc1)
 
     @pytest.mark.parametrize("bad", [-1, 9, 999])
     def test_out_of_vocab_token_rejected(self, micro_model, rng, bad):
         enc = micro_model.encode(rng.normal(size=(30, 4)), None)
         state = self._three_rows(micro_model, enc)
         with pytest.raises(ContractViolation, match=f"token id {bad} out of"):
-            micro_model.dec_advance_batch(state, [0, 1, 2], [3, bad, 4], enc)
+            micro_model.dec_advance(state, [0, 1, 2], [3, bad, 4], enc)
 
     def test_one_token_per_state(self, micro_model, rng):
         """One token id per row, and at least one row."""
@@ -255,7 +257,101 @@ class TestBatchAdvance:
         state = self._three_rows(micro_model, enc)
         for rows, toks in (([0, 1, 2], [3, 4]), ([], [])):
             with pytest.raises(ContractViolation, match="one token id per row"):
-                micro_model.dec_advance_batch(state, rows, toks, enc)
+                micro_model.dec_advance(state, rows, toks, enc)
+
+
+class TestPrefill:
+    """dec_init(enc, prefix) consumes bos and the whole prefix in one
+    forward; it must give what consuming the prefix one token per
+    dec_advance call gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    @pytest.mark.parametrize("which", ["micro_model", "bidi_model", "deep_model"])
+    def test_matches_token_walk(self, request, which, n, rng):
+        # Not bit-identical: a product over n + 1 positions may sum in
+        # another order than n + 1 one-position products (up to about
+        # 1.4e-14 apart on the benchmark's bidirectional model).
+        model = request.getfixturevalue(which)
+        words = list(model.vocab.word_ids())
+        prefix = tuple(words[(3 * i + n) % len(words)] for i in range(n))
+        frames = rng.normal(size=(30, 4))
+        grown = model.encode(frames[:11], None, utt_id="u")
+        grown = model.encode(frames, grown)
+        for enc in (model.encode(frames, None), grown):
+            state, lps = model.dec_init(enc, prefix)
+            walk, walk_lps = token_walk(model, enc, prefix)
+            assert lps.shape == (n + 1, len(model.vocab))
+            assert state.pos == walk.pos == n + 1
+            np.testing.assert_allclose(lps, walk_lps, rtol=0, atol=1e-12)
+            for (pk, pv), (wk, wv) in zip(state.kv, walk.kv):
+                assert pk.shape == wk.shape
+                np.testing.assert_allclose(pk, wk, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pv, wv, rtol=0, atol=1e-12)
+            # and the prefilled state continues like the walked one
+            toks = words[:3]
+            _, next_lps = model.dec_advance(state, [0, 0, 0], toks, enc)
+            _, walk_next = model.dec_advance(walk, [0, 0, 0], toks, enc)
+            np.testing.assert_allclose(next_lps, walk_next, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1, 9, 999])
+    def test_out_of_vocab_prefix_rejected(self, micro_model, rng, bad):
+        enc = micro_model.encode(rng.normal(size=(10, 4)), None)
+        with pytest.raises(ContractViolation, match=f"token id {bad} out of"):
+            micro_model.dec_init(enc, (3, bad, 4))
+
+    def test_foreign_encoding_rejected(self, micro_cfg, micro_vocab, rng):
+        m1 = TinyTransformer(micro_cfg, micro_vocab)
+        m2 = TinyTransformer(micro_cfg, micro_vocab)
+        enc = m1.encode(rng.normal(size=(10, 4)), None)
+        with pytest.raises(ContractViolation, match="different model"):
+            m2.dec_init(enc, (3, 4))
+
+    def test_empty_encoding_rejected(self, micro_model):
+        enc = micro_model.encode(np.zeros((0, 4)), None)
+        with pytest.raises(ContractViolation, match="no encoder states"):
+            micro_model.dec_init(enc, (3, 4))
+
+
+def _softmax_fresh(x):
+    """The softmax as three fresh temporaries, the formula the in-place one
+    must reproduce bit for bit."""
+    s = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestInPlaceSoftmax:
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_bitwise_equal_to_fresh_formula(self, rng, causal):
+        t, dh = 270, 4
+        raw = rng.normal(scale=8.0, size=(2, t, t))
+        future = np.arange(t)[None, :] > np.arange(t)[:, None] if causal else None
+        scores = raw / math.sqrt(dh)
+        if causal:
+            scores = np.where(future, -np.inf, scores)
+        want = _softmax_fresh(scores)
+
+        buf = scores.copy()
+        got = _softmax_np(buf, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+        buf = raw.copy()
+        got = _attention_weights(buf, dh, future)
+        assert got is buf
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_without_out_input_is_unchanged(self, rng):
+        x = rng.normal(size=(3, 5, 7))
+        before = x.copy()
+        y = _softmax_np(x)
+        np.testing.assert_array_equal(_bits(x), _bits(before))
+        assert not np.shares_memory(x, y)
+        np.testing.assert_array_equal(_bits(y), _bits(_softmax_fresh(x)))
 
 
 class TestTrainingGraphParity:
@@ -263,11 +359,7 @@ class TestTrainingGraphParity:
         frames = rng.normal(size=(18, 4))
         ids = (3, 5, 4)
         enc = micro_model.encode(frames, None)
-        state, lps = micro_model.dec_init(enc)
-        walk = [lps]
-        for t in ids:
-            state, lps = micro_model.dec_advance(state, t, enc)
-            walk.append(lps)
+        _, walk = micro_model.dec_init(enc, ids)
         pt = leaf_tensors(micro_model.params)
         dec_in = np.array([[micro_vocab.bos_id, *ids]])
         graph = training_logits(
@@ -349,6 +441,18 @@ class TestAttentionDump:
         enc = micro_model.encode(np.zeros((0, 4)), None)
         with pytest.raises(ContractViolation, match="no encoder states"):
             micro_model.dump_attention(enc, ())
+
+    def test_calls_share_no_memory(self, micro_model, rng):
+        """The weights are computed in each call's own buffers, so a grid
+        handed out once is never written by a later call."""
+        enc = micro_model.encode(rng.normal(size=(9, 4)), None)
+        first = micro_model.dump_attention(enc, (3, 4))
+        kept = {name: g.copy() for name, g in first.items()}
+        second = micro_model.dump_attention(enc, (3, 4))
+        for name, grid in first.items():
+            assert not np.shares_memory(grid, second[name]), name
+            np.testing.assert_array_equal(grid, kept[name])
+            np.testing.assert_array_equal(grid, second[name])
 
     def test_encoder_self_attention_is_causal(self, micro_model, rng):
         enc = micro_model.encode(rng.normal(size=(7, 4)), None)
