@@ -9,6 +9,9 @@ output delay for word accuracy; this script lays the cells out as one table.
 
 Example:
     python3 scripts/tradeoff_sweep.py --utts 40 --seed 11 --out sweep.csv
+
+With `--utts 8 --seed 11` and any `--workers`, the output must equal
+scripts/tradeoff_sweep_utts8_seed11.txt byte for byte; CI diffs the two.
 """
 
 import argparse

@@ -2,8 +2,12 @@
 
 Subcommands cover the full loop: synthesize data, train and adapt the
 transformer, stream utterances through a commit strategy, sweep the
-accuracy-latency grid, check that two lockstep sessions agree, score outputs,
-and dump attention grids.
+accuracy-latency grid, score outputs, and dump attention grids.
+
+A strategy is named by one compact spec, ``name[:p1[:p2]]``: ``hold-n:N``,
+``hold-0`` (``hold-n:0``), ``wait-k[:K[:RATE]]``, ``local-agreement`` or
+``offline``. ``run --strategy`` takes one spec, ``sweep --strategies`` a
+comma-separated list.
 
 A `--config path` file holds `key = value` lines (keys match option names
 with dashes or underscores); explicit command-line flags win over it.
@@ -29,17 +33,10 @@ from .core import (
 )
 from .data import SyntheticTaskSpec, gen_dataset
 from .decoder import BeamConfig, Session, step_chunk
-from .harness import (
-    ModeComparison,
-    SweepSpec,
-    compare_modes,
-    eval_tokens,
-    rows_to_csv,
-    sweep,
-)
+from .harness import SweepSpec, eval_tokens, rows_to_csv, sweep
 from .metrics import LatencyReport, corpus_wer, latency_delta
 from .model import load_model, save_model
-from .strategies import StrategyConfig, parse_strategy
+from .strategies import parse_strategy, spec_usage
 from .training import (
     PartialSliceSpec,
     TrainConfig,
@@ -57,12 +54,6 @@ ENCODER_ALIASES = {
 }
 
 
-def _strategy_from_args(args) -> StrategyConfig:
-    if ":" in args.strategy:
-        return _strategy_from_spec(args.strategy)
-    return parse_strategy(args.strategy, n=args.n, k=args.k, rate=args.rate)
-
-
 def _beam_from_args(args) -> BeamConfig:
     return BeamConfig(
         beam_width=args.beam,
@@ -77,18 +68,6 @@ def _require(args, *names: str) -> None:
         raise ConfigError(
             "missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing)
         )
-
-
-def _add_strategy_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--strategy",
-        default=None,
-        help="hold-n | hold-0 | wait-k | local-agreement | offline, "
-        "or compact form like hold-n:4 / wait-k:3:4.0",
-    )
-    p.add_argument("--n", type=int, default=None, help="hold-n tail length")
-    p.add_argument("--k", type=int, default=None, help="wait-k initial chunks to hold back")
-    p.add_argument("--rate", type=float, default=None, help="wait-k emission rate, tokens/sec")
 
 
 def _add_beam_opts(p: argparse.ArgumentParser) -> None:
@@ -160,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model file")
     p.add_argument("--in", dest="inp", default=None, help="utterances JSONL")
     p.add_argument("--out", default=None, help="commit-log JSONL")
-    _add_strategy_opts(p)
+    p.add_argument("--strategy", default=None, help="one of " + spec_usage())
     _add_beam_opts(p)
     _add_chunk_opts(p)
     p.add_argument("--realtime", action="store_true", help="sleep one chunk length per chunk")
@@ -172,18 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategies",
         default="hold-0,hold-n:4,wait-k:1:4.0,local-agreement,offline",
-        help="comma-separated compact strategy specs",
+        help="comma-separated strategy specs, each one of " + spec_usage(),
     )
     _add_beam_opts(p)
     _add_chunk_opts(p)
     p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("compare-modes", help="check forced vs buffered sessions agree")
-    p.add_argument("--model", default=None)
-    p.add_argument("--in", dest="inp", default=None)
-    _add_strategy_opts(p)
-    _add_beam_opts(p)
-    p.add_argument("--chunk-sec", type=float, default=0.5)
 
     p = sub.add_parser("eval", help="score a commit log against references")
     p.add_argument("--refs", default=None, help="reference utterances JSONL")
@@ -343,7 +315,7 @@ def cmd_run(args) -> int:
     _require(args, "model", "inp", "out", "strategy")
     model = load_model(args.model)
     utts = sio.load_utterances(args.inp)
-    strategy = _strategy_from_args(args)
+    strategy = parse_strategy(args.strategy)
     beam = _beam_from_args(args)
     logs = {}
     n_tokens = 0
@@ -382,7 +354,7 @@ def cmd_sweep(args) -> int:
         models[name] = load_model(path)
     utts = sio.load_utterances(args.inp)
     strategies = tuple(
-        _strategy_from_spec(s.strip()) for s in args.strategies.split(",") if s.strip()
+        parse_strategy(s.strip()) for s in args.strategies.split(",") if s.strip()
     )
     spec = SweepSpec(
         strategies=strategies,
@@ -396,52 +368,6 @@ def cmd_sweep(args) -> int:
         fh.write(csv)
     print(csv, end="")
     return 0
-
-
-def _strategy_from_spec(spec: str) -> StrategyConfig:
-    name, *params = spec.split(":")
-    n = k = rate = None
-    if name == "hold-n" and params:
-        n = int(params[0])
-    elif name == "wait-k" and params:
-        k = int(params[0])
-        if len(params) > 1:
-            rate = float(params[1])
-    return parse_strategy(name, n=n, k=k, rate=rate)
-
-
-def cmd_compare_modes(args) -> int:
-    _require(args, "model", "inp", "strategy")
-    model = load_model(args.model)
-    utts = sio.load_utterances(args.inp)
-    strategy = _strategy_from_args(args)
-    cmp = compare_modes(
-        model, utts, strategy, args.chunk_sec, _beam_from_args(args)
-    )
-    _print_comparison(cmp)
-    return 0 if cmp.equal else 1
-
-
-def _print_comparison(cmp: ModeComparison) -> None:
-    verdict = "identical" if cmp.equal else "DIVERGED"
-    print(
-        f"{verdict}: {cmp.utterances} utterances, {cmp.chunks} chunks per mode"
-    )
-    print(
-        f"forced-redecode: {cmp.forced_wall_sec:.3f}s wall, "
-        f"{cmp.forced_positions_encoded} encoder positions"
-    )
-    print(
-        f"buffered-state:  {cmp.buffered_wall_sec:.3f}s wall, "
-        f"{cmp.buffered_positions_encoded} encoder positions"
-    )
-    if cmp.divergence is not None:
-        d = cmp.divergence
-        print(
-            f"first divergence at {d.utt_id} chunk {d.chunk_index} [{d.field_name}]:"
-        )
-        print(f"  forced:   {d.forced}")
-        print(f"  buffered: {d.buffered}")
 
 
 def cmd_eval(args) -> int:
@@ -519,7 +445,6 @@ COMMANDS = {
     "adapt": cmd_adapt,
     "run": cmd_run,
     "sweep": cmd_sweep,
-    "compare-modes": cmd_compare_modes,
     "eval": cmd_eval,
     "dump-attention": cmd_dump_attention,
 }

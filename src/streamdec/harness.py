@@ -29,12 +29,7 @@ from .metrics import (
     mean_output_time,
 )
 from .model import SequenceModel
-from .strategies import (
-    HoldN,
-    StrategyConfig,
-    strategy_name,
-    strategy_params,
-)
+from .strategies import HoldN, StrategyConfig
 
 CSV_HEADER = "model,strategy,params,wer,mean_t_out,delta_latency"
 
@@ -58,6 +53,9 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one strategy")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for i, s in enumerate(self.strategies):
+            if s in self.strategies[:i]:
+                raise ConfigError(f"sweep lists strategy {s!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,8 @@ def sweep(
             rows.append(
                 TradeoffRow(
                     model=name,
-                    strategy=strategy_name(strat),
-                    params=strategy_params(strat),
+                    strategy=strat.name,
+                    params=strat.params,
                     wer=wer_rate,
                     mean_t_out=report.mean_output_time_sec if report else float("nan"),
                     delta_latency=delta,

@@ -3,58 +3,135 @@
 Given the fresh continuation W decoded at chunk c, each strategy decides which
 prefix of W is committed (displayed irreversibly):
 
-* hold-n      -- commit all but the last n tokens; the tail is assumed unstable.
-* wait-k      -- commit nothing for the first k chunks, then emit at a fixed
-                 token rate using a fractional budget that accumulates across
-                 chunks.
-* local agreement -- commit the longest common prefix of the continuations
+* hold-n:N    -- commit all but the last N tokens; the tail is assumed unstable.
+* wait-k[:K[:RATE]] -- commit nothing for the first K chunks, then emit RATE
+                 tokens per second using a fractional budget that accumulates
+                 across chunks.
+* local-agreement -- commit the longest common prefix of the continuations
                  produced by two consecutive chunks.
 * offline     -- commit nothing until the stream ends.
 
-On the final chunk every strategy flushes all of W.
+On the final chunk every strategy flushes all of W. Each strategy is one
+class listed in ``STRATEGIES``; ``parse_strategy`` builds one from its spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Sequence
 
 from .core import EOS_TOKEN, ConfigError, ContractViolation
 
+_CASTS = {"int": int, "float": float}  # spec field type -> parser
+
+
+class StrategyConfig:
+    """A commit strategy. Each subclass is a frozen dataclass whose fields,
+    in order, are the parameters of its compact spec ``name[:p1[:p2]]``
+    (fields without a default are required), and it knows its ``name``, its
+    CSV ``params`` text and its selection rule."""
+
+    name = ""
+
+    @property
+    def params(self) -> str:
+        return ""
+
+    @classmethod
+    def usage(cls) -> str:
+        """The spec pattern, e.g. ``hold-n:N`` or ``wait-k[:K[:RATE]]``."""
+        out, opened = cls.name, 0
+        for f in fields(cls):
+            if f.default is not MISSING:
+                out += "["
+                opened += 1
+            out += ":" + f.name.upper()
+        return out + "]" * opened
+
+    @classmethod
+    def from_spec(cls, spec: str, values: Sequence[str]) -> StrategyConfig:
+        fs = fields(cls)
+        required = sum(f.default is MISSING for f in fs)
+        if not required <= len(values) <= len(fs):
+            raise ConfigError(f"strategy {spec!r}: expected {cls.usage()}")
+        args = []
+        for f, v in zip(fs, values):
+            try:
+                args.append(_CASTS[f.type](v))
+            except ValueError:
+                raise ConfigError(
+                    f"strategy {spec!r}: {f.name.upper()} must be {f.type}, got {v!r}"
+                ) from None
+        try:
+            return cls(*args)
+        except ConfigError as e:
+            raise ConfigError(f"strategy {spec!r}: {e}") from None
+
+    def select(
+        self, w: tuple, chunk_index: int, state: StrategyState, chunk_len_sec: float
+    ) -> tuple[tuple, StrategyState]:
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class HoldN:
+class HoldN(StrategyConfig):
     n: int
+    name = "hold-n"
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ConfigError("hold-n requires n >= 0")
 
+    @property
+    def params(self) -> str:
+        return f"n={self.n}"
+
+    def select(self, w, chunk_index, state, chunk_len_sec):
+        return hold_n(w, self.n), state
+
 
 @dataclass(frozen=True)
-class WaitK:
+class WaitK(StrategyConfig):
     k: int = 1
     rate: float = 4.0  # tokens per second once emission starts
+    name = "wait-k"
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ConfigError("wait-k requires k >= 0")
-        if self.rate <= 0:
-            raise ConfigError("wait-k requires a positive rate")
+        if not (0 < self.rate < math.inf):
+            raise ConfigError("wait-k requires a positive finite rate")
+
+    @property
+    def params(self) -> str:
+        return f"k={self.k} r={self.rate:g}"
+
+    def select(self, w, chunk_index, state, chunk_len_sec):
+        return wait_k(w, chunk_index, state, self.k, self.rate, chunk_len_sec)
 
 
 @dataclass(frozen=True)
-class LocalAgreement:
-    pass
+class LocalAgreement(StrategyConfig):
+    name = "local-agreement"
+
+    def select(self, w, chunk_index, state, chunk_len_sec):
+        return local_agreement(w, chunk_index, state)
 
 
 @dataclass(frozen=True)
-class Offline:
-    pass
+class Offline(StrategyConfig):
+    name = "offline"
+
+    def select(self, w, chunk_index, state, chunk_len_sec):
+        return (), state
 
 
-StrategyConfig = Union[HoldN, WaitK, LocalAgreement, Offline]
+# The strategy table: a new strategy is one class above and one entry here.
+STRATEGIES: dict[str, type[StrategyConfig]] = {
+    cls.name: cls for cls in (HoldN, WaitK, LocalAgreement, Offline)
+}
+ALIASES = {"hold-0": "hold-n:0"}
 
 
 @dataclass(frozen=True)
@@ -143,66 +220,27 @@ def select_prefix(
     """Dispatch to the configured strategy; on the final chunk all of w is
     flushed regardless of strategy. The end-of-sequence marker is never part
     of the committed output."""
+    if type(cfg) not in STRATEGIES.values():
+        raise ConfigError(f"unknown strategy config {cfg!r}")
     w = tuple(w)
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if is_final:
         return _strip_eos(w), replace(state, discard_buffer=())
-    if isinstance(cfg, HoldN):
-        out = hold_n(w, cfg.n)
-        new_state = state
-    elif isinstance(cfg, WaitK):
-        out, new_state = wait_k(
-            w, chunk_index, state, cfg.k, cfg.rate, chunk_len_sec
-        )
-    elif isinstance(cfg, LocalAgreement):
-        out, new_state = local_agreement(w, chunk_index, state)
-    elif isinstance(cfg, Offline):
-        out = ()
-        new_state = state
-    else:
-        raise ConfigError(f"unknown strategy config {cfg!r}")
+    out, new_state = cfg.select(w, chunk_index, state, chunk_len_sec)
     return _strip_eos(out), new_state
 
 
-def strategy_name(cfg: StrategyConfig) -> str:
-    if isinstance(cfg, HoldN):
-        return "hold-n"
-    if isinstance(cfg, WaitK):
-        return "wait-k"
-    if isinstance(cfg, LocalAgreement):
-        return "local-agreement"
-    if isinstance(cfg, Offline):
-        return "offline"
-    raise ConfigError(f"unknown strategy config {cfg!r}")
+def parse_strategy(spec: str) -> StrategyConfig:
+    """Build a strategy config from a compact spec ``name[:p1[:p2]]``, e.g.
+    ``hold-n:4``, ``wait-k:3:4.0`` or ``offline``."""
+    name, *values = ALIASES.get(spec, spec).split(":")
+    if name not in STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {spec!r}; expected one of {spec_usage()}"
+        )
+    return STRATEGIES[name].from_spec(spec, values)
 
 
-def strategy_params(cfg: StrategyConfig) -> str:
-    if isinstance(cfg, HoldN):
-        return f"n={cfg.n}"
-    if isinstance(cfg, WaitK):
-        return f"k={cfg.k} r={cfg.rate:g}"
-    return ""
-
-
-def parse_strategy(
-    name: str,
-    n: int | None = None,
-    k: int | None = None,
-    rate: float | None = None,
-) -> StrategyConfig:
-    """Build a strategy config from CLI-style arguments."""
-    name = name.lower()
-    if name == "hold-0":
-        return HoldN(0)
-    if name == "hold-n":
-        if n is None:
-            raise ConfigError("hold-n requires --n")
-        return HoldN(n)
-    if name == "wait-k":
-        return WaitK(k if k is not None else 1, rate if rate is not None else 4.0)
-    if name == "local-agreement":
-        return LocalAgreement()
-    if name == "offline":
-        return Offline()
-    raise ConfigError(f"unknown strategy {name!r}")
+def spec_usage() -> str:
+    return ", ".join([*(c.usage() for c in STRATEGIES.values()), *ALIASES])

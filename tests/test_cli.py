@@ -33,7 +33,7 @@ def work(tmp_path_factory):
     ]) == 0
     assert main([
         "run", "--model", str(d / "model.bin"), "--in", str(d / "eval.jsonl"),
-        "--out", str(d / "hyps.jsonl"), "--strategy", "hold-n", "--n", "0",
+        "--out", str(d / "hyps.jsonl"), "--strategy", "hold-n:0",
         "--beam", "2",
     ]) == 0
     return d
@@ -101,14 +101,6 @@ class TestPipeline:
         assert lines[0] == "model,strategy,params,wer,mean_t_out,delta_latency"
         assert len(lines) == 4
         assert capsys.readouterr().out.startswith("model,strategy")
-
-    def test_compare_modes_identical(self, work, capsys):
-        assert main([
-            "compare-modes", "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"),
-            "--strategy", "local-agreement", "--beam", "2",
-        ]) == 0
-        assert "identical" in capsys.readouterr().out
 
     def test_dump_attention_writes_grids(self, work):
         out = work / "attn.tsv"
@@ -208,7 +200,48 @@ class TestErrorPaths:
         rc = main([
             "run", "--model", str(work / "model.bin"),
             "--in", str(work / "eval.jsonl"), "--out", "x",
-            "--strategy", "wait-k", "--k", "1", "--rate", "0",
+            "--strategy", "wait-k:1:0",
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "hold-n:x", "wait-k:1:fast", "hold-n:2:3", "local-agreement:5",
+            "offline:9", "wait-k:1:4:9", "HOLD-N:3", "hold-n",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_malformed_strategy_spec(self, work, capsys, command, spec):
+        argv = {
+            "run": ["run", "--model", str(work / "model.bin"), "--strategy", spec],
+            "sweep": [
+                "sweep", "--model", f"m={work / 'model.bin'}",
+                "--strategies", f"offline,{spec}",
+            ],
+        }[command]
+        rc = main([*argv, "--in", str(work / "eval.jsonl"), "--out", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(spec) in err
+
+    def test_removed_strategy_flags_rejected(self, work, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([
+                "run", "--model", str(work / "model.bin"),
+                "--in", str(work / "eval.jsonl"), "--out", "x",
+                "--strategy", "hold-0", "--n", "5", "--k", "9",
+            ])
+        assert e.value.code == 2
+        assert "error: unrecognized arguments: --n 5 --k 9" in capsys.readouterr().err
+
+    def test_duplicate_sweep_strategy(self, work, capsys):
+        rc = main([
+            "sweep", "--model", f"m={work / 'model.bin'}",
+            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--strategies", "hold-0,hold-n:0",
+        ])
+        assert rc == 2
+        assert "error: sweep lists strategy HoldN(n=0) more than once" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestSweep:
             sweep({"m": unstable_model}, [], SweepSpec(strategies=(HoldN(0),)))
         with pytest.raises(ConfigError):
             SweepSpec(strategies=())
+
+    @pytest.mark.parametrize(
+        "strategies, repeated",
+        [
+            ((HoldN(2), HoldN(2), HoldN(0)), "HoldN(n=2)"),
+            ((Offline(), WaitK(1, 4.0), WaitK(1, rate=4)), "WaitK(k=1, rate=4)"),
+            ((LocalAgreement(), LocalAgreement()), "LocalAgreement()"),
+        ],
+    )
+    def test_repeated_strategy_rejected(self, strategies, repeated):
+        with pytest.raises(ConfigError, match=re.escape(repeated)):
+            SweepSpec(strategies=strategies)
 
     def test_worker_parity(self, unstable_model, small_corpus, sweep_strategies):
         spec1 = SweepSpec(

@@ -1,9 +1,13 @@
+import re
+from dataclasses import MISSING, fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from streamdec.core import EOS_TOKEN, ConfigError, ContractViolation
 from streamdec.strategies import (
+    STRATEGIES,
     HoldN,
     LocalAgreement,
     Offline,
@@ -15,12 +19,32 @@ from streamdec.strategies import (
     local_agreement,
     parse_strategy,
     select_prefix,
-    strategy_name,
-    strategy_params,
     wait_k,
 )
 
 tokens = st.lists(st.sampled_from("abcdexyz"), max_size=10).map(tuple)
+
+# valid values for each parameter type a strategy spec can take
+FIELD_VALUES = {
+    "int": st.integers(min_value=0, max_value=6),
+    "float": st.floats(min_value=0.25, max_value=16.0),
+}
+
+
+def field_values(cls):
+    """Valid positional arguments for a table entry: every required field
+    and any number of the optional ones after them."""
+    fs = fields(cls)
+    required = sum(f.default is MISSING for f in fs)
+    return st.integers(min_value=required, max_value=len(fs)).flatmap(
+        lambda n: st.tuples(*(FIELD_VALUES[f.type] for f in fs[:n]))
+    )
+
+
+strategy_classes = st.sampled_from(list(STRATEGIES.values()))
+configs = strategy_classes.flatmap(
+    lambda cls: field_values(cls).map(lambda args: cls(*args))
+)
 
 
 class TestHoldN:
@@ -166,15 +190,14 @@ class TestSelectPrefix:
         assert out == ("a", "b")
 
     @given(
-        st.sampled_from(
-            [HoldN(0), HoldN(2), WaitK(0, 4.0), WaitK(2, 2.0), LocalAgreement(), Offline()]
-        ),
+        configs,
         st.integers(min_value=1, max_value=6),
         st.booleans(),
         tokens,
+        st.sampled_from([(), ("a", "b"), ("x",)]),
     )
-    def test_prefix_law(self, cfg, chunk_index, is_final, w):
-        state = initial_state()
+    def test_prefix_law(self, cfg, chunk_index, is_final, w, buffered):
+        state = StrategyState(discard_buffer=buffered)
         out, new_state = select_prefix(cfg, state, chunk_index, is_final, w)
         stripped = w[:-1] if w and w[-1] == EOS_TOKEN else w
         assert out == stripped[: len(out)]
@@ -192,24 +215,57 @@ class TestSelectPrefix:
 
 
 class TestNamesAndParsing:
-    def test_strategy_names(self):
-        assert strategy_name(HoldN(3)) == "hold-n"
-        assert strategy_name(WaitK(1, 4.0)) == "wait-k"
-        assert strategy_name(LocalAgreement()) == "local-agreement"
-        assert strategy_name(Offline()) == "offline"
+    def test_table_is_keyed_by_name(self):
+        assert list(STRATEGIES) == ["hold-n", "wait-k", "local-agreement", "offline"]
+        for name, cls in STRATEGIES.items():
+            assert cls.name == name
 
-    def test_strategy_params(self):
-        assert strategy_params(HoldN(3)) == "n=3"
-        assert "k=1" in strategy_params(WaitK(1, 4.0))
-        assert strategy_params(Offline()) == ""
+    def test_params_text(self):
+        assert HoldN(3).params == "n=3"
+        assert WaitK(1, 4.0).params == "k=1 r=4"
+        assert WaitK(2, 2.5).params == "k=2 r=2.5"
+        assert LocalAgreement().params == ""
+        assert Offline().params == ""
 
-    def test_parse_round_trip(self):
-        assert parse_strategy("hold-n", n=4) == HoldN(4)
+    def test_parse_specs(self):
+        assert parse_strategy("hold-n:4") == HoldN(4)
         assert parse_strategy("hold-0") == HoldN(0)
-        assert parse_strategy("wait-k", k=2, rate=3.0) == WaitK(2, 3.0)
+        assert parse_strategy("hold-n:0") == HoldN(0)
+        assert parse_strategy("wait-k") == WaitK(1, 4.0)
+        assert parse_strategy("wait-k:2") == WaitK(2, 4.0)
+        assert parse_strategy("wait-k:2:3.0") == WaitK(2, 3.0)
+        assert parse_strategy("wait-k:1:4") == WaitK(1, 4.0)
         assert parse_strategy("local-agreement") == LocalAgreement()
         assert parse_strategy("offline") == Offline()
 
-    def test_parse_unknown(self):
-        with pytest.raises(ConfigError):
-            parse_strategy("bogus")
+    def test_usage(self):
+        assert [c.usage() for c in STRATEGIES.values()] == [
+            "hold-n:N", "wait-k[:K[:RATE]]", "local-agreement", "offline",
+        ]
+
+    @given(strategy_classes.flatmap(lambda c: st.tuples(st.just(c), field_values(c))))
+    def test_parse_round_trip(self, entry):
+        cls, args = entry
+        cfg = parse_strategy(":".join([cls.name, *map(str, args)]))
+        assert type(cfg) is cls
+        assert cfg == cls(*args)
+        for f, v in zip(fields(cls), args):
+            assert getattr(cfg, f.name) == v
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bogus", "", "HOLD-N:3", "Offline", "hold-n", "hold-n:", "hold-n:x",
+            "hold-n:1.5", "hold-n:-1", "hold-n:2:3", "hold-0:1", "wait-k:1:fast",
+            "wait-k:x", "wait-k:1:0", "wait-k:1:nan", "wait-k:1:inf",
+            "wait-k:1:4:9", "local-agreement:5", "offline:9",
+        ],
+    )
+    def test_malformed_spec_names_it(self, spec):
+        with pytest.raises(ConfigError, match=re.escape(repr(spec))):
+            parse_strategy(spec)
+
+    def test_non_strategy_rejected(self):
+        for cfg in ("hold-n:0", None, object()):
+            with pytest.raises(ConfigError):
+                select_prefix(cfg, initial_state(), 1, True, ("a",))
