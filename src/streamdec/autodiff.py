@@ -3,7 +3,8 @@
 A Tensor wraps an ndarray and remembers the closure that propagates its
 gradient to its parents. Calling backward() on a scalar walks the graph in
 reverse topological order. Only the ops needed by the sequence model are
-implemented.
+implemented; its attention node, which knows about heads and lengths, is
+built on ``_child`` in transformer.py.
 
 Gradients move by reference: an op may hand one array to several parents or
 pass a view of its incoming gradient on, and accumulation always builds a new
@@ -192,27 +193,6 @@ def transpose(a, axes: tuple) -> Tensor:
             a._accum(g.transpose(inv))
 
     return _child(a.data.transpose(axes), (a,), bw)
-
-
-def softmax(a, axis: int = -1, *, scale: float = 1.0, mask=None) -> Tensor:
-    """softmax(a * scale + mask) in one buffer; ``mask`` is a constant that
-    broadcasts to a's shape (e.g. -1e9 at disallowed attention keys)."""
-    a = _wrap(a)
-    y = a.data * scale
-    if mask is not None:
-        y += mask
-    y -= y.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            d = g - (g * y).sum(axis=axis, keepdims=True)
-            d *= y
-            d *= scale
-            a._accum(d)
-
-    return _child(y, (a,), bw)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

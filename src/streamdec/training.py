@@ -107,6 +107,11 @@ def make_batch(
     for i, (f, toks) in enumerate(pairs):
         if len(f) == 0:
             raise ConfigError("utterance with zero frames in batch")
+        if np.ndim(f) != 2 or np.shape(f)[1] != frame_dim:
+            raise ConfigError(
+                f"batch pair {i} has frames of shape {np.shape(f)}; the batch "
+                f"needs ({len(f)}, {frame_dim})"
+            )
         frames[i, : len(f)] = f
         frame_mask[i, : len(f)] = 1.0
         ids = vocab.encode(tuple(toks))

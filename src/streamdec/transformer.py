@@ -14,7 +14,11 @@ always spans every encoder state available when ``dec_init`` ran.
 
 Inference runs on plain float64 numpy, each attention's weights computed
 in place in its score buffer (``_attention_weights``). Training builds the
-same math as an autodiff graph (see training.py for the loop).
+same math as an autodiff graph (see training.py for the loop). Its
+attention is one ``attention`` node per layer that goes over the batch one
+row at a time and reads only that row's real frames, by lengths taken from
+``frame_mask``; it computes its weights with the same
+``_attention_weights``, so no padded score is ever made.
 """
 
 from __future__ import annotations
@@ -496,6 +500,66 @@ def leaf_tensors(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    k_len: np.ndarray,
+    q_len: np.ndarray | None = None,
+    causal: bool = False,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one autodiff node, one
+    batch row at a time over that row's real positions only.
+
+    q is (B, Tq, d) and k, v are (B, Tk, d), split into heads inside. Row
+    b's first q_len[b] queries (all Tq without q_len) attend to its first
+    k_len[b] keys, and with ``causal`` query t only to keys 0..t. Context
+    rows past q_len[b] are zero, and q, k, v positions past the lengths get
+    exactly zero gradient."""
+    b_sz, tq, d = q.shape
+    dh = d // heads
+    q_len = np.full(b_sz, tq) if q_len is None else q_len
+    future = (
+        np.arange(k.shape[1])[None, :] > np.arange(tq)[:, None]
+        if causal else None
+    )
+    out = np.zeros((b_sz, tq, d))
+    rows = []  # per batch row: lengths, head-split q, k, v, weights, context
+    for b in range(b_sz):
+        lq, lk = int(q_len[b]), int(k_len[b])
+        qb = _heads(q.data[b, :lq], heads, dh)
+        kb = _heads(k.data[b, :lk], heads, dh)
+        vb = _heads(v.data[b, :lk], heads, dh)
+        w = _attention_weights(
+            qb @ kb.transpose(0, 2, 1), dh,
+            None if future is None else future[:lq, :lk],
+        )
+        ctx = w @ vb
+        out[b, :lq] = _merge(ctx, d)
+        rows.append((lq, lk, qb, kb, vb, w, ctx))
+
+    def bw(g):
+        gq, gk, gv = (np.zeros(t.shape) for t in (q, k, v))
+        for b, (lq, lk, qb, kb, vb, w, ctx) in enumerate(rows):
+            gb = _heads(g[b, :lq], heads, dh)
+            gv[b, :lk] = _merge(w.transpose(0, 2, 1) @ gb, d)
+            # softmax backward: sum_j dw_ij w_ij is gb_i . ctx_i
+            gs = gb @ vb.transpose(0, 2, 1)
+            gs -= (gb * ctx).sum(axis=-1, keepdims=True)
+            gs *= w
+            gq[b, :lq] = _merge(gs @ kb, d)
+            gk[b, :lk] = _merge(gs.transpose(0, 2, 1) @ qb, d)
+        # the 1/sqrt(dh) of the scores, applied to the (T, d) results
+        gq /= math.sqrt(dh)
+        gk /= math.sqrt(dh)
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if t.requires_grad:
+                t._accum(gt)
+
+    return ad._child(out, (q, k, v), bw)
+
+
 def _attn_graph(
     q_in: Tensor,
     kv_in: Tensor,
@@ -503,26 +567,41 @@ def _attn_graph(
     wk: Tensor, bk: Tensor,
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
-    mask: np.ndarray | None,
     heads: int,
+    k_len: np.ndarray,
+    q_len: np.ndarray | None = None,
+    causal: bool = False,
 ) -> Tensor:
-    b_sz, tq, d = q_in.shape
-    tk = kv_in.shape[1]
-    dh = d // heads
     q = ad.add(ad.matmul(q_in, wq), bq)
     k = ad.add(ad.matmul(kv_in, wk), bk)
     v = ad.add(ad.matmul(kv_in, wv), bv)
-    qh = ad.transpose(ad.reshape(q, (b_sz, tq, heads, dh)), (0, 2, 1, 3))
-    kh = ad.transpose(ad.reshape(k, (b_sz, tk, heads, dh)), (0, 2, 3, 1))
-    vh = ad.transpose(ad.reshape(v, (b_sz, tk, heads, dh)), (0, 2, 1, 3))
-    att = ad.softmax(ad.matmul(qh, kh), scale=1.0 / math.sqrt(dh), mask=mask)
-    ctx = ad.matmul(att, vh)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b_sz, tq, d))
+    ctx = attention(q, k, v, heads, k_len, q_len, causal)
     return ad.add(ad.matmul(ctx, wo), bo)
 
 
 def _ffn_graph(x: Tensor, w1, b1, w2, b2) -> Tensor:
     return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+def _frame_lengths(frame_mask: np.ndarray, shape: tuple) -> np.ndarray:
+    """Per-row real frame counts of a (batch, frames) 0/1 mask whose rows
+    are ones followed by zeros, each with at least one real frame."""
+    m = np.asarray(frame_mask)
+    if m.shape != shape:
+        raise ContractViolation(f"frame_mask must be {shape}; got {m.shape}")
+    if not np.isin(m, (0, 1)).all():
+        raise ContractViolation("frame_mask values must be 0 or 1")
+    lengths = m.sum(axis=1).astype(np.int64)
+    if (lengths < 1).any():
+        raise ContractViolation(
+            f"frame_mask row {int(np.argmin(lengths))} has no real frame"
+        )
+    bad = (m != (np.arange(shape[1]) < lengths[:, None])).any(axis=1)
+    if bad.any():
+        raise ContractViolation(
+            f"frame_mask row {int(np.argmax(bad))} is not ones followed by zeros"
+        )
+    return lengths
 
 
 def training_logits(
@@ -532,19 +611,15 @@ def training_logits(
     frame_mask: np.ndarray,
     dec_in: np.ndarray,
 ) -> Tensor:
-    """Teacher-forced decoder log-probabilities (batch, positions, vocab)."""
+    """Teacher-forced decoder log-probabilities (batch, positions, vocab).
+
+    Attention reads each row's real frames only, so the encoder outputs at
+    padded frames are never used; every decoder position is computed."""
     b_sz, tf, _ = frames.shape
     td = dec_in.shape[1]
     d = cfg.d_model
-
-    key_ok = frame_mask[:, None, None, :]  # (B,1,1,Tf)
-    allow = np.broadcast_to(key_ok, (b_sz, 1, tf, tf)).copy()
-    if cfg.mode == UNIDIRECTIONAL:
-        causal = (
-            np.arange(tf)[None, :] <= np.arange(tf)[:, None]
-        ).astype(np.float64)
-        allow = allow * causal[None, None]
-    enc_mask = (1.0 - allow) * -1e9
+    n_frames = _frame_lengths(frame_mask, (b_sz, tf))
+    causal = cfg.mode == UNIDIRECTIONAL
 
     x = ad.add(ad.matmul(Tensor(frames), pt["enc_in_w"]), pt["enc_in_b"])
     x = ad.add(x, Tensor(sinusoid_table(tf, d)[None]))
@@ -558,7 +633,7 @@ def training_logits(
                 pt[f"enc{l}_wk"], pt[f"enc{l}_bk"],
                 pt[f"enc{l}_wv"], pt[f"enc{l}_bv"],
                 pt[f"enc{l}_wo"], pt[f"enc{l}_bo"],
-                enc_mask, cfg.heads,
+                cfg.heads, n_frames, n_frames, causal,
             ),
         )
         ln2 = ad.layer_norm(x, pt[f"enc{l}_ln2_g"], pt[f"enc{l}_ln2_b"], LN_EPS)
@@ -572,11 +647,7 @@ def training_logits(
         )
     enc_out = ad.layer_norm(x, pt["enc_lnf_g"], pt["enc_lnf_b"], LN_EPS)
 
-    dec_causal = np.where(
-        np.arange(td)[None, :] > np.arange(td)[:, None], -1e9, 0.0
-    )[None, None]
-    cross_mask = (1.0 - key_ok) * -1e9  # (B,1,1,Tf)
-
+    dec_len = np.full(b_sz, td)
     y = ad.scale(ad.embedding(pt["tok_emb"], dec_in), math.sqrt(d))
     y = ad.add(y, Tensor(sinusoid_table(td, d)[None]))
     for l in range(cfg.dec_layers):
@@ -589,7 +660,7 @@ def training_logits(
                 pt[f"dec{l}_sk"], pt[f"dec{l}_bsk"],
                 pt[f"dec{l}_sv"], pt[f"dec{l}_bsv"],
                 pt[f"dec{l}_so"], pt[f"dec{l}_bso"],
-                dec_causal, cfg.heads,
+                cfg.heads, dec_len, causal=True,
             ),
         )
         ln2 = ad.layer_norm(y, pt[f"dec{l}_ln2_g"], pt[f"dec{l}_ln2_b"], LN_EPS)
@@ -601,7 +672,7 @@ def training_logits(
                 pt[f"dec{l}_ck"], pt[f"dec{l}_bck"],
                 pt[f"dec{l}_cv"], pt[f"dec{l}_bcv"],
                 pt[f"dec{l}_co"], pt[f"dec{l}_bco"],
-                cross_mask, cfg.heads,
+                cfg.heads, n_frames,
             ),
         )
         ln3 = ad.layer_norm(y, pt[f"dec{l}_ln3_g"], pt[f"dec{l}_ln3_b"], LN_EPS)

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from streamdec import autodiff as ad
+from streamdec.autodiff import _child, _wrap
 from streamdec.core import ContractViolation
 from streamdec.decoder import BeamConfig, BeamHypothesis
 from streamdec.model import UNIDIRECTIONAL
@@ -274,6 +276,53 @@ def attention_grids_oracle(model, enc, prefix):
             grids[f"decoder_self.layer{l}.head{head}"] = attn[head]
             grids[f"cross.layer{l}.head{head}"] = attn2[head]
     return grids
+
+
+def masked_softmax(a, axis=-1, *, scale=1.0, mask=None):
+    """softmax(a * scale + mask) as one autodiff node in one buffer; mask is
+    a constant that broadcasts to a's shape (-1e9 at disallowed keys)."""
+    a = _wrap(a)
+    y = a.data * scale
+    if mask is not None:
+        y += mask
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        if a.requires_grad:
+            d = g - (g * y).sum(axis=axis, keepdims=True)
+            d *= y
+            d *= scale
+            a._accum(d)
+
+    return _child(y, (a,), bw)
+
+
+def padded_attention(q, k, v, heads, k_len, q_len=None, causal=False):
+    """Reference for transformer.attention, with its signature: the whole
+    padded batch as one (B, heads, Tq, Tk) score array through matmul,
+    masked_softmax with an additive -1e9 mask at keys past k_len (and at
+    future keys when causal) and matmul, then the rows past q_len
+    multiplied by zero."""
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    b_sz, tq, d = q.shape
+    tk = k.shape[1]
+    dh = d // heads
+    q_len = np.full(b_sz, tq) if q_len is None else np.asarray(q_len)
+    allow = np.arange(tk)[None, None, :] < np.asarray(k_len)[:, None, None]
+    if causal:
+        allow = allow & (np.arange(tk)[None, :] <= np.arange(tq)[:, None])
+    mask = np.where(allow, 0.0, -1e9)[:, None]  # (B, 1, Tq or 1, Tk)
+    qh = ad.transpose(ad.reshape(q, (b_sz, tq, heads, dh)), (0, 2, 1, 3))
+    kh = ad.transpose(ad.reshape(k, (b_sz, tk, heads, dh)), (0, 2, 3, 1))
+    vh = ad.transpose(ad.reshape(v, (b_sz, tk, heads, dh)), (0, 2, 1, 3))
+    att = masked_softmax(
+        ad.matmul(qh, kh), scale=1.0 / math.sqrt(dh), mask=mask
+    )
+    ctx = ad.transpose(ad.matmul(att, vh), (0, 2, 1, 3))
+    real = np.arange(tq)[None, :, None] < q_len[:, None, None]
+    return ad.mul(ad.reshape(ctx, (b_sz, tq, d)), real.astype(np.float64))
 
 
 def mean_or_none(xs):

@@ -18,11 +18,12 @@ from streamdec.autodiff import (
     relu,
     reshape,
     scale,
-    softmax,
     sum_all,
     transpose,
 )
-from streamdec.transformer import _ln_np
+from streamdec.transformer import _ln_np, attention
+
+from .oracles import masked_softmax, padded_attention
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -131,14 +132,16 @@ class TestShapeOps:
 
 
 class TestSoftmaxFamily:
+    # masked_softmax is the attention oracle's softmax (tests/oracles.py):
+    # it is checked here like a package op before it judges one
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(size=(3, 5))
-        y = softmax(Tensor(x))
+        y = masked_softmax(Tensor(x))
         np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(3))
 
     def test_softmax_grad(self, rng):
         x = rng.normal(size=(3, 5))
-        check(lambda t: softmax(t), x, rtol=1e-5)
+        check(lambda t: masked_softmax(t), x, rtol=1e-5)
 
     def test_log_softmax_grad(self, rng):
         x = rng.normal(size=(2, 7))
@@ -154,14 +157,14 @@ class TestSoftmaxFamily:
     def test_fused_softmax_grad_non_unit_scale(self, rng):
         x = rng.normal(size=(2, 3, 5))
         mask = np.where(rng.random((1, 3, 5)) < 0.3, -1e9, 0.0)
-        check(lambda t: softmax(t, scale=0.37), x, rtol=1e-5)
-        check(lambda t: softmax(t, scale=0.37, mask=mask), x, rtol=1e-5)
+        check(lambda t: masked_softmax(t, scale=0.37), x, rtol=1e-5)
+        check(lambda t: masked_softmax(t, scale=0.37, mask=mask), x, rtol=1e-5)
 
     @pytest.mark.parametrize("s", [0.25, 1.0 / np.sqrt(3.0)])
     @pytest.mark.parametrize("masked", [False, True])
     def test_fused_softmax_matches_unfused_bitwise(self, rng, s, masked):
-        # softmax(x, scale=s, mask=m) is the old scale -> add -> softmax chain
-        # in one buffer, with the same operations in the same order
+        # masked_softmax(x, scale=s, mask=m) is the scale -> add -> softmax
+        # chain in one buffer, with the same operations in the same order
         x = rng.normal(size=(2, 2, 4, 6)) * 4
         mask = None
         if masked:
@@ -172,10 +175,10 @@ class TestSoftmaxFamily:
         def run(fused: bool):
             t = Tensor(x, requires_grad=True)
             if fused:
-                y = softmax(t, scale=s, mask=mask)
+                y = masked_softmax(t, scale=s, mask=mask)
             else:
                 z = scale(t, s)
-                y = softmax(z if mask is None else add(z, Tensor(mask)))
+                y = masked_softmax(z if mask is None else add(z, Tensor(mask)))
             sum_all(mul(y, Tensor(w))).backward()
             return y.data, t.grad
 
@@ -185,9 +188,89 @@ class TestSoftmaxFamily:
 
     def test_softmax_shift_invariance(self, rng):
         x = rng.normal(size=(2, 5))
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + 1000.0)).data
+        a = masked_softmax(Tensor(x)).data
+        b = masked_softmax(Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _ragged(rng, b_sz, tq, tk, d, q_len, k_len):
+    """Random q (b, tq, d) and k, v (b, tk, d) whose padded positions hold
+    large values, so that any leak from them shows."""
+    q, k, v = (rng.normal(size=(b_sz, t, d)) for t in (tq, tk, tk))
+    for b in range(b_sz):
+        if q_len is not None:
+            q[b, q_len[b]:] = 50.0
+        k[b, k_len[b]:] = -50.0
+        v[b, k_len[b]:] = 50.0
+    return q, k, v
+
+
+def _run_attention(op, q, k, v, w, heads, k_len, q_len, causal):
+    """Output and q/k/v gradients of sum(w * op(q, k, v))."""
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = op(*ts, heads, k_len, q_len, causal)
+    sum_all(mul(out, Tensor(w))).backward()
+    return out.data, [t.grad for t in ts]
+
+
+# (batch, Tq, Tk, d, heads, k_len, q_len, causal): encoder self-attention
+# both ways with lengths from 1 to T, full-length causal decoder
+# self-attention, and cross attention with Tq != Tk
+ATTENTION_CASES = {
+    "bidi-self": (4, 7, 7, 6, 2, [7, 1, 4, 6], [7, 1, 4, 6], False),
+    "causal-self": (4, 7, 7, 6, 2, [7, 1, 4, 6], [7, 1, 4, 6], True),
+    "decoder-self": (3, 5, 5, 8, 4, [5, 5, 5], None, True),
+    "cross": (3, 4, 9, 6, 3, [9, 1, 5], None, False),
+    "cross-one-head": (2, 6, 3, 4, 1, [3, 2], None, False),
+}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_matches_padded_oracle(self, rng, case):
+        b_sz, tq, tk, d, heads, k_len, q_len, causal = ATTENTION_CASES[case]
+        q, k, v = _ragged(rng, b_sz, tq, tk, d, q_len, k_len)
+        w = rng.normal(size=(b_sz, tq, d))
+        got, got_g = _run_attention(
+            attention, q, k, v, w, heads, k_len, q_len, causal
+        )
+        want, want_g = _run_attention(
+            padded_attention, q, k, v, w, heads, k_len, q_len, causal
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+        for name, g, ref in zip("qkv", got_g, want_g):
+            np.testing.assert_allclose(
+                g, ref, rtol=1e-10, atol=1e-14, err_msg=name
+            )
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_padded_positions_are_exact_zeros(self, rng, case):
+        b_sz, tq, tk, d, heads, k_len, q_len, causal = ATTENTION_CASES[case]
+        q, k, v = _ragged(rng, b_sz, tq, tk, d, q_len, k_len)
+        w = rng.normal(size=(b_sz, tq, d))
+        out, (gq, gk, gv) = _run_attention(
+            attention, q, k, v, w, heads, k_len, q_len, causal
+        )
+        for b in range(b_sz):
+            if q_len is not None:
+                assert not out[b, q_len[b]:].any()
+                assert not gq[b, q_len[b]:].any()
+            assert not gk[b, k_len[b]:].any()
+            assert not gv[b, k_len[b]:].any()
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_grad_finite_difference(self, rng, which, causal):
+        # q, k or v differentiated through ragged self-attention
+        b_sz, t, d, heads, lens = 2, 5, 4, 2, [5, 3]
+        qkv = list(_ragged(rng, b_sz, t, t, d, lens, lens))
+
+        def op(x):
+            args = [Tensor(a) for a in qkv]
+            args[which] = x
+            return attention(*args, heads, lens, lens, causal)
+
+        check(op, qkv[which], rtol=1e-5)
 
 
 class TestLayerNorm:
@@ -295,7 +378,7 @@ class TestGraphMechanics:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         const = Tensor(rng.normal(size=(2, 4)))
         h = matmul(x, w)
-        a = softmax(add(h, const), scale=0.5)
+        a = masked_softmax(add(h, const), scale=0.5)
         r = transpose(reshape(a, (4, 2)), (1, 0))
         loss = sum_all(log_softmax(r))
         loss.backward()

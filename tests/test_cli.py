@@ -245,3 +245,42 @@ class TestErrorPaths:
         ])
         assert rc == 2
         assert "error: sweep lists strategy HoldN(n=0) more than once" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def wide_data(self, work):
+        """Utterances 8 frames wide, twice the workspace's width."""
+        path = work / "wide.jsonl"
+        assert main([
+            "gen-data", "--out", str(path), "--count", "3", "--seed", "9",
+            "--vocab-size", "6", "--min-tokens", "2", "--max-tokens", "3",
+            "--frame-dim", "8",
+        ]) == 0
+        return path
+
+    def test_train_rejects_mixed_frame_widths(self, work, wide_data, tmp_path, capsys):
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(
+            (work / "data.jsonl").read_text() + wide_data.read_text().splitlines()[0] + "\n"
+        )
+        rc = main([
+            "train", "--data", str(mixed), "--out", str(tmp_path / "m.bin"),
+            "--steps", "1", "--batch-size", "32", "--d-model", "8",
+            "--heads", "2", "--ff-dim", "12", "--enc-layers", "1",
+            "--dec-layers", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch pair ")
+        assert ", 8); the batch needs (" in err and ", 4)" in err
+
+    def test_adapt_rejects_data_of_another_width(self, work, wide_data, tmp_path, capsys):
+        rc = main([
+            "adapt", "--model", str(work / "model.bin"),
+            "--data", str(wide_data), "--dev", str(work / "eval.jsonl"),
+            "--out", str(tmp_path / "a.bin"), "--steps", "1",
+            "--batch-size", "4",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch pair 0 has frames of shape (")
+        assert ", 8); the batch needs (" in err and ", 4)" in err

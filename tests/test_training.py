@@ -1,11 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from streamdec import transformer
 from streamdec.core import ConfigError, Utterance, Vocab
-from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
-from streamdec.model import UNIDIRECTIONAL
+from streamdec.data import (
+    SyntheticTaskSpec,
+    gen_dataset,
+    make_partial_pair,
+    task_vocab,
+)
+from streamdec.model import UNIDIRECTIONAL, load_model
 from streamdec.training import (
     Adam,
     PartialSliceSpec,
@@ -19,6 +26,10 @@ from streamdec.training import (
     write_curve,
 )
 from streamdec.transformer import TinyTransformer, TransformerConfig
+
+from .oracles import padded_attention
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +167,12 @@ class TestMakeBatch:
         with pytest.raises(ConfigError):
             make_batch([(np.zeros((0, 2)), ("a",))], vocab, 2)
 
+    def test_frame_width_mismatch_rejected(self):
+        vocab = Vocab.build(["a"])
+        pairs = [(np.ones((5, 2)), ("a",)), (np.ones((4, 3)), ("a",))]
+        with pytest.raises(ConfigError, match=r"pair 1 .*\(4, 3\).*\(4, 2\)"):
+            make_batch(pairs, vocab, 2)
+
 
 class TestGradients:
     def test_loss_gradient_matches_finite_difference(self, tiny_world, rng):
@@ -186,6 +203,43 @@ class TestGradients:
             fd = (loss_of(plus) - loss_of(minus)) / (2 * h)
             an = grads[name].reshape(-1)[idx]
             assert an == pytest.approx(fd, rel=1e-3, abs=1e-7), name
+
+
+def _ragged_batch(data, vocab, frame_dim):
+    """Full utterances plus proportional truncations, as adapt mixes them."""
+    pairs = [(u.frames, u.reference_tokens) for u in data[:3]]
+    pairs += [make_partial_pair(u, p) for u, p in zip(data[3:6], (0.1, 0.25, 0.4))]
+    return make_batch(pairs, vocab, frame_dim)
+
+
+class TestLengthAwareGraph:
+    """The training graph's attention reads only each row's real frames; its
+    loss and gradients must equal the padded -1e9 attention's."""
+
+    @pytest.fixture(params=["micro", "bidi.bin", "causal.bin"])
+    def model_and_data(self, request, tiny_world):
+        _, data, vocab, cfg = tiny_world
+        if request.param == "micro":
+            return TinyTransformer(cfg, vocab), data
+        model = load_model(str(FIXTURES / request.param))
+        spec = SyntheticTaskSpec()  # the task both fixtures were trained on
+        assert model.vocab == task_vocab(spec)
+        return model, gen_dataset(spec, 6, seed=77)
+
+    def test_loss_and_grads_match_padded_oracle(self, model_and_data, monkeypatch):
+        model, data = model_and_data
+        batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
+        lengths = batch["frame_mask"].sum(axis=1)
+        assert len(set(lengths)) == len(lengths)  # really ragged
+        loss, grads = batch_loss_and_grads(model, batch, 0.1)
+        monkeypatch.setattr(transformer, "attention", padded_attention)
+        want_loss, want = batch_loss_and_grads(model, batch, 0.1)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert sorted(grads) == sorted(want)
+        for name, g in grads.items():
+            np.testing.assert_allclose(
+                g, want[name], rtol=1e-10, atol=1e-14, err_msg=name
+            )
 
 
 class TestTrain:

@@ -382,6 +382,29 @@ class TestTrainingGraphParity:
         padded = training_logits(micro_cfg, pt, padded_frames, mask, dec_in).data
         np.testing.assert_allclose(plain, padded, atol=1e-9)
 
+    @pytest.mark.parametrize("row, why", [
+        ([1, 1, 0, 1, 0], "not ones followed by zeros"),
+        ([0, 1, 1, 1, 1], "not ones followed by zeros"),
+        ([0, 0, 0, 0, 0], "no real frame"),
+        ([1, 1, 0.5, 0, 0], "0 or 1"),
+        ([1, 1, 2, 0, 0], "0 or 1"),
+        ([1, np.nan, 0, 0, 0], "0 or 1"),
+    ])
+    def test_frame_mask_must_give_lengths(self, micro_cfg, micro_model, rng, row, why):
+        mask = np.array([[1.0] * 5, row])
+        with pytest.raises(ContractViolation, match=why):
+            training_logits(
+                micro_cfg, leaf_tensors(micro_model.params),
+                rng.normal(size=(2, 5, 4)), mask, np.array([[1, 3], [1, 4]]),
+            )
+
+    def test_frame_mask_shape_must_match_frames(self, micro_cfg, micro_model, rng):
+        with pytest.raises(ContractViolation, match="frame_mask must be"):
+            training_logits(
+                micro_cfg, leaf_tensors(micro_model.params),
+                rng.normal(size=(2, 5, 4)), np.ones((2, 4)), np.array([[1], [1]]),
+            )
+
     def test_loss_scalar_and_finite(self, micro_model, micro_cfg, rng):
         pt = leaf_tensors(micro_model.params)
         batch = {
