@@ -20,6 +20,7 @@ import os
 import sys
 import time
 
+from streamdec.core import eval_tokens
 from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
 from streamdec.decoder import BeamConfig, run_session
 from streamdec.metrics import corpus_wer, mean_output_time
@@ -50,7 +51,7 @@ def streaming_eval(model, utts, chunk_sec, beam):
     for u in utts:
         log = run_session(model, u, HoldN(0), chunk_sec, beam)
         logs[u.id] = log
-        pairs.append((u.reference_tokens, log.tokens))
+        pairs.append((eval_tokens(u), log.tokens))
     return corpus_wer(pairs), mean_output_time(logs)
 
 

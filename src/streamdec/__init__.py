@@ -20,6 +20,7 @@ from .core import (
     Utterance,
     Vocab,
     chunk_stream,
+    eval_tokens,
     output_time,
 )
 from .data import SyntheticTaskSpec, gen_dataset, make_partial_pair
@@ -117,6 +118,7 @@ __all__ = [
     "chunk_stream",
     "compare_modes",
     "corpus_wer",
+    "eval_tokens",
     "gen_dataset",
     "latency_delta",
     "load_model",

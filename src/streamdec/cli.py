@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +29,12 @@ from .core import (
     UnsupportedOperation,
     Utterance,
     Vocab,
+    eval_tokens,
 )
 from .data import SyntheticTaskSpec, gen_dataset
-from .decoder import BeamConfig, Session, step_chunk
-from .harness import SweepSpec, eval_tokens, rows_to_csv, sweep
-from .metrics import LatencyReport, corpus_wer, latency_delta
+from .decoder import BeamConfig, run_session
+from .harness import SweepSpec, rows_to_csv, sweep
+from .metrics import LatencyReport, corpus_wer, latency_delta, mean_output_time
 from .model import load_model, save_model
 from .strategies import parse_strategy, spec_usage
 from .training import (
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default=None, help="one of " + spec_usage())
     _add_beam_opts(p)
     _add_chunk_opts(p)
-    p.add_argument("--realtime", action="store_true", help="sleep one chunk length per chunk")
 
     p = sub.add_parser("sweep", help="accuracy-latency grid over models and strategies")
     p.add_argument("--model", action="append", default=None, metavar="NAME=PATH", help="repeatable")
@@ -240,12 +239,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _vocab_from_utts(utts: Sequence[Utterance]) -> Vocab:
-    words = set()
-    for u in utts:
-        words.update(u.reference_tokens)
-        if u.target_tokens is not None:
-            words.update(u.target_tokens)
-    return Vocab.build(words)
+    return Vocab.build(tok for u in utts for tok in eval_tokens(u))
 
 
 def cmd_train(args) -> int:
@@ -274,8 +268,7 @@ def cmd_train(args) -> int:
         total_steps=args.steps,
         seed=args.seed,
     )
-    use_target = data[0].target_tokens is not None
-    model, curve = train(model, data, tc, use_target=use_target)
+    model, curve = train(model, data, tc)
     save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
@@ -300,10 +293,7 @@ def cmd_adapt(args) -> int:
         eval_every=args.eval_every,
     )
     slices = PartialSliceSpec(args.ratio_low, args.ratio_high)
-    use_target = data[0].target_tokens is not None if data else False
-    model, curve = adapt(
-        model, data, tc, dev, slices, lr_factor=args.lr_factor, use_target=use_target
-    )
+    model, curve = adapt(model, data, tc, dev, slices, lr_factor=args.lr_factor)
     save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
@@ -317,26 +307,11 @@ def cmd_run(args) -> int:
     utts = sio.load_utterances(args.inp)
     strategy = parse_strategy(args.strategy)
     beam = _beam_from_args(args)
-    logs = {}
-    n_tokens = 0
-    t_sum = 0.0
-    for u in utts:
-        session = Session(
-            model=model,
-            utterance=u,
-            strategy=strategy,
-            chunk_len_sec=args.chunk_sec,
-            beam=beam,
-        )
-        for chunk in session.chunks():
-            if args.realtime:
-                time.sleep(args.chunk_sec)
-            step_chunk(session, chunk)
-        logs[u.id] = session.log
-        n_tokens += len(session.log)
-        t_sum += sum(t.output_time_sec for t in session.log.entries)
+    logs = {u.id: run_session(model, u, strategy, args.chunk_sec, beam) for u in utts}
     sio.save_commit_logs(logs, args.out)
-    mean = t_sum / n_tokens if n_tokens else float("nan")
+    n_tokens = sum(len(log) for log in logs.values())
+    # mean_output_time has no value for zero tokens; the line prints nan then
+    mean = mean_output_time(logs).mean_output_time_sec if n_tokens else float("nan")
     print(
         f"streamed {len(utts)} utterances, committed {n_tokens} tokens, "
         f"mean output time {mean:.3f}s, wrote {args.out}"
@@ -404,7 +379,8 @@ def cmd_eval(args) -> int:
 def _report_from_records(
     logs: dict[str, list[dict]], refs: Sequence[Utterance]
 ) -> LatencyReport | None:
-    times = [r["t_out"] for recs in logs.values() for r in recs]
+    """Latency over the refs' utterances only, the set WER is scored on."""
+    times = [r["t_out"] for u in refs for r in logs.get(u.id, [])]
     if not times:
         return None
     return LatencyReport(

@@ -129,6 +129,15 @@ class Utterance:
         return self.n_frames * self.frame_period_sec
 
 
+def eval_tokens(utt: Utterance) -> tuple[str, ...]:
+    """The output side of an utterance: its target tokens when it has them
+    (translation), else its reference tokens. Training, adaptation and
+    scoring all read the tokens a model must produce from here."""
+    if utt.target_tokens is not None:
+        return utt.target_tokens
+    return utt.reference_tokens
+
+
 @dataclass(frozen=True)
 class Chunk:
     """A contiguous frame slice [start, end); indices are 1-based per stream."""

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, Utterance, Vocab
+from .core import ConfigError, Utterance, Vocab, eval_tokens
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,12 @@ def _ceil(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
-def make_partial_pair(
-    utt: Utterance, p: float, use_target: bool = False
-) -> tuple[np.ndarray, tuple[str, ...]]:
+def make_partial_pair(utt: Utterance, p: float) -> tuple[np.ndarray, tuple[str, ...]]:
     """Proportionally truncated training pair: the first ceil(I*p) frames
-    paired with the first ceil(J*p) tokens."""
+    paired with the first ceil(J*p) tokens of the utterance's output side."""
     if not 0 < p <= 1:
         raise ConfigError("ratio p must be in (0, 1]")
-    tokens = utt.target_tokens if use_target else utt.reference_tokens
-    if use_target and utt.target_tokens is None:
-        raise ConfigError(f"utterance {utt.id} has no target tokens")
+    tokens = eval_tokens(utt)
     n_frames = _ceil(utt.n_frames * p)
     n_tokens = _ceil(len(tokens) * p)
     return utt.frames[:n_frames], tuple(tokens[:n_tokens])

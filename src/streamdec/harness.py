@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import CommitLog, ConfigError, Utterance
+from .core import CommitLog, ConfigError, Utterance, eval_tokens
 from .decoder import (
     BUFFERED_STATE,
     FORCED_REDECODE,
@@ -32,13 +32,6 @@ from .model import SequenceModel
 from .strategies import HoldN, StrategyConfig
 
 CSV_HEADER = "model,strategy,params,wer,mean_t_out,delta_latency"
-
-
-def eval_tokens(utt: Utterance) -> tuple[str, ...]:
-    """Scoring reference: the target side when the task has one."""
-    if utt.target_tokens is not None:
-        return tuple(utt.target_tokens)
-    return tuple(utt.reference_tokens)
 
 
 @dataclass(frozen=True)

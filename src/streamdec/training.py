@@ -4,23 +4,33 @@ Gradients come from the in-repo reverse-mode graph (autodiff.py); the
 optimizer is Adam with linear warmup followed by inverse-square-root decay.
 Adaptation fine-tunes on an even mix of full utterances and proportionally
 truncated frame/token pairs, at a quarter of the base learning rate, keeping
-the checkpoint with the best full-sequence dev token error rate.
+the checkpoint with the best full-sequence dev token error rate. Training,
+adaptation and token error rate all use each utterance's target side when it
+has one (translation) and its reference side otherwise (core.eval_tokens).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import transformer as tfm
-from .core import BOS_ID, EOS_ID, PAD_ID, ConfigError, Utterance, Vocab
+from .core import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    ConfigError,
+    Utterance,
+    Vocab,
+    eval_tokens,
+)
 from .data import make_partial_pair
 from .decoder import BeamConfig, offline_decode
 from .metrics import corpus_wer
-from .transformer import TinyTransformer, TransformerConfig
+from .transformer import TinyTransformer
 
 
 @dataclass(frozen=True)
@@ -129,15 +139,6 @@ def make_batch(
     }
 
 
-def _full_pair(
-    utt: Utterance, use_target: bool
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    toks = utt.target_tokens if use_target else utt.reference_tokens
-    if toks is None:
-        raise ConfigError(f"utterance {utt.id} has no target tokens")
-    return utt.frames, tuple(toks)
-
-
 def batch_loss_and_grads(
     model: TinyTransformer,
     batch: dict[str, np.ndarray],
@@ -153,39 +154,38 @@ def batch_loss_and_grads(
 def token_error_rate(
     model: TinyTransformer,
     utts: Sequence[Utterance],
-    use_target: bool = False,
     beam: BeamConfig = BeamConfig(beam_width=1),
 ) -> float:
-    """Corpus token error rate of full-stream decodes."""
-    pairs = []
-    for u in utts:
-        ref = u.target_tokens if use_target else u.reference_tokens
-        hyp = offline_decode(model, u, beam)
-        pairs.append((ref, hyp))
+    """Corpus token error rate of full-stream decodes against each
+    utterance's output side."""
+    pairs = [(eval_tokens(u), offline_decode(model, u, beam)) for u in utts]
     return corpus_wer(pairs).rate
 
 
-def train(
-    model: TinyTransformer,
-    dataset: Sequence[Utterance],
-    cfg: TrainConfig,
-    use_target: bool = False,
-) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
-    """Teacher-forced training from the model's current parameters.
+Pairs = list[tuple[np.ndarray, tuple[str, ...]]]
 
-    Returns a new model plus the (step, loss, lr) curve; the input model is
-    left untouched. Seeded runs are bit-reproducible.
+
+def _fit(
+    model: TinyTransformer,
+    cfg: TrainConfig,
+    draw: Callable[[], Pairs],
+    dev: Sequence[Utterance] = (),
+) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
+    """The step loop of train and adapt: each step pads the pairs ``draw``
+    returns into a batch and takes one Adam step on its loss.
+
+    With a dev set, the full-sequence dev token error rate is measured
+    before the first step, every eval_every steps and at the last step; the
+    best checkpoint (the later one on a tie) is returned.
     """
-    if not dataset:
-        raise ConfigError("empty training dataset")
     out = model.clone()
     opt = Adam(out.params)
-    rng = np.random.default_rng(cfg.seed)
     curve: list[tuple[int, float, float]] = []
+    if dev:
+        best_ter = token_error_rate(out, dev)
+        best_params = {k: v.copy() for k, v in out.params.items()}
     for step in range(1, cfg.total_steps + 1):
-        idx = rng.choice(len(dataset), size=min(cfg.batch_size, len(dataset)), replace=False)
-        pairs = [_full_pair(dataset[i], use_target) for i in idx]
-        batch = make_batch(pairs, out.vocab, out.cfg.frame_dim)
+        batch = make_batch(draw(), out.vocab, out.cfg.frame_dim)
         loss, grads = batch_loss_and_grads(out, batch, cfg.label_smoothing)
         if not math.isfinite(loss):
             raise RuntimeError(
@@ -195,7 +195,36 @@ def train(
         lr = lr_at(step, cfg)
         opt.step(grads, lr)
         curve.append((step, loss, lr))
+        if dev and (step % cfg.eval_every == 0 or step == cfg.total_steps):
+            ter = token_error_rate(out, dev)
+            if ter <= best_ter:
+                best_ter = ter
+                best_params = {k: v.copy() for k, v in out.params.items()}
+    if dev:
+        out = TinyTransformer(out.cfg, out.vocab, best_params)
     return out, curve
+
+
+def train(
+    model: TinyTransformer,
+    dataset: Sequence[Utterance],
+    cfg: TrainConfig,
+) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
+    """Teacher-forced training from the model's current parameters.
+
+    Returns a new model plus the (step, loss, lr) curve; the input model is
+    left untouched. Seeded runs are bit-reproducible.
+    """
+    if not dataset:
+        raise ConfigError("empty training dataset")
+    rng = np.random.default_rng(cfg.seed)
+    size = min(cfg.batch_size, len(dataset))
+
+    def draw() -> Pairs:
+        idx = rng.choice(len(dataset), size=size, replace=False)
+        return [(dataset[i].frames, eval_tokens(dataset[i])) for i in idx]
+
+    return _fit(model, cfg, draw)
 
 
 def adapt(
@@ -205,7 +234,6 @@ def adapt(
     dev: Sequence[Utterance],
     slices: PartialSliceSpec = PartialSliceSpec(),
     lr_factor: float = 0.25,
-    use_target: bool = False,
 ) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
     """Fine-tune on a 1:1 mix of full utterances and truncated pairs.
 
@@ -218,33 +246,19 @@ def adapt(
     if not dev:
         raise ConfigError("adaptation needs a dev set for checkpoint selection")
     cfg = replace(base_cfg, learning_rate=base_cfg.learning_rate * lr_factor)
-    out = model.clone()
-    opt = Adam(out.params)
     rng = np.random.default_rng(cfg.seed + 1)
-    curve: list[tuple[int, float, float]] = []
-    n_half = max(cfg.batch_size // 2, 1)
-    best_params = {k: v.copy() for k, v in out.params.items()}
-    best_ter = token_error_rate(out, dev, use_target)
-    for step in range(1, cfg.total_steps + 1):
-        full_idx = rng.choice(len(dataset), size=min(n_half, len(dataset)), replace=False)
-        part_idx = rng.choice(len(dataset), size=min(n_half, len(dataset)), replace=False)
-        pairs = [_full_pair(dataset[i], use_target) for i in full_idx]
+    size = min(max(cfg.batch_size // 2, 1), len(dataset))
+
+    def draw() -> Pairs:
+        full_idx = rng.choice(len(dataset), size=size, replace=False)
+        part_idx = rng.choice(len(dataset), size=size, replace=False)
+        pairs = [(dataset[i].frames, eval_tokens(dataset[i])) for i in full_idx]
         for i in part_idx:
             p = rng.uniform(slices.ratio_low, slices.ratio_high)
-            pairs.append(make_partial_pair(dataset[i], p, use_target))
-        batch = make_batch(pairs, out.vocab, out.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(out, batch, cfg.label_smoothing)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"adaptation diverged at step {step}: loss={loss}")
-        lr = lr_at(step, cfg)
-        opt.step(grads, lr)
-        curve.append((step, loss, lr))
-        if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            ter = token_error_rate(out, dev, use_target)
-            if ter <= best_ter:
-                best_ter = ter
-                best_params = {k: v.copy() for k, v in out.params.items()}
-    return TinyTransformer(out.cfg, out.vocab, best_params), curve
+            pairs.append(make_partial_pair(dataset[i], p))
+        return pairs
+
+    return _fit(model, cfg, draw, dev)
 
 
 def write_curve(curve: Sequence[tuple[int, float, float]], path: str) -> None:

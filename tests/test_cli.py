@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from streamdec import cli
 from streamdec.cli import main
-from streamdec.io import load_attention_grids, load_commit_logs, load_utterances
+from streamdec.core import RESERVED_TOKENS, CommitLog, Utterance
+from streamdec.io import (
+    load_attention_grids,
+    load_commit_logs,
+    load_utterances,
+    save_utterances,
+)
+from streamdec.model import load_model
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
 
@@ -62,6 +70,26 @@ class TestPipeline:
         lines = (work / "curve.csv").read_text().strip().splitlines()
         assert lines[0] == "step,loss,lr"
         assert len(lines) == 7
+
+    def test_run_prints_mean_of_written_logs(self, work, tmp_path, capsys):
+        out = tmp_path / "hyps.jsonl"
+        assert main([
+            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
+            "--out", str(out), "--strategy", "offline", "--beam", "2",
+        ]) == 0
+        times = [r["t_out"] for recs in load_commit_logs(str(out)).values() for r in recs]
+        printed = capsys.readouterr().out
+        assert f"committed {len(times)} tokens" in printed
+        mean = f"{np.mean(times):.3f}" if times else "nan"
+        assert f"mean output time {mean}s" in printed
+
+    def test_run_with_no_commits_prints_nan(self, work, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_session", lambda *args: CommitLog())
+        assert main([
+            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
+            "--out", str(tmp_path / "none.jsonl"), "--strategy", "hold-0",
+        ]) == 0
+        assert "committed 0 tokens, mean output time nans" in capsys.readouterr().out
 
     def test_run_wrote_commit_logs(self, work):
         logs = load_commit_logs(str(work / "hyps.jsonl"))
@@ -125,6 +153,80 @@ class TestPipeline:
             "--warmup", "2", "--eval-every", "2",
         ]) == 0
         assert out.stat().st_size > 0
+
+
+class TestEvalScope:
+    """Latency, like WER, covers only the utterances in --refs."""
+
+    @staticmethod
+    def _log(path, rows):
+        with open(path, "w") as fh:
+            for utt, n, t in rows:
+                for i in range(n):
+                    fh.write(json.dumps(
+                        {"utt": utt, "token": f"w{i:02d}", "chunk": 1, "t_out": t}
+                    ) + "\n")
+
+    def test_stray_hyp_utterances_ignored(self, tmp_path, capsys):
+        refs = tmp_path / "refs.jsonl"
+        words = tuple(f"w{i:02d}" for i in range(9))
+        save_utterances([Utterance("a", np.zeros((3, 2)), words)], str(refs))
+        hyps, base = tmp_path / "hyps.jsonl", tmp_path / "base.jsonl"
+        self._log(hyps, [("a", 9, 0.5), ("stray", 10, 10.0)])
+        self._log(base, [("a", 9, 1.0), ("stray", 10, 0.1)])
+        out = tmp_path / "summary.json"
+        assert main([
+            "eval", "--refs", str(refs), "--hyps", str(hyps),
+            "--baseline", str(base), "--out", str(out),
+        ]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["wer"] == 0.0
+        assert summary["token_count"] == 9
+        assert summary["mean_t_out"] == 0.5
+        assert summary["delta_vs_baseline"] == -0.5
+
+
+class TestTranslationPipeline:
+    """gen-data --translation through train, adapt, run and eval: every
+    step reads each utterance's target side."""
+
+    @pytest.fixture(scope="class")
+    def tx(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cli-tx")
+        for name, seed in (("data", "3"), ("eval", "4")):
+            assert main([
+                "gen-data", "--out", str(d / f"{name}.jsonl"), "--translation",
+                "--count", "6", "--seed", seed, "--vocab-size", "6",
+                "--min-tokens", "2", "--max-tokens", "3", "--frame-dim", "4",
+            ]) == 0
+        assert main([
+            "train", "--data", str(d / "data.jsonl"), "--out", str(d / "model.bin"),
+            "--steps", "2", "--batch-size", "4", "--d-model", "8", "--heads", "2",
+            "--ff-dim", "12", "--enc-layers", "1", "--dec-layers", "1",
+        ]) == 0
+        return d
+
+    def test_model_vocab_is_target_side(self, tx):
+        data = load_utterances(str(tx / "data.jsonl"))
+        assert all(u.target_tokens is not None for u in data)
+        targets = sorted({t for u in data for t in u.target_tokens})
+        vocab = load_model(str(tx / "model.bin")).vocab
+        assert vocab.tokens == RESERVED_TOKENS + tuple(targets)
+
+    def test_adapt_run_and_eval(self, tx, capsys):
+        assert main([
+            "adapt", "--model", str(tx / "model.bin"), "--data", str(tx / "data.jsonl"),
+            "--dev", str(tx / "eval.jsonl"), "--out", str(tx / "adapted.bin"),
+            "--steps", "2", "--batch-size", "4", "--eval-every", "1",
+        ]) == 0
+        assert main([
+            "run", "--model", str(tx / "adapted.bin"), "--in", str(tx / "eval.jsonl"),
+            "--out", str(tx / "hyps.jsonl"), "--strategy", "offline", "--beam", "2",
+        ]) == 0
+        assert main([
+            "eval", "--refs", str(tx / "eval.jsonl"), "--hyps", str(tx / "hyps.jsonl"),
+        ]) == 0
+        assert "wer: " in capsys.readouterr().out
 
 
 class TestConfigFile:

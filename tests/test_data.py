@@ -134,6 +134,11 @@ class TestPartialPair:
         frames, toks = make_partial_pair(self._utt(10, ("a",) * 10), 0.1)
         assert len(frames) == 1 and len(toks) == 1
 
+    def test_target_side_when_present(self):
+        u = Utterance("u", np.zeros((8, 2)), ("a", "b"), target_tokens=("x", "y", "z"))
+        _, toks = make_partial_pair(u, 0.5)
+        assert toks == ("x", "y")
+
     def test_invalid_ratio(self):
         with pytest.raises(ConfigError):
             make_partial_pair(self._utt(5, ("a",)), 0.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamdec import transformer
+from streamdec import training, transformer
 from streamdec.core import ConfigError, Utterance, Vocab
 from streamdec.data import (
     SyntheticTaskSpec,
@@ -12,7 +12,7 @@ from streamdec.data import (
     make_partial_pair,
     task_vocab,
 )
-from streamdec.model import UNIDIRECTIONAL, load_model
+from streamdec.model import UNIDIRECTIONAL, SyntheticAlignedModel, load_model
 from streamdec.training import (
     Adam,
     PartialSliceSpec,
@@ -334,6 +334,58 @@ class TestAdapt:
             adapt(model, [], small_train_cfg(), data[:4])
         with pytest.raises(ConfigError):
             adapt(model, data, small_train_cfg(), [])
+
+
+@pytest.fixture(scope="module")
+def translation_world():
+    spec = SyntheticTaskSpec(
+        vocab_size=8, min_tokens=2, max_tokens=3, min_frames_per_token=6,
+        max_frames_per_token=8, frame_dim=4, noise_std=0.05, world_seed=2,
+        translation=True,
+    )
+    data = gen_dataset(spec, 16, seed=33)
+    vocab = task_vocab(spec)
+    cfg = TransformerConfig(
+        frame_dim=4, vocab_size=len(vocab), d_model=8, heads=2, ff_dim=12,
+        enc_layers=1, dec_layers=1, mode=UNIDIRECTIONAL, init_seed=7,
+    )
+    return spec, data, vocab, cfg
+
+
+class TestTranslation:
+    """Train, adapt and scoring read each utterance's target side."""
+
+    def test_oracle_scores_zero(self):
+        # the default frames per token keep the tokens under the beam's
+        # tokens-per-second cap, so the oracle's offline decode is exact
+        spec = SyntheticTaskSpec(translation=True)
+        data = gen_dataset(spec, 6, seed=33)
+        oracle = SyntheticAlignedModel.from_task(spec, 6, seed=33)
+        assert token_error_rate(oracle, data) == 0.0
+
+    def test_train_and_adapt_batch_target_tokens(
+        self, translation_world, monkeypatch
+    ):
+        _, data, vocab, cfg = translation_world
+        seen: list[tuple[str, ...]] = []
+        make = training.make_batch
+
+        def spy(pairs, *args):
+            seen.extend(toks for _, toks in pairs)
+            return make(pairs, *args)
+
+        monkeypatch.setattr(training, "make_batch", spy)
+        model, curve = train(TinyTransformer(cfg, vocab), data, small_train_cfg())
+        assert len(curve) == 8
+        adapted, curve = adapt(model, data[4:], small_train_cfg(), data[:4])
+        assert len(curve) == 8
+        assert all(math.isfinite(loss) for _, loss, _ in curve)
+        assert 0.0 <= token_error_rate(adapted, data[:4]) <= 1.0
+        targets = {u.target_tokens for u in data}
+        # 8 full pairs per train step, 2 full and 2 partial per adapt step
+        assert len(seen) == 8 * 4 + 8 * 4
+        assert all(t in targets for t in seen[:32])
+        assert all(tok.startswith("v") for t in seen for tok in t)
 
 
 class TestCurveFile:
