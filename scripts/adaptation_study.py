@@ -20,10 +20,9 @@ import os
 import sys
 import time
 
-from streamdec.core import eval_tokens
 from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
 from streamdec.decoder import BeamConfig, run_session
-from streamdec.metrics import corpus_wer, mean_output_time
+from streamdec.metrics import score_logs
 from streamdec.model import UNIDIRECTIONAL, save_model
 from streamdec.strategies import HoldN
 from streamdec.training import TrainConfig, adapt, token_error_rate, train, write_curve
@@ -46,13 +45,10 @@ def parse_args(argv):
 
 
 def streaming_eval(model, utts, chunk_sec, beam):
-    logs = {}
-    pairs = []
-    for u in utts:
-        log = run_session(model, u, HoldN(0), chunk_sec, beam)
-        logs[u.id] = log
-        pairs.append((eval_tokens(u), log.tokens))
-    return corpus_wer(pairs), mean_output_time(logs)
+    """Hold-0 WER breakdown and mean output time (nan if nothing committed)."""
+    logs = {u.id: run_session(model, u, HoldN(0), chunk_sec, beam) for u in utts}
+    wer, latency = score_logs(utts, logs)
+    return wer, latency.mean_output_time_sec if latency else float("nan")
 
 
 def main(argv=None) -> int:
@@ -114,9 +110,7 @@ def main(argv=None) -> int:
     print(f"{'  (S/D/I)':<22} "
           f"{f'{pre_wer.substitutions}/{pre_wer.deletions}/{pre_wer.insertions}':>10} "
           f"{f'{post_wer.substitutions}/{post_wer.deletions}/{post_wer.insertions}':>10}")
-    print(f"{'hold-0 mean t_out (s)':<22} "
-          f"{pre_lat.mean_output_time_sec:>10.4f} "
-          f"{post_lat.mean_output_time_sec:>10.4f}")
+    print(f"{'hold-0 mean t_out (s)':<22} {pre_lat:>10.4f} {post_lat:>10.4f}")
     print(f"{'offline TER':<22} {pre_ter:>10.4f} {post_ter:>10.4f}")
     rel = (pre_wer.rate - post_wer.rate) / pre_wer.rate if pre_wer.rate else 0.0
     print(f"\nstreaming WER change: {-rel:+.1%} relative; "
@@ -130,9 +124,9 @@ def main(argv=None) -> int:
         write_curve(adapt_curve, os.path.join(args.outdir, "adapt_curve.csv"))
         summary = {
             "pre": {"hold0_wer": pre_wer.rate, "offline_ter": pre_ter,
-                    "mean_t_out": pre_lat.mean_output_time_sec},
+                    "mean_t_out": pre_lat},
             "post": {"hold0_wer": post_wer.rate, "offline_ter": post_ter,
-                     "mean_t_out": post_lat.mean_output_time_sec},
+                     "mean_t_out": post_lat},
         }
         with open(os.path.join(args.outdir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)

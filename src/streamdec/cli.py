@@ -19,8 +19,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import io as sio
 from .core import (
     ConfigError,
@@ -33,8 +31,8 @@ from .core import (
 )
 from .data import SyntheticTaskSpec, gen_dataset
 from .decoder import BeamConfig, run_session
-from .harness import SweepSpec, rows_to_csv, sweep
-from .metrics import LatencyReport, corpus_wer, latency_delta, mean_output_time
+from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
+from .metrics import latency_delta, score_logs
 from .model import load_model, save_model
 from .strategies import parse_strategy, spec_usage
 from .training import (
@@ -80,6 +78,29 @@ def _add_chunk_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-sec", type=float, default=0.5, help="chunk length in seconds")
 
 
+def _add_train_opts(p: argparse.ArgumentParser, steps: int) -> None:
+    """The step-loop options train and adapt share (see _train_config)."""
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr", type=float, default=3e-4)
+    p.add_argument("--warmup", type=int, default=400)
+    p.add_argument("--label-smoothing", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--curve", default=None, help="optional loss-curve CSV")
+
+
+def _train_config(args, **extra) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=args.lr,
+        warmup_steps=args.warmup,
+        label_smoothing=args.label_smoothing,
+        batch_size=args.batch_size,
+        total_steps=args.steps,
+        seed=args.seed,
+        **extra,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamdec",
@@ -104,36 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a transformer from scratch")
     p.add_argument("--data", default=None, help="training utterances JSONL")
     p.add_argument("--out", default=None, help="output model file")
-    p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--warmup", type=int, default=400)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_opts(p, steps=600)
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--ff-dim", type=int, default=128)
     p.add_argument("--enc-layers", type=int, default=2)
     p.add_argument("--dec-layers", type=int, default=2)
     p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENCODER_ALIASES)))
-    p.add_argument("--curve", default=None, help="optional loss-curve CSV")
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
     p.add_argument("--model", default=None, help="input model file")
     p.add_argument("--data", default=None, help="adaptation utterances JSONL")
     p.add_argument("--dev", default=None, help="dev utterances JSONL for checkpoint selection")
     p.add_argument("--out", default=None, help="output model file")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--warmup", type=int, default=400)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_opts(p, steps=200)
     p.add_argument("--eval-every", type=int, default=40)
     p.add_argument("--lr-factor", type=float, default=0.25)
     p.add_argument("--ratio-low", type=float, default=0.1)
     p.add_argument("--ratio-high", type=float, default=0.4)
-    p.add_argument("--curve", default=None)
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
     p.add_argument("--model", default=None, help="model file")
@@ -259,16 +268,7 @@ def cmd_train(args) -> int:
         mode=ENCODER_ALIASES[args.enc_mode],
         init_seed=args.seed,
     )
-    model = TinyTransformer(cfg, vocab)
-    tc = TrainConfig(
-        learning_rate=args.lr,
-        warmup_steps=args.warmup,
-        label_smoothing=args.label_smoothing,
-        batch_size=args.batch_size,
-        total_steps=args.steps,
-        seed=args.seed,
-    )
-    model, curve = train(model, data, tc)
+    model, curve = train(TinyTransformer(cfg, vocab), data, _train_config(args))
     save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
@@ -283,15 +283,7 @@ def cmd_adapt(args) -> int:
         raise ConfigError("adaptation needs a trainable transformer model")
     data = sio.load_utterances(args.data)
     dev = sio.load_utterances(args.dev)
-    tc = TrainConfig(
-        learning_rate=args.lr,
-        warmup_steps=args.warmup,
-        label_smoothing=args.label_smoothing,
-        batch_size=args.batch_size,
-        total_steps=args.steps,
-        seed=args.seed,
-        eval_every=args.eval_every,
-    )
+    tc = _train_config(args, eval_every=args.eval_every)
     slices = PartialSliceSpec(args.ratio_low, args.ratio_high)
     model, curve = adapt(model, data, tc, dev, slices, lr_factor=args.lr_factor)
     save_model(model, args.out)
@@ -309,12 +301,14 @@ def cmd_run(args) -> int:
     beam = _beam_from_args(args)
     logs = {u.id: run_session(model, u, strategy, args.chunk_sec, beam) for u in utts}
     sio.save_commit_logs(logs, args.out)
-    n_tokens = sum(len(log) for log in logs.values())
-    # mean_output_time has no value for zero tokens; the line prints nan then
-    mean = mean_output_time(logs).mean_output_time_sec if n_tokens else float("nan")
+    breakdown, report = score_logs(utts, logs)
+    # no committed token leaves latency undefined; the line prints nan then
+    n_tokens = report.token_count if report else 0
+    mean = report.mean_output_time_sec if report else float("nan")
     print(
         f"streamed {len(utts)} utterances, committed {n_tokens} tokens, "
-        f"mean output time {mean:.3f}s, wrote {args.out}"
+        f"mean output time {mean:.3f}s, WER {breakdown.rate:.4f}, "
+        f"wrote {args.out}"
     )
     return 0
 
@@ -338,23 +332,15 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
     )
     rows = sweep(models, utts, spec)
-    csv = rows_to_csv(rows)
-    with open(args.out, "w") as fh:
-        fh.write(csv)
-    print(csv, end="")
+    save_sweep_csv(rows, args.out)
+    print(rows_to_csv(rows), end="")
     return 0
 
 
 def cmd_eval(args) -> int:
     _require(args, "refs", "hyps")
     refs = sio.load_utterances(args.refs)
-    hyp_logs = sio.load_commit_logs(args.hyps)
-    pairs = []
-    for u in refs:
-        recs = hyp_logs.get(u.id, [])
-        pairs.append((eval_tokens(u), tuple(r["token"] for r in recs)))
-    breakdown = corpus_wer(pairs)
-    report = _report_from_records(hyp_logs, refs)
+    breakdown, report = score_logs(refs, sio.load_commit_logs(args.hyps))
     summary: dict[str, object] = {
         "wer": breakdown.rate,
         "substitutions": breakdown.substitutions,
@@ -365,29 +351,16 @@ def cmd_eval(args) -> int:
         "mean_t_out": report.mean_output_time_sec if report else None,
     }
     if args.baseline:
-        base = _report_from_records(sio.load_commit_logs(args.baseline), refs)
-        if report is None or base is None:
-            raise UndefinedMetric("latency delta needs tokens on both sides")
-        summary["delta_vs_baseline"] = latency_delta(report, base)
+        _, base = score_logs(refs, sio.load_commit_logs(args.baseline))
+        # like mean_t_out, undefined when either side committed nothing
+        summary["delta_vs_baseline"] = (
+            latency_delta(report, base) if report and base else None
+        )
     if args.out:
         sio.save_eval_summary(summary, args.out)
     for key in sorted(summary):
         print(f"{key}: {summary[key]}")
     return 0
-
-
-def _report_from_records(
-    logs: dict[str, list[dict]], refs: Sequence[Utterance]
-) -> LatencyReport | None:
-    """Latency over the refs' utterances only, the set WER is scored on."""
-    times = [r["t_out"] for u in refs for r in logs.get(u.id, [])]
-    if not times:
-        return None
-    return LatencyReport(
-        mean_output_time_sec=float(np.mean(times)),
-        token_count=len(times),
-        utt_ids=frozenset(u.id for u in refs),
-    )
 
 
 def cmd_dump_attention(args) -> int:

@@ -258,17 +258,23 @@ class CommitLog:
     def __repr__(self) -> str:
         return f"CommitLog({self._entries!r})"
 
+    def append(self, entry: TimedToken) -> "CommitLog":
+        """Append one displayed token; prior entries are untouched and chunk
+        indices must not move backwards."""
+        if entry.chunk_index < self.last_chunk_index:
+            raise ContractViolation(
+                f"commit at chunk {entry.chunk_index} after chunk "
+                f"{self.last_chunk_index}"
+            )
+        self._entries.append(entry)
+        return self
+
     def commit(
         self, tokens: Sequence[str], chunk_index: int, chunk_len_sec: float
     ) -> "CommitLog":
-        """Append tokens committed at the given chunk; prior entries are
-        untouched and chunk indices must not move backwards."""
-        if chunk_index < self.last_chunk_index:
-            raise ContractViolation(
-                f"commit at chunk {chunk_index} after chunk "
-                f"{self.last_chunk_index}"
-            )
+        """Append tokens committed at the given chunk, each shown at the
+        chunk's output time."""
         t = output_time(chunk_index, chunk_len_sec)
         for tok in tokens:
-            self._entries.append(TimedToken(tok, chunk_index, t))
+            self.append(TimedToken(tok, chunk_index, t))
         return self

@@ -8,12 +8,12 @@ the difference.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import CommitLog, ConfigError, Utterance, eval_tokens
+from .core import ConfigError, Utterance
+from .core import eval_tokens  # noqa: F401  (harness.eval_tokens is public)
 from .decoder import (
     BUFFERED_STATE,
     FORCED_REDECODE,
@@ -22,12 +22,7 @@ from .decoder import (
     run_session,
     step_chunk,
 )
-from .metrics import (
-    LatencyReport,
-    corpus_wer,
-    latency_delta,
-    mean_output_time,
-)
+from .metrics import latency_delta, score_logs
 from .model import SequenceModel
 from .strategies import HoldN, StrategyConfig
 
@@ -73,27 +68,15 @@ class TradeoffRow:
         )
 
 
-def _run_cell(
-    model: SequenceModel,
-    utts: Sequence[Utterance],
-    strategy: StrategyConfig,
-    chunk_len_sec: float,
-    beam: BeamConfig,
-) -> tuple[float, LatencyReport]:
-    logs: dict[str, CommitLog] = {}
-    pairs = []
-    for u in utts:
-        log = run_session(model, u, strategy, chunk_len_sec, beam)
-        logs[u.id] = log
-        pairs.append((eval_tokens(u), log.tokens))
-    return corpus_wer(pairs).rate, mean_output_time(logs)
-
-
 def _cell_job(args):
     name, model, utts, strategy, chunk_len_sec, beam = args
     try:
-        wer_rate, report = _run_cell(model, utts, strategy, chunk_len_sec, beam)
-        return name, strategy, wer_rate, report, None
+        logs = {
+            u.id: run_session(model, u, strategy, chunk_len_sec, beam)
+            for u in utts
+        }
+        breakdown, report = score_logs(utts, logs)
+        return name, strategy, breakdown.rate, report, None
     except Exception as e:  # failed cells become nan rows, not a dead sweep
         return name, strategy, float("nan"), None, repr(e)
 
@@ -188,8 +171,6 @@ class ModeComparison:
     divergence: Divergence | None
     utterances: int
     chunks: int
-    forced_wall_sec: float
-    buffered_wall_sec: float
     forced_positions_encoded: int
     buffered_positions_encoded: int
 
@@ -208,10 +189,9 @@ def compare_modes(
     is not deterministic or one session's calls changed state the other
     reads (a cache keyed wrongly, a state shared by mistake). Chunk outputs
     (tokens and per-token log-probs) and commits are compared chunk by
-    chunk; the first mismatch is reported. Wall-clock and encoder-position
-    counts accumulate per session either way.
+    chunk; the first mismatch is reported. Encoder-position counts
+    accumulate per session either way.
     """
-    wall = {FORCED_REDECODE: 0.0, BUFFERED_STATE: 0.0}
     pos = {FORCED_REDECODE: 0, BUFFERED_STATE: 0}
     n_chunks = 0
     first_div: Divergence | None = None
@@ -232,9 +212,7 @@ def compare_modes(
             outs = {}
             commits = {}
             for m, s in sessions.items():
-                t0 = time.perf_counter()
                 outs[m], commits[m] = step_chunk(s, chunk)
-                wall[m] += time.perf_counter() - t0
             if first_div is None:
                 f, b = outs[FORCED_REDECODE], outs[BUFFERED_STATE]
                 if f.tokens != b.tokens:
@@ -253,8 +231,6 @@ def compare_modes(
         divergence=first_div,
         utterances=len(utts),
         chunks=n_chunks,
-        forced_wall_sec=wall[FORCED_REDECODE],
-        buffered_wall_sec=wall[BUFFERED_STATE],
         forced_positions_encoded=pos[FORCED_REDECODE],
         buffered_positions_encoded=pos[BUFFERED_STATE],
     )

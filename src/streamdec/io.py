@@ -2,7 +2,9 @@
 TSV attention grids.
 
 Utterance lines carry frames as nested lists; fine for desk-scale data and
-keeps the corpus diffable and python-free to inspect.
+keeps the corpus diffable and python-free to inspect. A commit log is one
+line per displayed token and loads back as the ``CommitLog`` it was saved
+from; this module is the only code that knows the JSONL keys.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import CommitLog, ConfigError, Utterance
+from .core import (
+    CommitLog,
+    ConfigError,
+    ContractViolation,
+    TimedToken,
+    Utterance,
+)
 
 
 def save_utterances(utts: Iterable[Utterance], path: str) -> None:
@@ -85,26 +93,33 @@ def save_commit_logs(logs: Mapping[str, CommitLog], path: str) -> None:
                 fh.write(json.dumps(rec) + "\n")
 
 
-def load_commit_logs(path: str) -> dict[str, list[dict]]:
-    """Records by utterance id; a malformed record is a ConfigError naming
-    path:line."""
-    out: dict[str, list[dict]] = {}
-    for line_no, rec in _records(path, ("utt", "token", "chunk", "t_out")):
-        t_out = rec["t_out"]
-        if (
-            isinstance(t_out, bool)
-            or not isinstance(t_out, (int, float))
-            or not math.isfinite(t_out)
-        ):
-            raise ConfigError(
-                f"{path}:{line_no}: t_out must be a finite number, "
-                f"got {t_out!r}"
-            )
-        if not isinstance(rec["utt"], str):
-            raise ConfigError(
-                f"{path}:{line_no}: utt must be a string, got {rec['utt']!r}"
-            )
-        out.setdefault(rec["utt"], []).append(rec)
+# each commit-log key, what its value must be, and the check (bool is
+# neither an integer nor a number here)
+_COMMIT_FIELDS = (
+    ("utt", "a string", lambda v: isinstance(v, str)),
+    ("token", "a string", lambda v: isinstance(v, str)),
+    ("chunk", "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    ("t_out", "a finite number",
+     lambda v: type(v) in (int, float) and math.isfinite(v)),
+)
+
+
+def load_commit_logs(path: str) -> dict[str, CommitLog]:
+    """Commit logs by utterance id, the inverse of save_commit_logs. A
+    malformed record, or a chunk index that goes backwards within one
+    utterance, is a ConfigError naming path:line."""
+    out: dict[str, CommitLog] = {}
+    for line_no, rec in _records(path, [k for k, _, _ in _COMMIT_FIELDS]):
+        for key, kind, ok in _COMMIT_FIELDS:
+            if not ok(rec[key]):
+                raise ConfigError(
+                    f"{path}:{line_no}: {key} must be {kind}, got {rec[key]!r}"
+                )
+        entry = TimedToken(rec["token"], rec["chunk"], float(rec["t_out"]))
+        try:
+            out.setdefault(rec["utt"], CommitLog()).append(entry)
+        except ContractViolation as e:
+            raise ConfigError(f"{path}:{line_no}: {e}") from e
     return out
 
 

@@ -3,7 +3,9 @@
 Word error rate is computed from a minimum-cost edit alignment with unit
 costs. Latency is the mean commit timestamp over all displayed tokens; the
 delta between two systems on the same utterance set cancels every term that
-does not depend on the commit times.
+does not depend on the commit times. ``score_logs`` is the one scorer that
+turns commit logs into both numbers; the CLI, the sweep and the adaptation
+study all call it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CommitLog, ContractViolation, UndefinedMetric
+from .core import (
+    CommitLog,
+    ContractViolation,
+    UndefinedMetric,
+    Utterance,
+    eval_tokens,
+)
 
 
 @dataclass(frozen=True)
@@ -126,3 +134,20 @@ def latency_delta(a: LatencyReport, b: LatencyReport) -> float:
             "latency delta requires the same utterance set on both sides"
         )
     return a.mean_output_time_sec - b.mean_output_time_sec
+
+
+def score_logs(
+    utts: Sequence[Utterance], logs: Mapping[str, CommitLog]
+) -> tuple[WerBreakdown, LatencyReport | None]:
+    """Corpus WER and mean output time of commit logs over an utterance set.
+
+    Each utterance's committed tokens are scored against its output side
+    (``eval_tokens``); an utterance without a log committed nothing. Latency
+    pools the tokens of these utterances' logs only, and is None when they
+    committed none. Logs of other utterances are ignored.
+    """
+    scored = {u.id: logs.get(u.id, CommitLog()) for u in utts}
+    breakdown = corpus_wer([(eval_tokens(u), scored[u.id].tokens) for u in utts])
+    if not any(scored.values()):
+        return breakdown, None
+    return breakdown, mean_output_time(scored)

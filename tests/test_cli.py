@@ -10,8 +10,10 @@ from streamdec.io import (
     load_attention_grids,
     load_commit_logs,
     load_utterances,
+    save_commit_logs,
     save_utterances,
 )
+from streamdec.metrics import score_logs
 from streamdec.model import load_model
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
@@ -77,11 +79,13 @@ class TestPipeline:
             "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
             "--out", str(out), "--strategy", "offline", "--beam", "2",
         ]) == 0
-        times = [r["t_out"] for recs in load_commit_logs(str(out)).values() for r in recs]
+        logs = load_commit_logs(str(out))
+        refs = load_utterances(str(work / "eval.jsonl"))
+        breakdown, report = score_logs(refs, logs)
         printed = capsys.readouterr().out
-        assert f"committed {len(times)} tokens" in printed
-        mean = f"{np.mean(times):.3f}" if times else "nan"
-        assert f"mean output time {mean}s" in printed
+        assert f"committed {sum(len(log) for log in logs.values())} tokens" in printed
+        mean = f"{report.mean_output_time_sec:.3f}" if report else "nan"
+        assert f"mean output time {mean}s, WER {breakdown.rate:.4f}" in printed
 
     def test_run_with_no_commits_prints_nan(self, work, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_session", lambda *args: CommitLog())
@@ -89,14 +93,17 @@ class TestPipeline:
             "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
             "--out", str(tmp_path / "none.jsonl"), "--strategy", "hold-0",
         ]) == 0
-        assert "committed 0 tokens, mean output time nans" in capsys.readouterr().out
+        assert (
+            "committed 0 tokens, mean output time nans, WER 1.0000"
+            in capsys.readouterr().out
+        )
 
     def test_run_wrote_commit_logs(self, work):
         logs = load_commit_logs(str(work / "hyps.jsonl"))
         refs = load_utterances(str(work / "eval.jsonl"))
         assert set(logs) <= {u.id for u in refs}
-        row = next(iter(logs.values()))[0]
-        assert row["t_out"] > 0
+        first = next(iter(logs.values())).entries[0]
+        assert first.output_time_sec > 0
 
     def test_eval_scores_hyps(self, work, capsys):
         out = work / "summary.json"
@@ -184,6 +191,42 @@ class TestEvalScope:
         assert summary["token_count"] == 9
         assert summary["mean_t_out"] == 0.5
         assert summary["delta_vs_baseline"] == -0.5
+
+    def test_no_commits_leave_latency_and_delta_undefined(self, tmp_path, capsys):
+        refs = tmp_path / "refs.jsonl"
+        save_utterances([Utterance("a", np.zeros((3, 2)), ("w00", "w01"))], str(refs))
+        hyps, base = tmp_path / "hyps.jsonl", tmp_path / "base.jsonl"
+        self._log(hyps, [("stray", 2, 0.5)])
+        self._log(base, [("a", 2, 1.0)])
+        out = tmp_path / "summary.json"
+        assert main([
+            "eval", "--refs", str(refs), "--hyps", str(hyps),
+            "--baseline", str(base), "--out", str(out),
+        ]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["wer"] == 1.0
+        assert summary["token_count"] == 0
+        assert summary["mean_t_out"] is None
+        assert summary["delta_vs_baseline"] is None
+        assert "delta_vs_baseline: None" in capsys.readouterr().out
+
+    def test_mean_is_the_library_mean(self, tmp_path, capsys):
+        """eval prints score_logs' mean of the loaded logs, to the last bit;
+        on this 0.1 s-chunk log numpy's pairwise mean rounds differently."""
+        refs = tmp_path / "refs.jsonl"
+        utts = [Utterance("a", np.zeros((3, 2)), ("w00",))]
+        save_utterances(utts, str(refs))
+        log = CommitLog()
+        for chunk in (1, 2, 4):
+            log.commit(("w00",) * 3, chunk, 0.1)
+        hyps = tmp_path / "hyps.jsonl"
+        save_commit_logs({"a": log}, str(hyps))
+        _, report = score_logs(utts, load_commit_logs(str(hyps)))
+        times = [e.output_time_sec for e in log.entries]
+        assert report.mean_output_time_sec != float(np.mean(times))
+        assert main(["eval", "--refs", str(refs), "--hyps", str(hyps)]) == 0
+        printed = capsys.readouterr().out
+        assert f"mean_t_out: {report.mean_output_time_sec}\n" in printed
 
 
 class TestTranslationPipeline:

@@ -169,6 +169,13 @@ class TestCommitLog:
         with pytest.raises(ContractViolation):
             log.commit(["b"], 2, 0.5)
 
+    def test_append_checks_chunk_order(self):
+        log = CommitLog().append(TimedToken("a", 3, 1.5))
+        log.append(TimedToken("b", 3, 1.5))
+        with pytest.raises(ContractViolation, match="chunk 2 after chunk 3"):
+            log.append(TimedToken("c", 2, 1.0))
+        assert log == CommitLog().commit(["a", "b"], 3, 0.5)
+
     def test_tokens_property(self):
         log = CommitLog().commit(["a", "b"], 1, 0.5).commit(["c"], 2, 0.5)
         assert log.tokens == ("a", "b", "c")

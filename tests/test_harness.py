@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from streamdec.core import ConfigError
+from streamdec.core import EOS_ID, ConfigError
 from streamdec.decoder import BeamConfig
 from streamdec.harness import (
     CSV_HEADER,
@@ -132,6 +132,49 @@ class TestSweep:
         assert math.isnan(broken.wer) and math.isnan(broken.delta_latency)
         assert math.isfinite(ok.wer)
         assert rows[-1].model == "broken"  # nan rows sort last
+
+    def test_cell_that_commits_nothing_keeps_its_wer(
+        self, unstable_model, small_corpus
+    ):
+        class EosOnly:
+            """Delegates everything but puts all next-token mass on eos, so
+            no session commits a token."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self.vocab = inner.vocab
+                self.mode = inner.mode
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            @staticmethod
+            def _eos(lps):
+                out = np.full_like(lps, -30.0)
+                out[..., EOS_ID] = 0.0
+                return out
+
+            def dec_init(self, enc, prefix=()):
+                state, lps = self._inner.dec_init(enc, prefix)
+                return state, self._eos(lps)
+
+            def dec_advance(self, state, rows, token_ids, enc):
+                state, lps = self._inner.dec_advance(state, rows, token_ids, enc)
+                return state, self._eos(lps)
+
+        spec = SweepSpec(
+            strategies=(HoldN(0), Offline()), beam=BeamConfig(beam_width=4)
+        )
+        rows = sweep(
+            {"ok": unstable_model, "mute": EosOnly(unstable_model)},
+            small_corpus[:3],
+            spec,
+        )
+        mute = [r for r in rows if r.model == "mute"]
+        assert len(mute) == 2
+        for r in mute:
+            assert r.wer == 1.0  # every reference token deleted
+            assert math.isnan(r.mean_t_out) and math.isnan(r.delta_latency)
 
 
 class TestCsv:

@@ -74,15 +74,12 @@ class TestCommitLogFiles:
         log_a.commit(("z",), chunk_index=3, chunk_len_sec=0.5)
         log_b = CommitLog()
         log_b.commit(("q",), chunk_index=2, chunk_len_sec=0.5)
+        log_c = CommitLog()
+        log_c.commit(("p", "q"), chunk_index=7, chunk_len_sec=0.1)
+        logs = {"utt-a": log_a, "utt-b": log_b, "utt-c": log_c}
         path = str(tmp_path / "logs.jsonl")
-        save_commit_logs({"utt-a": log_a, "utt-b": log_b}, path)
-        back = load_commit_logs(path)
-        assert sorted(back) == ["utt-a", "utt-b"]
-        rows = back["utt-a"]
-        assert [r["token"] for r in rows] == ["x", "y", "z"]
-        assert [r["chunk"] for r in rows] == [1, 1, 3]
-        assert rows[0]["t_out"] == pytest.approx(0.5)
-        assert rows[2]["t_out"] == pytest.approx(1.5)
+        save_commit_logs(logs, path)
+        assert load_commit_logs(path) == logs
 
     def test_file_is_one_json_object_per_line(self, tmp_path):
         log = CommitLog()
@@ -106,6 +103,11 @@ MALFORMED_COMMIT_RECORDS = [
     ('{"utt": "a", "token": "x", "chunk": 1, "t_out": NaN}', "finite number"),
     ('{"utt": "a", "token": "x", "chunk": 1, "t_out": Infinity}', "finite number"),
     ('{"utt": ["a"], "token": "x", "chunk": 1, "t_out": 0.5}', "string"),
+    ('{"utt": "a", "token": "x", "chunk": "1", "t_out": 0.5}', "integer >= 1"),
+    ('{"utt": "a", "token": "x", "chunk": 0, "t_out": 0.5}', "integer >= 1"),
+    ('{"utt": "a", "token": "x", "chunk": true, "t_out": 0.5}', "integer >= 1"),
+    ('{"utt": "a", "token": "x", "chunk": 1.5, "t_out": 0.5}', "integer >= 1"),
+    ('{"utt": "a", "token": 5, "chunk": 1, "t_out": 0.5}', "token must be a string"),
 ]
 
 
@@ -121,6 +123,19 @@ def test_malformed_commit_record_reports_line(tmp_path, line, why):
     path = str(tmp_path / "bad.jsonl")
     write_commit_log_with(path, line)
     with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
+        load_commit_logs(path)
+
+
+def test_backwards_chunk_reports_line(tmp_path):
+    """Chunk indices may restart per utterance but not go backwards in one."""
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w") as fh:
+        fh.write('{"utt": "a", "token": "x", "chunk": 3, "t_out": 1.5}\n')
+        fh.write('{"utt": "b", "token": "y", "chunk": 1, "t_out": 0.5}\n')
+        fh.write('{"utt": "a", "token": "z", "chunk": 2, "t_out": 1.0}\n')
+    with pytest.raises(
+        ConfigError, match=rf"^{re.escape(path)}:3: commit at chunk 2 after chunk 3"
+    ):
         load_commit_logs(path)
 
 

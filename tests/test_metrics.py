@@ -1,17 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamdec.core import CommitLog, ContractViolation, UndefinedMetric
+from streamdec.core import CommitLog, ContractViolation, UndefinedMetric, Utterance
 from streamdec.metrics import (
     LatencyReport,
     WerBreakdown,
     corpus_wer,
     latency_delta,
     mean_output_time,
+    score_logs,
     wer,
 )
 
@@ -146,6 +148,42 @@ class TestLatency:
         lag_a = sum(e.output_time_sec - t for e, t in zip(log_a.entries, ends)) / n
         lag_b = sum(e.output_time_sec - t for e, t in zip(log_b.entries, ends)) / n
         assert raw_delta == pytest.approx(lag_a - lag_b, abs=1e-12)
+
+
+def _utt(utt_id, ref, tgt=None):
+    return Utterance(utt_id, np.zeros((3, 2)), ref, target_tokens=tgt)
+
+
+class TestScoreLogs:
+    def test_wer_and_latency_over_the_utterances(self):
+        utts = [_utt("u1", ("a", "b")), _utt("u2", ("c",))]
+        logs = {
+            "u1": _log([("a", 1), ("x", 2)]),
+            "u2": _log([("c", 4)]),
+            "stray": _log([("z", 40)]),
+        }
+        breakdown, rep = score_logs(utts, logs)
+        assert breakdown == corpus_wer([(("a", "b"), ("a", "x")), (("c",), ("c",))])
+        assert rep == mean_output_time({"u1": logs["u1"], "u2": logs["u2"]})
+
+    def test_missing_log_is_all_deletions(self):
+        utts = [_utt("u1", ("a",)), _utt("u2", ("b", "c"))]
+        breakdown, rep = score_logs(utts, {"u1": _log([("a", 2)])})
+        assert breakdown == WerBreakdown(0, 2, 0, 3)
+        assert rep.token_count == 1
+        assert rep.utt_ids == frozenset({"u1", "u2"})
+
+    def test_no_commits_gives_wer_and_no_latency(self):
+        utts = [_utt("u1", ("a", "b"))]
+        logs = {"u1": CommitLog(), "stray": _log([("a", 1)])}
+        breakdown, rep = score_logs(utts, logs)
+        assert breakdown.rate == 1.0
+        assert rep is None
+
+    def test_target_side_is_scored(self):
+        utts = [_utt("u1", ("a", "b"), tgt=("p", "q"))]
+        breakdown, _ = score_logs(utts, {"u1": _log([("p", 1), ("q", 1)])})
+        assert breakdown.rate == 0.0
 
 
 class TestLatencyReport:

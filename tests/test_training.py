@@ -293,6 +293,19 @@ class TestTokenErrorRate:
     def test_oracle_model_scores_zero(self, stable_model, small_corpus):
         assert token_error_rate(stable_model, small_corpus[:4]) == 0.0
 
+    def test_oracle_scores_zero_above_eight_tokens_per_second(self):
+        """A translation task at about 14 tokens/s: the decode's length cap
+        must not cut the exact oracle's output short."""
+        spec = SyntheticTaskSpec(
+            vocab_size=8, min_tokens=2, max_tokens=3, min_frames_per_token=6,
+            max_frames_per_token=8, frame_dim=4, translation=True,
+        )
+        data = gen_dataset(spec, 16, 5)
+        oracle = SyntheticAlignedModel.from_task(
+            spec, 16, 5, instability_frames=0
+        )
+        assert token_error_rate(oracle, data) == 0.0
+
     def test_untrained_model_scores_high(self, tiny_world):
         _, data, vocab, cfg = tiny_world
         model = TinyTransformer(cfg, vocab)
