@@ -6,6 +6,11 @@ reverse topological order. Only the ops needed by the sequence model are
 implemented; its attention node, which knows about heads and lengths, is
 built on ``_child`` in transformer.py.
 
+``ndarray + Tensor`` and ``ndarray @ Tensor`` build nodes too (a Tensor
+turns numpy's operators down). ``layer_norm``, ``relu`` and ``log_softmax``
+on plain arrays return a plain array and build no node, so one transformer
+layer serves inference and training.
+
 Gradients move by reference: an op may hand one array to several parents or
 pass a view of its incoming gradient on, and accumulation always builds a new
 array, so no gradient array is ever written in place. Once a node has
@@ -22,6 +27,7 @@ import numpy as np
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    __array_ufunc__ = None  # ndarray + / @ Tensor reach __radd__ / __rmatmul__
 
     def __init__(
         self,
@@ -75,11 +81,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
+    def __radd__(self, other):
+        return add(other, self)
+
     def __mul__(self, other):
         return mul(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -163,43 +175,30 @@ def matmul(a, b) -> Tensor:
     return _child(out_data, (a, b), bw)
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
+def _data(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def relu(a):
+    """max(a, 0); a plain array for a plain a."""
+    out = np.maximum(_data(a), 0.0)
+    if not isinstance(a, Tensor):
+        return out
     mask = a.data > 0
 
     def bw(g):
         if a.requires_grad:
             a._accum(g * mask)
 
-    return _child(a.data * mask, (a,), bw)
+    return _child(out, (a,), bw)
 
 
-def reshape(a, shape: tuple) -> Tensor:
-    a = _wrap(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.data.shape))
-
-    return _child(a.data.reshape(shape), (a,), bw)
-
-
-def transpose(a, axes: tuple) -> Tensor:
-    a = _wrap(a)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.transpose(inv))
-
-    return _child(a.data.transpose(axes), (a,), bw)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
+def log_softmax(a, axis: int = -1):
+    """Log-softmax over one axis; a plain array for a plain a."""
+    shifted = _data(a) - _data(a).max(axis=axis, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    if not isinstance(a, Tensor):
+        return y
     sm = np.exp(y)
 
     def bw(g):
@@ -209,17 +208,21 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _child(y, (a,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis followed by an affine map."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    n = x.data.shape[-1]
+def layer_norm(x, gain, bias, eps: float = 1e-5):
+    """gain * ((x - mean) / sqrt(var + eps)) + bias over the last axis; a
+    plain array when no argument is a Tensor."""
+    xd = _data(x)
+    n = xd.shape[-1]
     # sum / n is ndarray.mean without its Python wrapper, bit for bit
-    mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
+    centered = xd - xd.sum(axis=-1, keepdims=True) / n
     var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = gain.data * xhat + bias.data
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    out = _data(gain) * xhat + _data(bias)
+    if not (isinstance(x, Tensor) or isinstance(gain, Tensor)
+            or isinstance(bias, Tensor)):
+        return out
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
 
     def bw(g):
         if gain.requires_grad:
@@ -230,9 +233,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             dxhat = g * gain.data
             m1 = dxhat.sum(axis=-1, keepdims=True) / n
             m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            x._accum(inv_std * (dxhat - m1 - xhat * m2))
+            x._accum((dxhat - m1 - xhat * m2) / std)
 
-    return _child(out_data, (x, gain, bias), bw)
+    return _child(out, (x, gain, bias), bw)
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:

@@ -376,13 +376,10 @@ def cmd_dump_attention(args) -> int:
         if not matches:
             raise ConfigError(f"utterance {args.utt!r} not in {args.inp}")
         utt = matches[0]
-    enc = model.encode(
-        utt.frames, None, utt_id=utt.id, frame_period_sec=utt.frame_period_sec
-    )
     prefix = tuple(
         model.vocab.id_of(t) for t in args.prefix.split()
     )
-    grids = model.dump_attention(enc, prefix)
+    grids = model.dump_attention(utt.frames, prefix)
     sio.save_attention_grids(grids, args.out)
     print(f"wrote {len(grids)} attention grids for {utt.id} to {args.out}")
     return 0

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import math
+
 import numpy as np
 
 PAD_TOKEN = "<pad>"
@@ -114,8 +116,8 @@ class Utterance:
             raise ConfigError("frames must be a 2-D (n_frames, dim) array")
         if not np.isfinite(self.frames).all():
             raise ConfigError("frames must be finite (no NaN or inf)")
-        if self.frame_period_sec <= 0:
-            raise ConfigError("frame_period_sec must be positive")
+        if not 0 < self.frame_period_sec < math.inf:
+            raise ConfigError("frame_period_sec must be positive and finite")
         self.reference_tokens = tuple(self.reference_tokens)
         if self.target_tokens is not None:
             self.target_tokens = tuple(self.target_tokens)
@@ -161,8 +163,10 @@ class Chunk:
 def frames_per_chunk(chunk_len_sec: float, frame_period_sec: float) -> int:
     """Number of frames in one full chunk; the chunk length must be an
     integer multiple of the frame period."""
-    if chunk_len_sec <= 0 or frame_period_sec <= 0:
-        raise ConfigError("chunk length and frame period must be positive")
+    if not (0 < chunk_len_sec < math.inf and 0 < frame_period_sec < math.inf):
+        raise ConfigError(
+            "chunk length and frame period must be positive and finite"
+        )
     n = round(chunk_len_sec / frame_period_sec)
     if n < 1 or abs(n * frame_period_sec - chunk_len_sec) > 1e-9:
         raise ConfigError(

@@ -42,10 +42,10 @@ class SyntheticTaskSpec:
             raise ConfigError("need 1 <= min/max frames per token")
         if self.frame_dim < 1:
             raise ConfigError("frame_dim must be >= 1")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        if self.frame_period_sec <= 0:
-            raise ConfigError("frame_period_sec must be positive")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be >= 0 and finite")
+        if not 0 < self.frame_period_sec < math.inf:
+            raise ConfigError("frame_period_sec must be positive and finite")
 
 
 def source_words(spec: SyntheticTaskSpec) -> list[str]:

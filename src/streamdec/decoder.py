@@ -52,8 +52,8 @@ class BeamConfig:
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ConfigError("beam_width must be >= 1")
-        if self.cap_tokens_per_sec <= 0:
-            raise ConfigError("cap_tokens_per_sec must be positive")
+        if not 0 < self.cap_tokens_per_sec < math.inf:
+            raise ConfigError("cap_tokens_per_sec must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,9 @@ class EncoderStates:
     frame_period_sec: float = 0.010
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
-    layer_inputs: Any = None  # model-internal cache for incremental extension
+    # model-internal: the transformer's per-layer encoder self-attention
+    # (K, V), each (frames_covered, d_model), which a causal encode extends
+    layer_kv: Any = None
 
     @property
     def audio_sec(self) -> float:
@@ -255,7 +257,7 @@ class SyntheticAlignedModel:
             )
         return state + 1, np.tile(self._emission(enc, state + 1), (ids.size, 1))
 
-    def dump_attention(self, enc: EncoderStates, prefix: Sequence[int]):
+    def dump_attention(self, frames: np.ndarray, prefix: Sequence[int]):
         raise UnsupportedOperation(
             "the synthetic oracle has no attention weights"
         )

@@ -44,8 +44,10 @@ class TrainConfig:
     eval_every: int = 40  # dev evaluation cadence (checkpoint selection)
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.total_steps < 1:
-            raise ConfigError("learning_rate and total_steps must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if self.total_steps < 1:
+            raise ConfigError("total_steps must be positive")
         if self.warmup_steps < 1 or self.batch_size < 1:
             raise ConfigError("warmup_steps and batch_size must be >= 1")
         if not 0 <= self.label_smoothing < 1:

@@ -1,24 +1,23 @@
 """A small encoder-decoder transformer over frame streams.
 
-The encoder can run with causal (unidirectional) self-attention, in which
-case encoder states for earlier positions never change as more frames arrive
-and encoding is append-only. One decoder forward (``_advance_block``) runs a
-block of rows over one or more positions. ``dec_init`` is the prefill: one
-row over bos and the whole forced prefix in a single call, which is also the
-forward the attention dump reads. ``dec_advance`` is the one-position case
-over many rows, one per beam path. A ``DecState`` is one block: every row's
-self-attention keys and values, stacked, plus the cross-attention keys and
-values of the encoding it was made with, computed once by ``dec_init``. A
-beam step gathers the rows it extends by parent index. Cross-attention
-always spans every encoder state available when ``dec_init`` ran.
-
-Inference runs on plain float64 numpy, each attention's weights computed
-in place in its score buffer (``_attention_weights``). Training builds the
-same math as an autodiff graph (see training.py for the loop). Its
-attention is one ``attention`` node per layer that goes over the batch one
-row at a time and reads only that row's real frames, by lengths taken from
-``frame_mask``; it computes its weights with the same
-``_attention_weights``, so no padded score is ever made.
+Each layer is written once (``_enc_layer``, ``_dec_layer``) from ``@``, ``+``
+and autodiff ops that also take plain arrays, so inference runs it on float64
+numpy and training on Tensors; the callers differ only in the attention
+kernel they hand it. A causal (unidirectional) encoder never changes the
+states of earlier positions, so ``encode`` with a prior projects only the new
+rows and appends their keys and values to each layer's cache; a
+bidirectional one re-encodes every frame. One decoder forward
+(``_advance_block``) runs a block of rows over one or more positions.
+``dec_init`` is the prefill: one row over bos and the whole forced prefix in
+a single call, which is also the forward the attention dump reads.
+``dec_advance`` is the one-position case over many rows, one per beam path.
+A ``DecState`` is one block: every row's self-attention keys and values,
+stacked, plus the cross-attention keys and values of the encoding it was made
+with, computed once by ``dec_init``. A beam step gathers the rows it extends
+by parent index. Each attention computes its weights in place in its score
+buffer (``_attention_weights``). Training's kernel is one ``attention`` node
+that goes over the batch one row at a time and reads only that row's real
+frames, by lengths taken from ``frame_mask``, so no padded score is made.
 """
 
 from __future__ import annotations
@@ -137,15 +136,6 @@ def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
     return p
 
 
-def _ln_np(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum / n is ndarray.mean without its Python wrapper, bit for bit
-    n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / n
-    c = x - mu
-    var = (c * c).sum(axis=-1, keepdims=True) / n
-    return g * (c / np.sqrt(var + LN_EPS)) + b
-
-
 def _softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, written into out (which may be x itself)
     or, without out, into a new array that leaves x unchanged."""
@@ -168,11 +158,6 @@ def _attention_weights(
     return _softmax_np(scores, out=scores)
 
 
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    s = x - x.max(axis=-1, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
-
-
 def _heads(x: np.ndarray, h: int, dh: int) -> np.ndarray:
     # (T, d) -> (h, T, dh)
     t = x.shape[0]
@@ -182,6 +167,72 @@ def _heads(x: np.ndarray, h: int, dh: int) -> np.ndarray:
 def _merge(x: np.ndarray, d: int) -> np.ndarray:
     # (h, T, dh) -> (T, d)
     return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+            masked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head attention of query rows q (n, d) over key and value rows
+    k, v (m, d): the weights (heads, n, m) and the context rows (n, d)."""
+    d = q.shape[-1]
+    dh = d // heads
+    w = _attention_weights(
+        _heads(q, heads, dh) @ _heads(k, heads, dh).transpose(0, 2, 1), dh, masked
+    )
+    return w, _merge(w @ _heads(v, heads, dh), d)
+
+
+# --- the layers ----------------------------------------------------------------
+# Each is written once, with @, +, ad.layer_norm, ad.relu and ad.log_softmax,
+# so it runs on plain arrays for inference and on Tensors for training. Only
+# the attention kernel differs by caller: attend(l, q, k, v) and cross(l, q)
+# take layer l's projected rows and return the context rows.
+
+
+def _ln(p: dict, name: str, x):
+    return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"], LN_EPS)
+
+
+def _ffn(p: dict, pre: str, x):
+    f = ad.relu(x @ p[f"{pre}_ff1_w"] + p[f"{pre}_ff1_b"])
+    return f @ p[f"{pre}_ff2_w"] + p[f"{pre}_ff2_b"]
+
+
+def _enc_in(p: dict, frames, pos):
+    """Encoder input rows: projected frames plus their position encodings."""
+    return frames @ p["enc_in_w"] + p["enc_in_b"] + pos
+
+
+def _enc_layer(p: dict, l: int, x, attend):
+    """One pre-norm encoder block over the rows x."""
+    def lin(n: str, y):
+        return y @ p[f"enc{l}_w{n}"] + p[f"enc{l}_b{n}"]
+
+    h = _ln(p, f"enc{l}_ln1", x)
+    x = x + lin("o", attend(l, lin("q", h), lin("k", h), lin("v", h)))
+    return x + _ffn(p, f"enc{l}", _ln(p, f"enc{l}_ln2", x))
+
+
+def _cross_kv(p: dict, l: int, states) -> tuple:
+    """Decoder layer l's cross-attention keys and values of encoder rows."""
+    return (states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"],
+            states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"])
+
+
+def _dec_layer(p: dict, l: int, y, attend, cross):
+    """One pre-norm decoder block over the rows y: self-attention,
+    cross-attention to the encoder, feed-forward."""
+    def lin(n: str, x):
+        return x @ p[f"dec{l}_{n}"] + p[f"dec{l}_b{n}"]
+
+    h = _ln(p, f"dec{l}_ln1", y)
+    y = y + lin("so", attend(l, lin("sq", h), lin("sk", h), lin("sv", h)))
+    y = y + lin("co", cross(l, lin("cq", _ln(p, f"dec{l}_ln2", y))))
+    return y + _ffn(p, f"dec{l}", _ln(p, f"dec{l}_ln3", y))
+
+
+def _logps(p: dict, y):
+    """Next-token log-probabilities of the decoder's output rows."""
+    return ad.log_softmax(_ln(p, "dec_lnf", y) @ p["out_w"] + p["out_b"])
 
 
 @dataclass(frozen=True)
@@ -194,7 +245,7 @@ class DecState:
     frames_covered: int
     pos: int  # consumed input positions of every row, bos included
     kv: tuple  # per layer: self-attn (K, V), each (rows, heads, pos, head_dim)
-    cross: tuple  # per layer: cross-attn (K, V), each (heads, frames, head_dim)
+    cross: tuple  # per layer: cross-attn (K, V), each (frames, d_model)
 
 
 class TinyTransformer:
@@ -235,14 +286,20 @@ class TinyTransformer:
     # --- encoder ------------------------------------------------------------
 
     def encode(
-        self,
-        frames: np.ndarray,
-        prior: EncoderStates | None = None,
-        *,
-        utt_id: str | None = None,
-        frame_period_sec: float = 0.010,
+        self, frames: np.ndarray, prior: EncoderStates | None = None, *,
+        utt_id: str | None = None, frame_period_sec: float = 0.010,
     ) -> EncoderStates:
-        cfg = self.cfg
+        return self._encode(frames, prior, utt_id, frame_period_sec)[0]
+
+    def _encode(
+        self, frames: np.ndarray, prior: EncoderStates | None = None,
+        utt_id: str | None = None, frame_period_sec: float = 0.010,
+    ) -> tuple[EncoderStates, list]:
+        """encode, and per layer the self-attention weights of the rows it
+        encoded, (heads, new rows, all rows). A causal encoder extends its
+        prior: it projects only the new rows and appends their keys and
+        values to each layer's cache. A bidirectional one re-encodes all."""
+        cfg, p = self.cfg, self.params
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or (frames.size and frames.shape[1] != cfg.frame_dim):
             raise ContractViolation(
@@ -255,81 +312,36 @@ class TinyTransformer:
                 utt_id = prior.utt_id
             frame_period_sec = prior.frame_period_sec
 
-        incremental = cfg.mode == UNIDIRECTIONAL and prior is not None
-        if incremental:
-            start = prior.frames_covered
-            layer_inputs = list(prior.layer_inputs)
-            old_states = prior.states
+        causal = cfg.mode == UNIDIRECTIONAL
+        if causal and prior is not None:
+            start, kv, states = prior.frames_covered, list(prior.layer_kv), prior.states
         else:
-            start = 0
-            layer_inputs = [
-                np.zeros((0, cfg.d_model)) for _ in range(cfg.enc_layers)
-            ]
-            old_states = np.zeros((0, cfg.d_model))
+            states = np.zeros((0, cfg.d_model))
+            start, kv = 0, [(states, states)] * cfg.enc_layers
+        grids: list[np.ndarray] = []
+        if total > start:
+            future = (
+                np.arange(total)[None, :] > np.arange(start, total)[:, None]
+            ) if causal else None
 
-        if total == start:
-            return EncoderStates(
-                old_states, total, frame_period_sec, utt_id, self._owner,
-                layer_inputs,
-            )
+            def attend(l, q, k, v):
+                k = np.concatenate([kv[l][0], k])
+                v = np.concatenate([kv[l][1], v])
+                kv[l] = (k, v)
+                w, ctx = _attend(q, k, v, cfg.heads, future)
+                grids.append(w)
+                return ctx
 
-        x = frames[start:] @ self.params["enc_in_w"] + self.params["enc_in_b"]
-        x = x + self._pos(total)[start:]
-        for l in range(cfg.enc_layers):
-            full_in = (
-                np.concatenate([layer_inputs[l], x]) if start else x
-            )
-            x, _ = self._enc_layer(l, x, full_in, start)
-            layer_inputs[l] = full_in
-        new_states = _ln_np(
-            x, self.params["enc_lnf_g"], self.params["enc_lnf_b"]
+            x = _enc_in(p, frames[start:], self._pos(total)[start:])
+            for l in range(cfg.enc_layers):
+                x = _enc_layer(p, l, x, attend)
+            states = np.concatenate([states, _ln(p, "enc_lnf", x)])
+        enc = EncoderStates(
+            states, total, frame_period_sec, utt_id, self._owner, tuple(kv)
         )
-        states = np.concatenate([old_states, new_states]) if start else new_states
-        return EncoderStates(
-            states, total, frame_period_sec, utt_id, self._owner, layer_inputs
-        )
-
-    def _enc_layer(
-        self, l: int, x_new: np.ndarray, full_in: np.ndarray, start: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One pre-norm encoder block evaluated for the new rows only; returns
-        their outputs and attention weights (heads, new rows, all rows)."""
-        p = self.params
-        cfg = self.cfg
-        h, dh = cfg.heads, cfg.head_dim
-        t_full = len(full_in)
-        n_new = len(x_new)
-        ln = _ln_np(full_in, p[f"enc{l}_ln1_g"], p[f"enc{l}_ln1_b"])
-        q = _heads(ln[start:] @ p[f"enc{l}_wq"] + p[f"enc{l}_bq"], h, dh)
-        k = _heads(ln @ p[f"enc{l}_wk"] + p[f"enc{l}_bk"], h, dh)
-        v = _heads(ln @ p[f"enc{l}_wv"] + p[f"enc{l}_bv"], h, dh)
-        future = (
-            np.arange(t_full)[None, :] > start + np.arange(n_new)[:, None]
-        ) if cfg.mode == UNIDIRECTIONAL else None
-        # (h, n_new, t_full)
-        attn = _attention_weights(q @ k.transpose(0, 2, 1), dh, future)
-        ctx = _merge(attn @ v, cfg.d_model)
-        x_attn = x_new + (ctx @ p[f"enc{l}_wo"] + p[f"enc{l}_bo"])
-        ln2 = _ln_np(x_attn, p[f"enc{l}_ln2_g"], p[f"enc{l}_ln2_b"])
-        f = np.maximum(ln2 @ p[f"enc{l}_ff1_w"] + p[f"enc{l}_ff1_b"], 0.0)
-        return x_attn + (f @ p[f"enc{l}_ff2_w"] + p[f"enc{l}_ff2_b"]), attn
+        return enc, grids
 
     # --- decoder ------------------------------------------------------------
-
-    def _cross_kv(self, enc: EncoderStates) -> tuple:
-        """Per decoder layer, the cross-attention (K, V) of every encoder
-        row, each (heads, frames, head_dim)."""
-        if enc.owner is not self._owner:
-            raise ContractViolation("encoder states from a different model")
-        if enc.frames_covered == 0:
-            raise ContractViolation("cannot decode with no encoder states")
-        p = self.params
-        h, dh = self.cfg.heads, self.cfg.head_dim
-        return tuple(
-            (_heads(enc.states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"], h, dh),
-             _heads(enc.states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"], h, dh))
-            for l in range(self.cfg.dec_layers)
-        )
 
     def _advance_block(
         self, x: np.ndarray, kv: Sequence, cross: Sequence
@@ -343,55 +355,40 @@ class TinyTransformer:
         Returns the next-token log-probabilities (B, T, vocab), the grown
         caches, and per layer the self-attention weights (B, heads, T,
         pos + T) and the cross-attention weights (B, heads, T, frames)."""
-        p = self.params
         cfg = self.cfg
         h, dh, d = cfg.heads, cfg.head_dim, cfg.d_model
         b_sz, t_len, _ = x.shape
         pos = kv[0][0].shape[2]
-
-        def split(y: np.ndarray) -> np.ndarray:
-            # (B*T, d) -> (B, heads, T, head_dim)
-            return y.reshape(b_sz, t_len, h, dh).transpose(0, 2, 1, 3)
-
-        # projections run on all B*T rows as one 2-D product
-        row = x.reshape(b_sz * t_len, d)
         # a lone position sees nothing after it
         future = (
             np.arange(pos + t_len)[None, :] > pos + np.arange(t_len)[:, None]
         ) if t_len > 1 else None
         new_kv, self_attns, cross_attns = [], [], []
+
+        def split(y: np.ndarray) -> np.ndarray:
+            # (B*T, d) -> (B, heads, T, head_dim)
+            return y.reshape(b_sz, t_len, h, dh).transpose(0, 2, 1, 3)
+
+        def attend(l, q, k, v):
+            k = np.concatenate([kv[l][0], split(k)], axis=2)
+            v = np.concatenate([kv[l][1], split(v)], axis=2)
+            w = _attention_weights(split(q) @ k.transpose(0, 1, 3, 2), dh, future)
+            new_kv.append((k, v))
+            self_attns.append(w)
+            return (w @ v).transpose(0, 2, 1, 3).reshape(b_sz * t_len, d)
+
+        def attend_cross(l, q):
+            # no per-row cache: the B*T rows attend to the shared encoder
+            # K/V like the query positions of one sequence
+            w, ctx = _attend(q, *cross[l], h)
+            cross_attns.append(w.reshape(h, b_sz, t_len, -1).transpose(1, 0, 2, 3))
+            return ctx
+
+        # projections run on all B*T rows as one 2-D product
+        y = x.reshape(b_sz * t_len, d)
         for l in range(cfg.dec_layers):
-            ln = _ln_np(row, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
-            q = split(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"])
-            k_old, v_old = kv[l]
-            k_all = np.concatenate(
-                [k_old, split(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"])], axis=2
-            )
-            v_all = np.concatenate(
-                [v_old, split(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"])], axis=2
-            )
-            attn = _attention_weights(q @ k_all.transpose(0, 1, 3, 2), dh, future)
-            ctx = (attn @ v_all).transpose(0, 2, 1, 3).reshape(b_sz * t_len, d)
-            row = row + (ctx @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
-
-            # cross-attention has no per-row cache: the B*T rows attend to the
-            # shared encoder K/V like the query positions of one sequence
-            ln2 = _ln_np(row, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
-            q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
-            ke, ve = cross[l]
-            attn2 = _attention_weights(q2 @ ke.transpose(0, 2, 1), dh)
-            row = row + (_merge(attn2 @ ve, d) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
-
-            ln3 = _ln_np(row, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
-            f = np.maximum(ln3 @ p[f"dec{l}_ff1_w"] + p[f"dec{l}_ff1_b"], 0.0)
-            row = row + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
-            new_kv.append((k_all, v_all))
-            self_attns.append(attn)
-            cross_attns.append(
-                attn2.reshape(h, b_sz, t_len, -1).transpose(1, 0, 2, 3)
-            )
-        out = _ln_np(row, p["dec_lnf_g"], p["dec_lnf_b"])
-        logps = _log_softmax_np(out @ p["out_w"] + p["out_b"])
+            y = _dec_layer(self.params, l, y, attend, attend_cross)
+        logps = _logps(self.params, y)
         return logps.reshape(b_sz, t_len, -1), new_kv, self_attns, cross_attns
 
     def _embed(self, token_ids: Sequence, start: int) -> np.ndarray:
@@ -410,8 +407,16 @@ class TinyTransformer:
     def _prefill(self, enc: EncoderStates, prefix: Sequence[int]) -> tuple:
         """One B = 1 decoder forward over bos + prefix from empty caches: the
         state after the whole prefix, the log-probs after each position
-        (len(prefix) + 1, vocab), and _advance_block's attention weights."""
-        cross = self._cross_kv(enc)
+        (len(prefix) + 1, vocab), and _advance_block's attention weights.
+        The cross-attention keys and values of every encoder row are
+        projected here, once per state."""
+        if enc.owner is not self._owner:
+            raise ContractViolation("encoder states from a different model")
+        if enc.frames_covered == 0:
+            raise ContractViolation("cannot decode with no encoder states")
+        cross = tuple(
+            _cross_kv(self.params, l, enc.states) for l in range(self.cfg.dec_layers)
+        )
         ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
         logps, kv, self_attns, cross_attns = self._advance_block(
             self._embed(ids[None], 0), self._empty_kv(), cross
@@ -462,21 +467,20 @@ class TinyTransformer:
     # --- attention introspection ----------------------------------------------
 
     def dump_attention(
-        self, enc: EncoderStates, prefix: Sequence[int]
+        self, frames: np.ndarray, prefix: Sequence[int]
     ) -> dict[str, np.ndarray]:
-        """Per-layer, per-head attention weight matrices for the current
-        stream: encoder self-attention, decoder self-attention over bos+prefix,
-        and cross-attention of those query rows over all encoder states."""
+        """Per-layer, per-head attention weight matrices for a stream's
+        frames: encoder self-attention, decoder self-attention over
+        bos+prefix, and cross-attention of those query rows over all encoder
+        states."""
+        enc, enc_attns = self._encode(frames)
         _, _, self_attns, cross_attns = self._prefill(enc, prefix)
-        cfg = self.cfg
         grids: dict[str, np.ndarray] = {}
-        for l in range(cfg.enc_layers):
-            full_in = enc.layer_inputs[l]
-            _, attn = self._enc_layer(l, full_in, full_in, 0)
-            for head in range(cfg.heads):
+        for l, attn in enumerate(enc_attns):
+            for head in range(self.cfg.heads):
                 grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
-        for l in range(cfg.dec_layers):
-            for head in range(cfg.heads):
+        for l in range(self.cfg.dec_layers):
+            for head in range(self.cfg.heads):
                 grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][0, head]
                 grids[f"cross.layer{l}.head{head}"] = cross_attns[l][0, head]
         return grids
@@ -525,24 +529,24 @@ def attention(
         if causal else None
     )
     out = np.zeros((b_sz, tq, d))
-    rows = []  # per batch row: lengths, head-split q, k, v, weights, context
+    weights = []  # per batch row, (heads, q_len[b], k_len[b])
     for b in range(b_sz):
         lq, lk = int(q_len[b]), int(k_len[b])
-        qb = _heads(q.data[b, :lq], heads, dh)
-        kb = _heads(k.data[b, :lk], heads, dh)
-        vb = _heads(v.data[b, :lk], heads, dh)
-        w = _attention_weights(
-            qb @ kb.transpose(0, 2, 1), dh,
+        w, ctx = _attend(
+            q.data[b, :lq], k.data[b, :lk], v.data[b, :lk], heads,
             None if future is None else future[:lq, :lk],
         )
-        ctx = w @ vb
-        out[b, :lq] = _merge(ctx, d)
-        rows.append((lq, lk, qb, kb, vb, w, ctx))
+        out[b, :lq] = ctx
+        weights.append(w)
 
     def bw(g):
         gq, gk, gv = (np.zeros(t.shape) for t in (q, k, v))
-        for b, (lq, lk, qb, kb, vb, w, ctx) in enumerate(rows):
-            gb = _heads(g[b, :lq], heads, dh)
+        for b, w in enumerate(weights):
+            _, lq, lk = w.shape
+            qb, kb, vb, ctx, gb = (
+                _heads(a[b, :n], heads, dh) for a, n in
+                ((q.data, lq), (k.data, lk), (v.data, lk), (out, lq), (g, lq))
+            )
             gv[b, :lk] = _merge(w.transpose(0, 2, 1) @ gb, d)
             # softmax backward: sum_j dw_ij w_ij is gb_i . ctx_i
             gs = gb @ vb.transpose(0, 2, 1)
@@ -558,29 +562,6 @@ def attention(
                 t._accum(gt)
 
     return ad._child(out, (q, k, v), bw)
-
-
-def _attn_graph(
-    q_in: Tensor,
-    kv_in: Tensor,
-    wq: Tensor, bq: Tensor,
-    wk: Tensor, bk: Tensor,
-    wv: Tensor, bv: Tensor,
-    wo: Tensor, bo: Tensor,
-    heads: int,
-    k_len: np.ndarray,
-    q_len: np.ndarray | None = None,
-    causal: bool = False,
-) -> Tensor:
-    q = ad.add(ad.matmul(q_in, wq), bq)
-    k = ad.add(ad.matmul(kv_in, wk), bk)
-    v = ad.add(ad.matmul(kv_in, wv), bv)
-    ctx = attention(q, k, v, heads, k_len, q_len, causal)
-    return ad.add(ad.matmul(ctx, wo), bo)
-
-
-def _ffn_graph(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
 
 def _frame_lengths(frame_mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -611,82 +592,36 @@ def training_logits(
     frame_mask: np.ndarray,
     dec_in: np.ndarray,
 ) -> Tensor:
-    """Teacher-forced decoder log-probabilities (batch, positions, vocab).
+    """Teacher-forced decoder log-probabilities (batch, positions, vocab),
+    through the layers inference runs, with ``attention`` as their kernel.
 
     Attention reads each row's real frames only, so the encoder outputs at
     padded frames are never used; every decoder position is computed."""
     b_sz, tf, _ = frames.shape
     td = dec_in.shape[1]
-    d = cfg.d_model
     n_frames = _frame_lengths(frame_mask, (b_sz, tf))
+    dec_len = np.full(b_sz, td)
     causal = cfg.mode == UNIDIRECTIONAL
 
-    x = ad.add(ad.matmul(Tensor(frames), pt["enc_in_w"]), pt["enc_in_b"])
-    x = ad.add(x, Tensor(sinusoid_table(tf, d)[None]))
-    for l in range(cfg.enc_layers):
-        ln = ad.layer_norm(x, pt[f"enc{l}_ln1_g"], pt[f"enc{l}_ln1_b"], LN_EPS)
-        x = ad.add(
-            x,
-            _attn_graph(
-                ln, ln,
-                pt[f"enc{l}_wq"], pt[f"enc{l}_bq"],
-                pt[f"enc{l}_wk"], pt[f"enc{l}_bk"],
-                pt[f"enc{l}_wv"], pt[f"enc{l}_bv"],
-                pt[f"enc{l}_wo"], pt[f"enc{l}_bo"],
-                cfg.heads, n_frames, n_frames, causal,
-            ),
-        )
-        ln2 = ad.layer_norm(x, pt[f"enc{l}_ln2_g"], pt[f"enc{l}_ln2_b"], LN_EPS)
-        x = ad.add(
-            x,
-            _ffn_graph(
-                ln2,
-                pt[f"enc{l}_ff1_w"], pt[f"enc{l}_ff1_b"],
-                pt[f"enc{l}_ff2_w"], pt[f"enc{l}_ff2_b"],
-            ),
-        )
-    enc_out = ad.layer_norm(x, pt["enc_lnf_g"], pt["enc_lnf_b"], LN_EPS)
+    def enc_self(l, q, k, v):
+        return attention(q, k, v, cfg.heads, n_frames, n_frames, causal)
 
-    dec_len = np.full(b_sz, td)
-    y = ad.scale(ad.embedding(pt["tok_emb"], dec_in), math.sqrt(d))
-    y = ad.add(y, Tensor(sinusoid_table(td, d)[None]))
+    def dec_self(l, q, k, v):
+        return attention(q, k, v, cfg.heads, dec_len, causal=True)
+
+    x = _enc_in(pt, frames, sinusoid_table(tf, cfg.d_model)[None])
+    for l in range(cfg.enc_layers):
+        x = _enc_layer(pt, l, x, enc_self)
+    enc_out = _ln(pt, "enc_lnf", x)
+
+    def dec_cross(l, q):
+        return attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, n_frames)
+
+    y = ad.scale(ad.embedding(pt["tok_emb"], dec_in), math.sqrt(cfg.d_model))
+    y = y + sinusoid_table(td, cfg.d_model)[None]
     for l in range(cfg.dec_layers):
-        ln = ad.layer_norm(y, pt[f"dec{l}_ln1_g"], pt[f"dec{l}_ln1_b"], LN_EPS)
-        y = ad.add(
-            y,
-            _attn_graph(
-                ln, ln,
-                pt[f"dec{l}_sq"], pt[f"dec{l}_bsq"],
-                pt[f"dec{l}_sk"], pt[f"dec{l}_bsk"],
-                pt[f"dec{l}_sv"], pt[f"dec{l}_bsv"],
-                pt[f"dec{l}_so"], pt[f"dec{l}_bso"],
-                cfg.heads, dec_len, causal=True,
-            ),
-        )
-        ln2 = ad.layer_norm(y, pt[f"dec{l}_ln2_g"], pt[f"dec{l}_ln2_b"], LN_EPS)
-        y = ad.add(
-            y,
-            _attn_graph(
-                ln2, enc_out,
-                pt[f"dec{l}_cq"], pt[f"dec{l}_bcq"],
-                pt[f"dec{l}_ck"], pt[f"dec{l}_bck"],
-                pt[f"dec{l}_cv"], pt[f"dec{l}_bcv"],
-                pt[f"dec{l}_co"], pt[f"dec{l}_bco"],
-                cfg.heads, n_frames,
-            ),
-        )
-        ln3 = ad.layer_norm(y, pt[f"dec{l}_ln3_g"], pt[f"dec{l}_ln3_b"], LN_EPS)
-        y = ad.add(
-            y,
-            _ffn_graph(
-                ln3,
-                pt[f"dec{l}_ff1_w"], pt[f"dec{l}_ff1_b"],
-                pt[f"dec{l}_ff2_w"], pt[f"dec{l}_ff2_b"],
-            ),
-        )
-    out = ad.layer_norm(y, pt["dec_lnf_g"], pt["dec_lnf_b"], LN_EPS)
-    logits = ad.add(ad.matmul(out, pt["out_w"]), pt["out_b"])
-    return ad.log_softmax(logits)
+        y = _dec_layer(pt, l, y, dec_self, dec_cross)
+    return _logps(pt, y)
 
 
 def training_loss(

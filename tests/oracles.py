@@ -14,13 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from streamdec import autodiff as ad
-from streamdec.autodiff import _child, _wrap
+from streamdec.autodiff import Tensor, _child, _wrap
 from streamdec.core import ContractViolation
 from streamdec.decoder import BeamConfig, BeamHypothesis
 from streamdec.model import UNIDIRECTIONAL
 from streamdec.transformer import (
     _heads,
-    _ln_np,
     _merge,
     _softmax_np,
     sinusoid_table,
@@ -220,62 +219,96 @@ def scalar_beam_search(
     return (finished + live)[: max(cfg.beam_width, 1)]
 
 
-def attention_grids_oracle(model, enc, prefix):
+def _layer_norm(x, g, b, eps=1e-5):
+    """Layer norm by ndarray.mean, written apart from autodiff.layer_norm."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return g * ((x - mu) / np.sqrt(var + eps)) + b
+
+
+def _future_mask(t):
+    """Additive (t, t) mask: -inf at the keys after each query."""
+    return np.where(np.arange(t)[None, :] > np.arange(t)[:, None], -np.inf, 0.0)
+
+
+def attention_grids_oracle(model, frames, prefix):
     """Reference for TinyTransformer.dump_attention, written out layer by
-    layer: the encoder grids recomputed from each layer's cached input, and
-    the decoder grids from one whole-prefix pass with an additive causal
-    mask instead of the package's cached decoder forward."""
+    layer: the frames encoded in one pass with an additive future mask and
+    this module's own layer norm, and the decoder grids from one
+    whole-prefix pass with an additive causal mask, instead of the package's
+    shared layers and cached forwards."""
     p = model.params
     cfg = model.cfg
-    h, dh = cfg.heads, cfg.head_dim
+    d, h, dh = cfg.d_model, cfg.heads, cfg.head_dim
     grids = {}
+
+    def lin(x, w, b):
+        return x @ p[w] + p[b]
+
+    t = len(frames)
+    x = lin(frames, "enc_in_w", "enc_in_b") + sinusoid_table(t, d)
+    enc_mask = _future_mask(t) if cfg.mode == UNIDIRECTIONAL else 0.0
     for l in range(cfg.enc_layers):
-        full_in = enc.layer_inputs[l]
-        t = len(full_in)
-        ln = _ln_np(full_in, p[f"enc{l}_ln1_g"], p[f"enc{l}_ln1_b"])
-        q = _heads(ln @ p[f"enc{l}_wq"] + p[f"enc{l}_bq"], h, dh)
-        k = _heads(ln @ p[f"enc{l}_wk"] + p[f"enc{l}_bk"], h, dh)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
-        if cfg.mode == UNIDIRECTIONAL:
-            scores = np.where(
-                np.arange(t)[None, :] > np.arange(t)[:, None],
-                -np.inf,
-                scores,
-            )
-        attn = _softmax_np(scores)
+        e = f"enc{l}_"
+        ln = _layer_norm(x, p[e + "ln1_g"], p[e + "ln1_b"])
+        q, k, v = (_heads(lin(ln, e + "w" + n, e + "b" + n), h, dh) for n in "qkv")
+        attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + enc_mask)
+        x = x + lin(_merge(attn @ v, d), e + "wo", e + "bo")
+        ln2 = _layer_norm(x, p[e + "ln2_g"], p[e + "ln2_b"])
+        f = np.maximum(lin(ln2, e + "ff1_w", e + "ff1_b"), 0.0)
+        x = x + lin(f, e + "ff2_w", e + "ff2_b")
         for head in range(h):
             grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
+    states = _layer_norm(x, p["enc_lnf_g"], p["enc_lnf_b"])
 
     ids = [model.vocab.bos_id] + [int(t) for t in prefix]
     q_len = len(ids)
-    x = p["tok_emb"][ids] * math.sqrt(cfg.d_model) + sinusoid_table(
-        q_len, cfg.d_model
-    )
-    causal = np.where(
-        np.arange(q_len)[None, :] > np.arange(q_len)[:, None], -np.inf, 0.0
-    )
+    x = p["tok_emb"][ids] * math.sqrt(d) + sinusoid_table(q_len, d)
+    causal = _future_mask(q_len)
     for l in range(cfg.dec_layers):
-        ln = _ln_np(x, p[f"dec{l}_ln1_g"], p[f"dec{l}_ln1_b"])
-        q = _heads(ln @ p[f"dec{l}_sq"] + p[f"dec{l}_bsq"], h, dh)
-        k = _heads(ln @ p[f"dec{l}_sk"] + p[f"dec{l}_bsk"], h, dh)
-        v = _heads(ln @ p[f"dec{l}_sv"] + p[f"dec{l}_bsv"], h, dh)
+        e = f"dec{l}_"
+        ln = _layer_norm(x, p[e + "ln1_g"], p[e + "ln1_b"])
+        q, k, v = (_heads(lin(ln, e + "s" + n, e + "bs" + n), h, dh) for n in "qkv")
         attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + causal)
-        x = x + (_merge(attn @ v, cfg.d_model) @ p[f"dec{l}_so"] + p[f"dec{l}_bso"])
+        x = x + lin(_merge(attn @ v, d), e + "so", e + "bso")
 
-        ln2 = _ln_np(x, p[f"dec{l}_ln2_g"], p[f"dec{l}_ln2_b"])
-        q2 = _heads(ln2 @ p[f"dec{l}_cq"] + p[f"dec{l}_bcq"], h, dh)
-        ke = _heads(enc.states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"], h, dh)
-        ve = _heads(enc.states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"], h, dh)
+        ln2 = _layer_norm(x, p[e + "ln2_g"], p[e + "ln2_b"])
+        q2 = _heads(lin(ln2, e + "cq", e + "bcq"), h, dh)
+        ke, ve = (_heads(lin(states, e + "c" + n, e + "bc" + n), h, dh) for n in "kv")
         attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
-        x = x + (_merge(attn2 @ ve, cfg.d_model) @ p[f"dec{l}_co"] + p[f"dec{l}_bco"])
+        x = x + lin(_merge(attn2 @ ve, d), e + "co", e + "bco")
 
-        ln3 = _ln_np(x, p[f"dec{l}_ln3_g"], p[f"dec{l}_ln3_b"])
-        f = np.maximum(ln3 @ p[f"dec{l}_ff1_w"] + p[f"dec{l}_ff1_b"], 0.0)
-        x = x + (f @ p[f"dec{l}_ff2_w"] + p[f"dec{l}_ff2_b"])
+        ln3 = _layer_norm(x, p[e + "ln3_g"], p[e + "ln3_b"])
+        f = np.maximum(lin(ln3, e + "ff1_w", e + "ff1_b"), 0.0)
+        x = x + lin(f, e + "ff2_w", e + "ff2_b")
         for head in range(h):
             grids[f"decoder_self.layer{l}.head{head}"] = attn[head]
             grids[f"cross.layer{l}.head{head}"] = attn2[head]
     return grids
+
+
+# the shape ops of padded_attention's graph; the package's graph needs none
+
+
+def reshape(a, shape: tuple) -> Tensor:
+    a = _wrap(a)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g.reshape(a.data.shape))
+
+    return _child(a.data.reshape(shape), (a,), bw)
+
+
+def transpose(a, axes: tuple) -> Tensor:
+    a = _wrap(a)
+    inv = np.argsort(axes)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g.transpose(inv))
+
+    return _child(a.data.transpose(axes), (a,), bw)
 
 
 def masked_softmax(a, axis=-1, *, scale=1.0, mask=None):
@@ -314,15 +347,15 @@ def padded_attention(q, k, v, heads, k_len, q_len=None, causal=False):
     if causal:
         allow = allow & (np.arange(tk)[None, :] <= np.arange(tq)[:, None])
     mask = np.where(allow, 0.0, -1e9)[:, None]  # (B, 1, Tq or 1, Tk)
-    qh = ad.transpose(ad.reshape(q, (b_sz, tq, heads, dh)), (0, 2, 1, 3))
-    kh = ad.transpose(ad.reshape(k, (b_sz, tk, heads, dh)), (0, 2, 3, 1))
-    vh = ad.transpose(ad.reshape(v, (b_sz, tk, heads, dh)), (0, 2, 1, 3))
+    qh = transpose(reshape(q, (b_sz, tq, heads, dh)), (0, 2, 1, 3))
+    kh = transpose(reshape(k, (b_sz, tk, heads, dh)), (0, 2, 3, 1))
+    vh = transpose(reshape(v, (b_sz, tk, heads, dh)), (0, 2, 1, 3))
     att = masked_softmax(
         ad.matmul(qh, kh), scale=1.0 / math.sqrt(dh), mask=mask
     )
-    ctx = ad.transpose(ad.matmul(att, vh), (0, 2, 1, 3))
+    ctx = transpose(ad.matmul(att, vh), (0, 2, 1, 3))
     real = np.arange(tq)[None, :, None] < q_len[:, None, None]
-    return ad.mul(ad.reshape(ctx, (b_sz, tq, d)), real.astype(np.float64))
+    return ad.mul(reshape(ctx, (b_sz, tq, d)), real.astype(np.float64))
 
 
 def mean_or_none(xs):

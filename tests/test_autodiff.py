@@ -16,14 +16,12 @@ from streamdec.autodiff import (
     matmul,
     mul,
     relu,
-    reshape,
     scale,
     sum_all,
-    transpose,
 )
-from streamdec.transformer import _ln_np, attention
+from streamdec.transformer import attention
 
-from .oracles import masked_softmax, padded_attention
+from .oracles import masked_softmax, padded_attention, reshape, transpose
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -309,12 +307,10 @@ class TestLayerNorm:
         mu = x.mean(axis=-1, keepdims=True)
         c = x - mu
         var = (c * c).mean(axis=-1, keepdims=True)
-        ref = gain * (c * (1.0 / np.sqrt(var + 1e-5))) + bias
+        ref = gain * (c / np.sqrt(var + 1e-5)) + bias
         out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5).data
         assert np.array_equal(out, ref)
-        assert np.array_equal(
-            _ln_np(x, gain, bias), gain * (c / np.sqrt(var + 1e-5)) + bias
-        )
+        assert np.array_equal(layer_norm(x, gain, bias, 1e-5), ref)
 
 
 class TestEmbedding:
@@ -386,6 +382,33 @@ class TestGraphMechanics:
         assert const.grad is None
         for node in (h, a, r, loss):
             assert node.grad is None
+
+    @pytest.mark.parametrize("op, shape", [
+        (lambda a, t: a + t, (3, 4)),
+        (lambda a, t: a @ t, (4, 2)),
+    ], ids=["add", "matmul"])
+    def test_array_on_the_left_builds_a_node(self, rng, op, shape):
+        # ndarray + Tensor and ndarray @ Tensor reach __radd__ and
+        # __rmatmul__ instead of numpy's own operators
+        a = rng.normal(size=(3, 4))
+        x = rng.normal(size=shape)
+        out = op(a, Tensor(x))
+        assert isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, op(a, x))
+        check(lambda t: op(a, t), x)
+
+    def test_plain_inputs_give_plain_arrays(self, rng):
+        # the ops inference shares with training build no node on arrays,
+        # and give the numbers the node would hold
+        x = rng.normal(size=(3, 6))
+        g, b = rng.normal(size=6), rng.normal(size=6)
+        for plain, node in (
+            (relu(x), relu(Tensor(x))),
+            (log_softmax(x), log_softmax(Tensor(x))),
+            (layer_norm(x, g, b), layer_norm(Tensor(x), Tensor(g), Tensor(b))),
+        ):
+            assert type(plain) is np.ndarray
+            assert np.array_equal(plain, node.data)
 
     def test_operator_overloads(self, rng):
         x = Tensor(np.array([2.0]), requires_grad=True)

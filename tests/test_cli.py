@@ -341,6 +341,27 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--strategy", "offline", "--cap", "nan"],
+        ["run", "--strategy", "offline", "--cap", "inf"],
+        ["run", "--strategy", "offline", "--chunk-sec", "inf"],
+        ["run", "--strategy", "offline", "--chunk-sec", "nan"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
+        ["gen-data", "--noise-std", "nan"],
+    ])
+    def test_non_finite_numbers_exit_2(self, work, capsys, argv):
+        paths = {
+            "run": ["--model", str(work / "model.bin"),
+                    "--in", str(work / "eval.jsonl")],
+            "train": ["--data", str(work / "data.jsonl")],
+            "gen-data": [],
+        }[argv[0]]
+        rc = main(argv + paths + ["--out", str(work / "never")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (work / "never").exists()
+
     def test_wait_k_needs_positive_rate(self, work, capsys):
         rc = main([
             "run", "--model", str(work / "model.bin"),

@@ -80,6 +80,11 @@ class TestUtterance:
             Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_period_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frames_rejected(self, bad):
         frames = np.zeros((3, 2))
         frames[1, 0] = bad
@@ -105,6 +110,13 @@ class TestChunkStream:
     def test_non_multiple_chunk_len(self):
         with pytest.raises(ConfigError):
             frames_per_chunk(0.505, 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["chunk", "period"])
+    def test_non_finite_lengths_rejected(self, bad, which):
+        args = (bad, 0.01) if which == "chunk" else (0.5, bad)
+        with pytest.raises(ConfigError, match="finite"):
+            frames_per_chunk(*args)
 
     def test_frames_per_chunk(self):
         assert frames_per_chunk(0.5, 0.01) == 50

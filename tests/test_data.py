@@ -29,6 +29,12 @@ class TestTaskSpec:
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(noise_std=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["noise_std", "frame_period_sec"])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SyntheticTaskSpec(**{field: bad})
+
     def test_vocab_sides(self):
         spec = SyntheticTaskSpec(vocab_size=5)
         assert "w00" in task_vocab(spec).tokens

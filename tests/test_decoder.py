@@ -212,6 +212,11 @@ class TestLengthCapAndNormalization:
         with pytest.raises(ConfigError):
             BeamConfig(cap_tokens_per_sec=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cap_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            BeamConfig(cap_tokens_per_sec=bad)
+
 
 class QuantizedWalkModel(RandomWalkModel):
     """Log-probs on a 0.5 grid: paths through different parents tie exactly,

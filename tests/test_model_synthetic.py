@@ -197,9 +197,8 @@ class TestPerSlotInvariants:
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
-        enc = m.encode(utts[0].frames, utt_id=utts[0].id)
         with pytest.raises(UnsupportedOperation):
-            m.dump_attention(enc, ())
+            m.dump_attention(utts[0].frames, ())
 
 
 class TestSerialization:

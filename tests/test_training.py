@@ -57,6 +57,11 @@ def small_train_cfg(**kw):
 
 
 class TestConfigs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(learning_rate=bad)
+
     def test_train_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)

@@ -50,6 +50,16 @@ def deep_model(micro_vocab):
     return TinyTransformer(cfg, micro_vocab)
 
 
+@pytest.fixture()
+def causal_deep_model(micro_vocab):
+    cfg = TransformerConfig(
+        frame_dim=4, vocab_size=len(micro_vocab), d_model=16, heads=4,
+        ff_dim=24, enc_layers=2, dec_layers=1, mode=UNIDIRECTIONAL,
+        init_seed=11,
+    )
+    return TinyTransformer(cfg, micro_vocab)
+
+
 class TestConfig:
     def test_head_divisibility(self, micro_vocab):
         with pytest.raises(Exception):
@@ -93,6 +103,39 @@ class TestEncoderCausality:
         grown = micro_model.encode(frames, grown)
         np.testing.assert_allclose(one_shot.states, grown.states, atol=1e-9)
         assert grown.frames_covered == 33
+
+    @pytest.mark.parametrize(
+        "which", ["micro_model", "causal_deep_model", "bidi_model"]
+    )
+    def test_grown_states_and_kv_equal_one_shot(self, request, which, rng):
+        """Grown over three chunks, the states and every layer's cached
+        keys and values equal a one-shot encode: a causal encoder projects
+        only each chunk's new rows, a bidirectional one re-encodes."""
+        model = request.getfixturevalue(which)
+        frames = rng.normal(size=(33, 4))
+        one_shot = model.encode(frames, None, utt_id="u")
+        grown = None
+        for end in (10, 21, 33):
+            grown = model.encode(frames[:end], grown, utt_id="u")
+        np.testing.assert_allclose(grown.states, one_shot.states, rtol=0, atol=1e-12)
+        assert len(grown.layer_kv) == model.cfg.enc_layers
+        for got, want in zip(grown.layer_kv, one_shot.layer_kv):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (33, model.cfg.d_model)
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["micro_model", "causal_deep_model"])
+    def test_causal_grow_reuses_prior_rows_bitwise(self, request, which, rng):
+        model = request.getfixturevalue(which)
+        frames = rng.normal(size=(25, 4))
+        prior = model.encode(frames[:9], None, utt_id="u")
+        grown = model.encode(frames, prior)
+        assert np.array_equal(_bits(grown.states[:9]), _bits(prior.states))
+        for got, old in zip(grown.layer_kv, prior.layer_kv):
+            for g, o in zip(got, old):
+                assert np.array_equal(_bits(g[:9]), _bits(o))
+        # the prior itself is left as it was
+        assert prior.states.shape[0] == prior.layer_kv[0][0].shape[0] == 9
 
     def test_bidirectional_prefix_differs(self, bidi_model, rng):
         frames = rng.normal(size=(30, 4))
@@ -424,26 +467,23 @@ class TestTrainingGraphParity:
 
 
 class TestAttentionDump:
-    @pytest.mark.parametrize("which", ["micro_model", "deep_model"])
+    @pytest.mark.parametrize(
+        "which", ["micro_model", "deep_model", "causal_deep_model"]
+    )
     def test_grids_match_reference(self, request, which, rng):
         model = request.getfixturevalue(which)
         frames = rng.normal(size=(13, 4))
-        grown = model.encode(frames[:6], None, utt_id="u")
-        grown = model.encode(frames, grown)
-        for enc in (model.encode(frames, None), grown):
-            for prefix in ((), (3,), (3, 5, 4, 8)):
-                got = model.dump_attention(enc, prefix)
-                want = attention_grids_oracle(model, enc, prefix)
-                assert sorted(got) == sorted(want)
-                for name, grid in want.items():
-                    np.testing.assert_allclose(
-                        got[name], grid, rtol=0, atol=1e-12, err_msg=name
-                    )
+        for prefix in ((), (3,), (3, 5, 4, 8)):
+            got = model.dump_attention(frames, prefix)
+            want = attention_grids_oracle(model, frames, prefix)
+            assert sorted(got) == sorted(want)
+            for name, grid in want.items():
+                np.testing.assert_allclose(
+                    got[name], grid, rtol=0, atol=1e-12, err_msg=name
+                )
 
     def test_grid_names_and_shapes(self, micro_model, rng):
-        frames = rng.normal(size=(9, 4))
-        enc = micro_model.encode(frames, None)
-        grids = micro_model.dump_attention(enc, (3, 4))
+        grids = micro_model.dump_attention(rng.normal(size=(9, 4)), (3, 4))
         assert "encoder_self.layer0.head0" in grids
         assert "decoder_self.layer0.head1" in grids
         assert "cross.layer0.head0" in grids
@@ -453,33 +493,32 @@ class TestAttentionDump:
         assert grids["cross.layer0.head0"].shape == (3, 9)
 
     def test_rows_are_distributions(self, micro_model, rng):
-        enc = micro_model.encode(rng.normal(size=(9, 4)), None)
-        grids = micro_model.dump_attention(enc, (3,))
+        grids = micro_model.dump_attention(rng.normal(size=(9, 4)), (3,))
         for name, g in grids.items():
             np.testing.assert_allclose(
                 g.sum(axis=-1), np.ones(g.shape[0]), atol=1e-9, err_msg=name
             )
 
     def test_empty_encoding_rejected(self, micro_model):
-        enc = micro_model.encode(np.zeros((0, 4)), None)
         with pytest.raises(ContractViolation, match="no encoder states"):
-            micro_model.dump_attention(enc, ())
+            micro_model.dump_attention(np.zeros((0, 4)), ())
 
     def test_calls_share_no_memory(self, micro_model, rng):
         """The weights are computed in each call's own buffers, so a grid
         handed out once is never written by a later call."""
-        enc = micro_model.encode(rng.normal(size=(9, 4)), None)
-        first = micro_model.dump_attention(enc, (3, 4))
+        frames = rng.normal(size=(9, 4))
+        first = micro_model.dump_attention(frames, (3, 4))
         kept = {name: g.copy() for name, g in first.items()}
-        second = micro_model.dump_attention(enc, (3, 4))
+        second = micro_model.dump_attention(frames, (3, 4))
         for name, grid in first.items():
             assert not np.shares_memory(grid, second[name]), name
             np.testing.assert_array_equal(grid, kept[name])
             np.testing.assert_array_equal(grid, second[name])
 
     def test_encoder_self_attention_is_causal(self, micro_model, rng):
-        enc = micro_model.encode(rng.normal(size=(7, 4)), None)
-        g = micro_model.dump_attention(enc, ())["encoder_self.layer0.head0"]
+        g = micro_model.dump_attention(
+            rng.normal(size=(7, 4)), ()
+        )["encoder_self.layer0.head0"]
         upper = np.triu(g, k=1)
         np.testing.assert_allclose(upper, np.zeros_like(upper), atol=1e-12)
 
