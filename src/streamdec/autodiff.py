@@ -7,9 +7,10 @@ implemented; its attention node, which knows about heads and lengths, is
 built on ``_child`` in transformer.py.
 
 ``ndarray + Tensor`` and ``ndarray @ Tensor`` build nodes too (a Tensor
-turns numpy's operators down). ``layer_norm``, ``relu`` and ``log_softmax``
-on plain arrays return a plain array and build no node, so one transformer
-layer serves inference and training.
+turns numpy's operators down), and ``Tensor * float`` scales. ``layer_norm``,
+``relu``, ``log_softmax`` and ``embedding`` on plain arrays return a plain
+array and build no node, so one transformer layer serves inference and
+training.
 
 Gradients move by reference: an op may hand one array to several parents or
 pass a view of its incoming gradient on, and accumulation always builds a new
@@ -150,16 +151,6 @@ def mul(a, b) -> Tensor:
     return _child(out_data, (a, b), bw)
 
 
-def scale(a, s: float) -> Tensor:
-    a = _wrap(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * s)
-
-    return _child(a.data * s, (a,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out_data = a.data @ b.data
@@ -238,10 +229,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return _child(out, (x, gain, bias), bw)
 
 
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row gather: out[..., :] = table[ids[...], :]."""
-    table = _wrap(table)
+def embedding(table, ids: np.ndarray):
+    """Row gather: out[..., :] = table[ids[...], :]; a plain array for a
+    plain table."""
     ids = np.asarray(ids, dtype=np.int64)
+    out = _data(table)[ids]
+    if not isinstance(table, Tensor):
+        return out
 
     def bw(g):
         if table.requires_grad:
@@ -249,7 +243,7 @@ def embedding(table, ids: np.ndarray) -> Tensor:
             np.add.at(gt, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
             table._accum(gt)
 
-    return _child(table.data[ids], (table,), bw)
+    return _child(out, (table,), bw)
 
 
 def sum_all(a) -> Tensor:

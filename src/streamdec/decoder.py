@@ -1,10 +1,12 @@
 """Beam search with forced prefixes, and the chunk-by-chunk session loop.
 
 Each chunk: extend the encoder states by the new frames (a causal encoder
-appends rows; a bidirectional one re-encodes the whole prefix), run beam
-search forced through every token committed so far, hand the fresh
-continuation to the commit strategy, and append its choice to the commit
-log. Committed tokens are never revised; they condition all later decoding.
+appends rows; a bidirectional one re-encodes the whole prefix) and add the
+rows the encoder reports it ran to the session's ``positions_encoded``, run
+beam search forced through every token committed so far, hand the fresh
+continuation to the commit strategy through ``select_prefix``, and append
+its choice to the commit log. Committed tokens are never revised; they
+condition all later decoding.
 
 The decoder runs again on every chunk: its cross-attention spans the grown
 encoder output, so no decoder state outlives the chunk that made it, and
@@ -31,13 +33,8 @@ from .core import (
     Utterance,
     chunk_stream,
 )
-from .model import EncoderStates, SequenceModel
-from .strategies import (
-    StrategyConfig,
-    StrategyState,
-    initial_state,
-    select_prefix,
-)
+from .model import EncoderStates, SequenceModel, _check_prefix
+from .strategies import StrategyConfig, StrategyState, select_prefix
 
 FORCED_REDECODE = "forced"
 BUFFERED_STATE = "buffered"
@@ -84,8 +81,9 @@ def beam_search(
 ) -> list[BeamHypothesis]:
     """Ranked hypotheses continuing forced_prefix.
 
-    Every hypothesis passes through the forced prefix exactly; the search
-    never keeps more than beam_width live paths, never extends any path past
+    The forced prefix holds word ids only (no pad, bos or eos). Every
+    hypothesis passes through it exactly; the search never keeps more than
+    beam_width live paths, never extends any path past
     cap_tokens_per_sec * available audio seconds, and stops once the best
     finished path provably beats every live one under the configured
     objective: token log-probs are non-positive, so a live path with raw
@@ -98,9 +96,7 @@ def beam_search(
     """
     vocab = model.vocab
     norm = cfg.length_normalize
-    prefix = tuple(int(t) for t in forced_prefix)
-    if any(t == vocab.eos_id for t in prefix):
-        raise ContractViolation("forced prefix must not contain eos")
+    prefix = _check_prefix(vocab, forced_prefix)
     if enc is None or enc.frames_covered == 0:
         return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
     max_total = math.floor(
@@ -215,11 +211,11 @@ class Session:
     mode: str = FORCED_REDECODE
 
     log: CommitLog = field(default_factory=CommitLog)
-    strategy_state: StrategyState = field(default_factory=initial_state)
+    strategy_state: StrategyState = field(default_factory=StrategyState)
     committed_ids: tuple[int, ...] = ()
     enc: EncoderStates | None = None
     next_chunk_index: int = 1
-    positions_encoded: int = 0
+    positions_encoded: int = 0  # encoder rows run so far, as encode reports
 
     def __post_init__(self) -> None:
         if self.mode not in (FORCED_REDECODE, BUFFERED_STATE):
@@ -247,19 +243,13 @@ def step_chunk(
         )
     utt = session.utterance
     model = session.model
-    prior_covered = (
-        session.enc.frames_covered if session.enc is not None else 0
-    )
     session.enc = model.encode(
         utt.frames[: chunk.end],
         session.enc,
         utt_id=utt.id,
         frame_period_sec=utt.frame_period_sec,
     )
-    if model.mode == "unidirectional":
-        session.positions_encoded += session.enc.frames_covered - prior_covered
-    else:
-        session.positions_encoded += session.enc.frames_covered
+    session.positions_encoded += session.enc.rows_encoded
 
     best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
     n_prev = len(session.committed_ids)

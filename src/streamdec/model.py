@@ -2,7 +2,9 @@
 oracle model, and single-file model serialization.
 
 A model exposes incremental encoding of a growing frame stream and a
-decoder of two calls that yield normalized next-token log-probabilities. A
+decoder of two calls that yield normalized next-token log-probabilities.
+``encode`` reports on its states the rows it ran (``rows_encoded``): a causal
+encoder runs only the frames past its prior, a bidirectional one all. A
 decoder state is a block of rows that have all consumed the same positions.
 ``dec_init(enc, prefix)`` is the prefill: it consumes bos and the whole
 forced prefix at once and returns a one-row state with a (len(prefix) + 1,
@@ -31,6 +33,7 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from . import autodiff as ad
 from .core import (
     ContractViolation,
     ConfigError,
@@ -55,6 +58,7 @@ class EncoderStates:
     # model-internal: the transformer's per-layer encoder self-attention
     # (K, V), each (frames_covered, d_model), which a causal encode extends
     layer_kv: Any = None
+    rows_encoded: int = 0  # rows the encode call that made these states ran
 
     @property
     def audio_sec(self) -> float:
@@ -64,7 +68,6 @@ class EncoderStates:
 @runtime_checkable
 class SequenceModel(Protocol):
     vocab: Vocab
-    mode: str
 
     def encode(
         self,
@@ -98,6 +101,15 @@ def _check_ids(ids: Any, n: int, what: str) -> np.ndarray:
     if bad.size:
         raise ContractViolation(f"{what} {bad[0]} out of range 0..{n - 1}")
     return arr
+
+
+def _check_prefix(vocab: Vocab, prefix: Sequence[int]) -> tuple[int, ...]:
+    """A forced prefix as ints, refusing any non-word id (pad, bos, eos)."""
+    ids = _check_ids(prefix, len(vocab), "token id")
+    bad = ids[ids < vocab.word_ids().start]
+    if bad.size:
+        raise ContractViolation(f"forced prefix holds non-word id {bad[0]}")
+    return tuple(ids.tolist())
 
 
 def _check_prior(
@@ -140,7 +152,6 @@ class SyntheticAlignedModel:
         if instability_frames < 0:
             raise ConfigError("instability_frames must be >= 0")
         self.vocab = vocab
-        self.mode = UNIDIRECTIONAL
         self._owner = object()  # held by every state this instance makes
         self.alignments = alignments
         self.instability_frames = instability_frames
@@ -154,8 +165,6 @@ class SyntheticAlignedModel:
             int(shuffled[i]): int(shuffled[(i + 1) % len(shuffled)])
             for i in range(len(shuffled))
         }
-        base = np.full(len(vocab), 0.0)
-        self._base_logits = base
 
     @classmethod
     def from_task(
@@ -203,6 +212,8 @@ class SyntheticAlignedModel:
             frame_period_sec=frame_period_sec,
             utt_id=utt_id,
             owner=self._owner,
+            # the states are the frames; those past the prior are new rows
+            rows_encoded=len(frames) - (prior.frames_covered if prior else 0),
         )
 
     # --- decoding ---------------------------------------------------------
@@ -232,10 +243,9 @@ class SyntheticAlignedModel:
                 target = self.confusion[tok]
             else:
                 target = tok
-        logits = self._base_logits.copy()
+        logits = np.zeros(len(self.vocab))
         logits[target] = self.PEAK_LOGIT
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
+        return ad.log_softmax(logits)
 
     def dec_init(
         self, enc: EncoderStates, prefix: Sequence[int] = ()

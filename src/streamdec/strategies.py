@@ -11,8 +11,11 @@ prefix of W is committed (displayed irreversibly):
                  produced by two consecutive chunks.
 * offline     -- commit nothing until the stream ends.
 
-On the final chunk every strategy flushes all of W. Each strategy is one
-class listed in ``STRATEGIES``; ``parse_strategy`` builds one from its spec.
+Each strategy is one class listed in ``STRATEGIES`` whose ``select`` is its
+rule, and ``parse_strategy`` builds one from its spec. ``select_prefix`` is
+the one entry point: it flushes all of W on the final chunk and hands every
+other chunk to the strategy's ``select``. W never holds end-of-sequence,
+because the beam search only extends paths with word ids.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
-from .core import EOS_TOKEN, ConfigError, ContractViolation
+from .core import ConfigError, ContractViolation
 
 _CASTS = {"int": int, "float": float}  # spec field type -> parser
 
@@ -71,6 +74,8 @@ class StrategyConfig:
     def select(
         self, w: tuple, chunk_index: int, state: StrategyState, chunk_len_sec: float
     ) -> tuple[tuple, StrategyState]:
+        """The prefix of w that chunk ``chunk_index`` (1-based, not the
+        final one) commits, and the state carried to the next chunk."""
         raise NotImplementedError
 
 
@@ -88,7 +93,8 @@ class HoldN(StrategyConfig):
         return f"n={self.n}"
 
     def select(self, w, chunk_index, state, chunk_len_sec):
-        return hold_n(w, self.n), state
+        """All of w except its last n tokens."""
+        return w[: max(0, len(w) - self.n)], state
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,17 @@ class WaitK(StrategyConfig):
         return f"k={self.k} r={self.rate:g}"
 
     def select(self, w, chunk_index, state, chunk_len_sec):
-        return wait_k(w, chunk_index, state, self.k, self.rate, chunk_len_sec)
+        """Nothing for the first k chunks; afterwards emit floor(budget)
+        tokens, where the budget grows by rate * chunk_len_sec per chunk and
+        unused fractions carry over."""
+        if chunk_index <= self.k:
+            return (), state
+        budget = state.budget + self.rate * chunk_len_sec
+        # the epsilon lets accumulated float dust (e.g. 3.9999999996) count
+        # as a whole token; the max() keeps the carried budget from dipping
+        # below zero
+        emit = min(len(w), math.floor(budget + 1e-9))
+        return w[:emit], replace(state, budget=max(budget - emit, 0.0))
 
 
 @dataclass(frozen=True)
@@ -116,7 +132,12 @@ class LocalAgreement(StrategyConfig):
     name = "local-agreement"
 
     def select(self, w, chunk_index, state, chunk_len_sec):
-        return local_agreement(w, chunk_index, state)
+        """Commit the agreement between this chunk's continuation and the
+        previous one's; the disagreeing tail is buffered for the next round."""
+        if chunk_index == 1:
+            return (), replace(state, discard_buffer=w)
+        agreed = lcp(state.discard_buffer, w)
+        return agreed, replace(state, discard_buffer=w[len(agreed) :])
 
 
 @dataclass(frozen=True)
@@ -143,42 +164,6 @@ class StrategyState:
     budget: float = 0.0
 
 
-def initial_state() -> StrategyState:
-    return StrategyState()
-
-
-def hold_n(w: Sequence, n: int) -> tuple:
-    """All of w except its last n tokens."""
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    w = tuple(w)
-    return w[: max(0, len(w) - n)]
-
-
-def wait_k(
-    w: Sequence,
-    chunk_index: int,
-    state: StrategyState,
-    k: int,
-    rate: float,
-    chunk_len_sec: float,
-) -> tuple[tuple, StrategyState]:
-    """Nothing for the first k chunks; afterwards emit floor(budget) tokens,
-    where the budget grows by rate * chunk_len_sec per chunk and unused
-    fractions carry over."""
-    w = tuple(w)
-    if chunk_index < 1:
-        raise ContractViolation("chunk_index is 1-based")
-    if chunk_index <= k:
-        return (), state
-    budget = state.budget + rate * chunk_len_sec
-    # the epsilon lets accumulated float dust (e.g. 3.9999999996) count as a
-    # whole token; the max() keeps the carried budget from dipping below zero
-    emit = min(len(w), math.floor(budget + 1e-9))
-    out = w[:emit]
-    return out, replace(state, budget=max(budget - emit, 0.0))
-
-
 def lcp(a: Sequence, b: Sequence) -> tuple:
     """Longest common prefix of two token sequences."""
     out = []
@@ -187,26 +172,6 @@ def lcp(a: Sequence, b: Sequence) -> tuple:
             break
         out.append(x)
     return tuple(out)
-
-
-def local_agreement(
-    w: Sequence, chunk_index: int, state: StrategyState
-) -> tuple[tuple, StrategyState]:
-    """Commit the agreement between this chunk's continuation and the
-    previous one's; the disagreeing tail is buffered for the next round."""
-    w = tuple(w)
-    if chunk_index < 1:
-        raise ContractViolation("chunk_index is 1-based")
-    if chunk_index == 1:
-        return (), replace(state, discard_buffer=w)
-    agreed = lcp(state.discard_buffer, w)
-    return agreed, replace(state, discard_buffer=w[len(agreed) :])
-
-
-def _strip_eos(tokens: tuple) -> tuple:
-    if tokens and tokens[-1] == EOS_TOKEN:
-        return tokens[:-1]
-    return tokens
 
 
 def select_prefix(
@@ -218,17 +183,15 @@ def select_prefix(
     chunk_len_sec: float = 0.5,
 ) -> tuple[tuple, StrategyState]:
     """Dispatch to the configured strategy; on the final chunk all of w is
-    flushed regardless of strategy. The end-of-sequence marker is never part
-    of the committed output."""
+    flushed regardless of strategy."""
     if type(cfg) not in STRATEGIES.values():
         raise ConfigError(f"unknown strategy config {cfg!r}")
     w = tuple(w)
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if is_final:
-        return _strip_eos(w), replace(state, discard_buffer=())
-    out, new_state = cfg.select(w, chunk_index, state, chunk_len_sec)
-    return _strip_eos(out), new_state
+        return w, replace(state, discard_buffer=())
+    return cfg.select(w, chunk_index, state, chunk_len_sec)
 
 
 def parse_strategy(spec: str) -> StrategyConfig:

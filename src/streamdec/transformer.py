@@ -6,7 +6,8 @@ numpy and training on Tensors; the callers differ only in the attention
 kernel they hand it. A causal (unidirectional) encoder never changes the
 states of earlier positions, so ``encode`` with a prior projects only the new
 rows and appends their keys and values to each layer's cache; a
-bidirectional one re-encodes every frame. One decoder forward
+bidirectional one re-encodes every frame. Either way the states record the
+rows this call ran (``rows_encoded``). One decoder forward
 (``_advance_block``) runs a block of rows over one or more positions.
 ``dec_init`` is the prefill: one row over bos and the whole forced prefix in
 a single call, which is also the forward the attention dump reads.
@@ -36,6 +37,7 @@ from .model import (
     UNIDIRECTIONAL,
     EncoderStates,
     _check_ids,
+    _check_prefix,
     _check_prior,
 )
 
@@ -202,6 +204,13 @@ def _enc_in(p: dict, frames, pos):
     return frames @ p["enc_in_w"] + p["enc_in_b"] + pos
 
 
+def _dec_in(p: dict, ids, pos):
+    """Decoder input rows: scaled token embeddings plus their position
+    encodings."""
+    emb = p["tok_emb"]
+    return ad.embedding(emb, ids) * math.sqrt(emb.shape[1]) + pos
+
+
 def _enc_layer(p: dict, l: int, x, attend):
     """One pre-norm encoder block over the rows x."""
     def lin(n: str, y):
@@ -264,10 +273,6 @@ class TinyTransformer:
         self.params = params if params is not None else init_params(cfg)
         self._owner = object()  # held by every state this instance makes
         self._pos_table = np.zeros((0, cfg.d_model))
-
-    @property
-    def mode(self) -> str:
-        return self.cfg.mode
 
     def clone(self) -> "TinyTransformer":
         return TinyTransformer(
@@ -337,7 +342,8 @@ class TinyTransformer:
                 x = _enc_layer(p, l, x, attend)
             states = np.concatenate([states, _ln(p, "enc_lnf", x)])
         enc = EncoderStates(
-            states, total, frame_period_sec, utt_id, self._owner, tuple(kv)
+            states, total, frame_period_sec, utt_id, self._owner, tuple(kv),
+            rows_encoded=total - start,
         )
         return enc, grids
 
@@ -395,10 +401,7 @@ class TinyTransformer:
         """Decoder input rows (B, T, d_model) for a (B, T) block of token ids
         at positions start .. start + T - 1."""
         ids = np.asarray(token_ids)
-        return (
-            self.params["tok_emb"][ids] * math.sqrt(self.cfg.d_model)
-            + self._pos(start + ids.shape[1])[start:]
-        )
+        return _dec_in(self.params, ids, self._pos(start + ids.shape[1])[start:])
 
     def _empty_kv(self) -> list:
         empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
@@ -472,7 +475,8 @@ class TinyTransformer:
         """Per-layer, per-head attention weight matrices for a stream's
         frames: encoder self-attention, decoder self-attention over
         bos+prefix, and cross-attention of those query rows over all encoder
-        states."""
+        states. The prefix holds word ids only."""
+        prefix = _check_prefix(self.vocab, prefix)
         enc, enc_attns = self._encode(frames)
         _, _, self_attns, cross_attns = self._prefill(enc, prefix)
         grids: dict[str, np.ndarray] = {}
@@ -617,8 +621,7 @@ def training_logits(
     def dec_cross(l, q):
         return attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, n_frames)
 
-    y = ad.scale(ad.embedding(pt["tok_emb"], dec_in), math.sqrt(cfg.d_model))
-    y = y + sinusoid_table(td, cfg.d_model)[None]
+    y = _dec_in(pt, dec_in, sinusoid_table(td, cfg.d_model)[None])
     for l in range(cfg.dec_layers):
         y = _dec_layer(pt, l, y, dec_self, dec_cross)
     return _logps(pt, y)
@@ -643,4 +646,4 @@ def training_loss(
     w[bi, ti, labels] += 1.0 - label_smoothing
     w *= label_mask[:, :, None]
     n_tokens = max(label_mask.sum(), 1.0)
-    return ad.scale(ad.sum_all(ad.mul(logp, Tensor(w))), -1.0 / n_tokens)
+    return ad.sum_all(logp * w) * (-1.0 / n_tokens)

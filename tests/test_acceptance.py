@@ -45,13 +45,10 @@ from streamdec.strategies import (
     HoldN,
     LocalAgreement,
     Offline,
+    StrategyState,
     WaitK,
-    hold_n,
     lcp,
-    local_agreement,
     select_prefix,
-    initial_state,
-    wait_k,
 )
 from streamdec.training import (
     TrainConfig,
@@ -169,23 +166,24 @@ def tail_unstable_world():
 def test_c01_prefix_function_conformance():
     t0 = time.perf_counter()
     ok = True
+    st = StrategyState()
     # hold-n keeps all but the last n fresh tokens
-    ok &= hold_n(("a", "b", "c", "d", "e"), 2) == ("a", "b", "c")
-    ok &= hold_n(("a", "b"), 5) == ()
-    ok &= hold_n(("a", "b", "c"), 0) == ("a", "b", "c")
-    ok &= hold_n((), 3) == ()
+    out, _ = HoldN(2).select(("a", "b", "c", "d", "e"), 1, st, 0.5)
+    ok &= out == ("a", "b", "c")
+    ok &= HoldN(5).select(("a", "b"), 1, st, 0.5)[0] == ()
+    ok &= HoldN(0).select(("a", "b", "c"), 1, st, 0.5)[0] == ("a", "b", "c")
+    ok &= HoldN(3).select((), 1, st, 0.5)[0] == ()
     # wait-k: silent chunks leave the budget untouched, then the rate accrues
     # per chunk and emission spends it
-    st = initial_state()
-    out, st2 = wait_k(("a", "b"), 1, st, k=1, rate=4.0, chunk_len_sec=0.5)
+    out, st2 = WaitK(1, 4.0).select(("a", "b"), 1, st, 0.5)
     ok &= out == () and st2.budget == 0.0
-    out, st2 = wait_k(("a", "b"), 2, st, k=1, rate=4.0, chunk_len_sec=0.5)
+    out, st2 = WaitK(1, 4.0).select(("a", "b"), 2, st, 0.5)
     ok &= out == ("a", "b") and st2.budget == 0.0
-    out, st2 = wait_k(("a", "b", "c"), 1, st, k=0, rate=2.0, chunk_len_sec=0.5)
+    out, st2 = WaitK(0, 2.0).select(("a", "b", "c"), 1, st, 0.5)
     ok &= out == ("a",) and st2.budget == 0.0
-    out, st2 = wait_k(("a",), 1, st, k=0, rate=1.0, chunk_len_sec=0.5)
+    out, st2 = WaitK(0, 1.0).select(("a",), 1, st, 0.5)
     ok &= out == () and st2.budget == pytest.approx(0.5)
-    out, st2 = wait_k(("a",), 2, st2, k=0, rate=1.0, chunk_len_sec=0.5)
+    out, st2 = WaitK(0, 1.0).select(("a",), 2, st2, 0.5)
     ok &= out == ("a",) and st2.budget == pytest.approx(0.0)
     # longest common prefix
     ok &= lcp(("a", "b", "c"), ("a", "b", "d")) == ("a", "b")
@@ -194,19 +192,19 @@ def test_c01_prefix_function_conformance():
     ok &= lcp(("x",), ("y",)) == ()
     # local agreement: first chunk only buffers, the second commits the
     # agreed prefix and keeps the rest buffered
-    out, la_st = local_agreement(("a", "b", "c"), 1, initial_state())
+    out, la_st = LocalAgreement().select(("a", "b", "c"), 1, st, 0.5)
     ok &= out == () and la_st.discard_buffer == ("a", "b", "c")
-    out, la_st = local_agreement(("a", "b", "d"), 2, la_st)
+    out, la_st = LocalAgreement().select(("a", "b", "d"), 2, la_st, 0.5)
     ok &= out == ("a", "b") and la_st.discard_buffer == ("d",)
     # final chunk flushes everything through every strategy
     for strat in (HoldN(3), WaitK(5, rate=1.0), LocalAgreement(), Offline()):
         committed, _ = select_prefix(
-            strat, initial_state(), 1, True, ("a", "b", "c"), 0.5
+            strat, StrategyState(), 1, True, ("a", "b", "c"), 0.5
         )
         ok &= committed == ("a", "b", "c")
     elapsed = time.perf_counter() - t0
     ok = bool(ok) and elapsed < 1.0
-    record(1, ok, f"prefix functions exact, {elapsed*1000:.0f} ms (< 1 s)")
+    record(1, ok, f"strategy select rules exact, {elapsed*1000:.0f} ms (< 1 s)")
 
 
 def test_c02_commit_monotonicity(tail_unstable_world):
@@ -331,8 +329,8 @@ def test_c05_mode_equivalence():
     record(
         5,
         ok,
-        f"forced == buffered on 200/200 utterances; buffered encoded "
-        f"{cmp.buffered_positions_encoded}/{total_frames} positions once, "
+        f"forced == buffered on 200/200 utterances; buffered encoder reported "
+        f"{cmp.buffered_positions_encoded}/{total_frames} rows, each position once, "
         f"{elapsed:.1f} s",
     )
 
@@ -343,7 +341,6 @@ class CachedRandomModel:
 
     def __init__(self, seed: int):
         self.vocab = Vocab.build([f"w{i}" for i in range(5)])
-        self.mode = UNIDIRECTIONAL
         self._seed = seed
         self._cache: dict[tuple, np.ndarray] = {}
 

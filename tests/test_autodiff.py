@@ -16,7 +16,6 @@ from streamdec.autodiff import (
     matmul,
     mul,
     relu,
-    scale,
     sum_all,
 )
 from streamdec.transformer import attention
@@ -85,9 +84,9 @@ class TestElementwiseOps:
         np.testing.assert_allclose(x.grad, y.data)
         np.testing.assert_allclose(y.grad, x.data)
 
-    def test_scale(self, rng):
+    def test_times_float(self, rng):
         x = rng.normal(size=(3, 3))
-        check(lambda t: scale(t, -2.5), x)
+        check(lambda t: t * -2.5, x)
 
     def test_relu(self, rng):
         x = rng.normal(size=(4, 4)) + 0.05  # keep away from the kink
@@ -175,7 +174,7 @@ class TestSoftmaxFamily:
             if fused:
                 y = masked_softmax(t, scale=s, mask=mask)
             else:
-                z = scale(t, s)
+                z = t * s
                 y = masked_softmax(z if mask is None else add(z, Tensor(mask)))
             sum_all(mul(y, Tensor(w))).backward()
             return y.data, t.grad
@@ -363,7 +362,7 @@ class TestGraphMechanics:
         y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = rng.normal(size=(3, 4))
         z = add(x, y) if x_first else add(y, x)
-        shared, other = mul(z, Tensor(w)), scale(x, 2.0)
+        shared, other = mul(z, Tensor(w)), x * 2.0
         out = add(shared, other) if shared_first else add(other, shared)
         sum_all(out).backward()
         assert np.array_equal(y.grad, w)
@@ -402,7 +401,9 @@ class TestGraphMechanics:
         # and give the numbers the node would hold
         x = rng.normal(size=(3, 6))
         g, b = rng.normal(size=6), rng.normal(size=6)
+        ids = np.array([[2, 0, 2]])
         for plain, node in (
+            (embedding(x, ids), embedding(Tensor(x), ids)),
             (relu(x), relu(Tensor(x))),
             (log_softmax(x), log_softmax(Tensor(x))),
             (layer_norm(x, g, b), layer_norm(Tensor(x), Tensor(g), Tensor(b))),

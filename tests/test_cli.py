@@ -371,6 +371,17 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["<pad>", "<s>", "</s>"])
+    def test_dump_attention_rejects_reserved_prefix(self, work, capsys, prefix):
+        rc = main([
+            "dump-attention", "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.jsonl"), "--out", str(work / "never.tsv"),
+            "--prefix", prefix,
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (work / "never.tsv").exists()
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -1,7 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from streamdec.core import ContractViolation, ConfigError, Utterance, Vocab
+from streamdec.core import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    ConfigError,
+    ContractViolation,
+    Utterance,
+    Vocab,
+)
 from streamdec.decoder import (
     BUFFERED_STATE,
     FORCED_REDECODE,
@@ -12,8 +22,9 @@ from streamdec.decoder import (
     run_session,
     step_chunk,
 )
-from streamdec.model import EncoderStates, UNIDIRECTIONAL
+from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL, EncoderStates
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
+from streamdec.transformer import TinyTransformer
 
 from .oracles import beam_oracle, scalar_beam_search
 from .test_acceptance import CachedRandomModel
@@ -25,7 +36,6 @@ class RandomWalkModel:
 
     def __init__(self, n_words: int, seed: int, spread: float = 2.0):
         self.vocab = Vocab.build([f"w{i}" for i in range(n_words)])
-        self.mode = UNIDIRECTIONAL
         self._seed = seed
         self._spread = spread
 
@@ -122,11 +132,15 @@ class TestForcedPrefix:
         assert hyp.step_log_probs[1] == pytest.approx(model._logps((3,))[5])
         assert hyp.log_prob == pytest.approx(sum(hyp.step_log_probs), abs=1e-9)
 
-    def test_eos_in_prefix_rejected(self):
+    @pytest.mark.parametrize(
+        "tok", [PAD_ID, BOS_ID, EOS_ID, 3.7], ids=["pad", "bos", "eos", "float"]
+    )
+    def test_eos_in_prefix_rejected(self, tok):
+        # only word ids may be forced
         model = RandomWalkModel(n_words=3, seed=0)
         enc = model.encode(np.zeros((10, 1)))
         with pytest.raises(ContractViolation):
-            beam_search(model, enc, (model.vocab.eos_id,), BeamConfig())
+            beam_search(model, enc, (tok,), BeamConfig())
 
     def test_no_audio_returns_prefix_unchanged(self):
         model = RandomWalkModel(n_words=3, seed=0)
@@ -427,3 +441,30 @@ class TestModeEquivalence:
         for chunk in s.chunks():
             step_chunk(s, chunk)
         assert s.positions_encoded == len(utt.frames)
+
+
+class TestEncoderRows:
+    """A session counts the encoder rows that encode reports it ran."""
+
+    def test_stub_without_mode_streams(self):
+        model = RandomWalkModel(n_words=3, seed=0)
+        assert not hasattr(model, "mode")
+        utt = Utterance(id="s0", frames=np.zeros((120, 1)), reference_tokens=("w0",))
+        log = run_session(model, utt, HoldN(0), beam=BeamConfig(beam_width=2))
+        assert set(log.tokens) <= {"w0", "w1", "w2"}
+
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_transformer_reports_rows(self, micro_cfg, micro_vocab, rng, mode):
+        model = TinyTransformer(replace(micro_cfg, mode=mode), micro_vocab)
+        utt = Utterance(id="t0", frames=rng.normal(size=(120, 4)),
+                        reference_tokens=(micro_vocab.tokens[3],))
+        s = Session(model, utt, HoldN(0), beam=BeamConfig(beam_width=2))
+        chunks = s.chunks()
+        for chunk in chunks:
+            step_chunk(s, chunk)
+        # a causal encoder runs each frame once; a bidirectional one
+        # re-encodes the whole prefix on every chunk
+        if mode == UNIDIRECTIONAL:
+            assert s.positions_encoded == len(utt.frames)
+        else:
+            assert s.positions_encoded == sum(c.end for c in chunks)

@@ -118,7 +118,6 @@ class TestSweep:
     def test_failed_cell_becomes_nan_row(self, unstable_model, small_corpus):
         class Boom:
             vocab = unstable_model.vocab
-            mode = unstable_model.mode
 
             def encode(self, *a, **k):
                 raise RuntimeError("boom")
@@ -143,7 +142,6 @@ class TestSweep:
             def __init__(self, inner):
                 self._inner = inner
                 self.vocab = inner.vocab
-                self.mode = inner.mode
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)
@@ -236,7 +234,6 @@ class TestCompareModes:
             def __init__(self, inner):
                 self._inner = inner
                 self.vocab = inner.vocab
-                self.mode = inner.mode
                 self._calls = 0
 
             def __getattr__(self, name):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamdec.core import EOS_TOKEN, ConfigError, ContractViolation
+from streamdec.core import ConfigError
 from streamdec.strategies import (
     STRATEGIES,
     HoldN,
@@ -13,13 +13,9 @@ from streamdec.strategies import (
     Offline,
     StrategyState,
     WaitK,
-    hold_n,
-    initial_state,
     lcp,
-    local_agreement,
     parse_strategy,
     select_prefix,
-    wait_k,
 )
 
 tokens = st.lists(st.sampled_from("abcdexyz"), max_size=10).map(tuple)
@@ -49,17 +45,19 @@ configs = strategy_classes.flatmap(
 
 class TestHoldN:
     def test_delete_last_two(self):
-        assert hold_n(("a", "b", "c", "d", "e"), 2) == ("a", "b", "c")
+        out, _ = HoldN(2).select(("a", "b", "c", "d", "e"), 1, StrategyState(), 0.5)
+        assert out == ("a", "b", "c")
 
     def test_n_exceeds_length(self):
-        assert hold_n(("a", "b"), 5) == ()
+        assert HoldN(5).select(("a", "b"), 1, StrategyState(), 0.5)[0] == ()
 
     def test_hold_zero_is_identity(self):
-        assert hold_n(("a", "b", "c"), 0) == ("a", "b", "c")
+        out, _ = HoldN(0).select(("a", "b", "c"), 1, StrategyState(), 0.5)
+        assert out == ("a", "b", "c")
 
     @given(tokens, st.integers(min_value=0, max_value=12))
     def test_length_law(self, w, n):
-        out = hold_n(w, n)
+        out = HoldN(n).select(w, 1, StrategyState(), 0.5)[0]
         assert len(out) == max(0, len(w) - n)
         assert out == w[: len(out)]
 
@@ -70,31 +68,31 @@ class TestHoldN:
 
 class TestWaitK:
     def test_holds_first_k_chunks(self):
-        out, state = wait_k(("a", "b", "c"), 1, initial_state(), k=1, rate=8.0, chunk_len_sec=0.5)
+        out, state = WaitK(1, 8.0).select(("a", "b", "c"), 1, StrategyState(), 0.5)
         assert out == ()
         assert state.budget == 0.0  # untouched while waiting
 
     def test_big_budget_emits_everything(self):
-        out, state = wait_k(("a",), 2, initial_state(), k=1, rate=8.0, chunk_len_sec=0.5)
+        out, state = WaitK(1, 8.0).select(("a",), 2, StrategyState(), 0.5)
         assert out == ("a",)
 
     def test_fractional_budget_carries(self):
-        out, state = wait_k(("a", "b", "c"), 2, initial_state(), k=0, rate=2.0, chunk_len_sec=0.5)
+        out, state = WaitK(0, 2.0).select(("a", "b", "c"), 2, StrategyState(), 0.5)
         assert out == ("a",)
         assert state.budget == pytest.approx(0.0)
 
     def test_budget_accumulates_across_chunks(self):
-        state = initial_state()
+        state = StrategyState()
         # rate 1 tok/s, 0.5 s chunks: half a token of budget per chunk
-        out1, state = wait_k(("a", "b"), 1, state, k=0, rate=1.0, chunk_len_sec=0.5)
+        out1, state = WaitK(0, 1.0).select(("a", "b"), 1, state, 0.5)
         assert out1 == ()
         assert state.budget == pytest.approx(0.5)
-        out2, state = wait_k(("a", "b"), 2, state, k=0, rate=1.0, chunk_len_sec=0.5)
+        out2, state = WaitK(0, 1.0).select(("a", "b"), 2, state, 0.5)
         assert out2 == ("a",)
         assert state.budget == pytest.approx(0.0)
 
     def test_short_continuation_keeps_surplus(self):
-        out, state = wait_k(("a",), 1, initial_state(), k=0, rate=6.0, chunk_len_sec=0.5)
+        out, state = WaitK(0, 6.0).select(("a",), 1, StrategyState(), 0.5)
         assert out == ("a",)
         assert state.budget == pytest.approx(2.0)
 
@@ -105,13 +103,13 @@ class TestWaitK:
         st.floats(min_value=0.1, max_value=16.0),
     )
     def test_budget_never_negative(self, w, c, k, rate):
-        out, state = wait_k(w, c, initial_state(), k=k, rate=rate, chunk_len_sec=0.5)
+        out, state = WaitK(k, rate).select(w, c, StrategyState(), 0.5)
         assert state.budget >= 0.0
         assert out == w[: len(out)]
 
     def test_float_dust_counts_as_whole_token(self):
         state = StrategyState(budget=3.9999999996)
-        out, state = wait_k(("a", "b", "c", "d", "e"), 1, state, k=0, rate=0.0 + 1e-12, chunk_len_sec=0.5)
+        out, state = WaitK(0, 1e-12).select(("a", "b", "c", "d", "e"), 1, state, 0.5)
         assert len(out) >= 4
 
     def test_invalid_config(self):
@@ -137,55 +135,51 @@ class TestLcp:
 
 class TestLocalAgreement:
     def test_first_chunk_buffers(self):
-        out, state = local_agreement(("a", "b"), 1, initial_state())
+        out, state = LocalAgreement().select(("a", "b"), 1, StrategyState(), 0.5)
         assert out == ()
         assert state.discard_buffer == ("a", "b")
 
     def test_second_chunk_commits_agreement(self):
         state = StrategyState(discard_buffer=("a", "b"))
-        out, state = local_agreement(("a", "b", "c"), 2, state)
+        out, state = LocalAgreement().select(("a", "b", "c"), 2, state, 0.5)
         assert out == ("a", "b")
         assert state.discard_buffer == ("c",)
 
     def test_no_agreement(self):
         state = StrategyState(discard_buffer=("a", "b"))
-        out, state = local_agreement(("x", "y"), 2, state)
+        out, state = LocalAgreement().select(("x", "y"), 2, state, 0.5)
         assert out == ()
         assert state.discard_buffer == ("x", "y")
 
     @given(tokens, tokens)
     def test_commit_appeared_in_both(self, prev, cur):
         state = StrategyState(discard_buffer=prev)
-        out, _ = local_agreement(cur, 2, state)
+        out, _ = LocalAgreement().select(cur, 2, state, 0.5)
         assert out == prev[: len(out)]
         assert out == cur[: len(out)]
 
 
 class TestSelectPrefix:
     def test_hold_n_dispatch(self):
-        out, _ = select_prefix(HoldN(2), initial_state(), 1, False, ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), StrategyState(), 1, False, ("a", "b", "c"))
         assert out == ("a",)
 
     def test_final_flush_overrides_strategy(self):
-        out, _ = select_prefix(HoldN(2), initial_state(), 1, True, ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), StrategyState(), 1, True, ("a", "b", "c"))
         assert out == ("a", "b", "c")
 
     def test_offline_non_final(self):
-        out, _ = select_prefix(Offline(), initial_state(), 3, False, ("a", "b"))
+        out, _ = select_prefix(Offline(), StrategyState(), 3, False, ("a", "b"))
         assert out == ()
 
     def test_offline_final(self):
-        out, _ = select_prefix(Offline(), initial_state(), 3, True, ("a", "b"))
+        out, _ = select_prefix(Offline(), StrategyState(), 3, True, ("a", "b"))
         assert out == ("a", "b")
-
-    def test_final_flush_strips_eos(self):
-        out, _ = select_prefix(HoldN(0), initial_state(), 2, True, ("a", EOS_TOKEN))
-        assert out == ("a",)
 
     def test_wait_k_uses_chunk_len(self):
         # 1 s chunks double the per-chunk budget relative to 0.5 s
         out, _ = select_prefix(
-            WaitK(k=0, rate=2.0), initial_state(), 1, False, ("a", "b", "c"), chunk_len_sec=1.0
+            WaitK(k=0, rate=2.0), StrategyState(), 1, False, ("a", "b", "c"), chunk_len_sec=1.0
         )
         assert out == ("a", "b")
 
@@ -199,15 +193,14 @@ class TestSelectPrefix:
     def test_prefix_law(self, cfg, chunk_index, is_final, w, buffered):
         state = StrategyState(discard_buffer=buffered)
         out, new_state = select_prefix(cfg, state, chunk_index, is_final, w)
-        stripped = w[:-1] if w and w[-1] == EOS_TOKEN else w
-        assert out == stripped[: len(out)]
+        assert out == w[: len(out)]
         # determinism: same inputs, same outputs
         again, again_state = select_prefix(cfg, state, chunk_index, is_final, w)
         assert again == out and again_state == new_state
 
     def test_chunked_session_trace_local_agreement(self):
         # scripted two-chunk session: chunk 1 buffers, chunk 2 flushes all
-        state = initial_state()
+        state = StrategyState()
         c1, state = select_prefix(LocalAgreement(), state, 1, False, ("a", "b"))
         c2, state = select_prefix(LocalAgreement(), state, 2, True, ("a", "b", "c"))
         assert c1 == ()
@@ -268,4 +261,4 @@ class TestNamesAndParsing:
     def test_non_strategy_rejected(self):
         for cfg in ("hold-n:0", None, object()):
             with pytest.raises(ConfigError):
-                select_prefix(cfg, initial_state(), 1, True, ("a",))
+                select_prefix(cfg, StrategyState(), 1, True, ("a",))
