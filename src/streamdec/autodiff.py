@@ -204,12 +204,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     plain array when no argument is a Tensor."""
     xd = _data(x)
     n = xd.shape[-1]
-    # sum / n is ndarray.mean without its Python wrapper, bit for bit
-    centered = xd - xd.sum(axis=-1, keepdims=True) / n
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    std = np.sqrt(var + eps)
-    xhat = centered / std
-    out = _data(gain) * xhat + _data(bias)
+    # the fresh-array formula's steps in order in reused buffers, bit for bit
+    xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
+    out = xhat * xhat
+    std = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / n + eps)
+    xhat /= std
+    np.multiply(_data(gain), xhat, out=out)
+    out += _data(bias)
     if not (isinstance(x, Tensor) or isinstance(gain, Tensor)
             or isinstance(bias, Tensor)):
         return out
@@ -221,10 +222,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
         if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.sum(axis=-1, keepdims=True) / n
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            x._accum((dxhat - m1 - xhat * m2) / std)
+            dx = g * gain.data
+            tmp = dx * xhat
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+            dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
+            dx -= np.multiply(xhat, m2, out=tmp)
+            dx /= std
+            x._accum(dx)
 
     return _child(out, (x, gain, bias), bw)
 

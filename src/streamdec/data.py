@@ -82,7 +82,9 @@ class Alignment:
     """Hidden truth for one utterance: which output token owns which frames."""
 
     token_ids: tuple[int, ...]  # vocab ids of the tokens the model must emit
-    span_ends: tuple[int, ...]  # exclusive frame index closing each span
+    # per output slot, the exclusive frame index by which its source word and
+    # every earlier slot's source word have been heard (ASR: its own span end)
+    span_ends: tuple[int, ...]
     total_frames: int
 
 
@@ -116,12 +118,14 @@ def gen_with_alignments(
         ref = tuple(src[i] for i in word_idx)
         tgt_tokens: tuple[str, ...] | None = None
         out_words = list(word_idx)
+        ends = np.cumsum(durs)
         if spec.translation:
             mapped = [int(perm[i]) for i in word_idx]
             # mild reordering: each adjacent pair may swap
             for j in range(0, len(mapped) - 1, 2):
                 if rng.random() < 0.3:
                     mapped[j], mapped[j + 1] = mapped[j + 1], mapped[j]
+                    ends[j], ends[j + 1] = ends[j + 1], ends[j]
             tgt_tokens = tuple(tgt[i] for i in mapped)
             out_words = mapped
         out_surfaces = (
@@ -141,10 +145,9 @@ def gen_with_alignments(
                 frame_period_sec=spec.frame_period_sec,
             )
         )
-        ends = np.cumsum(durs)
         aligns[uid] = Alignment(
             token_ids=tuple(vocab.id_of(s) for s in out_surfaces),
-            span_ends=tuple(int(e) for e in ends),
+            span_ends=tuple(int(e) for e in np.maximum.accumulate(ends)),
             total_frames=total,
         )
     return utts, aligns

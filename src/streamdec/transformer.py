@@ -16,9 +16,9 @@ A ``DecState`` is one block: every row's self-attention keys and values,
 stacked, plus the cross-attention keys and values of the encoding it was made
 with, computed once by ``dec_init``. A beam step gathers the rows it extends
 by parent index. Each attention computes its weights in place in its score
-buffer (``_attention_weights``). Training's kernel is one ``attention`` node
-that goes over the batch one row at a time and reads only that row's real
-frames, by lengths taken from ``frame_mask``, so no padded score is made.
+buffer (``_attention_weights``). Training packs a batch's real frames into
+one block of encoder rows, one segment per utterance, and its kernel is one
+``attention`` node that attends within segments: no padded frame is read.
 """
 
 from __future__ import annotations
@@ -513,59 +513,49 @@ def attention(
     k: Tensor,
     v: Tensor,
     heads: int,
-    k_len: np.ndarray,
-    q_len: np.ndarray | None = None,
+    q_off: np.ndarray,
+    k_off: np.ndarray,
     causal: bool = False,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention as one autodiff node, one
-    batch row at a time over that row's real positions only.
+    """Multi-head scaled dot-product attention as one autodiff node over
+    segments of rows, q, k and v being rows over their leading dimensions.
 
-    q is (B, Tq, d) and k, v are (B, Tk, d), split into heads inside. Row
-    b's first q_len[b] queries (all Tq without q_len) attend to its first
-    k_len[b] keys, and with ``causal`` query t only to keys 0..t. Context
-    rows past q_len[b] are zero, and q, k, v positions past the lengths get
-    exactly zero gradient."""
-    b_sz, tq, d = q.shape
+    Segment b's query rows q_off[b]:q_off[b+1] attend only to its key rows
+    k_off[b]:k_off[b+1], and with ``causal`` its t-th query only to its keys
+    0..t. The output has q's shape. No score between two segments is made,
+    so a row gets exactly zero gradient from every other segment."""
+    d = q.shape[-1]
     dh = d // heads
-    q_len = np.full(b_sz, tq) if q_len is None else q_len
-    future = (
-        np.arange(k.shape[1])[None, :] > np.arange(tq)[:, None]
-        if causal else None
-    )
-    out = np.zeros((b_sz, tq, d))
-    weights = []  # per batch row, (heads, q_len[b], k_len[b])
-    for b in range(b_sz):
-        lq, lk = int(q_len[b]), int(k_len[b])
-        w, ctx = _attend(
-            q.data[b, :lq], k.data[b, :lk], v.data[b, :lk], heads,
-            None if future is None else future[:lq, :lk],
-        )
-        out[b, :lq] = ctx
+    qd, kd, vd = (t.data.reshape(-1, d) for t in (q, k, v))
+    spans = [tuple(map(int, s)) for s in zip(q_off, q_off[1:], k_off, k_off[1:])]
+    out = np.zeros(qd.shape)
+    weights = []  # per segment, (heads, query rows, key rows)
+    for qs, qe, ks, ke in spans:
+        future = np.arange(ke - ks) > np.arange(qe - qs)[:, None] if causal else None
+        w, out[qs:qe] = _attend(qd[qs:qe], kd[ks:ke], vd[ks:ke], heads, future)
         weights.append(w)
 
     def bw(g):
-        gq, gk, gv = (np.zeros(t.shape) for t in (q, k, v))
-        for b, w in enumerate(weights):
-            _, lq, lk = w.shape
-            qb, kb, vb, ctx, gb = (
-                _heads(a[b, :n], heads, dh) for a, n in
-                ((q.data, lq), (k.data, lk), (v.data, lk), (out, lq), (g, lq))
-            )
-            gv[b, :lk] = _merge(w.transpose(0, 2, 1) @ gb, d)
+        g = g.reshape(-1, d)
+        gq, gk, gv = (np.zeros(a.shape) for a in (qd, kd, vd))
+        for (qs, qe, ks, ke), w in zip(spans, weights):
+            qb, ctx, gb = (_heads(a[qs:qe], heads, dh) for a in (qd, out, g))
+            kb, vb = (_heads(a[ks:ke], heads, dh) for a in (kd, vd))
+            gv[ks:ke] = _merge(w.transpose(0, 2, 1) @ gb, d)
             # softmax backward: sum_j dw_ij w_ij is gb_i . ctx_i
             gs = gb @ vb.transpose(0, 2, 1)
             gs -= (gb * ctx).sum(axis=-1, keepdims=True)
             gs *= w
-            gq[b, :lq] = _merge(gs @ kb, d)
-            gk[b, :lk] = _merge(gs.transpose(0, 2, 1) @ qb, d)
-        # the 1/sqrt(dh) of the scores, applied to the (T, d) results
+            gq[qs:qe] = _merge(gs @ kb, d)
+            gk[ks:ke] = _merge(gs.transpose(0, 2, 1) @ qb, d)
+        # the 1/sqrt(dh) of the scores, applied to the (rows, d) results
         gq /= math.sqrt(dh)
         gk /= math.sqrt(dh)
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
-                t._accum(gt)
+                t._accum(gt.reshape(t.shape))
 
-    return ad._child(out, (q, k, v), bw)
+    return ad._child(out.reshape(q.shape), (q, k, v), bw)
 
 
 def _frame_lengths(frame_mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -599,27 +589,30 @@ def training_logits(
     """Teacher-forced decoder log-probabilities (batch, positions, vocab),
     through the layers inference runs, with ``attention`` as their kernel.
 
-    Attention reads each row's real frames only, so the encoder outputs at
-    padded frames are never used; every decoder position is computed."""
+    The encoder runs on the real frames only, packed into one segment of
+    rows per batch row; padded frames are never read. The decoder keeps the
+    (batch, positions) layout, and every position is computed."""
     b_sz, tf, _ = frames.shape
     td = dec_in.shape[1]
     n_frames = _frame_lengths(frame_mask, (b_sz, tf))
-    dec_len = np.full(b_sz, td)
+    enc_off = np.concatenate([[0], np.cumsum(n_frames)])
+    dec_off = np.arange(b_sz + 1) * td
     causal = cfg.mode == UNIDIRECTIONAL
 
     def enc_self(l, q, k, v):
-        return attention(q, k, v, cfg.heads, n_frames, n_frames, causal)
+        return attention(q, k, v, cfg.heads, enc_off, enc_off, causal)
 
     def dec_self(l, q, k, v):
-        return attention(q, k, v, cfg.heads, dec_len, causal=True)
+        return attention(q, k, v, cfg.heads, dec_off, dec_off, causal=True)
 
-    x = _enc_in(pt, frames, sinusoid_table(tf, cfg.d_model)[None])
+    row, pos = np.nonzero(frame_mask)  # every real frame, row by row
+    x = _enc_in(pt, frames[row, pos], sinusoid_table(tf, cfg.d_model)[pos])
     for l in range(cfg.enc_layers):
         x = _enc_layer(pt, l, x, enc_self)
     enc_out = _ln(pt, "enc_lnf", x)
 
     def dec_cross(l, q):
-        return attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, n_frames)
+        return attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, dec_off, enc_off)
 
     y = _dec_in(pt, dec_in, sinusoid_table(td, cfg.d_model)[None])
     for l in range(cfg.dec_layers):

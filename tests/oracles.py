@@ -14,12 +14,20 @@ from functools import lru_cache
 import numpy as np
 
 from streamdec import autodiff as ad
-from streamdec.autodiff import Tensor, _child, _wrap
+from streamdec.autodiff import Tensor, _child, _unbroadcast, _wrap
 from streamdec.core import ContractViolation
 from streamdec.decoder import BeamConfig, BeamHypothesis
 from streamdec.model import UNIDIRECTIONAL
 from streamdec.transformer import (
+    _cross_kv,
+    _dec_in,
+    _dec_layer,
+    _enc_in,
+    _enc_layer,
+    _frame_lengths,
     _heads,
+    _ln,
+    _logps,
     _merge,
     _softmax_np,
     sinusoid_table,
@@ -333,11 +341,13 @@ def masked_softmax(a, axis=-1, *, scale=1.0, mask=None):
 
 
 def padded_attention(q, k, v, heads, k_len, q_len=None, causal=False):
-    """Reference for transformer.attention, with its signature: the whole
-    padded batch as one (B, heads, Tq, Tk) score array through matmul,
+    """Reference for transformer.attention on the padded layout: q is
+    (B, Tq, d) and k, v are (B, Tk, d), and row b's first q_len[b] queries
+    (all Tq without q_len) attend to its first k_len[b] keys. The whole
+    batch is one (B, heads, Tq, Tk) score array through matmul,
     masked_softmax with an additive -1e9 mask at keys past k_len (and at
     future keys when causal) and matmul, then the rows past q_len
-    multiplied by zero."""
+    multiplied by zero; where the package packs segments, this pads."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     b_sz, tq, d = q.shape
     tk = k.shape[1]
@@ -356,6 +366,62 @@ def padded_attention(q, k, v, heads, k_len, q_len=None, causal=False):
     ctx = transpose(ad.matmul(att, vh), (0, 2, 1, 3))
     real = np.arange(tq)[None, :, None] < q_len[:, None, None]
     return ad.mul(reshape(ctx, (b_sz, tq, d)), real.astype(np.float64))
+
+
+def padded_training_logits(cfg, pt, frames, frame_mask, dec_in):
+    """Reference for transformer.training_logits, with its signature: the
+    same layers on the padded (batch, frames, d_model) encoder rows, every
+    padded row computed, and padded_attention as the kernel, so only its
+    length masks keep padding out of the real rows."""
+    b_sz, tf, _ = frames.shape
+    td = dec_in.shape[1]
+    n_frames = _frame_lengths(frame_mask, (b_sz, tf))
+    dec_len = np.full(b_sz, td)
+    causal = cfg.mode == UNIDIRECTIONAL
+
+    def enc_self(l, q, k, v):
+        return padded_attention(q, k, v, cfg.heads, n_frames, n_frames, causal)
+
+    def dec_self(l, q, k, v):
+        return padded_attention(q, k, v, cfg.heads, dec_len, causal=True)
+
+    x = _enc_in(pt, frames, sinusoid_table(tf, cfg.d_model)[None])
+    for l in range(cfg.enc_layers):
+        x = _enc_layer(pt, l, x, enc_self)
+    enc_out = _ln(pt, "enc_lnf", x)
+
+    def dec_cross(l, q):
+        return padded_attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, n_frames)
+
+    y = _dec_in(pt, dec_in, sinusoid_table(td, cfg.d_model)[None])
+    for l in range(cfg.dec_layers):
+        y = _dec_layer(pt, l, y, dec_self, dec_cross)
+    return _logps(pt, y)
+
+
+def layer_norm_fresh(x, gain, bias, eps=1e-5):
+    """Reference for autodiff.layer_norm on Tensors: the same formula with a
+    fresh array for every intermediate, forward and backward; the package's
+    kernel reuses its buffers and must match it bit for bit."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+
+    def bw(g):
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+            x._accum((dxhat - m1 - xhat * m2) / std)
+
+    return _child(gain.data * xhat + bias.data, (x, gain, bias), bw)
 
 
 def mean_or_none(xs):

@@ -202,12 +202,35 @@ def _ragged(rng, b_sz, tq, tk, d, q_len, k_len):
     return q, k, v
 
 
+def _offsets(lengths):
+    return np.concatenate([[0], np.cumsum(lengths)])
+
+
 def _run_attention(op, q, k, v, w, heads, k_len, q_len, causal):
-    """Output and q/k/v gradients of sum(w * op(q, k, v))."""
-    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-    out = op(*ts, heads, k_len, q_len, causal)
-    sum_all(mul(out, Tensor(w))).backward()
-    return out.data, [t.grad for t in ts]
+    """Output and q/k/v gradients of sum(w * op(q, k, v)) on the padded
+    (batch, T, d) layout: the padded oracle takes the arrays as they are,
+    the package's node takes each row's real positions packed into one
+    block of segments, and its results are scattered back, zero elsewhere."""
+    if op is padded_attention:
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = op(*ts, heads, k_len, q_len, causal)
+        sum_all(mul(out, Tensor(w))).backward()
+        return out.data, [t.grad for t in ts]
+    b_sz, tq, _ = q.shape
+    q_len = [tq] * b_sz if q_len is None else q_len
+    q_real, k_real = (np.arange(x.shape[1]) < np.asarray(n)[:, None]
+                      for x, n in ((q, q_len), (k, k_len)))
+    masks = (q_real, k_real, k_real)
+    ts = [Tensor(x[m], requires_grad=True) for x, m in zip((q, k, v), masks)]
+    out = op(*ts, heads, _offsets(q_len), _offsets(k_len), causal)
+    sum_all(mul(out, Tensor(w[q_real]))).backward()
+
+    def scatter(rows, m):
+        full = np.zeros(m.shape + rows.shape[-1:])
+        full[m] = rows
+        return full
+
+    return scatter(out.data, q_real), [scatter(t.grad, m) for t, m in zip(ts, masks)]
 
 
 # (batch, Tq, Tk, d, heads, k_len, q_len, causal): encoder self-attention
@@ -242,30 +265,45 @@ class TestAttention:
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_padded_positions_are_exact_zeros(self, rng, case):
+        # packed, a row's padding is every other row's segment: with the
+        # loss on row b alone, no other row's q, k or v gets any gradient,
+        # and row b's output does not move when the others change
         b_sz, tq, tk, d, heads, k_len, q_len, causal = ATTENTION_CASES[case]
         q, k, v = _ragged(rng, b_sz, tq, tk, d, q_len, k_len)
-        w = rng.normal(size=(b_sz, tq, d))
-        out, (gq, gk, gv) = _run_attention(
-            attention, q, k, v, w, heads, k_len, q_len, causal
-        )
+        ql = [tq] * b_sz if q_len is None else q_len
         for b in range(b_sz):
-            if q_len is not None:
-                assert not out[b, q_len[b]:].any()
-                assert not gq[b, q_len[b]:].any()
+            w = np.zeros((b_sz, tq, d))
+            w[b] = rng.normal(size=(tq, d))
+            out, (gq, gk, gv) = _run_attention(
+                attention, q, k, v, w, heads, k_len, q_len, causal
+            )
+            assert not out[b, ql[b]:].any()
+            assert not gq[b, ql[b]:].any()
             assert not gk[b, k_len[b]:].any()
             assert not gv[b, k_len[b]:].any()
+            others = np.arange(b_sz) != b
+            assert not gq[others].any()
+            assert not gk[others].any()
+            assert not gv[others].any()
+            moved = [np.where(others[:, None, None], -x, x) for x in (q, k, v)]
+            out2, _ = _run_attention(
+                attention, *moved, w, heads, k_len, q_len, causal
+            )
+            assert np.array_equal(out2[b], out[b])
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     @pytest.mark.parametrize("causal", [False, True])
     def test_grad_finite_difference(self, rng, which, causal):
-        # q, k or v differentiated through ragged self-attention
-        b_sz, t, d, heads, lens = 2, 5, 4, 2, [5, 3]
-        qkv = list(_ragged(rng, b_sz, t, t, d, lens, lens))
+        # q, k or v differentiated through ragged self-attention: two
+        # segments of 5 and 3 rows
+        d, heads, lens = 4, 2, [5, 3]
+        qkv = [rng.normal(size=(sum(lens), d)) for _ in range(3)]
+        off = _offsets(lens)
 
         def op(x):
             args = [Tensor(a) for a in qkv]
             args[which] = x
-            return attention(*args, heads, lens, lens, causal)
+            return attention(*args, heads, off, off, causal)
 
         check(op, qkv[which], rtol=1e-5)
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from streamdec.core import ContractViolation, UnsupportedOperation
-from streamdec.data import SyntheticTaskSpec, gen_with_alignments, task_vocab
+from streamdec.data import (
+    SyntheticTaskSpec,
+    gen_with_alignments,
+    task_vocab,
+    translation_map,
+)
 from streamdec.model import SyntheticAlignedModel, load_model, save_model
 
 from .oracles import decode_step
@@ -49,6 +54,39 @@ class TestEmissionRule:
         enc = m.encode(u.frames[:cut], utt_id=u.id)
         _, lps = m.dec_init(enc, a.token_ids[:1])
         assert int(np.argmax(lps[-1])) == m.vocab.eos_id
+
+    def test_swapped_slot_waits_for_its_source_word(self):
+        # translation swaps some adjacent target pairs; the first slot of a
+        # swapped pair translates the later source word, so it emits nothing
+        # until that word has been heard in full
+        spec = SyntheticTaskSpec(translation=True, noise_std=0.0)
+        utts, _ = gen_with_alignments(spec, 40, seed=5)
+        m = SyntheticAlignedModel.from_task(spec, 40, seed=5, instability_frames=0)
+        perm = translation_map(spec)
+
+        def translate(word):
+            return f"v{perm[int(word[1:])]:02d}"
+
+        swaps = 0
+        for u in utts:
+            ref, tgt = u.reference_tokens, u.target_tokens
+            if any(a == b for a, b in zip(ref, ref[1:])):
+                continue  # two equal source words would share one run
+            # without noise each source word's frames are one run of a row
+            runs = np.flatnonzero((u.frames[1:] != u.frames[:-1]).any(axis=1))
+            src_end = [*(runs + 1), u.n_frames]
+            assert len(src_end) == len(ref)
+            ids = m.vocab.encode(tgt)
+            for j in range(0, len(tgt) - 1, 2):  # the pairs that may swap
+                if tgt[j:j + 2] != (translate(ref[j + 1]), translate(ref[j])):
+                    continue
+                swaps += 1
+                heard = src_end[j + 1]
+                for avail, want in ((heard - 1, m.vocab.eos_id), (heard, ids[j])):
+                    enc = m.encode(u.frames[:avail], utt_id=u.id)
+                    _, lps = m.dec_init(enc, ids[:j])
+                    assert int(np.argmax(lps[-1])) == want, (u.id, j, avail)
+        assert swaps > 5
 
     def test_margin_rule(self, world):
         """A span covered with >= u frames to spare is emitted correctly; one

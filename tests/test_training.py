@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamdec import training, transformer
+from streamdec import autodiff, training, transformer
 from streamdec.core import ConfigError, Utterance, Vocab
 from streamdec.data import (
     SyntheticTaskSpec,
@@ -27,7 +27,7 @@ from streamdec.training import (
 )
 from streamdec.transformer import TinyTransformer, TransformerConfig
 
-from .oracles import padded_attention
+from .oracles import layer_norm_fresh, padded_training_logits
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
@@ -218,8 +218,9 @@ def _ragged_batch(data, vocab, frame_dim):
 
 
 class TestLengthAwareGraph:
-    """The training graph's attention reads only each row's real frames; its
-    loss and gradients must equal the padded -1e9 attention's."""
+    """The training graph's encoder runs on each row's real frames only; its
+    loss and gradients must equal the padded graph's, whose -1e9 attention
+    masks keep the padded frames out."""
 
     @pytest.fixture(params=["micro", "bidi.bin", "causal.bin"])
     def model_and_data(self, request, tiny_world):
@@ -237,7 +238,7 @@ class TestLengthAwareGraph:
         lengths = batch["frame_mask"].sum(axis=1)
         assert len(set(lengths)) == len(lengths)  # really ragged
         loss, grads = batch_loss_and_grads(model, batch, 0.1)
-        monkeypatch.setattr(transformer, "attention", padded_attention)
+        monkeypatch.setattr(transformer, "training_logits", padded_training_logits)
         want_loss, want = batch_loss_and_grads(model, batch, 0.1)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert sorted(grads) == sorted(want)
@@ -246,8 +247,32 @@ class TestLengthAwareGraph:
                 g, want[name], rtol=1e-10, atol=1e-14, err_msg=name
             )
 
+    def test_padded_frame_values_do_not_reach_gradients(self, model_and_data):
+        model, data = model_and_data
+        batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
+        loss, grads = batch_loss_and_grads(model, batch, 0.1)
+        poisoned = dict(batch, frames=batch["frames"].copy())
+        poisoned["frames"][batch["frame_mask"] == 0] = np.nan
+        got_loss, got = batch_loss_and_grads(model, poisoned, 0.1)
+        assert got_loss == loss
+        assert sorted(got) == sorted(grads)
+        for name, g in got.items():
+            assert np.isfinite(g).all(), name
+            assert np.array_equal(g, grads[name]), name
+
 
 class TestTrain:
+    def test_in_place_layer_norm_trains_bit_identically(self, tiny_world, monkeypatch):
+        # the buffer-reusing layer norm runs the fresh-array formula's
+        # operations in its order, so a seeded run keeps every bit
+        _, data, vocab, cfg = tiny_world
+        got, got_curve = train(TinyTransformer(cfg, vocab), data, small_train_cfg())
+        monkeypatch.setattr(autodiff, "layer_norm", layer_norm_fresh)
+        want, want_curve = train(TinyTransformer(cfg, vocab), data, small_train_cfg())
+        assert got_curve == want_curve
+        for k in want.params:
+            assert got.params[k].tobytes() == want.params[k].tobytes(), k
+
     def test_loss_decreases_and_input_untouched(self, tiny_world):
         _, data, vocab, cfg = tiny_world
         model = TinyTransformer(cfg, vocab)
