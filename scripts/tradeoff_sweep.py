@@ -11,7 +11,8 @@ Example:
     python3 scripts/tradeoff_sweep.py --utts 40 --seed 11 --out sweep.csv
 
 With `--utts 8 --seed 11` and any `--workers`, the output must equal
-scripts/tradeoff_sweep_utts8_seed11.txt byte for byte; CI diffs the two.
+scripts/tradeoff_sweep_utts8_seed11.txt byte for byte; a tier-1 test checks
+it with one worker and CI diffs it with two.
 """
 
 import argparse

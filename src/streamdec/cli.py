@@ -320,6 +320,8 @@ def cmd_sweep(args) -> int:
         if "=" not in spec_str:
             raise ConfigError(f"--model needs NAME=PATH, got {spec_str!r}")
         name, path = spec_str.split("=", 1)
+        if name in models:
+            raise ConfigError(f"--model names {name!r} more than once")
         models[name] = load_model(path)
     utts = sio.load_utterances(args.inp)
     strategies = tuple(

@@ -8,9 +8,9 @@ continuation to the commit strategy through ``select_prefix``, and append
 its choice to the commit log. Committed tokens are never revised; they
 condition all later decoding.
 
-The decoder runs again on every chunk: its cross-attention spans the grown
-encoder output, so no decoder state outlives the chunk that made it, and
-each beam search prefills the committed prefix in one ``dec_init`` call. A
+The decoder runs again on every chunk: a decoder state carries the encoding
+it was made with, and each chunk's beam search prefills the committed prefix
+in one ``dec_init`` call on the grown encoding. A
 session's ``mode`` (``forced`` or ``buffered``) is a label only; both run
 this same code, so two lockstep sessions on one model produce identical
 commit logs (``harness.compare_modes`` checks it).
@@ -75,7 +75,7 @@ def _rank_key(h: BeamHypothesis, length_normalize: bool):
 
 def beam_search(
     model: SequenceModel,
-    enc: EncoderStates | None,
+    enc: EncoderStates,
     forced_prefix: Sequence[int],
     cfg: BeamConfig = BeamConfig(),
 ) -> list[BeamHypothesis]:
@@ -97,7 +97,7 @@ def beam_search(
     vocab = model.vocab
     norm = cfg.length_normalize
     prefix = _check_prefix(vocab, forced_prefix)
-    if enc is None or enc.frames_covered == 0:
+    if enc.frames_covered == 0:
         return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
     max_total = math.floor(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
@@ -173,7 +173,7 @@ def beam_search(
             active = []
         else:
             state, active_lps = model.dec_advance(
-                state, parents.tolist(), toks.tolist(), enc
+                state, parents.tolist(), toks.tolist()
             )
             active = children
     finished.sort(key=lambda h: _rank_key(h, norm))

@@ -61,9 +61,37 @@ def _records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
             yield line_no, rec
 
 
+def _check_fields(path: str, line_no: int, rec: dict, fields: Sequence) -> None:
+    """Each (key, kind, check) of fields whose key the record holds must pass
+    its check; the first that fails is a ConfigError naming path:line."""
+    for key, kind, ok in fields:
+        if key in rec and not ok(rec[key]):
+            raise ConfigError(
+                f"{path}:{line_no}: {key} must be {kind}, got {rec[key]!r}"
+            )
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(t, str) for t in v)
+
+
+# each utterance key, what its value must be, and the check (bool is not a
+# number here); frames are checked by Utterance itself
+_UTTERANCE_FIELDS = (
+    ("id", "a string", lambda v: isinstance(v, str)),
+    ("ref", "a list of strings", _is_str_list),
+    ("tgt", "a list of strings", _is_str_list),
+    ("frame_period_sec", "a positive finite number",
+     lambda v: type(v) in (int, float) and 0 < v < math.inf),
+)
+
+
 def load_utterances(path: str) -> list[Utterance]:
+    """Utterances in file order, the inverse of save_utterances. A malformed
+    record is a ConfigError naming path:line."""
     out = []
     for line_no, rec in _records(path, ("id", "frames", "ref")):
+        _check_fields(path, line_no, rec, _UTTERANCE_FIELDS)
         tgt = rec.get("tgt")
         try:
             utt = Utterance(
@@ -110,11 +138,7 @@ def load_commit_logs(path: str) -> dict[str, CommitLog]:
     utterance, is a ConfigError naming path:line."""
     out: dict[str, CommitLog] = {}
     for line_no, rec in _records(path, [k for k, _, _ in _COMMIT_FIELDS]):
-        for key, kind, ok in _COMMIT_FIELDS:
-            if not ok(rec[key]):
-                raise ConfigError(
-                    f"{path}:{line_no}: {key} must be {kind}, got {rec[key]!r}"
-                )
+        _check_fields(path, line_no, rec, _COMMIT_FIELDS)
         entry = TimedToken(rec["token"], rec["chunk"], float(rec["t_out"]))
         try:
             out.setdefault(rec["utt"], CommitLog()).append(entry)

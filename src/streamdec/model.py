@@ -9,17 +9,19 @@ decoder state is a block of rows that have all consumed the same positions.
 ``dec_init(enc, prefix)`` is the prefill: it consumes bos and the whole
 forced prefix at once and returns a one-row state with a (len(prefix) + 1,
 vocab) log-probability matrix whose row j follows the first j prefix
-tokens. ``dec_advance(state, rows, token_ids, enc)`` returns the block whose
-row i extends row ``rows[i]`` of ``state`` by ``token_ids[i]``, with one
+tokens. ``dec_advance(state, rows, token_ids)`` returns the block whose row
+i extends row ``rows[i]`` of ``state`` by ``token_ids[i]``, with one
 log-probability row per new row, so a beam step reorders and extends its
 paths by parent index in one call.
 
-A decoder state is only good for the encoder states it was made with: once
-the encoder grows, cross-attention spans new rows, so every chunk prefills
-its forced prefix again. What carries over between chunks is the encoder
-output, which a causal encoder extends append-only. Each model instance
-holds a private ownership token that its encoder states (and the
-transformer's decoder states) carry, so a state from another model is
+A decoder state carries the encoding it was made with, so it needs no other
+argument to advance, and it keeps decoding that encoding after the stream
+has grown. Each chunk's beam search therefore prefills its forced prefix
+again on the grown encoding. What carries over between chunks is the
+encoder output, which a causal encoder extends append-only, together with
+the cross-attention keys and values the transformer keeps beside it. Each
+model instance holds a private ownership token that its encoder states (and
+the transformer's decoder states) carry, so a state from another model is
 refused even after that model is gone and its ``id()`` reused.
 """
 
@@ -55,9 +57,12 @@ class EncoderStates:
     frame_period_sec: float = 0.010
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
-    # model-internal: the transformer's per-layer encoder self-attention
-    # (K, V), each (frames_covered, d_model), which a causal encode extends
+    # model-internal, for the transformer: per encoder layer the
+    # self-attention (K, V) and per decoder layer the cross-attention (K, V)
+    # of these rows, each (frames_covered, d_model); a causal encode extends
+    # both
     layer_kv: Any = None
+    cross_kv: Any = None
     rows_encoded: int = 0  # rows the encode call that made these states ran
 
     @property
@@ -83,11 +88,7 @@ class SequenceModel(Protocol):
     ) -> tuple[Any, np.ndarray]: ...
 
     def dec_advance(
-        self,
-        state: Any,
-        rows: Sequence[int],
-        token_ids: Sequence[int],
-        enc: EncoderStates,
+        self, state: Any, rows: Sequence[int], token_ids: Sequence[int]
     ) -> tuple[Any, np.ndarray]: ...
 
 
@@ -249,23 +250,26 @@ class SyntheticAlignedModel:
 
     def dec_init(
         self, enc: EncoderStates, prefix: Sequence[int] = ()
-    ) -> tuple[int, np.ndarray]:
-        """A state is the output slot every row of the block sits at; the
-        emission depends on the slot alone, so row j is slot j's."""
+    ) -> tuple[tuple[int, EncoderStates], np.ndarray]:
+        """A state is the output slot every row of the block sits at and the
+        encoding it reads; the emission depends on the slot alone, so row j
+        is slot j's."""
         n = len(_check_ids(prefix, len(self.vocab), "token id"))
-        return n, np.stack([self._emission(enc, j) for j in range(n + 1)])
+        return (n, enc), np.stack([self._emission(enc, j) for j in range(n + 1)])
 
     def dec_advance(
-        self, state: int, rows: Sequence[int], token_ids: Sequence[int],
-        enc: EncoderStates,
-    ) -> tuple[int, np.ndarray]:
+        self, state: tuple[int, EncoderStates], rows: Sequence[int],
+        token_ids: Sequence[int],
+    ) -> tuple[tuple[int, EncoderStates], np.ndarray]:
         """All rows of the block share the next slot's emission."""
+        slot, enc = state
         ids = _check_ids(token_ids, len(self.vocab), "token id")
         if np.shape(rows) != ids.shape or not ids.size:
             raise ContractViolation(
                 "a block needs one token id per row and at least one row"
             )
-        return state + 1, np.tile(self._emission(enc, state + 1), (ids.size, 1))
+        lps = np.tile(self._emission(enc, slot + 1), (ids.size, 1))
+        return (slot + 1, enc), lps
 
     def dump_attention(self, frames: np.ndarray, prefix: Sequence[int]):
         raise UnsupportedOperation(

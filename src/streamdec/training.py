@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError("total_steps must be positive")
         if self.warmup_steps < 1 or self.batch_size < 1:
             raise ConfigError("warmup_steps and batch_size must be >= 1")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every must be >= 1")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must be in [0, 1)")
 
@@ -67,29 +69,27 @@ class PartialSliceSpec:
             raise ConfigError("need 0 < ratio_low <= ratio_high <= 1")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
+
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        beta1: float = 0.9,
-        beta2: float = 0.98,
-        eps: float = 1e-9,
-    ) -> None:
+    def __init__(self, params: dict[str, np.ndarray]) -> None:
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, g in grads.items():
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             mhat = self.m[k] / (1 - b1 ** self.t)
             vhat = self.v[k] / (1 - b2 ** self.t)
-            self.params[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.params[k] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

@@ -7,18 +7,20 @@ kernel they hand it. A causal (unidirectional) encoder never changes the
 states of earlier positions, so ``encode`` with a prior projects only the new
 rows and appends their keys and values to each layer's cache; a
 bidirectional one re-encodes every frame. Either way the states record the
-rows this call ran (``rows_encoded``). One decoder forward
+rows this call ran (``rows_encoded``), and carry every decoder layer's
+cross-attention keys and values of their rows, projected by the encode that
+ran those rows: once per row in causal mode. One decoder forward
 (``_advance_block``) runs a block of rows over one or more positions.
 ``dec_init`` is the prefill: one row over bos and the whole forced prefix in
 a single call, which is also the forward the attention dump reads.
 ``dec_advance`` is the one-position case over many rows, one per beam path.
 A ``DecState`` is one block: every row's self-attention keys and values,
 stacked, plus the cross-attention keys and values of the encoding it was made
-with, computed once by ``dec_init``. A beam step gathers the rows it extends
-by parent index. Each attention computes its weights in place in its score
-buffer (``_attention_weights``). Training packs a batch's real frames into
-one block of encoder rows, one segment per utterance, and its kernel is one
-``attention`` node that attends within segments: no padded frame is read.
+with, so it needs nothing else to advance. A beam step gathers the rows it
+extends by parent index. Each attention computes its weights in place in its
+score buffer (``_attention_weights``). Training packs a batch's real frames
+into one block of encoder rows, one segment per utterance, and its kernel is
+one ``attention`` node that attends within segments: no padded frame is read.
 """
 
 from __future__ import annotations
@@ -247,14 +249,12 @@ def _logps(p: dict, y):
 @dataclass(frozen=True)
 class DecState:
     """Immutable incremental decoder state of a block of rows that have all
-    consumed the same positions, valid only for the encoder states it was
-    made with."""
+    consumed the same positions, over the encoding it was made with."""
 
     owner: object  # the producing model's ownership token
-    frames_covered: int
     pos: int  # consumed input positions of every row, bos included
     kv: tuple  # per layer: self-attn (K, V), each (rows, heads, pos, head_dim)
-    cross: tuple  # per layer: cross-attn (K, V), each (frames, d_model)
+    cross: tuple  # the encoding's EncoderStates.cross_kv
 
 
 class TinyTransformer:
@@ -303,7 +303,8 @@ class TinyTransformer:
         """encode, and per layer the self-attention weights of the rows it
         encoded, (heads, new rows, all rows). A causal encoder extends its
         prior: it projects only the new rows and appends their keys and
-        values to each layer's cache. A bidirectional one re-encodes all."""
+        values to each layer's cache, and their cross-attention keys and
+        values to each decoder layer's. A bidirectional one re-encodes all."""
         cfg, p = self.cfg, self.params
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or (frames.size and frames.shape[1] != cfg.frame_dim):
@@ -320,9 +321,11 @@ class TinyTransformer:
         causal = cfg.mode == UNIDIRECTIONAL
         if causal and prior is not None:
             start, kv, states = prior.frames_covered, list(prior.layer_kv), prior.states
+            cross = prior.cross_kv
         else:
             states = np.zeros((0, cfg.d_model))
             start, kv = 0, [(states, states)] * cfg.enc_layers
+            cross = ((states, states),) * cfg.dec_layers
         grids: list[np.ndarray] = []
         if total > start:
             future = (
@@ -340,10 +343,15 @@ class TinyTransformer:
             x = _enc_in(p, frames[start:], self._pos(total)[start:])
             for l in range(cfg.enc_layers):
                 x = _enc_layer(p, l, x, attend)
-            states = np.concatenate([states, _ln(p, "enc_lnf", x)])
+            new = _ln(p, "enc_lnf", x)
+            states = np.concatenate([states, new])
+            cross = tuple(
+                tuple(map(np.concatenate, zip(cross[l], _cross_kv(p, l, new))))
+                for l in range(cfg.dec_layers)
+            )
         enc = EncoderStates(
             states, total, frame_period_sec, utt_id, self._owner, tuple(kv),
-            rows_encoded=total - start,
+            cross_kv=cross, rows_encoded=total - start,
         )
         return enc, grids
 
@@ -411,20 +419,16 @@ class TinyTransformer:
         """One B = 1 decoder forward over bos + prefix from empty caches: the
         state after the whole prefix, the log-probs after each position
         (len(prefix) + 1, vocab), and _advance_block's attention weights.
-        The cross-attention keys and values of every encoder row are
-        projected here, once per state."""
+        The cross-attention keys and values are the encoding's own."""
         if enc.owner is not self._owner:
             raise ContractViolation("encoder states from a different model")
         if enc.frames_covered == 0:
             raise ContractViolation("cannot decode with no encoder states")
-        cross = tuple(
-            _cross_kv(self.params, l, enc.states) for l in range(self.cfg.dec_layers)
-        )
         ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
         logps, kv, self_attns, cross_attns = self._advance_block(
-            self._embed(ids[None], 0), self._empty_kv(), cross
+            self._embed(ids[None], 0), self._empty_kv(), enc.cross_kv
         )
-        state = DecState(self._owner, enc.frames_covered, len(ids), tuple(kv), cross)
+        state = DecState(self._owner, len(ids), tuple(kv), enc.cross_kv)
         return state, logps[0], self_attns, cross_attns
 
     def dec_init(
@@ -433,23 +437,10 @@ class TinyTransformer:
         return self._prefill(enc, prefix)[:2]
 
     def dec_advance(
-        self,
-        state: DecState,
-        rows: Sequence[int],
-        token_ids: Sequence[int],
-        enc: EncoderStates,
+        self, state: DecState, rows: Sequence[int], token_ids: Sequence[int]
     ) -> tuple[DecState, np.ndarray]:
-        # a state made by another model, or before the encoder grew,
-        # attended to other encoder rows than enc holds
-        if not (
-            isinstance(state, DecState)
-            and state.owner is self._owner
-            and enc.owner is self._owner
-            and state.frames_covered == enc.frames_covered
-        ):
-            raise ContractViolation(
-                "decoder state does not match the given encoder states"
-            )
+        if not (isinstance(state, DecState) and state.owner is self._owner):
+            raise ContractViolation("decoder state from a different model")
         rows = _check_ids(rows, len(state.kv[0][0]), "row")
         ids = _check_ids(token_ids, len(self.vocab), "token id")
         if rows.ndim != 1 or rows.shape != ids.shape or not rows.size:
@@ -461,10 +452,7 @@ class TinyTransformer:
             [(k[rows], v[rows]) for k, v in state.kv],
             state.cross,
         )
-        state = DecState(
-            self._owner, state.frames_covered, state.pos + 1, tuple(kv),
-            state.cross,
-        )
+        state = DecState(self._owner, state.pos + 1, tuple(kv), state.cross)
         return state, logps[:, 0]
 
     # --- attention introspection ----------------------------------------------

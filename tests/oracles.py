@@ -74,13 +74,13 @@ def wer_oracle(ref, hyp):
 
 def token_walk(model, enc, prefix):
     """Reference for dec_init(enc, prefix): start from the empty prefix and
-    consume the prefix one token per dec_advance(state, [0], [tok], enc)
-    call. Returns the one-row state after the whole prefix and the
+    consume the prefix one token per dec_advance(state, [0], [tok]) call.
+    Returns the one-row state after the whole prefix and the
     (len(prefix) + 1, vocab) log-probabilities seen along the way."""
     state, lps = model.dec_init(enc)
     rows = [lps[0]]
     for tok in prefix:
-        state, lps = model.dec_advance(state, [0], [int(tok)], enc)
+        state, lps = model.dec_advance(state, [0], [int(tok)])
         rows.append(lps[0])
     return state, np.array(rows)
 
@@ -159,7 +159,7 @@ def scalar_beam_search(
     prefix = tuple(int(t) for t in forced_prefix)
     if any(t == vocab.eos_id for t in prefix):
         raise ContractViolation("forced prefix must not contain eos")
-    if enc is None or enc.frames_covered == 0:
+    if enc.frames_covered == 0:
         return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
     max_total = math.floor(
         cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
@@ -210,7 +210,7 @@ def scalar_beam_search(
         candidates.sort(key=lambda c: (-c[0], c[1]))
         new_active = []
         for score, toks, parent, state, tok, lp in candidates[: cfg.beam_width]:
-            child_state, lps = model.dec_advance(state, [0], [tok], enc)
+            child_state, lps = model.dec_advance(state, [0], [tok])
             lps = lps[0]
             child = BeamHypothesis(
                 toks, score, parent.step_log_probs + (lp,), False

@@ -371,7 +371,7 @@ class CachedRandomModel:
         rows = [self._logps(prefix[:j]) for j in range(len(prefix) + 1)]
         return (prefix,), np.array(rows)
 
-    def dec_advance(self, state, rows, token_ids, enc):
+    def dec_advance(self, state, rows, token_ids):
         new = tuple(state[r] + (int(t),) for r, t in zip(rows, token_ids))
         return new, np.array([self._logps(p) for p in new])
 

@@ -450,6 +450,28 @@ class TestErrorPaths:
         assert err.startswith("error: batch pair ")
         assert ", 8); the batch needs (" in err and ", 4)" in err
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_adapt_rejects_non_positive_eval_every(self, work, tmp_path, capsys, every):
+        rc = main([
+            "adapt", "--model", str(work / "model.bin"),
+            "--data", str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl"),
+            "--out", str(tmp_path / "a.bin"), "--steps", "1",
+            "--batch-size", "4", "--eval-every", every,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: eval_every must be >= 1\n"
+        assert not (tmp_path / "a.bin").exists()
+
+    def test_sweep_rejects_repeated_model_name(self, work, capsys):
+        rc = main([
+            "sweep", "--model", f"a={work / 'model.bin'}",
+            "--model", f"a={work / 'model.bin'}",
+            "--in", str(work / "eval.jsonl"), "--out", str(work / "never.csv"),
+        ])
+        assert rc == 2
+        assert "error: --model names 'a' more than once" in capsys.readouterr().err
+        assert not (work / "never.csv").exists()
+
     def test_adapt_rejects_data_of_another_width(self, work, wide_data, tmp_path, capsys):
         rc = main([
             "adapt", "--model", str(work / "model.bin"),

@@ -60,7 +60,7 @@ class RandomWalkModel:
         rows = [self._logps(prefix[:j]) for j in range(len(prefix) + 1)]
         return (prefix,), np.array(rows)
 
-    def dec_advance(self, state, rows, token_ids, enc):
+    def dec_advance(self, state, rows, token_ids):
         new = tuple(state[r] + (int(t),) for r, t in zip(rows, token_ids))
         return new, np.array([self._logps(p) for p in new])
 
@@ -144,12 +144,12 @@ class TestForcedPrefix:
 
     def test_no_audio_returns_prefix_unchanged(self):
         model = RandomWalkModel(n_words=3, seed=0)
-        hyps = beam_search(model, None, (3, 4), BeamConfig())
+        empty = model.encode(np.zeros((0, 1)))
+        hyps = beam_search(model, empty, (3, 4), BeamConfig())
         assert len(hyps) == 1
         assert hyps[0].tokens == (3, 4)
         assert hyps[0].finished
         assert hyps[0].log_prob == 0.0
-        empty = model.encode(np.zeros((0, 1)))
         assert beam_search(model, empty, (), BeamConfig())[0].tokens == ()
 
     def test_prefix_at_cap_is_terminal(self):

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,8 +158,8 @@ class TestSweep:
                 state, lps = self._inner.dec_init(enc, prefix)
                 return state, self._eos(lps)
 
-            def dec_advance(self, state, rows, token_ids, enc):
-                state, lps = self._inner.dec_advance(state, rows, token_ids, enc)
+            def dec_advance(self, state, rows, token_ids):
+                state, lps = self._inner.dec_advance(state, rows, token_ids)
                 return state, self._eos(lps)
 
         spec = SweepSpec(
@@ -173,6 +175,21 @@ class TestSweep:
         for r in mute:
             assert r.wer == 1.0  # every reference token deleted
             assert math.isnan(r.mean_t_out) and math.isnan(r.delta_latency)
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_tradeoff_sweep_matches_its_golden_table(capsys):
+    """scripts/tradeoff_sweep.py prints its checked-in table byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "tradeoff_sweep", SCRIPTS / "tradeoff_sweep.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--utts", "8", "--seed", "11"]) == 0
+    golden = (SCRIPTS / "tradeoff_sweep_utts8_seed11.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 class TestCsv:

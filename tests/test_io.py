@@ -57,6 +57,21 @@ class TestUtteranceFiles:
         ('{"id": "b", "frames": [[Infinity]], "ref": ["x"]}', "finite"),
         ('{"id": "b", "frames": [["x"]], "ref": ["x"]}', ""),
         ('["b", [[0.1]], ["x"]]', "not a JSON object"),
+        ('{"id": 7, "frames": [[0.1]], "ref": ["x"]}', "id must be a string"),
+        ('{"id": "b", "frames": [[0.1]], "ref": "w01 w02"}',
+         "ref must be a list of strings"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x", 3]}',
+         "ref must be a list of strings"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "tgt": "w01 w02"}',
+         "tgt must be a list of strings"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": true}',
+         "frame_period_sec must be a positive finite number"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": "0.01"}',
+         "frame_period_sec must be a positive finite number"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": 0}',
+         "frame_period_sec must be a positive finite number"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": NaN}',
+         "frame_period_sec must be a positive finite number"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, line, why):
         path = str(tmp_path / "bad.jsonl")

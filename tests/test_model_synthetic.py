@@ -31,7 +31,7 @@ def greedy(model, enc, max_steps=30):
         if tok == model.vocab.eos_id:
             break
         out.append(tok)
-        state, lps = model.dec_advance(state, [0], [tok], enc)
+        state, lps = model.dec_advance(state, [0], [tok])
     return out
 
 
@@ -188,7 +188,7 @@ class TestEncodeContract:
         enc = m.encode(u.frames, utt_id=u.id)
         ids = aligns[u.id].token_ids
         state, lps = m.dec_init(enc, ids[:2])
-        assert state == 2
+        assert state == (2, enc)
         assert [int(np.argmax(row)) for row in lps] == list(ids[:3])
 
     def test_prefill_rows_are_slot_emissions(self, world):
@@ -203,7 +203,7 @@ class TestEncodeContract:
             for n in range(len(ids) + 2):
                 prefix = (list(ids) + [ids[0]])[:n]
                 state, lps = m.dec_init(enc, prefix)
-                assert state == n
+                assert state == (n, enc)
                 assert lps.shape == (n + 1, len(m.vocab))
                 for j in range(n + 1):
                     np.testing.assert_array_equal(lps[j], m._emission(enc, j))
@@ -222,15 +222,15 @@ class TestPerSlotInvariants:
         enc = m.encode(u.frames, utt_id=u.id)
         ids = aligns[u.id].token_ids
         state, _ = m.dec_init(enc)
-        state, lps = m.dec_advance(state, [0, 0, 0], list(ids[:3]), enc)
-        assert state == 1
+        state, lps = m.dec_advance(state, [0, 0, 0], list(ids[:3]))
+        assert state == (1, enc)
         want = decode_step(m, enc, ids[:1])
         for row in lps:
             np.testing.assert_array_equal(row, want)
         with pytest.raises(ContractViolation, match="one token id per row"):
-            m.dec_advance(state, [0, 1], [ids[0]], enc)
+            m.dec_advance(state, [0, 1], [ids[0]])
         with pytest.raises(ContractViolation, match="token id 99 out of range"):
-            m.dec_advance(state, [0], [99], enc)
+            m.dec_advance(state, [0], [99])
 
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world

@@ -73,6 +73,8 @@ class TestConfigs:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(label_smoothing=1.0)
+        with pytest.raises(ConfigError, match="eval_every"):
+            TrainConfig(eval_every=0)
 
     def test_slice_spec_validation(self):
         with pytest.raises(ConfigError):
