@@ -8,11 +8,12 @@ the difference.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import ConfigError, Utterance
+from .core import ConfigError, Utterance, frames_per_chunk
 from .core import eval_tokens  # noqa: F401  (harness.eval_tokens is public)
 from .decoder import (
     BUFFERED_STATE,
@@ -91,12 +92,17 @@ def sweep(
     The latency baseline is the first model's hold-0 cell (computed even when
     hold-0 is not among the requested strategies; it only becomes a row when
     requested). Rows are ordered by latency delta, then model and strategy
-    labels; failed cells carry nan metrics and sort last.
+    labels; failed cells carry nan metrics, sort last and are each reported
+    by a warning that names the cell and its error. A chunk length that is
+    not a whole number of some utterance's frames is a ConfigError before
+    any cell runs.
     """
     if not models:
         raise ConfigError("sweep needs at least one model")
     if not utts:
         raise ConfigError("sweep needs at least one utterance")
+    for u in utts:
+        frames_per_chunk(spec.chunk_len_sec, u.frame_period_sec)
     names = list(models)
     jobs = []
     requested = set()
@@ -118,12 +124,16 @@ def sweep(
     else:
         results = [_cell_job(j) for j in jobs]
 
-    by_key = {(name, strat): (w, rep, err) for name, strat, w, rep, err in results}
+    by_key = {}
+    for name, strat, w, rep, err in results:
+        if err is not None:
+            warnings.warn(f"sweep cell {name}/{strat.name}: {err}", stacklevel=2)
+        by_key[(name, strat)] = (w, rep)
     base_report = by_key[baseline_key][1]
     rows = []
     for name in names:
         for strat in spec.strategies:
-            wer_rate, report, err = by_key[(name, strat)]
+            wer_rate, report = by_key[(name, strat)]
             if report is None or base_report is None:
                 delta = float("nan")
             else:

@@ -113,11 +113,17 @@ def _check_prefix(vocab: Vocab, prefix: Sequence[int]) -> tuple[int, ...]:
     return tuple(ids.tolist())
 
 
+def _check_owner(model: Any, made: Any, what: str) -> None:
+    """Refuse what another model made: its ``owner`` must be this model's
+    ownership token."""
+    if getattr(made, "owner", None) is not model._owner:
+        raise ContractViolation(f"{what} from a different model")
+
+
 def _check_prior(
     model: Any, prior: EncoderStates, n_frames: int, utt_id: str | None
 ) -> None:
-    if prior.owner is not model._owner:
-        raise ContractViolation("prior states come from a different model")
+    _check_owner(model, prior, "prior states")
     if prior.frames_covered > n_frames:
         raise ContractViolation(
             "prior states cover more frames than were provided"
@@ -254,6 +260,7 @@ class SyntheticAlignedModel:
         """A state is the output slot every row of the block sits at and the
         encoding it reads; the emission depends on the slot alone, so row j
         is slot j's."""
+        _check_owner(self, enc, "encoder states")
         n = len(_check_ids(prefix, len(self.vocab), "token id"))
         return (n, enc), np.stack([self._emission(enc, j) for j in range(n + 1)])
 
@@ -263,6 +270,7 @@ class SyntheticAlignedModel:
     ) -> tuple[tuple[int, EncoderStates], np.ndarray]:
         """All rows of the block share the next slot's emission."""
         slot, enc = state
+        _check_owner(self, enc, "decoder state")
         ids = _check_ids(token_ids, len(self.vocab), "token id")
         if np.shape(rows) != ids.shape or not ids.size:
             raise ContractViolation(

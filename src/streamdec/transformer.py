@@ -3,24 +3,27 @@
 Each layer is written once (``_enc_layer``, ``_dec_layer``) from ``@``, ``+``
 and autodiff ops that also take plain arrays, so inference runs it on float64
 numpy and training on Tensors; the callers differ only in the attention
-kernel they hand it. A causal (unidirectional) encoder never changes the
-states of earlier positions, so ``encode`` with a prior projects only the new
-rows and appends their keys and values to each layer's cache; a
+kernel they hand it. Inference has one kernel, ``_attend``: query rows over
+key and value rows under any leading dimensions, masked by ``_future``, the
+one causal-mask formula. Every key/value cache is a per-layer (K, V) pair of
+(..., positions, d_model) rows that grows only in ``_append``: the causal
+encoder's self-attention cache, the cross-attention keys and values on the
+encoder states, and each decoder row's self-attention cache. A causal
+(unidirectional) encoder never changes the states of earlier positions, so
+``encode`` with a prior projects only the new rows and appends them; a
 bidirectional one re-encodes every frame. Either way the states record the
-rows this call ran (``rows_encoded``), and carry every decoder layer's
-cross-attention keys and values of their rows, projected by the encode that
-ran those rows: once per row in causal mode. One decoder forward
+rows this call ran (``rows_encoded``). One decoder forward
 (``_advance_block``) runs a block of rows over one or more positions.
 ``dec_init`` is the prefill: one row over bos and the whole forced prefix in
 a single call, which is also the forward the attention dump reads.
-``dec_advance`` is the one-position case over many rows, one per beam path.
-A ``DecState`` is one block: every row's self-attention keys and values,
-stacked, plus the cross-attention keys and values of the encoding it was made
-with, so it needs nothing else to advance. A beam step gathers the rows it
-extends by parent index. Each attention computes its weights in place in its
-score buffer (``_attention_weights``). Training packs a batch's real frames
-into one block of encoder rows, one segment per utterance, and its kernel is
-one ``attention`` node that attends within segments: no padded frame is read.
+``dec_advance`` is the one-position case over many rows, one per beam path,
+gathered by parent index. A ``DecState`` is one block: every row's
+self-attention keys and values, (rows, pos, d_model), plus the encoding's
+cross-attention keys and values, so it needs nothing else to advance. Each
+attention computes its weights in place in its score buffer
+(``_attention_weights``). Training packs a batch's real frames into one block
+of encoder rows, one segment per utterance, and its kernel is one
+``attention`` node that attends within segments: no padded frame is read.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .model import (
     UNIDIRECTIONAL,
     EncoderStates,
     _check_ids,
+    _check_owner,
     _check_prefix,
     _check_prior,
 )
@@ -163,26 +167,42 @@ def _attention_weights(
 
 
 def _heads(x: np.ndarray, h: int, dh: int) -> np.ndarray:
-    # (T, d) -> (h, T, dh)
-    t = x.shape[0]
-    return x.reshape(t, h, dh).transpose(1, 0, 2)
+    # (..., T, d) -> (..., h, T, dh)
+    return x.reshape(x.shape[:-1] + (h, dh)).swapaxes(-3, -2)
 
 
 def _merge(x: np.ndarray, d: int) -> np.ndarray:
-    # (h, T, dh) -> (T, d)
-    return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+    # (..., h, T, dh) -> (..., T, d)
+    x = x.swapaxes(-3, -2)
+    return x.reshape(x.shape[:-2] + (d,))
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
             masked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head attention of query rows q (n, d) over key and value rows
-    k, v (m, d): the weights (heads, n, m) and the context rows (n, d)."""
+    """Multi-head attention of query rows q (..., n, d) over key and value
+    rows k, v (..., m, d): the weights (..., heads, n, m) and the context
+    rows (..., n, d). masked (n, m) is shared by every leading index."""
     d = q.shape[-1]
     dh = d // heads
     w = _attention_weights(
-        _heads(q, heads, dh) @ _heads(k, heads, dh).transpose(0, 2, 1), dh, masked
+        _heads(q, heads, dh) @ _heads(k, heads, dh).swapaxes(-1, -2), dh, masked
     )
     return w, _merge(w @ _heads(v, heads, dh), d)
+
+
+def _future(start: int, stop: int) -> np.ndarray:
+    """The causal mask of query positions start..stop-1 over key positions
+    0..stop-1: True where the key comes after the query."""
+    return np.arange(stop) > np.arange(start, stop)[:, None]
+
+
+def _append(cache: list, l: int, k: np.ndarray, v: np.ndarray) -> tuple:
+    """Grow layer l's (K, V) in cache by the rows k, v along the position
+    axis, the second last; returns the grown pair. The old arrays are left
+    as they were, so a state that holds them keeps its numbers."""
+    cache[l] = (np.concatenate([cache[l][0], k], axis=-2),
+                np.concatenate([cache[l][1], v], axis=-2))
+    return cache[l]
 
 
 # --- the layers ----------------------------------------------------------------
@@ -253,7 +273,7 @@ class DecState:
 
     owner: object  # the producing model's ownership token
     pos: int  # consumed input positions of every row, bos included
-    kv: tuple  # per layer: self-attn (K, V), each (rows, heads, pos, head_dim)
+    kv: tuple  # per layer: self-attn (K, V), each (rows, pos, d_model)
     cross: tuple  # the encoding's EncoderStates.cross_kv
 
 
@@ -320,23 +340,18 @@ class TinyTransformer:
 
         causal = cfg.mode == UNIDIRECTIONAL
         if causal and prior is not None:
-            start, kv, states = prior.frames_covered, list(prior.layer_kv), prior.states
-            cross = prior.cross_kv
+            start, states = prior.frames_covered, prior.states
+            kv, cross = list(prior.layer_kv), list(prior.cross_kv)
         else:
-            states = np.zeros((0, cfg.d_model))
-            start, kv = 0, [(states, states)] * cfg.enc_layers
-            cross = ((states, states),) * cfg.dec_layers
+            start, states = 0, np.zeros((0, cfg.d_model))
+            kv = [(states, states)] * cfg.enc_layers
+            cross = [(states, states)] * cfg.dec_layers
         grids: list[np.ndarray] = []
         if total > start:
-            future = (
-                np.arange(total)[None, :] > np.arange(start, total)[:, None]
-            ) if causal else None
+            future = _future(start, total) if causal else None
 
             def attend(l, q, k, v):
-                k = np.concatenate([kv[l][0], k])
-                v = np.concatenate([kv[l][1], v])
-                kv[l] = (k, v)
-                w, ctx = _attend(q, k, v, cfg.heads, future)
+                w, ctx = _attend(q, *_append(kv, l, k, v), cfg.heads, future)
                 grids.append(w)
                 return ctx
 
@@ -345,51 +360,40 @@ class TinyTransformer:
                 x = _enc_layer(p, l, x, attend)
             new = _ln(p, "enc_lnf", x)
             states = np.concatenate([states, new])
-            cross = tuple(
-                tuple(map(np.concatenate, zip(cross[l], _cross_kv(p, l, new))))
-                for l in range(cfg.dec_layers)
-            )
+            for l in range(cfg.dec_layers):
+                _append(cross, l, *_cross_kv(p, l, new))
         enc = EncoderStates(
             states, total, frame_period_sec, utt_id, self._owner, tuple(kv),
-            cross_kv=cross, rows_encoded=total - start,
+            cross_kv=tuple(cross), rows_encoded=total - start,
         )
         return enc, grids
 
     # --- decoder ------------------------------------------------------------
 
     def _advance_block(
-        self, x: np.ndarray, kv: Sequence, cross: Sequence
+        self, x: np.ndarray, kv: list, cross: Sequence
     ) -> tuple[np.ndarray, list, list, list]:
         """The decoder stack over T embedded input positions per row.
 
         x is (B, T, d_model); kv holds per layer the (K, V) self-attention
-        cache of every row, each (B, heads, pos, head_dim), and cross the
-        layer's cross-attention (K, V) that every row shares. Position t of
-        a row attends to the row's cache and to positions 0..t of its block.
-        Returns the next-token log-probabilities (B, T, vocab), the grown
-        caches, and per layer the self-attention weights (B, heads, T,
-        pos + T) and the cross-attention weights (B, heads, T, frames)."""
-        cfg = self.cfg
-        h, dh, d = cfg.heads, cfg.head_dim, cfg.d_model
-        b_sz, t_len, _ = x.shape
-        pos = kv[0][0].shape[2]
-        # a lone position sees nothing after it
-        future = (
-            np.arange(pos + t_len)[None, :] > pos + np.arange(t_len)[:, None]
-        ) if t_len > 1 else None
-        new_kv, self_attns, cross_attns = [], [], []
-
-        def split(y: np.ndarray) -> np.ndarray:
-            # (B*T, d) -> (B, heads, T, head_dim)
-            return y.reshape(b_sz, t_len, h, dh).transpose(0, 2, 1, 3)
+        cache of every row, each (B, pos, d_model), which _append grows in
+        place; cross the layer's cross-attention (K, V) that every row shares.
+        Position t of a row attends to the row's cache and to positions 0..t
+        of its block. Returns the next-token log-probabilities (B, T,
+        vocab), the grown caches, and per layer the self-attention weights
+        (B, heads, T, pos + T) and the cross-attention weights (B, heads, T,
+        frames)."""
+        cfg, h = self.cfg, self.cfg.heads
+        b_sz, t_len, d = x.shape
+        pos = kv[0][0].shape[1]
+        future = _future(pos, pos + t_len)
+        self_attns, cross_attns = [], []
 
         def attend(l, q, k, v):
-            k = np.concatenate([kv[l][0], split(k)], axis=2)
-            v = np.concatenate([kv[l][1], split(v)], axis=2)
-            w = _attention_weights(split(q) @ k.transpose(0, 1, 3, 2), dh, future)
-            new_kv.append((k, v))
+            q, k, v = (a.reshape(b_sz, t_len, d) for a in (q, k, v))
+            w, ctx = _attend(q, *_append(kv, l, k, v), h, future)
             self_attns.append(w)
-            return (w @ v).transpose(0, 2, 1, 3).reshape(b_sz * t_len, d)
+            return ctx.reshape(b_sz * t_len, d)
 
         def attend_cross(l, q):
             # no per-row cache: the B*T rows attend to the shared encoder
@@ -403,7 +407,7 @@ class TinyTransformer:
         for l in range(cfg.dec_layers):
             y = _dec_layer(self.params, l, y, attend, attend_cross)
         logps = _logps(self.params, y)
-        return logps.reshape(b_sz, t_len, -1), new_kv, self_attns, cross_attns
+        return logps.reshape(b_sz, t_len, -1), kv, self_attns, cross_attns
 
     def _embed(self, token_ids: Sequence, start: int) -> np.ndarray:
         """Decoder input rows (B, T, d_model) for a (B, T) block of token ids
@@ -411,22 +415,19 @@ class TinyTransformer:
         ids = np.asarray(token_ids)
         return _dec_in(self.params, ids, self._pos(start + ids.shape[1])[start:])
 
-    def _empty_kv(self) -> list:
-        empty = np.zeros((1, self.cfg.heads, 0, self.cfg.head_dim))
-        return [(empty, empty)] * self.cfg.dec_layers
-
     def _prefill(self, enc: EncoderStates, prefix: Sequence[int]) -> tuple:
         """One B = 1 decoder forward over bos + prefix from empty caches: the
         state after the whole prefix, the log-probs after each position
         (len(prefix) + 1, vocab), and _advance_block's attention weights.
         The cross-attention keys and values are the encoding's own."""
-        if enc.owner is not self._owner:
-            raise ContractViolation("encoder states from a different model")
+        _check_owner(self, enc, "encoder states")
         if enc.frames_covered == 0:
             raise ContractViolation("cannot decode with no encoder states")
         ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
+        empty = np.zeros((1, 0, self.cfg.d_model))
         logps, kv, self_attns, cross_attns = self._advance_block(
-            self._embed(ids[None], 0), self._empty_kv(), enc.cross_kv
+            self._embed(ids[None], 0), [(empty, empty)] * self.cfg.dec_layers,
+            enc.cross_kv,
         )
         state = DecState(self._owner, len(ids), tuple(kv), enc.cross_kv)
         return state, logps[0], self_attns, cross_attns
@@ -439,8 +440,7 @@ class TinyTransformer:
     def dec_advance(
         self, state: DecState, rows: Sequence[int], token_ids: Sequence[int]
     ) -> tuple[DecState, np.ndarray]:
-        if not (isinstance(state, DecState) and state.owner is self._owner):
-            raise ContractViolation("decoder state from a different model")
+        _check_owner(self, state, "decoder state")
         rows = _check_ids(rows, len(state.kv[0][0]), "row")
         ids = _check_ids(token_ids, len(self.vocab), "token id")
         if rows.ndim != 1 or rows.shape != ids.shape or not rows.size:
@@ -519,7 +519,7 @@ def attention(
     out = np.zeros(qd.shape)
     weights = []  # per segment, (heads, query rows, key rows)
     for qs, qe, ks, ke in spans:
-        future = np.arange(ke - ks) > np.arange(qe - qs)[:, None] if causal else None
+        future = _future(0, ke - ks) if causal else None
         w, out[qs:qe] = _attend(qd[qs:qe], kd[ks:ke], vd[ks:ke], heads, future)
         weights.append(w)
 

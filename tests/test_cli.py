@@ -472,6 +472,24 @@ class TestErrorPaths:
         assert "error: --model names 'a' more than once" in capsys.readouterr().err
         assert not (work / "never.csv").exists()
 
+    @pytest.mark.parametrize("chunk_sec", ["0.333", "inf"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_chunk_len_exit_2(self, work, capsys, command, chunk_sec):
+        """A chunk length that is no whole number of frames is refused
+        before anything runs: sweep does not turn it into nan rows."""
+        argv = {
+            "run": ["run", "--model", str(work / "model.bin"), "--strategy", "hold-0"],
+            "sweep": ["sweep", "--model", f"m={work / 'model.bin'}",
+                      "--strategies", "hold-0"],
+        }[command]
+        rc = main([
+            *argv, "--in", str(work / "eval.jsonl"),
+            "--out", str(work / "never.csv"), "--chunk-sec", chunk_sec,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: chunk length")
+        assert not (work / "never.csv").exists()
+
     def test_adapt_rejects_data_of_another_width(self, work, wide_data, tmp_path, capsys):
         rc = main([
             "adapt", "--model", str(work / "model.bin"),

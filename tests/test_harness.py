@@ -125,9 +125,11 @@ class TestSweep:
                 raise RuntimeError("boom")
 
         spec = SweepSpec(strategies=(Offline(),), beam=BeamConfig(beam_width=4))
-        rows = sweep(
-            {"ok": unstable_model, "broken": Boom()}, small_corpus[:3], spec
-        )
+        said = re.escape("sweep cell broken/offline: RuntimeError('boom')")
+        with pytest.warns(UserWarning, match=said):
+            rows = sweep(
+                {"ok": unstable_model, "broken": Boom()}, small_corpus[:3], spec
+            )
         broken = [r for r in rows if r.model == "broken"][0]
         ok = [r for r in rows if r.model == "ok"][0]
         assert math.isnan(broken.wer) and math.isnan(broken.delta_latency)

@@ -167,6 +167,24 @@ class TestEncodeContract:
         with pytest.raises(ContractViolation):
             m2.encode(utts[0].frames, enc)
 
+    def test_foreign_encoding_rejected(self, world):
+        """Two oracles of one dataset share their alignments, but neither
+        decodes the other's encoding."""
+        spec, utts, _ = world
+        m1 = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        m2 = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        enc = m1.encode(utts[0].frames, utt_id=utts[0].id)
+        with pytest.raises(ContractViolation, match="different model"):
+            m2.dec_init(enc, ())
+
+    def test_foreign_state_rejected(self, world):
+        spec, utts, _ = world
+        m1 = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        m2 = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        foreign, _ = m2.dec_init(m2.encode(utts[0].frames, utt_id=utts[0].id))
+        with pytest.raises(ContractViolation, match="from a different model"):
+            m1.dec_advance(foreign, [0, 0], [3, 4])
+
     def test_shrinking_coverage_rejected(self, world):
         spec, utts, _ = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13)

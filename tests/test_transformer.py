@@ -207,6 +207,22 @@ class TestDecoding:
             np.testing.assert_array_equal(ka, kb)
             np.testing.assert_array_equal(va, vb)
 
+    def test_every_cache_is_rows_over_positions(self, causal_deep_model, rng):
+        """The encoder's self-attention cache and the decoder state's share
+        one layout: (positions, d_model) rows, with the decoder's rows of a
+        block stacked in front."""
+        model, d = causal_deep_model, causal_deep_model.cfg.d_model
+        prefix = (3, 4, 5, 6)
+        enc = model.encode(rng.normal(size=(14, 4)), None)
+        for k, v in enc.layer_kv:
+            assert k.shape == v.shape == (14, d)
+        state, _ = model.dec_init(enc, prefix)
+        for k, v in state.kv:
+            assert k.shape == v.shape == (1, len(prefix) + 1, d)
+        state, _ = model.dec_advance(state, [0, 0, 0], [3, 4, 5])
+        for k, v in state.kv:
+            assert k.shape == v.shape == (3, state.pos, d)
+
     def test_foreign_encoder_rejected(self, micro_cfg, micro_vocab, rng):
         m1 = TinyTransformer(micro_cfg, micro_vocab)
         m2 = TinyTransformer(micro_cfg, micro_vocab)
