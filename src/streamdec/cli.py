@@ -208,24 +208,17 @@ def _parse_value(val: str) -> object:
 
 
 def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    known = set()
-    stack = [parser]
-    while stack:
-        p = stack.pop()
+    parsers, known = [parser], set()
+    for p in parsers:  # grows as it goes: every subparser, once
         for a in p._actions:
             known.add(a.dest)
             if isinstance(a, argparse._SubParsersAction):
-                stack.extend(a.choices.values())
+                parsers.extend(a.choices.values())
     unknown = sorted(set(defaults) - known)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        for a in p._actions:
-            if isinstance(a, argparse._SubParsersAction):
-                stack.extend(a.choices.values())
+    for p in parsers:
+        p.set_defaults(**defaults)
 
 
 def cmd_gen_data(args) -> int:

@@ -92,7 +92,10 @@ def beam_search(
     rank the smaller token-id sequence first. One ``dec_init`` prefill
     scores the forced prefix, and its last row starts the beam; each beam
     step then advances every kept child in one ``dec_advance`` call on the
-    beam's one state, whose row i holds the live path ``active[i]``.
+    beam's one state, whose row i holds the live path ``active[i]``. The
+    live paths are kept in token order: they share one length and have
+    distinct tokens, so the flat (parent, word) index of a step's child
+    scores is the children's token order, and one stable sort ranks them.
     """
     vocab = model.vocab
     norm = cfg.length_normalize
@@ -112,7 +115,7 @@ def beam_search(
     if len(prefix) >= max_total:
         return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
-    gen_ids = np.array(vocab.word_ids(), dtype=np.int64)
+    gen_ids = np.array(vocab.word_ids(), dtype=np.int64)  # ascending
     active = [BeamHypothesis(prefix, score, tuple(steps), False)]
     active_lps = logps[-1:]  # (len(active), vocab)
     finished: list[BeamHypothesis] = []
@@ -135,22 +138,13 @@ def beam_search(
         finished.sort(key=lambda h: _rank_key(h, norm))
         del finished[cfg.beam_width:]
 
-        # every live path has the same length, so ranking children by
-        # (-score, tokens) is ranking by (-score, parent's tokens, token id)
-        n_par, n_gen = scores.shape
-        parent_rank = np.empty(n_par, dtype=np.int64)
-        parent_rank[sorted(range(n_par), key=lambda i: active[i].tokens)] = (
-            np.arange(n_par)
+        # active is in token order and gen_ids ascend, so a stable sort of
+        # the flat scores ranks the children by (-score, tokens); sorting
+        # the kept indices keeps the next beam in token order
+        keep = np.sort(
+            np.argsort(-scores, axis=None, kind="stable")[: cfg.beam_width]
         )
-        keep = np.lexsort((
-            np.tile(np.arange(n_gen), n_par),
-            np.repeat(parent_rank, n_gen),
-            -scores.ravel(),
-        ))[: cfg.beam_width]
-        if not keep.size:
-            active = []
-            break
-        parents, cols = np.divmod(keep, n_gen)
+        parents, cols = np.divmod(keep, len(gen_ids))
         toks = gen_ids[cols]
         # equal lengths again: the children all reach the cap or none does
         at_cap = len(active[0].tokens) + 1 >= max_total
@@ -168,7 +162,7 @@ def beam_search(
                 active_lps[parents, toks].tolist(),
             )
         ]
-        if at_cap:
+        if at_cap or not children:  # no word ids leave no children
             finished += children
             active = []
         else:

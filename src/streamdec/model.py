@@ -121,15 +121,30 @@ def _check_owner(model: Any, made: Any, what: str) -> None:
 
 
 def _check_prior(
-    model: Any, prior: EncoderStates, n_frames: int, utt_id: str | None
-) -> None:
+    model: Any, prior: EncoderStates | None, n_frames: int,
+    utt_id: str | None, frame_period_sec: float,
+) -> tuple[str | None, float]:
+    """(utt_id, frame_period_sec) of an n_frames encoding that extends prior:
+    the prior's, but a given utt_id wins; a prior it cannot extend raises."""
+    if prior is None:
+        return utt_id, frame_period_sec
     _check_owner(model, prior, "prior states")
     if prior.frames_covered > n_frames:
-        raise ContractViolation(
-            "prior states cover more frames than were provided"
-        )
+        raise ContractViolation("prior states cover more frames than were provided")
     if utt_id is not None and prior.utt_id is not None and utt_id != prior.utt_id:
         raise ContractViolation("prior states belong to a different utterance")
+    return (prior.utt_id if utt_id is None else utt_id), prior.frame_period_sec
+
+
+def _check_block(rows: Any, token_ids: Any, n_rows: int,
+                 vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dec_advance block as arrays: row indices into a state of n_rows
+    rows and one token id per row, with at least one row."""
+    rows = _check_ids(rows, n_rows, "row")
+    ids = _check_ids(token_ids, vocab_size, "token id")
+    if rows.ndim != 1 or rows.shape != ids.shape or not rows.size:
+        raise ContractViolation("a block needs one token id per row and at least one row")
+    return rows, ids
 
 
 class SyntheticAlignedModel:
@@ -208,11 +223,9 @@ class SyntheticAlignedModel:
         frame_period_sec: float = 0.010,
     ) -> EncoderStates:
         frames = np.asarray(frames, dtype=np.float64)
-        if prior is not None:
-            _check_prior(self, prior, len(frames), utt_id)
-            if utt_id is None:
-                utt_id = prior.utt_id
-            frame_period_sec = prior.frame_period_sec
+        utt_id, frame_period_sec = _check_prior(
+            self, prior, len(frames), utt_id, frame_period_sec
+        )
         return EncoderStates(
             states=frames,
             frames_covered=len(frames),
@@ -256,28 +269,24 @@ class SyntheticAlignedModel:
 
     def dec_init(
         self, enc: EncoderStates, prefix: Sequence[int] = ()
-    ) -> tuple[tuple[int, EncoderStates], np.ndarray]:
-        """A state is the output slot every row of the block sits at and the
-        encoding it reads; the emission depends on the slot alone, so row j
-        is slot j's."""
+    ) -> tuple[tuple[int, EncoderStates, int], np.ndarray]:
+        """A state is the output slot every row of the block sits at, the
+        encoding it reads and its row count; the emission depends on the
+        slot alone, so prefill row j is slot j's."""
         _check_owner(self, enc, "encoder states")
         n = len(_check_ids(prefix, len(self.vocab), "token id"))
-        return (n, enc), np.stack([self._emission(enc, j) for j in range(n + 1)])
+        return (n, enc, 1), np.stack([self._emission(enc, j) for j in range(n + 1)])
 
     def dec_advance(
-        self, state: tuple[int, EncoderStates], rows: Sequence[int],
+        self, state: tuple[int, EncoderStates, int], rows: Sequence[int],
         token_ids: Sequence[int],
-    ) -> tuple[tuple[int, EncoderStates], np.ndarray]:
+    ) -> tuple[tuple[int, EncoderStates, int], np.ndarray]:
         """All rows of the block share the next slot's emission."""
-        slot, enc = state
+        slot, enc, n_rows = state
         _check_owner(self, enc, "decoder state")
-        ids = _check_ids(token_ids, len(self.vocab), "token id")
-        if np.shape(rows) != ids.shape or not ids.size:
-            raise ContractViolation(
-                "a block needs one token id per row and at least one row"
-            )
-        lps = np.tile(self._emission(enc, slot + 1), (ids.size, 1))
-        return (slot + 1, enc), lps
+        rows, _ = _check_block(rows, token_ids, n_rows, len(self.vocab))
+        lps = np.tile(self._emission(enc, slot + 1), (rows.size, 1))
+        return (slot + 1, enc, rows.size), lps
 
     def dump_attention(self, frames: np.ndarray, prefix: Sequence[int]):
         raise UnsupportedOperation(

@@ -41,6 +41,7 @@ from .model import (
     BIDIRECTIONAL,
     UNIDIRECTIONAL,
     EncoderStates,
+    _check_block,
     _check_ids,
     _check_owner,
     _check_prefix,
@@ -190,9 +191,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     return w, _merge(w @ _heads(v, heads, dh), d)
 
 
-def _future(start: int, stop: int) -> np.ndarray:
+def _future(start: int, stop: int) -> np.ndarray | None:
     """The causal mask of query positions start..stop-1 over key positions
-    0..stop-1: True where the key comes after the query."""
+    0..stop-1: True where the key comes after the query. None for one query
+    row, which has no key after it."""
+    if stop - start == 1:
+        return None
     return np.arange(stop) > np.arange(start, stop)[:, None]
 
 
@@ -332,11 +336,9 @@ class TinyTransformer:
                 f"frames must be (n, {cfg.frame_dim}); got {frames.shape}"
             )
         total = len(frames)
-        if prior is not None:
-            _check_prior(self, prior, total, utt_id)
-            if utt_id is None:
-                utt_id = prior.utt_id
-            frame_period_sec = prior.frame_period_sec
+        utt_id, frame_period_sec = _check_prior(
+            self, prior, total, utt_id, frame_period_sec
+        )
 
         causal = cfg.mode == UNIDIRECTIONAL
         if causal and prior is not None:
@@ -441,12 +443,9 @@ class TinyTransformer:
         self, state: DecState, rows: Sequence[int], token_ids: Sequence[int]
     ) -> tuple[DecState, np.ndarray]:
         _check_owner(self, state, "decoder state")
-        rows = _check_ids(rows, len(state.kv[0][0]), "row")
-        ids = _check_ids(token_ids, len(self.vocab), "token id")
-        if rows.ndim != 1 or rows.shape != ids.shape or not rows.size:
-            raise ContractViolation(
-                "a block needs one token id per row and at least one row"
-            )
+        rows, ids = _check_block(
+            rows, token_ids, len(state.kv[0][0]), len(self.vocab)
+        )
         logps, kv, _, _ = self._advance_block(
             self._embed(ids[:, None], state.pos),
             [(k[rows], v[rows]) for k, v in state.kv],

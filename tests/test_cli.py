@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from streamdec import cli
+from streamdec import cli, decoder
 from streamdec.cli import main
 from streamdec.core import RESERVED_TOKENS, CommitLog, Utterance
+from streamdec.decoder import BeamConfig
 from streamdec.io import (
     load_attention_grids,
     load_commit_logs,
@@ -136,6 +137,30 @@ class TestPipeline:
         assert lines[0] == "model,strategy,params,wer,mean_t_out,delta_latency"
         assert len(lines) == 4
         assert capsys.readouterr().out.startswith("model,strategy")
+
+    @pytest.mark.filterwarnings("error::UserWarning")  # a failed sweep cell
+    @pytest.mark.parametrize("command, model_arg, strategy", [
+        ("run", "{}", "--strategy"),
+        ("sweep", "m={}", "--strategies"),
+    ], ids=["run", "sweep"])
+    def test_length_norm_reaches_the_decoder(
+        self, work, tmp_path, monkeypatch, command, model_arg, strategy
+    ):
+        seen = []
+        search = decoder.beam_search
+
+        def spy(m, enc, prefix, cfg):
+            seen.append(cfg)
+            return search(m, enc, prefix, cfg)
+
+        monkeypatch.setattr(decoder, "beam_search", spy)
+        assert main([
+            command, "--model", model_arg.format(work / "model.bin"),
+            "--in", str(work / "eval.jsonl"), "--out", str(tmp_path / "out"),
+            strategy, "hold-0", "--beam", "2", "--length-norm",
+        ]) == 0
+        assert seen
+        assert set(seen) == {BeamConfig(beam_width=2, length_normalize=True)}
 
     def test_dump_attention_writes_grids(self, work):
         out = work / "attn.tsv"

@@ -206,7 +206,7 @@ class TestEncodeContract:
         enc = m.encode(u.frames, utt_id=u.id)
         ids = aligns[u.id].token_ids
         state, lps = m.dec_init(enc, ids[:2])
-        assert state == (2, enc)
+        assert state == (2, enc, 1)
         assert [int(np.argmax(row)) for row in lps] == list(ids[:3])
 
     def test_prefill_rows_are_slot_emissions(self, world):
@@ -221,7 +221,7 @@ class TestEncodeContract:
             for n in range(len(ids) + 2):
                 prefix = (list(ids) + [ids[0]])[:n]
                 state, lps = m.dec_init(enc, prefix)
-                assert state == (n, enc)
+                assert state == (n, enc, 1)
                 assert lps.shape == (n + 1, len(m.vocab))
                 for j in range(n + 1):
                     np.testing.assert_array_equal(lps[j], m._emission(enc, j))
@@ -241,7 +241,7 @@ class TestPerSlotInvariants:
         ids = aligns[u.id].token_ids
         state, _ = m.dec_init(enc)
         state, lps = m.dec_advance(state, [0, 0, 0], list(ids[:3]))
-        assert state == (1, enc)
+        assert state == (1, enc, 3)
         want = decode_step(m, enc, ids[:1])
         for row in lps:
             np.testing.assert_array_equal(row, want)
@@ -249,6 +249,19 @@ class TestPerSlotInvariants:
             m.dec_advance(state, [0, 1], [ids[0]])
         with pytest.raises(ContractViolation, match="token id 99 out of range"):
             m.dec_advance(state, [0], [99])
+
+    @pytest.mark.parametrize("rows, why", [
+        ([7], "row 7 out of range 0..0"),
+        ([-3], "row -3 out of range 0..0"),
+        ([0.5], "rows must be integers"),
+    ])
+    def test_bad_rows_rejected(self, world, rows, why):
+        spec, utts, aligns = world
+        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        u = utts[0]
+        state, _ = m.dec_init(m.encode(u.frames, utt_id=u.id))
+        with pytest.raises(ContractViolation, match=why):
+            m.dec_advance(state, rows, [aligns[u.id].token_ids[0]])
 
     def test_dump_attention_unsupported(self, world):
         spec, utts, _ = world

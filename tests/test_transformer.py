@@ -21,6 +21,7 @@ from streamdec.transformer import (
     TinyTransformer,
     TransformerConfig,
     _attention_weights,
+    _future,
     _softmax_np,
     leaf_tensors,
     sinusoid_table,
@@ -417,6 +418,17 @@ class TestInPlaceSoftmax:
         np.testing.assert_array_equal(_bits(x), _bits(before))
         assert not np.shares_memory(x, y)
         np.testing.assert_array_equal(_bits(y), _bits(_softmax_fresh(x)))
+
+
+class TestFutureMask:
+    @pytest.mark.parametrize("pos", [0, 1, 7])
+    def test_one_query_row_has_no_mask(self, pos):
+        assert _future(pos, pos + 1) is None
+
+    @pytest.mark.parametrize("start, stop", [(0, 2), (0, 5), (3, 5), (6, 9)])
+    def test_wider_block_masks_later_keys(self, start, stop):
+        want = [[k > q for k in range(stop)] for q in range(start, stop)]
+        np.testing.assert_array_equal(_future(start, stop), np.array(want))
 
 
 class TestTrainingGraphParity:
