@@ -114,6 +114,11 @@ class Utterance:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise ConfigError("frames must be a 2-D (n_frames, dim) array")
+        if 0 in self.frames.shape:
+            raise ConfigError(
+                f"frames must hold at least one frame of nonzero width, "
+                f"got shape {self.frames.shape}"
+            )
         if not np.isfinite(self.frames).all():
             raise ConfigError("frames must be finite (no NaN or inf)")
         if not 0 < self.frame_period_sec < math.inf:

@@ -1,14 +1,18 @@
 """File formats: JSONL utterances and commit logs, JSON eval summaries,
 TSV attention grids.
 
-Utterance lines carry frames as nested lists; fine for desk-scale data and
-keeps the corpus diffable and python-free to inspect. A commit log is one
-line per displayed token and loads back as the ``CommitLog`` it was saved
-from; this module is the only code that knows the JSONL keys.
+An utterance line keeps its id, tokens and frame period as plain JSON and
+its frames as ``{"shape": [n, dim], "float64le": <base64>}``: the base64 of
+the frame matrix's little-endian float64 bytes in row-major order. That
+round-trips every float64 bit for bit, like float text, but loads without
+parsing one number per frame value. A commit log is one line per displayed
+token and loads back as the ``CommitLog`` it was saved from; this module is
+the only code that knows the JSONL keys.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -24,12 +28,54 @@ from .core import (
 )
 
 
+def _encode_frames(frames: np.ndarray) -> dict:
+    data = frames.astype("<f8", copy=False).tobytes()
+    return {
+        "shape": list(frames.shape),
+        "float64le": base64.b64encode(data).decode("ascii"),
+    }
+
+
+def _decode_frames(frames) -> np.ndarray:
+    """The inverse of _encode_frames: a native, C-contiguous, writable
+    float64 matrix. A malformed value is a ConfigError; the nested-list
+    spelling of earlier versions is refused, not read."""
+    if isinstance(frames, list):
+        raise ConfigError(
+            "frames are nested lists, a spelling this version no longer "
+            "reads; regenerate the corpus with `streamdec gen-data`"
+        )
+    if not isinstance(frames, dict) or set(frames) != {"shape", "float64le"}:
+        raise ConfigError(
+            'frames must be an object with exactly the keys "shape" and '
+            '"float64le"'
+        )
+    shape = frames["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ConfigError(
+            f"frames shape must be two non-negative integers, got {shape!r}"
+        )
+    try:
+        raw = base64.b64decode(frames["float64le"], validate=True)
+    except (TypeError, ValueError) as e:  # not a string, not ASCII, not base64
+        raise ConfigError(f"frames float64le is not valid base64: {e}") from e
+    n, dim = shape
+    if len(raw) != 8 * n * dim:
+        raise ConfigError(
+            f"frames float64le holds {len(raw)} bytes; shape {shape} needs "
+            f"{8 * n * dim}"
+        )
+    # astype copies: the buffer of bytes is read-only
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, dim)
+
+
 def save_utterances(utts: Iterable[Utterance], path: str) -> None:
     with open(path, "w") as fh:
         for u in utts:
             rec = {
                 "id": u.id,
-                "frames": u.frames.tolist(),
+                "frames": _encode_frames(u.frames),
                 "ref": list(u.reference_tokens),
                 "frame_period_sec": u.frame_period_sec,
             }
@@ -76,7 +122,7 @@ def _is_str_list(v) -> bool:
 
 
 # each utterance key, what its value must be, and the check (bool is not a
-# number here); frames are checked by Utterance itself
+# number here); frames are checked by _decode_frames and Utterance
 _UTTERANCE_FIELDS = (
     ("id", "a string", lambda v: isinstance(v, str)),
     ("ref", "a list of strings", _is_str_list),
@@ -88,15 +134,24 @@ _UTTERANCE_FIELDS = (
 
 def load_utterances(path: str) -> list[Utterance]:
     """Utterances in file order, the inverse of save_utterances. A malformed
-    record is a ConfigError naming path:line."""
+    record, or an id an earlier record already used, is a ConfigError naming
+    path:line."""
     out = []
+    first_line: dict[str, int] = {}  # utterance id -> line that used it
     for line_no, rec in _records(path, ("id", "frames", "ref")):
         _check_fields(path, line_no, rec, _UTTERANCE_FIELDS)
+        utt_id = rec["id"]
+        if utt_id in first_line:
+            raise ConfigError(
+                f"{path}:{line_no}: utterance id {utt_id!r} repeats the one "
+                f"on line {first_line[utt_id]}"
+            )
+        first_line[utt_id] = line_no
         tgt = rec.get("tgt")
         try:
             utt = Utterance(
-                id=rec["id"],
-                frames=np.asarray(rec["frames"], dtype=np.float64),
+                id=utt_id,
+                frames=_decode_frames(rec["frames"]),
                 reference_tokens=tuple(rec["ref"]),
                 target_tokens=tuple(tgt) if tgt is not None else None,
                 frame_period_sec=rec.get("frame_period_sec", 0.010),

@@ -461,9 +461,11 @@ class TestErrorPaths:
 
     def test_train_rejects_mixed_frame_widths(self, work, wide_data, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_text(
-            (work / "data.jsonl").read_text() + wide_data.read_text().splitlines()[0] + "\n"
-        )
+        # both corpora are drawn with seed 9, so the wide record takes a
+        # fresh id: a repeated one is refused before any batch is built
+        wide = json.loads(wide_data.read_text().splitlines()[0])
+        wide["id"] = "wide-0"
+        mixed.write_text((work / "data.jsonl").read_text() + json.dumps(wide) + "\n")
         rc = main([
             "train", "--data", str(mixed), "--out", str(tmp_path / "m.bin"),
             "--steps", "1", "--batch-size", "32", "--d-model", "8",
@@ -486,6 +488,17 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err == "error: eval_every must be >= 1\n"
         assert not (tmp_path / "a.bin").exists()
+
+    def test_eval_rejects_repeated_utterance_id(self, work, tmp_path, capsys):
+        """Logs are kept per id, so a reference whose id repeats would be
+        scored against the other reference's log."""
+        first = (work / "eval.jsonl").read_text().splitlines()[0]
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text((work / "eval.jsonl").read_text() + first + "\n")
+        rc = main(["eval", "--refs", str(refs), "--hyps", str(work / "hyps.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{refs}:15: utterance id " in err and "the one on line 1" in err
 
     def test_sweep_rejects_repeated_model_name(self, work, capsys):
         rc = main([

@@ -75,6 +75,13 @@ class TestUtterance:
         with pytest.raises(ConfigError):
             Utterance("u1", np.zeros(30), ("a",))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_stream_rejected(self, shape):
+        """A stream with no frames, or frames of no width, has nothing to
+        decode; it would otherwise stream to an empty log without error."""
+        with pytest.raises(ConfigError, match="at least one frame"):
+            Utterance("u1", np.zeros(shape), ("a",))
+
     def test_bad_frame_period(self):
         with pytest.raises(ConfigError):
             Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=0.0)

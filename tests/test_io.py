@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -16,8 +17,24 @@ from streamdec.io import (
 )
 
 
+def frames_json(frames, shape=None) -> str:
+    """The JSON of an utterance record's "frames" value: the base64 of the
+    values' little-endian float64 bytes, under the given shape (default:
+    the values' own)."""
+    a = np.asarray(frames, dtype="<f8")
+    return json.dumps({
+        "shape": list(a.shape if shape is None else shape),
+        "float64le": base64.b64encode(a.tobytes()).decode("ascii"),
+    })
+
+
+F = frames_json([[0.1]])
+
+
 class TestUtteranceFiles:
     def test_round_trip(self, tmp_path, rng):
+        edge = np.array([[-0.0, 5e-324], [1.7976931348623157e308,
+                                          -1.7976931348623157e308]])
         utts = [
             Utterance("a", rng.normal(size=(7, 3)), ("x", "y")),
             Utterance(
@@ -27,58 +44,122 @@ class TestUtteranceFiles:
                 target_tokens=("q", "r"),
                 frame_period_sec=0.02,
             ),
+            Utterance("c", edge, ("w",)),
         ]
         path = str(tmp_path / "utts.jsonl")
         save_utterances(utts, path)
         back = load_utterances(path)
-        assert [u.id for u in back] == ["a", "b"]
+        assert [u.id for u in back] == ["a", "b", "c"]
         for orig, copy in zip(utts, back):
-            np.testing.assert_allclose(copy.frames, orig.frames, atol=1e-12)
+            assert copy.frames.shape == orig.frames.shape
+            assert copy.frames.tobytes() == orig.frames.tobytes()
+            assert copy.frames.dtype == np.float64
+            assert copy.frames.dtype.isnative
+            assert copy.frames.flags.c_contiguous
+            assert copy.frames.flags.writeable
             assert copy.reference_tokens == orig.reference_tokens
             assert copy.target_tokens == orig.target_tokens
             assert copy.frame_period_sec == orig.frame_period_sec
 
+    def test_record_is_plain_json_around_the_frames(self, tmp_path):
+        utt = Utterance("a", np.array([[1.5, -2.0]]), ("x",), ("y",), 0.02)
+        path = str(tmp_path / "utts.jsonl")
+        save_utterances([utt], path)
+        (line,) = open(path).read().splitlines()
+        assert json.loads(line) == {
+            "id": "a",
+            "frames": json.loads(frames_json([[1.5, -2.0]])),
+            "ref": ["x"],
+            "tgt": ["y"],
+            "frame_period_sec": 0.02,
+        }
+
     def test_bad_json_reports_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as fh:
-            fh.write('{"id": "a", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": 0.01}\n')
+            fh.write(f'{{"id": "a", "frames": {F}, "ref": ["x"], "frame_period_sec": 0.01}}\n')
             fh.write("not json\n")
         with pytest.raises(ConfigError, match=r":2: bad JSON"):
             load_utterances(path)
 
     @pytest.mark.parametrize("line, why", [
-        ('{"frames": [[0.1]], "ref": ["x"]}', "missing key 'id'"),
+        (f'{{"frames": {F}, "ref": ["x"]}}', "missing key 'id'"),
         ('{"id": "b", "ref": ["x"]}', "missing key 'frames'"),
-        ('{"id": "b", "frames": [[0.1]]}', "missing key 'ref'"),
-        ('{"id": "b", "frames": [[0.1, 0.2], [0.3]], "ref": ["x"]}', ""),
-        ('{"id": "b", "frames": [0.1, 0.2], "ref": ["x"]}', "2-D"),
-        ('{"id": "b", "frames": [[[0.1]]], "ref": ["x"]}', "2-D"),
-        ('{"id": "b", "frames": [[NaN]], "ref": ["x"]}', "finite"),
-        ('{"id": "b", "frames": [[Infinity]], "ref": ["x"]}', "finite"),
-        ('{"id": "b", "frames": [["x"]], "ref": ["x"]}', ""),
+        (f'{{"id": "b", "frames": {F}}}', "missing key 'ref'"),
+        (f'{{"id": "b", "frames": {frames_json([0.1, 0.2, 0.3], [2, 2])}, "ref": ["x"]}}',
+         "holds 24 bytes; shape \\[2, 2\\] needs 32"),
+        (f'{{"id": "b", "frames": {frames_json([0.1, 0.2])}, "ref": ["x"]}}',
+         "two non-negative integers"),
+        (f'{{"id": "b", "frames": {frames_json([[[0.1]]])}, "ref": ["x"]}}',
+         "two non-negative integers"),
+        (f'{{"id": "b", "frames": {frames_json([[0.1]], [-1, -1])}, "ref": ["x"]}}',
+         "two non-negative integers"),
+        (f'{{"id": "b", "frames": {frames_json([[0.1]], [True, 1])}, "ref": ["x"]}}',
+         "two non-negative integers"),
+        (f'{{"id": "b", "frames": {frames_json([[0.1]], [1.0, 1])}, "ref": ["x"]}}',
+         "two non-negative integers"),
+        (f'{{"id": "b", "frames": {frames_json([[np.nan]])}, "ref": ["x"]}}', "finite"),
+        (f'{{"id": "b", "frames": {frames_json([[np.inf]])}, "ref": ["x"]}}', "finite"),
+        (f'{{"id": "b", "frames": {frames_json([[-np.inf]])}, "ref": ["x"]}}', "finite"),
+        (f'{{"id": "b", "frames": {frames_json(np.zeros((0, 3)))}, "ref": ["x"]}}',
+         "at least one frame"),
+        (f'{{"id": "b", "frames": {frames_json(np.zeros((2, 0)))}, "ref": ["x"]}}',
+         "at least one frame"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8"}, "ref": ["x"]}',
+         "not valid base64"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZ uT8="}, "ref": ["x"]}',
+         "not valid base64"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8\u00e9"}, "ref": ["x"]}',
+         "not valid base64"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": 7}, "ref": ["x"]}',
+         "not valid base64"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": ["mpmZmZmZuT8="]}, "ref": ["x"]}',
+         "not valid base64"),
+        ('{"id": "b", "frames": "mpmZmZmZuT8=", "ref": ["x"]}', "exactly the keys"),
+        ('{"id": "b", "frames": 0.1, "ref": ["x"]}', "exactly the keys"),
+        ('{"id": "b", "frames": {"shape": [1, 1]}, "ref": ["x"]}', "exactly the keys"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8=", '
+         '"dtype": "f8"}, "ref": ["x"]}', "exactly the keys"),
+        ('{"id": "b", "frames": [[0.1]], "ref": ["x"]}',
+         "regenerate the corpus with `streamdec gen-data`"),
         ('["b", [[0.1]], ["x"]]', "not a JSON object"),
-        ('{"id": 7, "frames": [[0.1]], "ref": ["x"]}', "id must be a string"),
-        ('{"id": "b", "frames": [[0.1]], "ref": "w01 w02"}',
+        (f'{{"id": 7, "frames": {F}, "ref": ["x"]}}', "id must be a string"),
+        (f'{{"id": "b", "frames": {F}, "ref": "w01 w02"}}',
          "ref must be a list of strings"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x", 3]}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x", 3]}}',
          "ref must be a list of strings"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "tgt": "w01 w02"}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "tgt": "w01 w02"}}',
          "tgt must be a list of strings"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": true}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": true}}',
          "frame_period_sec must be a positive finite number"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": "0.01"}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": "0.01"}}',
          "frame_period_sec must be a positive finite number"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": 0}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": 0}}',
          "frame_period_sec must be a positive finite number"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"], "frame_period_sec": NaN}',
+        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": NaN}}',
          "frame_period_sec must be a positive finite number"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, line, why):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as fh:
-            fh.write('{"id": "a", "frames": [[0.1]], "ref": ["x"]}\n')
+            fh.write(f'{{"id": "a", "frames": {F}, "ref": ["x"]}}\n')
             fh.write(line + "\n")
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
+            load_utterances(path)
+
+    def test_repeated_id_reports_both_lines(self, tmp_path):
+        """One id names one stream: a log is kept per id, so a second
+        record with the id would be scored against the first one's log."""
+        path = str(tmp_path / "dup.jsonl")
+        with open(path, "w") as fh:
+            fh.write(f'{{"id": "a", "frames": {F}, "ref": ["x"]}}\n')
+            fh.write(f'{{"id": "b", "frames": {F}, "ref": ["x"]}}\n')
+            fh.write("\n")
+            fh.write(f'{{"id": "a", "frames": {F}, "ref": ["y"]}}\n')
+        with pytest.raises(
+            ConfigError,
+            match=rf"^{re.escape(path)}:4: utterance id 'a' repeats the one on line 1$",
+        ):
             load_utterances(path)
 
 
