@@ -186,15 +186,16 @@ def relu(a):
 
 def log_softmax(a, axis: int = -1):
     """Log-softmax over one axis; a plain array for a plain a."""
-    shifted = _data(a) - _data(a).max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    x = _data(a)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    y = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     if not isinstance(a, Tensor):
         return y
     sm = np.exp(y)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g - sm * g.sum(axis=axis, keepdims=True))
+            a._accum(g - sm * np.add.reduce(g, axis=axis, keepdims=True))
 
     return _child(y, (a,), bw)
 

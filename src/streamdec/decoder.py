@@ -19,6 +19,7 @@ commit logs (``harness.compare_modes`` checks it).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,10 +48,21 @@ class BeamConfig:
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
+        # a bool is an int to Python, and a config file's "no" is truthy
+        width, cap = self.beam_width, self.cap_tokens_per_sec
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral):
+            raise ConfigError(f"beam_width must be an integer, got {width!r}")
+        if width < 1:
             raise ConfigError("beam_width must be >= 1")
-        if not 0 < self.cap_tokens_per_sec < math.inf:
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
+            raise ConfigError(f"cap_tokens_per_sec must be a number, got {cap!r}")
+        if not 0 < cap < math.inf:
             raise ConfigError("cap_tokens_per_sec must be positive and finite")
+        if not isinstance(self.length_normalize, bool):
+            raise ConfigError(
+                "length_normalize must be true or false, got "
+                f"{self.length_normalize!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,10 @@ def beam_search(
     finished path provably beats every live one under the configured
     objective: token log-probs are non-positive, so a live path with raw
     score s ends at most at s, or at s / max_total per token when
-    length-normalizing. Finished hypotheses rank ahead of live ones; ties
-    rank the smaller token-id sequence first. One ``dec_init`` prefill
+    length-normalizing. The stop test runs after a step's eos pass, on the
+    kept children before they are advanced, so every ``dec_advance`` made
+    has its log-probs read. Finished hypotheses rank ahead of live ones;
+    ties rank the smaller token-id sequence first. One ``dec_init`` prefill
     scores the forced prefix, and its last row starts the beam; each beam
     step then advances every kept child in one ``dec_advance`` call on the
     beam's one state, whose row i holds the live path ``active[i]``. The
@@ -119,13 +133,7 @@ def beam_search(
     active = [BeamHypothesis(prefix, score, tuple(steps), False)]
     active_lps = logps[-1:]  # (len(active), vocab)
     finished: list[BeamHypothesis] = []
-    while active:
-        if finished:  # sorted best first by the last step's eos pass
-            bound = max(h.log_prob for h in active)
-            if norm:
-                bound /= max_total
-            if _score(finished[0], norm) > bound:
-                break
+    while True:
         parent_lp = np.array([h.log_prob for h in active])
         eos_scores = parent_lp + active_lps[:, vocab.eos_id]
         scores = parent_lp[:, None] + active_lps[:, gen_ids]  # (B, G)
@@ -146,6 +154,7 @@ def beam_search(
         )
         parents, cols = np.divmod(keep, len(gen_ids))
         toks = gen_ids[cols]
+        child_lps = scores[parents, cols]
         # equal lengths again: the children all reach the cap or none does
         at_cap = len(active[0].tokens) + 1 >= max_total
         children = [
@@ -158,18 +167,19 @@ def beam_search(
             for i, tok, score, lp in zip(
                 parents.tolist(),
                 toks.tolist(),
-                scores[parents, cols].tolist(),
+                child_lps.tolist(),
                 active_lps[parents, toks].tolist(),
             )
         ]
         if at_cap or not children:  # no word ids leave no children
             finished += children
             active = []
-        else:
-            state, active_lps = model.dec_advance(
-                state, parents.tolist(), toks.tolist()
-            )
-            active = children
+            break
+        active = children
+        bound = float(child_lps.max()) / (max_total if norm else 1)
+        if _score(finished[0], norm) > bound:  # no child can catch up
+            break
+        state, active_lps = model.dec_advance(state, parents, toks)
     finished.sort(key=lambda h: _rank_key(h, norm))
     active.sort(key=lambda h: _rank_key(h, norm))
     return (finished + active)[: cfg.beam_width]

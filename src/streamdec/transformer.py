@@ -148,9 +148,9 @@ def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
 def _softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, written into out (which may be x itself)
     or, without out, into a new array that leaves x unchanged."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
@@ -202,10 +202,14 @@ def _future(start: int, stop: int) -> np.ndarray | None:
 
 def _append(cache: list, l: int, k: np.ndarray, v: np.ndarray) -> tuple:
     """Grow layer l's (K, V) in cache by the rows k, v along the position
-    axis, the second last; returns the grown pair. The old arrays are left
-    as they were, so a state that holds them keeps its numbers."""
-    cache[l] = (np.concatenate([cache[l][0], k], axis=-2),
-                np.concatenate([cache[l][1], v], axis=-2))
+    axis, the second last; returns the grown pair. An empty cache takes k
+    and v themselves. The old arrays are left as they were, so a state that
+    holds them keeps its numbers."""
+    old_k, old_v = cache[l]
+    if old_k.shape[-2]:
+        k = np.concatenate([old_k, k], axis=-2)
+        v = np.concatenate([old_v, v], axis=-2)
+    cache[l] = (k, v)
     return cache[l]
 
 
@@ -361,7 +365,7 @@ class TinyTransformer:
             for l in range(cfg.enc_layers):
                 x = _enc_layer(p, l, x, attend)
             new = _ln(p, "enc_lnf", x)
-            states = np.concatenate([states, new])
+            states = np.concatenate([states, new]) if start else new
             for l in range(cfg.dec_layers):
                 _append(cross, l, *_cross_kv(p, l, new))
         enc = EncoderStates(
@@ -383,8 +387,9 @@ class TinyTransformer:
         Position t of a row attends to the row's cache and to positions 0..t
         of its block. Returns the next-token log-probabilities (B, T,
         vocab), the grown caches, and per layer the self-attention weights
-        (B, heads, T, pos + T) and the cross-attention weights (B, heads, T,
-        frames)."""
+        (B, heads, T, pos + T) and the cross-attention weights (heads, B * T,
+        frames), whose rows are the block's rows in order, position within
+        row."""
         cfg, h = self.cfg, self.cfg.heads
         b_sz, t_len, d = x.shape
         pos = kv[0][0].shape[1]
@@ -401,7 +406,7 @@ class TinyTransformer:
             # no per-row cache: the B*T rows attend to the shared encoder
             # K/V like the query positions of one sequence
             w, ctx = _attend(q, *cross[l], h)
-            cross_attns.append(w.reshape(h, b_sz, t_len, -1).transpose(1, 0, 2, 3))
+            cross_attns.append(w)
             return ctx
 
         # projections run on all B*T rows as one 2-D product
@@ -473,7 +478,8 @@ class TinyTransformer:
         for l in range(self.cfg.dec_layers):
             for head in range(self.cfg.heads):
                 grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][0, head]
-                grids[f"cross.layer{l}.head{head}"] = cross_attns[l][0, head]
+                # one row: the query rows are the prefill's positions
+                grids[f"cross.layer{l}.head{head}"] = cross_attns[l][head]
         return grids
 
 

@@ -387,6 +387,23 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert not (work / "never").exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("beam = 2.5", "beam_width"),
+        ("beam = true", "beam_width"),
+        ("length_norm = no", "length_normalize"),
+    ])
+    def test_mistyped_beam_config_exits_2(self, work, tmp_path, capsys, line, field):
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([
+            "--config", str(cfg), "run", "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.jsonl"), "--out", str(tmp_path / "never"),
+            "--strategy", "hold-0",
+        ])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_wait_k_needs_positive_rate(self, work, capsys):
         rc = main([
             "run", "--model", str(work / "model.bin"),

@@ -231,6 +231,27 @@ class TestLengthCapAndNormalization:
         with pytest.raises(ConfigError, match="finite"):
             BeamConfig(cap_tokens_per_sec=bad)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("beam_width", 2.5),
+        ("beam_width", 8.0),
+        ("beam_width", True),
+        ("beam_width", "8"),
+        ("cap_tokens_per_sec", True),
+        ("cap_tokens_per_sec", "8"),
+        ("cap_tokens_per_sec", None),
+        ("length_normalize", "no"),
+        ("length_normalize", 1),
+        ("length_normalize", None),
+    ])
+    def test_mistyped_config_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            BeamConfig(**{field: bad})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = BeamConfig(np.int64(3), np.float64(4.0), False)
+        assert (cfg.beam_width, cfg.cap_tokens_per_sec) == (3, 4.0)
+        assert BeamConfig(cap_tokens_per_sec=5).cap_tokens_per_sec == 5
+
 
 class QuantizedWalkModel(RandomWalkModel):
     """Log-probs on a 0.5 grid: paths through different parents tie exactly,
@@ -304,6 +325,85 @@ class TestBatchedAgainstScalar:
         enc = model.encode(np.zeros((50, 1)))
         with pytest.raises(ContractViolation, match="NaN"):
             beam_search(model, enc, (), BeamConfig(beam_width=3))
+
+
+class _RecordedRead(np.ndarray):
+    """A log-probability array that notes whether it was ever indexed."""
+
+    read = False
+
+    def __getitem__(self, key):
+        self.read = True
+        return np.asarray(self)[key]
+
+
+class ReadRecordingModel:
+    """Passes every call to a model, counts its dec_init calls and keeps
+    each log-probability array its dec_advance returned, marked when the
+    caller indexes it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.inits = 0
+        self.returned: list[_RecordedRead] = []
+
+    def encode(self, *args, **kwargs):
+        return self.inner.encode(*args, **kwargs)
+
+    def dec_init(self, enc, prefix=()):
+        self.inits += 1
+        return self.inner.dec_init(enc, prefix)
+
+    def dec_advance(self, state, rows, token_ids):
+        state, lps = self.inner.dec_advance(state, rows, token_ids)
+        lps = np.asarray(lps).view(_RecordedRead)
+        self.returned.append(lps)
+        return state, lps
+
+
+class TestNoUnreadStep:
+    """The search stops before a decoder call whose log-probs it would not
+    read, and so makes a fixed number of calls."""
+
+    @pytest.mark.parametrize("length_normalize", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random_walk", "uniform", "quantized", "cached_random", "transformer"],
+    )
+    def test_every_step_is_read(self, kind, width, length_normalize, micro_model):
+        """No dec_advance call is wasted: the search reads the log-probs of
+        every call it makes, including the last one before it stops."""
+        for inner, enc in _differential_cases(kind, micro_model):
+            model = ReadRecordingModel(inner)
+            words = list(model.vocab.word_ids())
+            for rate in (4.0, 8.0, 12.0):
+                cfg = BeamConfig(width, rate, length_normalize)
+                cap = int(rate * enc.audio_sec + 1e-9)
+                for n_forced in (0, cap // 2, cap):
+                    prefix = tuple(
+                        words[(3 * i + 1) % len(words)] for i in range(n_forced)
+                    )
+                    model.returned.clear()
+                    beam_search(model, enc, prefix, cfg)
+                    unread = [i for i, lps in enumerate(model.returned)
+                              if not lps.read]
+                    assert not unread, (
+                        f"dec_advance calls {unread} of {len(model.returned)} "
+                        f"unread (rate {rate}, {n_forced} forced)"
+                    )
+
+    def test_call_count_is_pinned(self, unstable_model, small_corpus):
+        """The exact decoder calls of a small oracle stream set. The
+        oracle's scores differ by whole logit peaks, so no last-bit rounding
+        can move the count from one platform to another."""
+        model = ReadRecordingModel(unstable_model)
+        strategies = (HoldN(0), HoldN(2), WaitK(1, rate=4.0), LocalAgreement())
+        for i, utt in enumerate(small_corpus[:8]):
+            for width in (1, 3, 8):
+                run_session(model, utt, strategies[i % 4], 0.5, BeamConfig(width))
+        assert (model.inits, len(model.returned)) == (57, 144)
 
 
 class TestOfflineDecode:

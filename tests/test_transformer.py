@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -20,7 +21,10 @@ from streamdec.transformer import (
     DecState,
     TinyTransformer,
     TransformerConfig,
+    _attend,
     _attention_weights,
+    _dec_in,
+    _dec_layer,
     _future,
     _softmax_np,
     leaf_tensors,
@@ -181,16 +185,27 @@ class TestDecoding:
     def test_state_outlives_encoder_growth(self, request, which, rng):
         """A state keeps decoding the encoding it was made with: after the
         encoder grows it gives bitwise the log-probs it gave before, so no
-        encode writes into an older encoding's arrays."""
+        encode writes into an older encoding's arrays. The encoding and the
+        prefill state here grew from empty caches, which keep the projected
+        rows themselves: later dec_advance and encode calls leave every one
+        of their arrays bitwise as it was."""
         model = request.getfixturevalue(which)
         frames = rng.normal(size=(20, 4))
         enc1 = model.encode(frames[:10], None, utt_id="u")
         state, init_lps = model.dec_init(enc1, (4, 5))
+        held = [enc1.states, *itertools.chain(
+            *enc1.layer_kv, *enc1.cross_kv, *state.kv
+        )]
+        kept = [a.copy() for a in held]
         _, before = model.dec_advance(state, [0, 0], [3, 4])
         enc2 = model.encode(frames, enc1)
         _, after = model.dec_advance(state, [0, 0], [3, 4])
+        model.encode(frames[:15], enc1)
+        model.dec_advance(model.dec_advance(state, [0], [5])[0], [0, 0], [3, 4])
         assert np.array_equal(_bits(after), _bits(before))
         assert np.array_equal(_bits(model.dec_init(enc1, (4, 5))[1]), _bits(init_lps))
+        for now, then in zip(held, kept):
+            assert np.array_equal(_bits(now), _bits(then))
         # the grown encoding is a different one: its states decode otherwise
         grown, _ = model.dec_init(enc2, (4, 5))
         assert not np.allclose(model.dec_advance(grown, [0, 0], [3, 4])[1], after)
@@ -515,6 +530,37 @@ class TestAttentionDump:
                 np.testing.assert_allclose(
                     got[name], grid, rtol=0, atol=1e-12, err_msg=name
                 )
+
+    @pytest.mark.parametrize(
+        "which", ["micro_model", "deep_model", "causal_deep_model"]
+    )
+    def test_cross_grids_are_a_fresh_attend(self, request, which, rng):
+        """Each cross grid is bit for bit a fresh _attend of the prefill's
+        query rows over the encoding's cross-attention keys and values."""
+        model = request.getfixturevalue(which)
+        frames = rng.normal(size=(13, 4))
+        prefix = (3, 5, 4)
+        got = model.dump_attention(frames, prefix)
+        enc, h, t = model.encode(frames), model.cfg.heads, len(prefix) + 1
+        want = []
+
+        def attend(l, q, k, v):  # the prefill: one row over t positions
+            q, k, v = (a.reshape(1, t, -1) for a in (q, k, v))
+            return _attend(q, k, v, h, _future(0, t))[1].reshape(t, -1)
+
+        def cross(l, q):
+            w, ctx = _attend(q, *enc.cross_kv[l], h)
+            want.append(w)
+            return ctx
+
+        y = _dec_in(model.params, np.array([model.vocab.bos_id, *prefix]),
+                    model._pos(t))
+        for l in range(model.cfg.dec_layers):
+            y = _dec_layer(model.params, l, y, attend, cross)
+        for l, w in enumerate(want):
+            for head in range(h):
+                grid = got[f"cross.layer{l}.head{head}"]
+                assert np.array_equal(_bits(grid), _bits(w[head])), (l, head)
 
     def test_grid_names_and_shapes(self, micro_model, rng):
         grids = micro_model.dump_attention(rng.normal(size=(9, 4)), (3, 4))
