@@ -9,8 +9,13 @@ A strategy is named by one compact spec, ``name[:p1[:p2]]``: ``hold-n:N``,
 ``offline``. ``run --strategy`` takes one spec, ``sweep --strategies`` a
 comma-separated list.
 
-A `--config path` file holds `key = value` lines (keys match option names
-with dashes or underscores); explicit command-line flags win over it.
+Option values may also come from ``--config FILE``, before or after the
+command. Each ``key = value`` line's key is an option name, with dashes or
+underscores (``chunk-sec``, ``in``), and the line becomes ``--key=value``
+right after the command name: the value is checked like a typed flag's, a
+typed flag still wins, and a repeatable option's config value is added to
+the typed ones. A flag option takes ``true`` or ``false``. Keys of other
+commands are skipped, so one file serves several; unknown keys are refused.
 """
 
 from __future__ import annotations
@@ -35,13 +40,7 @@ from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
 from .model import load_model, save_model
 from .strategies import parse_strategy, spec_usage
-from .training import (
-    PartialSliceSpec,
-    TrainConfig,
-    adapt,
-    train,
-    write_curve,
-)
+from .training import PartialSliceSpec, TrainConfig, adapt, train, write_curve
 from .transformer import TinyTransformer, TransformerConfig
 
 ENCODER_ALIASES = {
@@ -58,14 +57,6 @@ def _beam_from_args(args) -> BeamConfig:
         cap_tokens_per_sec=args.cap,
         length_normalize=args.length_norm,
     )
-
-
-def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ConfigError(
-            "missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing)
-        )
 
 
 def _add_beam_opts(p: argparse.ArgumentParser) -> None:
@@ -101,16 +92,24 @@ def _train_config(args, **extra) -> TrainConfig:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in main like any bad input: ``error:``, exit 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="streamdec",
-        description="streaming incremental decoding for sequence models",
+        description="streaming incremental decoding for sequence models; "
+        "every command also takes --config FILE, a file of key = value option values",
     )
-    parser.add_argument("--config", default=None, help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("gen-data", help="synthesize an aligned utterance corpus")
-    p.add_argument("--out", default=None, help="output utterances JSONL")
+    p.add_argument("--out", required=True, help="output utterances JSONL")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vocab-size", type=int, default=20)
@@ -123,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", action="store_true", help="reorder the output side")
 
     p = sub.add_parser("train", help="train a transformer from scratch")
-    p.add_argument("--data", default=None, help="training utterances JSONL")
-    p.add_argument("--out", default=None, help="output model file")
+    p.add_argument("--data", required=True, help="training utterances JSONL")
+    p.add_argument("--out", required=True, help="output model file")
     _add_train_opts(p, steps=600)
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--heads", type=int, default=2)
@@ -134,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENCODER_ALIASES)))
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
-    p.add_argument("--model", default=None, help="input model file")
-    p.add_argument("--data", default=None, help="adaptation utterances JSONL")
-    p.add_argument("--dev", default=None, help="dev utterances JSONL for checkpoint selection")
-    p.add_argument("--out", default=None, help="output model file")
+    p.add_argument("--model", required=True, help="input model file")
+    p.add_argument("--data", required=True, help="adaptation utterances JSONL")
+    p.add_argument("--dev", required=True, help="dev utterances JSONL for checkpoint selection")
+    p.add_argument("--out", required=True, help="output model file")
     _add_train_opts(p, steps=200)
     p.add_argument("--eval-every", type=int, default=40)
     p.add_argument("--lr-factor", type=float, default=0.25)
@@ -145,17 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-high", type=float, default=0.4)
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
-    p.add_argument("--model", default=None, help="model file")
-    p.add_argument("--in", dest="inp", default=None, help="utterances JSONL")
-    p.add_argument("--out", default=None, help="commit-log JSONL")
-    p.add_argument("--strategy", default=None, help="one of " + spec_usage())
+    p.add_argument("--model", required=True, help="model file")
+    p.add_argument("--in", dest="inp", required=True, help="utterances JSONL")
+    p.add_argument("--out", required=True, help="commit-log JSONL")
+    p.add_argument("--strategy", required=True, help="one of " + spec_usage())
     _add_beam_opts(p)
     _add_chunk_opts(p)
 
     p = sub.add_parser("sweep", help="accuracy-latency grid over models and strategies")
-    p.add_argument("--model", action="append", default=None, metavar="NAME=PATH", help="repeatable")
-    p.add_argument("--in", dest="inp", default=None, help="utterances JSONL")
-    p.add_argument("--out", default=None, help="output CSV")
+    p.add_argument("--model", action="append", required=True, metavar="NAME=PATH", help="repeatable")
+    p.add_argument("--in", dest="inp", required=True, help="utterances JSONL")
+    p.add_argument("--out", required=True, help="output CSV")
     p.add_argument(
         "--strategies",
         default="hold-0,hold-n:4,wait-k:1:4.0,local-agreement,offline",
@@ -166,22 +165,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("eval", help="score a commit log against references")
-    p.add_argument("--refs", default=None, help="reference utterances JSONL")
-    p.add_argument("--hyps", default=None, help="commit-log JSONL")
-    p.add_argument("--baseline", default=None, help="optional baseline commit-log JSONL")
-    p.add_argument("--out", default=None, help="optional summary JSON")
+    p.add_argument("--refs", required=True, help="reference utterances JSONL")
+    p.add_argument("--hyps", required=True, help="commit-log JSONL")
+    p.add_argument("--baseline", help="optional baseline commit-log JSONL")
+    p.add_argument("--out", help="optional summary JSON")
 
     p = sub.add_parser("dump-attention", help="write attention grids for one utterance")
-    p.add_argument("--model", default=None)
-    p.add_argument("--in", dest="inp", default=None)
-    p.add_argument("--utt", default=None, help="utterance id, default first in file")
+    p.add_argument("--model", required=True)
+    p.add_argument("--in", dest="inp", required=True)
+    p.add_argument("--utt", help="utterance id, default first in file")
     p.add_argument("--prefix", default="", help="space-separated forced tokens")
-    p.add_argument("--out", default=None, help="output TSV")
+    p.add_argument("--out", required=True, help="output TSV")
     return parser
 
 
-def load_config_file(path: str) -> dict[str, object]:
-    out: dict[str, object] = {}
+def command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """build_parser's parser of each command, by command name."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _config_tokens(path: str, command: str, parsers: dict) -> list[str]:
+    """The flags of `command` that a config file's lines stand for."""
+    options = {name: p._option_string_actions for name, p in parsers.items()}
+    tokens = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -189,40 +196,43 @@ def load_config_file(path: str) -> dict[str, object]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            out[key] = _parse_value(val)
-    return out
+            key, value = (s.strip() for s in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            action = options[command].get(flag)
+            if action is None:
+                if not any(flag in opts for opts in options.values()):
+                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+                continue  # another command's option
+            if action.nargs == 0 and value.lower() in ("true", "false"):
+                tokens += [flag] if value.lower() == "true" else []
+            else:  # any other flag value is refused by argparse, as typed
+                tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _parse_value(val: str) -> object:
-    low = val.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    return val
-
-
-def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    parsers, known = [parser], set()
-    for p in parsers:  # grows as it goes: every subparser, once
-        for a in p._actions:
-            known.add(a.dest)
-            if isinstance(a, argparse._SubParsersAction):
-                parsers.extend(a.choices.values())
-    unknown = sorted(set(defaults) - known)
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    for p in parsers:
-        p.set_defaults(**defaults)
+def expand_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    """argv without its ``--config FILE`` options, each file's lines put in
+    as flags right after the command name, ahead of the typed flags."""
+    rest, paths = [], []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--config":
+            paths.append(next(tokens, None))
+            if paths[-1] is None:
+                raise ConfigError("argument --config: expected one argument")
+        elif tok.startswith("--config="):
+            paths.append(tok.split("=", 1)[1])
+        else:
+            rest.append(tok)
+    parsers = command_parsers(parser)
+    at = next((i for i, tok in enumerate(rest) if not tok.startswith("-")), None)
+    if at is None or rest[at] not in parsers:
+        return rest  # no command: argparse says what is wrong
+    config = [t for path in paths for t in _config_tokens(path, rest[at], parsers)]
+    return rest[: at + 1] + config + rest[at + 1 :]
 
 
 def cmd_gen_data(args) -> int:
-    _require(args, "out")
     spec = SyntheticTaskSpec(
         vocab_size=args.vocab_size,
         min_tokens=args.min_tokens,
@@ -245,7 +255,6 @@ def _vocab_from_utts(utts: Sequence[Utterance]) -> Vocab:
 
 
 def cmd_train(args) -> int:
-    _require(args, "data", "out")
     data = sio.load_utterances(args.data)
     if not data:
         raise ConfigError(f"no utterances in {args.data}")
@@ -270,7 +279,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    _require(args, "model", "data", "dev", "out")
     model = load_model(args.model)
     if not isinstance(model, TinyTransformer):
         raise ConfigError("adaptation needs a trainable transformer model")
@@ -287,7 +295,6 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _require(args, "model", "inp", "out", "strategy")
     model = load_model(args.model)
     utts = sio.load_utterances(args.inp)
     strategy = parse_strategy(args.strategy)
@@ -307,7 +314,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(args, "model", "inp", "out")
     models = {}
     for spec_str in args.model:
         if "=" not in spec_str:
@@ -333,7 +339,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args, "refs", "hyps")
     refs = sio.load_utterances(args.refs)
     breakdown, report = score_logs(refs, sio.load_commit_logs(args.hyps))
     summary: dict[str, object] = {
@@ -359,7 +364,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    _require(args, "model", "inp", "out")
     model = load_model(args.model)
     utts = sio.load_utterances(args.inp)
     if not utts:
@@ -392,26 +396,17 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    pre_args, _ = pre.parse_known_args(argv)
     try:
-        if pre_args.config:
-            _apply_config(parser, load_config_file(pre_args.config))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            expand_config(parser, sys.argv[1:] if argv is None else argv)
+        )
         if args.command is None:
             parser.print_help()
             return 2
         return COMMANDS[args.command](args)
-    except (
-        ConfigError,
-        ContractViolation,
-        UnsupportedOperation,
-        UndefinedMetric,
-        FileNotFoundError,
-    ) as e:
+    except (ConfigError, ContractViolation, UnsupportedOperation,
+            UndefinedMetric, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ class BeamConfig:
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
-        # a bool is an int to Python, and a config file's "no" is truthy
+        # a bool is an int to Python, and a string such as "no" is truthy
         width, cap = self.beam_width, self.cap_tokens_per_sec
         if isinstance(width, bool) or not isinstance(width, numbers.Integral):
             raise ConfigError(f"beam_width must be an integer, got {width!r}")

@@ -66,11 +66,11 @@ class TransformerConfig:
     def __post_init__(self) -> None:
         if self.mode not in (UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ConfigError(f"unknown encoder mode {self.mode!r}")
-        if self.d_model % self.heads != 0:
-            raise ConfigError("d_model must be divisible by heads")
         if min(self.frame_dim, self.vocab_size, self.d_model, self.heads,
                self.ff_dim, self.enc_layers, self.dec_layers) < 1:
             raise ConfigError("all size hyperparameters must be >= 1")
+        if self.d_model % self.heads != 0:
+            raise ConfigError("d_model must be divisible by heads")
 
     @property
     def head_dim(self) -> int:

@@ -335,6 +335,144 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "gen-data", "--out", "x"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_after_the_command(self, work, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beam = 2\nstrategy = hold-0\n")
+        out = tmp_path / "logs.jsonl"
+        assert main([
+            "run", "--config", str(cfg), "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.jsonl"), "--out", str(out),
+        ]) == 0
+        assert out.exists()
+
+    def test_config_value_outside_choices_exits_2(self, work, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("enc_mode = sideways\n")
+        out = tmp_path / "never.bin"
+        rc = main([
+            "--config", str(cfg), "train", "--data", str(work / "data.jsonl"),
+            "--out", str(out), "--steps", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: argument --enc-mode: invalid choice: 'sideways'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_model_adds_to_typed_models(self, work, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"model = a={work / 'model.bin'}\n")
+        out = tmp_path / "rows.csv"
+        assert main([
+            "--config", str(cfg), "sweep", "--model", f"b={work / 'model.bin'}",
+            "--in", str(work / "eval.jsonl"), "--out", str(out),
+            "--strategies", "hold-0", "--beam", "2",
+        ]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["a", "b"]
+
+    def test_config_model_alone(self, work, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"model = bidi={work / 'model.bin'}\n")
+        out = tmp_path / "rows.csv"
+        assert main([
+            "--config", str(cfg), "sweep", "--in", str(work / "eval.jsonl"),
+            "--out", str(out), "--strategies", "hold-0", "--beam", "2",
+        ]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["bidi"]
+
+    def test_keys_are_option_names(self, work, tmp_path, capsys):
+        """`in` is the option --in; the internal name `inp` is no option."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"in = {work / 'eval.jsonl'}\n")
+        out = tmp_path / "logs.jsonl"
+        argv = ["run", "--model", str(work / "model.bin"), "--out", str(out),
+                "--strategy", "hold-0", "--beam", "2"]
+        assert main(["--config", str(cfg), *argv]) == 0
+        assert out.exists()
+        cfg.write_text(f"inp = {work / 'eval.jsonl'}\n")
+        assert main(["--config", str(cfg), *argv]) == 2
+        assert "unknown config key 'inp'" in capsys.readouterr().err
+
+    def test_keys_of_other_commands_are_skipped(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("steps = 7\nbeam = 3\nlength-norm = true\n")
+        args = _parse(["--config", str(cfg), "run", "--model", "m", "--in", "i",
+                       "--out", "o", "--strategy", "hold-0"])
+        assert (args["beam"], args["length_norm"]) == (3, True)
+        assert "steps" not in args
+
+    @pytest.mark.parametrize("value, want", [("true", True), ("FALSE", False)])
+    def test_flag_option_takes_true_or_false(self, tmp_path, value, want):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(f"translation = {value}\n")
+        assert _parse(["gen-data", "--config", str(cfg), "--out", "o"])["translation"] is want
+
+    def test_config_without_a_file_exits_2(self, capsys):
+        assert main(["gen-data", "--out", "x", "--config"]) == 2
+        assert "error: argument --config: expected one argument" in capsys.readouterr().err
+
+
+# a valid value for each option type, different from every default
+VALID = {int: "3", float: "0.75", None: "v=w"}
+
+
+def _placeholders(p, skip):
+    """A value for each required option of command parser p except skip."""
+    return [
+        tok
+        for a in p._actions
+        if a.required and a is not skip
+        for tok in (a.option_strings[0], "m=x")
+    ]
+
+
+def _parse(argv):
+    parser = cli.build_parser()
+    return vars(parser.parse_args(cli.expand_config(parser, argv)))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_config_line_reads_like_its_flag(tmp_path, capsys, command):
+    """Every option of every command: a config line parses to what the
+    flag does, and a wrong-typed or out-of-choices value fails the same
+    way, exit 2 with one argparse error line and no traceback."""
+    p = cli.command_parsers(cli.build_parser())[command]
+    cfg = tmp_path / "opt.cfg"
+    options = [a for a in p._actions if a.option_strings and a.dest != "help"]
+    assert options
+    for a in options:
+        flag, base = a.option_strings[0], _placeholders(p, a)
+        key = flag[2:]
+        if a.nargs == 0:
+            value, typed = "true", [flag]
+        else:
+            value = a.choices[0] if a.choices else VALID[a.type]
+            typed = [flag, value]
+        want = _parse([command, *base, *typed])
+        assert want[a.dest] != a.default
+        for line in (f"{key} = {value}", f"{key.replace('-', '_')} = {value}"):
+            cfg.write_text(line + "\n")
+            assert _parse(["--config", str(cfg), command, *base]) == want
+            assert _parse([command, *base, "--config", str(cfg)]) == want
+
+        bad = "sideways" if a.choices else "x" if a.type in (int, float) else None
+        if bad is None:
+            continue
+        cfg.write_text(f"{key} = {bad}\n")
+        errs = []
+        for argv in (
+            [command, *base, flag, bad],
+            ["--config", str(cfg), command, *base],
+            [command, *base, "--config", str(cfg)],
+        ):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == errs[2]
+        assert f"error: argument {flag}: invalid " in errs[0]
+        assert "Traceback" not in errs[0]
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize("line, why", MALFORMED_COMMIT_RECORDS)
@@ -347,7 +485,7 @@ class TestErrorPaths:
 
     def test_missing_required_flag(self, capsys):
         assert main(["gen-data"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: the following arguments are required: --out" in capsys.readouterr().err
 
     def test_missing_model_file(self, work, capsys):
         rc = main([
@@ -387,21 +525,26 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert not (work / "never").exists()
 
-    @pytest.mark.parametrize("line, field", [
-        ("beam = 2.5", "beam_width"),
-        ("beam = true", "beam_width"),
-        ("length_norm = no", "length_normalize"),
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("line, option", [
+        ("beam = 2.5", "--beam"),
+        ("beam = true", "--beam"),
+        ("length_norm = no", "--length-norm"),
     ])
-    def test_mistyped_beam_config_exits_2(self, work, tmp_path, capsys, line, field):
+    def test_mistyped_beam_config_exits_2(
+        self, work, tmp_path, capsys, line, option, before
+    ):
         cfg = tmp_path / "beam.cfg"
         cfg.write_text(line + "\n")
+        config = ["--config", str(cfg)]
         rc = main([
-            "--config", str(cfg), "run", "--model", str(work / "model.bin"),
+            *(config if before else []), "run", *([] if before else config),
+            "--model", str(work / "model.bin"),
             "--in", str(work / "eval.jsonl"), "--out", str(tmp_path / "never"),
             "--strategy", "hold-0",
         ])
         assert rc == 2
-        assert field in capsys.readouterr().err
+        assert f"error: argument {option}: " in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     def test_wait_k_needs_positive_rate(self, work, capsys):
@@ -447,13 +590,12 @@ class TestErrorPaths:
         assert repr(spec) in err
 
     def test_removed_strategy_flags_rejected(self, work, capsys):
-        with pytest.raises(SystemExit) as e:
-            main([
-                "run", "--model", str(work / "model.bin"),
-                "--in", str(work / "eval.jsonl"), "--out", "x",
-                "--strategy", "hold-0", "--n", "5", "--k", "9",
-            ])
-        assert e.value.code == 2
+        rc = main([
+            "run", "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--strategy", "hold-0", "--n", "5", "--k", "9",
+        ])
+        assert rc == 2
         assert "error: unrecognized arguments: --n 5 --k 9" in capsys.readouterr().err
 
     def test_duplicate_sweep_strategy(self, work, capsys):

@@ -1,0 +1,110 @@
+"""Streaming invariants of the real transformer, over drawn configurations.
+
+Random-init micro ``TinyTransformer``s of both encoder modes stream random
+frames chunk by chunk under any strategy spec, beam width, cap and
+``length_normalize``, and every chunk is checked against searches that
+share no state with the session:
+
+* the chunk's ranked hypotheses equal a fresh ``beam_search`` on a
+  one-shot encoding of the same frames with the same forced prefix (cache
+  reuse is exact), and that search equals ``oracles.scalar_beam_search``,
+  which carries one decoder state per path and advances it by one-row
+  ``dec_advance`` calls (the batched beam's parent gather is exact):
+  tokens equal, log-probs within 1e-12;
+* a causal session encodes each frame position exactly once;
+* commits never shrink and never exceed the cap.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamdec.core import Utterance, Vocab
+from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
+from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
+from streamdec.transformer import TinyTransformer, TransformerConfig, init_params
+
+from .oracles import scalar_beam_search
+from .test_strategies import configs
+
+FRAME_PERIOD = 0.25  # a power of two: every chunk length is exact
+
+
+@st.composite
+def micro_models(draw) -> TinyTransformer:
+    vocab = Vocab.build([f"w{i}" for i in range(draw(st.integers(1, 4)))])
+    heads = draw(st.integers(1, 2))
+    cfg = TransformerConfig(
+        frame_dim=draw(st.integers(1, 3)),
+        vocab_size=len(vocab),
+        d_model=heads * draw(st.integers(1, 3)),
+        heads=heads,
+        ff_dim=draw(st.integers(1, 6)),
+        enc_layers=draw(st.integers(1, 2)),
+        dec_layers=draw(st.integers(1, 2)),
+        mode=draw(st.sampled_from([UNIDIRECTIONAL, BIDIRECTIONAL])),
+        init_seed=draw(st.integers(0, 2**16)),
+    )
+    # a drawn penalty on eos: a random model's eos is about as likely as any
+    # word, so without it most searches stop after a step or two and few
+    # beam steps reorder rows
+    params = init_params(cfg)
+    params["out_b"][vocab.eos_id] = -draw(st.floats(0.0, 8.0))
+    return TinyTransformer(cfg, vocab, params)
+
+
+beams = st.builds(
+    BeamConfig,
+    beam_width=st.integers(1, 4),
+    cap_tokens_per_sec=st.floats(1.0, 6.0),
+    length_normalize=st.booleans(),
+)
+
+
+def assert_same_hypotheses(got, want):
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for g, w in zip(got, want):
+        assert g.finished == w.finished
+        assert abs(g.log_prob - w.log_prob) <= 1e-12
+        np.testing.assert_allclose(
+            g.step_log_probs, w.step_log_probs, rtol=0, atol=1e-12
+        )
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    model=micro_models(),
+    strategy=configs,
+    beam=beams,
+    n_frames=st.integers(1, 12),
+    chunk_frames=st.integers(1, 4),
+    frames_seed=st.integers(0, 2**16),
+)
+def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, frames_seed):
+    frames = np.random.default_rng(frames_seed).normal(
+        size=(n_frames, model.cfg.frame_dim)
+    )
+    utt = Utterance("u", frames, ("w0",), frame_period_sec=FRAME_PERIOD)
+    session = Session(model, utt, strategy, chunk_frames * FRAME_PERIOD, beam)
+    for chunk in session.chunks():
+        prefix = session.committed_ids
+        out, _ = step_chunk(session, chunk)
+
+        # the session's search, replayed on its own (grown) encoding
+        ranked = beam_search(model, session.enc, prefix, beam)
+        best = ranked[0]
+        assert out.tokens == tuple(map(model.vocab.token_of, best.tokens[len(prefix):]))
+        assert out.log_probs == best.step_log_probs[len(prefix):]
+        one_shot = model.encode(frames[: chunk.end], frame_period_sec=FRAME_PERIOD)
+        fresh = beam_search(model, one_shot, prefix, beam)
+        assert_same_hypotheses(ranked, fresh)
+        assert_same_hypotheses(fresh, scalar_beam_search(model, one_shot, prefix, beam))
+
+        assert session.committed_ids[: len(prefix)] == prefix
+        cap = math.floor(beam.cap_tokens_per_sec * chunk.end * FRAME_PERIOD + 1e-9)
+        assert len(session.committed_ids) <= cap
+
+    if model.cfg.mode == UNIDIRECTIONAL:
+        assert session.positions_encoded == n_frames

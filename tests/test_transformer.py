@@ -66,10 +66,14 @@ def causal_deep_model(micro_vocab):
 
 
 class TestConfig:
-    def test_head_divisibility(self, micro_vocab):
-        with pytest.raises(Exception):
+    @pytest.mark.parametrize("heads, match", [
+        (4, "divisible by heads"),
+        (0, ">= 1"),  # checked first: d_model % 0 would raise ZeroDivisionError
+    ])
+    def test_head_divisibility(self, micro_vocab, heads, match):
+        with pytest.raises(ConfigError, match=match):
             TransformerConfig(
-                frame_dim=4, vocab_size=len(micro_vocab), d_model=10, heads=4
+                frame_dim=4, vocab_size=len(micro_vocab), d_model=10, heads=heads
             )
 
     def test_param_init_deterministic(self, micro_cfg, micro_vocab):
