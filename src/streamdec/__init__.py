@@ -16,7 +16,6 @@ from .core import (
     ContractViolation,
     TimedToken,
     UndefinedMetric,
-    UnsupportedOperation,
     Utterance,
     Vocab,
     chunk_stream,
@@ -36,6 +35,7 @@ from .decoder import (
     step_chunk,
 )
 from .harness import SweepSpec, TradeoffRow, compare_modes, sweep
+from .io import load_model, save_model
 from .metrics import (
     LatencyReport,
     WerBreakdown,
@@ -51,8 +51,6 @@ from .model import (
     EncoderStates,
     SequenceModel,
     SyntheticAlignedModel,
-    load_model,
-    save_model,
 )
 from .strategies import (
     HoldN,
@@ -109,7 +107,6 @@ __all__ = [
     "TrainConfig",
     "TransformerConfig",
     "UndefinedMetric",
-    "UnsupportedOperation",
     "Utterance",
     "Vocab",
     "WaitK",

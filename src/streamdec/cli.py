@@ -29,7 +29,6 @@ from .core import (
     ConfigError,
     ContractViolation,
     UndefinedMetric,
-    UnsupportedOperation,
     Utterance,
     Vocab,
     eval_tokens,
@@ -38,7 +37,6 @@ from .data import SyntheticTaskSpec, gen_dataset
 from .decoder import BeamConfig, run_session
 from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
-from .model import load_model, save_model
 from .strategies import parse_strategy, spec_usage
 from .training import PartialSliceSpec, TrainConfig, adapt, train, write_curve
 from .transformer import TinyTransformer, TransformerConfig
@@ -189,24 +187,23 @@ def _config_tokens(path: str, command: str, parsers: dict) -> list[str]:
     """The flags of `command` that a config file's lines stand for."""
     options = {name: p._option_string_actions for name, p in parsers.items()}
     tokens = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            action = options[command].get(flag)
-            if action is None:
-                if not any(flag in opts for opts in options.values()):
-                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-                continue  # another command's option
-            if action.nargs == 0 and value.lower() in ("true", "false"):
-                tokens += [flag] if value.lower() == "true" else []
-            else:  # any other flag value is refused by argparse, as typed
-                tokens.append(f"{flag}={value}")
+    for line_no, raw in sio.numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        action = options[command].get(flag)
+        if action is None:
+            if not any(flag in opts for opts in options.values()):
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            continue  # another command's option
+        if action.nargs == 0 and value.lower() in ("true", "false"):
+            tokens += [flag] if value.lower() == "true" else []
+        else:  # any other flag value is refused by argparse, as typed
+            tokens.append(f"{flag}={value}")
     return tokens
 
 
@@ -250,14 +247,20 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_corpus(path: str) -> list[Utterance]:
+    """The utterances of a JSONL file; a file with none is a ConfigError."""
+    utts = sio.load_utterances(path)
+    if not utts:
+        raise ConfigError(f"no utterances in {path}")
+    return utts
+
+
 def _vocab_from_utts(utts: Sequence[Utterance]) -> Vocab:
     return Vocab.build(tok for u in utts for tok in eval_tokens(u))
 
 
 def cmd_train(args) -> int:
-    data = sio.load_utterances(args.data)
-    if not data:
-        raise ConfigError(f"no utterances in {args.data}")
+    data = _load_corpus(args.data)
     vocab = _vocab_from_utts(data)
     cfg = TransformerConfig(
         frame_dim=data[0].frames.shape[1],
@@ -271,7 +274,7 @@ def cmd_train(args) -> int:
         init_seed=args.seed,
     )
     model, curve = train(TinyTransformer(cfg, vocab), data, _train_config(args))
-    save_model(model, args.out)
+    sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
     print(f"trained {args.steps} steps, final loss {curve[-1][1]:.4f}, saved to {args.out}")
@@ -279,15 +282,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    model = load_model(args.model)
-    if not isinstance(model, TinyTransformer):
-        raise ConfigError("adaptation needs a trainable transformer model")
-    data = sio.load_utterances(args.data)
-    dev = sio.load_utterances(args.dev)
+    model = sio.load_model(args.model)
+    data = _load_corpus(args.data)
+    dev = _load_corpus(args.dev)
     tc = _train_config(args, eval_every=args.eval_every)
     slices = PartialSliceSpec(args.ratio_low, args.ratio_high)
     model, curve = adapt(model, data, tc, dev, slices, lr_factor=args.lr_factor)
-    save_model(model, args.out)
+    sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
     print(f"adapted {args.steps} steps, saved to {args.out}")
@@ -295,8 +296,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = load_model(args.model)
-    utts = sio.load_utterances(args.inp)
+    model = sio.load_model(args.model)
+    utts = _load_corpus(args.inp)
     strategy = parse_strategy(args.strategy)
     beam = _beam_from_args(args)
     logs = {u.id: run_session(model, u, strategy, args.chunk_sec, beam) for u in utts}
@@ -321,8 +322,8 @@ def cmd_sweep(args) -> int:
         name, path = spec_str.split("=", 1)
         if name in models:
             raise ConfigError(f"--model names {name!r} more than once")
-        models[name] = load_model(path)
-    utts = sio.load_utterances(args.inp)
+        models[name] = sio.load_model(path)
+    utts = _load_corpus(args.inp)
     strategies = tuple(
         parse_strategy(s.strip()) for s in args.strategies.split(",") if s.strip()
     )
@@ -339,7 +340,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    refs = sio.load_utterances(args.refs)
+    refs = _load_corpus(args.refs)
     breakdown, report = score_logs(refs, sio.load_commit_logs(args.hyps))
     summary: dict[str, object] = {
         "wer": breakdown.rate,
@@ -364,10 +365,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = load_model(args.model)
-    utts = sio.load_utterances(args.inp)
-    if not utts:
-        raise ConfigError(f"no utterances in {args.inp}")
+    model = sio.load_model(args.model)
+    utts = _load_corpus(args.inp)
     if args.utt is None:
         utt = utts[0]
     else:
@@ -405,8 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_help()
             return 2
         return COMMANDS[args.command](args)
-    except (ConfigError, ContractViolation, UnsupportedOperation,
-            UndefinedMetric, FileNotFoundError) as e:
+    except (ConfigError, ContractViolation, UndefinedMetric, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

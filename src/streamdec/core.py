@@ -32,10 +32,6 @@ class ContractViolation(ValueError):
     """A documented precondition was broken by the caller."""
 
 
-class UnsupportedOperation(RuntimeError):
-    """The operation is not available on this object."""
-
-
 class UndefinedMetric(ValueError):
     """The metric has no defined value for the given inputs."""
 

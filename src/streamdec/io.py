@@ -1,5 +1,10 @@
-"""File formats: JSONL utterances and commit logs, JSON eval summaries,
-TSV attention grids.
+"""File formats: transformer model files, JSONL utterances and commit logs,
+JSON eval summaries, TSV attention grids.
+
+A model file is the magic ``SDM1``, a u32-length-prefixed JSON header (format
+version, ``"model_type": "transformer"``, config and vocab) and a u32 count of
+parameter blocks, each a u32-length-prefixed JSON block header (name, dtype,
+shape) followed by the array's bytes, in name order.
 
 An utterance line keeps its id, tokens and frame period as plain JSON and
 its frames as ``{"shape": [n, dim], "float64le": <base64>}``: the base64 of
@@ -15,6 +20,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +31,9 @@ from .core import (
     ContractViolation,
     TimedToken,
     Utterance,
+    Vocab,
 )
+from .transformer import TinyTransformer, TransformerConfig, param_shapes
 
 
 def _encode_frames(frames: np.ndarray) -> dict:
@@ -84,27 +92,38 @@ def save_utterances(utts: Iterable[Utterance], path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a UTF-8 text file; a line that
+    is not UTF-8 is a ConfigError naming path:line."""
+    # an utterance line holds all its frames, up to about 100 KB: a buffer
+    # larger than a line lets readline take it in one piece
+    with open(path, "rb", buffering=1 << 18) as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"{path}:{line_no}: not valid UTF-8: {e}") from None
+            yield line_no, line
+
+
 def _records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
     that is not a JSON object holding every required key is a ConfigError
     naming path:line."""
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
-            if not isinstance(rec, dict):
-                raise ConfigError(f"{path}:{line_no}: not a JSON object")
-            missing = [k for k in required if k not in rec]
-            if missing:
-                raise ConfigError(
-                    f"{path}:{line_no}: missing key {missing[0]!r}"
-                )
-            yield line_no, rec
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}:{line_no}: not a JSON object")
+        missing = [k for k in required if k not in rec]
+        if missing:
+            raise ConfigError(f"{path}:{line_no}: missing key {missing[0]!r}")
+        yield line_no, rec
 
 
 def _check_fields(path: str, line_no: int, rec: dict, fields: Sequence) -> None:
@@ -241,3 +260,138 @@ def load_attention_grids(path: str) -> dict[str, np.ndarray]:
         if name is not None:
             grids[name] = np.asarray(rows)
     return grids
+
+
+_MAGIC = b"SDM1"
+
+
+def _write_block(fh, name: str, arr: np.ndarray) -> None:
+    meta = json.dumps(
+        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+    ).encode("utf-8")
+    fh.write(struct.pack("<I", len(meta)))
+    fh.write(meta)
+    fh.write(arr.tobytes(order="C"))
+
+
+def save_model(model: TinyTransformer, path: str) -> None:
+    """Write a transformer to one self-describing binary file."""
+    header = {
+        "format_version": 1,
+        "model_type": "transformer",
+        "config": model.cfg.__dict__.copy(),
+        "vocab": list(model.vocab.tokens),
+    }
+    head = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        fh.write(struct.pack("<I", len(model.params)))
+        for name in sorted(model.params):
+            _write_block(fh, name, model.params[name])
+
+
+class _Reader:
+    """Bounds-checked reads over a model file's bytes; every error names the
+    file and the byte offset at which the bad field starts."""
+
+    def __init__(self, path: str, data: bytes, pos: int) -> None:
+        self.path, self.data, self.pos = path, data, pos
+
+    def error(self, what: str, at: int) -> ConfigError:
+        return ConfigError(f"{self.path}: {what} at byte {at}")
+
+    def take(self, n: int, what: str) -> bytes:
+        left = len(self.data) - self.pos
+        if n > left:
+            raise self.error(f"truncated {what}: {n} bytes needed, {left} left",
+                             self.pos)
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def json_object(self, what: str) -> dict:
+        """A u32 length followed by that many bytes of UTF-8 JSON object."""
+        raw = self.take(self.u32(f"{what} length"), what)
+        at = self.pos - len(raw)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise self.error(f"malformed {what} ({e})", at) from None
+        if not isinstance(obj, dict):
+            raise self.error(f"{what} is not a JSON object", at)
+        return obj
+
+
+def _read_params(r: _Reader) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+    """The parameter table: arrays by name and the offset of each block."""
+    params: dict[str, np.ndarray] = {}
+    where: dict[str, int] = {}
+    for _ in range(r.u32("parameter count")):
+        at = r.pos
+        meta = r.json_object("parameter header")
+        name, shape = meta.get("name"), meta.get("shape")
+        if not isinstance(name, str) or name in params:
+            raise r.error(f"missing or repeated parameter name {name!r}", at)
+        if meta.get("dtype") != "float64":
+            raise r.error(f"parameter {name}: unsupported dtype "
+                          f"{meta.get('dtype')!r}", at)
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise r.error(f"parameter {name}: bad shape {shape!r}", at)
+        buf = r.take(8 * math.prod(shape), f"data of parameter {name}")
+        arr = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise r.error(f"parameter {name} has non-finite values",
+                          r.pos - len(buf))
+        params[name], where[name] = arr, at
+    if r.pos != len(r.data):
+        raise r.error(f"{len(r.data) - r.pos} trailing bytes", r.pos)
+    return params, where
+
+
+def load_model(path: str) -> TinyTransformer:
+    """The inverse of save_model. A truncated, malformed or inconsistent
+    file, or one of another model type, raises ConfigError naming the path
+    and the byte offset of the offending field."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ConfigError(f"{path} is not a serialized model")
+    r = _Reader(path, data, len(_MAGIC))
+    header = r.json_object("header")
+    header_at = len(_MAGIC) + 4
+    if header.get("format_version") != 1:
+        raise r.error(f"unsupported model format version "
+                      f"{header.get('format_version')!r}", header_at)
+    params, where = _read_params(r)
+    if header.get("model_type") != "transformer":
+        raise r.error(f"unknown model type {header.get('model_type')!r}",
+                      header_at)
+    try:
+        conf = header["config"]
+        cfg = TransformerConfig(**conf)
+        if any(type(v) is not int for k, v in conf.items() if k != "mode"):
+            raise ConfigError("config sizes must be integers")
+        tokens = header["vocab"]
+        if not all(isinstance(t, str) for t in tokens):
+            raise ConfigError("vocab entries must be strings")
+        model = TinyTransformer(cfg, Vocab(tuple(tokens)), params)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise r.error(f"invalid transformer header ({type(e).__name__}: {e})",
+                      header_at) from None
+    expected = param_shapes(cfg)
+    got = {k: v.shape for k, v in params.items()}
+    if got != expected:
+        bad = sorted((k for k in got if got[k] != expected.get(k)), key=where.get)
+        missing = sorted(expected.keys() - got.keys())
+        raise r.error(
+            f"parameters differ from the config: unexpected or misshapen "
+            f"{bad}, missing {missing}",
+            where[bad[0]] if bad else r.pos,
+        )
+    return model

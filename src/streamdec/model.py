@@ -1,5 +1,5 @@
-"""Sequence-model interface, encoder-state container, the aligned synthetic
-oracle model, and single-file model serialization.
+"""Sequence-model interface, encoder-state container and the aligned
+synthetic oracle model. Model files are read and written by ``io``.
 
 A model exposes incremental encoding of a growing frame stream and a
 decoder of two calls that yield normalized next-token log-probabilities.
@@ -27,21 +27,13 @@ refused even after that model is gone and its ``id()`` reused.
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence, runtime_checkable
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import (
-    ContractViolation,
-    ConfigError,
-    UnsupportedOperation,
-    Vocab,
-)
+from .core import ContractViolation, ConfigError, Vocab
 from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
 UNIDIRECTIONAL = "unidirectional"
@@ -70,7 +62,6 @@ class EncoderStates:
         return self.frames_covered * self.frame_period_sec
 
 
-@runtime_checkable
 class SequenceModel(Protocol):
     vocab: Vocab
 
@@ -168,8 +159,7 @@ class SyntheticAlignedModel:
         vocab: Vocab,
         alignments: dict[str, Alignment],
         instability_frames: int = 10,
-        perturb_seed: int = 0,
-        meta: dict | None = None,
+        seed: int = 0,
     ) -> None:
         if instability_frames < 0:
             raise ConfigError("instability_frames must be >= 0")
@@ -177,11 +167,9 @@ class SyntheticAlignedModel:
         self._owner = object()  # held by every state this instance makes
         self.alignments = alignments
         self.instability_frames = instability_frames
-        self.perturb_seed = perturb_seed
-        self._meta = meta or {}
         # fixed-point-free map over word ids: rotate a seeded permutation
         word_ids = np.fromiter(vocab.word_ids(), dtype=np.int64)
-        rng = np.random.default_rng(perturb_seed)
+        rng = np.random.default_rng(seed)
         shuffled = rng.permutation(word_ids)
         self.confusion = {
             int(shuffled[i]): int(shuffled[(i + 1) % len(shuffled)])
@@ -195,22 +183,11 @@ class SyntheticAlignedModel:
         count: int,
         seed: int,
         instability_frames: int = 10,
-        perturb_seed: int | None = None,
     ) -> "SyntheticAlignedModel":
-        """Rebuild the oracle for the dataset gen_dataset(spec, count, seed)."""
+        """The oracle for the dataset gen_dataset(spec, count, seed); seed
+        also draws its confusion map."""
         _, aligns = gen_with_alignments(spec, count, seed)
-        if perturb_seed is None:
-            perturb_seed = seed
-        meta = {
-            "task": spec.__dict__.copy(),
-            "count": count,
-            "seed": seed,
-            "instability_frames": instability_frames,
-            "perturb_seed": perturb_seed,
-        }
-        return cls(
-            task_vocab(spec), aligns, instability_frames, perturb_seed, meta
-        )
+        return cls(task_vocab(spec), aligns, instability_frames, seed)
 
     # --- encoding ---------------------------------------------------------
 
@@ -287,178 +264,3 @@ class SyntheticAlignedModel:
         rows, _ = _check_block(rows, token_ids, n_rows, len(self.vocab))
         lps = np.tile(self._emission(enc, slot + 1), (rows.size, 1))
         return (slot + 1, enc, rows.size), lps
-
-    def dump_attention(self, frames: np.ndarray, prefix: Sequence[int]):
-        raise UnsupportedOperation(
-            "the synthetic oracle has no attention weights"
-        )
-
-
-# --- serialization ---------------------------------------------------------
-
-_MAGIC = b"SDM1"
-
-
-def _write_block(fh, name: str, arr: np.ndarray) -> None:
-    meta = json.dumps(
-        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-    ).encode("utf-8")
-    fh.write(struct.pack("<I", len(meta)))
-    fh.write(meta)
-    fh.write(arr.tobytes(order="C"))
-
-
-def save_model(model: Any, path: str) -> None:
-    """Serialize a model to one self-describing binary file."""
-    from . import transformer  # local import; transformer depends on model
-
-    if isinstance(model, SyntheticAlignedModel):
-        if not model._meta:
-            raise UnsupportedOperation(
-                "only oracles built by from_task can be serialized"
-            )
-        header = {
-            "format_version": 1,
-            "model_type": "synthetic",
-            "meta": model._meta,
-        }
-        params: dict[str, np.ndarray] = {}
-    elif isinstance(model, transformer.TinyTransformer):
-        header = {
-            "format_version": 1,
-            "model_type": "transformer",
-            "config": model.cfg.__dict__.copy(),
-            "vocab": list(model.vocab.tokens),
-        }
-        params = model.params
-    else:
-        raise UnsupportedOperation(f"cannot serialize {type(model).__name__}")
-
-    head = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            _write_block(fh, name, params[name])
-
-
-class _Reader:
-    """Bounds-checked reads over a model file's bytes; every error names the
-    file and the byte offset at which the bad field starts."""
-
-    def __init__(self, path: str, data: bytes, pos: int) -> None:
-        self.path, self.data, self.pos = path, data, pos
-
-    def error(self, what: str, at: int) -> ConfigError:
-        return ConfigError(f"{self.path}: {what} at byte {at}")
-
-    def take(self, n: int, what: str) -> bytes:
-        left = len(self.data) - self.pos
-        if n > left:
-            raise self.error(f"truncated {what}: {n} bytes needed, {left} left",
-                             self.pos)
-        self.pos += n
-        return self.data[self.pos - n : self.pos]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def json_object(self, what: str) -> dict:
-        """A u32 length followed by that many bytes of UTF-8 JSON object."""
-        raw = self.take(self.u32(f"{what} length"), what)
-        at = self.pos - len(raw)
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-            raise self.error(f"malformed {what} ({e})", at) from None
-        if not isinstance(obj, dict):
-            raise self.error(f"{what} is not a JSON object", at)
-        return obj
-
-
-def _read_params(r: _Reader) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """The parameter table: arrays by name and the offset of each block."""
-    params: dict[str, np.ndarray] = {}
-    where: dict[str, int] = {}
-    for _ in range(r.u32("parameter count")):
-        at = r.pos
-        meta = r.json_object("parameter header")
-        name, shape = meta.get("name"), meta.get("shape")
-        if not isinstance(name, str) or name in params:
-            raise r.error(f"missing or repeated parameter name {name!r}", at)
-        if meta.get("dtype") != "float64":
-            raise r.error(f"parameter {name}: unsupported dtype "
-                          f"{meta.get('dtype')!r}", at)
-        if not isinstance(shape, list) or not all(
-            type(n) is int and n >= 0 for n in shape
-        ):
-            raise r.error(f"parameter {name}: bad shape {shape!r}", at)
-        buf = r.take(8 * math.prod(shape), f"data of parameter {name}")
-        arr = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-        if not np.isfinite(arr).all():
-            raise r.error(f"parameter {name} has non-finite values",
-                          r.pos - len(buf))
-        params[name], where[name] = arr, at
-    if r.pos != len(r.data):
-        raise r.error(f"{len(r.data) - r.pos} trailing bytes", r.pos)
-    return params, where
-
-
-def load_model(path: str) -> Any:
-    """Inverse of save_model; the header tells which model type to rebuild.
-
-    A truncated, malformed or inconsistent file raises ConfigError naming
-    the path and the byte offset of the offending field."""
-    from . import transformer
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ConfigError(f"{path} is not a serialized model")
-    r = _Reader(path, data, len(_MAGIC))
-    header = r.json_object("header")
-    header_at = len(_MAGIC) + 4
-    if header.get("format_version") != 1:
-        raise r.error(f"unsupported model format version "
-                      f"{header.get('format_version')!r}", header_at)
-    params, where = _read_params(r)
-    kind = header.get("model_type")
-    try:
-        if kind == "synthetic":
-            meta = header["meta"]
-            spec = SyntheticTaskSpec(**meta["task"])
-            return SyntheticAlignedModel.from_task(
-                spec,
-                int(meta["count"]),
-                int(meta["seed"]),
-                int(meta["instability_frames"]),
-                int(meta["perturb_seed"]),
-            )
-        if kind == "transformer":
-            conf = header["config"]
-            cfg = transformer.TransformerConfig(**conf)
-            if any(type(v) is not int for k, v in conf.items() if k != "mode"):
-                raise ConfigError("config sizes must be integers")
-            tokens = header["vocab"]
-            if not all(isinstance(t, str) for t in tokens):
-                raise ConfigError("vocab entries must be strings")
-            vocab = Vocab(tuple(tokens))
-            model = transformer.TinyTransformer(cfg, vocab, params)
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise r.error(f"invalid {kind} header ({type(e).__name__}: {e})",
-                      header_at) from None
-    if kind != "transformer":
-        raise r.error(f"unknown model type {kind!r}", header_at)
-    expected = transformer.param_shapes(cfg)
-    got = {k: v.shape for k, v in params.items()}
-    if got != expected:
-        bad = sorted((k for k in got if got[k] != expected.get(k)), key=where.get)
-        missing = sorted(expected.keys() - got.keys())
-        raise r.error(
-            f"parameters differ from the config: unexpected or misshapen "
-            f"{bad}, missing {missing}",
-            where[bad[0]] if bad else r.pos,
-        )
-    return model

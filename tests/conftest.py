@@ -10,6 +10,7 @@ from streamdec.transformer import TinyTransformer, TransformerConfig
 settings.register_profile(
     "repo",
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repo")

@@ -10,12 +10,12 @@ from streamdec.decoder import BeamConfig
 from streamdec.io import (
     load_attention_grids,
     load_commit_logs,
+    load_model,
     load_utterances,
     save_commit_logs,
     save_utterances,
 )
 from streamdec.metrics import score_logs
-from streamdec.model import load_model
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
 
@@ -329,11 +329,15 @@ class TestConfigFile:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_malformed_config_line_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, why", [
+        (b"just some words\n", ":1: expected key = value"),
+        (b"count = 5\nseed = \xff\xfe\n", ":2: not valid UTF-8"),
+    ])
+    def test_malformed_config_line_fails(self, tmp_path, capsys, text, why):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just some words\n")
+        cfg.write_bytes(text)
         assert main(["--config", str(cfg), "gen-data", "--out", "x"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {cfg}{why}")
 
     def test_config_after_the_command(self, work, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -495,6 +499,50 @@ class TestErrorPaths:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--model", "--in", "--refs", "--config"])
+    def test_directory_for_a_file_exits_2(self, work, tmp_path, capsys, option):
+        """A directory where a file is read ends like a missing file: exit
+        2 and one error line, not an IsADirectoryError traceback."""
+        d, out = str(tmp_path), tmp_path / "never.jsonl"
+        argv = ["run", "--model", str(work / "model.bin"), "--in",
+                str(work / "eval.jsonl"), "--out", str(out), "--strategy", "hold-0"]
+        if option == "--refs":
+            argv = ["eval", "--refs", d, "--hyps", str(work / "hyps.jsonl")]
+        elif option == "--config":
+            argv += ["--config", d]
+        else:
+            argv[argv.index(option) + 1] = d
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--data"), ("adapt", "--data"), ("adapt", "--dev"),
+        ("run", "--in"), ("sweep", "--in"), ("eval", "--refs"),
+        ("dump-attention", "--in"),
+    ])
+    def test_empty_corpus_exits_2(self, work, tmp_path, capsys, command, option):
+        """An empty corpus is refused, not scored as a perfect WER 0."""
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "never.out"
+        empty.write_text("")
+        model, corpus = str(work / "model.bin"), str(work / "eval.jsonl")
+        argv = {
+            "train": ["train", "--data", corpus, "--steps", "1"],
+            "adapt": ["adapt", "--model", model, "--data", corpus, "--dev", corpus,
+                      "--steps", "1"],
+            "run": ["run", "--model", model, "--in", corpus, "--strategy", "hold-0"],
+            "sweep": ["sweep", "--model", f"m={model}", "--in", corpus,
+                      "--strategies", "hold-0"],
+            "eval": ["eval", "--refs", corpus, "--hyps", str(work / "hyps.jsonl")],
+            "dump-attention": ["dump-attention", "--model", model, "--in", corpus],
+        }[command] + ["--out", str(out)]
+        argv[argv.index(option) + 1] = str(empty)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: no utterances in {empty}\n"
+        assert not out.exists()
 
     def test_bad_sweep_model_spec(self, work, capsys):
         rc = main([

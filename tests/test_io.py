@@ -31,6 +31,13 @@ def frames_json(frames, shape=None) -> str:
 F = frames_json([[0.1]])
 
 
+def write_lines(path, *lines) -> None:
+    """A file of the given lines: a str line as UTF-8, a bytes line as is."""
+    with open(path, "wb") as fh:
+        for line in lines:
+            fh.write((line.encode() if isinstance(line, str) else line) + b"\n")
+
+
 class TestUtteranceFiles:
     def test_round_trip(self, tmp_path, rng):
         edge = np.array([[-0.0, 5e-324], [1.7976931348623157e308,
@@ -138,12 +145,11 @@ class TestUtteranceFiles:
          "frame_period_sec must be a positive finite number"),
         (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": NaN}}',
          "frame_period_sec must be a positive finite number"),
+        (b"\xff\xfe", "not valid UTF-8"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, line, why):
         path = str(tmp_path / "bad.jsonl")
-        with open(path, "w") as fh:
-            fh.write(f'{{"id": "a", "frames": {F}, "ref": ["x"]}}\n')
-            fh.write(line + "\n")
+        write_lines(path, f'{{"id": "a", "frames": {F}, "ref": ["x"]}}', line)
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
             load_utterances(path)
 
@@ -204,14 +210,13 @@ MALFORMED_COMMIT_RECORDS = [
     ('{"utt": "a", "token": "x", "chunk": true, "t_out": 0.5}', "integer >= 1"),
     ('{"utt": "a", "token": "x", "chunk": 1.5, "t_out": 0.5}', "integer >= 1"),
     ('{"utt": "a", "token": 5, "chunk": 1, "t_out": 0.5}', "token must be a string"),
+    (b'{"utt": "a", "token": "\xff", "chunk": 1, "t_out": 0.5}', "not valid UTF-8"),
 ]
 
 
 def write_commit_log_with(path, line):
     """A commit log whose second line is the given one."""
-    with open(path, "w") as fh:
-        fh.write('{"utt": "a", "token": "x", "chunk": 1, "t_out": 0.5}\n')
-        fh.write(line + "\n")
+    write_lines(path, '{"utt": "a", "token": "x", "chunk": 1, "t_out": 0.5}', line)
 
 
 @pytest.mark.parametrize("line, why", MALFORMED_COMMIT_RECORDS)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from streamdec.core import ContractViolation, UnsupportedOperation
+from streamdec.core import ContractViolation
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_with_alignments,
     task_vocab,
     translation_map,
 )
-from streamdec.model import SyntheticAlignedModel, load_model, save_model
+from streamdec.model import SyntheticAlignedModel
 
 from .oracles import decode_step
 
@@ -263,21 +263,14 @@ class TestPerSlotInvariants:
         with pytest.raises(ContractViolation, match=why):
             m.dec_advance(state, rows, [aligns[u.id].token_ids[0]])
 
-    def test_dump_attention_unsupported(self, world):
-        spec, utts, _ = world
-        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
-        with pytest.raises(UnsupportedOperation):
-            m.dump_attention(utts[0].frames, ())
 
-
-class TestSerialization:
-    def test_round_trip_regenerates_oracle(self, tmp_path, world):
+class TestRebuild:
+    def test_from_task_regenerates_oracle(self, world):
+        """The oracle is a function of (spec, count, seed, instability): a
+        second build equals the first, confusion map included."""
         spec, utts, _ = world
         m = SyntheticAlignedModel.from_task(spec, 8, seed=13, instability_frames=7)
-        path = str(tmp_path / "oracle.bin")
-        save_model(m, path)
-        m2 = load_model(path)
-        assert isinstance(m2, SyntheticAlignedModel)
+        m2 = SyntheticAlignedModel.from_task(spec, 8, seed=13, instability_frames=7)
         assert m2.vocab.tokens == m.vocab.tokens
         assert m2.instability_frames == 7
         assert m2.alignments == m.alignments

@@ -12,7 +12,8 @@ from streamdec.data import (
     make_partial_pair,
     task_vocab,
 )
-from streamdec.model import UNIDIRECTIONAL, SyntheticAlignedModel, load_model
+from streamdec.io import load_model
+from streamdec.model import UNIDIRECTIONAL, SyntheticAlignedModel
 from streamdec.training import (
     Adam,
     PartialSliceSpec,

@@ -11,12 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamdec.core import ConfigError, ContractViolation, Vocab
-from streamdec.model import (
-    BIDIRECTIONAL,
-    UNIDIRECTIONAL,
-    load_model,
-    save_model,
-)
+from streamdec.io import load_model, save_model
+from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
 from streamdec.transformer import (
     DecState,
     TinyTransformer,
@@ -710,6 +706,7 @@ class TestLoadRejectsBadFiles:
             lambda h: {**h, "config": [1, 2]},
             lambda h: {**h, "vocab": h["vocab"][:-1] + [7]},
             lambda h: {**h, "model_type": "rnn"},
+            lambda h: {"format_version": 1, "model_type": "synthetic", "meta": {}},
             lambda h: {**h, "format_version": 2},
             lambda h: {k: v for k, v in h.items() if k != "vocab"},
             lambda h: [h],
