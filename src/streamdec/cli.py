@@ -230,6 +230,8 @@ def expand_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[
 
 
 def cmd_gen_data(args) -> int:
+    if args.count < 1:  # every command that reads a corpus refuses an empty one
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     spec = SyntheticTaskSpec(
         vocab_size=args.vocab_size,
         min_tokens=args.min_tokens,

@@ -18,8 +18,10 @@ commit logs (``harness.compare_modes`` checks it).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,14 +77,10 @@ class BeamHypothesis:
     finished: bool
 
 
-def _score(h: BeamHypothesis, length_normalize: bool) -> float:
+def _objective(h: BeamHypothesis, length_normalize: bool) -> float:
     if length_normalize:
         return h.log_prob / max(1, len(h.tokens))
     return h.log_prob
-
-
-def _rank_key(h: BeamHypothesis, length_normalize: bool):
-    return (-_score(h, length_normalize), h.tokens)
 
 
 def beam_search(
@@ -102,87 +100,80 @@ def beam_search(
     score s ends at most at s, or at s / max_total per token when
     length-normalizing. The stop test runs after a step's eos pass, on the
     kept children before they are advanced, so every ``dec_advance`` made
-    has its log-probs read. Finished hypotheses rank ahead of live ones;
-    ties rank the smaller token-id sequence first. One ``dec_init`` prefill
-    scores the forced prefix, and its last row starts the beam; each beam
-    step then advances every kept child in one ``dec_advance`` call on the
-    beam's one state, whose row i holds the live path ``active[i]``. The
-    live paths are kept in token order: they share one length and have
+    has its log-probs read.
+
+    One ``dec_init`` prefill scores the forced prefix, and its last row
+    starts the beam. The live beam is three arrays, row i of each being
+    row i of the beam's one decoder state: ``toks`` (the tokens generated
+    after the prefix), ``lps`` (their step log-probs) and ``scores``; each
+    beam step advances every kept child in one ``dec_advance`` call. The
+    live rows are kept in token order: they share one length and have
     distinct tokens, so the flat (parent, word) index of a step's child
     scores is the children's token order, and one stable sort ranks them.
+    The paths eos ends at a step leave as one block of those arrays, and
+    only a running best objective is kept for the stop test. Hypotheses are
+    built once, after the search, from the blocks and the last beam, and
+    one sort ranks them: finished ahead of live, then by objective, ties
+    to the smaller token-id sequence.
     """
     vocab = model.vocab
     norm = cfg.length_normalize
     prefix = _check_prefix(vocab, forced_prefix)
     if enc.frames_covered == 0:
         return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
-    max_total = math.floor(
-        cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9
-    )
+    max_total = math.floor(cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9)
 
     state, logps = model.dec_init(enc, prefix)
-    score = 0.0
-    steps: list[float] = []
-    for j, tok in enumerate(prefix):
-        score += float(logps[j, tok])
-        steps.append(float(logps[j, tok]))
+    prefix_steps = tuple(
+        logps[np.arange(len(prefix)), np.array(prefix, dtype=np.int64)].tolist()
+    )
+    # left to right, the order in which beam steps add their log-probs
+    score = functools.reduce(operator.add, prefix_steps, 0.0)
     if len(prefix) >= max_total:
-        return [BeamHypothesis(prefix, score, tuple(steps), True)]
+        return [BeamHypothesis(prefix, score, prefix_steps, True)]
 
     gen_ids = np.array(vocab.word_ids(), dtype=np.int64)  # ascending
-    active = [BeamHypothesis(prefix, score, tuple(steps), False)]
-    active_lps = logps[-1:]  # (len(active), vocab)
-    finished: list[BeamHypothesis] = []
+    toks = np.zeros((1, 0), dtype=np.int64)
+    lps = np.zeros((1, 0))
+    scores = np.array([score])
+    active_lps = logps[-1:]  # (rows, vocab)
+    ended = []  # (scores, toks, lps, finished) blocks that left the beam
+    best = -math.inf  # the best objective of any path eos has ended
     while True:
-        parent_lp = np.array([h.log_prob for h in active])
-        eos_scores = parent_lp + active_lps[:, vocab.eos_id]
-        scores = parent_lp[:, None] + active_lps[:, gen_ids]  # (B, G)
-        if np.isnan(scores).any() or np.isnan(eos_scores).any():
+        eos_scores = scores + active_lps[:, vocab.eos_id]
+        child_scores = scores[:, None] + active_lps[:, gen_ids]  # (B, G)
+        if np.isnan(child_scores).any() or np.isnan(eos_scores).any():
             raise ContractViolation("model returned NaN log-probabilities")
-        finished += [
-            BeamHypothesis(h.tokens, score, h.step_log_probs, True)
-            for h, score in zip(active, eos_scores.tolist())
-        ]
-        finished.sort(key=lambda h: _rank_key(h, norm))
-        del finished[cfg.beam_width:]
+        ended.append((eos_scores, toks, lps, True))
+        top = float(eos_scores.max())
+        best = max(best, top / max(1, len(prefix) + toks.shape[1]) if norm else top)
 
-        # active is in token order and gen_ids ascend, so a stable sort of
-        # the flat scores ranks the children by (-score, tokens); sorting
-        # the kept indices keeps the next beam in token order
+        # a stable sort of the flat scores ranks the children by (-score,
+        # tokens); sorting the kept indices keeps the beam in token order
         keep = np.sort(
-            np.argsort(-scores, axis=None, kind="stable")[: cfg.beam_width]
+            np.argsort(-child_scores, axis=None, kind="stable")[: cfg.beam_width]
         )
         parents, cols = np.divmod(keep, len(gen_ids))
-        toks = gen_ids[cols]
-        child_lps = scores[parents, cols]
+        new = gen_ids[cols]
+        toks = np.concatenate([toks[parents], new[:, None]], axis=1)
+        lps = np.concatenate([lps[parents], active_lps[parents, new][:, None]], axis=1)
+        scores = child_scores[parents, cols]
         # equal lengths again: the children all reach the cap or none does
-        at_cap = len(active[0].tokens) + 1 >= max_total
-        children = [
-            BeamHypothesis(
-                active[i].tokens + (tok,),
-                score,
-                active[i].step_log_probs + (lp,),
-                at_cap,
-            )
-            for i, tok, score, lp in zip(
-                parents.tolist(),
-                toks.tolist(),
-                child_lps.tolist(),
-                active_lps[parents, toks].tolist(),
-            )
-        ]
-        if at_cap or not children:  # no word ids leave no children
-            finished += children
-            active = []
+        at_cap = len(prefix) + toks.shape[1] >= max_total
+        if at_cap or not keep.size:  # no word ids leave no children
             break
-        active = children
-        bound = float(child_lps.max()) / (max_total if norm else 1)
-        if _score(finished[0], norm) > bound:  # no child can catch up
-            break
-        state, active_lps = model.dec_advance(state, parents, toks)
-    finished.sort(key=lambda h: _rank_key(h, norm))
-    active.sort(key=lambda h: _rank_key(h, norm))
-    return (finished + active)[: cfg.beam_width]
+        if best > float(scores.max()) / (max_total if norm else 1):
+            break  # no child can catch up
+        state, active_lps = model.dec_advance(state, parents, new)
+    ended.append((scores, toks, lps, at_cap))
+
+    hyps = [
+        BeamHypothesis(prefix + tuple(t), s, prefix_steps + tuple(lp), done)
+        for b_scores, b_toks, b_lps, done in ended
+        for s, t, lp in zip(b_scores.tolist(), b_toks.tolist(), b_lps.tolist())
+    ]
+    hyps.sort(key=lambda h: (not h.finished, -_objective(h, norm), h.tokens))
+    return hyps[: cfg.beam_width]
 
 
 def offline_decode(
@@ -220,18 +211,20 @@ class Session:
     enc: EncoderStates | None = None
     next_chunk_index: int = 1
     positions_encoded: int = 0  # encoder rows run so far, as encode reports
+    _chunks: list[Chunk] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (FORCED_REDECODE, BUFFERED_STATE):
             raise ConfigError(f"unknown session mode {self.mode!r}")
-
-    def chunks(self) -> list[Chunk]:
-        return chunk_stream(
+        self._chunks = chunk_stream(
             self.utterance.frames,
             self.chunk_len_sec,
             self.utterance.frame_period_sec,
             self.utterance.id,
         )
+
+    def chunks(self) -> list[Chunk]:
+        return list(self._chunks)
 
 
 def step_chunk(
@@ -239,11 +232,16 @@ def step_chunk(
 ) -> tuple[ChunkOutput, tuple[str, ...]]:
     """Consume one chunk: decode, select a commit prefix, append to the log.
 
-    Returns the fresh continuation and the tokens actually committed.
+    Returns the fresh continuation and the tokens actually committed. The
+    chunk must be the session's own next one, as ``Session.chunks`` lists
+    them: same utterance, index, bounds, length and finality.
     """
-    if chunk.index != session.next_chunk_index:
+    own = session._chunks
+    if session.next_chunk_index > len(own):
+        raise ContractViolation(f"{chunk} given after the final chunk")
+    if chunk != own[session.next_chunk_index - 1]:
         raise ContractViolation(
-            f"chunk {chunk.index} given, expected {session.next_chunk_index}"
+            f"{chunk} given, expected {own[session.next_chunk_index - 1]}"
         )
     utt = session.utterance
     model = session.model

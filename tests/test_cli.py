@@ -560,6 +560,7 @@ class TestErrorPaths:
         ["train", "--lr", "nan"],
         ["train", "--lr", "inf"],
         ["gen-data", "--noise-std", "nan"],
+        ["gen-data", "--count", "0"],  # an empty corpus no command reads
     ])
     def test_non_finite_numbers_exit_2(self, work, capsys, argv):
         paths = {

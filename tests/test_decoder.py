@@ -430,11 +430,27 @@ class TestSession:
         assert chunks[-1].is_final
         assert chunks[-1].end == len(small_corpus[0].frames)
 
-    def test_out_of_order_chunk_rejected(self, stable_model, small_corpus):
+    @pytest.mark.parametrize("feed", [
+        lambda own, other: [own[1]],
+        lambda own, other: [other[0]],
+        lambda own, other: [replace(own[0], is_final=True)],
+        lambda own, other: [replace(own[0], end=own[0].end - 1)],
+        lambda own, other: [replace(own[0], chunk_len_sec=0.25)],
+        lambda own, other: own + [replace(own[-1], index=own[-1].index + 1)],
+    ], ids=["skipped", "other-utterance", "final-too-soon", "other-bounds",
+            "other-length", "after-final"])
+    def test_out_of_order_chunk_rejected(self, stable_model, small_corpus, feed):
+        """Only the session's own next chunk is decoded: the last chunk fed
+        is refused and leaves the session as it was."""
         s = Session(stable_model, small_corpus[0], HoldN(0))
-        chunks = s.chunks()
+        other = Session(stable_model, small_corpus[1], HoldN(0))
+        *good, bad = feed(s.chunks(), other.chunks())
+        for chunk in good:
+            step_chunk(s, chunk)
+        before = (s.next_chunk_index, s.committed_ids, s.log.tokens)
         with pytest.raises(ContractViolation):
-            step_chunk(s, chunks[1])
+            step_chunk(s, bad)
+        assert (s.next_chunk_index, s.committed_ids, s.log.tokens) == before
 
     def test_unknown_mode_rejected(self, stable_model, small_corpus):
         with pytest.raises(ConfigError):

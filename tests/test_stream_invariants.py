@@ -13,6 +13,11 @@ share no state with the session:
   tokens equal, log-probs within 1e-12;
 * a causal session encodes each frame position exactly once;
 * commits never shrink and never exceed the cap.
+
+On 3-word models with a cap of at most 3 tokens, a beam wider than the
+whole search space finds the optimum of ``oracles.beam_oracle``, which
+scores every token sequence by ``token_walk``, with and without length
+normalisation: the early stop never cuts off a better path.
 """
 
 import math
@@ -26,15 +31,15 @@ from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
 from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
 from streamdec.transformer import TinyTransformer, TransformerConfig, init_params
 
-from .oracles import scalar_beam_search
+from .oracles import beam_oracle, scalar_beam_search
 from .test_strategies import configs
 
 FRAME_PERIOD = 0.25  # a power of two: every chunk length is exact
 
 
 @st.composite
-def micro_models(draw) -> TinyTransformer:
-    vocab = Vocab.build([f"w{i}" for i in range(draw(st.integers(1, 4)))])
+def micro_models(draw, n_words=st.integers(1, 4)) -> TinyTransformer:
+    vocab = Vocab.build([f"w{i}" for i in range(draw(n_words))])
     heads = draw(st.integers(1, 2))
     cfg = TransformerConfig(
         frame_dim=draw(st.integers(1, 3)),
@@ -108,3 +113,26 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
 
     if model.cfg.mode == UNIDIRECTIONAL:
         assert session.positions_encoded == n_frames
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    model=micro_models(n_words=st.just(3)),
+    n_frames=st.integers(1, 12),
+    max_total=st.integers(1, 3),
+    beam_width=st.integers(40, 64),  # 1 + 3 + 9 + 27 sequences at most
+    length_normalize=st.booleans(),
+    frames_seed=st.integers(0, 2**16),
+)
+def test_whole_space_beam_finds_the_optimum(
+    model, n_frames, max_total, beam_width, length_normalize, frames_seed
+):
+    frames = np.random.default_rng(frames_seed).normal(
+        size=(n_frames, model.cfg.frame_dim)
+    )
+    enc = model.encode(frames, frame_period_sec=FRAME_PERIOD)
+    beam = BeamConfig(beam_width, max_total / enc.audio_sec, length_normalize)
+    best = beam_search(model, enc, (), beam)[0]
+    tokens, score = beam_oracle(model, enc, beam)[0]
+    assert best.tokens == tokens
+    assert abs(best.log_prob - score) <= 1e-12
