@@ -30,7 +30,6 @@ from .decoder import (
     BeamHypothesis,
     Session,
     beam_search,
-    offline_decode,
     run_session,
     step_chunk,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "load_model",
     "make_partial_pair",
     "mean_output_time",
-    "offline_decode",
     "output_time",
     "parse_strategy",
     "run_session",

@@ -1,16 +1,19 @@
 """Beam search with forced prefixes, and the chunk-by-chunk session loop.
 
-Each chunk: extend the encoder states by the new frames (a causal encoder
-appends rows; a bidirectional one re-encodes the whole prefix) and add the
-rows the encoder reports it ran to the session's ``positions_encoded``, run
-beam search forced through every token committed so far, hand the fresh
-continuation to the commit strategy through ``select_prefix``, and append
-its choice to the commit log. Committed tokens are never revised; they
-condition all later decoding.
+Each chunk: extend the encoder states by the frames not yet encoded (a
+causal encoder appends rows; a bidirectional one re-encodes the whole
+prefix) and add the rows the encoder reports it ran to the session's
+``positions_encoded``, run beam search forced through every token committed
+so far, hand the fresh continuation to the commit strategy through
+``select_prefix``, and append its choice to the commit log. Committed tokens
+are never revised; they condition all later decoding. A non-final chunk on
+which the strategy is ``idle`` is neither encoded nor decoded: an empty
+continuation goes through ``select_prefix``, and the next decoded chunk's
+``encode`` covers its frames. So an offline session encodes and searches once.
 
-The decoder runs again on every chunk: a decoder state carries the encoding
-it was made with, and each chunk's beam search prefills the committed prefix
-in one ``dec_init`` call on the grown encoding. A
+The decoder runs again on every decoded chunk: a decoder state carries the
+encoding it was made with, and each chunk's beam search prefills the
+committed prefix in one ``dec_init`` call on the grown encoding. A
 session's ``mode`` (``forced`` or ``buffered``) is a label only; both run
 this same code, so two lockstep sessions on one model produce identical
 commit logs (``harness.compare_modes`` checks it).
@@ -37,7 +40,7 @@ from .core import (
     chunk_stream,
 )
 from .model import EncoderStates, SequenceModel, _check_prefix
-from .strategies import StrategyConfig, StrategyState, select_prefix
+from .strategies import STRATEGIES, StrategyConfig, StrategyState, select_prefix
 
 FORCED_REDECODE = "forced"
 BUFFERED_STATE = "buffered"
@@ -176,23 +179,6 @@ def beam_search(
     return hyps[: cfg.beam_width]
 
 
-def offline_decode(
-    model: SequenceModel,
-    utt: Utterance,
-    cfg: BeamConfig = BeamConfig(),
-) -> tuple[str, ...]:
-    """Single decode over the whole stream; the tokens (not the timing) of
-    an offline-strategy session."""
-    enc = model.encode(
-        utt.frames,
-        None,
-        utt_id=utt.id,
-        frame_period_sec=utt.frame_period_sec,
-    )
-    best = beam_search(model, enc, (), cfg)[0]
-    return tuple(model.vocab.token_of(t) for t in best.tokens)
-
-
 @dataclass
 class Session:
     """Mutable streaming-decode state for one utterance. ``mode`` labels the
@@ -216,11 +202,11 @@ class Session:
     def __post_init__(self) -> None:
         if self.mode not in (FORCED_REDECODE, BUFFERED_STATE):
             raise ConfigError(f"unknown session mode {self.mode!r}")
+        if type(self.strategy) not in STRATEGIES.values():
+            raise ConfigError(f"unknown strategy config {self.strategy!r}")
+        u = self.utterance
         self._chunks = chunk_stream(
-            self.utterance.frames,
-            self.chunk_len_sec,
-            self.utterance.frame_period_sec,
-            self.utterance.id,
+            u.frames, self.chunk_len_sec, u.frame_period_sec, u.id
         )
 
     def chunks(self) -> list[Chunk]:
@@ -232,9 +218,10 @@ def step_chunk(
 ) -> tuple[ChunkOutput, tuple[str, ...]]:
     """Consume one chunk: decode, select a commit prefix, append to the log.
 
-    Returns the fresh continuation and the tokens actually committed. The
-    chunk must be the session's own next one, as ``Session.chunks`` lists
-    them: same utterance, index, bounds, length and finality.
+    Returns the fresh continuation and the tokens actually committed; an
+    idle chunk's continuation is empty, as it is not decoded. The chunk
+    must be the session's own next one, as ``Session.chunks`` lists them:
+    same utterance, index, bounds, length and finality.
     """
     own = session._chunks
     if session.next_chunk_index > len(own):
@@ -245,28 +232,25 @@ def step_chunk(
         )
     utt = session.utterance
     model = session.model
-    session.enc = model.encode(
-        utt.frames[: chunk.end],
-        session.enc,
-        utt_id=utt.id,
-        frame_period_sec=utt.frame_period_sec,
-    )
-    session.positions_encoded += session.enc.rows_encoded
-
-    best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
-    n_prev = len(session.committed_ids)
-    cont_ids = best.tokens[n_prev:]
-    cont_lps = best.step_log_probs[n_prev:]
-    surfaces = tuple(model.vocab.token_of(t) for t in cont_ids)
-    out = ChunkOutput(chunk.index, surfaces, tuple(cont_lps))
+    if not chunk.is_final and session.strategy.idle(
+        chunk.index, session.strategy_state, session.chunk_len_sec
+    ):
+        cont_ids, out = (), ChunkOutput(chunk.index, (), ())
+    else:
+        session.enc = model.encode(
+            utt.frames[: chunk.end], session.enc,
+            utt_id=utt.id, frame_period_sec=utt.frame_period_sec,
+        )
+        session.positions_encoded += session.enc.rows_encoded
+        best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
+        n_prev = len(session.committed_ids)
+        cont_ids = best.tokens[n_prev:]
+        surfaces = tuple(model.vocab.token_of(t) for t in cont_ids)
+        out = ChunkOutput(chunk.index, surfaces, best.step_log_probs[n_prev:])
 
     committed, session.strategy_state = select_prefix(
-        session.strategy,
-        session.strategy_state,
-        chunk.index,
-        chunk.is_final,
-        surfaces,
-        session.chunk_len_sec,
+        session.strategy, session.strategy_state, chunk.index, chunk.is_final,
+        out.tokens, session.chunk_len_sec,
     )
     session.committed_ids = session.committed_ids + cont_ids[: len(committed)]
     session.log.commit(committed, chunk.index, session.chunk_len_sec)
@@ -282,13 +266,7 @@ def run_session(
     beam: BeamConfig = BeamConfig(),
 ) -> CommitLog:
     """Stream one utterance through the chunk loop and return its commit log."""
-    session = Session(
-        model=model,
-        utterance=utt,
-        strategy=strategy,
-        chunk_len_sec=chunk_len_sec,
-        beam=beam,
-    )
+    session = Session(model, utt, strategy, chunk_len_sec, beam)
     for chunk in session.chunks():
         step_chunk(session, chunk)
     return session.log

@@ -15,7 +15,9 @@ Each strategy is one class listed in ``STRATEGIES`` whose ``select`` is its
 rule, and ``parse_strategy`` builds one from its spec. ``select_prefix`` is
 the one entry point: it flushes all of W on the final chunk and hands every
 other chunk to the strategy's ``select``. W never holds end-of-sequence,
-because the beam search only extends paths with word ids.
+because the beam search only extends paths with word ids. ``idle`` tells,
+before any decoding, that a non-final chunk commits nothing whatever W is
+(offline always, wait-k while it waits); the session skips its decode.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ class StrategyConfig:
         final one) commits, and the state carried to the next chunk."""
         raise NotImplementedError
 
+    def idle(
+        self, chunk_index: int, state: StrategyState, chunk_len_sec: float
+    ) -> bool:
+        """True if ``select`` on non-final chunk ``chunk_index`` commits
+        nothing for every w and returns a state that does not depend on w."""
+        return False
+
 
 @dataclass(frozen=True)
 class HoldN(StrategyConfig):
@@ -113,17 +122,24 @@ class WaitK(StrategyConfig):
     def params(self) -> str:
         return f"k={self.k} r={self.rate:g}"
 
+    def _budget(self, state, chunk_len_sec):
+        """This chunk's budget and its whole tokens; the epsilon lets float
+        dust (e.g. 3.9999999996) count as a whole token."""
+        budget = state.budget + self.rate * chunk_len_sec
+        return budget, math.floor(budget + 1e-9)
+
+    def idle(self, chunk_index, state, chunk_len_sec):
+        return chunk_index <= self.k or self._budget(state, chunk_len_sec)[1] == 0
+
     def select(self, w, chunk_index, state, chunk_len_sec):
         """Nothing for the first k chunks; afterwards emit floor(budget)
         tokens, where the budget grows by rate * chunk_len_sec per chunk and
         unused fractions carry over."""
         if chunk_index <= self.k:
             return (), state
-        budget = state.budget + self.rate * chunk_len_sec
-        # the epsilon lets accumulated float dust (e.g. 3.9999999996) count
-        # as a whole token; the max() keeps the carried budget from dipping
-        # below zero
-        emit = min(len(w), math.floor(budget + 1e-9))
+        budget, whole = self._budget(state, chunk_len_sec)
+        emit = min(len(w), whole)
+        # the max() keeps the carried budget from dipping below zero
         return w[:emit], replace(state, budget=max(budget - emit, 0.0))
 
 
@@ -146,6 +162,9 @@ class Offline(StrategyConfig):
 
     def select(self, w, chunk_index, state, chunk_len_sec):
         return (), state
+
+    def idle(self, chunk_index, state, chunk_len_sec):
+        return True
 
 
 # The strategy table: a new strategy is one class above and one entry here.

@@ -28,8 +28,9 @@ from .core import (
     eval_tokens,
 )
 from .data import make_partial_pair
-from .decoder import BeamConfig, offline_decode
+from .decoder import BeamConfig, run_session
 from .metrics import corpus_wer
+from .strategies import Offline
 from .transformer import TinyTransformer
 
 
@@ -154,13 +155,15 @@ def batch_loss_and_grads(
 
 
 def token_error_rate(model: TinyTransformer, utts: Sequence[Utterance]) -> float:
-    """Corpus token error rate of greedy full-stream decodes against each
-    utterance's output side. The length cap is one token per frame, which
-    no frame-aligned output exceeds, so it never cuts a decode short."""
+    """Corpus token error rate of greedy full-stream decodes, one offline
+    session of one chunk per utterance, against each utterance's output
+    side. The length cap is one token per frame, which no frame-aligned
+    output exceeds, so it never cuts a decode short."""
     pairs = []
     for u in utts:
         beam = BeamConfig(beam_width=1, cap_tokens_per_sec=1 / u.frame_period_sec)
-        pairs.append((eval_tokens(u), offline_decode(model, u, beam)))
+        log = run_session(model, u, Offline(), u.duration_sec, beam)
+        pairs.append((eval_tokens(u), log.tokens))
     return corpus_wer(pairs).rate
 
 

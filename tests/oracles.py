@@ -15,9 +15,10 @@ import numpy as np
 
 from streamdec import autodiff as ad
 from streamdec.autodiff import Tensor, _child, _unbroadcast, _wrap
-from streamdec.core import ContractViolation
-from streamdec.decoder import BeamConfig, BeamHypothesis
+from streamdec.core import CommitLog, ContractViolation, chunk_stream
+from streamdec.decoder import BeamConfig, BeamHypothesis, beam_search
 from streamdec.model import UNIDIRECTIONAL
+from streamdec.strategies import StrategyState, select_prefix
 from streamdec.transformer import (
     _cross_kv,
     _dec_in,
@@ -225,6 +226,28 @@ def scalar_beam_search(
     finished.sort(key=lambda h: _rank_key(h, norm))
     live = sorted((h for h, _, _ in active), key=lambda h: _rank_key(h, norm))
     return (finished + live)[: max(cfg.beam_width, 1)]
+
+
+def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
+    """Reference for a session's chunk loop that never asks the strategy
+    whether a chunk is idle: every chunk grows the encoding by its own
+    frames, runs the forced beam search and hands the continuation to
+    select_prefix. Returns the commit log and each chunk's commit."""
+    log, state, committed, enc, commits = CommitLog(), StrategyState(), (), None, []
+    for chunk in chunk_stream(utt.frames, chunk_len_sec, utt.frame_period_sec, utt.id):
+        enc = model.encode(
+            utt.frames[: chunk.end], enc,
+            utt_id=utt.id, frame_period_sec=utt.frame_period_sec,
+        )
+        cont = beam_search(model, enc, committed, beam)[0].tokens[len(committed):]
+        got, state = select_prefix(
+            strategy, state, chunk.index, chunk.is_final,
+            tuple(map(model.vocab.token_of, cont)), chunk_len_sec,
+        )
+        committed += cont[: len(got)]
+        log.commit(got, chunk.index, chunk_len_sec)
+        commits.append(got)
+    return log, commits
 
 
 def _layer_norm(x, g, b, eps=1e-5):

@@ -7,6 +7,7 @@ from streamdec.core import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    ChunkOutput,
     ConfigError,
     ContractViolation,
     Utterance,
@@ -18,7 +19,6 @@ from streamdec.decoder import (
     BeamConfig,
     Session,
     beam_search,
-    offline_decode,
     run_session,
     step_chunk,
 )
@@ -26,7 +26,7 @@ from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL, EncoderStates
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
 from streamdec.transformer import TinyTransformer
 
-from .oracles import beam_oracle, scalar_beam_search
+from .oracles import beam_oracle, eager_session_log, scalar_beam_search
 from .test_acceptance import CachedRandomModel
 
 
@@ -338,17 +338,19 @@ class _RecordedRead(np.ndarray):
 
 
 class ReadRecordingModel:
-    """Passes every call to a model, counts its dec_init calls and keeps
-    each log-probability array its dec_advance returned, marked when the
-    caller indexes it."""
+    """Passes every call to a model, counts its encode and dec_init calls
+    and keeps each log-probability array its dec_advance returned, marked
+    when the caller indexes it."""
 
     def __init__(self, inner):
         self.inner = inner
         self.vocab = inner.vocab
+        self.encodes = 0
         self.inits = 0
         self.returned: list[_RecordedRead] = []
 
     def encode(self, *args, **kwargs):
+        self.encodes += 1
         return self.inner.encode(*args, **kwargs)
 
     def dec_init(self, enc, prefix=()):
@@ -397,19 +399,42 @@ class TestNoUnreadStep:
     def test_call_count_is_pinned(self, unstable_model, small_corpus):
         """The exact decoder calls of a small oracle stream set. The
         oracle's scores differ by whole logit peaks, so no last-bit rounding
-        can move the count from one platform to another."""
+        can move the count from one platform to another. Each wait-k
+        session's first chunk is idle and makes no call."""
         model = ReadRecordingModel(unstable_model)
         strategies = (HoldN(0), HoldN(2), WaitK(1, rate=4.0), LocalAgreement())
         for i, utt in enumerate(small_corpus[:8]):
             for width in (1, 3, 8):
                 run_session(model, utt, strategies[i % 4], 0.5, BeamConfig(width))
-        assert (model.inits, len(model.returned)) == (57, 144)
+        assert (model.inits, len(model.returned)) == (51, 135)
 
 
 class TestOfflineDecode:
     def test_recovers_reference_on_oracle_model(self, stable_model, small_corpus):
         for utt in small_corpus[:4]:
-            assert offline_decode(stable_model, utt) == utt.reference_tokens
+            log = run_session(stable_model, utt, Offline())
+            assert log.tokens == utt.reference_tokens
+
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_one_encode_and_one_search(self, micro_cfg, micro_vocab, rng, mode):
+        """An offline session skips every chunk before its final one, so it
+        encodes the whole stream once and searches once, and its result is
+        that of beam_search on a one-shot encoding, bit for bit."""
+        inner = TinyTransformer(replace(micro_cfg, mode=mode), micro_vocab)
+        model = ReadRecordingModel(inner)
+        utt = Utterance(id="t0", frames=rng.normal(size=(120, 4)),
+                        reference_tokens=(micro_vocab.tokens[3],))
+        beam = BeamConfig(beam_width=3)
+        s = Session(model, utt, Offline(), beam=beam)
+        outs = [step_chunk(s, chunk)[0] for chunk in s.chunks()]
+        assert (model.encodes, model.inits) == (1, 1)
+        assert all(out.tokens == () for out in outs[:-1])
+        enc = inner.encode(utt.frames, None, utt_id=utt.id)
+        best = beam_search(inner, enc, (), beam)[0]
+        assert best.tokens
+        assert outs[-1].tokens == tuple(map(micro_vocab.token_of, best.tokens))
+        assert outs[-1].log_probs == best.step_log_probs
+        assert s.log.tokens == outs[-1].tokens
 
 
 def synthetic_session_cases(model, corpus):
@@ -456,6 +481,13 @@ class TestSession:
         with pytest.raises(ConfigError):
             Session(stable_model, small_corpus[0], HoldN(0), mode="eager")
 
+    @pytest.mark.parametrize("strategy", ["hold-0", object()], ids=["spec", "object"])
+    def test_non_strategy_rejected(self, stable_model, small_corpus, strategy):
+        """A strategy that is not a STRATEGIES entry is refused when the
+        session is built, before any chunk is encoded or searched."""
+        with pytest.raises(ConfigError, match="unknown strategy config"):
+            Session(stable_model, small_corpus[0], strategy)
+
     def test_commit_log_grows_monotonically(self, stable_model, small_corpus):
         utt = small_corpus[0]
         s = Session(stable_model, utt, HoldN(2))
@@ -481,7 +513,7 @@ class TestSession:
     def test_final_tokens_match_offline_decode(self, stable_model, small_corpus):
         # every strategy agrees on surface tokens for a stable model; only
         # the timestamps differ
-        target = offline_decode(stable_model, small_corpus[0])
+        target = run_session(stable_model, small_corpus[0], Offline()).tokens
         for strat, _ in synthetic_session_cases(stable_model, small_corpus):
             log = run_session(stable_model, small_corpus[0], strat)
             assert log.tokens == target
@@ -559,6 +591,31 @@ class TestModeEquivalence:
         assert s.positions_encoded == len(utt.frames)
 
 
+class TestIdleChunks:
+    @pytest.mark.parametrize("strategy", [
+        WaitK(0, rate=1.0), WaitK(2, rate=3.0), Offline(), HoldN(1), LocalAgreement(),
+    ], ids=str)
+    def test_skipping_changes_no_commit(self, unstable_model, small_corpus, strategy):
+        """Idle chunks return empty outputs, and each chunk commits what it
+        commits when every chunk is encoded and decoded. WaitK(0, 1.0) on
+        0.5 s chunks is idle on every other chunk, so its budget must still
+        grow on the chunks it skips."""
+        for utt in small_corpus[:4]:
+            s = Session(unstable_model, utt, strategy)
+            commits = []
+            for chunk in s.chunks():
+                idle = not chunk.is_final and strategy.idle(
+                    chunk.index, s.strategy_state, s.chunk_len_sec
+                )
+                out, committed = step_chunk(s, chunk)
+                commits.append(committed)
+                if idle:
+                    assert out == ChunkOutput(chunk.index, (), ())
+            assert (s.log, commits) == eager_session_log(
+                unstable_model, utt, strategy, s.chunk_len_sec, s.beam
+            )
+
+
 class TestEncoderRows:
     """A session counts the encoder rows that encode reports it ran."""
 
@@ -569,18 +626,29 @@ class TestEncoderRows:
         log = run_session(model, utt, HoldN(0), beam=BeamConfig(beam_width=2))
         assert set(log.tokens) <= {"w0", "w1", "w2"}
 
+    @pytest.mark.parametrize("strategy, decoded", [
+        (HoldN(0), [50, 100, 120]),
+        (WaitK(1, rate=2.0), [100, 120]),  # chunk 1 waits
+        (Offline(), [120]),
+    ], ids=["hold-0", "wait-k", "offline"])
     @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
-    def test_transformer_reports_rows(self, micro_cfg, micro_vocab, rng, mode):
+    def test_transformer_reports_rows(
+        self, micro_cfg, micro_vocab, rng, mode, strategy, decoded
+    ):
         model = TinyTransformer(replace(micro_cfg, mode=mode), micro_vocab)
         utt = Utterance(id="t0", frames=rng.normal(size=(120, 4)),
                         reference_tokens=(micro_vocab.tokens[3],))
-        s = Session(model, utt, HoldN(0), beam=BeamConfig(beam_width=2))
-        chunks = s.chunks()
-        for chunk in chunks:
+        s = Session(model, utt, strategy, beam=BeamConfig(beam_width=2))
+        ends = []
+        for chunk in s.chunks():
             step_chunk(s, chunk)
-        # a causal encoder runs each frame once; a bidirectional one
-        # re-encodes the whole prefix on every chunk
+            if s.enc is not None and s.enc.frames_covered == chunk.end:
+                ends.append(chunk.end)
+        assert ends == decoded
+        # a causal encoder runs each frame once, idle chunks' frames on the
+        # next decoded chunk; a bidirectional one re-encodes the whole
+        # prefix on every decoded chunk
         if mode == UNIDIRECTIONAL:
             assert s.positions_encoded == len(utt.frames)
         else:
-            assert s.positions_encoded == sum(c.end for c in chunks)
+            assert s.positions_encoded == sum(decoded)

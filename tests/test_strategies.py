@@ -72,6 +72,14 @@ class TestWaitK:
         assert out == ()
         assert state.budget == 0.0  # untouched while waiting
 
+    def test_idle_while_waiting_or_under_one_token(self):
+        cfg, state = WaitK(2, 1.0), StrategyState()
+        assert [cfg.idle(c, state, 0.5) for c in (1, 2, 3)] == [True, True, True]
+        assert not cfg.idle(3, StrategyState(budget=0.5), 0.5)
+        assert not WaitK(0, 2.0).idle(1, state, 0.5)
+        assert not any(s.idle(1, state, 0.5) for s in (HoldN(0), LocalAgreement()))
+        assert Offline().idle(1, state, 0.5)
+
     def test_big_budget_emits_everything(self):
         out, state = WaitK(1, 8.0).select(("a",), 2, StrategyState(), 0.5)
         assert out == ("a",)
@@ -197,6 +205,24 @@ class TestSelectPrefix:
         # determinism: same inputs, same outputs
         again, again_state = select_prefix(cfg, state, chunk_index, is_final, w)
         assert again == out and again_state == new_state
+
+    @given(
+        configs,
+        st.integers(min_value=1, max_value=8),
+        st.builds(StrategyState, discard_buffer=tokens, budget=st.floats(0.0, 4.0)),
+        st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+        tokens,
+    )
+    def test_idle_chunk_commits_nothing_whatever_w(
+        self, cfg, chunk_index, state, chunk_len_sec, w
+    ):
+        """The idle contract the session relies on to skip a chunk's decode:
+        select commits nothing and carries the state it would carry for an
+        empty continuation."""
+        if cfg.idle(chunk_index, state, chunk_len_sec):
+            got = cfg.select(w, chunk_index, state, chunk_len_sec)
+            assert got == cfg.select((), chunk_index, state, chunk_len_sec)
+            assert got[0] == ()
 
     def test_chunked_session_trace_local_agreement(self):
         # scripted two-chunk session: chunk 1 buffers, chunk 2 flushes all

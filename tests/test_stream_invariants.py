@@ -5,12 +5,15 @@ frames chunk by chunk under any strategy spec, beam width, cap and
 ``length_normalize``, and every chunk is checked against searches that
 share no state with the session:
 
-* the chunk's ranked hypotheses equal a fresh ``beam_search`` on a
+* a decoded chunk's ranked hypotheses equal a fresh ``beam_search`` on a
   one-shot encoding of the same frames with the same forced prefix (cache
   reuse is exact), and that search equals ``oracles.scalar_beam_search``,
   which carries one decoder state per path and advances it by one-row
   ``dec_advance`` calls (the batched beam's parent gather is exact):
   tokens equal, log-probs within 1e-12;
+* a chunk the strategy reports idle returns an empty output, and skipping
+  it changes nothing: the session's commit log and per-chunk commits equal
+  ``oracles.eager_session_log``, which encodes and decodes every chunk;
 * a causal session encodes each frame position exactly once;
 * commits never shrink and never exceed the cap.
 
@@ -26,12 +29,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamdec.core import Utterance, Vocab
+from streamdec.core import ChunkOutput, Utterance, Vocab
 from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
 from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
 from streamdec.transformer import TinyTransformer, TransformerConfig, init_params
 
-from .oracles import beam_oracle, scalar_beam_search
+from .oracles import beam_oracle, eager_session_log, scalar_beam_search
 from .test_strategies import configs
 
 FRAME_PERIOD = 0.25  # a power of two: every chunk length is exact
@@ -92,10 +95,20 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
         size=(n_frames, model.cfg.frame_dim)
     )
     utt = Utterance("u", frames, ("w0",), frame_period_sec=FRAME_PERIOD)
-    session = Session(model, utt, strategy, chunk_frames * FRAME_PERIOD, beam)
+    chunk_len = chunk_frames * FRAME_PERIOD
+    session = Session(model, utt, strategy, chunk_len, beam)
+    commits = []
     for chunk in session.chunks():
         prefix = session.committed_ids
-        out, _ = step_chunk(session, chunk)
+        idle = not chunk.is_final and strategy.idle(
+            chunk.index, session.strategy_state, chunk_len
+        )
+        out, committed = step_chunk(session, chunk)
+        commits.append(committed)
+        if idle:
+            assert out == ChunkOutput(chunk.index, (), ())
+            assert committed == ()
+            continue
 
         # the session's search, replayed on its own (grown) encoding
         ranked = beam_search(model, session.enc, prefix, beam)
@@ -111,6 +124,8 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
         cap = math.floor(beam.cap_tokens_per_sec * chunk.end * FRAME_PERIOD + 1e-9)
         assert len(session.committed_ids) <= cap
 
+    eager = eager_session_log(model, utt, strategy, chunk_len, beam)
+    assert (session.log, commits) == eager
     if model.cfg.mode == UNIDIRECTIONAL:
         assert session.positions_encoded == n_frames
 
