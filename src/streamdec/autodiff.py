@@ -7,10 +7,11 @@ implemented; its attention node, which knows about heads and lengths, is
 built on ``_child`` in transformer.py.
 
 ``ndarray + Tensor`` and ``ndarray @ Tensor`` build nodes too (a Tensor
-turns numpy's operators down), and ``Tensor * float`` scales. ``layer_norm``,
-``relu``, ``log_softmax`` and ``embedding`` on plain arrays return a plain
-array and build no node, so one transformer layer serves inference and
-training.
+turns numpy's operators down), and ``Tensor * float`` scales.
+``normalize``, ``relu``, ``log_softmax``, ``embedding``, ``reshape``,
+``concat`` and ``columns`` on plain arrays return a plain array and build no
+node, so one transformer layer, and the one function that folds its
+parameters into projection weights, serve inference and training.
 
 Gradients move by reference: an op may hand one array to several parents or
 pass a view of its incoming gradient on, and accumulation always builds a new
@@ -21,6 +22,7 @@ tensors (those without a backward closure) hold ``.grad``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,7 +162,10 @@ def matmul(a, b) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accum(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            if a.data.ndim == 1:  # a vector times matrices
+                gb = a.data[:, None] * g[..., None, :]
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
             b._accum(_unbroadcast(gb, b.data.shape))
 
     return _child(out_data, (a, b), bw)
@@ -187,8 +192,8 @@ def relu(a):
 def log_softmax(a, axis: int = -1):
     """Log-softmax over one axis; a plain array for a plain a."""
     x = _data(a)
-    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
-    y = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    y = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    y -= np.log(np.add.reduce(np.exp(y), axis=axis, keepdims=True))
     if not isinstance(a, Tensor):
         return y
     sm = np.exp(y)
@@ -200,38 +205,44 @@ def log_softmax(a, axis: int = -1):
     return _child(y, (a,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """gain * ((x - mean) / sqrt(var + eps)) + bias over the last axis; a
-    plain array when no argument is a Tensor."""
-    xd = _data(x)
-    n = xd.shape[-1]
+@lru_cache(maxsize=256)
+def column(n: int, value: float) -> np.ndarray:
+    """A read-only (n, 1) column of value. The product of (..., n) rows with
+    it is their sum (value 1) or mean (value 1 / n), a BLAS call that is
+    faster than a reduction along the last axis. The cache is bounded: a
+    stream's attention asks for one column per key count."""
+    col = np.full((n, 1), value)
+    col.flags.writeable = False
+    return col
+
+
+def normalize(x, eps: float = 1e-5):
+    """(x - mean) / sqrt(var + eps) over the last axis: layer norm without
+    its gain and bias, which the next projection's weights hold. The row
+    mean and the centered rows' mean square are each one (rows, n) @ (n, 1)
+    product. A plain array for a plain x."""
+    xd = x.data if isinstance(x, Tensor) else x
+    col = column(xd.shape[-1], 1.0 / xd.shape[-1])
     # the fresh-array formula's steps in order in reused buffers, bit for bit
-    xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
-    out = xhat * xhat
-    std = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / n + eps)
+    xhat = xd - xd.dot(col)
+    sq = xhat * xhat
+    std = sq.dot(col)
+    std += eps
+    np.sqrt(std, out=std)
     xhat /= std
-    np.multiply(_data(gain), xhat, out=out)
-    out += _data(bias)
-    if not (isinstance(x, Tensor) or isinstance(gain, Tensor)
-            or isinstance(bias, Tensor)):
-        return out
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    if not isinstance(x, Tensor):
+        return xhat
 
     def bw(g):
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            dx = g * gain.data
-            tmp = dx * xhat
-            m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / n
-            dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
-            dx -= np.multiply(xhat, m2, out=tmp)
+            # (g - mean(g) - xhat * mean(g * xhat)) / std
+            dx = g - g.dot(col)
+            np.multiply(g, xhat, out=sq)
+            dx -= np.multiply(xhat, sq.dot(col), out=sq)
             dx /= std
             x._accum(dx)
 
-    return _child(out, (x, gain, bias), bw)
+    return _child(xhat, (x,), bw)
 
 
 def embedding(table, ids: np.ndarray):
@@ -249,6 +260,50 @@ def embedding(table, ids: np.ndarray):
             table._accum(gt)
 
     return _child(out, (table,), bw)
+
+
+def reshape(a, shape: tuple):
+    """a with a new shape; a plain array for a plain a."""
+    if not isinstance(a, Tensor):
+        return np.reshape(a, shape)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g.reshape(a.data.shape))
+
+    return _child(a.data.reshape(shape), (a,), bw)
+
+
+def concat(parts: Sequence, axis: int = -1):
+    """np.concatenate of parts along one axis; a plain array when no part is
+    a Tensor."""
+    out = np.concatenate([_data(p) for p in parts], axis=axis)
+    if not any(isinstance(p, Tensor) for p in parts):
+        return out
+    parts = [_wrap(p) for p in parts]
+    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+
+    def bw(g):
+        for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
+            if p.requires_grad:
+                p._accum(gp)
+
+    return _child(out, parts, bw)
+
+
+def columns(a, start: int, stop: int):
+    """a[..., start:stop]; a plain array for a plain a."""
+    out = _data(a)[..., start:stop]
+    if not isinstance(a, Tensor):
+        return out
+
+    def bw(g):
+        if a.requires_grad:
+            ga = np.zeros(a.data.shape)
+            ga[..., start:stop] = g
+            a._accum(ga)
+
+    return _child(out, (a,), bw)
 
 
 def sum_all(a) -> Tensor:

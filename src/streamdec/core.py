@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,19 @@ class ContractViolation(ValueError):
 
 class UndefinedMetric(ValueError):
     """The metric has no defined value for the given inputs."""
+
+
+def check_int(name: str, value) -> None:
+    """Refuse a config value that is not an integer. A bool is an int to
+    Python, and is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a config value that is not a real number, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,6 +36,8 @@ from .core import (
     ConfigError,
     ContractViolation,
     Utterance,
+    check_int,
+    check_real,
     chunk_stream,
 )
 from .model import EncoderStates, SequenceModel, _check_prefix
@@ -53,16 +54,14 @@ class BeamConfig:
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
-        # a bool is an int to Python, and a string such as "no" is truthy
         width, cap = self.beam_width, self.cap_tokens_per_sec
-        if isinstance(width, bool) or not isinstance(width, numbers.Integral):
-            raise ConfigError(f"beam_width must be an integer, got {width!r}")
+        check_int("beam_width", width)
         if width < 1:
             raise ConfigError("beam_width must be >= 1")
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
-            raise ConfigError(f"cap_tokens_per_sec must be a number, got {cap!r}")
+        check_real("cap_tokens_per_sec", cap)
         if not 0 < cap < math.inf:
             raise ConfigError("cap_tokens_per_sec must be positive and finite")
+        # a string such as "no" is truthy
         if not isinstance(self.length_normalize, bool):
             raise ConfigError(
                 "length_normalize must be true or false, got "

@@ -50,9 +50,10 @@ class EncoderStates:
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
     # model-internal, for the transformer: per encoder layer the
-    # self-attention (K, V) and per decoder layer the cross-attention (K, V)
-    # of these rows, each (frames_covered, d_model); a causal encode extends
-    # both
+    # self-attention (keys, values) and per decoder layer the cross-attention
+    # (keys, values) of these rows, split by head: keys (heads, head_dim,
+    # frames_covered) and values (heads, frames_covered, head_dim); a causal
+    # encode extends both
     layer_kv: Any = None
     cross_kv: Any = None
     rows_encoded: int = 0  # rows the encode call that made these states ran

@@ -26,7 +26,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
-from .core import ConfigError, ContractViolation
+from .core import ConfigError, ContractViolation, check_int, check_real
 
 _CASTS = {"int": int, "float": float}  # spec field type -> parser
 
@@ -94,6 +94,7 @@ class HoldN(StrategyConfig):
     name = "hold-n"
 
     def __post_init__(self) -> None:
+        check_int("hold-n n", self.n)
         if self.n < 0:
             raise ConfigError("hold-n requires n >= 0")
 
@@ -113,6 +114,8 @@ class WaitK(StrategyConfig):
     name = "wait-k"
 
     def __post_init__(self) -> None:
+        check_int("wait-k k", self.k)
+        check_real("wait-k rate", self.rate)
         if self.k < 0:
             raise ConfigError("wait-k requires k >= 0")
         if not (0 < self.rate < math.inf):

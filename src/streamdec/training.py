@@ -1,7 +1,10 @@
 """Training and partial-input adaptation for the transformer.
 
-Gradients come from the in-repo reverse-mode graph (autodiff.py); the
-optimizer is Adam with linear warmup followed by inverse-square-root decay.
+Gradients come from the in-repo reverse-mode graph (autodiff.py). Each step
+folds the parameters' leaf tensors into the weight set the layers run
+(transformer.fold), so the gradients reach the stored parameters; Adam,
+with linear warmup followed by inverse-square-root decay, updates a working
+copy of them, and a model is built from that copy where one is needed.
 Adaptation fine-tunes on an even mix of full utterances and proportionally
 truncated frame/token pairs, at a quarter of the base learning rate, keeping
 the checkpoint with the best full-sequence dev token error rate. Training,
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,12 +146,14 @@ def make_batch(
 
 
 def batch_loss_and_grads(
-    model: TinyTransformer,
+    cfg: tfm.TransformerConfig,
+    params: Mapping[str, np.ndarray],
     batch: dict[str, np.ndarray],
     label_smoothing: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    pt = tfm.leaf_tensors(model.params)
-    loss = tfm.training_loss(model.cfg, pt, batch, label_smoothing)
+    """The batch's loss under params and its gradient by parameter name."""
+    pt = tfm.leaf_tensors(params)
+    loss = tfm.training_loss(cfg, pt, batch, label_smoothing)
     loss.backward()
     grads = {k: t.grad for k, t in pt.items() if t.grad is not None}
     return float(loss.data), grads
@@ -177,21 +182,29 @@ def _fit(
     dev: Sequence[Utterance] = (),
 ) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
     """The step loop of train and adapt: each step pads the pairs ``draw``
-    returns into a batch and takes one Adam step on its loss.
+    returns into a batch and takes one Adam step on its loss, on a working
+    copy of the model's parameters.
 
-    With a dev set, the full-sequence dev token error rate is measured
-    before the first step, every eval_every steps and at the last step; the
-    best checkpoint (the later one on a tie) is returned.
+    With a dev set, the full-sequence dev token error rate of a model built
+    from the working parameters is measured before the first step, every
+    eval_every steps and at the last step, and the best of those models
+    (the later one on a tie) is returned. Without a dev set the model of
+    the last step's parameters is returned.
     """
-    out = model.clone()
-    opt = Adam(out.params)
+    params = {k: v.copy() for k, v in model.params.items()}
+    opt = Adam(params)
+
+    def snapshot() -> TinyTransformer:
+        return TinyTransformer(model.cfg, model.vocab, params)
+
     curve: list[tuple[int, float, float]] = []
     if dev:
-        best_ter = token_error_rate(out, dev)
-        best_params = {k: v.copy() for k, v in out.params.items()}
+        best = snapshot()
+        best_ter = token_error_rate(best, dev)
     for step in range(1, cfg.total_steps + 1):
-        batch = make_batch(draw(), out.vocab, out.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(out, batch, cfg.label_smoothing)
+        batch = make_batch(draw(), model.vocab, model.cfg.frame_dim)
+        loss, grads = batch_loss_and_grads(
+            model.cfg, params, batch, cfg.label_smoothing)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at step {step}: loss={loss}; last lr "
@@ -201,13 +214,11 @@ def _fit(
         opt.step(grads, lr)
         curve.append((step, loss, lr))
         if dev and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            ter = token_error_rate(out, dev)
+            candidate = snapshot()
+            ter = token_error_rate(candidate, dev)
             if ter <= best_ter:
-                best_ter = ter
-                best_params = {k: v.copy() for k, v in out.params.items()}
-    if dev:
-        out = TinyTransformer(out.cfg, out.vocab, best_params)
-    return out, curve
+                best, best_ter = candidate, ter
+    return (best if dev else snapshot()), curve
 
 
 def train(

@@ -1,42 +1,71 @@
 """A small encoder-decoder transformer over frame streams.
 
-Each layer is written once (``_enc_layer``, ``_dec_layer``) from ``@``, ``+``
-and autodiff ops that also take plain arrays, so inference runs it on float64
-numpy and training on Tensors; the callers differ only in the attention
-kernel they hand it. Inference has one kernel, ``_attend``: query rows over
-key and value rows under any leading dimensions, masked by ``_future``, the
-one causal-mask formula. Every key/value cache is a per-layer (K, V) pair of
-(..., positions, d_model) rows that grows only in ``_append``: the causal
-encoder's self-attention cache, the cross-attention keys and values on the
-encoder states, and each decoder row's self-attention cache. A causal
-(unidirectional) encoder never changes the states of earlier positions, so
-``encode`` with a prior projects only the new rows and appends them; a
-bidirectional one re-encodes every frame. Either way the states record the
-rows this call ran (``rows_encoded``). One decoder forward
+The stored parameters are those of a pre-norm transformer: every layer norm
+has a gain and a bias, and Q, K and V are separate projections. The layers
+do not run them as stored. ``fold`` derives one weight set from them: each
+layer norm's gain and bias are folded into the projection it feeds, a
+self-attention's Q/K/V are one (d, 3d) product, every decoder layer's
+cross-attention K/V are one product on the normalized final encoder rows,
+the query columns carry the 1/sqrt(head_dim) score scale, the token table
+its sqrt(d_model) scale and the output projection the final decoder layer
+norm. So every block runs ``normalize(x) @ W + b``. ``fold`` takes numpy
+params or leaf Tensors: a model derives its set once, on first use, and
+training derives it from its leaves on every step, which carries the
+gradients back to the stored parameters.
+
+Each layer is written once (``_enc_layer``, ``_dec_layer``) from ``_lin``
+and autodiff ops that also take plain arrays, so inference runs it on
+float64 numpy and training on Tensors; the callers differ only in the
+attention kernel they hand it, which takes the fused Q/K/V rows. On arrays
+``_lin`` multiplies through ``ndarray.dot`` and adds the bias and the
+residual in place.
+
+Inference has one kernel, ``_attend``: head-split queries over head-split
+keys and values under any leading dimensions, masked by ``_future``, the one
+causal-mask formula. It keeps the weights unnormalized, exp(s - rowmax),
+and divides their (rows, head_dim) product with the values by the row sums,
+so the normalized weights are formed only where something reads them: the
+attention dump and the backward pass of the training node.
+
+Every key/value cache is per layer and split by head, laid out once where
+it is made, so no decoder call makes a head view of one. Each encode lays
+out every decoder layer's cross-attention keys as (heads, head_dim, frames)
+and its values as (heads, frames, head_dim), both contiguous, and keeps the
+encoder's self-attention keys and values the same way; ``_append`` grows
+them. Each decoder row's self-attention keys and values are one (rows, 2,
+heads, pos, head_dim) array per layer, keys then values, so a beam step
+gathers and grows each layer's cache in one call each.
+
+A causal (unidirectional) encoder never changes the states of earlier
+positions, so ``encode`` with a prior projects only the new rows and
+appends them; a bidirectional one re-encodes every frame. Either way the
+states record the rows this call ran (``rows_encoded``). One decoder forward
 (``_advance_block``) runs a block of rows over one or more positions.
-``dec_init`` is the prefill: one row over bos and the whole forced prefix in
-a single call, which is also the forward the attention dump reads.
+``dec_init`` is the prefill: one row over bos and the whole forced prefix
+in a single call, which is also the forward the attention dump reads.
 ``dec_advance`` is the one-position case over many rows, one per beam path,
 gathered by parent index. A ``DecState`` is one block: every row's
-self-attention keys and values, (rows, pos, d_model), plus the encoding's
-cross-attention keys and values, so it needs nothing else to advance. Each
-attention computes its weights in place in its score buffer
-(``_attention_weights``). Training packs a batch's real frames into one block
-of encoder rows, one segment per utterance, and its kernel is one
-``attention`` node that attends within segments: no padded frame is read.
+self-attention keys and values plus the encoding's cross-attention keys and
+values, so it needs nothing else to advance.
+
+Training packs a batch's real frames into one block of encoder rows, one
+segment per utterance, and its kernel is one ``attention`` node that
+attends within segments: no padded frame is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import ConfigError, ContractViolation, Vocab
+from .core import ConfigError, ContractViolation, Vocab, check_int
 from .model import (
     BIDIRECTIONAL,
     UNIDIRECTIONAL,
@@ -49,6 +78,8 @@ from .model import (
 )
 
 LN_EPS = 1e-5
+_SIZES = ("frame_dim", "vocab_size", "d_model", "heads", "ff_dim",
+          "enc_layers", "dec_layers")
 
 
 @dataclass(frozen=True)
@@ -66,8 +97,9 @@ class TransformerConfig:
     def __post_init__(self) -> None:
         if self.mode not in (UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ConfigError(f"unknown encoder mode {self.mode!r}")
-        if min(self.frame_dim, self.vocab_size, self.d_model, self.heads,
-               self.ff_dim, self.enc_layers, self.dec_layers) < 1:
+        for name in _SIZES + ("init_seed",):
+            check_int(name, getattr(self, name))
+        if min(getattr(self, name) for name in _SIZES) < 1:
             raise ConfigError("all size hyperparameters must be >= 1")
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")
@@ -145,50 +177,51 @@ def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
     return p
 
 
-def _softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written into out (which may be x itself)
-    or, without out, into a new array that leaves x unchanged."""
-    out = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return out
+
+def _frozen(a) -> np.ndarray:
+    """A read-only copy of a, of a's dtype."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
-def _attention_weights(
-    scores: np.ndarray, dh: int, masked: np.ndarray | None = None
-) -> np.ndarray:
-    """softmax(scores / sqrt(dh)) over the last axis with the masked
-    positions at -inf, computed in the scores buffer itself in the order a
-    fresh-array formula runs it, so the numbers are the same. A row must
-    keep at least one position unmasked."""
-    scores /= math.sqrt(dh)
+# --- the attention kernel and the caches ---------------------------------------
+
+
+def _heads(x: np.ndarray, h: int) -> np.ndarray:
+    # (..., T, h * dh) -> (..., h, T, dh)
+    return x.reshape(x.shape[:-1] + (h, -1)).swapaxes(-3, -2)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    # (..., h, T, dh) -> (rows, h * dh), the leading dimensions and T as rows
+    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
+
+
+def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray,
+            masked: np.ndarray | None = None,
+            parts: list | None = None) -> np.ndarray:
+    """Multi-head attention of queries q (..., heads, n, dh), which carry
+    the score scale, over keys kt (..., heads, dh, m) and values v (...,
+    heads, m, dh): the context (..., heads, n, dh). masked (n, m) is True
+    where a query may not look, shared by every leading index; a row must
+    keep one position unmasked.
+
+    The weights are left unnormalized, e = exp(s - rowmax) in the scores'
+    buffer, and the product e @ v is divided by e's row sums instead. With
+    parts, (e, row sums) is appended to it for a caller that reads the
+    weights e / sums."""
+    e = q @ kt
     if masked is not None:
-        np.copyto(scores, -np.inf, where=masked)
-    return _softmax_np(scores, out=scores)
-
-
-def _heads(x: np.ndarray, h: int, dh: int) -> np.ndarray:
-    # (..., T, d) -> (..., h, T, dh)
-    return x.reshape(x.shape[:-1] + (h, dh)).swapaxes(-3, -2)
-
-
-def _merge(x: np.ndarray, d: int) -> np.ndarray:
-    # (..., h, T, dh) -> (..., T, d)
-    x = x.swapaxes(-3, -2)
-    return x.reshape(x.shape[:-2] + (d,))
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-            masked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head attention of query rows q (..., n, d) over key and value
-    rows k, v (..., m, d): the weights (..., heads, n, m) and the context
-    rows (..., n, d). masked (n, m) is shared by every leading index."""
-    d = q.shape[-1]
-    dh = d // heads
-    w = _attention_weights(
-        _heads(q, heads, dh) @ _heads(k, heads, dh).swapaxes(-1, -2), dh, masked
-    )
-    return w, _merge(w @ _heads(v, heads, dh), d)
+        np.copyto(e, -np.inf, where=masked)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    sums = e.dot(ad.column(e.shape[-1], 1.0))
+    if parts is not None:
+        parts.append((e, sums))
+    ctx = e @ v
+    ctx /= sums
+    return ctx
 
 
 def _future(start: int, stop: int) -> np.ndarray | None:
@@ -200,78 +233,156 @@ def _future(start: int, stop: int) -> np.ndarray | None:
     return np.arange(stop) > np.arange(start, stop)[:, None]
 
 
-def _append(cache: list, l: int, k: np.ndarray, v: np.ndarray) -> tuple:
-    """Grow layer l's (K, V) in cache by the rows k, v along the position
-    axis, the second last; returns the grown pair. An empty cache takes k
-    and v themselves. The old arrays are left as they were, so a state that
-    holds them keeps its numbers."""
+def _append(cache: list, l: int, kt: np.ndarray, v: np.ndarray) -> tuple:
+    """Grow layer l's encoder-side (keys, values) in cache by the keys kt
+    (heads, dh, rows) and the values v (heads, rows, dh), each along its
+    rows axis; returns the grown pair. An empty cache takes kt and v
+    themselves. The old arrays are left as they were, so a state that holds
+    them keeps its numbers."""
     old_k, old_v = cache[l]
-    if old_k.shape[-2]:
-        k = np.concatenate([old_k, k], axis=-2)
+    if old_v.shape[-2]:
+        kt = np.concatenate([old_k, kt], axis=-1)
         v = np.concatenate([old_v, v], axis=-2)
-    cache[l] = (k, v)
+    cache[l] = (kt, v)
     return cache[l]
 
 
-# --- the layers ----------------------------------------------------------------
-# Each is written once, with @, +, ad.layer_norm, ad.relu and ad.log_softmax,
-# so it runs on plain arrays for inference and on Tensors for training. Only
-# the attention kernel differs by caller: attend(l, q, k, v) and cross(l, q)
-# take layer l's projected rows and return the context rows.
+def _split_qkv(qkv: np.ndarray, lead: tuple, h: int) -> np.ndarray:
+    """Fused Q/K/V rows, T positions under the leading dimensions lead, as
+    (*lead, 3, h, T, dh): the head-split queries, keys and values."""
+    n = len(lead)
+    x = qkv.reshape(lead + (-1, 3, h, qkv.shape[-1] // (3 * h)))
+    return x.transpose(*range(n), n + 1, n + 2, n, n + 3)
 
 
-def _ln(p: dict, name: str, x):
-    return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"], LN_EPS)
+# --- the weight set and the layers ---------------------------------------------
 
 
-def _ffn(p: dict, pre: str, x):
-    f = ad.relu(x @ p[f"{pre}_ff1_w"] + p[f"{pre}_ff1_b"])
-    return f @ p[f"{pre}_ff2_w"] + p[f"{pre}_ff2_b"]
+def fold(cfg: TransformerConfig, p) -> dict:
+    """The weight set the layers run, derived from the stored parameters p
+    (arrays, or leaf Tensors for training): name -> (weights, bias) of each
+    projection, plus the scaled token embedding table ``tok_emb`` and the
+    final encoder layer norm's (gain, bias) ``enc_lnf``, which gives the
+    encoder states.
+
+    A layer norm's gain g and bias c are folded into the projection (W, b)
+    it feeds: LN(x) @ W + b == normalize(x) @ (g[:, None] * W) + (c @ W + b).
+    So are ``ln1`` into a fused (d, 3d) Q/K/V (``enc{l}_qkv``,
+    ``dec{l}_sqkv``), the encoder's ``ln2`` and the decoder's ``ln3`` into
+    ``ff1``, the decoder's ``ln2`` into ``cq``, ``enc_lnf`` into
+    ``cross_kv``, every decoder layer's cross keys and values side by side,
+    (d, dec_layers * 2d), and ``dec_lnf`` into ``out``. The query columns
+    carry 1/sqrt(head_dim)."""
+    d = cfg.d_model
+    s = 1.0 / math.sqrt(cfg.head_dim)
+
+    def ln_into(ln: str, w, b) -> tuple:
+        return ad.reshape(p[f"{ln}_g"], (d, 1)) * w, p[f"{ln}_b"] @ w + b
+
+    def scaled(proj: tuple) -> tuple:
+        return proj[0] * s, proj[1] * s
+
+    def cat(*projs: tuple) -> tuple:
+        return (ad.concat([wt for wt, _ in projs]),
+                ad.concat([b for _, b in projs]))
+
+    def ffn(pre: str, ln: str) -> dict:
+        return {
+            f"{pre}ff1": ln_into(ln, p[f"{pre}ff1_w"], p[f"{pre}ff1_b"]),
+            f"{pre}ff2": (p[f"{pre}ff2_w"], p[f"{pre}ff2_b"]),
+        }
+
+    w = {
+        "enc_in": (p["enc_in_w"], p["enc_in_b"]),
+        "tok_emb": p["tok_emb"] * math.sqrt(d),
+        "enc_lnf": (p["enc_lnf_g"], p["enc_lnf_b"]),
+        "out": ln_into("dec_lnf", p["out_w"], p["out_b"]),
+    }
+    for l in range(cfg.enc_layers):
+        e = f"enc{l}_"
+        q, k, v, o = ((p[f"{e}w{n}"], p[f"{e}b{n}"]) for n in "qkvo")
+        w[e + "qkv"] = ln_into(e + "ln1", *cat(scaled(q), k, v))
+        w[e + "o"] = o
+        w.update(ffn(e, e + "ln2"))
+    cross = []
+    for l in range(cfg.dec_layers):
+        e = f"dec{l}_"
+        sq, sk, sv, so, cq, ck, cv, co = (
+            (p[e + n], p[f"{e}b{n}"])
+            for n in ("sq", "sk", "sv", "so", "cq", "ck", "cv", "co"))
+        w[e + "sqkv"] = ln_into(e + "ln1", *cat(scaled(sq), sk, sv))
+        w[e + "so"] = so
+        w[e + "cq"] = ln_into(e + "ln2", *scaled(cq))
+        w[e + "co"] = co
+        w.update(ffn(e, e + "ln3"))
+        cross += [ck, cv]
+    w["cross_kv"] = ln_into("enc_lnf", *cat(*cross))
+    return w
 
 
-def _enc_in(p: dict, frames, pos):
+# Each layer is written once, with _lin, ad.normalize, ad.relu and
+# ad.log_softmax, so it runs on plain arrays for inference and on Tensors for
+# training. Only the attention kernel differs by caller: attend(l, qkv) takes
+# layer l's fused (rows, 3 d_model) Q/K/V rows and cross(l, q) its query
+# rows, and each returns the (rows, d_model) context rows.
+
+
+def _lin(w: dict, name: str, x, res=None):
+    """x @ W + b of projection name, plus the residual rows res if given.
+    On arrays the product is ndarray.dot, which makes the same BLAS call as
+    @ for 2-D operands at about half its dispatch cost, and the sums are in
+    place, so no second (rows, n) array is made; on Tensors each step is a
+    node."""
+    wt, b = w[name]
+    y = x @ wt if isinstance(wt, Tensor) else x.dot(wt)
+    y += b
+    if res is not None:
+        y += res
+    return y
+
+
+def _norm(x):
+    return ad.normalize(x, LN_EPS)
+
+
+def _ffn(w: dict, pre: str, x):
+    """x plus its feed-forward block."""
+    f = ad.relu(_lin(w, pre + "ff1", _norm(x)))
+    return _lin(w, pre + "ff2", f, x)
+
+
+def _enc_in(w: dict, frames, pos):
     """Encoder input rows: projected frames plus their position encodings."""
-    return frames @ p["enc_in_w"] + p["enc_in_b"] + pos
+    return _lin(w, "enc_in", frames, pos)
 
 
-def _dec_in(p: dict, ids, pos):
+def _dec_in(w: dict, ids, pos):
     """Decoder input rows: scaled token embeddings plus their position
     encodings."""
-    emb = p["tok_emb"]
-    return ad.embedding(emb, ids) * math.sqrt(emb.shape[1]) + pos
+    y = ad.embedding(w["tok_emb"], ids)
+    y += pos
+    return y
 
 
-def _enc_layer(p: dict, l: int, x, attend):
+def _enc_layer(w: dict, l: int, x, attend):
     """One pre-norm encoder block over the rows x."""
-    def lin(n: str, y):
-        return y @ p[f"enc{l}_w{n}"] + p[f"enc{l}_b{n}"]
-
-    h = _ln(p, f"enc{l}_ln1", x)
-    x = x + lin("o", attend(l, lin("q", h), lin("k", h), lin("v", h)))
-    return x + _ffn(p, f"enc{l}", _ln(p, f"enc{l}_ln2", x))
+    e = f"enc{l}_"
+    x = _lin(w, e + "o", attend(l, _lin(w, e + "qkv", _norm(x))), x)
+    return _ffn(w, e, x)
 
 
-def _cross_kv(p: dict, l: int, states) -> tuple:
-    """Decoder layer l's cross-attention keys and values of encoder rows."""
-    return (states @ p[f"dec{l}_ck"] + p[f"dec{l}_bck"],
-            states @ p[f"dec{l}_cv"] + p[f"dec{l}_bcv"])
-
-
-def _dec_layer(p: dict, l: int, y, attend, cross):
+def _dec_layer(w: dict, l: int, y, attend, cross):
     """One pre-norm decoder block over the rows y: self-attention,
     cross-attention to the encoder, feed-forward."""
-    def lin(n: str, x):
-        return x @ p[f"dec{l}_{n}"] + p[f"dec{l}_b{n}"]
-
-    h = _ln(p, f"dec{l}_ln1", y)
-    y = y + lin("so", attend(l, lin("sq", h), lin("sk", h), lin("sv", h)))
-    y = y + lin("co", cross(l, lin("cq", _ln(p, f"dec{l}_ln2", y))))
-    return y + _ffn(p, f"dec{l}", _ln(p, f"dec{l}_ln3", y))
+    e = f"dec{l}_"
+    y = _lin(w, e + "so", attend(l, _lin(w, e + "sqkv", _norm(y))), y)
+    y = _lin(w, e + "co", cross(l, _lin(w, e + "cq", _norm(y))), y)
+    return _ffn(w, e, y)
 
 
-def _logps(p: dict, y):
+def _logps(w: dict, y):
     """Next-token log-probabilities of the decoder's output rows."""
-    return ad.log_softmax(_ln(p, "dec_lnf", y) @ p["out_w"] + p["out_b"])
+    return ad.log_softmax(_lin(w, "out", _norm(y)))
 
 
 @dataclass(frozen=True)
@@ -281,16 +392,21 @@ class DecState:
 
     owner: object  # the producing model's ownership token
     pos: int  # consumed input positions of every row, bos included
-    kv: tuple  # per layer: self-attn (K, V), each (rows, pos, d_model)
+    kv: tuple  # per layer: self-attn keys and values, (rows, 2, heads, pos, dh)
     cross: tuple  # the encoding's EncoderStates.cross_kv
 
 
 class TinyTransformer:
+    """The transformer over frozen parameters: ``params`` maps each name to a
+    read-only copy of the array it was built with, so the weight set derived
+    from them (``weights``, once per instance, on first use) cannot go
+    stale. A changed model is a new instance."""
+
     def __init__(
         self,
         cfg: TransformerConfig,
         vocab: Vocab,
-        params: dict[str, np.ndarray] | None = None,
+        params: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         if len(vocab) != cfg.vocab_size:
             raise ConfigError(
@@ -298,14 +414,20 @@ class TinyTransformer:
             )
         self.cfg = cfg
         self.vocab = vocab
-        self.params = params if params is not None else init_params(cfg)
+        self.params = MappingProxyType({
+            k: _frozen(v)
+            for k, v in (init_params(cfg) if params is None else params).items()
+        })
         self._owner = object()  # held by every state this instance makes
         self._pos_table = np.zeros((0, cfg.d_model))
 
-    def clone(self) -> "TinyTransformer":
-        return TinyTransformer(
-            self.cfg, self.vocab, {k: v.copy() for k, v in self.params.items()}
-        )
+    @cached_property
+    def weights(self) -> dict:
+        return fold(self.cfg, self.params)
+
+    def __reduce__(self):
+        # a pickled model (a sweep worker's) is rebuilt from its parameters
+        return TinyTransformer, (self.cfg, self.vocab, dict(self.params))
 
     # --- shared pieces ------------------------------------------------------
 
@@ -322,18 +444,20 @@ class TinyTransformer:
         self, frames: np.ndarray, prior: EncoderStates | None = None, *,
         utt_id: str | None = None, frame_period_sec: float = 0.010,
     ) -> EncoderStates:
-        return self._encode(frames, prior, utt_id, frame_period_sec)[0]
+        return self._encode(frames, prior, utt_id, frame_period_sec)
 
     def _encode(
         self, frames: np.ndarray, prior: EncoderStates | None = None,
         utt_id: str | None = None, frame_period_sec: float = 0.010,
-    ) -> tuple[EncoderStates, list]:
-        """encode, and per layer the self-attention weights of the rows it
-        encoded, (heads, new rows, all rows). A causal encoder extends its
-        prior: it projects only the new rows and appends their keys and
-        values to each layer's cache, and their cross-attention keys and
-        values to each decoder layer's. A bidirectional one re-encodes all."""
-        cfg, p = self.cfg, self.params
+        parts: list | None = None,
+    ) -> EncoderStates:
+        """encode; with parts, each layer's self-attention weights of the
+        rows it encoded, as _attend's (e, row sums) over (heads, new rows,
+        all rows), are appended to it. A causal encoder extends its prior:
+        it projects only the new rows and appends their keys and values to
+        each layer's cache, and their cross-attention keys and values to
+        each decoder layer's. A bidirectional one re-encodes all."""
+        cfg, w, h = self.cfg, self.weights, self.cfg.heads
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or (frames.size and frames.shape[1] != cfg.frame_dim):
             raise ContractViolation(
@@ -350,110 +474,122 @@ class TinyTransformer:
             kv, cross = list(prior.layer_kv), list(prior.cross_kv)
         else:
             start, states = 0, np.zeros((0, cfg.d_model))
-            kv = [(states, states)] * cfg.enc_layers
-            cross = [(states, states)] * cfg.dec_layers
-        grids: list[np.ndarray] = []
+            empty = (np.zeros((h, cfg.head_dim, 0)), np.zeros((h, 0, cfg.head_dim)))
+            kv = [empty] * cfg.enc_layers
+            cross = [empty] * cfg.dec_layers
         if total > start:
             future = _future(start, total) if causal else None
 
-            def attend(l, q, k, v):
-                w, ctx = _attend(q, *_append(kv, l, k, v), cfg.heads, future)
-                grids.append(w)
-                return ctx
+            def attend(l, qkv):
+                q, k, v = _split_qkv(qkv, (), h)
+                kt, v = _append(kv, l, np.ascontiguousarray(k.swapaxes(-1, -2)),
+                                np.ascontiguousarray(v))
+                return _merge(_attend(q, kt, v, future, parts))
 
-            x = _enc_in(p, frames[start:], self._pos(total)[start:])
+            x = _enc_in(w, frames[start:], self._pos(total)[start:])
             for l in range(cfg.enc_layers):
-                x = _enc_layer(p, l, x, attend)
-            new = _ln(p, "enc_lnf", x)
+                x = _enc_layer(w, l, x, attend)
+            x = _norm(x)
+            gain, bias = w["enc_lnf"]
+            new = x * gain
+            new += bias
             states = np.concatenate([states, new]) if start else new
+            # every decoder layer's cross keys and values in one product,
+            # laid out once per encode: (layers, heads, dh, rows) keys and
+            # (layers, heads, rows, dh) values
+            ckv = _lin(w, "cross_kv", x).reshape(
+                len(x), cfg.dec_layers, 2, h, cfg.head_dim)
+            ck = np.ascontiguousarray(ckv[:, :, 0].transpose(1, 2, 3, 0))
+            cv = np.ascontiguousarray(ckv[:, :, 1].transpose(1, 2, 0, 3))
             for l in range(cfg.dec_layers):
-                _append(cross, l, *_cross_kv(p, l, new))
-        enc = EncoderStates(
+                _append(cross, l, ck[l], cv[l])
+        return EncoderStates(
             states, total, frame_period_sec, utt_id, self._owner, tuple(kv),
             cross_kv=tuple(cross), rows_encoded=total - start,
         )
-        return enc, grids
 
     # --- decoder ------------------------------------------------------------
 
     def _advance_block(
-        self, x: np.ndarray, kv: list, cross: Sequence
-    ) -> tuple[np.ndarray, list, list, list]:
+        self, x: np.ndarray, kv: list, cross: Sequence,
+        parts: list | None = None,
+    ) -> tuple[np.ndarray, list]:
         """The decoder stack over T embedded input positions per row.
 
-        x is (B, T, d_model); kv holds per layer the (K, V) self-attention
-        cache of every row, each (B, pos, d_model), which _append grows in
-        place; cross the layer's cross-attention (K, V) that every row shares.
-        Position t of a row attends to the row's cache and to positions 0..t
-        of its block. Returns the next-token log-probabilities (B, T,
-        vocab), the grown caches, and per layer the self-attention weights
-        (B, heads, T, pos + T) and the cross-attention weights (heads, B * T,
-        frames), whose rows are the block's rows in order, position within
-        row."""
-        cfg, h = self.cfg, self.cfg.heads
+        x is (B, T, d_model); kv holds per layer the self-attention keys and
+        values of every row, (B, 2, heads, pos, head_dim), which this grows
+        in place; cross the layer's cross-attention keys and values that
+        every row shares. Position t of a row attends to the row's
+        cache and to positions 0..t of its block. Returns the next-token
+        log-probabilities (B, T, vocab) and the grown caches. With parts,
+        each layer's self-attention weights (B, heads, T, pos + T) and then
+        its cross-attention weights (heads, B * T, frames), whose rows are
+        the block's rows in order, position within row, are appended to it
+        as _attend's (e, row sums)."""
+        cfg, w, h = self.cfg, self.weights, self.cfg.heads
         b_sz, t_len, d = x.shape
-        pos = kv[0][0].shape[1]
+        pos = kv[0].shape[-2]
         future = _future(pos, pos + t_len)
-        self_attns, cross_attns = [], []
 
-        def attend(l, q, k, v):
-            q, k, v = (a.reshape(b_sz, t_len, d) for a in (q, k, v))
-            w, ctx = _attend(q, *_append(kv, l, k, v), h, future)
-            self_attns.append(w)
-            return ctx.reshape(b_sz * t_len, d)
+        def attend(l, qkv):
+            qkv = _split_qkv(qkv, (b_sz,), h)
+            kv_l = qkv[:, 1:]  # (B, 2, heads, T, dh)
+            if pos:
+                kv_l = np.concatenate([kv[l], kv_l], axis=-2)
+            kv[l] = kv_l
+            return _merge(_attend(qkv[:, 0], kv_l[:, 0].swapaxes(-1, -2),
+                                  kv_l[:, 1], future, parts))
 
         def attend_cross(l, q):
             # no per-row cache: the B*T rows attend to the shared encoder
-            # K/V like the query positions of one sequence
-            w, ctx = _attend(q, *cross[l], h)
-            cross_attns.append(w)
-            return ctx
+            # keys and values like the query positions of one sequence
+            return _merge(_attend(_heads(q, h), *cross[l], None, parts))
 
         # projections run on all B*T rows as one 2-D product
         y = x.reshape(b_sz * t_len, d)
         for l in range(cfg.dec_layers):
-            y = _dec_layer(self.params, l, y, attend, attend_cross)
-        logps = _logps(self.params, y)
-        return logps.reshape(b_sz, t_len, -1), kv, self_attns, cross_attns
+            y = _dec_layer(w, l, y, attend, attend_cross)
+        return _logps(w, y).reshape(b_sz, t_len, -1), kv
 
     def _embed(self, token_ids: Sequence, start: int) -> np.ndarray:
         """Decoder input rows (B, T, d_model) for a (B, T) block of token ids
         at positions start .. start + T - 1."""
         ids = np.asarray(token_ids)
-        return _dec_in(self.params, ids, self._pos(start + ids.shape[1])[start:])
+        return _dec_in(self.weights, ids, self._pos(start + ids.shape[1])[start:])
 
-    def _prefill(self, enc: EncoderStates, prefix: Sequence[int]) -> tuple:
+    def _prefill(self, enc: EncoderStates, prefix: Sequence[int],
+                 parts: list | None = None) -> tuple[DecState, np.ndarray]:
         """One B = 1 decoder forward over bos + prefix from empty caches: the
-        state after the whole prefix, the log-probs after each position
-        (len(prefix) + 1, vocab), and _advance_block's attention weights.
-        The cross-attention keys and values are the encoding's own."""
+        state after the whole prefix and the log-probs after each position
+        (len(prefix) + 1, vocab); parts as in _advance_block. The
+        cross-attention keys and values are the encoding's own."""
         _check_owner(self, enc, "encoder states")
         if enc.frames_covered == 0:
             raise ContractViolation("cannot decode with no encoder states")
         ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
-        empty = np.zeros((1, 0, self.cfg.d_model))
-        logps, kv, self_attns, cross_attns = self._advance_block(
-            self._embed(ids[None], 0), [(empty, empty)] * self.cfg.dec_layers,
-            enc.cross_kv,
+        cfg = self.cfg
+        empty = np.zeros((1, 2, cfg.heads, 0, cfg.head_dim))
+        logps, kv = self._advance_block(
+            self._embed(ids[None], 0), [empty] * cfg.dec_layers,
+            enc.cross_kv, parts,
         )
-        state = DecState(self._owner, len(ids), tuple(kv), enc.cross_kv)
-        return state, logps[0], self_attns, cross_attns
+        return DecState(self._owner, len(ids), tuple(kv), enc.cross_kv), logps[0]
 
     def dec_init(
         self, enc: EncoderStates, prefix: Sequence[int] = ()
     ) -> tuple[DecState, np.ndarray]:
-        return self._prefill(enc, prefix)[:2]
+        return self._prefill(enc, prefix)
 
     def dec_advance(
         self, state: DecState, rows: Sequence[int], token_ids: Sequence[int]
     ) -> tuple[DecState, np.ndarray]:
         _check_owner(self, state, "decoder state")
         rows, ids = _check_block(
-            rows, token_ids, len(state.kv[0][0]), len(self.vocab)
+            rows, token_ids, len(state.kv[0]), len(self.vocab)
         )
-        logps, kv, _, _ = self._advance_block(
+        logps, kv = self._advance_block(
             self._embed(ids[:, None], state.pos),
-            [(k[rows], v[rows]) for k, v in state.kv],
+            [a[rows] for a in state.kv],
             state.cross,
         )
         state = DecState(self._owner, state.pos + 1, tuple(kv), state.cross)
@@ -469,17 +605,18 @@ class TinyTransformer:
         bos+prefix, and cross-attention of those query rows over all encoder
         states. The prefix holds word ids only."""
         prefix = _check_prefix(self.vocab, prefix)
-        enc, enc_attns = self._encode(frames)
-        _, _, self_attns, cross_attns = self._prefill(enc, prefix)
+        enc_parts, dec_parts = [], []
+        self._prefill(self._encode(frames, parts=enc_parts), prefix, dec_parts)
         grids: dict[str, np.ndarray] = {}
-        for l, attn in enumerate(enc_attns):
-            for head in range(self.cfg.heads):
-                grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
+        for l, (e, sums) in enumerate(enc_parts):
+            for head, grid in enumerate(e / sums):
+                grids[f"encoder_self.layer{l}.head{head}"] = grid
         for l in range(self.cfg.dec_layers):
-            for head in range(self.cfg.heads):
-                grids[f"decoder_self.layer{l}.head{head}"] = self_attns[l][0, head]
-                # one row: the query rows are the prefill's positions
-                grids[f"cross.layer{l}.head{head}"] = cross_attns[l][head]
+            # one row: the query rows are the prefill's positions
+            (se, ss), (ce, cs) = dec_parts[2 * l : 2 * l + 2]
+            for head, (own, cross) in enumerate(zip(se[0] / ss[0], ce / cs)):
+                grids[f"decoder_self.layer{l}.head{head}"] = own
+                grids[f"cross.layer{l}.head{head}"] = cross
         return grids
 
 
@@ -497,58 +634,70 @@ def sinusoid_table(n: int, d: int) -> np.ndarray:
 # --- training graph ----------------------------------------------------------
 
 
-def leaf_tensors(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+def leaf_tensors(params: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
 def attention(
     q: Tensor,
-    k: Tensor,
-    v: Tensor,
     heads: int,
     q_off: np.ndarray,
     k_off: np.ndarray,
     causal: bool = False,
+    kv: Tensor | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention as one autodiff node over
-    segments of rows, q, k and v being rows over their leading dimensions.
+    """Multi-head dot-product attention as one autodiff node over segments
+    of rows, each input being rows over its leading dimensions, with
+    ``_attend`` as its kernel.
 
+    Without kv, q holds a self-attention's fused (..., 3 d) [queries | keys
+    | values] rows; with kv, q holds (..., d) query rows and kv the (..., 2 d)
+    [keys | values] rows they attend to. The queries carry the score scale.
     Segment b's query rows q_off[b]:q_off[b+1] attend only to its key rows
     k_off[b]:k_off[b+1], and with ``causal`` its t-th query only to its keys
-    0..t. The output has q's shape. No score between two segments is made,
-    so a row gets exactly zero gradient from every other segment."""
-    d = q.shape[-1]
-    dh = d // heads
-    qd, kd, vd = (t.data.reshape(-1, d) for t in (q, k, v))
+    0..t. The output is (..., d). No score between two segments is made, so
+    a row gets exactly zero gradient from every other segment. The
+    normalized weights are formed in the backward pass, which reads them."""
+    fused = kv is None
+    d = q.shape[-1] // 3 if fused else q.shape[-1]
+    qa = q.data.reshape(-1, q.shape[-1])
+    ka = qa[:, d:] if fused else kv.data.reshape(-1, 2 * d)
+    qd, kd, vd = qa[:, :d], ka[:, :d], ka[:, d:]
     spans = [tuple(map(int, s)) for s in zip(q_off, q_off[1:], k_off, k_off[1:])]
     out = np.zeros(qd.shape)
-    weights = []  # per segment, (heads, query rows, key rows)
+    saved = []  # per segment: (context, e, row sums), head-split
     for qs, qe, ks, ke in spans:
         future = _future(0, ke - ks) if causal else None
-        w, out[qs:qe] = _attend(qd[qs:qe], kd[ks:ke], vd[ks:ke], heads, future)
-        weights.append(w)
+        parts: list = []
+        ctx = _attend(_heads(qd[qs:qe], heads),
+                      _heads(kd[ks:ke], heads).swapaxes(-1, -2),
+                      _heads(vd[ks:ke], heads), future, parts)
+        out[qs:qe] = _merge(ctx)
+        saved.append((ctx, *parts[0]))
 
     def bw(g):
         g = g.reshape(-1, d)
-        gq, gk, gv = (np.zeros(a.shape) for a in (qd, kd, vd))
-        for (qs, qe, ks, ke), w in zip(spans, weights):
-            qb, ctx, gb = (_heads(a[qs:qe], heads, dh) for a in (qd, out, g))
-            kb, vb = (_heads(a[ks:ke], heads, dh) for a in (kd, vd))
-            gv[ks:ke] = _merge(w.transpose(0, 2, 1) @ gb, d)
+        gqa = np.zeros(qa.shape)
+        gka = gqa[:, d:] if fused else np.zeros(ka.shape)
+        gq, gk, gv = gqa[:, :d], gka[:, :d], gka[:, d:]
+        for (qs, qe, ks, ke), (ctx, e, sums) in zip(spans, saved):
+            w = e / sums
+            qb, gb = (_heads(a[qs:qe], heads) for a in (qd, g))
+            kb, vb = (_heads(a[ks:ke], heads) for a in (kd, vd))
+            gv[ks:ke] = _merge(w.swapaxes(-1, -2) @ gb)
             # softmax backward: sum_j dw_ij w_ij is gb_i . ctx_i
-            gs = gb @ vb.transpose(0, 2, 1)
+            gs = gb @ vb.swapaxes(-1, -2)
             gs -= (gb * ctx).sum(axis=-1, keepdims=True)
             gs *= w
-            gq[qs:qe] = _merge(gs @ kb, d)
-            gk[ks:ke] = _merge(gs.transpose(0, 2, 1) @ qb, d)
-        # the 1/sqrt(dh) of the scores, applied to the (rows, d) results
-        gq /= math.sqrt(dh)
-        gk /= math.sqrt(dh)
-        for t, gt in ((q, gq), (k, gk), (v, gv)):
-            if t.requires_grad:
-                t._accum(gt.reshape(t.shape))
+            gq[qs:qe] = _merge(gs @ kb)
+            gk[ks:ke] = _merge(gs.swapaxes(-1, -2) @ qb)
+        if q.requires_grad:
+            q._accum(gqa.reshape(q.shape))
+        if not fused and kv.requires_grad:
+            kv._accum(gka.reshape(kv.shape))
 
-    return ad._child(out.reshape(q.shape), (q, k, v), bw)
+    parents = (q,) if fused else (q, kv)
+    return ad._child(out.reshape(q.shape[:-1] + (d,)), parents, bw)
 
 
 def _frame_lengths(frame_mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -580,37 +729,43 @@ def training_logits(
     dec_in: np.ndarray,
 ) -> Tensor:
     """Teacher-forced decoder log-probabilities (batch, positions, vocab),
-    through the layers inference runs, with ``attention`` as their kernel.
+    through the layers inference runs, with ``attention`` as their kernel,
+    on the weight set ``fold`` derives from the leaf tensors pt.
 
     The encoder runs on the real frames only, packed into one segment of
-    rows per batch row; padded frames are never read. The decoder keeps the
-    (batch, positions) layout, and every position is computed."""
+    rows per batch row; padded frames are never read. The decoder runs
+    every (batch row, position) as one row of a segment per batch row, and
+    every position is computed."""
     b_sz, tf, _ = frames.shape
     td = dec_in.shape[1]
+    d = cfg.d_model
     n_frames = _frame_lengths(frame_mask, (b_sz, tf))
     enc_off = np.concatenate([[0], np.cumsum(n_frames)])
     dec_off = np.arange(b_sz + 1) * td
     causal = cfg.mode == UNIDIRECTIONAL
+    w = fold(cfg, pt)
 
-    def enc_self(l, q, k, v):
-        return attention(q, k, v, cfg.heads, enc_off, enc_off, causal)
+    def enc_self(l, qkv):
+        return attention(qkv, cfg.heads, enc_off, enc_off, causal)
 
-    def dec_self(l, q, k, v):
-        return attention(q, k, v, cfg.heads, dec_off, dec_off, causal=True)
+    def dec_self(l, qkv):
+        return attention(qkv, cfg.heads, dec_off, dec_off, causal=True)
 
     row, pos = np.nonzero(frame_mask)  # every real frame, row by row
-    x = _enc_in(pt, frames[row, pos], sinusoid_table(tf, cfg.d_model)[pos])
+    x = _enc_in(w, frames[row, pos], sinusoid_table(tf, d)[pos])
     for l in range(cfg.enc_layers):
-        x = _enc_layer(pt, l, x, enc_self)
-    enc_out = _ln(pt, "enc_lnf", x)
+        x = _enc_layer(w, l, x, enc_self)
+    cross_kv = _lin(w, "cross_kv", _norm(x))
 
     def dec_cross(l, q):
-        return attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, dec_off, enc_off)
+        kv = ad.columns(cross_kv, 2 * d * l, 2 * d * (l + 1))
+        return attention(q, cfg.heads, dec_off, enc_off, kv=kv)
 
-    y = _dec_in(pt, dec_in, sinusoid_table(td, cfg.d_model)[None])
+    y = _dec_in(w, dec_in, sinusoid_table(td, d)[None])
+    y = ad.reshape(y, (b_sz * td, d))
     for l in range(cfg.dec_layers):
-        y = _dec_layer(pt, l, y, dec_self, dec_cross)
-    return _logps(pt, y)
+        y = _dec_layer(w, l, y, dec_self, dec_cross)
+    return ad.reshape(_logps(w, y), (b_sz, td, cfg.vocab_size))
 
 
 def training_loss(

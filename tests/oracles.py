@@ -14,25 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from streamdec import autodiff as ad
-from streamdec.autodiff import Tensor, _child, _unbroadcast, _wrap
+from streamdec.autodiff import Tensor, _child, _data, _unbroadcast, _wrap
 from streamdec.core import CommitLog, ContractViolation, chunk_stream
 from streamdec.decoder import BeamConfig, BeamHypothesis, beam_search
 from streamdec.model import UNIDIRECTIONAL
 from streamdec.strategies import StrategyState, select_prefix
-from streamdec.transformer import (
-    _cross_kv,
-    _dec_in,
-    _dec_layer,
-    _enc_in,
-    _enc_layer,
-    _frame_lengths,
-    _heads,
-    _ln,
-    _logps,
-    _merge,
-    _softmax_np,
-    sinusoid_table,
-)
+from streamdec.transformer import _frame_lengths, sinusoid_table
 
 
 def wer_oracle(ref, hyp):
@@ -250,11 +237,87 @@ def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
     return log, commits
 
 
-def _layer_norm(x, g, b, eps=1e-5):
-    """Layer norm by ndarray.mean, written apart from autodiff.layer_norm."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return g * ((x - mu) / np.sqrt(var + eps)) + b
+def layer_norm(x, gain, bias, eps=1e-5):
+    """gain * ((x - mean) / sqrt(var + eps)) + bias over the last axis, with
+    a fresh array for every intermediate, forward and backward: the affine
+    layer norm the package folds into its projection weights. A plain array
+    when no argument is a Tensor."""
+    n = _data(x).shape[-1]
+    centered = _data(x) - _data(x).sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    out = _data(gain) * xhat + _data(bias)
+    if not any(isinstance(a, Tensor) for a in (x, gain, bias)):
+        return out
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+
+    def bw(g):
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+            x._accum((dxhat - m1 - xhat * m2) / std)
+
+    return _child(out, (x, gain, bias), bw)
+
+
+# The pre-norm layers as the parameters store them, unfolded: each layer
+# norm applies its own gain and bias, Q, K and V are three products, and the
+# attention kernel scales the scores. They run on arrays or on Tensors;
+# attend(l, q, k, v) and cross(l, q, k, v) take layer l's projected rows.
+
+
+def _ln(p, name, x):
+    return layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
+
+
+def _ffn(p, pre, x):
+    f = ad.relu(x @ p[f"{pre}_ff1_w"] + p[f"{pre}_ff1_b"])
+    return f @ p[f"{pre}_ff2_w"] + p[f"{pre}_ff2_b"]
+
+
+def _enc_layer(p, l, x, attend):
+    def lin(n, y):
+        return y @ p[f"enc{l}_w{n}"] + p[f"enc{l}_b{n}"]
+
+    h = _ln(p, f"enc{l}_ln1", x)
+    x = x + lin("o", attend(l, lin("q", h), lin("k", h), lin("v", h)))
+    return x + _ffn(p, f"enc{l}", _ln(p, f"enc{l}_ln2", x))
+
+
+def _dec_layer(p, l, y, states, attend, cross):
+    def lin(n, x):
+        return x @ p[f"dec{l}_{n}"] + p[f"dec{l}_b{n}"]
+
+    h = _ln(p, f"dec{l}_ln1", y)
+    y = y + lin("so", attend(l, lin("sq", h), lin("sk", h), lin("sv", h)))
+    q = lin("cq", _ln(p, f"dec{l}_ln2", y))
+    y = y + lin("co", cross(l, q, lin("ck", states), lin("cv", states)))
+    return y + _ffn(p, f"dec{l}", _ln(p, f"dec{l}_ln3", y))
+
+
+def _unfolded(cfg, p, frames, frame_pos, ids, ids_pos, enc_attend,
+              dec_attend, cross):
+    """Encoder states and next-token log-probs of the unfolded layers."""
+    x = frames @ p["enc_in_w"] + p["enc_in_b"] + frame_pos
+    for l in range(cfg.enc_layers):
+        x = _enc_layer(p, l, x, enc_attend)
+    states = _ln(p, "enc_lnf", x)
+    y = ad.embedding(p["tok_emb"], ids) * math.sqrt(cfg.d_model) + ids_pos
+    for l in range(cfg.dec_layers):
+        y = _dec_layer(p, l, y, states, dec_attend, cross)
+    return states, ad.log_softmax(_ln(p, "dec_lnf", y) @ p["out_w"] + p["out_b"])
+
+
+def _softmax(x):
+    """Softmax over the last axis, with fresh arrays."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _future_mask(t):
@@ -262,63 +325,42 @@ def _future_mask(t):
     return np.where(np.arange(t)[None, :] > np.arange(t)[:, None], -np.inf, 0.0)
 
 
-def attention_grids_oracle(model, frames, prefix):
-    """Reference for TinyTransformer.dump_attention, written out layer by
-    layer: the frames encoded in one pass with an additive future mask and
-    this module's own layer norm, and the decoder grids from one
-    whole-prefix pass with an additive causal mask, instead of the package's
-    shared layers and cached forwards."""
+def unfolded_forward(model, frames, prefix):
+    """Reference for TinyTransformer's folded inference: the stored params
+    through the unfolded layers, the frames encoded in one pass with an
+    additive future mask and bos + prefix decoded in one pass with an
+    additive causal mask, with this module's layer norm and kernel. Returns
+    the encoder states (frames, d_model), the log-probs after each decoder
+    position (len(prefix) + 1, vocab), and dump_attention's grids."""
     p = model.params
     cfg = model.cfg
     d, h, dh = cfg.d_model, cfg.heads, cfg.head_dim
     grids = {}
 
-    def lin(x, w, b):
-        return x @ p[w] + p[b]
+    def kernel(kind, mask):
+        def attend(l, q, k, v):
+            # (T, d) rows -> (heads, T, dh), and back
+            q, k, v = (a.reshape(-1, h, dh).transpose(1, 0, 2) for a in (q, k, v))
+            w = _softmax(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + mask)
+            for head in range(h):
+                grids[f"{kind}.layer{l}.head{head}"] = w[head]
+            return (w @ v).transpose(1, 0, 2).reshape(-1, d)
+
+        return attend
 
     t = len(frames)
-    x = lin(frames, "enc_in_w", "enc_in_b") + sinusoid_table(t, d)
-    enc_mask = _future_mask(t) if cfg.mode == UNIDIRECTIONAL else 0.0
-    for l in range(cfg.enc_layers):
-        e = f"enc{l}_"
-        ln = _layer_norm(x, p[e + "ln1_g"], p[e + "ln1_b"])
-        q, k, v = (_heads(lin(ln, e + "w" + n, e + "b" + n), h, dh) for n in "qkv")
-        attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + enc_mask)
-        x = x + lin(_merge(attn @ v, d), e + "wo", e + "bo")
-        ln2 = _layer_norm(x, p[e + "ln2_g"], p[e + "ln2_b"])
-        f = np.maximum(lin(ln2, e + "ff1_w", e + "ff1_b"), 0.0)
-        x = x + lin(f, e + "ff2_w", e + "ff2_b")
-        for head in range(h):
-            grids[f"encoder_self.layer{l}.head{head}"] = attn[head]
-    states = _layer_norm(x, p["enc_lnf_g"], p["enc_lnf_b"])
-
     ids = [model.vocab.bos_id] + [int(t) for t in prefix]
-    q_len = len(ids)
-    x = p["tok_emb"][ids] * math.sqrt(d) + sinusoid_table(q_len, d)
-    causal = _future_mask(q_len)
-    for l in range(cfg.dec_layers):
-        e = f"dec{l}_"
-        ln = _layer_norm(x, p[e + "ln1_g"], p[e + "ln1_b"])
-        q, k, v = (_heads(lin(ln, e + "s" + n, e + "bs" + n), h, dh) for n in "qkv")
-        attn = _softmax_np(q @ k.transpose(0, 2, 1) / math.sqrt(dh) + causal)
-        x = x + lin(_merge(attn @ v, d), e + "so", e + "bso")
-
-        ln2 = _layer_norm(x, p[e + "ln2_g"], p[e + "ln2_b"])
-        q2 = _heads(lin(ln2, e + "cq", e + "bcq"), h, dh)
-        ke, ve = (_heads(lin(states, e + "c" + n, e + "bc" + n), h, dh) for n in "kv")
-        attn2 = _softmax_np(q2 @ ke.transpose(0, 2, 1) / math.sqrt(dh))
-        x = x + lin(_merge(attn2 @ ve, d), e + "co", e + "bco")
-
-        ln3 = _layer_norm(x, p[e + "ln3_g"], p[e + "ln3_b"])
-        f = np.maximum(lin(ln3, e + "ff1_w", e + "ff1_b"), 0.0)
-        x = x + lin(f, e + "ff2_w", e + "ff2_b")
-        for head in range(h):
-            grids[f"decoder_self.layer{l}.head{head}"] = attn[head]
-            grids[f"cross.layer{l}.head{head}"] = attn2[head]
-    return grids
+    states, logps = _unfolded(
+        cfg, p, frames, sinusoid_table(t, d), np.array(ids),
+        sinusoid_table(len(ids), d),
+        kernel("encoder_self", _future_mask(t) if cfg.mode == UNIDIRECTIONAL else 0.0),
+        kernel("decoder_self", _future_mask(len(ids))),
+        kernel("cross", 0.0),
+    )
+    return states, logps, grids
 
 
-# the shape ops of padded_attention's graph; the package's graph needs none
+# the shape ops of padded_attention's graph, written apart from the package's
 
 
 def reshape(a, shape: tuple) -> Tensor:
@@ -393,9 +435,10 @@ def padded_attention(q, k, v, heads, k_len, q_len=None, causal=False):
 
 def padded_training_logits(cfg, pt, frames, frame_mask, dec_in):
     """Reference for transformer.training_logits, with its signature: the
-    same layers on the padded (batch, frames, d_model) encoder rows, every
-    padded row computed, and padded_attention as the kernel, so only its
-    length masks keep padding out of the real rows."""
+    unfolded layers on the leaf tensors pt, on the padded (batch, frames,
+    d_model) encoder rows, every padded row computed, and padded_attention
+    as the kernel, so only its length masks keep padding out of the real
+    rows."""
     b_sz, tf, _ = frames.shape
     td = dec_in.shape[1]
     n_frames = _frame_lengths(frame_mask, (b_sz, tf))
@@ -408,43 +451,33 @@ def padded_training_logits(cfg, pt, frames, frame_mask, dec_in):
     def dec_self(l, q, k, v):
         return padded_attention(q, k, v, cfg.heads, dec_len, causal=True)
 
-    x = _enc_in(pt, frames, sinusoid_table(tf, cfg.d_model)[None])
-    for l in range(cfg.enc_layers):
-        x = _enc_layer(pt, l, x, enc_self)
-    enc_out = _ln(pt, "enc_lnf", x)
+    def cross(l, q, k, v):
+        return padded_attention(q, k, v, cfg.heads, n_frames)
 
-    def dec_cross(l, q):
-        return padded_attention(q, *_cross_kv(pt, l, enc_out), cfg.heads, n_frames)
-
-    y = _dec_in(pt, dec_in, sinusoid_table(td, cfg.d_model)[None])
-    for l in range(cfg.dec_layers):
-        y = _dec_layer(pt, l, y, dec_self, dec_cross)
-    return _logps(pt, y)
+    return _unfolded(
+        cfg, pt, frames, sinusoid_table(tf, cfg.d_model)[None],
+        dec_in, sinusoid_table(td, cfg.d_model)[None], enc_self, dec_self,
+        cross,
+    )[1]
 
 
-def layer_norm_fresh(x, gain, bias, eps=1e-5):
-    """Reference for autodiff.layer_norm on Tensors: the same formula with a
+def normalize_fresh(x, eps=1e-5):
+    """Reference for autodiff.normalize on Tensors: the same formula with a
     fresh array for every intermediate, forward and backward; the package's
     kernel reuses its buffers and must match it bit for bit."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    n = x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    std = np.sqrt(var + eps)
+    x = _wrap(x)
+    col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
+    centered = x.data - x.data.dot(col)
+    std = np.sqrt((centered * centered).dot(col) + eps)
     xhat = centered / std
 
     def bw(g):
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
         if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.sum(axis=-1, keepdims=True) / n
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            x._accum((dxhat - m1 - xhat * m2) / std)
+            m1 = g.dot(col)
+            m2 = (g * xhat).dot(col)
+            x._accum((g - m1 - xhat * m2) / std)
 
-    return _child(gain.data * xhat + bias.data, (x, gain, bias), bw)
+    return _child(xhat, (x,), bw)
 
 
 def mean_or_none(xs):

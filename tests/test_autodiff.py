@@ -7,20 +7,29 @@ before anything downstream (the transformer, training) is trusted.
 import numpy as np
 import pytest
 
+from streamdec import autodiff as ad
 from streamdec.autodiff import (
     Tensor,
     add,
+    concat,
     embedding,
-    layer_norm,
     log_softmax,
     matmul,
     mul,
+    normalize,
     relu,
     sum_all,
 )
 from streamdec.transformer import attention
 
-from .oracles import masked_softmax, padded_attention, reshape, transpose
+from .oracles import (
+    layer_norm,
+    masked_softmax,
+    normalize_fresh,
+    padded_attention,
+    reshape,
+    transpose,
+)
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -117,11 +126,37 @@ class TestMatmul:
         other = rng.normal(size=(2, 3, 4))
         check(lambda t: matmul(Tensor(other), t), x)
 
+    def test_vector_times_matrix(self, rng):
+        # (4,) @ (4,5), as a folded bias c @ W + b is built
+        x = rng.normal(size=(4,))
+        y = rng.normal(size=(4, 5))
+        check(lambda t: matmul(t, Tensor(y)), x)
+        check(lambda t: matmul(Tensor(x), t), y)
+
 
 class TestShapeOps:
     def test_reshape(self, rng):
         x = rng.normal(size=(2, 6))
         check(lambda t: reshape(t, (3, 4)), x)
+        check(lambda t: ad.reshape(t, (3, 4)), x)
+
+    def test_columns(self, rng):
+        x = rng.normal(size=(3, 8))
+        check(lambda t: ad.columns(t, 2, 6), x)
+        assert np.array_equal(ad.columns(x, 2, 6), x[:, 2:6])
+
+    @pytest.mark.parametrize("axis, shapes", [
+        (0, [(3, 2), (1, 2), (3, 2)]),
+        (-1, [(3, 2), (3, 4), (3, 2)]),
+    ])
+    def test_concat(self, rng, axis, shapes):
+        parts = [rng.normal(size=s) for s in shapes]
+        for i in range(3):
+            def op(t):
+                return concat([t if j == i else Tensor(a)
+                               for j, a in enumerate(parts)], axis=axis)
+
+            check(op, parts[i])
 
     def test_transpose(self, rng):
         x = rng.normal(size=(2, 3, 4))
@@ -206,11 +241,22 @@ def _offsets(lengths):
     return np.concatenate([[0], np.cumsum(lengths)])
 
 
+def _packed_attention(q, k, v, heads, q_off, k_off, causal):
+    """The package's node on separate q, k, v rows: the queries take the
+    score scale, and a self-attention (query rows the key rows) hands it
+    fused [q | k | v] rows, as the folded weights give them."""
+    q = q * (1.0 / np.sqrt(q.shape[-1] // heads))
+    if np.array_equal(q_off, k_off):
+        return attention(concat([q, k, v]), heads, q_off, k_off, causal)
+    return attention(q, heads, q_off, k_off, causal, kv=concat([k, v]))
+
+
 def _run_attention(op, q, k, v, w, heads, k_len, q_len, causal):
     """Output and q/k/v gradients of sum(w * op(q, k, v)) on the padded
     (batch, T, d) layout: the padded oracle takes the arrays as they are,
-    the package's node takes each row's real positions packed into one
-    block of segments, and its results are scattered back, zero elsewhere."""
+    the package's node (through _packed_attention) takes each row's real
+    positions packed into one block of segments, and its results are
+    scattered back, zero elsewhere."""
     if op is padded_attention:
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         out = op(*ts, heads, k_len, q_len, causal)
@@ -222,7 +268,7 @@ def _run_attention(op, q, k, v, w, heads, k_len, q_len, causal):
                       for x, n in ((q, q_len), (k, k_len)))
     masks = (q_real, k_real, k_real)
     ts = [Tensor(x[m], requires_grad=True) for x, m in zip((q, k, v), masks)]
-    out = op(*ts, heads, _offsets(q_len), _offsets(k_len), causal)
+    out = _packed_attention(*ts, heads, _offsets(q_len), _offsets(k_len), causal)
     sum_all(mul(out, Tensor(w[q_real]))).backward()
 
     def scatter(rows, m):
@@ -303,51 +349,58 @@ class TestAttention:
         def op(x):
             args = [Tensor(a) for a in qkv]
             args[which] = x
-            return attention(*args, heads, off, off, causal)
+            return _packed_attention(*args, heads, off, off, causal)
 
         check(op, qkv[which], rtol=1e-5)
 
 
-class TestLayerNorm:
-    def test_grad_x(self, rng):
+class TestNormalize:
+    def test_grad(self, rng):
+        x = rng.normal(size=(3, 6))
+        check(lambda t: normalize(t), x, rtol=1e-5)
+        check(lambda t: normalize(t), rng.normal(size=(2, 3, 8)), rtol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(8, 32), (300, 32), (2, 5, 16)])
+    def test_bitwise_equal_to_fresh_formula(self, shape):
+        # the kernel reuses its buffers, forward and backward, but runs the
+        # fresh-array formula's operations in its order
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * 3 + 1
+        w = rng.normal(size=shape)
+        got, want = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, ref = normalize(got), normalize_fresh(want)
+        for y in (out, ref):
+            sum_all(mul(y, Tensor(w))).backward()
+        assert np.array_equal(out.data.view(np.uint64), ref.data.view(np.uint64))
+        assert np.array_equal(normalize(x), ref.data)
+        assert np.array_equal(got.grad.view(np.uint64), want.grad.view(np.uint64))
+
+    def test_normalizes(self, rng):
+        x = rng.normal(size=(4, 8)) * 5 + 3
+        y = normalize(Tensor(x)).data
+        np.testing.assert_allclose(y.mean(axis=-1), np.zeros(4), atol=1e-10)
+        np.testing.assert_allclose(y.std(axis=-1), np.ones(4), atol=1e-4)
+
+    def test_oracle_layer_norm_grads(self, rng):
+        # the affine layer norm of the unfolded oracle (tests/oracles.py) is
+        # checked here like a package op before it judges the folded graph
         x = rng.normal(size=(3, 6))
         gain = rng.normal(size=(6,))
         bias = rng.normal(size=(6,))
         check(lambda t: layer_norm(t, Tensor(gain), Tensor(bias)), x, rtol=1e-5)
-
-    def test_grad_gain_bias(self, rng):
-        x = rng.normal(size=(3, 6))
-        gain = rng.normal(size=(6,))
-        bias = rng.normal(size=(6,))
         check(lambda t: layer_norm(Tensor(x), t, Tensor(bias)), gain, rtol=1e-5)
         check(lambda t: layer_norm(Tensor(x), Tensor(gain), t), bias, rtol=1e-5)
 
-    def test_normalizes(self, rng):
-        x = rng.normal(size=(4, 8)) * 5 + 3
-        y = layer_norm(
-            Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))
-        ).data
-        np.testing.assert_allclose(y.mean(axis=-1), np.zeros(4), atol=1e-10)
-        np.testing.assert_allclose(y.std(axis=-1), np.ones(4), atol=1e-4)
-
-
     @pytest.mark.parametrize("shape", [(8, 32), (3, 7), (2, 5, 16), (1, 1), (4, 64)])
-    def test_sum_over_n_is_mean_bitwise(self, shape):
-        # layer norm computes means as sum / n; it must equal ndarray.mean
+    def test_affine_on_top_is_layer_norm(self, shape):
+        # normalize(x) * gain + bias is the affine layer norm the package
+        # folds into its projections
         x = np.random.default_rng(sum(shape)).normal(size=shape) * 3 + 1
         gain, bias = np.full(shape[-1], 1.5), np.full(shape[-1], 0.25)
-        for a in (x, x * x):
-            assert np.array_equal(
-                a.mean(axis=-1, keepdims=True),
-                a.sum(axis=-1, keepdims=True) / shape[-1],
-            )
-        mu = x.mean(axis=-1, keepdims=True)
-        c = x - mu
-        var = (c * c).mean(axis=-1, keepdims=True)
-        ref = gain * (c / np.sqrt(var + 1e-5)) + bias
-        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5).data
-        assert np.array_equal(out, ref)
-        assert np.array_equal(layer_norm(x, gain, bias, 1e-5), ref)
+        np.testing.assert_allclose(
+            normalize(x, 1e-5) * gain + bias, layer_norm(x, gain, bias, 1e-5),
+            rtol=0, atol=1e-13,
+        )
 
 
 class TestEmbedding:
@@ -438,13 +491,16 @@ class TestGraphMechanics:
         # the ops inference shares with training build no node on arrays,
         # and give the numbers the node would hold
         x = rng.normal(size=(3, 6))
-        g, b = rng.normal(size=6), rng.normal(size=6)
+        g = rng.normal(size=6)
         ids = np.array([[2, 0, 2]])
         for plain, node in (
             (embedding(x, ids), embedding(Tensor(x), ids)),
             (relu(x), relu(Tensor(x))),
             (log_softmax(x), log_softmax(Tensor(x))),
-            (layer_norm(x, g, b), layer_norm(Tensor(x), Tensor(g), Tensor(b))),
+            (normalize(x), normalize(Tensor(x))),
+            (ad.reshape(x, (2, 9)), ad.reshape(Tensor(x), (2, 9))),
+            (ad.columns(x, 1, 4), ad.columns(Tensor(x), 1, 4)),
+            (concat([x, g[None]], axis=0), concat([x, Tensor(g[None])], axis=0)),
         ):
             assert type(plain) is np.ndarray
             assert np.array_equal(plain, node.data)

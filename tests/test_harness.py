@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from streamdec.core import EOS_ID, ConfigError
+from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig
 from streamdec.harness import (
     CSV_HEADER,
@@ -19,7 +20,10 @@ from streamdec.harness import (
     save_sweep_csv,
     sweep,
 )
+from streamdec.io import load_model
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +110,21 @@ class TestSweep:
         with pytest.raises(ConfigError, match=re.escape(repeated)):
             SweepSpec(strategies=strategies)
 
-    def test_worker_parity(self, unstable_model, small_corpus, sweep_strategies):
+    @pytest.mark.parametrize("which", ["synthetic", "transformer"])
+    def test_worker_parity(self, which, unstable_model, small_corpus, sweep_strategies):
+        # the workers get their models pickled
+        model, utts = unstable_model, small_corpus[:4]
+        if which == "transformer":
+            model = load_model(str(FIXTURES / "bidi.bin"))
+            utts = gen_dataset(SyntheticTaskSpec(), 4, seed=12)
         spec1 = SweepSpec(
             strategies=sweep_strategies, beam=BeamConfig(beam_width=4), workers=1
         )
         spec2 = SweepSpec(
             strategies=sweep_strategies, beam=BeamConfig(beam_width=4), workers=2
         )
-        a = sweep({"uni": unstable_model}, small_corpus[:4], spec1)
-        b = sweep({"uni": unstable_model}, small_corpus[:4], spec2)
+        a = sweep({"uni": model}, utts, spec1)
+        b = sweep({"uni": model}, utts, spec2)
         assert a == b
 
     def test_failed_cell_becomes_nan_row(self, unstable_model, small_corpus):

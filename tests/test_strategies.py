@@ -65,6 +65,11 @@ class TestHoldN:
         with pytest.raises(ConfigError):
             HoldN(-1)
 
+    @pytest.mark.parametrize("n", [1.5, True, "2"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            HoldN(n)
+
 
 class TestWaitK:
     def test_holds_first_k_chunks(self):
@@ -125,6 +130,16 @@ class TestWaitK:
             WaitK(k=-1)
         with pytest.raises(ConfigError):
             WaitK(k=1, rate=0.0)
+
+    @pytest.mark.parametrize("k, rate, match", [
+        (1.5, 4.0, "must be an integer"),
+        (False, 4.0, "must be an integer"),
+        (1, "4", "must be a number"),
+        (1, True, "must be a number"),
+    ])
+    def test_ill_typed_config(self, k, rate, match):
+        with pytest.raises(ConfigError, match=match):
+            WaitK(k, rate)
 
 
 class TestLcp:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from streamdec.training import (
 )
 from streamdec.transformer import TinyTransformer, TransformerConfig
 
-from .oracles import layer_norm_fresh, padded_training_logits
+from .oracles import normalize_fresh, padded_training_logits
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
@@ -190,13 +191,10 @@ class TestGradients:
             (u.frames, u.reference_tokens) for u in data[:3]
         ]
         batch = make_batch(pairs, vocab, cfg.frame_dim)
-        _, grads = batch_loss_and_grads(model, batch, 0.1)
+        _, grads = batch_loss_and_grads(cfg, model.params, batch, 0.1)
 
         def loss_of(params):
-            probe = model.clone()
-            probe.params.update({k: v.copy() for k, v in params.items()})
-            l, _ = batch_loss_and_grads(probe, batch, 0.1)
-            return l
+            return batch_loss_and_grads(cfg, params, batch, 0.1)[0]
 
         names = list(grads)
         for name in [names[0], names[len(names) // 2], names[-1]]:
@@ -211,6 +209,38 @@ class TestGradients:
             fd = (loss_of(plus) - loss_of(minus)) / (2 * h)
             an = grads[name].reshape(-1)[idx]
             assert an == pytest.approx(fd, rel=1e-3, abs=1e-7), name
+
+    @pytest.mark.parametrize("name", [
+        "enc0_ln1_g", "enc1_ln1_b", "enc1_ln2_g", "enc0_ln2_b",
+        "dec1_ln1_g", "dec0_ln1_b", "dec0_ln2_g", "dec1_ln2_b",
+        "dec1_ln3_g", "dec0_ln3_b", "enc_lnf_g", "enc_lnf_b", "dec_lnf_g",
+        "dec_lnf_b", "enc1_wq", "dec1_bsq", "dec1_ck", "dec0_bcv",
+    ])
+    def test_folded_params_match_finite_difference(self, tiny_world, name):
+        # layer-norm gains and biases, the query projections and the cross
+        # keys and values of two decoder layers reach the loss only through
+        # the weight set fold derives; every gain is moved off 1 and every
+        # bias off 0, so no fold is the identity
+        _, data, vocab, cfg = tiny_world
+        cfg = replace(cfg, enc_layers=2, dec_layers=2)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        base = {
+            k: v + rng.normal(scale=0.2, size=v.shape) if v.ndim == 1 else v
+            for k, v in TinyTransformer(cfg, vocab).params.items()
+        }
+        batch = _ragged_batch(data, vocab, cfg.frame_dim)
+        _, grads = batch_loss_and_grads(cfg, base, batch, 0.1)
+
+        def loss_of(idx, delta):
+            params = {k: v.copy() for k, v in base.items()}
+            params[name].reshape(-1)[idx] += delta
+            return batch_loss_and_grads(cfg, params, batch, 0.1)[0]
+
+        for idx in rng.choice(base[name].size, size=2, replace=False):
+            h = 1e-4 * max(abs(base[name].reshape(-1)[idx]), 0.1)
+            fd = (loss_of(idx, h) - loss_of(idx, -h)) / (2 * h)
+            an = grads[name].reshape(-1)[idx]
+            assert an == pytest.approx(fd, rel=1e-3, abs=1e-7), (name, idx)
 
 
 def _ragged_batch(data, vocab, frame_dim):
@@ -240,9 +270,9 @@ class TestLengthAwareGraph:
         batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
         lengths = batch["frame_mask"].sum(axis=1)
         assert len(set(lengths)) == len(lengths)  # really ragged
-        loss, grads = batch_loss_and_grads(model, batch, 0.1)
+        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
         monkeypatch.setattr(transformer, "training_logits", padded_training_logits)
-        want_loss, want = batch_loss_and_grads(model, batch, 0.1)
+        want_loss, want = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert sorted(grads) == sorted(want)
         for name, g in grads.items():
@@ -253,10 +283,10 @@ class TestLengthAwareGraph:
     def test_padded_frame_values_do_not_reach_gradients(self, model_and_data):
         model, data = model_and_data
         batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(model, batch, 0.1)
+        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
         poisoned = dict(batch, frames=batch["frames"].copy())
         poisoned["frames"][batch["frame_mask"] == 0] = np.nan
-        got_loss, got = batch_loss_and_grads(model, poisoned, 0.1)
+        got_loss, got = batch_loss_and_grads(model.cfg, model.params, poisoned, 0.1)
         assert got_loss == loss
         assert sorted(got) == sorted(grads)
         for name, g in got.items():
@@ -265,12 +295,12 @@ class TestLengthAwareGraph:
 
 
 class TestTrain:
-    def test_in_place_layer_norm_trains_bit_identically(self, tiny_world, monkeypatch):
-        # the buffer-reusing layer norm runs the fresh-array formula's
+    def test_in_place_normalize_trains_bit_identically(self, tiny_world, monkeypatch):
+        # the buffer-reusing normalize runs the fresh-array formula's
         # operations in its order, so a seeded run keeps every bit
         _, data, vocab, cfg = tiny_world
         got, got_curve = train(TinyTransformer(cfg, vocab), data, small_train_cfg())
-        monkeypatch.setattr(autodiff, "layer_norm", layer_norm_fresh)
+        monkeypatch.setattr(autodiff, "normalize", normalize_fresh)
         want, want_curve = train(TinyTransformer(cfg, vocab), data, small_train_cfg())
         assert got_curve == want_curve
         for k in want.params:
@@ -310,9 +340,10 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_raises(self, tiny_world):
         _, data, vocab, cfg = tiny_world
-        model = TinyTransformer(cfg, vocab)
-        k = sorted(model.params)[0]
-        model.params[k] = np.full_like(model.params[k], np.inf)
+        params = TinyTransformer(cfg, vocab).params
+        k = sorted(params)[0]
+        model = TinyTransformer(
+            cfg, vocab, {**params, k: np.full_like(params[k], np.inf)})
         with pytest.raises(RuntimeError):
             train(model, data, small_train_cfg(total_steps=2))
 
@@ -356,6 +387,43 @@ class TestAdapt:
         )
         assert len(curve) == 8
         assert token_error_rate(adapted, dev) <= pre
+
+    def test_dev_ter_is_of_that_steps_params(self, monkeypatch):
+        """Each dev error rate adapt measures is that of a model built fresh
+        from the parameters after that step, on a weight set derived from
+        them, not a stale one."""
+        model = load_model(str(FIXTURES / "bidi.bin"))
+        cfg, vocab = model.cfg, model.vocab
+        data = gen_dataset(SyntheticTaskSpec(), 14, seed=77)
+        after = {0: dict(model.params)}  # step -> the parameters after it
+        seen = []  # (evaluated model, its measured error rate)
+        step, ter = Adam.step, training.token_error_rate
+
+        def step_spy(self, grads, lr):
+            step(self, grads, lr)
+            after[self.t] = {k: v.copy() for k, v in self.params.items()}
+
+        def ter_spy(m, utts):
+            seen.append((m, ter(m, utts)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(Adam, "step", step_spy)
+        monkeypatch.setattr(training, "token_error_rate", ter_spy)
+        dev = data[:6]
+        # a rate high enough that the dev error rate moves between checks
+        tcfg = small_train_cfg(learning_rate=0.03, total_steps=6, eval_every=2)
+        adapt(model, data[6:], tcfg, dev)
+        assert len(seen) == 4
+        for s, (m, got) in zip((0, 2, 4, 6), seen):
+            for k, v in after[s].items():
+                np.testing.assert_array_equal(m.params[k], v)
+            want = transformer.fold(cfg, after[s])
+            for name, parts in want.items():
+                for a, b in zip(*(x if isinstance(x, tuple) else (x,)
+                                  for x in (parts, m.weights[name]))):
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+            assert got == ter(TinyTransformer(cfg, vocab, after[s]), dev)
+        assert len({got for _, got in seen}) == 4
 
     def test_learning_rate_scaled(self, tiny_world):
         _, data, vocab, cfg = tiny_world

@@ -4,32 +4,37 @@ import math
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from streamdec import transformer
 from streamdec.core import ConfigError, ContractViolation, Vocab
+from streamdec.data import SyntheticTaskSpec, gen_dataset
+from streamdec.decoder import BeamConfig, run_session
 from streamdec.io import load_model, save_model
 from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
+from streamdec.strategies import LocalAgreement
 from streamdec.transformer import (
     DecState,
     TinyTransformer,
     TransformerConfig,
     _attend,
-    _attention_weights,
     _dec_in,
     _dec_layer,
     _future,
-    _softmax_np,
+    _split_qkv,
+    init_params,
     leaf_tensors,
     sinusoid_table,
     training_logits,
     training_loss,
 )
 
-from .oracles import attention_grids_oracle, token_walk
+from .oracles import token_walk, unfolded_forward
 
 
 @pytest.fixture()
@@ -72,12 +77,26 @@ class TestConfig:
                 frame_dim=4, vocab_size=len(micro_vocab), d_model=10, heads=heads
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 2.0), ("d_model", 32.0), ("enc_layers", True),
+        ("ff_dim", "128"), ("frame_dim", None), ("init_seed", 0.5),
+    ])
+    def test_sizes_must_be_integers(self, micro_cfg, field, value):
+        # a float or a bool used to get through and fail later in encode
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            replace(micro_cfg, **{field: value})
+
     def test_param_init_deterministic(self, micro_cfg, micro_vocab):
         a = TinyTransformer(micro_cfg, micro_vocab)
         b = TinyTransformer(micro_cfg, micro_vocab)
         assert sorted(a.params) == sorted(b.params)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
+
+
+def _encoder_kv_shapes(cfg, frames):
+    """The shapes of an encoding's cached keys and values of every layer."""
+    return (cfg.heads, cfg.head_dim, frames), (cfg.heads, frames, cfg.head_dim)
 
 
 class TestEncoderCausality:
@@ -129,8 +148,8 @@ class TestEncoderCausality:
         for got, want in zip(
             grown.layer_kv + grown.cross_kv, one_shot.layer_kv + one_shot.cross_kv
         ):
-            for g, w in zip(got, want):
-                assert g.shape == w.shape == (33, model.cfg.d_model)
+            for g, w, shape in zip(got, want, _encoder_kv_shapes(model.cfg, 33)):
+                assert g.shape == w.shape == shape
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("which", ["micro_model", "causal_deep_model"])
@@ -143,11 +162,13 @@ class TestEncoderCausality:
         for got, old in zip(
             grown.layer_kv + grown.cross_kv, prior.layer_kv + prior.cross_kv
         ):
-            for g, o in zip(got, old):
-                assert np.array_equal(_bits(g[:9]), _bits(o))
+            # keys have their positions last, values second last
+            assert np.array_equal(_bits(got[0][..., :9]), _bits(old[0]))
+            assert np.array_equal(_bits(got[1][..., :9, :]), _bits(old[1]))
         # the prior itself is left as it was
-        assert prior.states.shape[0] == prior.layer_kv[0][0].shape[0] == 9
-        assert prior.cross_kv[0][0].shape[0] == 9
+        assert prior.states.shape[0] == 9
+        for kv in prior.layer_kv + prior.cross_kv:
+            assert tuple(a.shape for a in kv) == _encoder_kv_shapes(model.cfg, 9)
 
     def test_bidirectional_prefix_differs(self, bidi_model, rng):
         frames = rng.normal(size=(30, 4))
@@ -194,8 +215,7 @@ class TestDecoding:
         enc1 = model.encode(frames[:10], None, utt_id="u")
         state, init_lps = model.dec_init(enc1, (4, 5))
         held = [enc1.states, *itertools.chain(
-            *enc1.layer_kv, *enc1.cross_kv, *state.kv
-        )]
+            *enc1.layer_kv, *enc1.cross_kv), *state.kv]
         kept = [a.copy() for a in held]
         _, before = model.dec_advance(state, [0, 0], [3, 4])
         enc2 = model.encode(frames, enc1)
@@ -219,25 +239,29 @@ class TestDecoding:
         state_a, lps_a = micro_model.dec_init(enc, prefix)
         state_b, lps_b = micro_model.dec_init(enc, prefix)
         np.testing.assert_array_equal(lps_a, lps_b)
-        for (ka, va), (kb, vb) in zip(state_a.kv, state_b.kv):
-            np.testing.assert_array_equal(ka, kb)
-            np.testing.assert_array_equal(va, vb)
+        for a, b in zip(state_a.kv, state_b.kv):
+            np.testing.assert_array_equal(a, b)
 
-    def test_every_cache_is_rows_over_positions(self, causal_deep_model, rng):
-        """The encoder's self-attention cache and the decoder state's share
-        one layout: (positions, d_model) rows, with the decoder's rows of a
-        block stacked in front."""
-        model, d = causal_deep_model, causal_deep_model.cfg.d_model
+    def test_every_cache_is_head_split(self, causal_deep_model, rng):
+        """Every cache is split by head: an encoding's self-attention and
+        cross-attention keys are (heads, head_dim, frames) and its values
+        (heads, frames, head_dim), the cross ones contiguous, and a decoder
+        state holds per layer its keys then its values, (rows, 2, heads,
+        positions, head_dim)."""
+        model, cfg = causal_deep_model, causal_deep_model.cfg
+        h, dh = cfg.heads, cfg.head_dim
         prefix = (3, 4, 5, 6)
         enc = model.encode(rng.normal(size=(14, 4)), None)
-        for k, v in enc.layer_kv:
-            assert k.shape == v.shape == (14, d)
+        for kv in enc.layer_kv + enc.cross_kv:
+            assert tuple(a.shape for a in kv) == _encoder_kv_shapes(cfg, 14)
+        for a in itertools.chain(*enc.cross_kv):
+            assert a.flags.c_contiguous
         state, _ = model.dec_init(enc, prefix)
-        for k, v in state.kv:
-            assert k.shape == v.shape == (1, len(prefix) + 1, d)
+        for kv in state.kv:
+            assert kv.shape == (1, 2, h, len(prefix) + 1, dh)
         state, _ = model.dec_advance(state, [0, 0, 0], [3, 4, 5])
-        for k, v in state.kv:
-            assert k.shape == v.shape == (3, state.pos, d)
+        for kv in state.kv:
+            assert kv.shape == (3, 2, h, state.pos, dh)
 
     def test_foreign_encoder_rejected(self, micro_cfg, micro_vocab, rng):
         m1 = TinyTransformer(micro_cfg, micro_vocab)
@@ -306,9 +330,8 @@ class TestBatchAdvance:
                 np.testing.assert_allclose(
                     block_lps[i], lps[-1], rtol=0, atol=1e-12
                 )
-                for (gk, gv), (wk, wv) in zip(state.kv, walk.kv):
-                    np.testing.assert_allclose(gk[i], wk[0], rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(gv[i], wv[0], rtol=0, atol=1e-12)
+                for got, want in zip(state.kv, walk.kv):
+                    np.testing.assert_allclose(got[i], want[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [-1, 3, 99])
     def test_out_of_range_row_rejected(self, micro_model, rng, bad):
@@ -364,10 +387,9 @@ class TestPrefill:
             assert lps.shape == (n + 1, len(model.vocab))
             assert state.pos == walk.pos == n + 1
             np.testing.assert_allclose(lps, walk_lps, rtol=0, atol=1e-12)
-            for (pk, pv), (wk, wv) in zip(state.kv, walk.kv):
-                assert pk.shape == wk.shape
-                np.testing.assert_allclose(pk, wk, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(pv, wv, rtol=0, atol=1e-12)
+            for got, want in zip(state.kv, walk.kv):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             # and the prefilled state continues like the walked one
             toks = words[:3]
             _, next_lps = model.dec_advance(state, [0, 0, 0], toks)
@@ -393,46 +415,49 @@ class TestPrefill:
             micro_model.dec_init(enc, (3, 4))
 
 
-def _softmax_fresh(x):
-    """The softmax as three fresh temporaries, the formula the in-place one
-    must reproduce bit for bit."""
-    s = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=-1, keepdims=True)
+def _attend_fresh(q, kt, v, masked=None):
+    """_attend as fresh temporaries, the formula the kernel must reproduce
+    bit for bit: the unnormalized weights times the values, divided by the
+    weights' row sums, and the weights e / sums."""
+    s = q @ kt
+    if masked is not None:
+        s = np.where(masked, -np.inf, s)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    sums = e.dot(np.ones((e.shape[-1], 1)))
+    return (e @ v) / sums, e / sums
 
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-class TestInPlaceSoftmax:
-    @pytest.mark.parametrize("causal", [False, True])
-    def test_bitwise_equal_to_fresh_formula(self, rng, causal):
-        t, dh = 270, 4
-        raw = rng.normal(scale=8.0, size=(2, t, t))
-        future = np.arange(t)[None, :] > np.arange(t)[:, None] if causal else None
-        scores = raw / math.sqrt(dh)
+class TestAttendKernel:
+    @pytest.mark.parametrize("lead, n, causal", [
+        ((2,), 270, False),  # an encoder layer's heads over 270 frames
+        ((2,), 270, True),
+        ((5, 2), 1, False),  # dec_advance: rows, heads, one position
+        ((1, 2), 9, True),  # a prefill
+    ])
+    def test_bitwise_equal_to_fresh_formula(self, rng, lead, n, causal):
+        m, dh = 270, 4
+        # queries that carry the 1/sqrt(dh) scale
+        q = rng.normal(scale=4.0 / math.sqrt(dh), size=lead + (n, dh))
+        kt = rng.normal(size=lead + (dh, m))
+        v = rng.normal(size=lead + (m, dh))
+        future = _future(m - n, m) if causal else None
+        kept = [a.copy() for a in (q, kt, v)]
+        want, weights = _attend_fresh(q, kt, v, future)
+        parts = []
+        got = _attend(q, kt, v, future, parts)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        (e, sums), = parts
+        np.testing.assert_array_equal(_bits(e / sums), _bits(weights))
+        for a, b in zip((q, kt, v), kept):  # the inputs are only read
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+        # dividing after the value product is the softmax-weighted average
+        np.testing.assert_allclose(got, weights @ v, rtol=0, atol=1e-12)
         if causal:
-            scores = np.where(future, -np.inf, scores)
-        want = _softmax_fresh(scores)
-
-        buf = scores.copy()
-        got = _softmax_np(buf, out=buf)
-        assert got is buf
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-
-        buf = raw.copy()
-        got = _attention_weights(buf, dh, future)
-        assert got is buf
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-
-    def test_without_out_input_is_unchanged(self, rng):
-        x = rng.normal(size=(3, 5, 7))
-        before = x.copy()
-        y = _softmax_np(x)
-        np.testing.assert_array_equal(_bits(x), _bits(before))
-        assert not np.shares_memory(x, y)
-        np.testing.assert_array_equal(_bits(y), _bits(_softmax_fresh(x)))
+            assert not (e[..., future]).any()
 
 
 class TestFutureMask:
@@ -444,6 +469,74 @@ class TestFutureMask:
     def test_wider_block_masks_later_keys(self, start, stop):
         want = [[k > q for k in range(stop)] for q in range(start, stop)]
         np.testing.assert_array_equal(_future(start, stop), np.array(want))
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+
+def _perturbed(model: TinyTransformer, seed: int = 3) -> TinyTransformer:
+    """The model with every gain near 1 and every bias away from 0, so that
+    no layer norm's fold is the identity."""
+    rng = np.random.default_rng(seed)
+    params = {  # the gains and biases are the 1-D parameters
+        k: v + rng.normal(scale=0.3, size=v.shape) if v.ndim == 1 else v
+        for k, v in model.params.items()
+    }
+    return TinyTransformer(model.cfg, model.vocab, params)
+
+
+class TestFoldedWeights:
+    """The folded weight set runs the stored parameters' unfolded pre-norm
+    transformer: explicit layer-norm affines, separate Q/K/V, scaled
+    scores."""
+
+    @pytest.fixture(params=["micro", "micro-bidi", "bidi.bin", "causal.bin"])
+    def model_and_frames(self, request, micro_model, rng):
+        if request.param == "micro":
+            return _perturbed(micro_model), rng.normal(size=(17, 4))
+        if request.param == "micro-bidi":
+            bidi = TinyTransformer(
+                replace(micro_model.cfg, mode=BIDIRECTIONAL), micro_model.vocab)
+            return _perturbed(bidi), rng.normal(size=(17, 4))
+        model = load_model(str(FIXTURES / request.param))
+        return model, gen_dataset(SyntheticTaskSpec(), 1, seed=5)[0].frames
+
+    def test_inference_matches_unfolded_forward(self, model_and_frames):
+        model, frames = model_and_frames
+        words = list(model.vocab.word_ids())
+        prefix = tuple(words[:3])
+        states, logps, _ = unfolded_forward(model, frames, prefix)
+        cut = len(frames) // 2
+        grown = model.encode(frames, model.encode(frames[:cut]))
+        for enc in (model.encode(frames), grown):
+            np.testing.assert_allclose(enc.states, states, rtol=0, atol=1e-12)
+            _, got = model.dec_init(enc, prefix)
+            np.testing.assert_allclose(got, logps, rtol=0, atol=1e-12)
+        # advance three rows of the state after prefix[:-1] by one token each
+        state, _ = model.dec_init(grown, prefix[:-1])
+        nxt = words[-3:]
+        _, got = model.dec_advance(state, [0, 0, 0], nxt)
+        for row, tok in zip(got, nxt):
+            want = unfolded_forward(model, frames, prefix[:-1] + (tok,))[1][-1]
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+    def test_weight_set_derived_once_per_model(self, monkeypatch):
+        calls = []
+        fold = transformer.fold
+
+        def counted(cfg, p):
+            calls.append(cfg)
+            return fold(cfg, p)
+
+        monkeypatch.setattr(transformer, "fold", counted)
+        utt = gen_dataset(SyntheticTaskSpec(), 1, seed=8)[0]
+        beam = BeamConfig(beam_width=4)
+        for n in (1, 2):
+            model = load_model(str(FIXTURES / "bidi.bin"))
+            assert len(calls) == n - 1  # loading derives nothing
+            log = run_session(model, utt, LocalAgreement(), 0.25, beam)
+            assert len(log) and utt.duration_sec > 4 * 0.25  # five chunks
+            assert len(calls) == n
 
 
 class TestTrainingGraphParity:
@@ -524,7 +617,7 @@ class TestAttentionDump:
         frames = rng.normal(size=(13, 4))
         for prefix in ((), (3,), (3, 5, 4, 8)):
             got = model.dump_attention(frames, prefix)
-            want = attention_grids_oracle(model, frames, prefix)
+            want = unfolded_forward(model, frames, prefix)[2]
             assert sorted(got) == sorted(want)
             for name, grid in want.items():
                 np.testing.assert_allclose(
@@ -544,19 +637,21 @@ class TestAttentionDump:
         enc, h, t = model.encode(frames), model.cfg.heads, len(prefix) + 1
         want = []
 
-        def attend(l, q, k, v):  # the prefill: one row over t positions
-            q, k, v = (a.reshape(1, t, -1) for a in (q, k, v))
-            return _attend(q, k, v, h, _future(0, t))[1].reshape(t, -1)
+        def attend(l, qkv):  # the prefill: one row over t positions
+            q, k, v = _split_qkv(qkv, (), h)
+            ctx = _attend_fresh(q, k.swapaxes(-1, -2), v, _future(0, t))[0]
+            return ctx.swapaxes(0, 1).reshape(t, -1)
 
         def cross(l, q):
-            w, ctx = _attend(q, *enc.cross_kv[l], h)
+            ctx, w = _attend_fresh(
+                q.reshape(t, h, -1).swapaxes(0, 1), *enc.cross_kv[l])
             want.append(w)
-            return ctx
+            return ctx.swapaxes(0, 1).reshape(t, -1)
 
-        y = _dec_in(model.params, np.array([model.vocab.bos_id, *prefix]),
+        y = _dec_in(model.weights, np.array([model.vocab.bos_id, *prefix]),
                     model._pos(t))
         for l in range(model.cfg.dec_layers):
-            y = _dec_layer(model.params, l, y, attend, cross)
+            y = _dec_layer(model.weights, l, y, attend, cross)
         for l, w in enumerate(want):
             for head in range(h):
                 grid = got[f"cross.layer{l}.head{head}"]
@@ -603,12 +698,29 @@ class TestAttentionDump:
         np.testing.assert_allclose(upper, np.zeros_like(upper), atol=1e-12)
 
 
-class TestCloneAndSerialization:
-    def test_clone_is_independent(self, micro_model):
-        c = micro_model.clone()
-        k = sorted(c.params)[0]
-        c.params[k] += 1.0
-        assert np.max(np.abs(c.params[k] - micro_model.params[k])) >= 1.0
+class TestFrozenParamsAndSerialization:
+    def test_params_are_frozen_copies(self, micro_cfg, micro_vocab):
+        src = init_params(micro_cfg)
+        model = TinyTransformer(micro_cfg, micro_vocab, src)
+        kept = {k: v.copy() for k, v in src.items()}
+        for k in ("enc_in_w", "out_b"):
+            with pytest.raises(ValueError, match="read-only"):
+                model.params[k] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                model.params[k][0] = 7.0
+            with pytest.raises(TypeError):
+                model.params[k] = kept[k] + 1.0
+            with pytest.raises(TypeError):
+                del model.params[k]
+        # later writes to the dict the model was built from, in place or by
+        # key, do not reach it
+        src["enc_in_w"] += 1.0
+        src["out_b"] = np.full_like(src["out_b"], 3.0)
+        del src["tok_emb"]
+        assert sorted(model.params) == sorted(kept)
+        for k, v in kept.items():
+            np.testing.assert_array_equal(model.params[k], v)
+            assert not np.shares_memory(model.params[k], v)
 
     def test_save_load_round_trip(self, micro_model, tmp_path, rng):
         path = str(tmp_path / "m.bin")
@@ -692,9 +804,10 @@ class TestLoadRejectsBadFiles:
     )
     def test_parameters_must_match_config(self, tmp_path, edit, match):
         model = _tiny_model()
-        edit(model.params)
+        params = dict(model.params)
+        edit(params)
         path = tmp_path / "m.bin"
-        save_model(model, str(path))
+        save_model(TinyTransformer(model.cfg, model.vocab, params), str(path))
         with pytest.raises(ConfigError, match=match):
             load_model(str(path))
 
