@@ -37,11 +37,13 @@ class UndefinedMetric(ValueError):
     """The metric has no defined value for the given inputs."""
 
 
-def check_int(name: str, value) -> None:
-    """Refuse a config value that is not an integer. A bool is an int to
-    Python, and is refused too."""
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a config value that is not an integer, or one below least if
+    given. A bool is an int to Python, and is refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}")
 
 
 def check_real(name: str, value) -> None:

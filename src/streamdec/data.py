@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, Utterance, Vocab, eval_tokens
+from .core import ConfigError, Utterance, Vocab, check_int, check_real, eval_tokens
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,21 @@ class SyntheticTaskSpec:
     world_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 4:
-            raise ConfigError("vocab_size must be >= 4")
+        check_int("vocab_size", self.vocab_size, least=4)
+        check_int("frame_dim", self.frame_dim, least=1)
+        check_int("world_seed", self.world_seed, least=0)
+        for name in ("min_tokens", "max_tokens",
+                     "min_frames_per_token", "max_frames_per_token"):
+            check_int(name, getattr(self, name))
+        for name in ("noise_std", "frame_period_sec"):
+            check_real(name, getattr(self, name))
+        if not isinstance(self.translation, bool):
+            raise ConfigError(
+                f"translation must be true or false, got {self.translation!r}")
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ConfigError("need 1 <= min_tokens <= max_tokens")
         if not 1 <= self.min_frames_per_token <= self.max_frames_per_token:
             raise ConfigError("need 1 <= min/max frames per token")
-        if self.frame_dim < 1:
-            raise ConfigError("frame_dim must be >= 1")
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError("noise_std must be >= 0 and finite")
         if not 0 < self.frame_period_sec < math.inf:
@@ -92,8 +99,8 @@ def gen_with_alignments(
     spec: SyntheticTaskSpec, count: int, seed: int
 ) -> tuple[list[Utterance], dict[str, Alignment]]:
     """Generate utterances together with their hidden token-span table."""
-    if count < 0:
-        raise ConfigError("count must be >= 0")
+    check_int("count", count, least=0)
+    check_int("seed", seed, least=0)  # numpy takes no negative seed
     rng = np.random.default_rng(seed)
     protos = prototypes(spec)
     perm = translation_map(spec)

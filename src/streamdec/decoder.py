@@ -55,9 +55,7 @@ class BeamConfig:
 
     def __post_init__(self) -> None:
         width, cap = self.beam_width, self.cap_tokens_per_sec
-        check_int("beam_width", width)
-        if width < 1:
-            raise ConfigError("beam_width must be >= 1")
+        check_int("beam_width", width, least=1)
         check_real("cap_tokens_per_sec", cap)
         if not 0 < cap < math.inf:
             raise ConfigError("cap_tokens_per_sec must be positive and finite")

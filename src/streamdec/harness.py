@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import ConfigError, Utterance, frames_per_chunk
+from .core import ConfigError, Utterance, check_int, check_real, frames_per_chunk
 from .core import eval_tokens  # noqa: F401  (harness.eval_tokens is public)
 from .decoder import (
     BUFFERED_STATE,
@@ -40,8 +40,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ConfigError("sweep needs at least one strategy")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        check_real("chunk_len_sec", self.chunk_len_sec)
+        check_int("workers", self.workers, least=1)
         for i, s in enumerate(self.strategies):
             if s in self.strategies[:i]:
                 raise ConfigError(f"sweep lists strategy {s!r} more than once")

@@ -1,9 +1,9 @@
-"""Sequence-model interface, encoder-state container and the aligned
+"""Sequence-model interface, the model-agnostic encoding and the aligned
 synthetic oracle model. Model files are read and written by ``io``.
 
 A model exposes incremental encoding of a growing frame stream and a
 decoder of two calls that yield normalized next-token log-probabilities.
-``encode`` reports on its states the rows it ran (``rows_encoded``): a causal
+``encode`` reports on its encoding the rows it ran (``rows_encoded``): a causal
 encoder runs only the frames past its prior, a bidirectional one all. A
 decoder state is a block of rows that have all consumed the same positions.
 ``dec_init(enc, prefix)`` is the prefill: it consumes bos and the whole
@@ -14,15 +14,18 @@ i extends row ``rows[i]`` of ``state`` by ``token_ids[i]``, with one
 log-probability row per new row, so a beam step reorders and extends its
 paths by parent index in one call.
 
-A decoder state carries the encoding it was made with, so it needs no other
-argument to advance, and it keeps decoding that encoding after the stream
-has grown. Each chunk's beam search therefore prefills its forced prefix
-again on the grown encoding. What carries over between chunks is the
-encoder output, which a causal encoder extends append-only, together with
-the cross-attention keys and values the transformer keeps beside it. Each
-model instance holds a private ownership token that its encoder states (and
-the transformer's decoder states) carry, so a state from another model is
-refused even after that model is gone and its ``id()`` reused.
+An encoding (``EncoderStates``) holds what the decoder and the session read:
+the frames it covers, their period, the utterance id, the producing model's
+ownership token and ``rows_encoded``. A model that keeps more per encoding
+subclasses it: the transformer's adds the key/value caches it grows and
+decodes from. A decoder state carries the encoding it was made with, so it
+needs no other argument to advance, and it keeps decoding that encoding
+after the stream has grown. Each chunk's beam search therefore prefills its
+forced prefix again on the grown encoding. Each model instance holds a
+private ownership token that its encodings (and the transformer's decoder
+states) carry, so a model grows and decodes only its own encodings, and a
+state from another model is refused even after that model is gone and its
+``id()`` reused.
 """
 
 from __future__ import annotations
@@ -42,21 +45,15 @@ BIDIRECTIONAL = "bidirectional"
 
 @dataclass(eq=False)
 class EncoderStates:
-    """Encoder output rows for every frame position received so far."""
+    """An encoding of every frame position received so far, as the decoder
+    and the session see it. A model that keeps more per encoding (the
+    transformer's key/value caches) subclasses it."""
 
-    states: np.ndarray  # (frames_covered, d_model)
     frames_covered: int
     frame_period_sec: float = 0.010
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
-    # model-internal, for the transformer: per encoder layer the
-    # self-attention (keys, values) and per decoder layer the cross-attention
-    # (keys, values) of these rows, split by head: keys (heads, head_dim,
-    # frames_covered) and values (heads, frames_covered, head_dim); a causal
-    # encode extends both
-    layer_kv: Any = None
-    cross_kv: Any = None
-    rows_encoded: int = 0  # rows the encode call that made these states ran
+    rows_encoded: int = 0  # rows the encode call that made this encoding ran
 
     @property
     def audio_sec(self) -> float:
@@ -200,18 +197,17 @@ class SyntheticAlignedModel:
         utt_id: str | None = None,
         frame_period_sec: float = 0.010,
     ) -> EncoderStates:
-        frames = np.asarray(frames, dtype=np.float64)
+        n = len(frames)
         utt_id, frame_period_sec = _check_prior(
-            self, prior, len(frames), utt_id, frame_period_sec
+            self, prior, n, utt_id, frame_period_sec
         )
         return EncoderStates(
-            states=frames,
-            frames_covered=len(frames),
+            frames_covered=n,
             frame_period_sec=frame_period_sec,
             utt_id=utt_id,
             owner=self._owner,
-            # the states are the frames; those past the prior are new rows
-            rows_encoded=len(frames) - (prior.frames_covered if prior else 0),
+            # the frames past the prior are the new rows
+            rows_encoded=n - (prior.frames_covered if prior else 0),
         )
 
     # --- decoding ---------------------------------------------------------

@@ -94,9 +94,7 @@ class HoldN(StrategyConfig):
     name = "hold-n"
 
     def __post_init__(self) -> None:
-        check_int("hold-n n", self.n)
-        if self.n < 0:
-            raise ConfigError("hold-n requires n >= 0")
+        check_int("hold-n n", self.n, least=0)
 
     @property
     def params(self) -> str:
@@ -114,10 +112,8 @@ class WaitK(StrategyConfig):
     name = "wait-k"
 
     def __post_init__(self) -> None:
-        check_int("wait-k k", self.k)
+        check_int("wait-k k", self.k, least=0)
         check_real("wait-k rate", self.rate)
-        if self.k < 0:
-            raise ConfigError("wait-k requires k >= 0")
         if not (0 < self.rate < math.inf):
             raise ConfigError("wait-k requires a positive finite rate")
 

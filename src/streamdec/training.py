@@ -28,6 +28,8 @@ from .core import (
     ConfigError,
     Utterance,
     Vocab,
+    check_int,
+    check_real,
     eval_tokens,
 )
 from .data import make_partial_pair
@@ -48,14 +50,13 @@ class TrainConfig:
     eval_every: int = 40  # dev evaluation cadence (checkpoint selection)
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "label_smoothing"):
+            check_real(name, getattr(self, name))
+        for name in ("warmup_steps", "batch_size", "total_steps", "eval_every"):
+            check_int(name, getattr(self, name), least=1)
+        check_int("seed", self.seed, least=0)  # numpy takes no negative seed
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be positive")
-        if self.warmup_steps < 1 or self.batch_size < 1:
-            raise ConfigError("warmup_steps and batch_size must be >= 1")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must be in [0, 1)")
 
@@ -69,6 +70,8 @@ class PartialSliceSpec:
     ratio_high: float = 0.4
 
     def __post_init__(self) -> None:
+        for name in ("ratio_low", "ratio_high"):
+            check_real(name, getattr(self, name))
         if not 0 < self.ratio_low <= self.ratio_high <= 1:
             raise ConfigError("need 0 < ratio_low <= ratio_high <= 1")
 

@@ -1,45 +1,32 @@
 """A small encoder-decoder transformer over frame streams.
 
-The stored parameters are those of a pre-norm transformer: every layer norm
-has a gain and a bias, and Q, K and V are separate projections. The layers
-do not run them as stored. ``fold`` derives one weight set from them: each
-layer norm's gain and bias are folded into the projection it feeds, a
-self-attention's Q/K/V are one (d, 3d) product, every decoder layer's
-cross-attention K/V are one product on the normalized final encoder rows,
-the query columns carry the 1/sqrt(head_dim) score scale, the token table
-its sqrt(d_model) scale and the output projection the final decoder layer
-norm. So every block runs ``normalize(x) @ W + b``. ``fold`` takes numpy
-params or leaf Tensors: a model derives its set once, on first use, and
-training derives it from its leaves on every step, which carries the
+The stored parameters are those of a pre-norm transformer, but the layers
+run the weight set ``fold`` derives from them, every layer norm's gain and
+bias folded into the projection it feeds, so every block runs
+``normalize(x) @ W + b``. A model derives its set once, on first use;
+training derives it from its leaf Tensors on every step, which carries the
 gradients back to the stored parameters.
 
 Each layer is written once (``_enc_layer``, ``_dec_layer``) from ``_lin``
 and autodiff ops that also take plain arrays, so inference runs it on
 float64 numpy and training on Tensors; the callers differ only in the
-attention kernel they hand it, which takes the fused Q/K/V rows. On arrays
-``_lin`` multiplies through ``ndarray.dot`` and adds the bias and the
-residual in place.
-
-Inference has one kernel, ``_attend``: head-split queries over head-split
-keys and values under any leading dimensions, masked by ``_future``, the one
-causal-mask formula. It keeps the weights unnormalized, exp(s - rowmax),
-and divides their (rows, head_dim) product with the values by the row sums,
-so the normalized weights are formed only where something reads them: the
-attention dump and the backward pass of the training node.
+attention kernel they hand it. Inference has one kernel, ``_attend``,
+masked by ``_future``, the one causal-mask formula; the normalized weights
+are formed only where something reads them: the attention dump and the
+backward pass of the training node.
 
 Every key/value cache is per layer and split by head, laid out once where
-it is made, so no decoder call makes a head view of one. Each encode lays
-out every decoder layer's cross-attention keys as (heads, head_dim, frames)
-and its values as (heads, frames, head_dim), both contiguous, and keeps the
-encoder's self-attention keys and values the same way; ``_append`` grows
-them. Each decoder row's self-attention keys and values are one (rows, 2,
-heads, pos, head_dim) array per layer, keys then values, so a beam step
-gathers and grows each layer's cache in one call each.
+it is made, so no decoder call makes a head view of one. An encoding
+(``TransformerEncoding``) is the encoder's and the cross-attention's caches,
+which ``_append`` grows; no encoder output row is kept. Each decoder row's
+self-attention keys and values are one (rows, 2, heads, pos, head_dim)
+array per layer, keys then values, so a beam step gathers and grows each
+layer's cache in one call each.
 
-A causal (unidirectional) encoder never changes the states of earlier
-positions, so ``encode`` with a prior projects only the new rows and
+A causal (unidirectional) encoder never changes the keys and values of
+earlier positions, so ``encode`` with a prior projects only the new rows and
 appends them; a bidirectional one re-encodes every frame. Either way the
-states record the rows this call ran (``rows_encoded``). One decoder forward
+encoding records the rows this call ran (``rows_encoded``). One decoder forward
 (``_advance_block``) runs a block of rows over one or more positions.
 ``dec_init`` is the prefill: one row over bos and the whole forced prefix
 in a single call, which is also the forward the attention dump reads.
@@ -97,10 +84,9 @@ class TransformerConfig:
     def __post_init__(self) -> None:
         if self.mode not in (UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ConfigError(f"unknown encoder mode {self.mode!r}")
-        for name in _SIZES + ("init_seed",):
-            check_int(name, getattr(self, name))
-        if min(getattr(self, name) for name in _SIZES) < 1:
-            raise ConfigError("all size hyperparameters must be >= 1")
+        for name in _SIZES:
+            check_int(name, getattr(self, name), least=1)
+        check_int("init_seed", self.init_seed, least=0)  # numpy takes no negative seed
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")
 
@@ -261,9 +247,7 @@ def _split_qkv(qkv: np.ndarray, lead: tuple, h: int) -> np.ndarray:
 def fold(cfg: TransformerConfig, p) -> dict:
     """The weight set the layers run, derived from the stored parameters p
     (arrays, or leaf Tensors for training): name -> (weights, bias) of each
-    projection, plus the scaled token embedding table ``tok_emb`` and the
-    final encoder layer norm's (gain, bias) ``enc_lnf``, which gives the
-    encoder states.
+    projection, plus the scaled token embedding table ``tok_emb``.
 
     A layer norm's gain g and bias c are folded into the projection (W, b)
     it feeds: LN(x) @ W + b == normalize(x) @ (g[:, None] * W) + (c @ W + b).
@@ -295,7 +279,6 @@ def fold(cfg: TransformerConfig, p) -> dict:
     w = {
         "enc_in": (p["enc_in_w"], p["enc_in_b"]),
         "tok_emb": p["tok_emb"] * math.sqrt(d),
-        "enc_lnf": (p["enc_lnf_g"], p["enc_lnf_b"]),
         "out": ln_into("dec_lnf", p["out_w"], p["out_b"]),
     }
     for l in range(cfg.enc_layers):
@@ -385,6 +368,21 @@ def _logps(w: dict, y):
     return ad.log_softmax(_lin(w, "out", _norm(y)))
 
 
+@dataclass(eq=False)
+class TransformerEncoding(EncoderStates):
+    """An encoding as the transformer's decoder reads it: per encoder layer
+    the self-attention (keys, values) and per decoder layer the
+    cross-attention (keys, values) of the frames_covered rows, split by
+    head, keys (heads, head_dim, frames) and values (heads, frames,
+    head_dim), contiguous. The final encoder layer norm reaches the decoder
+    folded into the cross-attention projection, so no output row is kept. A
+    causal encode extends both into new arrays; no array of an encoding is
+    written after it is made."""
+
+    layer_kv: tuple = ()
+    cross_kv: tuple = ()
+
+
 @dataclass(frozen=True)
 class DecState:
     """Immutable incremental decoder state of a block of rows that have all
@@ -393,7 +391,7 @@ class DecState:
     owner: object  # the producing model's ownership token
     pos: int  # consumed input positions of every row, bos included
     kv: tuple  # per layer: self-attn keys and values, (rows, 2, heads, pos, dh)
-    cross: tuple  # the encoding's EncoderStates.cross_kv
+    cross: tuple  # the encoding's TransformerEncoding.cross_kv
 
 
 class TinyTransformer:
@@ -441,16 +439,16 @@ class TinyTransformer:
     # --- encoder ------------------------------------------------------------
 
     def encode(
-        self, frames: np.ndarray, prior: EncoderStates | None = None, *,
+        self, frames: np.ndarray, prior: TransformerEncoding | None = None, *,
         utt_id: str | None = None, frame_period_sec: float = 0.010,
-    ) -> EncoderStates:
+    ) -> TransformerEncoding:
         return self._encode(frames, prior, utt_id, frame_period_sec)
 
     def _encode(
-        self, frames: np.ndarray, prior: EncoderStates | None = None,
+        self, frames: np.ndarray, prior: TransformerEncoding | None = None,
         utt_id: str | None = None, frame_period_sec: float = 0.010,
         parts: list | None = None,
-    ) -> EncoderStates:
+    ) -> TransformerEncoding:
         """encode; with parts, each layer's self-attention weights of the
         rows it encoded, as _attend's (e, row sums) over (heads, new rows,
         all rows), are appended to it. A causal encoder extends its prior:
@@ -470,10 +468,10 @@ class TinyTransformer:
 
         causal = cfg.mode == UNIDIRECTIONAL
         if causal and prior is not None:
-            start, states = prior.frames_covered, prior.states
+            start = prior.frames_covered
             kv, cross = list(prior.layer_kv), list(prior.cross_kv)
         else:
-            start, states = 0, np.zeros((0, cfg.d_model))
+            start = 0
             empty = (np.zeros((h, cfg.head_dim, 0)), np.zeros((h, 0, cfg.head_dim)))
             kv = [empty] * cfg.enc_layers
             cross = [empty] * cfg.dec_layers
@@ -489,23 +487,18 @@ class TinyTransformer:
             x = _enc_in(w, frames[start:], self._pos(total)[start:])
             for l in range(cfg.enc_layers):
                 x = _enc_layer(w, l, x, attend)
-            x = _norm(x)
-            gain, bias = w["enc_lnf"]
-            new = x * gain
-            new += bias
-            states = np.concatenate([states, new]) if start else new
             # every decoder layer's cross keys and values in one product,
             # laid out once per encode: (layers, heads, dh, rows) keys and
             # (layers, heads, rows, dh) values
-            ckv = _lin(w, "cross_kv", x).reshape(
+            ckv = _lin(w, "cross_kv", _norm(x)).reshape(
                 len(x), cfg.dec_layers, 2, h, cfg.head_dim)
             ck = np.ascontiguousarray(ckv[:, :, 0].transpose(1, 2, 3, 0))
             cv = np.ascontiguousarray(ckv[:, :, 1].transpose(1, 2, 0, 3))
             for l in range(cfg.dec_layers):
                 _append(cross, l, ck[l], cv[l])
-        return EncoderStates(
-            states, total, frame_period_sec, utt_id, self._owner, tuple(kv),
-            cross_kv=tuple(cross), rows_encoded=total - start,
+        return TransformerEncoding(
+            total, frame_period_sec, utt_id, self._owner, rows_encoded=total - start,
+            layer_kv=tuple(kv), cross_kv=tuple(cross),
         )
 
     # --- decoder ------------------------------------------------------------
@@ -557,7 +550,7 @@ class TinyTransformer:
         ids = np.asarray(token_ids)
         return _dec_in(self.weights, ids, self._pos(start + ids.shape[1])[start:])
 
-    def _prefill(self, enc: EncoderStates, prefix: Sequence[int],
+    def _prefill(self, enc: TransformerEncoding, prefix: Sequence[int],
                  parts: list | None = None) -> tuple[DecState, np.ndarray]:
         """One B = 1 decoder forward over bos + prefix from empty caches: the
         state after the whole prefix and the log-probs after each position
@@ -576,7 +569,7 @@ class TinyTransformer:
         return DecState(self._owner, len(ids), tuple(kv), enc.cross_kv), logps[0]
 
     def dec_init(
-        self, enc: EncoderStates, prefix: Sequence[int] = ()
+        self, enc: TransformerEncoding, prefix: Sequence[int] = ()
     ) -> tuple[DecState, np.ndarray]:
         return self._prefill(enc, prefix)
 

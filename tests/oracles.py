@@ -237,6 +237,22 @@ def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
     return log, commits
 
 
+def cache_gap(a, b, rows):
+    """Max |difference| between two transformer encodings over the first
+    rows positions of every cached key and value array: each encoder
+    layer's self-attention and each decoder layer's cross-attention. Both
+    must hold the same number of those positions."""
+    gap = 0.0
+    pairs = zip(a.layer_kv + a.cross_kv, b.layer_kv + b.cross_kv, strict=True)
+    for (ka, va), (kb, vb) in pairs:
+        # keys hold their positions on the last axis, values second last
+        for x, y in ((ka, kb), (va.swapaxes(-1, -2), vb.swapaxes(-1, -2))):
+            x, y = x[..., :rows], y[..., :rows]
+            assert x.shape == y.shape, (x.shape, y.shape)
+            gap = max(gap, float(np.abs(x - y).max(initial=0.0)))
+    return gap
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """gain * ((x - mean) / sqrt(var + eps)) + bias over the last axis, with
     a fresh array for every intermediate, forward and backward: the affine
@@ -303,7 +319,7 @@ def _dec_layer(p, l, y, states, attend, cross):
 
 def _unfolded(cfg, p, frames, frame_pos, ids, ids_pos, enc_attend,
               dec_attend, cross):
-    """Encoder states and next-token log-probs of the unfolded layers."""
+    """Next-token log-probs of the unfolded layers."""
     x = frames @ p["enc_in_w"] + p["enc_in_b"] + frame_pos
     for l in range(cfg.enc_layers):
         x = _enc_layer(p, l, x, enc_attend)
@@ -311,7 +327,7 @@ def _unfolded(cfg, p, frames, frame_pos, ids, ids_pos, enc_attend,
     y = ad.embedding(p["tok_emb"], ids) * math.sqrt(cfg.d_model) + ids_pos
     for l in range(cfg.dec_layers):
         y = _dec_layer(p, l, y, states, dec_attend, cross)
-    return states, ad.log_softmax(_ln(p, "dec_lnf", y) @ p["out_w"] + p["out_b"])
+    return ad.log_softmax(_ln(p, "dec_lnf", y) @ p["out_w"] + p["out_b"])
 
 
 def _softmax(x):
@@ -330,8 +346,8 @@ def unfolded_forward(model, frames, prefix):
     through the unfolded layers, the frames encoded in one pass with an
     additive future mask and bos + prefix decoded in one pass with an
     additive causal mask, with this module's layer norm and kernel. Returns
-    the encoder states (frames, d_model), the log-probs after each decoder
-    position (len(prefix) + 1, vocab), and dump_attention's grids."""
+    the log-probs after each decoder position (len(prefix) + 1, vocab) and
+    dump_attention's grids."""
     p = model.params
     cfg = model.cfg
     d, h, dh = cfg.d_model, cfg.heads, cfg.head_dim
@@ -350,14 +366,14 @@ def unfolded_forward(model, frames, prefix):
 
     t = len(frames)
     ids = [model.vocab.bos_id] + [int(t) for t in prefix]
-    states, logps = _unfolded(
+    logps = _unfolded(
         cfg, p, frames, sinusoid_table(t, d), np.array(ids),
         sinusoid_table(len(ids), d),
         kernel("encoder_self", _future_mask(t) if cfg.mode == UNIDIRECTIONAL else 0.0),
         kernel("decoder_self", _future_mask(len(ids))),
         kernel("cross", 0.0),
     )
-    return states, logps, grids
+    return logps, grids
 
 
 # the shape ops of padded_attention's graph, written apart from the package's
@@ -458,7 +474,7 @@ def padded_training_logits(cfg, pt, frames, frame_mask, dec_in):
         cfg, pt, frames, sinusoid_table(tf, cfg.d_model)[None],
         dec_in, sinusoid_table(td, cfg.d_model)[None], enc_self, dec_self,
         cross,
-    )[1]
+    )
 
 
 def normalize_fresh(x, eps=1e-5):

@@ -561,12 +561,19 @@ class TestErrorPaths:
         ["train", "--lr", "inf"],
         ["gen-data", "--noise-std", "nan"],
         ["gen-data", "--count", "0"],  # an empty corpus no command reads
+        # numpy's generators take no negative seed
+        ["train", "--seed", "-1"],
+        ["adapt", "--seed", "-2"],
+        ["gen-data", "--seed", "-3"],
     ])
     def test_non_finite_numbers_exit_2(self, work, capsys, argv):
         paths = {
             "run": ["--model", str(work / "model.bin"),
                     "--in", str(work / "eval.jsonl")],
             "train": ["--data", str(work / "data.jsonl")],
+            "adapt": ["--model", str(work / "model.bin"),
+                      "--data", str(work / "data.jsonl"),
+                      "--dev", str(work / "eval.jsonl")],
             "gen-data": [],
         }[argv[0]]
         rc = main(argv + paths + ["--out", str(work / "never")])

@@ -35,6 +35,24 @@ class TestTaskSpec:
         with pytest.raises(ConfigError, match="finite"):
             SyntheticTaskSpec(**{field: bad})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("vocab_size", 4.5, "must be an integer"),
+        ("max_frames_per_token", "30", "must be an integer"),
+        ("noise_std", None, "must be a number"),
+        ("translation", "no", "true or false"),
+        ("world_seed", -1, "world_seed must be >= 0"),
+    ])
+    def test_ill_typed_config(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            SyntheticTaskSpec(**{field: value})
+
+    @pytest.mark.parametrize("seed, match", [
+        (-3, "seed must be >= 0"), (1.5, "seed must be an integer"),
+    ])
+    def test_bad_dataset_seed_rejected(self, seed, match):
+        with pytest.raises(ConfigError, match=match):
+            gen_with_alignments(SyntheticTaskSpec(), 1, seed)
+
     def test_vocab_sides(self):
         spec = SyntheticTaskSpec(vocab_size=5)
         assert "w00" in task_vocab(spec).tokens

@@ -40,8 +40,7 @@ class RandomWalkModel:
         self._spread = spread
 
     def encode(self, frames, prior=None, *, utt_id=None, frame_period_sec=0.010):
-        n = len(frames)
-        return EncoderStates(np.zeros((n, 1)), n, frame_period_sec, utt_id)
+        return EncoderStates(len(frames), frame_period_sec, utt_id)
 
     def _logps(self, prefix):
         key = self._seed

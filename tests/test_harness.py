@@ -98,6 +98,16 @@ class TestSweep:
         with pytest.raises(ConfigError):
             SweepSpec(strategies=())
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("workers", 1.5, "workers must be an integer"),
+        ("workers", True, "workers must be an integer"),
+        ("workers", "2", "workers must be an integer"),
+        ("chunk_len_sec", "0.5", "chunk_len_sec must be a number"),
+    ])
+    def test_ill_typed_config(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            SweepSpec(strategies=(HoldN(0),), **{field: value})
+
     @pytest.mark.parametrize(
         "strategies, repeated",
         [

@@ -14,7 +14,11 @@ share no state with the session:
 * a chunk the strategy reports idle returns an empty output, and skipping
   it changes nothing: the session's commit log and per-chunk commits equal
   ``oracles.eager_session_log``, which encodes and decodes every chunk;
-* a causal session encodes each frame position exactly once;
+* a causal session encodes each frame position exactly once, and every
+  session's final encoding equals a one-shot ``encode`` of all its frames
+  on every cached key and value array: bit for bit for a bidirectional
+  model, which re-encodes, and within 1e-12 for a causal one, grown across
+  the decoded chunks (idle ones add nothing);
 * commits never shrink and never exceed the cap.
 
 On 3-word models with a cap of at most 3 tokens, a beam wider than the
@@ -34,7 +38,7 @@ from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
 from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
 from streamdec.transformer import TinyTransformer, TransformerConfig, init_params
 
-from .oracles import beam_oracle, eager_session_log, scalar_beam_search
+from .oracles import beam_oracle, cache_gap, eager_session_log, scalar_beam_search
 from .test_strategies import configs
 
 FRAME_PERIOD = 0.25  # a power of two: every chunk length is exact
@@ -126,8 +130,15 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
 
     eager = eager_session_log(model, utt, strategy, chunk_len, beam)
     assert (session.log, commits) == eager
+    final = session.enc
+    one_shot = model.encode(frames, frame_period_sec=FRAME_PERIOD)
+    assert final.frames_covered == one_shot.frames_covered == n_frames
+    gap = cache_gap(final, one_shot, n_frames)
     if model.cfg.mode == UNIDIRECTIONAL:
         assert session.positions_encoded == n_frames
+        assert gap <= 1e-12
+    else:
+        assert gap == 0.0
 
 
 @settings(max_examples=150, derandomize=True)

@@ -78,11 +78,28 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="eval_every"):
             TrainConfig(eval_every=0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("batch_size", 2.5, "must be an integer"),
+        ("total_steps", True, "must be an integer"),
+        ("seed", 1.5, "must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("learning_rate", "1", "must be a number"),
+        ("label_smoothing", False, "must be a number"),
+    ])
+    def test_ill_typed_config(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(**{field: value})
+
     def test_slice_spec_validation(self):
         with pytest.raises(ConfigError):
             PartialSliceSpec(ratio_low=0.0)
         with pytest.raises(ConfigError):
             PartialSliceSpec(ratio_low=0.5, ratio_high=0.4)
+
+    @pytest.mark.parametrize("low, high", [("0.1", 0.4), (0.1, True)])
+    def test_ill_typed_slice_spec(self, low, high):
+        with pytest.raises(ConfigError, match="must be a number"):
+            PartialSliceSpec(low, high)
 
 
 class TestSchedule:
