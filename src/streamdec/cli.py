@@ -26,6 +26,7 @@ from typing import Sequence
 
 from . import io as sio
 from .core import (
+    DEFAULT_CHUNK_SEC,
     ConfigError,
     ContractViolation,
     UndefinedMetric,
@@ -38,7 +39,7 @@ from .decoder import BeamConfig, run_session
 from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
 from .strategies import parse_strategy, spec_usage
-from .training import PartialSliceSpec, TrainConfig, adapt, train, write_curve
+from .training import ADAPT_LR_FACTOR, PartialSliceSpec, TrainConfig, adapt, train, write_curve
 from .transformer import TinyTransformer, TransformerConfig
 
 ENCODER_ALIASES = {
@@ -58,23 +59,23 @@ def _beam_from_args(args) -> BeamConfig:
 
 
 def _add_beam_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=int, default=8, help="beam width")
-    p.add_argument("--cap", type=float, default=8.0, help="max tokens per second of audio")
+    p.add_argument("--beam", type=int, default=BeamConfig.beam_width, help="beam width")
+    p.add_argument("--cap", type=float, default=BeamConfig.cap_tokens_per_sec, help="max tokens per second of audio")
     p.add_argument("--length-norm", action="store_true", help="rank final hypotheses by mean token log-prob")
 
 
 def _add_chunk_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--chunk-sec", type=float, default=0.5, help="chunk length in seconds")
+    p.add_argument("--chunk-sec", type=float, default=DEFAULT_CHUNK_SEC, help="chunk length in seconds")
 
 
 def _add_train_opts(p: argparse.ArgumentParser, steps: int) -> None:
     """The step-loop options train and adapt share (see _train_config)."""
     p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--warmup", type=int, default=400)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--warmup", type=int, default=TrainConfig.warmup_steps)
+    p.add_argument("--label-smoothing", type=float, default=TrainConfig.label_smoothing)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--curve", default=None, help="optional loss-curve CSV")
 
 
@@ -110,24 +111,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output utterances JSONL")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=20)
-    p.add_argument("--min-tokens", type=int, default=4)
-    p.add_argument("--max-tokens", type=int, default=10)
-    p.add_argument("--min-frames-per-token", type=int, default=20)
-    p.add_argument("--max-frames-per-token", type=int, default=30)
-    p.add_argument("--frame-dim", type=int, default=16)
-    p.add_argument("--noise-std", type=float, default=0.1)
+    p.add_argument("--vocab-size", type=int, default=SyntheticTaskSpec.vocab_size)
+    p.add_argument("--min-tokens", type=int, default=SyntheticTaskSpec.min_tokens)
+    p.add_argument("--max-tokens", type=int, default=SyntheticTaskSpec.max_tokens)
+    p.add_argument("--min-frames-per-token", type=int, default=SyntheticTaskSpec.min_frames_per_token)
+    p.add_argument("--max-frames-per-token", type=int, default=SyntheticTaskSpec.max_frames_per_token)
+    p.add_argument("--frame-dim", type=int, default=SyntheticTaskSpec.frame_dim)
+    p.add_argument("--noise-std", type=float, default=SyntheticTaskSpec.noise_std)
     p.add_argument("--translation", action="store_true", help="reorder the output side")
 
     p = sub.add_parser("train", help="train a transformer from scratch")
     p.add_argument("--data", required=True, help="training utterances JSONL")
     p.add_argument("--out", required=True, help="output model file")
-    _add_train_opts(p, steps=600)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--ff-dim", type=int, default=128)
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--dec-layers", type=int, default=2)
+    _add_train_opts(p, steps=TrainConfig.total_steps)
+    p.add_argument("--d-model", type=int, default=TransformerConfig.d_model)
+    p.add_argument("--heads", type=int, default=TransformerConfig.heads)
+    p.add_argument("--ff-dim", type=int, default=TransformerConfig.ff_dim)
+    p.add_argument("--enc-layers", type=int, default=TransformerConfig.enc_layers)
+    p.add_argument("--dec-layers", type=int, default=TransformerConfig.dec_layers)
     p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENCODER_ALIASES)))
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
@@ -136,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True, help="dev utterances JSONL for checkpoint selection")
     p.add_argument("--out", required=True, help="output model file")
     _add_train_opts(p, steps=200)
-    p.add_argument("--eval-every", type=int, default=40)
-    p.add_argument("--lr-factor", type=float, default=0.25)
-    p.add_argument("--ratio-low", type=float, default=0.1)
-    p.add_argument("--ratio-high", type=float, default=0.4)
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    p.add_argument("--lr-factor", type=float, default=ADAPT_LR_FACTOR)
+    p.add_argument("--ratio-low", type=float, default=PartialSliceSpec.ratio_low)
+    p.add_argument("--ratio-high", type=float, default=PartialSliceSpec.ratio_high)
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
     p.add_argument("--model", required=True, help="model file")
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_beam_opts(p)
     _add_chunk_opts(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=SweepSpec.workers)
 
     p = sub.add_parser("eval", help="score a commit log against references")
     p.add_argument("--refs", required=True, help="reference utterances JSONL")
@@ -264,6 +265,7 @@ def _vocab_from_utts(utts: Sequence[Utterance]) -> Vocab:
 def cmd_train(args) -> int:
     data = _load_corpus(args.data)
     vocab = _vocab_from_utts(data)
+    tc = _train_config(args)  # checked first, so a bad --seed is named seed
     cfg = TransformerConfig(
         frame_dim=data[0].frames.shape[1],
         vocab_size=len(vocab),
@@ -275,7 +277,7 @@ def cmd_train(args) -> int:
         mode=ENCODER_ALIASES[args.enc_mode],
         init_seed=args.seed,
     )
-    model, curve = train(TinyTransformer(cfg, vocab), data, _train_config(args))
+    model, curve = train(TinyTransformer(cfg, vocab), data, tc)
     sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)

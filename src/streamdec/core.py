@@ -37,6 +37,10 @@ class UndefinedMetric(ValueError):
     """The metric has no defined value for the given inputs."""
 
 
+DEFAULT_CHUNK_SEC = 0.5  # chunk length when none is given
+DEFAULT_FRAME_PERIOD_SEC = 0.010  # seconds per input frame when none is given
+
+
 def check_int(name: str, value, least: int | None = None) -> None:
     """Refuse a config value that is not an integer, or one below least if
     given. A bool is an int to Python, and is refused too."""
@@ -46,10 +50,24 @@ def check_int(name: str, value, least: int | None = None) -> None:
         raise ConfigError(f"{name} must be >= {least}")
 
 
-def check_real(name: str, value) -> None:
-    """Refuse a config value that is not a real number, a bool included."""
+def check_real(name: str, value, interval: str = "(-inf, inf)") -> None:
+    """Refuse a config value that is not a real number in interval, written
+    with a round bracket for an open end and a square one for a closed end,
+    e.g. "(0, inf)" or "[0, 1)". A bool, a non-number, NaN and both
+    infinities are refused whatever the interval."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not (-math.inf < value < math.inf
+            and (low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high)):
+        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Refuse a config value other than True or False, such as 0, 1 or "no"."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +138,7 @@ class Utterance:
     frames: np.ndarray  # (n_frames, frame_dim)
     reference_tokens: tuple[str, ...]
     target_tokens: tuple[str, ...] | None = None
-    frame_period_sec: float = 0.010
+    frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -133,8 +151,7 @@ class Utterance:
             )
         if not np.isfinite(self.frames).all():
             raise ConfigError("frames must be finite (no NaN or inf)")
-        if not 0 < self.frame_period_sec < math.inf:
-            raise ConfigError("frame_period_sec must be positive and finite")
+        check_real("frame_period_sec", self.frame_period_sec, "(0, inf)")
         self.reference_tokens = tuple(self.reference_tokens)
         if self.target_tokens is not None:
             self.target_tokens = tuple(self.target_tokens)
@@ -169,21 +186,17 @@ class Chunk:
     is_final: bool
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ConfigError("chunk index is 1-based")
+        check_int("chunk index", self.index, least=1)
+        check_real("chunk_len_sec", self.chunk_len_sec, "(0, inf)")
         if not 0 <= self.start < self.end:
             raise ConfigError("chunk slice must be non-empty")
-        if self.chunk_len_sec <= 0:
-            raise ConfigError("chunk_len_sec must be positive")
 
 
 def frames_per_chunk(chunk_len_sec: float, frame_period_sec: float) -> int:
     """Number of frames in one full chunk; the chunk length must be an
     integer multiple of the frame period."""
-    if not (0 < chunk_len_sec < math.inf and 0 < frame_period_sec < math.inf):
-        raise ConfigError(
-            "chunk length and frame period must be positive and finite"
-        )
+    check_real("chunk_len_sec", chunk_len_sec, "(0, inf)")
+    check_real("frame_period_sec", frame_period_sec, "(0, inf)")
     n = round(chunk_len_sec / frame_period_sec)
     if n < 1 or abs(n * frame_period_sec - chunk_len_sec) > 1e-9:
         raise ConfigError(
@@ -196,7 +209,7 @@ def frames_per_chunk(chunk_len_sec: float, frame_period_sec: float) -> int:
 def chunk_stream(
     frames: Sequence | np.ndarray,
     chunk_len_sec: float,
-    frame_period_sec: float = 0.010,
+    frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
     utt_id: str = "",
 ) -> list[Chunk]:
     """Split a frame stream into fixed-size chunks; the last chunk may be
@@ -220,8 +233,7 @@ def output_time(chunk_index: int, chunk_len_sec: float) -> float:
     """Timestamp at which tokens committed at this chunk become visible."""
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
-    if chunk_len_sec <= 0:
-        raise ConfigError("chunk_len_sec must be positive")
+    check_real("chunk_len_sec", chunk_len_sec, "(0, inf)")
     return chunk_index * chunk_len_sec
 
 

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, Utterance, Vocab, check_int, check_real, eval_tokens
+from .core import (DEFAULT_FRAME_PERIOD_SEC, ConfigError, Utterance, Vocab,
+                   check_bool, check_int, check_real, eval_tokens)
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class SyntheticTaskSpec:
     max_frames_per_token: int = 30
     frame_dim: int = 16
     noise_std: float = 0.1
-    frame_period_sec: float = 0.010
+    frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC
     translation: bool = False
     # seeds the per-word prototypes and the translation permutation; part of
     # the task identity so that datasets drawn with different seeds still
@@ -40,19 +41,13 @@ class SyntheticTaskSpec:
         for name in ("min_tokens", "max_tokens",
                      "min_frames_per_token", "max_frames_per_token"):
             check_int(name, getattr(self, name))
-        for name in ("noise_std", "frame_period_sec"):
-            check_real(name, getattr(self, name))
-        if not isinstance(self.translation, bool):
-            raise ConfigError(
-                f"translation must be true or false, got {self.translation!r}")
+        check_real("noise_std", self.noise_std, "[0, inf)")
+        check_real("frame_period_sec", self.frame_period_sec, "(0, inf)")
+        check_bool("translation", self.translation)
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ConfigError("need 1 <= min_tokens <= max_tokens")
         if not 1 <= self.min_frames_per_token <= self.max_frames_per_token:
             raise ConfigError("need 1 <= min/max frames per token")
-        if not 0 <= self.noise_std < math.inf:
-            raise ConfigError("noise_std must be >= 0 and finite")
-        if not 0 < self.frame_period_sec < math.inf:
-            raise ConfigError("frame_period_sec must be positive and finite")
 
 
 def source_words(spec: SyntheticTaskSpec) -> list[str]:
@@ -176,8 +171,7 @@ def _ceil(x: float) -> int:
 def make_partial_pair(utt: Utterance, p: float) -> tuple[np.ndarray, tuple[str, ...]]:
     """Proportionally truncated training pair: the first ceil(I*p) frames
     paired with the first ceil(J*p) tokens of the utterance's output side."""
-    if not 0 < p <= 1:
-        raise ConfigError("ratio p must be in (0, 1]")
+    check_real("ratio p", p, "(0, 1]")
     tokens = eval_tokens(utt)
     n_frames = _ceil(utt.n_frames * p)
     n_tokens = _ceil(len(tokens) * p)

@@ -30,12 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_CHUNK_SEC,
     Chunk,
     ChunkOutput,
     CommitLog,
     ConfigError,
     ContractViolation,
     Utterance,
+    check_bool,
     check_int,
     check_real,
     chunk_stream,
@@ -54,17 +56,9 @@ class BeamConfig:
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
-        width, cap = self.beam_width, self.cap_tokens_per_sec
-        check_int("beam_width", width, least=1)
-        check_real("cap_tokens_per_sec", cap)
-        if not 0 < cap < math.inf:
-            raise ConfigError("cap_tokens_per_sec must be positive and finite")
-        # a string such as "no" is truthy
-        if not isinstance(self.length_normalize, bool):
-            raise ConfigError(
-                "length_normalize must be true or false, got "
-                f"{self.length_normalize!r}"
-            )
+        check_int("beam_width", self.beam_width, least=1)
+        check_real("cap_tokens_per_sec", self.cap_tokens_per_sec, "(0, inf)")
+        check_bool("length_normalize", self.length_normalize)
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ class Session:
     model: SequenceModel
     utterance: Utterance
     strategy: StrategyConfig
-    chunk_len_sec: float = 0.5
+    chunk_len_sec: float = DEFAULT_CHUNK_SEC
     beam: BeamConfig = field(default_factory=BeamConfig)
     mode: str = FORCED_REDECODE
 
@@ -259,7 +253,7 @@ def run_session(
     model: SequenceModel,
     utt: Utterance,
     strategy: StrategyConfig,
-    chunk_len_sec: float = 0.5,
+    chunk_len_sec: float = DEFAULT_CHUNK_SEC,
     beam: BeamConfig = BeamConfig(),
 ) -> CommitLog:
     """Stream one utterance through the chunk loop and return its commit log."""

@@ -13,7 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import ConfigError, Utterance, check_int, check_real, frames_per_chunk
+from .core import (DEFAULT_CHUNK_SEC, ConfigError, Utterance, check_int,
+                   check_real, frames_per_chunk)
 from .core import eval_tokens  # noqa: F401  (harness.eval_tokens is public)
 from .decoder import (
     BUFFERED_STATE,
@@ -33,14 +34,14 @@ CSV_HEADER = "model,strategy,params,wer,mean_t_out,delta_latency"
 @dataclass(frozen=True)
 class SweepSpec:
     strategies: tuple[StrategyConfig, ...]
-    chunk_len_sec: float = 0.5
+    chunk_len_sec: float = DEFAULT_CHUNK_SEC
     beam: BeamConfig = field(default_factory=BeamConfig)
     workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ConfigError("sweep needs at least one strategy")
-        check_real("chunk_len_sec", self.chunk_len_sec)
+        check_real("chunk_len_sec", self.chunk_len_sec, "(0, inf)")
         check_int("workers", self.workers, least=1)
         for i, s in enumerate(self.strategies):
             if s in self.strategies[:i]:
@@ -189,7 +190,7 @@ def compare_modes(
     model: SequenceModel,
     utts: Sequence[Utterance],
     strategy: StrategyConfig,
-    chunk_len_sec: float = 0.5,
+    chunk_len_sec: float = DEFAULT_CHUNK_SEC,
     beam: BeamConfig = BeamConfig(),
 ) -> ModeComparison:
     """Run each utterance through two sessions on the one shared model in

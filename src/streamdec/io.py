@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_FRAME_PERIOD_SEC,
     CommitLog,
     ConfigError,
     ContractViolation,
@@ -173,7 +174,7 @@ def load_utterances(path: str) -> list[Utterance]:
                 frames=_decode_frames(rec["frames"]),
                 reference_tokens=tuple(rec["ref"]),
                 target_tokens=tuple(tgt) if tgt is not None else None,
-                frame_period_sec=rec.get("frame_period_sec", 0.010),
+                frame_period_sec=rec.get("frame_period_sec", DEFAULT_FRAME_PERIOD_SEC),
             )
         except (TypeError, ValueError) as e:  # ConfigError included
             raise ConfigError(f"{path}:{line_no}: {e}") from e

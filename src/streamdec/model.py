@@ -36,7 +36,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import ContractViolation, ConfigError, Vocab
+from .core import DEFAULT_FRAME_PERIOD_SEC, ContractViolation, Vocab, check_int
 from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
 UNIDIRECTIONAL = "unidirectional"
@@ -50,7 +50,7 @@ class EncoderStates:
     transformer's key/value caches) subclasses it."""
 
     frames_covered: int
-    frame_period_sec: float = 0.010
+    frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC
     utt_id: str | None = None
     owner: object = None  # the producing model's ownership token
     rows_encoded: int = 0  # rows the encode call that made this encoding ran
@@ -69,7 +69,7 @@ class SequenceModel(Protocol):
         prior: EncoderStates | None = None,
         *,
         utt_id: str | None = None,
-        frame_period_sec: float = 0.010,
+        frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
     ) -> EncoderStates: ...
 
     def dec_init(
@@ -159,8 +159,7 @@ class SyntheticAlignedModel:
         instability_frames: int = 10,
         seed: int = 0,
     ) -> None:
-        if instability_frames < 0:
-            raise ConfigError("instability_frames must be >= 0")
+        check_int("instability_frames", instability_frames, least=0)
         self.vocab = vocab
         self._owner = object()  # held by every state this instance makes
         self.alignments = alignments
@@ -195,7 +194,7 @@ class SyntheticAlignedModel:
         prior: EncoderStates | None = None,
         *,
         utt_id: str | None = None,
-        frame_period_sec: float = 0.010,
+        frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
     ) -> EncoderStates:
         n = len(frames)
         utt_id, frame_period_sec = _check_prior(

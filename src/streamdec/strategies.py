@@ -26,7 +26,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
-from .core import ConfigError, ContractViolation, check_int, check_real
+from .core import DEFAULT_CHUNK_SEC, ConfigError, ContractViolation, check_int, check_real
 
 _CASTS = {"int": int, "float": float}  # spec field type -> parser
 
@@ -113,9 +113,7 @@ class WaitK(StrategyConfig):
 
     def __post_init__(self) -> None:
         check_int("wait-k k", self.k, least=0)
-        check_real("wait-k rate", self.rate)
-        if not (0 < self.rate < math.inf):
-            raise ConfigError("wait-k requires a positive finite rate")
+        check_real("wait-k rate", self.rate, "(0, inf)")
 
     @property
     def params(self) -> str:
@@ -198,7 +196,7 @@ def select_prefix(
     chunk_index: int,
     is_final: bool,
     w: Sequence,
-    chunk_len_sec: float = 0.5,
+    chunk_len_sec: float = DEFAULT_CHUNK_SEC,
 ) -> tuple[tuple, StrategyState]:
     """Dispatch to the configured strategy; on the final chunk all of w is
     flushed regardless of strategy."""

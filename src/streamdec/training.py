@@ -50,15 +50,11 @@ class TrainConfig:
     eval_every: int = 40  # dev evaluation cadence (checkpoint selection)
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "label_smoothing"):
-            check_real(name, getattr(self, name))
+        check_real("learning_rate", self.learning_rate, "(0, inf)")
+        check_real("label_smoothing", self.label_smoothing, "[0, 1)")
         for name in ("warmup_steps", "batch_size", "total_steps", "eval_every"):
             check_int(name, getattr(self, name), least=1)
         check_int("seed", self.seed, least=0)  # numpy takes no negative seed
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if not 0 <= self.label_smoothing < 1:
-            raise ConfigError("label_smoothing must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,8 @@ class PartialSliceSpec:
         if not 0 < self.ratio_low <= self.ratio_high <= 1:
             raise ConfigError("need 0 < ratio_low <= ratio_high <= 1")
 
+
+ADAPT_LR_FACTOR = 0.25  # adaptation's learning rate over the base rate
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
@@ -252,7 +250,7 @@ def adapt(
     base_cfg: TrainConfig,
     dev: Sequence[Utterance],
     slices: PartialSliceSpec = PartialSliceSpec(),
-    lr_factor: float = 0.25,
+    lr_factor: float = ADAPT_LR_FACTOR,
 ) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
     """Fine-tune on a 1:1 mix of full utterances and truncated pairs.
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import ConfigError, ContractViolation, Vocab, check_int
+from .core import DEFAULT_FRAME_PERIOD_SEC, ConfigError, ContractViolation, Vocab, check_int
 from .model import (
     BIDIRECTIONAL,
     UNIDIRECTIONAL,
@@ -440,13 +440,13 @@ class TinyTransformer:
 
     def encode(
         self, frames: np.ndarray, prior: TransformerEncoding | None = None, *,
-        utt_id: str | None = None, frame_period_sec: float = 0.010,
+        utt_id: str | None = None, frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
     ) -> TransformerEncoding:
         return self._encode(frames, prior, utt_id, frame_period_sec)
 
     def _encode(
         self, frames: np.ndarray, prior: TransformerEncoding | None = None,
-        utt_id: str | None = None, frame_period_sec: float = 0.010,
+        utt_id: str | None = None, frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
         parts: list | None = None,
     ) -> TransformerEncoding:
         """encode; with parts, each layer's self-attention weights of the

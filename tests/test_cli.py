@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from streamdec import cli, decoder
 from streamdec.cli import main
 from streamdec.core import RESERVED_TOKENS, CommitLog, Utterance
+from streamdec.data import SyntheticTaskSpec
 from streamdec.decoder import BeamConfig
+from streamdec.harness import SweepSpec
 from streamdec.io import (
     load_attention_grids,
     load_commit_logs,
@@ -16,6 +20,8 @@ from streamdec.io import (
     save_utterances,
 )
 from streamdec.metrics import score_logs
+from streamdec.training import PartialSliceSpec, TrainConfig, adapt
+from streamdec.transformer import TransformerConfig
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
 
@@ -478,6 +484,72 @@ def test_config_line_reads_like_its_flag(tmp_path, capsys, command):
         assert "Traceback" not in errs[0]
 
 
+_BEAM_OPTIONS = {
+    "beam": (BeamConfig, "beam_width"),
+    "cap": (BeamConfig, "cap_tokens_per_sec"),
+    "length_norm": (BeamConfig, "length_normalize"),
+    "chunk_sec": (SweepSpec, "chunk_len_sec"),
+}
+_TRAIN_OPTIONS = {
+    "batch_size": (TrainConfig, "batch_size"),
+    "lr": (TrainConfig, "learning_rate"),
+    "warmup": (TrainConfig, "warmup_steps"),
+    "label_smoothing": (TrainConfig, "label_smoothing"),
+    "seed": (TrainConfig, "seed"),
+}
+# command -> option dest -> the dataclass field or function parameter whose
+# default the option's default restates
+MIRRORS = {
+    "gen-data": {
+        name: (SyntheticTaskSpec, name)
+        for name in ("vocab_size", "min_tokens", "max_tokens", "min_frames_per_token",
+                     "max_frames_per_token", "frame_dim", "noise_std", "translation")
+    },
+    "train": {
+        **_TRAIN_OPTIONS,
+        "steps": (TrainConfig, "total_steps"),
+        **{name: (TransformerConfig, name)
+           for name in ("d_model", "heads", "ff_dim", "enc_layers", "dec_layers")},
+    },
+    "adapt": {
+        **_TRAIN_OPTIONS,
+        "eval_every": (TrainConfig, "eval_every"),
+        "lr_factor": (adapt, "lr_factor"),
+        "ratio_low": (PartialSliceSpec, "ratio_low"),
+        "ratio_high": (PartialSliceSpec, "ratio_high"),
+    },
+    "run": _BEAM_OPTIONS,
+    "sweep": {**_BEAM_OPTIONS, "workers": (SweepSpec, "workers")},
+}
+# the numeric defaults that no library code states
+UNMIRRORED = {("gen-data", "count"), ("gen-data", "seed"), ("adapt", "steps")}
+
+
+def _library_default(owner, name):
+    if dataclasses.is_dataclass(owner):
+        return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+    return inspect.signature(owner).parameters[name].default
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_option_defaults_are_the_library_defaults(command):
+    """An option that mirrors a config field parses, when not given, to that
+    field's default, of the same type; every other numeric or flag default
+    is one of the few that no library code states."""
+    p = cli.command_parsers(cli.build_parser())[command]
+    mirrors = MIRRORS.get(command, {})
+    parsed = _parse([command, *_placeholders(p, None)])
+    assert set(mirrors) <= set(parsed)
+    for a in p._actions:
+        if a.dest in mirrors:
+            want = _library_default(*mirrors[a.dest])
+            assert (type(parsed[a.dest]), parsed[a.dest]) == (type(want), want), a.dest
+        elif isinstance(a.default, (int, float)):  # a bool included
+            assert (command, a.dest) in UNMIRRORED, a.dest
+    if command == "train":
+        assert cli.ENCODER_ALIASES[parsed["enc_mode"]] == TransformerConfig.mode
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("line, why", MALFORMED_COMMIT_RECORDS)
     def test_eval_rejects_malformed_hyps(self, work, tmp_path, capsys, line, why):
@@ -580,6 +652,19 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (work / "never").exists()
+
+    def test_train_names_a_bad_seed_seed(self, work, capsys):
+        """train checks its training config before its model config, so a
+        bad --seed is named seed, as adapt and gen-data name it."""
+        rc = main([
+            "train", "--data", str(work / "data.jsonl"),
+            "--out", str(work / "never.bin"), "--seed", "-1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0\n"
+        assert "init_seed" not in err
+        assert not (work / "never.bin").exists()
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("line, option", [
@@ -725,9 +810,12 @@ class TestErrorPaths:
         assert "error: --model names 'a' more than once" in capsys.readouterr().err
         assert not (work / "never.csv").exists()
 
-    @pytest.mark.parametrize("chunk_sec", ["0.333", "inf"])
+    @pytest.mark.parametrize("chunk_sec, why", [
+        ("0.333", "chunk length 0.333 is not a multiple of the frame period"),
+        ("inf", "chunk_len_sec must be a finite number in (0, inf), got inf"),
+    ], ids=["0.333", "inf"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_unusable_chunk_len_exit_2(self, work, capsys, command, chunk_sec):
+    def test_unusable_chunk_len_exit_2(self, work, capsys, command, chunk_sec, why):
         """A chunk length that is no whole number of frames is refused
         before anything runs: sweep does not turn it into nan rows."""
         argv = {
@@ -740,7 +828,7 @@ class TestErrorPaths:
             "--out", str(work / "never.csv"), "--chunk-sec", chunk_sec,
         ])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: chunk length")
+        assert capsys.readouterr().err.startswith(f"error: {why}")
         assert not (work / "never.csv").exists()
 
     def test_adapt_rejects_data_of_another_width(self, work, wide_data, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,8 @@ from streamdec.core import (
     TimedToken,
     Utterance,
     Vocab,
+    check_bool,
+    check_real,
     chunk_stream,
     frames_per_chunk,
     output_time,
@@ -91,6 +95,14 @@ class TestUtterance:
         with pytest.raises(ConfigError, match="finite"):
             Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=bad)
 
+    @pytest.mark.parametrize("value, match", [
+        (True, "frame_period_sec must be a number"),
+        ("0.01", "frame_period_sec must be a number"),
+    ])
+    def test_ill_typed_frame_period(self, value, match):
+        with pytest.raises(ConfigError, match=match):
+            Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frames_rejected(self, bad):
         frames = np.zeros((3, 2))
@@ -125,6 +137,14 @@ class TestChunkStream:
         with pytest.raises(ConfigError, match="finite"):
             frames_per_chunk(*args)
 
+    @pytest.mark.parametrize("args, match", [
+        ((True, 0.01), "chunk_len_sec must be a number"),
+        ((0.5, True), "frame_period_sec must be a number"),
+    ])
+    def test_ill_typed_lengths(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            frames_per_chunk(*args)
+
     def test_frames_per_chunk(self):
         assert frames_per_chunk(0.5, 0.01) == 50
         assert frames_per_chunk(2.0, 0.01) == 200
@@ -144,6 +164,40 @@ class TestChunkStream:
             assert all(c.end - c.start == 50 for c in chunks[:-1])
             assert chunks[-1].end - chunks[-1].start <= 50
             assert [c.is_final for c in chunks] == [False] * (len(chunks) - 1) + [True]
+
+
+class TestChecks:
+    @pytest.mark.parametrize("interval, inside, outside", [
+        ("(0, inf)", [1e-300, 5, 1e300], [0, -1.0]),
+        ("[0, inf)", [0, 0.0, 2.5], [-1e-300]),
+        ("(0, 1]", [0.5, 1, 1.0], [0, 1.0000001]),
+        ("[0, 1)", [0, 0.999], [1, 1.0, -0.1]),
+        ("(-inf, inf)", [-1e300, 0, 1e300], []),
+    ])
+    def test_interval_ends(self, interval, inside, outside):
+        for value in inside:
+            check_real("x", value, interval)
+        message = rf"^x must be a finite number in {re.escape(interval)}, got"
+        for value in outside:
+            with pytest.raises(ConfigError, match=message):
+                check_real("x", value, interval)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "1", None, 1j])
+    def test_check_real_refuses_whatever_the_interval(self, value):
+        for interval in ("(-inf, inf)", "[0, inf)", "(0, 1]"):
+            with pytest.raises(ConfigError, match="^x must be a"):
+                check_real("x", value, interval)
+
+    def test_numpy_scalars_are_real(self):
+        check_real("x", np.float64(0.5), "(0, 1]")
+        check_real("x", np.int64(1), "(0, 1]")
+
+    @pytest.mark.parametrize("value", [0, 1, "no", None, np.bool_(True)])
+    def test_check_bool_refuses_non_bools(self, value):
+        with pytest.raises(ConfigError, match="^flag must be true or false"):
+            check_bool("flag", value)
+        check_bool("flag", True)
+        check_bool("flag", False)
 
 
 class TestOutputTime:

@@ -169,6 +169,11 @@ class TestPartialPair:
         with pytest.raises(ConfigError):
             make_partial_pair(self._utt(5, ("a",)), 1.5)
 
+    @pytest.mark.parametrize("p", [True, "0.5", None])
+    def test_ill_typed_ratio(self, p):
+        with pytest.raises(ConfigError, match="ratio p must be a number"):
+            make_partial_pair(self._utt(5, ("a",)), p)
+
     @given(
         st.integers(min_value=1, max_value=200),
         st.integers(min_value=1, max_value=12),

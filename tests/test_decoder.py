@@ -480,6 +480,15 @@ class TestSession:
         with pytest.raises(ConfigError):
             Session(stable_model, small_corpus[0], HoldN(0), mode="eager")
 
+    @pytest.mark.parametrize("value, match", [
+        (True, "chunk_len_sec must be a number"),
+        ("0.5", "chunk_len_sec must be a number"),
+        (0.0, r"chunk_len_sec must be a finite number in \(0, inf\)"),
+    ])
+    def test_ill_typed_chunk_len(self, stable_model, small_corpus, value, match):
+        with pytest.raises(ConfigError, match=match):
+            Session(stable_model, small_corpus[0], HoldN(0), chunk_len_sec=value)
+
     @pytest.mark.parametrize("strategy", ["hold-0", object()], ids=["spec", "object"])
     def test_non_strategy_rejected(self, stable_model, small_corpus, strategy):
         """A strategy that is not a STRATEGIES entry is refused when the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdec.core import ContractViolation
+from streamdec.core import ConfigError, ContractViolation
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_with_alignments,
@@ -262,6 +262,18 @@ class TestPerSlotInvariants:
         state, _ = m.dec_init(m.encode(u.frames, utt_id=u.id))
         with pytest.raises(ContractViolation, match=why):
             m.dec_advance(state, rows, [aligns[u.id].token_ids[0]])
+
+
+@pytest.mark.parametrize("value, match", [
+    (1.5, "instability_frames must be an integer"),
+    (True, "instability_frames must be an integer"),
+    ("3", "instability_frames must be an integer"),
+    (-1, "instability_frames must be >= 0"),
+])
+def test_ill_typed_instability_frames(world, value, match):
+    spec = world[0]
+    with pytest.raises(ConfigError, match=match):
+        SyntheticAlignedModel.from_task(spec, 8, seed=13, instability_frames=value)
 
 
 class TestRebuild:
