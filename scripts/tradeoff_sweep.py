@@ -18,10 +18,11 @@ it with one worker and CI diffs it with two.
 import argparse
 import sys
 
+from streamdec.core import DEFAULT_CHUNK_SEC
 from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig
 from streamdec.harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
-from streamdec.model import SyntheticAlignedModel
+from streamdec.model import DEFAULT_INSTABILITY_FRAMES, SyntheticAlignedModel
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
 
 
@@ -32,10 +33,10 @@ def parse_args(argv):
     p.add_argument(
         "--instability-frames",
         type=int,
-        default=10,
+        default=DEFAULT_INSTABILITY_FRAMES,
         help="how many trailing frames of context the model guesses over",
     )
-    p.add_argument("--chunk-sec", type=float, default=0.5)
+    p.add_argument("--chunk-sec", type=float, default=DEFAULT_CHUNK_SEC)
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="also write the table as CSV")
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
         HoldN(2),
         HoldN(4),
         HoldN(6),
-        WaitK(1, rate=4.0),
+        WaitK(),
         LocalAgreement(),
         Offline(),
     )

@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument(
         "--strategies",
-        default="hold-0,hold-n:4,wait-k:1:4.0,local-agreement,offline",
+        default="hold-0,hold-n:4,wait-k,local-agreement,offline",
         help="comma-separated strategy specs, each one of " + spec_usage(),
     )
     _add_beam_opts(p)

@@ -41,6 +41,8 @@ from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
+# the synthetic oracle's default unstable tail of a truncated stream, in frames
+DEFAULT_INSTABILITY_FRAMES = 10
 
 
 @dataclass(eq=False)
@@ -156,7 +158,7 @@ class SyntheticAlignedModel:
         self,
         vocab: Vocab,
         alignments: dict[str, Alignment],
-        instability_frames: int = 10,
+        instability_frames: int = DEFAULT_INSTABILITY_FRAMES,
         seed: int = 0,
     ) -> None:
         check_int("instability_frames", instability_frames, least=0)
@@ -179,7 +181,7 @@ class SyntheticAlignedModel:
         spec: SyntheticTaskSpec,
         count: int,
         seed: int,
-        instability_frames: int = 10,
+        instability_frames: int = DEFAULT_INSTABILITY_FRAMES,
     ) -> "SyntheticAlignedModel":
         """The oracle for the dataset gen_dataset(spec, count, seed); seed
         also draws its confusion map."""

@@ -258,6 +258,7 @@ def adapt(
     rate is the base rate scaled by lr_factor. Every eval_every steps the
     full-sequence dev token error rate decides which checkpoint survives.
     """
+    check_real("lr_factor", lr_factor, "(0, inf)")
     if not dataset:
         raise ConfigError("empty adaptation dataset")
     if not dev:

@@ -16,24 +16,25 @@ are formed only where something reads them: the attention dump and the
 backward pass of the training node.
 
 Every key/value cache is per layer and split by head, laid out once where
-it is made, so no decoder call makes a head view of one. An encoding
-(``TransformerEncoding``) is the encoder's and the cross-attention's caches,
-which ``_append`` grows; no encoder output row is kept. Each decoder row's
-self-attention keys and values are one (rows, 2, heads, pos, head_dim)
-array per layer, keys then values, so a beam step gathers and grows each
-layer's cache in one call each.
+it is made, so no decoder call makes a head view of one; ``_grow``, which
+never writes the array it grows, is the one place any cache grows. An
+encoding (``TransformerEncoding``) is the encoder's and the
+cross-attention's caches, which ``_append`` grows; no encoder output row is
+kept. Each decoder row's self-attention keys and values are one (rows, 2,
+heads, pos, head_dim) array per layer, keys then values, so a beam step
+gathers and grows each layer's cache in one call each.
 
 A causal (unidirectional) encoder never changes the keys and values of
 earlier positions, so ``encode`` with a prior projects only the new rows and
 appends them; a bidirectional one re-encodes every frame. Either way the
-encoding records the rows this call ran (``rows_encoded``). One decoder forward
-(``_advance_block``) runs a block of rows over one or more positions.
-``dec_init`` is the prefill: one row over bos and the whole forced prefix
-in a single call, which is also the forward the attention dump reads.
-``dec_advance`` is the one-position case over many rows, one per beam path,
-gathered by parent index. A ``DecState`` is one block: every row's
-self-attention keys and values plus the encoding's cross-attention keys and
-values, so it needs nothing else to advance.
+encoding records the rows this call ran (``rows_encoded``). The decoder has
+one forward, ``_advance``, which extends each row of a ``DecState`` block
+by one or more positions. ``dec_init`` runs it from the encoding's empty
+state (``_empty``), one row over bos and the whole forced prefix, as the
+attention dump does; ``dec_advance`` runs it one position over many rows,
+one per beam path, gathered by parent index. A ``DecState`` holds every
+row's self-attention keys and values plus the encoding's cross-attention
+keys and values, so it needs nothing else to advance.
 
 Training packs a batch's real frames into one block of encoder rows, one
 segment per utterance, and its kernel is one ``attention`` node that
@@ -163,7 +164,6 @@ def init_params(cfg: TransformerConfig) -> dict[str, np.ndarray]:
     return p
 
 
-
 def _frozen(a) -> np.ndarray:
     """A read-only copy of a, of a's dtype."""
     a = np.array(a)
@@ -219,17 +219,21 @@ def _future(start: int, stop: int) -> np.ndarray | None:
     return np.arange(stop) > np.arange(start, stop)[:, None]
 
 
+def _grow(old: np.ndarray, new: np.ndarray, axis: int) -> np.ndarray:
+    """old grown by new along its positions axis, the one place any cache
+    grows. An empty cache takes new itself; old is never written, so a
+    state that holds it keeps its numbers."""
+    if not old.shape[axis]:
+        return new
+    return np.concatenate([old, new], axis=axis)
+
+
 def _append(cache: list, l: int, kt: np.ndarray, v: np.ndarray) -> tuple:
     """Grow layer l's encoder-side (keys, values) in cache by the keys kt
-    (heads, dh, rows) and the values v (heads, rows, dh), each along its
-    rows axis; returns the grown pair. An empty cache takes kt and v
-    themselves. The old arrays are left as they were, so a state that holds
-    them keeps its numbers."""
+    (heads, dh, rows) and the values v (heads, rows, dh); returns the grown
+    pair."""
     old_k, old_v = cache[l]
-    if old_v.shape[-2]:
-        kt = np.concatenate([old_k, kt], axis=-1)
-        v = np.concatenate([old_v, v], axis=-2)
-    cache[l] = (kt, v)
+    cache[l] = (_grow(old_k, kt, -1), _grow(old_v, v, -2))
     return cache[l]
 
 
@@ -503,75 +507,61 @@ class TinyTransformer:
 
     # --- decoder ------------------------------------------------------------
 
-    def _advance_block(
-        self, x: np.ndarray, kv: list, cross: Sequence,
-        parts: list | None = None,
-    ) -> tuple[np.ndarray, list]:
-        """The decoder stack over T embedded input positions per row.
+    def _empty(self, enc: TransformerEncoding) -> DecState:
+        """The state dec_init's forward starts from: pos 0, one row of empty
+        self-attention caches, and the encoding's cross-attention keys and
+        values."""
+        _check_owner(self, enc, "encoder states")
+        if enc.frames_covered == 0:
+            raise ContractViolation("cannot decode with no encoder states")
+        empty = np.zeros((1, 2, self.cfg.heads, 0, self.cfg.head_dim))
+        return DecState(self._owner, 0, (empty,) * self.cfg.dec_layers, enc.cross_kv)
 
-        x is (B, T, d_model); kv holds per layer the self-attention keys and
-        values of every row, (B, 2, heads, pos, head_dim), which this grows
-        in place; cross the layer's cross-attention keys and values that
-        every row shares. Position t of a row attends to the row's
-        cache and to positions 0..t of its block. Returns the next-token
-        log-probabilities (B, T, vocab) and the grown caches. With parts,
-        each layer's self-attention weights (B, heads, T, pos + T) and then
-        its cross-attention weights (heads, B * T, frames), whose rows are
-        the block's rows in order, position within row, are appended to it
-        as _attend's (e, row sums)."""
+    def _advance(
+        self, state: DecState, rows: Sequence[int], ids: np.ndarray,
+        parts: list | None = None,
+    ) -> tuple[DecState, np.ndarray]:
+        """The decoder forward: row i of the (B, T) token ids extends row
+        rows[i] of state by T positions, at positions state.pos ..
+        state.pos + T - 1. Position t of a row attends to the row's cache
+        and to positions 0..t of its block; the rows share state's
+        cross-attention keys and values. Returns the grown state and the
+        next-token log-probabilities (B, T, vocab). With parts, each
+        layer's self-attention weights (B, heads, T, pos + T) and then its
+        cross-attention weights (heads, B * T, frames), whose rows are the
+        block's rows in order, position within row, are appended to it as
+        _attend's (e, row sums)."""
         cfg, w, h = self.cfg, self.weights, self.cfg.heads
-        b_sz, t_len, d = x.shape
-        pos = kv[0].shape[-2]
+        b_sz, t_len = ids.shape
+        pos = state.pos
+        kv = [a[rows] for a in state.kv]
         future = _future(pos, pos + t_len)
 
         def attend(l, qkv):
             qkv = _split_qkv(qkv, (b_sz,), h)
-            kv_l = qkv[:, 1:]  # (B, 2, heads, T, dh)
-            if pos:
-                kv_l = np.concatenate([kv[l], kv_l], axis=-2)
-            kv[l] = kv_l
-            return _merge(_attend(qkv[:, 0], kv_l[:, 0].swapaxes(-1, -2),
-                                  kv_l[:, 1], future, parts))
+            kv[l] = _grow(kv[l], qkv[:, 1:], -2)  # (B, 2, heads, pos + T, dh)
+            return _merge(_attend(qkv[:, 0], kv[l][:, 0].swapaxes(-1, -2),
+                                  kv[l][:, 1], future, parts))
 
         def attend_cross(l, q):
             # no per-row cache: the B*T rows attend to the shared encoder
             # keys and values like the query positions of one sequence
-            return _merge(_attend(_heads(q, h), *cross[l], None, parts))
+            return _merge(_attend(_heads(q, h), *state.cross[l], None, parts))
 
         # projections run on all B*T rows as one 2-D product
-        y = x.reshape(b_sz * t_len, d)
+        y = _dec_in(w, ids, self._pos(pos + t_len)[pos:]).reshape(b_sz * t_len, -1)
         for l in range(cfg.dec_layers):
             y = _dec_layer(w, l, y, attend, attend_cross)
-        return _logps(w, y).reshape(b_sz, t_len, -1), kv
-
-    def _embed(self, token_ids: Sequence, start: int) -> np.ndarray:
-        """Decoder input rows (B, T, d_model) for a (B, T) block of token ids
-        at positions start .. start + T - 1."""
-        ids = np.asarray(token_ids)
-        return _dec_in(self.weights, ids, self._pos(start + ids.shape[1])[start:])
-
-    def _prefill(self, enc: TransformerEncoding, prefix: Sequence[int],
-                 parts: list | None = None) -> tuple[DecState, np.ndarray]:
-        """One B = 1 decoder forward over bos + prefix from empty caches: the
-        state after the whole prefix and the log-probs after each position
-        (len(prefix) + 1, vocab); parts as in _advance_block. The
-        cross-attention keys and values are the encoding's own."""
-        _check_owner(self, enc, "encoder states")
-        if enc.frames_covered == 0:
-            raise ContractViolation("cannot decode with no encoder states")
-        ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
-        cfg = self.cfg
-        empty = np.zeros((1, 2, cfg.heads, 0, cfg.head_dim))
-        logps, kv = self._advance_block(
-            self._embed(ids[None], 0), [empty] * cfg.dec_layers,
-            enc.cross_kv, parts,
-        )
-        return DecState(self._owner, len(ids), tuple(kv), enc.cross_kv), logps[0]
+        state = DecState(self._owner, pos + t_len, tuple(kv), state.cross)
+        return state, _logps(w, y).reshape(b_sz, t_len, -1)
 
     def dec_init(
         self, enc: TransformerEncoding, prefix: Sequence[int] = ()
     ) -> tuple[DecState, np.ndarray]:
-        return self._prefill(enc, prefix)
+        empty = self._empty(enc)
+        ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
+        state, logps = self._advance(empty, [0], ids[None])
+        return state, logps[0]
 
     def dec_advance(
         self, state: DecState, rows: Sequence[int], token_ids: Sequence[int]
@@ -580,12 +570,7 @@ class TinyTransformer:
         rows, ids = _check_block(
             rows, token_ids, len(state.kv[0]), len(self.vocab)
         )
-        logps, kv = self._advance_block(
-            self._embed(ids[:, None], state.pos),
-            [a[rows] for a in state.kv],
-            state.cross,
-        )
-        state = DecState(self._owner, state.pos + 1, tuple(kv), state.cross)
+        state, logps = self._advance(state, rows, ids[:, None])
         return state, logps[:, 0]
 
     # --- attention introspection ----------------------------------------------
@@ -599,13 +584,14 @@ class TinyTransformer:
         states. The prefix holds word ids only."""
         prefix = _check_prefix(self.vocab, prefix)
         enc_parts, dec_parts = [], []
-        self._prefill(self._encode(frames, parts=enc_parts), prefix, dec_parts)
+        empty = self._empty(self._encode(frames, parts=enc_parts))
+        self._advance(empty, [0], np.array([[self.vocab.bos_id, *prefix]]), dec_parts)
         grids: dict[str, np.ndarray] = {}
         for l, (e, sums) in enumerate(enc_parts):
             for head, grid in enumerate(e / sums):
                 grids[f"encoder_self.layer{l}.head{head}"] = grid
         for l in range(self.cfg.dec_layers):
-            # one row: the query rows are the prefill's positions
+            # one row: the query rows are bos and the prefix
             (se, ss), (ce, cs) = dec_parts[2 * l : 2 * l + 2]
             for head, (own, cross) in enumerate(zip(se[0] / ss[0], ce / cs)):
                 grids[f"decoder_self.layer{l}.head{head}"] = own

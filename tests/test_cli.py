@@ -666,6 +666,20 @@ class TestErrorPaths:
         assert "init_seed" not in err
         assert not (work / "never.bin").exists()
 
+    def test_adapt_names_a_bad_lr_factor(self, work, capsys):
+        """adapt checks its rate factor itself, so --lr-factor -1 is named
+        lr_factor, not as the learning rate derived from it."""
+        rc = main([
+            "adapt", "--model", str(work / "model.bin"),
+            "--data", str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl"),
+            "--out", str(work / "never.bin"), "--lr-factor", "-1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr_factor ") and err.count("\n") == 1
+        assert "learning_rate" not in err
+        assert not (work / "never.bin").exists()
+
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("line, option", [
         ("beam = 2.5", "--beam"),

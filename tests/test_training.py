@@ -458,6 +458,15 @@ class TestAdapt:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
+    @pytest.mark.parametrize("value", [-1, 0, math.nan, True])
+    def test_refuses_a_bad_lr_factor(self, tiny_world, value):
+        """The factor is checked and named itself, not as the learning rate
+        it scales to, which a bool would pass as."""
+        _, data, vocab, cfg = tiny_world
+        model = TinyTransformer(cfg, vocab)
+        with pytest.raises(ConfigError, match="lr_factor"):
+            adapt(model, data[6:], small_train_cfg(), data[:4], lr_factor=value)
+
     def test_requires_dev_and_data(self, tiny_world):
         _, data, vocab, cfg = tiny_world
         model = TinyTransformer(cfg, vocab)
