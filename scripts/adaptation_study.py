@@ -24,10 +24,9 @@ from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
 from streamdec.decoder import BeamConfig, run_session
 from streamdec.io import save_model
 from streamdec.metrics import score_logs
-from streamdec.model import UNIDIRECTIONAL
 from streamdec.strategies import HoldN
 from streamdec.training import TrainConfig, adapt, token_error_rate, train, write_curve
-from streamdec.transformer import TinyTransformer, TransformerConfig
+from streamdec.transformer import UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 
 def parse_args(argv):

@@ -44,13 +44,7 @@ from .metrics import (
     score_logs,
     wer,
 )
-from .model import (
-    BIDIRECTIONAL,
-    UNIDIRECTIONAL,
-    EncoderStates,
-    SequenceModel,
-    SyntheticAlignedModel,
-)
+from .model import EncoderStates, SequenceModel, SyntheticAlignedModel
 from .strategies import (
     HoldN,
     LocalAgreement,
@@ -68,7 +62,7 @@ from .training import (
     token_error_rate,
     train,
 )
-from .transformer import TinyTransformer, TransformerConfig
+from .transformer import BIDIRECTIONAL, UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 __version__ = "0.1.0"
 

@@ -40,13 +40,13 @@ from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
 from .strategies import parse_strategy, spec_usage
 from .training import ADAPT_LR_FACTOR, PartialSliceSpec, TrainConfig, adapt, train, write_curve
-from .transformer import TinyTransformer, TransformerConfig
+from .transformer import BIDIRECTIONAL, UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 ENCODER_ALIASES = {
-    "uni": "unidirectional",
-    "bidi": "bidirectional",
-    "unidirectional": "unidirectional",
-    "bidirectional": "bidirectional",
+    "uni": UNIDIRECTIONAL,
+    "bidi": BIDIRECTIONAL,
+    UNIDIRECTIONAL: UNIDIRECTIONAL,
+    BIDIRECTIONAL: BIDIRECTIONAL,
 }
 
 

@@ -1,15 +1,16 @@
 """Beam search with forced prefixes, and the chunk-by-chunk session loop.
 
-Each chunk: extend the encoder states by the frames not yet encoded (a
-causal encoder appends rows; a bidirectional one re-encodes the whole
-prefix) and add the rows the encoder reports it ran to the session's
-``positions_encoded``, run beam search forced through every token committed
-so far, hand the fresh continuation to the commit strategy through
-``select_prefix``, and append its choice to the commit log. Committed tokens
-are never revised; they condition all later decoding. A non-final chunk on
-which the strategy is ``idle`` is neither encoded nor decoded: an empty
-continuation goes through ``select_prefix``, and the next decoded chunk's
-``encode`` covers its frames. So an offline session encodes and searches once.
+Each chunk hands the commit strategy, through ``select_prefix``, a function
+that decodes the chunk's continuation, and appends the strategy's choice to
+the commit log. Called, that function extends the encoder states by the
+frames not yet encoded (a causal encoder appends rows; a bidirectional one
+re-encodes the whole prefix), adds the rows the encoder reports it ran to
+the session's ``positions_encoded`` and runs beam search forced through
+every token committed so far; it does so at most once per chunk. Committed
+tokens are never revised; they condition all later decoding. A chunk whose
+rule does not call it is neither encoded nor decoded, and the next decoded
+chunk's ``encode`` covers its frames. So an offline session encodes and
+searches once.
 
 The decoder runs again on every decoded chunk: a decoder state carries the
 encoding it was made with, and each chunk's beam search prefills the
@@ -209,10 +210,11 @@ def step_chunk(
 ) -> tuple[ChunkOutput, tuple[str, ...]]:
     """Consume one chunk: decode, select a commit prefix, append to the log.
 
-    Returns the fresh continuation and the tokens actually committed; an
-    idle chunk's continuation is empty, as it is not decoded. The chunk
-    must be the session's own next one, as ``Session.chunks`` lists them:
-    same utterance, index, bounds, length and finality.
+    Returns the fresh continuation and the tokens actually committed; the
+    continuation is empty when the rule did not read it, as the chunk is
+    then not decoded. The chunk must be the session's own next one, as
+    ``Session.chunks`` lists them: same utterance, index, bounds, length
+    and finality.
     """
     own = session._chunks
     if session.next_chunk_index > len(own):
@@ -223,27 +225,31 @@ def step_chunk(
         )
     utt = session.utterance
     model = session.model
-    if not chunk.is_final and session.strategy.idle(
-        chunk.index, session.strategy_state, session.chunk_len_sec
-    ):
-        cont_ids, out = (), ChunkOutput(chunk.index, (), ())
-    else:
-        session.enc = model.encode(
-            utt.frames[: chunk.end], session.enc,
-            utt_id=utt.id, frame_period_sec=utt.frame_period_sec,
-        )
-        session.positions_encoded += session.enc.rows_encoded
-        best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
-        n_prev = len(session.committed_ids)
-        cont_ids = best.tokens[n_prev:]
-        surfaces = tuple(model.vocab.token_of(t) for t in cont_ids)
-        out = ChunkOutput(chunk.index, surfaces, best.step_log_probs[n_prev:])
+    n_prev = len(session.committed_ids)
+    best = None  # the chunk's best hypothesis, once the rule asks for it
 
-    committed, session.strategy_state = select_prefix(
+    def continuation():
+        nonlocal best
+        if best is None:
+            session.enc = model.encode(
+                utt.frames[: chunk.end], session.enc,
+                utt_id=utt.id, frame_period_sec=utt.frame_period_sec,
+            )
+            session.positions_encoded += session.enc.rows_encoded
+            best = beam_search(model, session.enc, session.committed_ids, session.beam)[0]
+        return best.tokens[n_prev:]
+
+    committed_ids, session.strategy_state = select_prefix(
         session.strategy, session.strategy_state, chunk.index, chunk.is_final,
-        out.tokens, session.chunk_len_sec,
+        continuation, session.chunk_len_sec,
     )
-    session.committed_ids = session.committed_ids + cont_ids[: len(committed)]
+    if best is None:
+        out = ChunkOutput(chunk.index, (), ())
+    else:
+        surfaces = tuple(map(model.vocab.token_of, best.tokens[n_prev:]))
+        out = ChunkOutput(chunk.index, surfaces, best.step_log_probs[n_prev:])
+    committed = out.tokens[: len(committed_ids)]
+    session.committed_ids = session.committed_ids + committed_ids
     session.log.commit(committed, chunk.index, session.chunk_len_sec)
     session.next_chunk_index = chunk.index + 1
     return out, committed

@@ -39,8 +39,6 @@ from . import autodiff as ad
 from .core import DEFAULT_FRAME_PERIOD_SEC, ContractViolation, Vocab, check_int
 from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
-UNIDIRECTIONAL = "unidirectional"
-BIDIRECTIONAL = "bidirectional"
 # the synthetic oracle's default unstable tail of a truncated stream, in frames
 DEFAULT_INSTABILITY_FRAMES = 10
 

@@ -15,16 +15,17 @@ Each strategy is one class listed in ``STRATEGIES`` whose ``select`` is its
 rule, and ``parse_strategy`` builds one from its spec. ``select_prefix`` is
 the one entry point: it flushes all of W on the final chunk and hands every
 other chunk to the strategy's ``select``. W never holds end-of-sequence,
-because the beam search only extends paths with word ids. ``idle`` tells,
-before any decoding, that a non-final chunk commits nothing whatever W is
-(offline always, wait-k while it waits); the session skips its decode.
+because the beam search only extends paths with word ids. A rule gets W as a
+zero-argument function and calls it only when its choice depends on W
+(offline never does, wait-k not while it waits); a chunk on which no rule
+calls it is not decoded. Tokens are opaque to every rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import DEFAULT_CHUNK_SEC, ConfigError, ContractViolation, check_int, check_real
 
@@ -74,18 +75,13 @@ class StrategyConfig:
             raise ConfigError(f"strategy {spec!r}: {e}") from None
 
     def select(
-        self, w: tuple, chunk_index: int, state: StrategyState, chunk_len_sec: float
+        self, w: Callable[[], tuple], chunk_index: int, state: StrategyState,
+        chunk_len_sec: float,
     ) -> tuple[tuple, StrategyState]:
-        """The prefix of w that chunk ``chunk_index`` (1-based, not the
-        final one) commits, and the state carried to the next chunk."""
+        """The prefix of the continuation ``w()`` that chunk ``chunk_index``
+        (1-based, not the final one) commits, and the state carried to the
+        next chunk. A rule calls ``w`` only when its choice depends on it."""
         raise NotImplementedError
-
-    def idle(
-        self, chunk_index: int, state: StrategyState, chunk_len_sec: float
-    ) -> bool:
-        """True if ``select`` on non-final chunk ``chunk_index`` commits
-        nothing for every w and returns a state that does not depend on w."""
-        return False
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,8 @@ class HoldN(StrategyConfig):
 
     def select(self, w, chunk_index, state, chunk_len_sec):
         """All of w except its last n tokens."""
-        return w[: max(0, len(w) - self.n)], state
+        cont = w()
+        return cont[: max(0, len(cont) - self.n)], state
 
 
 @dataclass(frozen=True)
@@ -119,25 +116,19 @@ class WaitK(StrategyConfig):
     def params(self) -> str:
         return f"k={self.k} r={self.rate:g}"
 
-    def _budget(self, state, chunk_len_sec):
-        """This chunk's budget and its whole tokens; the epsilon lets float
-        dust (e.g. 3.9999999996) count as a whole token."""
-        budget = state.budget + self.rate * chunk_len_sec
-        return budget, math.floor(budget + 1e-9)
-
-    def idle(self, chunk_index, state, chunk_len_sec):
-        return chunk_index <= self.k or self._budget(state, chunk_len_sec)[1] == 0
-
     def select(self, w, chunk_index, state, chunk_len_sec):
         """Nothing for the first k chunks; afterwards emit floor(budget)
         tokens, where the budget grows by rate * chunk_len_sec per chunk and
         unused fractions carry over."""
         if chunk_index <= self.k:
             return (), state
-        budget, whole = self._budget(state, chunk_len_sec)
-        emit = min(len(w), whole)
+        budget = state.budget + self.rate * chunk_len_sec
+        # the epsilon lets float dust (e.g. 3.9999999996) count as a whole token
+        whole = math.floor(budget + 1e-9)
+        cont = w() if whole else ()
+        emit = min(len(cont), whole)
         # the max() keeps the carried budget from dipping below zero
-        return w[:emit], replace(state, budget=max(budget - emit, 0.0))
+        return cont[:emit], replace(state, budget=max(budget - emit, 0.0))
 
 
 @dataclass(frozen=True)
@@ -147,10 +138,11 @@ class LocalAgreement(StrategyConfig):
     def select(self, w, chunk_index, state, chunk_len_sec):
         """Commit the agreement between this chunk's continuation and the
         previous one's; the disagreeing tail is buffered for the next round."""
+        cont = w()
         if chunk_index == 1:
-            return (), replace(state, discard_buffer=w)
-        agreed = lcp(state.discard_buffer, w)
-        return agreed, replace(state, discard_buffer=w[len(agreed) :])
+            return (), replace(state, discard_buffer=cont)
+        agreed = lcp(state.discard_buffer, cont)
+        return agreed, replace(state, discard_buffer=cont[len(agreed) :])
 
 
 @dataclass(frozen=True)
@@ -159,9 +151,6 @@ class Offline(StrategyConfig):
 
     def select(self, w, chunk_index, state, chunk_len_sec):
         return (), state
-
-    def idle(self, chunk_index, state, chunk_len_sec):
-        return True
 
 
 # The strategy table: a new strategy is one class above and one entry here.
@@ -195,18 +184,17 @@ def select_prefix(
     state: StrategyState,
     chunk_index: int,
     is_final: bool,
-    w: Sequence,
+    w: Callable[[], tuple],
     chunk_len_sec: float = DEFAULT_CHUNK_SEC,
 ) -> tuple[tuple, StrategyState]:
-    """Dispatch to the configured strategy; on the final chunk all of w is
-    flushed regardless of strategy."""
+    """Dispatch to the configured strategy; on the final chunk all of the
+    continuation ``w()`` is flushed regardless of strategy."""
     if type(cfg) not in STRATEGIES.values():
         raise ConfigError(f"unknown strategy config {cfg!r}")
-    w = tuple(w)
     if chunk_index < 1:
         raise ContractViolation("chunk_index is 1-based")
     if is_final:
-        return w, replace(state, discard_buffer=())
+        return w(), replace(state, discard_buffer=())
     return cfg.select(w, chunk_index, state, chunk_len_sec)
 
 

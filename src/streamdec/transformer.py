@@ -55,8 +55,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .core import DEFAULT_FRAME_PERIOD_SEC, ConfigError, ContractViolation, Vocab, check_int
 from .model import (
-    BIDIRECTIONAL,
-    UNIDIRECTIONAL,
     EncoderStates,
     _check_block,
     _check_ids,
@@ -65,6 +63,8 @@ from .model import (
     _check_prior,
 )
 
+UNIDIRECTIONAL = "unidirectional"  # causal encoder
+BIDIRECTIONAL = "bidirectional"
 LN_EPS = 1e-5
 _SIZES = ("frame_dim", "vocab_size", "d_model", "heads", "ff_dim",
           "enc_layers", "dec_layers")

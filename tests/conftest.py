@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from streamdec.core import Vocab
 from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
-from streamdec.model import UNIDIRECTIONAL, SyntheticAlignedModel
-from streamdec.transformer import TinyTransformer, TransformerConfig
+from streamdec.model import SyntheticAlignedModel
+from streamdec.transformer import UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 settings.register_profile(
     "repo",

@@ -17,9 +17,8 @@ from streamdec import autodiff as ad
 from streamdec.autodiff import Tensor, _child, _data, _unbroadcast, _wrap
 from streamdec.core import CommitLog, ContractViolation, chunk_stream
 from streamdec.decoder import BeamConfig, BeamHypothesis, beam_search
-from streamdec.model import UNIDIRECTIONAL
 from streamdec.strategies import StrategyState, select_prefix
-from streamdec.transformer import _frame_lengths, sinusoid_table
+from streamdec.transformer import UNIDIRECTIONAL, _frame_lengths, sinusoid_table
 
 
 def wer_oracle(ref, hyp):
@@ -216,10 +215,11 @@ def scalar_beam_search(
 
 
 def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
-    """Reference for a session's chunk loop that never asks the strategy
-    whether a chunk is idle: every chunk grows the encoding by its own
-    frames, runs the forced beam search and hands the continuation to
-    select_prefix. Returns the commit log and each chunk's commit."""
+    """Reference for a session's chunk loop that decodes every chunk,
+    whether or not the strategy reads the continuation: every chunk grows
+    the encoding by its own frames, runs the forced beam search and hands
+    the continuation to select_prefix. Returns the commit log and each
+    chunk's commit."""
     log, state, committed, enc, commits = CommitLog(), StrategyState(), (), None, []
     for chunk in chunk_stream(utt.frames, chunk_len_sec, utt.frame_period_sec, utt.id):
         enc = model.encode(
@@ -227,9 +227,10 @@ def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
             utt_id=utt.id, frame_period_sec=utt.frame_period_sec,
         )
         cont = beam_search(model, enc, committed, beam)[0].tokens[len(committed):]
+        surfaces = tuple(map(model.vocab.token_of, cont))
         got, state = select_prefix(
-            strategy, state, chunk.index, chunk.is_final,
-            tuple(map(model.vocab.token_of, cont)), chunk_len_sec,
+            strategy, state, chunk.index, chunk.is_final, lambda: surfaces,
+            chunk_len_sec,
         )
         committed += cont[: len(got)]
         log.commit(got, chunk.index, chunk_len_sec)

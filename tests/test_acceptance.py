@@ -35,12 +35,7 @@ from streamdec.metrics import (
     mean_output_time,
     wer,
 )
-from streamdec.model import (
-    BIDIRECTIONAL,
-    EncoderStates,
-    SyntheticAlignedModel,
-    UNIDIRECTIONAL,
-)
+from streamdec.model import EncoderStates, SyntheticAlignedModel
 from streamdec.strategies import (
     HoldN,
     LocalAgreement,
@@ -58,7 +53,12 @@ from streamdec.training import (
     token_error_rate,
     train,
 )
-from streamdec.transformer import TinyTransformer, TransformerConfig
+from streamdec.transformer import (
+    BIDIRECTIONAL,
+    UNIDIRECTIONAL,
+    TinyTransformer,
+    TransformerConfig,
+)
 
 from .oracles import beam_oracle, cache_gap, wer_oracle
 
@@ -168,22 +168,22 @@ def test_c01_prefix_function_conformance():
     ok = True
     st = StrategyState()
     # hold-n keeps all but the last n fresh tokens
-    out, _ = HoldN(2).select(("a", "b", "c", "d", "e"), 1, st, 0.5)
+    out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), 1, st, 0.5)
     ok &= out == ("a", "b", "c")
-    ok &= HoldN(5).select(("a", "b"), 1, st, 0.5)[0] == ()
-    ok &= HoldN(0).select(("a", "b", "c"), 1, st, 0.5)[0] == ("a", "b", "c")
-    ok &= HoldN(3).select((), 1, st, 0.5)[0] == ()
+    ok &= HoldN(5).select(lambda: ("a", "b"), 1, st, 0.5)[0] == ()
+    ok &= HoldN(0).select(lambda: ("a", "b", "c"), 1, st, 0.5)[0] == ("a", "b", "c")
+    ok &= HoldN(3).select(lambda: (), 1, st, 0.5)[0] == ()
     # wait-k: silent chunks leave the budget untouched, then the rate accrues
     # per chunk and emission spends it
-    out, st2 = WaitK(1, 4.0).select(("a", "b"), 1, st, 0.5)
+    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), 1, st, 0.5)
     ok &= out == () and st2.budget == 0.0
-    out, st2 = WaitK(1, 4.0).select(("a", "b"), 2, st, 0.5)
+    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), 2, st, 0.5)
     ok &= out == ("a", "b") and st2.budget == 0.0
-    out, st2 = WaitK(0, 2.0).select(("a", "b", "c"), 1, st, 0.5)
+    out, st2 = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), 1, st, 0.5)
     ok &= out == ("a",) and st2.budget == 0.0
-    out, st2 = WaitK(0, 1.0).select(("a",), 1, st, 0.5)
+    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), 1, st, 0.5)
     ok &= out == () and st2.budget == pytest.approx(0.5)
-    out, st2 = WaitK(0, 1.0).select(("a",), 2, st2, 0.5)
+    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), 2, st2, 0.5)
     ok &= out == ("a",) and st2.budget == pytest.approx(0.0)
     # longest common prefix
     ok &= lcp(("a", "b", "c"), ("a", "b", "d")) == ("a", "b")
@@ -192,14 +192,14 @@ def test_c01_prefix_function_conformance():
     ok &= lcp(("x",), ("y",)) == ()
     # local agreement: first chunk only buffers, the second commits the
     # agreed prefix and keeps the rest buffered
-    out, la_st = LocalAgreement().select(("a", "b", "c"), 1, st, 0.5)
+    out, la_st = LocalAgreement().select(lambda: ("a", "b", "c"), 1, st, 0.5)
     ok &= out == () and la_st.discard_buffer == ("a", "b", "c")
-    out, la_st = LocalAgreement().select(("a", "b", "d"), 2, la_st, 0.5)
+    out, la_st = LocalAgreement().select(lambda: ("a", "b", "d"), 2, la_st, 0.5)
     ok &= out == ("a", "b") and la_st.discard_buffer == ("d",)
     # final chunk flushes everything through every strategy
     for strat in (HoldN(3), WaitK(5, rate=1.0), LocalAgreement(), Offline()):
         committed, _ = select_prefix(
-            strat, StrategyState(), 1, True, ("a", "b", "c"), 0.5
+            strat, StrategyState(), 1, True, lambda: ("a", "b", "c"), 0.5
         )
         ok &= committed == ("a", "b", "c")
     elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from streamdec import decoder
 from streamdec.core import (
     BOS_ID,
     EOS_ID,
@@ -22,9 +23,9 @@ from streamdec.decoder import (
     run_session,
     step_chunk,
 )
-from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL, EncoderStates
+from streamdec.model import EncoderStates
 from streamdec.strategies import HoldN, LocalAgreement, Offline, WaitK
-from streamdec.transformer import TinyTransformer
+from streamdec.transformer import BIDIRECTIONAL, UNIDIRECTIONAL, TinyTransformer
 
 from .oracles import beam_oracle, eager_session_log, scalar_beam_search
 from .test_acceptance import CachedRandomModel
@@ -399,7 +400,7 @@ class TestNoUnreadStep:
         """The exact decoder calls of a small oracle stream set. The
         oracle's scores differ by whole logit peaks, so no last-bit rounding
         can move the count from one platform to another. Each wait-k
-        session's first chunk is idle and makes no call."""
+        session's first chunk reads no continuation and makes no call."""
         model = ReadRecordingModel(unstable_model)
         strategies = (HoldN(0), HoldN(2), WaitK(1, rate=4.0), LocalAgreement())
         for i, utt in enumerate(small_corpus[:8]):
@@ -599,29 +600,52 @@ class TestModeEquivalence:
         assert s.positions_encoded == len(utt.frames)
 
 
-class TestIdleChunks:
+class TestUndecodedChunks:
     @pytest.mark.parametrize("strategy", [
         WaitK(0, rate=1.0), WaitK(2, rate=3.0), Offline(), HoldN(1), LocalAgreement(),
     ], ids=str)
     def test_skipping_changes_no_commit(self, unstable_model, small_corpus, strategy):
-        """Idle chunks return empty outputs, and each chunk commits what it
-        commits when every chunk is encoded and decoded. WaitK(0, 1.0) on
-        0.5 s chunks is idle on every other chunk, so its budget must still
-        grow on the chunks it skips."""
+        """A chunk the session did not encode returns an empty output, and
+        each chunk commits what it commits when every chunk is encoded and
+        decoded. WaitK(0, 1.0) on 0.5 s chunks reads no continuation on
+        every other chunk, so its budget must still grow on the chunks it
+        skips."""
         for utt in small_corpus[:4]:
             s = Session(unstable_model, utt, strategy)
             commits = []
             for chunk in s.chunks():
-                idle = not chunk.is_final and strategy.idle(
-                    chunk.index, s.strategy_state, s.chunk_len_sec
-                )
                 out, committed = step_chunk(s, chunk)
                 commits.append(committed)
-                if idle:
+                if s.enc is None or s.enc.frames_covered < chunk.end:
                     assert out == ChunkOutput(chunk.index, (), ())
             assert (s.log, commits) == eager_session_log(
                 unstable_model, utt, strategy, s.chunk_len_sec, s.beam
             )
+
+    def test_one_decode_however_often_the_rule_reads(
+        self, unstable_model, small_corpus, monkeypatch
+    ):
+        """The continuation is decoded at most once per chunk: a rule that
+        reads it twice still costs one encode and one beam search."""
+        def read_twice(self, w, chunk_index, state, chunk_len_sec):
+            assert w() == w()
+            return w()[:1], state
+
+        searches = []
+
+        def counted_search(*args, **kwargs):
+            searches.append(1)
+            return beam_search(*args, **kwargs)
+
+        monkeypatch.setattr(HoldN, "select", read_twice)
+        monkeypatch.setattr(decoder, "beam_search", counted_search)
+        model = ReadRecordingModel(unstable_model)
+        s = Session(model, small_corpus[0], HoldN(0))
+        for chunk in s.chunks():
+            before = (model.encodes, len(searches))
+            step_chunk(s, chunk)
+            assert (model.encodes, len(searches)) == (before[0] + 1, before[1] + 1)
+        assert s.log.tokens  # the rule committed through the twice-read w
 
 
 class TestEncoderRows:
@@ -653,8 +677,8 @@ class TestEncoderRows:
             if s.enc is not None and s.enc.frames_covered == chunk.end:
                 ends.append(chunk.end)
         assert ends == decoded
-        # a causal encoder runs each frame once, idle chunks' frames on the
-        # next decoded chunk; a bidirectional one re-encodes the whole
+        # a causal encoder runs each frame once, an undecoded chunk's frames
+        # on the next decoded chunk; a bidirectional one re-encodes the whole
         # prefix on every decoded chunk
         if mode == UNIDIRECTIONAL:
             assert s.positions_encoded == len(utt.frames)

@@ -37,6 +37,17 @@ def field_values(cls):
     )
 
 
+class CountingW:
+    """A continuation function that counts its calls."""
+
+    def __init__(self, w):
+        self.w, self.calls = w, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.w
+
+
 strategy_classes = st.sampled_from(list(STRATEGIES.values()))
 configs = strategy_classes.flatmap(
     lambda cls: field_values(cls).map(lambda args: cls(*args))
@@ -45,19 +56,19 @@ configs = strategy_classes.flatmap(
 
 class TestHoldN:
     def test_delete_last_two(self):
-        out, _ = HoldN(2).select(("a", "b", "c", "d", "e"), 1, StrategyState(), 0.5)
+        out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), 1, StrategyState(), 0.5)
         assert out == ("a", "b", "c")
 
     def test_n_exceeds_length(self):
-        assert HoldN(5).select(("a", "b"), 1, StrategyState(), 0.5)[0] == ()
+        assert HoldN(5).select(lambda: ("a", "b"), 1, StrategyState(), 0.5)[0] == ()
 
     def test_hold_zero_is_identity(self):
-        out, _ = HoldN(0).select(("a", "b", "c"), 1, StrategyState(), 0.5)
+        out, _ = HoldN(0).select(lambda: ("a", "b", "c"), 1, StrategyState(), 0.5)
         assert out == ("a", "b", "c")
 
     @given(tokens, st.integers(min_value=0, max_value=12))
     def test_length_law(self, w, n):
-        out = HoldN(n).select(w, 1, StrategyState(), 0.5)[0]
+        out = HoldN(n).select(lambda: w, 1, StrategyState(), 0.5)[0]
         assert len(out) == max(0, len(w) - n)
         assert out == w[: len(out)]
 
@@ -73,39 +84,46 @@ class TestHoldN:
 
 class TestWaitK:
     def test_holds_first_k_chunks(self):
-        out, state = WaitK(1, 8.0).select(("a", "b", "c"), 1, StrategyState(), 0.5)
+        out, state = WaitK(1, 8.0).select(lambda: ("a", "b", "c"), 1, StrategyState(), 0.5)
         assert out == ()
         assert state.budget == 0.0  # untouched while waiting
 
-    def test_idle_while_waiting_or_under_one_token(self):
+    def test_reads_no_w_while_waiting_or_under_one_token(self):
+        """Wait-k reads no continuation while it waits its k chunks or while
+        its budget is under one token, so the session decodes no such chunk."""
         cfg, state = WaitK(2, 1.0), StrategyState()
-        assert [cfg.idle(c, state, 0.5) for c in (1, 2, 3)] == [True, True, True]
-        assert not cfg.idle(3, StrategyState(budget=0.5), 0.5)
-        assert not WaitK(0, 2.0).idle(1, state, 0.5)
-        assert not any(s.idle(1, state, 0.5) for s in (HoldN(0), LocalAgreement()))
-        assert Offline().idle(1, state, 0.5)
+        for c in (1, 2, 3):
+            w = CountingW(("a", "b"))
+            out, state = cfg.select(w, c, state, 0.5)
+            assert (out, w.calls) == ((), 0)
+        assert state.budget == pytest.approx(0.5)  # chunk 3 banked half a token
+        w = CountingW(("a", "b"))
+        assert cfg.select(w, 4, state, 0.5)[0] == ("a",) and w.calls == 1
+        w = CountingW(("a", "b"))
+        assert WaitK(0, 2.0).select(w, 1, StrategyState(), 0.5)[0] == ("a",)
+        assert w.calls == 1
 
     def test_big_budget_emits_everything(self):
-        out, state = WaitK(1, 8.0).select(("a",), 2, StrategyState(), 0.5)
+        out, state = WaitK(1, 8.0).select(lambda: ("a",), 2, StrategyState(), 0.5)
         assert out == ("a",)
 
     def test_fractional_budget_carries(self):
-        out, state = WaitK(0, 2.0).select(("a", "b", "c"), 2, StrategyState(), 0.5)
+        out, state = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), 2, StrategyState(), 0.5)
         assert out == ("a",)
         assert state.budget == pytest.approx(0.0)
 
     def test_budget_accumulates_across_chunks(self):
         state = StrategyState()
         # rate 1 tok/s, 0.5 s chunks: half a token of budget per chunk
-        out1, state = WaitK(0, 1.0).select(("a", "b"), 1, state, 0.5)
+        out1, state = WaitK(0, 1.0).select(lambda: ("a", "b"), 1, state, 0.5)
         assert out1 == ()
         assert state.budget == pytest.approx(0.5)
-        out2, state = WaitK(0, 1.0).select(("a", "b"), 2, state, 0.5)
+        out2, state = WaitK(0, 1.0).select(lambda: ("a", "b"), 2, state, 0.5)
         assert out2 == ("a",)
         assert state.budget == pytest.approx(0.0)
 
     def test_short_continuation_keeps_surplus(self):
-        out, state = WaitK(0, 6.0).select(("a",), 1, StrategyState(), 0.5)
+        out, state = WaitK(0, 6.0).select(lambda: ("a",), 1, StrategyState(), 0.5)
         assert out == ("a",)
         assert state.budget == pytest.approx(2.0)
 
@@ -116,13 +134,13 @@ class TestWaitK:
         st.floats(min_value=0.1, max_value=16.0),
     )
     def test_budget_never_negative(self, w, c, k, rate):
-        out, state = WaitK(k, rate).select(w, c, StrategyState(), 0.5)
+        out, state = WaitK(k, rate).select(lambda: w, c, StrategyState(), 0.5)
         assert state.budget >= 0.0
         assert out == w[: len(out)]
 
     def test_float_dust_counts_as_whole_token(self):
         state = StrategyState(budget=3.9999999996)
-        out, state = WaitK(0, 1e-12).select(("a", "b", "c", "d", "e"), 1, state, 0.5)
+        out, state = WaitK(0, 1e-12).select(lambda: ("a", "b", "c", "d", "e"), 1, state, 0.5)
         assert len(out) >= 4
 
     def test_invalid_config(self):
@@ -158,51 +176,60 @@ class TestLcp:
 
 class TestLocalAgreement:
     def test_first_chunk_buffers(self):
-        out, state = LocalAgreement().select(("a", "b"), 1, StrategyState(), 0.5)
+        out, state = LocalAgreement().select(lambda: ("a", "b"), 1, StrategyState(), 0.5)
         assert out == ()
         assert state.discard_buffer == ("a", "b")
 
     def test_second_chunk_commits_agreement(self):
         state = StrategyState(discard_buffer=("a", "b"))
-        out, state = LocalAgreement().select(("a", "b", "c"), 2, state, 0.5)
+        out, state = LocalAgreement().select(lambda: ("a", "b", "c"), 2, state, 0.5)
         assert out == ("a", "b")
         assert state.discard_buffer == ("c",)
 
     def test_no_agreement(self):
         state = StrategyState(discard_buffer=("a", "b"))
-        out, state = LocalAgreement().select(("x", "y"), 2, state, 0.5)
+        out, state = LocalAgreement().select(lambda: ("x", "y"), 2, state, 0.5)
         assert out == ()
         assert state.discard_buffer == ("x", "y")
 
     @given(tokens, tokens)
     def test_commit_appeared_in_both(self, prev, cur):
         state = StrategyState(discard_buffer=prev)
-        out, _ = LocalAgreement().select(cur, 2, state, 0.5)
+        out, _ = LocalAgreement().select(lambda: cur, 2, state, 0.5)
         assert out == prev[: len(out)]
         assert out == cur[: len(out)]
 
 
 class TestSelectPrefix:
     def test_hold_n_dispatch(self):
-        out, _ = select_prefix(HoldN(2), StrategyState(), 1, False, ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), StrategyState(), 1, False, lambda: ("a", "b", "c"))
         assert out == ("a",)
 
     def test_final_flush_overrides_strategy(self):
-        out, _ = select_prefix(HoldN(2), StrategyState(), 1, True, ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), StrategyState(), 1, True, lambda: ("a", "b", "c"))
         assert out == ("a", "b", "c")
 
     def test_offline_non_final(self):
-        out, _ = select_prefix(Offline(), StrategyState(), 3, False, ("a", "b"))
+        out, _ = select_prefix(Offline(), StrategyState(), 3, False, lambda: ("a", "b"))
         assert out == ()
 
     def test_offline_final(self):
-        out, _ = select_prefix(Offline(), StrategyState(), 3, True, ("a", "b"))
+        out, _ = select_prefix(Offline(), StrategyState(), 3, True, lambda: ("a", "b"))
         assert out == ("a", "b")
+
+    def test_hold_n_and_local_agreement_read_w_offline_does_not(self):
+        """hold-n and local agreement read the continuation on every chunk,
+        offline never on a non-final one."""
+        for cfg, want in ((HoldN(0), 1), (LocalAgreement(), 1), (Offline(), 0)):
+            w = CountingW(("a",))
+            select_prefix(cfg, StrategyState(), 1, False, w)
+            assert w.calls == want
 
     def test_wait_k_uses_chunk_len(self):
         # 1 s chunks double the per-chunk budget relative to 0.5 s
         out, _ = select_prefix(
-            WaitK(k=0, rate=2.0), StrategyState(), 1, False, ("a", "b", "c"), chunk_len_sec=1.0
+            WaitK(k=0, rate=2.0), StrategyState(), 1, False, lambda: ("a", "b", "c"),
+            chunk_len_sec=1.0,
         )
         assert out == ("a", "b")
 
@@ -215,10 +242,10 @@ class TestSelectPrefix:
     )
     def test_prefix_law(self, cfg, chunk_index, is_final, w, buffered):
         state = StrategyState(discard_buffer=buffered)
-        out, new_state = select_prefix(cfg, state, chunk_index, is_final, w)
+        out, new_state = select_prefix(cfg, state, chunk_index, is_final, lambda: w)
         assert out == w[: len(out)]
         # determinism: same inputs, same outputs
-        again, again_state = select_prefix(cfg, state, chunk_index, is_final, w)
+        again, again_state = select_prefix(cfg, state, chunk_index, is_final, lambda: w)
         assert again == out and again_state == new_state
 
     @given(
@@ -228,22 +255,21 @@ class TestSelectPrefix:
         st.sampled_from([0.1, 0.25, 0.5, 1.0]),
         tokens,
     )
-    def test_idle_chunk_commits_nothing_whatever_w(
+    def test_unread_continuation_commits_nothing(
         self, cfg, chunk_index, state, chunk_len_sec, w
     ):
-        """The idle contract the session relies on to skip a chunk's decode:
-        select commits nothing and carries the state it would carry for an
-        empty continuation."""
-        if cfg.idle(chunk_index, state, chunk_len_sec):
-            got = cfg.select(w, chunk_index, state, chunk_len_sec)
-            assert got == cfg.select((), chunk_index, state, chunk_len_sec)
-            assert got[0] == ()
+        """The session decodes a chunk only when its rule reads w, so a
+        non-final chunk whose rule never calls w must commit nothing."""
+        reads = CountingW(w)
+        out, _ = select_prefix(cfg, state, chunk_index, False, reads, chunk_len_sec)
+        if not reads.calls:
+            assert out == ()
 
     def test_chunked_session_trace_local_agreement(self):
         # scripted two-chunk session: chunk 1 buffers, chunk 2 flushes all
         state = StrategyState()
-        c1, state = select_prefix(LocalAgreement(), state, 1, False, ("a", "b"))
-        c2, state = select_prefix(LocalAgreement(), state, 2, True, ("a", "b", "c"))
+        c1, state = select_prefix(LocalAgreement(), state, 1, False, lambda: ("a", "b"))
+        c2, state = select_prefix(LocalAgreement(), state, 2, True, lambda: ("a", "b", "c"))
         assert c1 == ()
         assert c2 == ("a", "b", "c")
 
@@ -302,4 +328,4 @@ class TestNamesAndParsing:
     def test_non_strategy_rejected(self):
         for cfg in ("hold-n:0", None, object()):
             with pytest.raises(ConfigError):
-                select_prefix(cfg, StrategyState(), 1, True, ("a",))
+                select_prefix(cfg, StrategyState(), 1, True, lambda: ("a",))

@@ -11,14 +11,14 @@ share no state with the session:
   which carries one decoder state per path and advances it by one-row
   ``dec_advance`` calls (the batched beam's parent gather is exact):
   tokens equal, log-probs within 1e-12;
-* a chunk the strategy reports idle returns an empty output, and skipping
-  it changes nothing: the session's commit log and per-chunk commits equal
+* a chunk the session did not encode (its rule did not read the
+  continuation) returns an empty output, and skipping it changes nothing: the session's commit log and per-chunk commits equal
   ``oracles.eager_session_log``, which encodes and decodes every chunk;
 * a causal session encodes each frame position exactly once, and every
   session's final encoding equals a one-shot ``encode`` of all its frames
   on every cached key and value array: bit for bit for a bidirectional
   model, which re-encodes, and within 1e-12 for a causal one, grown across
-  the decoded chunks (idle ones add nothing);
+  the decoded chunks (undecoded ones add nothing);
 * commits never shrink and never exceed the cap.
 
 On 3-word models with a cap of at most 3 tokens, a beam wider than the
@@ -35,8 +35,13 @@ from hypothesis import strategies as st
 
 from streamdec.core import ChunkOutput, Utterance, Vocab
 from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
-from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
-from streamdec.transformer import TinyTransformer, TransformerConfig, init_params
+from streamdec.transformer import (
+    BIDIRECTIONAL,
+    UNIDIRECTIONAL,
+    TinyTransformer,
+    TransformerConfig,
+    init_params,
+)
 
 from .oracles import beam_oracle, cache_gap, eager_session_log, scalar_beam_search
 from .test_strategies import configs
@@ -104,12 +109,9 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
     commits = []
     for chunk in session.chunks():
         prefix = session.committed_ids
-        idle = not chunk.is_final and strategy.idle(
-            chunk.index, session.strategy_state, chunk_len
-        )
         out, committed = step_chunk(session, chunk)
         commits.append(committed)
-        if idle:
+        if session.enc is None or session.enc.frames_covered < chunk.end:
             assert out == ChunkOutput(chunk.index, (), ())
             assert committed == ()
             continue

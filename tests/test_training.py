@@ -14,7 +14,7 @@ from streamdec.data import (
     task_vocab,
 )
 from streamdec.io import load_model
-from streamdec.model import UNIDIRECTIONAL, SyntheticAlignedModel
+from streamdec.model import SyntheticAlignedModel
 from streamdec.training import (
     Adam,
     PartialSliceSpec,
@@ -27,7 +27,7 @@ from streamdec.training import (
     train,
     write_curve,
 )
-from streamdec.transformer import TinyTransformer, TransformerConfig
+from streamdec.transformer import UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 from .oracles import normalize_fresh, padded_training_logits
 

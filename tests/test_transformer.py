@@ -16,9 +16,10 @@ from streamdec.core import ConfigError, ContractViolation, Vocab
 from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig, run_session
 from streamdec.io import load_model, save_model
-from streamdec.model import BIDIRECTIONAL, UNIDIRECTIONAL
 from streamdec.strategies import LocalAgreement
 from streamdec.transformer import (
+    BIDIRECTIONAL,
+    UNIDIRECTIONAL,
     DecState,
     TinyTransformer,
     TransformerConfig,
