@@ -20,6 +20,7 @@ import os
 import sys
 import time
 
+from streamdec.core import DEFAULT_CHUNK_SEC
 from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
 from streamdec.decoder import BeamConfig, run_session
 from streamdec.io import save_model
@@ -38,7 +39,7 @@ def parse_args(argv):
     p.add_argument("--adapt-steps", type=int, default=200)
     p.add_argument("--d-model", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunk-sec", type=float, default=0.5)
+    p.add_argument("--chunk-sec", type=float, default=DEFAULT_CHUNK_SEC)
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--outdir", default=None, help="save models and curves here")
     return p.parse_args(argv)

@@ -9,6 +9,10 @@ A strategy is named by one compact spec, ``name[:p1[:p2]]``: ``hold-n:N``,
 ``offline``. ``run --strategy`` takes one spec, ``sweep --strategies`` a
 comma-separated list.
 
+An option that sets a config field is declared from that field: its type,
+default and parsed name are the field's, so ``--beam`` parses to
+``beam_width`` and a bool field is a flag.
+
 Option values may also come from ``--config FILE``, before or after the
 command. Each ``key = value`` line's key is an option name, with dashes or
 underscores (``chunk-sec``, ``in``), and the line becomes ``--key=value``
@@ -22,20 +26,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from . import io as sio
 from .core import (
-    DEFAULT_CHUNK_SEC,
-    ConfigError,
-    ContractViolation,
-    UndefinedMetric,
-    Utterance,
-    Vocab,
-    eval_tokens,
+    FIELD_TYPES, ConfigError, ContractViolation, UndefinedMetric, Utterance, Vocab, eval_tokens,
 )
 from .data import SyntheticTaskSpec, gen_dataset
-from .decoder import BeamConfig, run_session
+from .decoder import BeamConfig, Session, run_session
 from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
 from .strategies import parse_strategy, spec_usage
@@ -50,45 +49,40 @@ ENCODER_ALIASES = {
 }
 
 
-def _beam_from_args(args) -> BeamConfig:
-    return BeamConfig(
-        beam_width=args.beam,
-        cap_tokens_per_sec=args.cap,
-        length_normalize=args.length_norm,
-    )
+def _option(p: argparse.ArgumentParser, flag: str, owner: type, name: str, **kw) -> None:
+    """Add ``flag`` as the option that sets field ``name`` of config class
+    ``owner``: its parsed name, type and default are the field's, and a bool
+    field is a flag."""
+    f = next(f for f in fields(owner) if f.name == name)
+    if f.type == "bool":
+        kw["action"] = "store_true"
+    else:
+        kw.update(type=FIELD_TYPES[f.type], metavar=flag[2:].replace("-", "_").upper())
+    p.add_argument(flag, dest=name, default=f.default, **kw)
 
 
-def _add_beam_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=int, default=BeamConfig.beam_width, help="beam width")
-    p.add_argument("--cap", type=float, default=BeamConfig.cap_tokens_per_sec, help="max tokens per second of audio")
-    p.add_argument("--length-norm", action="store_true", help="rank final hypotheses by mean token log-prob")
+def _config(owner: type, args: argparse.Namespace, **given):
+    """``owner`` built from each parsed value named after one of its fields,
+    and ``given``, which wins."""
+    parsed = vars(args)
+    return owner(**{f.name: parsed[f.name] for f in fields(owner) if f.name in parsed} | given)
 
 
-def _add_chunk_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--chunk-sec", type=float, default=DEFAULT_CHUNK_SEC, help="chunk length in seconds")
+def _add_session_opts(p: argparse.ArgumentParser) -> None:
+    _option(p, "--beam", BeamConfig, "beam_width", help="beam width")
+    _option(p, "--cap", BeamConfig, "cap_tokens_per_sec", help="max tokens per second of audio")
+    _option(p, "--length-norm", BeamConfig, "length_normalize",
+            help="rank final hypotheses by mean token log-prob")
+    _option(p, "--chunk-sec", Session, "chunk_len_sec", help="chunk length in seconds")
 
 
-def _add_train_opts(p: argparse.ArgumentParser, steps: int) -> None:
-    """The step-loop options train and adapt share (see _train_config)."""
-    p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--warmup", type=int, default=TrainConfig.warmup_steps)
-    p.add_argument("--label-smoothing", type=float, default=TrainConfig.label_smoothing)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+def _add_train_opts(p: argparse.ArgumentParser) -> None:
+    """The step-loop options train and adapt share."""
+    for flag, name in (("--steps", "total_steps"), ("--batch-size", "batch_size"),
+                       ("--lr", "learning_rate"), ("--warmup", "warmup_steps"),
+                       ("--label-smoothing", "label_smoothing"), ("--seed", "seed")):
+        _option(p, flag, TrainConfig, name)
     p.add_argument("--curve", default=None, help="optional loss-curve CSV")
-
-
-def _train_config(args, **extra) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        warmup_steps=args.warmup,
-        label_smoothing=args.label_smoothing,
-        batch_size=args.batch_size,
-        total_steps=args.steps,
-        seed=args.seed,
-        **extra,
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,24 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output utterances JSONL")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=SyntheticTaskSpec.vocab_size)
-    p.add_argument("--min-tokens", type=int, default=SyntheticTaskSpec.min_tokens)
-    p.add_argument("--max-tokens", type=int, default=SyntheticTaskSpec.max_tokens)
-    p.add_argument("--min-frames-per-token", type=int, default=SyntheticTaskSpec.min_frames_per_token)
-    p.add_argument("--max-frames-per-token", type=int, default=SyntheticTaskSpec.max_frames_per_token)
-    p.add_argument("--frame-dim", type=int, default=SyntheticTaskSpec.frame_dim)
-    p.add_argument("--noise-std", type=float, default=SyntheticTaskSpec.noise_std)
-    p.add_argument("--translation", action="store_true", help="reorder the output side")
+    for name in ("vocab_size", "min_tokens", "max_tokens", "min_frames_per_token",
+                 "max_frames_per_token", "frame_dim", "noise_std"):
+        _option(p, "--" + name.replace("_", "-"), SyntheticTaskSpec, name)
+    _option(p, "--translation", SyntheticTaskSpec, "translation", help="reorder the output side")
 
     p = sub.add_parser("train", help="train a transformer from scratch")
     p.add_argument("--data", required=True, help="training utterances JSONL")
     p.add_argument("--out", required=True, help="output model file")
-    _add_train_opts(p, steps=TrainConfig.total_steps)
-    p.add_argument("--d-model", type=int, default=TransformerConfig.d_model)
-    p.add_argument("--heads", type=int, default=TransformerConfig.heads)
-    p.add_argument("--ff-dim", type=int, default=TransformerConfig.ff_dim)
-    p.add_argument("--enc-layers", type=int, default=TransformerConfig.enc_layers)
-    p.add_argument("--dec-layers", type=int, default=TransformerConfig.dec_layers)
+    _add_train_opts(p)
+    for name in ("d_model", "heads", "ff_dim", "enc_layers", "dec_layers"):
+        _option(p, "--" + name.replace("_", "-"), TransformerConfig, name)
     p.add_argument("--enc-mode", default="uni", choices=sorted(set(ENCODER_ALIASES)))
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
@@ -136,19 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="adaptation utterances JSONL")
     p.add_argument("--dev", required=True, help="dev utterances JSONL for checkpoint selection")
     p.add_argument("--out", required=True, help="output model file")
-    _add_train_opts(p, steps=200)
-    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    _add_train_opts(p)
+    p.set_defaults(total_steps=200)
+    _option(p, "--eval-every", TrainConfig, "eval_every")
     p.add_argument("--lr-factor", type=float, default=ADAPT_LR_FACTOR)
-    p.add_argument("--ratio-low", type=float, default=PartialSliceSpec.ratio_low)
-    p.add_argument("--ratio-high", type=float, default=PartialSliceSpec.ratio_high)
+    _option(p, "--ratio-low", PartialSliceSpec, "ratio_low")
+    _option(p, "--ratio-high", PartialSliceSpec, "ratio_high")
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--in", dest="inp", required=True, help="utterances JSONL")
     p.add_argument("--out", required=True, help="commit-log JSONL")
     p.add_argument("--strategy", required=True, help="one of " + spec_usage())
-    _add_beam_opts(p)
-    _add_chunk_opts(p)
+    _add_session_opts(p)
 
     p = sub.add_parser("sweep", help="accuracy-latency grid over models and strategies")
     p.add_argument("--model", action="append", required=True, metavar="NAME=PATH", help="repeatable")
@@ -159,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="hold-0,hold-n:4,wait-k,local-agreement,offline",
         help="comma-separated strategy specs, each one of " + spec_usage(),
     )
-    _add_beam_opts(p)
-    _add_chunk_opts(p)
-    p.add_argument("--workers", type=int, default=SweepSpec.workers)
+    _add_session_opts(p)
+    _option(p, "--workers", SweepSpec, "workers")
 
     p = sub.add_parser("eval", help="score a commit log against references")
     p.add_argument("--refs", required=True, help="reference utterances JSONL")
@@ -265,23 +251,16 @@ def _vocab_from_utts(utts: Sequence[Utterance]) -> Vocab:
 def cmd_train(args) -> int:
     data = _load_corpus(args.data)
     vocab = _vocab_from_utts(data)
-    tc = _train_config(args)  # checked first, so a bad --seed is named seed
-    cfg = TransformerConfig(
-        frame_dim=data[0].frames.shape[1],
-        vocab_size=len(vocab),
-        d_model=args.d_model,
-        heads=args.heads,
-        ff_dim=args.ff_dim,
-        enc_layers=args.enc_layers,
-        dec_layers=args.dec_layers,
-        mode=ENCODER_ALIASES[args.enc_mode],
-        init_seed=args.seed,
+    tc = _config(TrainConfig, args)  # checked first, so a bad --seed is named seed
+    cfg = _config(
+        TransformerConfig, args, frame_dim=data[0].frames.shape[1], vocab_size=len(vocab),
+        mode=ENCODER_ALIASES[args.enc_mode], init_seed=tc.seed,
     )
     model, curve = train(TinyTransformer(cfg, vocab), data, tc)
     sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
-    print(f"trained {args.steps} steps, final loss {curve[-1][1]:.4f}, saved to {args.out}")
+    print(f"trained {tc.total_steps} steps, final loss {curve[-1][1]:.4f}, saved to {args.out}")
     return 0
 
 
@@ -289,13 +268,13 @@ def cmd_adapt(args) -> int:
     model = sio.load_model(args.model)
     data = _load_corpus(args.data)
     dev = _load_corpus(args.dev)
-    tc = _train_config(args, eval_every=args.eval_every)
-    slices = PartialSliceSpec(args.ratio_low, args.ratio_high)
+    tc = _config(TrainConfig, args)
+    slices = _config(PartialSliceSpec, args)
     model, curve = adapt(model, data, tc, dev, slices, lr_factor=args.lr_factor)
     sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)
-    print(f"adapted {args.steps} steps, saved to {args.out}")
+    print(f"adapted {tc.total_steps} steps, saved to {args.out}")
     return 0
 
 
@@ -303,8 +282,8 @@ def cmd_run(args) -> int:
     model = sio.load_model(args.model)
     utts = _load_corpus(args.inp)
     strategy = parse_strategy(args.strategy)
-    beam = _beam_from_args(args)
-    logs = {u.id: run_session(model, u, strategy, args.chunk_sec, beam) for u in utts}
+    beam = _config(BeamConfig, args)
+    logs = {u.id: run_session(model, u, strategy, args.chunk_len_sec, beam) for u in utts}
     sio.save_commit_logs(logs, args.out)
     breakdown, report = score_logs(utts, logs)
     # no committed token leaves latency undefined; the line prints nan then
@@ -331,12 +310,7 @@ def cmd_sweep(args) -> int:
     strategies = tuple(
         parse_strategy(s.strip()) for s in args.strategies.split(",") if s.strip()
     )
-    spec = SweepSpec(
-        strategies=strategies,
-        chunk_len_sec=args.chunk_sec,
-        beam=_beam_from_args(args),
-        workers=args.workers,
-    )
+    spec = _config(SweepSpec, args, strategies=strategies, beam=_config(BeamConfig, args))
     rows = sweep(models, utts, spec)
     save_sweep_csv(rows, args.out)
     print(rows_to_csv(rows), end="")

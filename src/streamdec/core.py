@@ -40,6 +40,10 @@ class UndefinedMetric(ValueError):
 DEFAULT_CHUNK_SEC = 0.5  # chunk length when none is given
 DEFAULT_FRAME_PERIOD_SEC = 0.010  # seconds per input frame when none is given
 
+# a config field's annotation -> the parser of its text form, for strategy
+# specs and CLI options alike (a bool field is a flag, not parsed text)
+FIELD_TYPES = {"int": int, "float": float}
+
 
 def check_int(name: str, value, least: int | None = None) -> None:
     """Refuse a config value that is not an integer, or one below least if
@@ -155,6 +159,10 @@ class Utterance:
         self.reference_tokens = tuple(self.reference_tokens)
         if self.target_tokens is not None:
             self.target_tokens = tuple(self.target_tokens)
+        for name in ("reference_tokens", "target_tokens"):
+            reserved = set(getattr(self, name) or ()) & set(RESERVED_TOKENS)
+            if reserved:  # no model could ever emit them where they stand
+                raise ConfigError(f"{name} holds reserved token {min(reserved)!r}")
 
     @property
     def n_frames(self) -> int:

@@ -27,9 +27,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Sequence
 
-from .core import DEFAULT_CHUNK_SEC, ConfigError, ContractViolation, check_int, check_real
-
-_CASTS = {"int": int, "float": float}  # spec field type -> parser
+from .core import DEFAULT_CHUNK_SEC, FIELD_TYPES, ConfigError, ContractViolation, check_int, check_real
 
 
 class StrategyConfig:
@@ -64,7 +62,7 @@ class StrategyConfig:
         args = []
         for f, v in zip(fs, values):
             try:
-                args.append(_CASTS[f.type](v))
+                args.append(FIELD_TYPES[f.type](v))
             except ValueError:
                 raise ConfigError(
                     f"strategy {spec!r}: {f.name.upper()} must be {f.type}, got {v!r}"

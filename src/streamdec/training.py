@@ -34,7 +34,7 @@ from .core import (
 )
 from .data import make_partial_pair
 from .decoder import BeamConfig, run_session
-from .metrics import corpus_wer
+from .metrics import score_logs
 from .strategies import Offline
 from .transformer import TinyTransformer
 
@@ -165,12 +165,11 @@ def token_error_rate(model: TinyTransformer, utts: Sequence[Utterance]) -> float
     session of one chunk per utterance, against each utterance's output
     side. The length cap is one token per frame, which no frame-aligned
     output exceeds, so it never cuts a decode short."""
-    pairs = []
+    logs = {}
     for u in utts:
         beam = BeamConfig(beam_width=1, cap_tokens_per_sec=1 / u.frame_period_sec)
-        log = run_session(model, u, Offline(), u.duration_sec, beam)
-        pairs.append((eval_tokens(u), log.tokens))
-    return corpus_wer(pairs).rate
+        logs[u.id] = run_session(model, u, Offline(), u.duration_sec, beam)
+    return score_logs(utts, logs)[0].rate
 
 
 Pairs = list[tuple[np.ndarray, tuple[str, ...]]]

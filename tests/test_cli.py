@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from streamdec import cli, decoder
 from streamdec.cli import main
 from streamdec.core import RESERVED_TOKENS, CommitLog, Utterance
 from streamdec.data import SyntheticTaskSpec
-from streamdec.decoder import BeamConfig
+from streamdec.decoder import BeamConfig, Session
 from streamdec.harness import SweepSpec
 from streamdec.io import (
     load_attention_grids,
@@ -21,7 +22,7 @@ from streamdec.io import (
 )
 from streamdec.metrics import score_logs
 from streamdec.training import PartialSliceSpec, TrainConfig, adapt
-from streamdec.transformer import TransformerConfig
+from streamdec.transformer import BIDIRECTIONAL, TransformerConfig
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
 
@@ -410,7 +411,7 @@ class TestConfigFile:
         cfg.write_text("steps = 7\nbeam = 3\nlength-norm = true\n")
         args = _parse(["--config", str(cfg), "run", "--model", "m", "--in", "i",
                        "--out", "o", "--strategy", "hold-0"])
-        assert (args["beam"], args["length_norm"]) == (3, True)
+        assert (args["beam_width"], args["length_normalize"]) == (3, True)
         assert "steps" not in args
 
     @pytest.mark.parametrize("value, want", [("true", True), ("FALSE", False)])
@@ -484,70 +485,124 @@ def test_config_line_reads_like_its_flag(tmp_path, capsys, command):
         assert "Traceback" not in errs[0]
 
 
-_BEAM_OPTIONS = {
-    "beam": (BeamConfig, "beam_width"),
-    "cap": (BeamConfig, "cap_tokens_per_sec"),
-    "length_norm": (BeamConfig, "length_normalize"),
-    "chunk_sec": (SweepSpec, "chunk_len_sec"),
-}
-_TRAIN_OPTIONS = {
-    "batch_size": (TrainConfig, "batch_size"),
-    "lr": (TrainConfig, "learning_rate"),
-    "warmup": (TrainConfig, "warmup_steps"),
-    "label_smoothing": (TrainConfig, "label_smoothing"),
-    "seed": (TrainConfig, "seed"),
-}
-# command -> option dest -> the dataclass field or function parameter whose
-# default the option's default restates
-MIRRORS = {
-    "gen-data": {
-        name: (SyntheticTaskSpec, name)
-        for name in ("vocab_size", "min_tokens", "max_tokens", "min_frames_per_token",
-                     "max_frames_per_token", "frame_dim", "noise_std", "translation")
-    },
-    "train": {
-        **_TRAIN_OPTIONS,
-        "steps": (TrainConfig, "total_steps"),
-        **{name: (TransformerConfig, name)
-           for name in ("d_model", "heads", "ff_dim", "enc_layers", "dec_layers")},
-    },
-    "adapt": {
-        **_TRAIN_OPTIONS,
-        "eval_every": (TrainConfig, "eval_every"),
-        "lr_factor": (adapt, "lr_factor"),
-        "ratio_low": (PartialSliceSpec, "ratio_low"),
-        "ratio_high": (PartialSliceSpec, "ratio_high"),
-    },
-    "run": _BEAM_OPTIONS,
-    "sweep": {**_BEAM_OPTIONS, "workers": (SweepSpec, "workers")},
+# command -> the configs its options set, and adapt's own lr_factor; an
+# option whose parsed name is a field or parameter of one of them sets it
+CONFIGS = {
+    "gen-data": (SyntheticTaskSpec,),
+    "train": (TrainConfig, TransformerConfig),
+    "adapt": (TrainConfig, PartialSliceSpec, adapt),
+    "run": (BeamConfig, Session),
+    "sweep": (BeamConfig, SweepSpec),
 }
 # the numeric defaults that no library code states
-UNMIRRORED = {("gen-data", "count"), ("gen-data", "seed"), ("adapt", "steps")}
+UNMIRRORED = {("gen-data", "count"), ("gen-data", "seed"), ("adapt", "total_steps")}
 
 
-def _library_default(owner, name):
+def _library_defaults(owner):
+    """The defaults of a config class's fields or a function's parameters."""
     if dataclasses.is_dataclass(owner):
-        return next(f.default for f in dataclasses.fields(owner) if f.name == name)
-    return inspect.signature(owner).parameters[name].default
+        return {f.name: f.default for f in dataclasses.fields(owner)
+                if f.default is not dataclasses.MISSING}
+    return {name: q.default for name, q in inspect.signature(owner).parameters.items()
+            if q.default is not inspect.Parameter.empty}
+
+
+def _owners(command):
+    """Parsed option name -> the config (or function) it sets, for command."""
+    p = cli.command_parsers(cli.build_parser())[command]
+    return {
+        a.dest: owner
+        for a in p._actions
+        for owner in CONFIGS.get(command, ())
+        if a.dest in _library_defaults(owner)
+    }
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_option_defaults_are_the_library_defaults(command):
-    """An option that mirrors a config field parses, when not given, to that
+    """An option that sets a config field parses, when not given, to that
     field's default, of the same type; every other numeric or flag default
     is one of the few that no library code states."""
     p = cli.command_parsers(cli.build_parser())[command]
-    mirrors = MIRRORS.get(command, {})
+    owners = _owners(command)
     parsed = _parse([command, *_placeholders(p, None)])
-    assert set(mirrors) <= set(parsed)
     for a in p._actions:
-        if a.dest in mirrors:
-            want = _library_default(*mirrors[a.dest])
+        if (command, a.dest) in UNMIRRORED:
+            continue
+        if a.dest in owners:
+            want = _library_defaults(owners[a.dest])[a.dest]
             assert (type(parsed[a.dest]), parsed[a.dest]) == (type(want), want), a.dest
-        elif isinstance(a.default, (int, float)):  # a bool included
-            assert (command, a.dest) in UNMIRRORED, a.dest
+        else:  # a bool included
+            assert not isinstance(a.default, (int, float)), a.dest
     if command == "train":
         assert cli.ENCODER_ALIASES[parsed["enc_mode"]] == TransformerConfig.mode
+
+
+class _Built(Exception):
+    """Raised by the stand-in for the library call a command ends in."""
+
+
+def _built_configs(monkeypatch, work, tmp_path, command, extra=()):
+    """The configs that `command` with options `extra` hands the library,
+    by class (and adapt's lr_factor under adapt), caught before any work."""
+    seen = {}
+
+    def keep(*configs):
+        seen.update({type(c): c for c in configs})
+        raise _Built
+
+    def keep_adapt(model, data, tc, dev, slices, lr_factor):
+        seen[adapt] = types.SimpleNamespace(lr_factor=lr_factor)
+        keep(tc, slices)
+
+    monkeypatch.setattr(cli, "gen_dataset", lambda spec, count, seed: keep(spec))
+    monkeypatch.setattr(cli, "train", lambda model, data, tc: keep(tc, model.cfg))
+    monkeypatch.setattr(cli, "adapt", keep_adapt)
+    monkeypatch.setattr(cli, "run_session", lambda model, u, strategy, chunk_len_sec, beam:
+                        keep(beam, Session(model, u, strategy, chunk_len_sec, beam)))
+    monkeypatch.setattr(cli, "sweep", lambda models, utts, spec: keep(spec, spec.beam))
+    model, data, out = str(work / "model.bin"), str(work / "data.jsonl"), str(tmp_path / "out")
+    argv = {
+        "gen-data": ["--out", out],
+        "train": ["--data", data, "--out", out],
+        "adapt": ["--model", model, "--data", data, "--dev", data, "--out", out],
+        "run": ["--model", model, "--in", data, "--out", out, "--strategy", "hold-0"],
+        "sweep": ["--model", "m=" + model, "--in", data, "--out", out],
+    }[command]
+    with pytest.raises(_Built):
+        main([command, *argv, *extra])
+    return seen
+
+
+def _other_value(value):
+    """A valid value for every mirrored option, other than its default."""
+    if isinstance(value, bool):
+        return not value
+    return value + 2 if isinstance(value, int) else value * 2
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in sorted(CONFIGS) for name in _owners(command)
+])
+def test_every_mirrored_option_reaches_its_config(work, tmp_path, monkeypatch, command, name):
+    """Each option that sets a config field, given a value other than its
+    default, changes that field and no other field an option sets."""
+    owners = _owners(command)
+    base = _built_configs(monkeypatch, work, tmp_path, command)
+    value = _other_value(getattr(base[owners[name]], name))
+    action = next(a for a in cli.command_parsers(cli.build_parser())[command]._actions
+                  if a.dest == name)
+    extra = [action.option_strings[0]] + ([] if action.nargs == 0 else [str(value)])
+    got = _built_configs(monkeypatch, work, tmp_path, command, extra)
+    for other, owner in owners.items():
+        want = value if other == name else getattr(base[owner], other)
+        assert getattr(got[owner], other) == want, other
+
+
+def test_enc_mode_and_seed_reach_the_transformer_config(work, tmp_path, monkeypatch):
+    built = _built_configs(monkeypatch, work, tmp_path, "train",
+                           ["--enc-mode", "bidi", "--seed", "5"])
+    assert (built[TransformerConfig].mode, built[TransformerConfig].init_seed) == (BIDIRECTIONAL, 5)
 
 
 class TestErrorPaths:

@@ -103,6 +103,14 @@ class TestUtterance:
         with pytest.raises(ConfigError, match=match):
             Utterance("u1", np.zeros((3, 2)), ("a",), frame_period_sec=value)
 
+    @pytest.mark.parametrize("token", ["<pad>", "<s>", "</s>"])
+    @pytest.mark.parametrize("side", ["reference_tokens", "target_tokens"])
+    def test_reserved_token_rejected(self, token, side):
+        """A reserved token in a transcript is neither a word the model can
+        emit nor one it should learn mid-sentence."""
+        with pytest.raises(ConfigError, match=f"{side} holds reserved token '{token}'"):
+            Utterance("u1", np.zeros((3, 2)), **{"reference_tokens": ("a",), side: ("a", token, "b")})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frames_rejected(self, bad):
         frames = np.zeros((3, 2))

@@ -153,6 +153,19 @@ class TestUtteranceFiles:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
             load_utterances(path)
 
+    @pytest.mark.parametrize("key", ["ref", "tgt"])
+    def test_reserved_token_reports_line(self, tmp_path, key):
+        """A transcript holding </s> or <pad> would train them mid-sentence
+        and could never be matched by a decode."""
+        path = str(tmp_path / "reserved.jsonl")
+        write_lines(
+            path,
+            f'{{"id": "a", "frames": {F}, "ref": ["x"]}}',
+            f'{{"id": "b", "frames": {F}, "ref": ["x"], "{key}": ["w01", "</s>", "<pad>"]}}',
+        )
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*reserved token '</s>'"):
+            load_utterances(path)
+
     def test_repeated_id_reports_both_lines(self, tmp_path):
         """One id names one stream: a log is kept per id, so a second
         record with the id would be scored against the first one's log."""
