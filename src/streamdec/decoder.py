@@ -44,7 +44,7 @@ from .core import (
     chunk_stream,
 )
 from .model import EncoderStates, SequenceModel, _check_prefix
-from .strategies import STRATEGIES, StrategyConfig, StrategyState, select_prefix
+from .strategies import STRATEGIES, StrategyConfig, select_prefix
 
 FORCED_REDECODE = "forced"
 BUFFERED_STATE = "buffered"
@@ -184,7 +184,7 @@ class Session:
     mode: str = FORCED_REDECODE
 
     log: CommitLog = field(default_factory=CommitLog)
-    strategy_state: StrategyState = field(default_factory=StrategyState)
+    strategy_state: object = None  # the rule's own, None before chunk 1
     committed_ids: tuple[int, ...] = ()
     enc: EncoderStates | None = None
     next_chunk_index: int = 1
@@ -240,8 +240,7 @@ def step_chunk(
         return best.tokens[n_prev:]
 
     committed_ids, session.strategy_state = select_prefix(
-        session.strategy, session.strategy_state, chunk.index, chunk.is_final,
-        continuation, session.chunk_len_sec,
+        session.strategy, session.strategy_state, chunk, continuation
     )
     if best is None:
         out = ChunkOutput(chunk.index, (), ())

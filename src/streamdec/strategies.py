@@ -1,22 +1,22 @@
-"""Partial-hypothesis selection.
+"""Partial-hypothesis selection: which prefix of the fresh continuation W
+decoded at a chunk is committed (displayed irreversibly).
 
-Given the fresh continuation W decoded at chunk c, each strategy decides which
-prefix of W is committed (displayed irreversibly):
-
-* hold-n:N    -- commit all but the last N tokens; the tail is assumed unstable.
-* wait-k[:K[:RATE]] -- commit nothing for the first K chunks, then emit RATE
-                 tokens per second using a fractional budget that accumulates
-                 across chunks.
-* local-agreement -- commit the longest common prefix of the continuations
-                 produced by two consecutive chunks.
-* offline     -- commit nothing until the stream ends.
+* hold-n:N -- all but the last N tokens; the tail is assumed unstable.
+* wait-k[:K[:RATE]] -- nothing for the first K chunks, then RATE tokens per
+  second from a fractional budget carried across chunks.
+* local-agreement -- the longest common prefix of two consecutive chunks'
+  continuations.
+* offline -- nothing until the stream ends.
 
 Each strategy is one class listed in ``STRATEGIES`` whose ``select`` is its
 rule, and ``parse_strategy`` builds one from its spec. ``select_prefix`` is
 the one entry point: it flushes all of W on the final chunk and hands every
-other chunk to the strategy's ``select``. W never holds end-of-sequence,
-because the beam search only extends paths with word ids. A rule gets W as a
-zero-argument function and calls it only when its choice depends on W
+other chunk to the strategy's ``select``, with the ``Chunk`` (its index and
+length) and the rule's own state from the previous chunk, ``None`` before
+the first: wait-k keeps its budget, local agreement the uncommitted tail of
+the previous continuation, hold-n and offline nothing. W never holds
+end-of-sequence: beam search extends paths with word ids only. A rule gets W
+as a zero-argument function and calls it only when its choice depends on W
 (offline never does, wait-k not while it waits); a chunk on which no rule
 calls it is not decoded. Tokens are opaque to every rule.
 """
@@ -24,10 +24,10 @@ calls it is not decoded. Tokens are opaque to every rule.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Sequence
 
-from .core import DEFAULT_CHUNK_SEC, FIELD_TYPES, ConfigError, ContractViolation, check_int, check_real
+from .core import FIELD_TYPES, Chunk, ConfigError, check_int, check_real
 
 
 class StrategyConfig:
@@ -73,12 +73,11 @@ class StrategyConfig:
             raise ConfigError(f"strategy {spec!r}: {e}") from None
 
     def select(
-        self, w: Callable[[], tuple], chunk_index: int, state: StrategyState,
-        chunk_len_sec: float,
-    ) -> tuple[tuple, StrategyState]:
-        """The prefix of the continuation ``w()`` that chunk ``chunk_index``
-        (1-based, not the final one) commits, and the state carried to the
-        next chunk. A rule calls ``w`` only when its choice depends on it."""
+        self, w: Callable[[], tuple], chunk: Chunk, state: Any
+    ) -> tuple[tuple, Any]:
+        """The prefix of ``w()`` that ``chunk`` (not the final one) commits,
+        and the rule's state for the next chunk (``None`` on the first). A
+        rule calls ``w`` only when its choice depends on it."""
         raise NotImplementedError
 
 
@@ -94,10 +93,10 @@ class HoldN(StrategyConfig):
     def params(self) -> str:
         return f"n={self.n}"
 
-    def select(self, w, chunk_index, state, chunk_len_sec):
+    def select(self, w, chunk, state):
         """All of w except its last n tokens."""
         cont = w()
-        return cont[: max(0, len(cont) - self.n)], state
+        return cont[: max(0, len(cont) - self.n)], None
 
 
 @dataclass(frozen=True)
@@ -114,41 +113,40 @@ class WaitK(StrategyConfig):
     def params(self) -> str:
         return f"k={self.k} r={self.rate:g}"
 
-    def select(self, w, chunk_index, state, chunk_len_sec):
+    def select(self, w, chunk, budget):
         """Nothing for the first k chunks; afterwards emit floor(budget)
-        tokens, where the budget grows by rate * chunk_len_sec per chunk and
+        tokens, where the budget grows by rate * chunk length per chunk and
         unused fractions carry over."""
-        if chunk_index <= self.k:
-            return (), state
-        budget = state.budget + self.rate * chunk_len_sec
+        if chunk.index <= self.k:
+            return (), budget
+        budget = (budget or 0.0) + self.rate * chunk.chunk_len_sec
         # the epsilon lets float dust (e.g. 3.9999999996) count as a whole token
         whole = math.floor(budget + 1e-9)
         cont = w() if whole else ()
         emit = min(len(cont), whole)
         # the max() keeps the carried budget from dipping below zero
-        return cont[:emit], replace(state, budget=max(budget - emit, 0.0))
+        return cont[:emit], max(budget - emit, 0.0)
 
 
 @dataclass(frozen=True)
 class LocalAgreement(StrategyConfig):
     name = "local-agreement"
 
-    def select(self, w, chunk_index, state, chunk_len_sec):
+    def select(self, w, chunk, tail):
         """Commit the agreement between this chunk's continuation and the
-        previous one's; the disagreeing tail is buffered for the next round."""
+        previous one's uncommitted tail; this chunk's own uncommitted tail
+        is kept for the next round."""
         cont = w()
-        if chunk_index == 1:
-            return (), replace(state, discard_buffer=cont)
-        agreed = lcp(state.discard_buffer, cont)
-        return agreed, replace(state, discard_buffer=cont[len(agreed) :])
+        agreed = lcp(tail or (), cont)
+        return agreed, cont[len(agreed) :]
 
 
 @dataclass(frozen=True)
 class Offline(StrategyConfig):
     name = "offline"
 
-    def select(self, w, chunk_index, state, chunk_len_sec):
-        return (), state
+    def select(self, w, chunk, state):
+        return (), None
 
 
 # The strategy table: a new strategy is one class above and one entry here.
@@ -156,15 +154,6 @@ STRATEGIES: dict[str, type[StrategyConfig]] = {
     cls.name: cls for cls in (HoldN, WaitK, LocalAgreement, Offline)
 }
 ALIASES = {"hold-0": "hold-n:0"}
-
-
-@dataclass(frozen=True)
-class StrategyState:
-    """Carry-over between chunks: the discard buffer for local agreement and
-    the fractional emission budget for wait-k."""
-
-    discard_buffer: tuple = ()
-    budget: float = 0.0
 
 
 def lcp(a: Sequence, b: Sequence) -> tuple:
@@ -178,22 +167,15 @@ def lcp(a: Sequence, b: Sequence) -> tuple:
 
 
 def select_prefix(
-    cfg: StrategyConfig,
-    state: StrategyState,
-    chunk_index: int,
-    is_final: bool,
-    w: Callable[[], tuple],
-    chunk_len_sec: float = DEFAULT_CHUNK_SEC,
-) -> tuple[tuple, StrategyState]:
-    """Dispatch to the configured strategy; on the final chunk all of the
-    continuation ``w()`` is flushed regardless of strategy."""
+    cfg: StrategyConfig, state: Any, chunk: Chunk, w: Callable[[], tuple]
+) -> tuple[tuple, Any]:
+    """Dispatch to the configured strategy; the final chunk flushes all of
+    ``w()`` whatever the strategy, and carries no state on."""
     if type(cfg) not in STRATEGIES.values():
         raise ConfigError(f"unknown strategy config {cfg!r}")
-    if chunk_index < 1:
-        raise ContractViolation("chunk_index is 1-based")
-    if is_final:
-        return w(), replace(state, discard_buffer=())
-    return cfg.select(w, chunk_index, state, chunk_len_sec)
+    if chunk.is_final:
+        return w(), None
+    return cfg.select(w, chunk, state)
 
 
 def parse_strategy(spec: str) -> StrategyConfig:

@@ -17,7 +17,7 @@ from streamdec import autodiff as ad
 from streamdec.autodiff import Tensor, _child, _data, _unbroadcast, _wrap
 from streamdec.core import CommitLog, ContractViolation, chunk_stream
 from streamdec.decoder import BeamConfig, BeamHypothesis, beam_search
-from streamdec.strategies import StrategyState, select_prefix
+from streamdec.strategies import select_prefix
 from streamdec.transformer import UNIDIRECTIONAL, _frame_lengths, sinusoid_table
 
 
@@ -220,7 +220,7 @@ def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
     the encoding by its own frames, runs the forced beam search and hands
     the continuation to select_prefix. Returns the commit log and each
     chunk's commit."""
-    log, state, committed, enc, commits = CommitLog(), StrategyState(), (), None, []
+    log, state, committed, enc, commits = CommitLog(), None, (), None, []
     for chunk in chunk_stream(utt.frames, chunk_len_sec, utt.frame_period_sec, utt.id):
         enc = model.encode(
             utt.frames[: chunk.end], enc,
@@ -228,14 +228,57 @@ def eager_session_log(model, utt, strategy, chunk_len_sec, beam):
         )
         cont = beam_search(model, enc, committed, beam)[0].tokens[len(committed):]
         surfaces = tuple(map(model.vocab.token_of, cont))
-        got, state = select_prefix(
-            strategy, state, chunk.index, chunk.is_final, lambda: surfaces,
-            chunk_len_sec,
-        )
+        got, state = select_prefix(strategy, state, chunk, lambda: surfaces)
         committed += cont[: len(got)]
         log.commit(got, chunk.index, chunk_len_sec)
         commits.append(got)
     return log, commits
+
+
+def reference_commits(strategy, continuations, chunk_len_sec):
+    """Each chunk's commit over a whole session, from the README's rule
+    table and with no call into ``streamdec.strategies``. ``continuations``
+    holds every chunk's continuation in order, None for a chunk the session
+    never decoded; a commit that would need such a continuation fails.
+
+    hold-n commits all but the last n tokens; wait-k nothing for k chunks,
+    then the whole part of a budget that accrues rate * chunk length per
+    chunk and keeps what it does not spend; local agreement the common
+    prefix with the previous chunk's uncommitted tail; offline nothing. The
+    last chunk commits its whole continuation."""
+
+    def read(i):
+        assert continuations[i] is not None, f"chunk {i + 1} was not decoded"
+        return tuple(continuations[i])
+
+    commits, accrued, spent, tail = [], 0.0, 0, ()
+    for i in range(len(continuations)):
+        if i == len(continuations) - 1:
+            commit = read(i)
+        elif strategy.name == "hold-n":
+            cont = read(i)
+            commit = cont[: max(len(cont) - strategy.n, 0)]
+        elif strategy.name == "wait-k":
+            commit = ()
+            if i >= strategy.k:
+                accrued += strategy.rate * chunk_len_sec
+                # a budget within 1e-9 of a whole token counts as that token
+                due = math.floor(accrued - spent + 1e-9)
+                if due > 0:
+                    commit = read(i)[:due]
+                spent += len(commit)
+        elif strategy.name == "local-agreement":
+            cont = read(i)
+            n = 0
+            while n < min(len(tail), len(cont)) and tail[n] == cont[n]:
+                n += 1
+            commit, tail = cont[:n], cont[n:]
+        elif strategy.name == "offline":
+            commit = ()
+        else:
+            raise ValueError(f"no reference for {strategy!r}")
+        commits.append(commit)
+    return commits
 
 
 def cache_gap(a, b, rows):

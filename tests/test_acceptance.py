@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from streamdec.core import CommitLog, Utterance, Vocab
+from streamdec.core import Chunk, CommitLog, Utterance, Vocab
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_dataset,
@@ -40,7 +40,6 @@ from streamdec.strategies import (
     HoldN,
     LocalAgreement,
     Offline,
-    StrategyState,
     WaitK,
     lcp,
     select_prefix,
@@ -166,25 +165,26 @@ def tail_unstable_world():
 def test_c01_prefix_function_conformance():
     t0 = time.perf_counter()
     ok = True
-    st = StrategyState()
+    # chunk i of a stream of 0.5 s chunks; not the final one
+    c1, c2 = (Chunk("u", i, i - 1, i, 0.5, False) for i in (1, 2))
     # hold-n keeps all but the last n fresh tokens
-    out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), 1, st, 0.5)
+    out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), c1, None)
     ok &= out == ("a", "b", "c")
-    ok &= HoldN(5).select(lambda: ("a", "b"), 1, st, 0.5)[0] == ()
-    ok &= HoldN(0).select(lambda: ("a", "b", "c"), 1, st, 0.5)[0] == ("a", "b", "c")
-    ok &= HoldN(3).select(lambda: (), 1, st, 0.5)[0] == ()
+    ok &= HoldN(5).select(lambda: ("a", "b"), c1, None)[0] == ()
+    ok &= HoldN(0).select(lambda: ("a", "b", "c"), c1, None)[0] == ("a", "b", "c")
+    ok &= HoldN(3).select(lambda: (), c1, None)[0] == ()
     # wait-k: silent chunks leave the budget untouched, then the rate accrues
     # per chunk and emission spends it
-    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), 1, st, 0.5)
-    ok &= out == () and st2.budget == 0.0
-    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), 2, st, 0.5)
-    ok &= out == ("a", "b") and st2.budget == 0.0
-    out, st2 = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), 1, st, 0.5)
-    ok &= out == ("a",) and st2.budget == 0.0
-    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), 1, st, 0.5)
-    ok &= out == () and st2.budget == pytest.approx(0.5)
-    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), 2, st2, 0.5)
-    ok &= out == ("a",) and st2.budget == pytest.approx(0.0)
+    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), c1, None)
+    ok &= out == () and st2 is None
+    out, st2 = WaitK(1, 4.0).select(lambda: ("a", "b"), c2, None)
+    ok &= out == ("a", "b") and st2 == 0.0
+    out, st2 = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), c1, None)
+    ok &= out == ("a",) and st2 == 0.0
+    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), c1, None)
+    ok &= out == () and st2 == pytest.approx(0.5)
+    out, st2 = WaitK(0, 1.0).select(lambda: ("a",), c2, st2)
+    ok &= out == ("a",) and st2 == pytest.approx(0.0)
     # longest common prefix
     ok &= lcp(("a", "b", "c"), ("a", "b", "d")) == ("a", "b")
     ok &= lcp((), ("a",)) == ()
@@ -192,15 +192,14 @@ def test_c01_prefix_function_conformance():
     ok &= lcp(("x",), ("y",)) == ()
     # local agreement: first chunk only buffers, the second commits the
     # agreed prefix and keeps the rest buffered
-    out, la_st = LocalAgreement().select(lambda: ("a", "b", "c"), 1, st, 0.5)
-    ok &= out == () and la_st.discard_buffer == ("a", "b", "c")
-    out, la_st = LocalAgreement().select(lambda: ("a", "b", "d"), 2, la_st, 0.5)
-    ok &= out == ("a", "b") and la_st.discard_buffer == ("d",)
+    out, la_st = LocalAgreement().select(lambda: ("a", "b", "c"), c1, None)
+    ok &= out == () and la_st == ("a", "b", "c")
+    out, la_st = LocalAgreement().select(lambda: ("a", "b", "d"), c2, la_st)
+    ok &= out == ("a", "b") and la_st == ("d",)
     # final chunk flushes everything through every strategy
+    final = Chunk("u", 1, 0, 1, 0.5, True)
     for strat in (HoldN(3), WaitK(5, rate=1.0), LocalAgreement(), Offline()):
-        committed, _ = select_prefix(
-            strat, StrategyState(), 1, True, lambda: ("a", "b", "c"), 0.5
-        )
+        committed, _ = select_prefix(strat, None, final, lambda: ("a", "b", "c"))
         ok &= committed == ("a", "b", "c")
     elapsed = time.perf_counter() - t0
     ok = bool(ok) and elapsed < 1.0

@@ -627,7 +627,7 @@ class TestUndecodedChunks:
     ):
         """The continuation is decoded at most once per chunk: a rule that
         reads it twice still costs one encode and one beam search."""
-        def read_twice(self, w, chunk_index, state, chunk_len_sec):
+        def read_twice(self, w, chunk, state):
             assert w() == w()
             return w()[:1], state
 

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamdec.core import ConfigError
+from streamdec.core import Chunk, ConfigError
 from streamdec.strategies import (
     STRATEGIES,
     HoldN,
     LocalAgreement,
     Offline,
-    StrategyState,
     WaitK,
     lcp,
     parse_strategy,
     select_prefix,
 )
+
+from .oracles import reference_commits
 
 tokens = st.lists(st.sampled_from("abcdexyz"), max_size=10).map(tuple)
 
@@ -48,27 +49,41 @@ class CountingW:
         return self.w
 
 
+def chunk(index, chunk_len_sec=0.5, is_final=False):
+    """Chunk ``index`` of a stream of ``chunk_len_sec`` chunks, one frame
+    each: a rule reads only its index and length."""
+    return Chunk("u", index, index - 1, index, chunk_len_sec, is_final)
+
+
 strategy_classes = st.sampled_from(list(STRATEGIES.values()))
 configs = strategy_classes.flatmap(
     lambda cls: field_values(cls).map(lambda args: cls(*args))
+)
+# each rule's own kind of carried state: None before its first chunk, then
+# wait-k's budget or local agreement's uncommitted tail
+OWN_STATES = {WaitK: st.floats(0.0, 4.0), LocalAgreement: tokens}
+configs_and_states = configs.flatmap(
+    lambda cfg: st.tuples(
+        st.just(cfg), st.none() | OWN_STATES.get(type(cfg), st.none())
+    )
 )
 
 
 class TestHoldN:
     def test_delete_last_two(self):
-        out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), 1, StrategyState(), 0.5)
+        out, _ = HoldN(2).select(lambda: ("a", "b", "c", "d", "e"), chunk(1), None)
         assert out == ("a", "b", "c")
 
     def test_n_exceeds_length(self):
-        assert HoldN(5).select(lambda: ("a", "b"), 1, StrategyState(), 0.5)[0] == ()
+        assert HoldN(5).select(lambda: ("a", "b"), chunk(1), None)[0] == ()
 
     def test_hold_zero_is_identity(self):
-        out, _ = HoldN(0).select(lambda: ("a", "b", "c"), 1, StrategyState(), 0.5)
+        out, _ = HoldN(0).select(lambda: ("a", "b", "c"), chunk(1), None)
         assert out == ("a", "b", "c")
 
     @given(tokens, st.integers(min_value=0, max_value=12))
     def test_length_law(self, w, n):
-        out = HoldN(n).select(lambda: w, 1, StrategyState(), 0.5)[0]
+        out = HoldN(n).select(lambda: w, chunk(1), None)[0]
         assert len(out) == max(0, len(w) - n)
         assert out == w[: len(out)]
 
@@ -84,48 +99,48 @@ class TestHoldN:
 
 class TestWaitK:
     def test_holds_first_k_chunks(self):
-        out, state = WaitK(1, 8.0).select(lambda: ("a", "b", "c"), 1, StrategyState(), 0.5)
+        out, state = WaitK(1, 8.0).select(lambda: ("a", "b", "c"), chunk(1), None)
         assert out == ()
-        assert state.budget == 0.0  # untouched while waiting
+        assert state is None  # untouched while waiting
 
     def test_reads_no_w_while_waiting_or_under_one_token(self):
         """Wait-k reads no continuation while it waits its k chunks or while
         its budget is under one token, so the session decodes no such chunk."""
-        cfg, state = WaitK(2, 1.0), StrategyState()
+        cfg, state = WaitK(2, 1.0), None
         for c in (1, 2, 3):
             w = CountingW(("a", "b"))
-            out, state = cfg.select(w, c, state, 0.5)
+            out, state = cfg.select(w, chunk(c), state)
             assert (out, w.calls) == ((), 0)
-        assert state.budget == pytest.approx(0.5)  # chunk 3 banked half a token
+        assert state == pytest.approx(0.5)  # chunk 3 banked half a token
         w = CountingW(("a", "b"))
-        assert cfg.select(w, 4, state, 0.5)[0] == ("a",) and w.calls == 1
+        assert cfg.select(w, chunk(4), state)[0] == ("a",) and w.calls == 1
         w = CountingW(("a", "b"))
-        assert WaitK(0, 2.0).select(w, 1, StrategyState(), 0.5)[0] == ("a",)
+        assert WaitK(0, 2.0).select(w, chunk(1), None)[0] == ("a",)
         assert w.calls == 1
 
     def test_big_budget_emits_everything(self):
-        out, state = WaitK(1, 8.0).select(lambda: ("a",), 2, StrategyState(), 0.5)
+        out, state = WaitK(1, 8.0).select(lambda: ("a",), chunk(2), None)
         assert out == ("a",)
 
     def test_fractional_budget_carries(self):
-        out, state = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), 2, StrategyState(), 0.5)
+        out, state = WaitK(0, 2.0).select(lambda: ("a", "b", "c"), chunk(2), None)
         assert out == ("a",)
-        assert state.budget == pytest.approx(0.0)
+        assert state == pytest.approx(0.0)
 
     def test_budget_accumulates_across_chunks(self):
-        state = StrategyState()
+        state = None
         # rate 1 tok/s, 0.5 s chunks: half a token of budget per chunk
-        out1, state = WaitK(0, 1.0).select(lambda: ("a", "b"), 1, state, 0.5)
+        out1, state = WaitK(0, 1.0).select(lambda: ("a", "b"), chunk(1), state)
         assert out1 == ()
-        assert state.budget == pytest.approx(0.5)
-        out2, state = WaitK(0, 1.0).select(lambda: ("a", "b"), 2, state, 0.5)
+        assert state == pytest.approx(0.5)
+        out2, state = WaitK(0, 1.0).select(lambda: ("a", "b"), chunk(2), state)
         assert out2 == ("a",)
-        assert state.budget == pytest.approx(0.0)
+        assert state == pytest.approx(0.0)
 
     def test_short_continuation_keeps_surplus(self):
-        out, state = WaitK(0, 6.0).select(lambda: ("a",), 1, StrategyState(), 0.5)
+        out, state = WaitK(0, 6.0).select(lambda: ("a",), chunk(1), None)
         assert out == ("a",)
-        assert state.budget == pytest.approx(2.0)
+        assert state == pytest.approx(2.0)
 
     @given(
         tokens,
@@ -134,13 +149,14 @@ class TestWaitK:
         st.floats(min_value=0.1, max_value=16.0),
     )
     def test_budget_never_negative(self, w, c, k, rate):
-        out, state = WaitK(k, rate).select(lambda: w, c, StrategyState(), 0.5)
-        assert state.budget >= 0.0
+        out, state = WaitK(k, rate).select(lambda: w, chunk(c), None)
+        assert state is None if c <= k else state >= 0.0
         assert out == w[: len(out)]
 
     def test_float_dust_counts_as_whole_token(self):
-        state = StrategyState(budget=3.9999999996)
-        out, state = WaitK(0, 1e-12).select(lambda: ("a", "b", "c", "d", "e"), 1, state, 0.5)
+        out, state = WaitK(0, 1e-12).select(
+            lambda: ("a", "b", "c", "d", "e"), chunk(1), 3.9999999996
+        )
         assert len(out) >= 4
 
     def test_invalid_config(self):
@@ -176,45 +192,42 @@ class TestLcp:
 
 class TestLocalAgreement:
     def test_first_chunk_buffers(self):
-        out, state = LocalAgreement().select(lambda: ("a", "b"), 1, StrategyState(), 0.5)
+        out, state = LocalAgreement().select(lambda: ("a", "b"), chunk(1), None)
         assert out == ()
-        assert state.discard_buffer == ("a", "b")
+        assert state == ("a", "b")
 
     def test_second_chunk_commits_agreement(self):
-        state = StrategyState(discard_buffer=("a", "b"))
-        out, state = LocalAgreement().select(lambda: ("a", "b", "c"), 2, state, 0.5)
+        out, state = LocalAgreement().select(lambda: ("a", "b", "c"), chunk(2), ("a", "b"))
         assert out == ("a", "b")
-        assert state.discard_buffer == ("c",)
+        assert state == ("c",)
 
     def test_no_agreement(self):
-        state = StrategyState(discard_buffer=("a", "b"))
-        out, state = LocalAgreement().select(lambda: ("x", "y"), 2, state, 0.5)
+        out, state = LocalAgreement().select(lambda: ("x", "y"), chunk(2), ("a", "b"))
         assert out == ()
-        assert state.discard_buffer == ("x", "y")
+        assert state == ("x", "y")
 
     @given(tokens, tokens)
     def test_commit_appeared_in_both(self, prev, cur):
-        state = StrategyState(discard_buffer=prev)
-        out, _ = LocalAgreement().select(lambda: cur, 2, state, 0.5)
+        out, _ = LocalAgreement().select(lambda: cur, chunk(2), prev)
         assert out == prev[: len(out)]
         assert out == cur[: len(out)]
 
 
 class TestSelectPrefix:
     def test_hold_n_dispatch(self):
-        out, _ = select_prefix(HoldN(2), StrategyState(), 1, False, lambda: ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), None, chunk(1), lambda: ("a", "b", "c"))
         assert out == ("a",)
 
     def test_final_flush_overrides_strategy(self):
-        out, _ = select_prefix(HoldN(2), StrategyState(), 1, True, lambda: ("a", "b", "c"))
+        out, _ = select_prefix(HoldN(2), None, chunk(1, is_final=True), lambda: ("a", "b", "c"))
         assert out == ("a", "b", "c")
 
     def test_offline_non_final(self):
-        out, _ = select_prefix(Offline(), StrategyState(), 3, False, lambda: ("a", "b"))
+        out, _ = select_prefix(Offline(), None, chunk(3), lambda: ("a", "b"))
         assert out == ()
 
     def test_offline_final(self):
-        out, _ = select_prefix(Offline(), StrategyState(), 3, True, lambda: ("a", "b"))
+        out, _ = select_prefix(Offline(), None, chunk(3, is_final=True), lambda: ("a", "b"))
         assert out == ("a", "b")
 
     def test_hold_n_and_local_agreement_read_w_offline_does_not(self):
@@ -222,56 +235,77 @@ class TestSelectPrefix:
         offline never on a non-final one."""
         for cfg, want in ((HoldN(0), 1), (LocalAgreement(), 1), (Offline(), 0)):
             w = CountingW(("a",))
-            select_prefix(cfg, StrategyState(), 1, False, w)
+            select_prefix(cfg, None, chunk(1), w)
             assert w.calls == want
 
     def test_wait_k_uses_chunk_len(self):
         # 1 s chunks double the per-chunk budget relative to 0.5 s
         out, _ = select_prefix(
-            WaitK(k=0, rate=2.0), StrategyState(), 1, False, lambda: ("a", "b", "c"),
-            chunk_len_sec=1.0,
+            WaitK(k=0, rate=2.0), None, chunk(1, chunk_len_sec=1.0), lambda: ("a", "b", "c")
         )
         assert out == ("a", "b")
 
     @given(
-        configs,
+        configs_and_states,
         st.integers(min_value=1, max_value=6),
         st.booleans(),
         tokens,
-        st.sampled_from([(), ("a", "b"), ("x",)]),
     )
-    def test_prefix_law(self, cfg, chunk_index, is_final, w, buffered):
-        state = StrategyState(discard_buffer=buffered)
-        out, new_state = select_prefix(cfg, state, chunk_index, is_final, lambda: w)
+    def test_prefix_law(self, cfg_state, index, is_final, w):
+        cfg, state = cfg_state
+        c = chunk(index, is_final=is_final)
+        out, new_state = select_prefix(cfg, state, c, lambda: w)
         assert out == w[: len(out)]
         # determinism: same inputs, same outputs
-        again, again_state = select_prefix(cfg, state, chunk_index, is_final, lambda: w)
+        again, again_state = select_prefix(cfg, state, c, lambda: w)
         assert again == out and again_state == new_state
 
     @given(
-        configs,
+        configs_and_states,
         st.integers(min_value=1, max_value=8),
-        st.builds(StrategyState, discard_buffer=tokens, budget=st.floats(0.0, 4.0)),
         st.sampled_from([0.1, 0.25, 0.5, 1.0]),
         tokens,
     )
     def test_unread_continuation_commits_nothing(
-        self, cfg, chunk_index, state, chunk_len_sec, w
+        self, cfg_state, index, chunk_len_sec, w
     ):
         """The session decodes a chunk only when its rule reads w, so a
         non-final chunk whose rule never calls w must commit nothing."""
+        cfg, state = cfg_state
         reads = CountingW(w)
-        out, _ = select_prefix(cfg, state, chunk_index, False, reads, chunk_len_sec)
+        out, _ = select_prefix(cfg, state, chunk(index, chunk_len_sec), reads)
         if not reads.calls:
             assert out == ()
 
     def test_chunked_session_trace_local_agreement(self):
         # scripted two-chunk session: chunk 1 buffers, chunk 2 flushes all
-        state = StrategyState()
-        c1, state = select_prefix(LocalAgreement(), state, 1, False, lambda: ("a", "b"))
-        c2, state = select_prefix(LocalAgreement(), state, 2, True, lambda: ("a", "b", "c"))
+        state = None
+        c1, state = select_prefix(LocalAgreement(), state, chunk(1), lambda: ("a", "b"))
+        c2, state = select_prefix(
+            LocalAgreement(), state, chunk(2, is_final=True), lambda: ("a", "b", "c")
+        )
         assert c1 == ()
         assert c2 == ("a", "b", "c")
+
+    @given(
+        configs,
+        # two token kinds, so consecutive continuations often agree
+        st.lists(st.lists(st.sampled_from("ab"), max_size=6).map(tuple),
+                 min_size=1, max_size=8),
+        st.floats(min_value=0.1, max_value=1.0),
+    )
+    def test_session_equals_reference(self, cfg, conts, chunk_len_sec):
+        """Chunk by chunk, the rules commit what the rule table says they
+        do: ``oracles.reference_commits``, which shares no code with them,
+        gets the continuations the rules read and None for the others."""
+        state, commits, seen = None, [], []
+        for index, cont in enumerate(conts, start=1):
+            c = chunk(index, chunk_len_sec, is_final=index == len(conts))
+            reads = CountingW(cont)
+            out, state = select_prefix(cfg, state, c, reads)
+            commits.append(out)
+            seen.append(cont if reads.calls else None)
+        assert commits == reference_commits(cfg, seen, chunk_len_sec)
 
 
 class TestNamesAndParsing:
@@ -328,4 +362,4 @@ class TestNamesAndParsing:
     def test_non_strategy_rejected(self):
         for cfg in ("hold-n:0", None, object()):
             with pytest.raises(ConfigError):
-                select_prefix(cfg, StrategyState(), 1, True, lambda: ("a",))
+                select_prefix(cfg, None, chunk(1, is_final=True), lambda: ("a",))

@@ -14,6 +14,9 @@ share no state with the session:
 * a chunk the session did not encode (its rule did not read the
   continuation) returns an empty output, and skipping it changes nothing: the session's commit log and per-chunk commits equal
   ``oracles.eager_session_log``, which encodes and decodes every chunk;
+* each chunk commits what ``oracles.reference_commits`` says its rule
+  commits, given the continuations ``step_chunk`` returned and None for
+  the chunks it did not decode;
 * a causal session encodes each frame position exactly once, and every
   session's final encoding equals a one-shot ``encode`` of all its frames
   on every cached key and value array: bit for bit for a bidirectional
@@ -43,7 +46,13 @@ from streamdec.transformer import (
     init_params,
 )
 
-from .oracles import beam_oracle, cache_gap, eager_session_log, scalar_beam_search
+from .oracles import (
+    beam_oracle,
+    cache_gap,
+    eager_session_log,
+    reference_commits,
+    scalar_beam_search,
+)
 from .test_strategies import configs
 
 FRAME_PERIOD = 0.25  # a power of two: every chunk length is exact
@@ -106,7 +115,7 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
     utt = Utterance("u", frames, ("w0",), frame_period_sec=FRAME_PERIOD)
     chunk_len = chunk_frames * FRAME_PERIOD
     session = Session(model, utt, strategy, chunk_len, beam)
-    commits = []
+    commits, continuations = [], []
     for chunk in session.chunks():
         prefix = session.committed_ids
         out, committed = step_chunk(session, chunk)
@@ -114,7 +123,9 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
         if session.enc is None or session.enc.frames_covered < chunk.end:
             assert out == ChunkOutput(chunk.index, (), ())
             assert committed == ()
+            continuations.append(None)
             continue
+        continuations.append(out.tokens)
 
         # the session's search, replayed on its own (grown) encoding
         ranked = beam_search(model, session.enc, prefix, beam)
@@ -132,6 +143,7 @@ def test_streaming_invariants(model, strategy, beam, n_frames, chunk_frames, fra
 
     eager = eager_session_log(model, utt, strategy, chunk_len, beam)
     assert (session.log, commits) == eager
+    assert commits == reference_commits(strategy, continuations, chunk_len)
     final = session.enc
     one_shot = model.encode(frames, frame_period_sec=FRAME_PERIOD)
     assert final.frames_covered == one_shot.frames_covered == n_frames
