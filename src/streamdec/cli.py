@@ -219,17 +219,7 @@ def expand_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[
 def cmd_gen_data(args) -> int:
     if args.count < 1:  # every command that reads a corpus refuses an empty one
         raise ConfigError(f"--count must be at least 1, got {args.count}")
-    spec = SyntheticTaskSpec(
-        vocab_size=args.vocab_size,
-        min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens,
-        min_frames_per_token=args.min_frames_per_token,
-        max_frames_per_token=args.max_frames_per_token,
-        frame_dim=args.frame_dim,
-        noise_std=args.noise_std,
-        translation=args.translation,
-    )
-    utts = gen_dataset(spec, args.count, args.seed)
+    utts = gen_dataset(_config(SyntheticTaskSpec, args), args.count, args.seed)
     sio.save_utterances(utts, args.out)
     total = sum(u.duration_sec for u in utts)
     print(f"wrote {len(utts)} utterances ({total:.1f}s of frames) to {args.out}")

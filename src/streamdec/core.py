@@ -97,18 +97,6 @@ class Vocab:
         unique = sorted(set(words) - set(RESERVED_TOKENS))
         return cls(RESERVED_TOKENS + tuple(unique))
 
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def bos_id(self) -> int:
-        return BOS_ID
-
-    @property
-    def eos_id(self) -> int:
-        return EOS_ID
-
     def __len__(self) -> int:
         return len(self.tokens)
 

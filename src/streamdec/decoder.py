@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_CHUNK_SEC,
+    EOS_ID,
     Chunk,
     ChunkOutput,
     CommitLog,
@@ -135,7 +136,7 @@ def beam_search(
     ended = []  # (scores, toks, lps, finished) blocks that left the beam
     best = -math.inf  # the best objective of any path eos has ended
     while True:
-        eos_scores = scores + active_lps[:, vocab.eos_id]
+        eos_scores = scores + active_lps[:, EOS_ID]
         child_scores = scores[:, None] + active_lps[:, gen_ids]  # (B, G)
         if np.isnan(child_scores).any() or np.isnan(eos_scores).any():
             raise ContractViolation("model returned NaN log-probabilities")
@@ -183,12 +184,13 @@ class Session:
     beam: BeamConfig = field(default_factory=BeamConfig)
     mode: str = FORCED_REDECODE
 
-    log: CommitLog = field(default_factory=CommitLog)
-    strategy_state: object = None  # the rule's own, None before chunk 1
-    committed_ids: tuple[int, ...] = ()
-    enc: EncoderStates | None = None
-    next_chunk_index: int = 1
-    positions_encoded: int = 0  # encoder rows run so far, as encode reports
+    # progress: only step_chunk moves it, so no caller passes it
+    log: CommitLog = field(default_factory=CommitLog, init=False)
+    strategy_state: object = field(default=None, init=False)  # the rule's own
+    committed_ids: tuple[int, ...] = field(default=(), init=False)
+    enc: EncoderStates | None = field(default=None, init=False)
+    next_chunk_index: int = field(default=1, init=False)
+    positions_encoded: int = field(default=0, init=False)  # as encode reports
     _chunks: list[Chunk] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

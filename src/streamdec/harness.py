@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .core import (DEFAULT_CHUNK_SEC, ConfigError, Utterance, check_int,
@@ -27,8 +27,6 @@ from .decoder import (
 from .metrics import latency_delta, score_logs
 from .model import SequenceModel
 from .strategies import HoldN, StrategyConfig
-
-CSV_HEADER = "model,strategy,params,wer,mean_t_out,delta_latency"
 
 
 @dataclass(frozen=True)
@@ -58,29 +56,23 @@ class TradeoffRow:
     delta_latency: float
 
     def csv(self) -> str:
-        return ",".join(
-            (
-                self.model,
-                self.strategy,
-                self.params,
-                f"{self.wer:.4f}",
-                f"{self.mean_t_out:.4f}",
-                f"{self.delta_latency:.4f}",
-            )
-        )
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(v if isinstance(v, str) else f"{v:.4f}" for v in values)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TradeoffRow))
 
 
 def _cell_job(args):
-    name, model, utts, strategy, chunk_len_sec, beam = args
+    model, utts, strategy, chunk_len_sec, beam = args
     try:
         logs = {
             u.id: run_session(model, u, strategy, chunk_len_sec, beam)
             for u in utts
         }
-        breakdown, report = score_logs(utts, logs)
-        return name, strategy, breakdown.rate, report, None
+        return (*score_logs(utts, logs), None)
     except Exception as e:  # failed cells become nan rows, not a dead sweep
-        return name, strategy, float("nan"), None, repr(e)
+        return None, None, repr(e)
 
 
 def sweep(
@@ -88,15 +80,15 @@ def sweep(
     utts: Sequence[Utterance],
     spec: SweepSpec,
 ) -> list[TradeoffRow]:
-    """One TradeoffRow per (model, strategy).
+    """One TradeoffRow per (model, strategy) cell.
 
-    The latency baseline is the first model's hold-0 cell (computed even when
-    hold-0 is not among the requested strategies; it only becomes a row when
-    requested). Rows are ordered by latency delta, then model and strategy
-    labels; failed cells carry nan metrics, sort last and are each reported
-    by a warning that names the cell and its error. A chunk length that is
-    not a whole number of some utterance's frames is a ConfigError before
-    any cell runs.
+    Every cell runs the same utterances; the latency baseline is the first
+    model's hold-0 cell, which runs even when hold-0 is not among the
+    requested strategies and only becomes a row when requested. Rows are
+    ordered by latency delta, then model and strategy labels; failed cells
+    carry nan metrics, sort last and are each reported by a warning that
+    names the cell and its error. A chunk length that is not a whole number
+    of some utterance's frames is a ConfigError before any cell runs.
     """
     if not models:
         raise ConfigError("sweep needs at least one model")
@@ -104,51 +96,38 @@ def sweep(
         raise ConfigError("sweep needs at least one utterance")
     for u in utts:
         frames_per_chunk(spec.chunk_len_sec, u.frame_period_sec)
-    names = list(models)
-    jobs = []
-    requested = set()
-    for name in names:
-        for strat in spec.strategies:
-            jobs.append(
-                (name, models[name], utts, strat, spec.chunk_len_sec, spec.beam)
-            )
-            requested.add((name, strat))
-    baseline_key = (names[0], HoldN(0))
-    if baseline_key not in requested:
-        jobs.append(
-            (names[0], models[names[0]], utts, HoldN(0), spec.chunk_len_sec, spec.beam)
-        )
-
+    cells = [(name, strat) for name in models for strat in spec.strategies]
+    baseline = (next(iter(models)), HoldN(0))
+    jobs = cells if baseline in cells else [*cells, baseline]
+    args = [
+        (models[name], utts, strat, spec.chunk_len_sec, spec.beam)
+        for name, strat in jobs
+    ]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_cell_job, jobs))
+            outs = list(pool.map(_cell_job, args))
     else:
-        results = [_cell_job(j) for j in jobs]
+        outs = [_cell_job(a) for a in args]
+    results = dict(zip(jobs, outs))
 
-    by_key = {}
-    for name, strat, w, rep, err in results:
+    for (name, strat), (_, _, err) in results.items():
         if err is not None:
             warnings.warn(f"sweep cell {name}/{strat.name}: {err}", stacklevel=2)
-        by_key[(name, strat)] = (w, rep)
-    base_report = by_key[baseline_key][1]
+    base = results[baseline][1]
+    nan = float("nan")
     rows = []
-    for name in names:
-        for strat in spec.strategies:
-            wer_rate, report = by_key[(name, strat)]
-            if report is None or base_report is None:
-                delta = float("nan")
-            else:
-                delta = latency_delta(report, base_report)
-            rows.append(
-                TradeoffRow(
-                    model=name,
-                    strategy=strat.name,
-                    params=strat.params,
-                    wer=wer_rate,
-                    mean_t_out=report.mean_output_time_sec if report else float("nan"),
-                    delta_latency=delta,
-                )
+    for name, strat in cells:
+        breakdown, report, _ = results[(name, strat)]
+        rows.append(
+            TradeoffRow(
+                model=name,
+                strategy=strat.name,
+                params=strat.params,
+                wer=breakdown.rate if breakdown else nan,
+                mean_t_out=report.mean_output_time_sec if report else nan,
+                delta_latency=latency_delta(report, base) if report and base else nan,
             )
+        )
 
     def order(r: TradeoffRow):
         bad = r.delta_latency != r.delta_latency  # nan check

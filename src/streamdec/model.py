@@ -36,7 +36,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import DEFAULT_FRAME_PERIOD_SEC, ContractViolation, Vocab, check_int
+from .core import DEFAULT_FRAME_PERIOD_SEC, EOS_ID, ContractViolation, Vocab, check_int
 from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
 # the synthetic oracle's default unstable tail of a truncated stream, in frames
@@ -223,12 +223,12 @@ class SyntheticAlignedModel:
         align = self._alignment(enc)
         avail = enc.frames_covered
         if slot >= len(align.token_ids):
-            target = self.vocab.eos_id
+            target = EOS_ID
         else:
             end = align.span_ends[slot]
             tok = align.token_ids[slot]
             if end > avail:
-                target = self.vocab.eos_id
+                target = EOS_ID
             elif (
                 avail < align.total_frames
                 and end + self.instability_frames > avail

@@ -53,7 +53,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import DEFAULT_FRAME_PERIOD_SEC, ConfigError, ContractViolation, Vocab, check_int
+from .core import (BOS_ID, DEFAULT_FRAME_PERIOD_SEC, ConfigError, ContractViolation,
+                   Vocab, check_int)
 from .model import (
     EncoderStates,
     _check_block,
@@ -559,7 +560,7 @@ class TinyTransformer:
         self, enc: TransformerEncoding, prefix: Sequence[int] = ()
     ) -> tuple[DecState, np.ndarray]:
         empty = self._empty(enc)
-        ids = _check_ids([self.vocab.bos_id, *prefix], len(self.vocab), "token id")
+        ids = _check_ids([BOS_ID, *prefix], len(self.vocab), "token id")
         state, logps = self._advance(empty, [0], ids[None])
         return state, logps[0]
 
@@ -585,7 +586,7 @@ class TinyTransformer:
         prefix = _check_prefix(self.vocab, prefix)
         enc_parts, dec_parts = [], []
         empty = self._empty(self._encode(frames, parts=enc_parts))
-        self._advance(empty, [0], np.array([[self.vocab.bos_id, *prefix]]), dec_parts)
+        self._advance(empty, [0], np.array([[BOS_ID, *prefix]]), dec_parts)
         grids: dict[str, np.ndarray] = {}
         for l, (e, sums) in enumerate(enc_parts):
             for head, grid in enumerate(e / sums):

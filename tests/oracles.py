@@ -15,7 +15,8 @@ import numpy as np
 
 from streamdec import autodiff as ad
 from streamdec.autodiff import Tensor, _child, _data, _unbroadcast, _wrap
-from streamdec.core import CommitLog, ContractViolation, chunk_stream
+from streamdec.core import (BOS_ID, EOS_ID, PAD_ID, CommitLog, ContractViolation,
+                            chunk_stream)
 from streamdec.decoder import BeamConfig, BeamHypothesis, beam_search
 from streamdec.strategies import select_prefix
 from streamdec.transformer import UNIDIRECTIONAL, _frame_lengths, sinusoid_table
@@ -91,7 +92,7 @@ def beam_oracle(model, enc, cfg):
     gen_ids = [
         i
         for i in range(len(vocab))
-        if i not in (vocab.pad_id, vocab.bos_id, vocab.eos_id)
+        if i not in (PAD_ID, BOS_ID, EOS_ID)
     ]
     max_total = int(cfg.cap_tokens_per_sec * enc.audio_sec + 1e-9)
     terminals = []
@@ -102,7 +103,7 @@ def beam_oracle(model, enc, cfg):
             for j, tok in enumerate(seq):
                 score += float(lps[j, tok])
             if length < max_total:
-                score += float(lps[-1, vocab.eos_id])
+                score += float(lps[-1, EOS_ID])
             terminals.append((seq, score))
     if cfg.length_normalize:
         terminals.sort(key=lambda t: (-t[1] / max(1, len(t[0])), t[0]))
@@ -144,7 +145,7 @@ def scalar_beam_search(
     vocab = model.vocab
     norm = cfg.length_normalize
     prefix = tuple(int(t) for t in forced_prefix)
-    if any(t == vocab.eos_id for t in prefix):
+    if any(t == EOS_ID for t in prefix):
         raise ContractViolation("forced prefix must not contain eos")
     if enc.frames_covered == 0:
         return [BeamHypothesis(prefix, 0.0, (0.0,) * len(prefix), True)]
@@ -162,7 +163,7 @@ def scalar_beam_search(
     if len(prefix) >= max_total:
         return [BeamHypothesis(prefix, score, tuple(steps), True)]
 
-    gen_ids = [i for i in range(len(vocab)) if i not in (vocab.pad_id, vocab.bos_id, vocab.eos_id)]
+    gen_ids = [i for i in range(len(vocab)) if i not in (PAD_ID, BOS_ID, EOS_ID)]
     root = BeamHypothesis(prefix, score, tuple(steps), False)
     # each live path: (hypothesis, its decoder state, next-token log-probs)
     active: list[tuple[BeamHypothesis, object, np.ndarray]] = [
@@ -182,7 +183,7 @@ def scalar_beam_search(
             finished.append(
                 BeamHypothesis(
                     hyp.tokens,
-                    hyp.log_prob + float(lps[vocab.eos_id]),
+                    hyp.log_prob + float(lps[EOS_ID]),
                     hyp.step_log_probs,
                     True,
                 )
@@ -409,7 +410,7 @@ def unfolded_forward(model, frames, prefix):
         return attend
 
     t = len(frames)
-    ids = [model.vocab.bos_id] + [int(t) for t in prefix]
+    ids = [BOS_ID] + [int(t) for t in prefix]
     logps = _unfolded(
         cfg, p, frames, sinusoid_table(t, d), np.array(ids),
         sinusoid_table(len(ids), d),

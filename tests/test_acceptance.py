@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from streamdec.core import Chunk, CommitLog, Utterance, Vocab
+from streamdec.core import BOS_ID, PAD_ID, Chunk, CommitLog, Utterance, Vocab
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_dataset,
@@ -355,8 +355,8 @@ class CachedRandomModel:
             key = (key * 1000003 + t + 1) % (2**32)
         rng = np.random.default_rng(key)
         logits = rng.normal(size=len(self.vocab)) * 2.0
-        logits[self.vocab.pad_id] = -1e9
-        logits[self.vocab.bos_id] = -1e9
+        logits[PAD_ID] = -1e9
+        logits[BOS_ID] = -1e9
         x = logits - logits.max()
         out = x - np.log(np.exp(x).sum())
         self._cache[prefix] = out

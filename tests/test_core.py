@@ -31,7 +31,6 @@ class TestVocab:
         assert v.token_of(PAD_ID) == "<pad>"
         assert v.token_of(BOS_ID) == "<s>"
         assert v.token_of(EOS_ID) == "</s>"
-        assert v.pad_id == PAD_ID and v.bos_id == BOS_ID and v.eos_id == EOS_ID
 
     def test_build_sorts_and_dedups(self):
         v = Vocab.build(["b", "a", "b"])

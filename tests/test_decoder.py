@@ -49,8 +49,8 @@ class RandomWalkModel:
             key = (key * 1000003 + t + 1) % (2**32)
         rng = np.random.default_rng(key)
         logits = rng.normal(size=len(self.vocab)) * self._spread
-        logits[self.vocab.pad_id] = -1e9
-        logits[self.vocab.bos_id] = -1e9
+        logits[PAD_ID] = -1e9
+        logits[BOS_ID] = -1e9
         x = logits - logits.max()
         return x - np.log(np.exp(x).sum())
 
@@ -183,7 +183,7 @@ class TestLengthCapAndNormalization:
         # raw: (w0) scores -2.0, (w1,w2) scores -3.0 -> raw picks (w0);
         # per-token: -2.0 vs -1.5 -> normalized picks (w1,w2)
         model = RandomWalkModel(n_words=3, seed=0)
-        eos = model.vocab.eos_id
+        eos = EOS_ID
         table = {
             (): {3: -1.0, 4: -1.6, eos: -6.0},
             (3,): {eos: -1.0},
@@ -481,6 +481,16 @@ class TestSession:
         with pytest.raises(ConfigError):
             Session(stable_model, small_corpus[0], HoldN(0), mode="eager")
 
+    @pytest.mark.parametrize("progress", [
+        {"committed_ids": (3,)}, {"next_chunk_index": 2}, {"positions_encoded": 5},
+    ], ids=lambda p: next(iter(p)))
+    def test_progress_is_not_a_constructor_argument(
+        self, stable_model, small_corpus, progress
+    ):
+        """A session starts from nothing; only its chunks move its progress."""
+        with pytest.raises(TypeError):
+            Session(stable_model, small_corpus[0], HoldN(0), **progress)
+
     @pytest.mark.parametrize("value, match", [
         (True, "chunk_len_sec must be a number"),
         ("0.5", "chunk_len_sec must be a number"),
@@ -551,7 +561,7 @@ class TestSession:
     def test_eos_never_committed(self, stable_model, small_corpus):
         for utt in small_corpus[:3]:
             log = run_session(stable_model, utt, Offline())
-            eos = stable_model.vocab.token_of(stable_model.vocab.eos_id)
+            eos = stable_model.vocab.token_of(EOS_ID)
             assert eos not in log.tokens
 
 

@@ -40,6 +40,16 @@ def find_row(rows, strategy, params=None):
     return hits[0]
 
 
+class Boom:
+    """A model whose every session fails at its first encode."""
+
+    def __init__(self, inner):
+        self.vocab = inner.vocab
+
+    def encode(self, *a, **k):
+        raise RuntimeError("boom")
+
+
 class TestSweep:
     def test_rows_and_baseline_delta(
         self, unstable_model, small_corpus, sweep_strategies
@@ -138,23 +148,44 @@ class TestSweep:
         assert a == b
 
     def test_failed_cell_becomes_nan_row(self, unstable_model, small_corpus):
-        class Boom:
-            vocab = unstable_model.vocab
-
-            def encode(self, *a, **k):
-                raise RuntimeError("boom")
-
         spec = SweepSpec(strategies=(Offline(),), beam=BeamConfig(beam_width=4))
         said = re.escape("sweep cell broken/offline: RuntimeError('boom')")
         with pytest.warns(UserWarning, match=said):
             rows = sweep(
-                {"ok": unstable_model, "broken": Boom()}, small_corpus[:3], spec
+                {"ok": unstable_model, "broken": Boom(unstable_model)},
+                small_corpus[:3],
+                spec,
             )
         broken = [r for r in rows if r.model == "broken"][0]
         ok = [r for r in rows if r.model == "ok"][0]
         assert math.isnan(broken.wer) and math.isnan(broken.delta_latency)
         assert math.isfinite(ok.wer)
         assert rows[-1].model == "broken"  # nan rows sort last
+
+    def test_failed_baseline_model_leaves_no_delta(
+        self, unstable_model, small_corpus
+    ):
+        """The first model fails, so its unrequested hold-0 cell, the
+        baseline, fails too: that cell warns like a requested one, every
+        delta is nan, and the requested rows still come back."""
+        spec = SweepSpec(strategies=(Offline(),), beam=BeamConfig(beam_width=4))
+        with pytest.warns(UserWarning) as caught:
+            rows = sweep(
+                {"broken": Boom(unstable_model), "ok": unstable_model},
+                small_corpus[:3],
+                spec,
+            )
+        said = {str(w.message) for w in caught}
+        assert said == {
+            "sweep cell broken/offline: RuntimeError('boom')",
+            "sweep cell broken/hold-n: RuntimeError('boom')",
+        }
+        assert [(r.model, r.strategy) for r in rows] == [
+            ("broken", "offline"), ("ok", "offline")
+        ]
+        assert all(math.isnan(r.delta_latency) for r in rows)
+        ok = rows[1]
+        assert math.isfinite(ok.wer) and math.isfinite(ok.mean_t_out)
 
     def test_cell_that_commits_nothing_keeps_its_wer(
         self, unstable_model, small_corpus
@@ -221,7 +252,7 @@ class TestCsv:
         ]
         text = rows_to_csv(rows)
         lines = text.strip().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == "model,strategy,params,wer,mean_t_out,delta_latency"
         assert lines[1] == "m,hold-n,n=2,0.2500,1.5000,0.1250"
 
     def test_save_round_trip(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdec.core import ConfigError, ContractViolation
+from streamdec.core import EOS_ID, ConfigError, ContractViolation
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_with_alignments,
@@ -28,7 +28,7 @@ def greedy(model, enc, max_steps=30):
     out = []
     for _ in range(max_steps):
         tok = int(np.argmax(lps[-1]))
-        if tok == model.vocab.eos_id:
+        if tok == EOS_ID:
             break
         out.append(tok)
         state, lps = model.dec_advance(state, [0], [tok])
@@ -53,7 +53,7 @@ class TestEmissionRule:
         cut = a.span_ends[1] - 1
         enc = m.encode(u.frames[:cut], utt_id=u.id)
         _, lps = m.dec_init(enc, a.token_ids[:1])
-        assert int(np.argmax(lps[-1])) == m.vocab.eos_id
+        assert int(np.argmax(lps[-1])) == EOS_ID
 
     def test_swapped_slot_waits_for_its_source_word(self):
         # translation swaps some adjacent target pairs; the first slot of a
@@ -82,7 +82,7 @@ class TestEmissionRule:
                     continue
                 swaps += 1
                 heard = src_end[j + 1]
-                for avail, want in ((heard - 1, m.vocab.eos_id), (heard, ids[j])):
+                for avail, want in ((heard - 1, EOS_ID), (heard, ids[j])):
                     enc = m.encode(u.frames[:avail], utt_id=u.id)
                     _, lps = m.dec_init(enc, ids[:j])
                     assert int(np.argmax(lps[-1])) == want, (u.id, j, avail)
@@ -145,7 +145,7 @@ class TestEmissionRule:
         u = utts[0]
         enc = m.encode(u.frames, utt_id=u.id)
         lps = decode_step(m, enc, aligns[u.id].token_ids)
-        assert int(np.argmax(lps)) == m.vocab.eos_id
+        assert int(np.argmax(lps)) == EOS_ID
 
 
 class TestEncodeContract:

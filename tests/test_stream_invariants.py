@@ -36,7 +36,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamdec.core import ChunkOutput, Utterance, Vocab
+from streamdec.core import EOS_ID, ChunkOutput, Utterance, Vocab
 from streamdec.decoder import BeamConfig, Session, beam_search, step_chunk
 from streamdec.transformer import (
     BIDIRECTIONAL,
@@ -77,7 +77,7 @@ def micro_models(draw, n_words=st.integers(1, 4)) -> TinyTransformer:
     # word, so without it most searches stop after a step or two and few
     # beam steps reorder rows
     params = init_params(cfg)
-    params["out_b"][vocab.eos_id] = -draw(st.floats(0.0, 8.0))
+    params["out_b"][EOS_ID] = -draw(st.floats(0.0, 8.0))
     return TinyTransformer(cfg, vocab, params)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from streamdec import autodiff, training, transformer
-from streamdec.core import ConfigError, Utterance, Vocab
+from streamdec.core import BOS_ID, EOS_ID, PAD_ID, ConfigError, Utterance, Vocab
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_dataset,
@@ -170,16 +170,16 @@ class TestMakeBatch:
         # decoder input row: bos then ids, padded; labels shift left onto eos
         a, b, c = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("c")
         np.testing.assert_array_equal(
-            batch["dec_in"][0], [vocab.bos_id, a, b]
+            batch["dec_in"][0], [BOS_ID, a, b]
         )
         np.testing.assert_array_equal(
-            batch["labels"][0], [a, b, vocab.eos_id]
+            batch["labels"][0], [a, b, EOS_ID]
         )
         np.testing.assert_array_equal(
-            batch["dec_in"][1], [vocab.bos_id, c, vocab.pad_id]
+            batch["dec_in"][1], [BOS_ID, c, PAD_ID]
         )
         np.testing.assert_array_equal(
-            batch["labels"][1], [c, vocab.eos_id, vocab.pad_id]
+            batch["labels"][1], [c, EOS_ID, PAD_ID]
         )
         np.testing.assert_array_equal(batch["label_mask"][0], [1, 1, 1])
         np.testing.assert_array_equal(batch["label_mask"][1], [1, 1, 0])

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamdec import transformer
-from streamdec.core import ConfigError, ContractViolation, Vocab
+from streamdec.core import BOS_ID, ConfigError, ContractViolation, Vocab
 from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig, run_session
 from streamdec.io import load_model, save_model
@@ -537,7 +537,7 @@ class TestTrainingGraphParity:
         enc = micro_model.encode(frames, None)
         _, walk = micro_model.dec_init(enc, ids)
         pt = leaf_tensors(micro_model.params)
-        dec_in = np.array([[micro_vocab.bos_id, *ids]])
+        dec_in = np.array([[BOS_ID, *ids]])
         graph = training_logits(
             micro_cfg, pt, frames[None], np.ones((1, 18)), dec_in
         ).data[0]
@@ -639,7 +639,7 @@ class TestAttentionDump:
             want.append(w)
             return ctx.swapaxes(0, 1).reshape(t, -1)
 
-        y = _dec_in(model.weights, np.array([model.vocab.bos_id, *prefix]),
+        y = _dec_in(model.weights, np.array([BOS_ID, *prefix]),
                     model._pos(t))
         for l in range(model.cfg.dec_layers):
             y = _dec_layer(model.weights, l, y, attend, cross)
