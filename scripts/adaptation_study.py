@@ -20,6 +20,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from streamdec.core import DEFAULT_CHUNK_SEC
 from streamdec.data import SyntheticTaskSpec, gen_dataset, task_vocab
 from streamdec.decoder import BeamConfig, run_session
@@ -102,6 +104,10 @@ def main(argv=None) -> int:
     print(f"adapting: {args.adapt_steps} steps on a 50/50 full/partial mix")
     adapted, adapt_curve = adapt(base, train_set, adapt_cfg, dev_set)
     print(f"  done in {time.perf_counter() - t1:.0f} s")
+    # adapt returns its best dev checkpoint, which may be the step-0 one
+    kept_base = all(np.array_equal(adapted.params[k], v) for k, v in base.params.items())
+    print("  adapt kept the base checkpoint (step 0)" if kept_base
+          else "  adapt returned a checkpoint past step 0")
 
     post_wer, post_lat = streaming_eval(adapted, eval_set, args.chunk_sec, beam)
     post_ter = token_error_rate(adapted, eval_set)

@@ -56,7 +56,6 @@ from .strategies import (
 )
 from .training import (
     Adam,
-    PartialSliceSpec,
     TrainConfig,
     adapt,
     token_error_rate,
@@ -87,7 +86,6 @@ __all__ = [
     "LatencyReport",
     "LocalAgreement",
     "Offline",
-    "PartialSliceSpec",
     "SequenceModel",
     "Session",
     "StrategyConfig",

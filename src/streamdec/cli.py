@@ -38,7 +38,7 @@ from .decoder import BeamConfig, Session, run_session
 from .harness import SweepSpec, rows_to_csv, save_sweep_csv, sweep
 from .metrics import latency_delta, score_logs
 from .strategies import parse_strategy, spec_usage
-from .training import ADAPT_LR_FACTOR, PartialSliceSpec, TrainConfig, adapt, train, write_curve
+from .training import TrainConfig, adapt, train, write_curve
 from .transformer import BIDIRECTIONAL, UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 ENCODER_ALIASES = {
@@ -80,7 +80,7 @@ def _add_train_opts(p: argparse.ArgumentParser) -> None:
     """The step-loop options train and adapt share."""
     for flag, name in (("--steps", "total_steps"), ("--batch-size", "batch_size"),
                        ("--lr", "learning_rate"), ("--warmup", "warmup_steps"),
-                       ("--label-smoothing", "label_smoothing"), ("--seed", "seed")):
+                       ("--seed", "seed")):
         _option(p, flag, TrainConfig, name)
     p.add_argument("--curve", default=None, help="optional loss-curve CSV")
 
@@ -126,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_opts(p)
     p.set_defaults(total_steps=200)
     _option(p, "--eval-every", TrainConfig, "eval_every")
-    p.add_argument("--lr-factor", type=float, default=ADAPT_LR_FACTOR)
-    _option(p, "--ratio-low", PartialSliceSpec, "ratio_low")
-    _option(p, "--ratio-high", PartialSliceSpec, "ratio_high")
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
     p.add_argument("--model", required=True, help="model file")
@@ -259,8 +256,7 @@ def cmd_adapt(args) -> int:
     data = _load_corpus(args.data)
     dev = _load_corpus(args.dev)
     tc = _config(TrainConfig, args)
-    slices = _config(PartialSliceSpec, args)
-    model, curve = adapt(model, data, tc, dev, slices, lr_factor=args.lr_factor)
+    model, curve = adapt(model, data, tc, dev)
     sio.save_model(model, args.out)
     if args.curve:
         write_curve(curve, args.curve)

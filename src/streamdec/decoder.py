@@ -136,10 +136,11 @@ def beam_search(
     ended = []  # (scores, toks, lps, finished) blocks that left the beam
     best = -math.inf  # the best objective of any path eos has ended
     while True:
+        # every column the model returned, pad too; scores carry the prefix's
+        if np.isnan(active_lps).any() or np.isnan(scores).any():
+            raise ContractViolation("model returned NaN log-probabilities")
         eos_scores = scores + active_lps[:, EOS_ID]
         child_scores = scores[:, None] + active_lps[:, gen_ids]  # (B, G)
-        if np.isnan(child_scores).any() or np.isnan(eos_scores).any():
-            raise ContractViolation("model returned NaN log-probabilities")
         ended.append((eos_scores, toks, lps, True))
         top = float(eos_scores.max())
         best = max(best, top / max(1, len(prefix) + toks.shape[1]) if norm else top)

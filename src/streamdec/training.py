@@ -6,10 +6,12 @@ folds the parameters' leaf tensors into the weight set the layers run
 with linear warmup followed by inverse-square-root decay, updates a working
 copy of them, and a model is built from that copy where one is needed.
 Adaptation fine-tunes on an even mix of full utterances and proportionally
-truncated frame/token pairs, at a quarter of the base learning rate, keeping
-the checkpoint with the best full-sequence dev token error rate. Training,
-adaptation and token error rate all use each utterance's target side when it
-has one (translation) and its reference side otherwise (core.eval_tokens).
+truncated frame/token pairs, at ADAPT_LR_FACTOR of the base learning rate,
+keeping the checkpoint with the best full-sequence dev token error rate.
+Both loops smooth labels by LABEL_SMOOTHING; the recipe's values are
+constants, not settings. Training, adaptation and token error rate all use
+each utterance's target side when it has one (translation) and its
+reference side otherwise (core.eval_tokens).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .transformer import TinyTransformer
 class TrainConfig:
     learning_rate: float = 3e-4
     warmup_steps: int = 400
-    label_smoothing: float = 0.1
     batch_size: int = 32
     total_steps: int = 600
     seed: int = 0
@@ -51,27 +52,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_real("learning_rate", self.learning_rate, "(0, inf)")
-        check_real("label_smoothing", self.label_smoothing, "[0, 1)")
         for name in ("warmup_steps", "batch_size", "total_steps", "eval_every"):
             check_int(name, getattr(self, name), least=1)
         check_int("seed", self.seed, least=0)  # numpy takes no negative seed
 
 
-@dataclass(frozen=True)
-class PartialSliceSpec:
-    """Truncation-ratio range for adaptation pairs; the full:partial mix per
-    batch is one to one."""
-
-    ratio_low: float = 0.1
-    ratio_high: float = 0.4
-
-    def __post_init__(self) -> None:
-        for name in ("ratio_low", "ratio_high"):
-            check_real(name, getattr(self, name))
-        if not 0 < self.ratio_low <= self.ratio_high <= 1:
-            raise ConfigError("need 0 < ratio_low <= ratio_high <= 1")
-
-
+LABEL_SMOOTHING = 0.1  # of train's and adapt's targets
+PARTIAL_RATIOS = (0.1, 0.4)  # adapt's truncation ratio p ~ U(low, high)
 ADAPT_LR_FACTOR = 0.25  # adaptation's learning rate over the base rate
 
 ADAM_BETA1 = 0.9
@@ -203,8 +190,7 @@ def _fit(
         best_ter = token_error_rate(best, dev)
     for step in range(1, cfg.total_steps + 1):
         batch = make_batch(draw(), model.vocab, model.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(
-            model.cfg, params, batch, cfg.label_smoothing)
+        loss, grads = batch_loss_and_grads(model.cfg, params, batch, LABEL_SMOOTHING)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at step {step}: loss={loss}; last lr "
@@ -248,21 +234,20 @@ def adapt(
     dataset: Sequence[Utterance],
     base_cfg: TrainConfig,
     dev: Sequence[Utterance],
-    slices: PartialSliceSpec = PartialSliceSpec(),
-    lr_factor: float = ADAPT_LR_FACTOR,
 ) -> tuple[TinyTransformer, list[tuple[int, float, float]]]:
     """Fine-tune on a 1:1 mix of full utterances and truncated pairs.
 
-    The truncation ratio is drawn fresh per utterance per batch. Learning
-    rate is the base rate scaled by lr_factor. Every eval_every steps the
-    full-sequence dev token error rate decides which checkpoint survives.
+    A partial pair is the first ceil(I*p) frames of an utterance with the
+    first ceil(J*p) of its output tokens, p ~ U(*PARTIAL_RATIOS) drawn per
+    pair. The learning rate is the base rate times ADAPT_LR_FACTOR. The
+    full-sequence dev token error rate at step 0, every eval_every steps
+    and the last step decides which checkpoint is returned.
     """
-    check_real("lr_factor", lr_factor, "(0, inf)")
     if not dataset:
         raise ConfigError("empty adaptation dataset")
     if not dev:
         raise ConfigError("adaptation needs a dev set for checkpoint selection")
-    cfg = replace(base_cfg, learning_rate=base_cfg.learning_rate * lr_factor)
+    cfg = replace(base_cfg, learning_rate=base_cfg.learning_rate * ADAPT_LR_FACTOR)
     rng = np.random.default_rng(cfg.seed + 1)
     size = min(max(cfg.batch_size // 2, 1), len(dataset))
 
@@ -271,7 +256,7 @@ def adapt(
         part_idx = rng.choice(len(dataset), size=size, replace=False)
         pairs = [(dataset[i].frames, eval_tokens(dataset[i])) for i in full_idx]
         for i in part_idx:
-            p = rng.uniform(slices.ratio_low, slices.ratio_high)
+            p = rng.uniform(*PARTIAL_RATIOS)
             pairs.append(make_partial_pair(dataset[i], p))
         return pairs
 

@@ -1,7 +1,5 @@
 import dataclasses
-import inspect
 import json
-import types
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from streamdec.io import (
     save_utterances,
 )
 from streamdec.metrics import score_logs
-from streamdec.training import PartialSliceSpec, TrainConfig, adapt
+from streamdec.training import TrainConfig
 from streamdec.transformer import BIDIRECTIONAL, TransformerConfig
 
 from .test_io import MALFORMED_COMMIT_RECORDS, write_commit_log_with
@@ -485,12 +483,12 @@ def test_config_line_reads_like_its_flag(tmp_path, capsys, command):
         assert "Traceback" not in errs[0]
 
 
-# command -> the configs its options set, and adapt's own lr_factor; an
-# option whose parsed name is a field or parameter of one of them sets it
+# command -> the configs its options set; an option whose parsed name is a
+# field of one of them sets it
 CONFIGS = {
     "gen-data": (SyntheticTaskSpec,),
     "train": (TrainConfig, TransformerConfig),
-    "adapt": (TrainConfig, PartialSliceSpec, adapt),
+    "adapt": (TrainConfig,),
     "run": (BeamConfig, Session),
     "sweep": (BeamConfig, SweepSpec),
 }
@@ -499,16 +497,13 @@ UNMIRRORED = {("gen-data", "count"), ("gen-data", "seed"), ("adapt", "total_step
 
 
 def _library_defaults(owner):
-    """The defaults of a config class's fields or a function's parameters."""
-    if dataclasses.is_dataclass(owner):
-        return {f.name: f.default for f in dataclasses.fields(owner)
-                if f.default is not dataclasses.MISSING}
-    return {name: q.default for name, q in inspect.signature(owner).parameters.items()
-            if q.default is not inspect.Parameter.empty}
+    """The defaults of a config class's fields."""
+    return {f.name: f.default for f in dataclasses.fields(owner)
+            if f.default is not dataclasses.MISSING}
 
 
 def _owners(command):
-    """Parsed option name -> the config (or function) it sets, for command."""
+    """Parsed option name -> the config it sets, for command."""
     p = cli.command_parsers(cli.build_parser())[command]
     return {
         a.dest: owner
@@ -544,20 +539,16 @@ class _Built(Exception):
 
 def _built_configs(monkeypatch, work, tmp_path, command, extra=()):
     """The configs that `command` with options `extra` hands the library,
-    by class (and adapt's lr_factor under adapt), caught before any work."""
+    by class, caught before any work."""
     seen = {}
 
     def keep(*configs):
         seen.update({type(c): c for c in configs})
         raise _Built
 
-    def keep_adapt(model, data, tc, dev, slices, lr_factor):
-        seen[adapt] = types.SimpleNamespace(lr_factor=lr_factor)
-        keep(tc, slices)
-
     monkeypatch.setattr(cli, "gen_dataset", lambda spec, count, seed: keep(spec))
     monkeypatch.setattr(cli, "train", lambda model, data, tc: keep(tc, model.cfg))
-    monkeypatch.setattr(cli, "adapt", keep_adapt)
+    monkeypatch.setattr(cli, "adapt", lambda model, data, tc, dev: keep(tc))
     monkeypatch.setattr(cli, "run_session", lambda model, u, strategy, chunk_len_sec, beam:
                         keep(beam, Session(model, u, strategy, chunk_len_sec, beam)))
     monkeypatch.setattr(cli, "sweep", lambda models, utts, spec: keep(spec, spec.beam))
@@ -721,19 +712,25 @@ class TestErrorPaths:
         assert "init_seed" not in err
         assert not (work / "never.bin").exists()
 
-    def test_adapt_names_a_bad_lr_factor(self, work, capsys):
-        """adapt checks its rate factor itself, so --lr-factor -1 is named
-        lr_factor, not as the learning rate derived from it."""
-        rc = main([
-            "adapt", "--model", str(work / "model.bin"),
-            "--data", str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl"),
-            "--out", str(work / "never.bin"), "--lr-factor", "-1",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: lr_factor ") and err.count("\n") == 1
-        assert "learning_rate" not in err
-        assert not (work / "never.bin").exists()
+    def test_removed_recipe_options_rejected(self, work, tmp_path, capsys):
+        """Label smoothing, the partial-pair ratio range and adaptation's
+        rate factor are fixed by the recipe: no flag or config key sets them."""
+        adapt = ["adapt", "--model", str(work / "model.bin"), "--data",
+                 str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl")]
+        train = ["train", "--data", str(work / "data.jsonl")]
+        never = ["--out", str(tmp_path / "never.bin")]
+        for argv in ([*train, "--label-smoothing", "0.2"],
+                     *([*adapt, flag, "0.2"] for flag in (
+                         "--label-smoothing", "--lr-factor", "--ratio-low", "--ratio-high"))):
+            assert main(argv + never) == 2
+            assert "error: unrecognized arguments: " in capsys.readouterr().err
+        cfg = tmp_path / "recipe.cfg"
+        for line in ("lr_factor = 0.5", "label_smoothing = 0.2"):
+            cfg.write_text(line + "\n")
+            for argv in (adapt, train):
+                assert main(["--config", str(cfg), *argv, *never]) == 2
+                assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "never.bin").exists()
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     @pytest.mark.parametrize("line, option", [

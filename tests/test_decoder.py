@@ -312,19 +312,25 @@ class TestBatchedAgainstScalar:
                             rtol=0, atol=1e-12,
                         )
 
-    def test_nan_log_probs_are_rejected(self):
+    @pytest.mark.parametrize("column, forced", [
+        (4, False),       # a word's column in every row
+        (PAD_ID, False),  # the pad column, which no score reads
+        (4, True),        # only the forced prefix's step
+    ], ids=["word", "pad", "prefix-step"])
+    def test_nan_log_probs_are_rejected(self, column, forced):
         model = RandomWalkModel(n_words=3, seed=4)
         clean = model._logps
 
         def poisoned(prefix):
             lps = clean(prefix).copy()
-            lps[4] = np.nan
+            if not (forced and prefix):
+                lps[column] = np.nan
             return lps
 
         model._logps = poisoned
         enc = model.encode(np.zeros((50, 1)))
         with pytest.raises(ContractViolation, match="NaN"):
-            beam_search(model, enc, (), BeamConfig(beam_width=3))
+            beam_search(model, enc, (4,) if forced else (), BeamConfig(beam_width=3))
 
 
 class _RecordedRead(np.ndarray):
