@@ -125,6 +125,8 @@ def beam_search(
     )
     # left to right, the order in which beam steps add their log-probs
     score = functools.reduce(operator.add, prefix_steps, 0.0)
+    if math.isnan(score):
+        raise ContractViolation("model returned NaN log-probabilities")
     if len(prefix) >= max_total:
         return [BeamHypothesis(prefix, score, prefix_steps, True)]
 
@@ -136,8 +138,8 @@ def beam_search(
     ended = []  # (scores, toks, lps, finished) blocks that left the beam
     best = -math.inf  # the best objective of any path eos has ended
     while True:
-        # every column the model returned, pad too; scores carry the prefix's
-        if np.isnan(active_lps).any() or np.isnan(scores).any():
+        # every column the model returned, pad too
+        if np.isnan(active_lps).any():
             raise ContractViolation("model returned NaN log-probabilities")
         eos_scores = scores + active_lps[:, EOS_ID]
         child_scores = scores[:, None] + active_lps[:, gen_ids]  # (B, G)

@@ -712,24 +712,33 @@ class TestErrorPaths:
         assert "init_seed" not in err
         assert not (work / "never.bin").exists()
 
-    def test_removed_recipe_options_rejected(self, work, tmp_path, capsys):
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--label-smoothing", "0.2"]),
+        ("adapt", ["--label-smoothing", "0.2"]),
+        ("adapt", ["--lr-factor", "0.5"]),
+        ("adapt", ["--ratio-low", "0.2"]),
+        ("adapt", ["--ratio-high", "0.2"]),
+        ("train", "label_smoothing = 0.2"),
+        ("adapt", "label_smoothing = 0.2"),
+        ("train", "lr_factor = 0.5"),
+        ("adapt", "lr_factor = 0.5"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_recipe_options_rejected(self, work, tmp_path, capsys, command, extra):
         """Label smoothing, the partial-pair ratio range and adaptation's
         rate factor are fixed by the recipe: no flag or config key sets them."""
-        adapt = ["adapt", "--model", str(work / "model.bin"), "--data",
-                 str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl")]
-        train = ["train", "--data", str(work / "data.jsonl")]
-        never = ["--out", str(tmp_path / "never.bin")]
-        for argv in ([*train, "--label-smoothing", "0.2"],
-                     *([*adapt, flag, "0.2"] for flag in (
-                         "--label-smoothing", "--lr-factor", "--ratio-low", "--ratio-high"))):
-            assert main(argv + never) == 2
+        argv = {
+            "adapt": ["adapt", "--model", str(work / "model.bin"), "--data",
+                      str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl")],
+            "train": ["train", "--data", str(work / "data.jsonl")],
+        }[command] + ["--out", str(tmp_path / "never.bin")]
+        if isinstance(extra, list):
+            assert main(argv + extra) == 2
             assert "error: unrecognized arguments: " in capsys.readouterr().err
-        cfg = tmp_path / "recipe.cfg"
-        for line in ("lr_factor = 0.5", "label_smoothing = 0.2"):
-            cfg.write_text(line + "\n")
-            for argv in (adapt, train):
-                assert main(["--config", str(cfg), *argv, *never]) == 2
-                assert "unknown config key" in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "recipe.cfg"
+            cfg.write_text(extra + "\n")
+            assert main(["--config", str(cfg), *argv]) == 2
+            assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "never.bin").exists()
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])

@@ -312,12 +312,13 @@ class TestBatchedAgainstScalar:
                             rtol=0, atol=1e-12,
                         )
 
-    @pytest.mark.parametrize("column, forced", [
-        (4, False),       # a word's column in every row
-        (PAD_ID, False),  # the pad column, which no score reads
-        (4, True),        # only the forced prefix's step
-    ], ids=["word", "pad", "prefix-step"])
-    def test_nan_log_probs_are_rejected(self, column, forced):
+    @pytest.mark.parametrize("column, forced, cap", [
+        (4, False, BeamConfig.cap_tokens_per_sec),  # a word's column in every row
+        (PAD_ID, False, BeamConfig.cap_tokens_per_sec),  # pad, which no score reads
+        (4, True, BeamConfig.cap_tokens_per_sec),  # only the forced prefix's step
+        (4, True, 2.0),  # that step, and the prefix fills 0.5 s at 2 tokens/s
+    ], ids=["word", "pad", "prefix-step", "prefix-at-cap"])
+    def test_nan_log_probs_are_rejected(self, column, forced, cap):
         model = RandomWalkModel(n_words=3, seed=4)
         clean = model._logps
 
@@ -330,7 +331,8 @@ class TestBatchedAgainstScalar:
         model._logps = poisoned
         enc = model.encode(np.zeros((50, 1)))
         with pytest.raises(ContractViolation, match="NaN"):
-            beam_search(model, enc, (4,) if forced else (), BeamConfig(beam_width=3))
+            beam_search(model, enc, (4,) if forced else (),
+                        BeamConfig(beam_width=3, cap_tokens_per_sec=cap))
 
 
 class _RecordedRead(np.ndarray):

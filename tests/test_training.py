@@ -17,6 +17,8 @@ from streamdec.io import load_model
 from streamdec.model import SyntheticAlignedModel
 from streamdec.training import (
     ADAPT_LR_FACTOR,
+    LABEL_SMOOTHING,
+    PARTIAL_RATIOS,
     Adam,
     TrainConfig,
     adapt,
@@ -451,6 +453,50 @@ class TestAdapt:
             adapt(model, [], small_train_cfg(), data[:4])
         with pytest.raises(ConfigError):
             adapt(model, data, small_train_cfg(), [])
+
+
+class TestRecipe:
+    """The adaptation recipe is constants that both loops read."""
+
+    def test_values_are_the_readmes(self):
+        assert LABEL_SMOOTHING == 0.1
+        assert PARTIAL_RATIOS == (0.1, 0.4)
+        assert ADAPT_LR_FACTOR == 0.25
+
+    @pytest.mark.parametrize("loop", ["train", "adapt"])
+    def test_every_step_smooths_by_the_constant(self, tiny_world, monkeypatch, loop):
+        _, data, vocab, cfg = tiny_world
+        seen = []
+        grads = training.batch_loss_and_grads
+
+        def spy(model_cfg, params, batch, label_smoothing):
+            seen.append(label_smoothing)
+            return grads(model_cfg, params, batch, label_smoothing)
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", spy)
+        model = TinyTransformer(cfg, vocab)
+        if loop == "train":
+            train(model, data, small_train_cfg())
+        else:
+            adapt(model, data[6:], small_train_cfg(), data[:4])
+        assert seen == [LABEL_SMOOTHING] * 8
+
+    def test_adapt_draws_ratios_from_the_range(self, tiny_world, monkeypatch):
+        _, data, vocab, cfg = tiny_world
+        ratios = []
+        cut = training.make_partial_pair
+
+        def spy(utt, p):
+            ratios.append(p)
+            return cut(utt, p)
+
+        monkeypatch.setattr(training, "make_partial_pair", spy)
+        adapt(TinyTransformer(cfg, vocab), data[6:], small_train_cfg(), data[:4])
+        low, high = PARTIAL_RATIOS
+        # 2 partial pairs per step of a batch of 4, each its own draw
+        assert len(ratios) == 2 * 8
+        assert all(low <= p <= high for p in ratios)
+        assert len(set(ratios)) == len(ratios)
 
 
 @pytest.fixture(scope="module")
