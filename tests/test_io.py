@@ -1,4 +1,3 @@
-import base64
 import json
 import re
 
@@ -18,13 +17,13 @@ from streamdec.io import (
 
 
 def frames_json(frames, shape=None) -> str:
-    """The JSON of an utterance record's "frames" value: the base64 of the
+    """The JSON of an utterance record's "frames" value: the hex of the
     values' little-endian float64 bytes, under the given shape (default:
     the values' own)."""
     a = np.asarray(frames, dtype="<f8")
     return json.dumps({
         "shape": list(a.shape if shape is None else shape),
-        "float64le": base64.b64encode(a.tobytes()).decode("ascii"),
+        "float64le_hex": a.tobytes().hex(),
     })
 
 
@@ -94,7 +93,7 @@ class TestUtteranceFiles:
         ('{"id": "b", "ref": ["x"]}', "missing key 'frames'"),
         (f'{{"id": "b", "frames": {F}}}', "missing key 'ref'"),
         (f'{{"id": "b", "frames": {frames_json([0.1, 0.2, 0.3], [2, 2])}, "ref": ["x"]}}',
-         "holds 24 bytes; shape \\[2, 2\\] needs 32"),
+         "must be a string of 64 hex digits for shape \\[2, 2\\], got 48"),
         (f'{{"id": "b", "frames": {frames_json([0.1, 0.2])}, "ref": ["x"]}}',
          "two non-negative integers"),
         (f'{{"id": "b", "frames": {frames_json([[[0.1]]])}, "ref": ["x"]}}',
@@ -112,23 +111,27 @@ class TestUtteranceFiles:
          "at least one frame"),
         (f'{{"id": "b", "frames": {frames_json(np.zeros((2, 0)))}, "ref": ["x"]}}',
          "at least one frame"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8"}, "ref": ["x"]}',
-         "not valid base64"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZ uT8="}, "ref": ["x"]}',
-         "not valid base64"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8\u00e9"}, "ref": ["x"]}',
-         "not valid base64"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": 7}, "ref": ["x"]}',
-         "not valid base64"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": ["mpmZmZmZuT8="]}, "ref": ["x"]}',
-         "not valid base64"),
-        ('{"id": "b", "frames": "mpmZmZmZuT8=", "ref": ["x"]}', "exactly the keys"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93"}, "ref": ["x"]}',
+         "must be a string of 16 hex digits for shape \\[1, 1\\], got 15"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93g"}, "ref": ["x"]}',
+         "float64le_hex is not hex: non-hexadecimal number"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a99 9999 99b93f"}, "ref": ["x"]}',
+         "float64le_hex is not hex: whitespace among the digits"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93\u00e9"}, "ref": ["x"]}',
+         "float64le_hex is not hex: non-hexadecimal number"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": 7}, "ref": ["x"]}',
+         "must be a string of 16 hex digits for shape \\[1, 1\\], got int"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": ["9a9999999999b93f"]}, "ref": ["x"]}',
+         "must be a string of 16 hex digits for shape \\[1, 1\\], got list"),
+        ('{"id": "b", "frames": "9a9999999999b93f", "ref": ["x"]}', "exactly the keys"),
         ('{"id": "b", "frames": 0.1, "ref": ["x"]}', "exactly the keys"),
         ('{"id": "b", "frames": {"shape": [1, 1]}, "ref": ["x"]}', "exactly the keys"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8=", '
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93f", '
          '"dtype": "f8"}, "ref": ["x"]}', "exactly the keys"),
         ('{"id": "b", "frames": [[0.1]], "ref": ["x"]}',
-         "regenerate the corpus with `streamdec gen-data`"),
+         "nested lists, .* regenerate the corpus with `streamdec gen-data`"),
+        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8="}, "ref": ["x"]}',
+         'base64 \\("float64le"\\), .* regenerate the corpus with `streamdec gen-data`'),
         ('["b", [[0.1]], ["x"]]', "not a JSON object"),
         (f'{{"id": 7, "frames": {F}, "ref": ["x"]}}', "id must be a string"),
         (f'{{"id": "b", "frames": {F}, "ref": "w01 w02"}}',
@@ -152,6 +155,25 @@ class TestUtteranceFiles:
         write_lines(path, f'{{"id": "a", "frames": {F}, "ref": ["x"]}}', line)
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:2: .*{why}"):
             load_utterances(path)
+
+    def test_loaded_frames_are_native_arrays_of_their_own(self, tmp_path, rng):
+        """Frames are read in place from a writable buffer, never copied:
+        each must still be a writable native matrix that no other
+        utterance's frames alias."""
+        path = str(tmp_path / "utts.jsonl")
+        save_utterances([Utterance(f"u{i}", rng.normal(size=(5, 2)), ("x",))
+                         for i in range(3)], path)
+        frames = [u.frames for u in load_utterances(path)]
+        for f in frames:
+            assert f.dtype == np.float64 and f.dtype.isnative
+            assert f.flags.c_contiguous and f.flags.writeable
+        for i, f in enumerate(frames):
+            for g in frames[i + 1:]:
+                assert not np.shares_memory(f, g)
+        before = [g.copy() for g in frames[1:]]
+        frames[0][:] = 0.0
+        for g, want in zip(frames[1:], before):
+            np.testing.assert_array_equal(g, want)
 
     @pytest.mark.parametrize("key", ["ref", "tgt"])
     def test_reserved_token_reports_line(self, tmp_path, key):
@@ -274,3 +296,40 @@ class TestAttentionGrids:
         for name in grids:
             assert back[name].shape == grids[name].shape
             np.testing.assert_allclose(back[name], grids[name], atol=5e-7)
+
+    def test_empty_grid_keeps_its_width(self, tmp_path):
+        path = str(tmp_path / "attn.tsv")
+        save_attention_grids({"empty": np.zeros((0, 4)), "one": np.ones((1, 2))}, path)
+        back = load_attention_grids(path)
+        assert back["empty"].shape == (0, 4)
+        assert back["one"].shape == (1, 2)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 0)])
+    def test_grid_without_rows_of_cells_is_refused(self, tmp_path, shape):
+        """A 0-wide row would be written as a blank line, which reads back
+        as the end of the block."""
+        with pytest.raises(ConfigError, match="attention grid g must be 2-D, 1 column or more"):
+            save_attention_grids({"g": np.zeros(shape)}, str(tmp_path / "attn.tsv"))
+
+    @pytest.mark.parametrize("lines, line_no, why", [
+        (["# g\t2\t2", "0.5\tx", "0.5\t0.5"], 2,
+         "grid 'g': could not convert string to float: 'x'"),
+        (["# g\t2\t2", "0.5\t0.5", "0.5"], 3,
+         "grid 'g' is 2 x 2 by its header; row 2 here has width 1"),
+        (["# g\t3\t2", "0.5\t0.5", "0.5\t0.5", "", "# h\t1\t1", "0.5"], 1,
+         "grid 'g' has 2 rows; its header says 3"),
+        (["# g\t1\t2", "0.5\t0.5", "0.5\t0.5"], 3,
+         "grid 'g' is 1 x 2 by its header; row 2 here has width 2"),
+        (["0.5\t0.5", "# g\t1\t2", "0.5\t0.5"], 1,
+         "a grid row before the first header"),
+        (["# g\t1\t1", "0.5", "", "# g\t1\t1", "0.25"], 4,
+         "grid 'g' repeats the one on line 1"),
+        (["# g\t1", "0.5"], 1, "a grid header is"),
+        (["# g\t-1\t1"], 1, "a grid header is"),
+    ], ids=["non-number", "ragged", "short-block", "long-block",
+            "row-before-header", "repeated-name", "header-count", "header-sign"])
+    def test_malformed_file_reports_line(self, tmp_path, lines, line_no, why):
+        path = str(tmp_path / "attn.tsv")
+        write_lines(path, *lines)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:{line_no}: {re.escape(why)}"):
+            load_attention_grids(path)
