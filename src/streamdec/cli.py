@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--utt", help="utterance id, default first in file")
     p.add_argument("--prefix", default="", help="space-separated forced tokens")
-    p.add_argument("--out", required=True, help="output TSV")
+    p.add_argument("--out", required=True, help="output .npz archive, one array per grid")
     return parser
 
 

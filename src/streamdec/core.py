@@ -8,7 +8,7 @@ when.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import math
 import numbers
@@ -122,6 +122,20 @@ class Vocab:
         return tuple(self.token_of(i) for i in ids)
 
 
+def _words(name: str, tokens) -> tuple[str, ...]:
+    """A transcript as a tuple of strings. A string, which would split into
+    its characters, a non-string token and a reserved token, which no model
+    could ever emit where it stands, are refused."""
+    if isinstance(tokens, Iterable) and not isinstance(tokens, str):
+        words = tuple(tokens)
+        if all(isinstance(t, str) for t in words):
+            reserved = set(words) & set(RESERVED_TOKENS)
+            if reserved:
+                raise ConfigError(f"{name} holds reserved token {min(reserved)!r}")
+            return words
+    raise ConfigError(f"{name} must be a sequence of strings, got {tokens!r}")
+
+
 @dataclass
 class Utterance:
     """One input stream: a frame matrix plus its reference token sequence."""
@@ -144,13 +158,11 @@ class Utterance:
         if not np.isfinite(self.frames).all():
             raise ConfigError("frames must be finite (no NaN or inf)")
         check_real("frame_period_sec", self.frame_period_sec, "(0, inf)")
-        self.reference_tokens = tuple(self.reference_tokens)
+        if not isinstance(self.id, str):
+            raise ConfigError(f"id must be a string, got {self.id!r}")
+        self.reference_tokens = _words("reference_tokens", self.reference_tokens)
         if self.target_tokens is not None:
-            self.target_tokens = tuple(self.target_tokens)
-        for name in ("reference_tokens", "target_tokens"):
-            reserved = set(getattr(self, name) or ()) & set(RESERVED_TOKENS)
-            if reserved:  # no model could ever emit them where they stand
-                raise ConfigError(f"{name} holds reserved token {min(reserved)!r}")
+            self.target_tokens = _words("target_tokens", self.target_tokens)
 
     @property
     def n_frames(self) -> int:

@@ -1,5 +1,5 @@
 """File formats: transformer model files, JSONL utterances and commit logs,
-JSON eval summaries, TSV attention grids.
+JSON eval summaries and attention-grid archives.
 
 A model file is the magic ``SDM1``, a u32-length-prefixed JSON header (format
 version, ``"model_type": "transformer"``, config and vocab) and a u32 count of
@@ -13,7 +13,12 @@ a value. That round-trips every float64 bit for bit, like float text, but
 loads without parsing one number per frame value, and several times faster
 than base64 for 1.5 times the bytes. A commit log is one line per displayed
 token and loads back as the ``CommitLog`` it was saved from; this module is
-the only code that knows the JSONL keys.
+the only code that knows the JSONL keys. ``Utterance`` checks each record's
+fields; a failed check names the file and line.
+
+Attention grids are one numpy ``.npz`` archive holding each grid's exact
+float64 array under its ``dump_attention`` name (``cross.layer0.head1``);
+``np.load(path)[name]`` reads one back.
 """
 
 from __future__ import annotations
@@ -136,21 +141,6 @@ def _check_fields(path: str, line_no: int, rec: dict, fields: Sequence) -> None:
             )
 
 
-def _is_str_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(t, str) for t in v)
-
-
-# each utterance key, what its value must be, and the check (bool is not a
-# number here); frames are checked by _decode_frames and Utterance
-_UTTERANCE_FIELDS = (
-    ("id", "a string", lambda v: isinstance(v, str)),
-    ("ref", "a list of strings", _is_str_list),
-    ("tgt", "a list of strings", _is_str_list),
-    ("frame_period_sec", "a positive finite number",
-     lambda v: type(v) in (int, float) and 0 < v < math.inf),
-)
-
-
 def load_utterances(path: str) -> list[Utterance]:
     """Utterances in file order, the inverse of save_utterances. A malformed
     record, or an id an earlier record already used, is a ConfigError naming
@@ -158,25 +148,23 @@ def load_utterances(path: str) -> list[Utterance]:
     out = []
     first_line: dict[str, int] = {}  # utterance id -> line that used it
     for line_no, rec in _records(path, ("id", "frames", "ref")):
-        _check_fields(path, line_no, rec, _UTTERANCE_FIELDS)
-        utt_id = rec["id"]
-        if utt_id in first_line:
-            raise ConfigError(
-                f"{path}:{line_no}: utterance id {utt_id!r} repeats the one "
-                f"on line {first_line[utt_id]}"
-            )
-        first_line[utt_id] = line_no
-        tgt = rec.get("tgt")
         try:
             utt = Utterance(
-                id=utt_id,
+                id=rec["id"],
                 frames=_decode_frames(rec["frames"]),
-                reference_tokens=tuple(rec["ref"]),
-                target_tokens=tuple(tgt) if tgt is not None else None,
+                reference_tokens=rec["ref"],
+                target_tokens=rec.get("tgt"),
                 frame_period_sec=rec.get("frame_period_sec", DEFAULT_FRAME_PERIOD_SEC),
             )
         except (TypeError, ValueError) as e:  # ConfigError included
             raise ConfigError(f"{path}:{line_no}: {e}") from e
+        # after Utterance, which refuses an id that is not a string
+        if utt.id in first_line:
+            raise ConfigError(
+                f"{path}:{line_no}: utterance id {utt.id!r} repeats the one "
+                f"on line {first_line[utt.id]}"
+            )
+        first_line[utt.id] = line_no
         out.append(utt)
     return out
 
@@ -227,60 +215,12 @@ def save_eval_summary(summary: Mapping[str, object], path: str) -> None:
         fh.write("\n")
 
 
-def save_attention_grids(
-    grids: Mapping[str, np.ndarray], path: str
-) -> None:
-    """TSV blocks, one per grid: a `# name rows cols` header line, then the
-    rows; blocks separated by blank lines."""
-    with open(path, "w") as fh:
-        for name in sorted(grids):
-            g = np.asarray(grids[name])
-            if g.ndim != 2 or g.shape[1] == 0:  # a 0-wide row is a blank line
-                raise ConfigError(f"attention grid {name} must be 2-D, 1 column or more")
-            fh.write(f"# {name}\t{g.shape[0]}\t{g.shape[1]}\n")
-            for row in g:
-                fh.write("\t".join(f"{x:.6f}" for x in row) + "\n")
-            fh.write("\n")
-
-
-def load_attention_grids(path: str) -> dict[str, np.ndarray]:
-    """Grids by name, the inverse of save_attention_grids to the six
-    decimals it writes. A malformed header, a repeated name, a row before
-    the first header, a cell that is not a number, or a row or row count
-    that differs from its header is a ConfigError naming path:line."""
-    blocks: list[tuple[int, str, int, int, list]] = []  # header line, name, n, cols, rows
-    first_line: dict[str, int] = {}  # grid name -> its header line
-    for line_no, line in numbered_lines(path):
-        line, where = line.rstrip("\n"), f"{path}:{line_no}"
-        if line.startswith("# "):
-            name, *counts = line[2:].split("\t")
-            if len(counts) != 2 or not all(c.isdecimal() for c in counts):
-                raise ConfigError(f"{where}: a grid header is `# name<TAB>rows"
-                                  f"<TAB>cols` with counts >= 0, got {line!r}")
-            n, cols = map(int, counts)
-            if name in first_line:
-                raise ConfigError(f"{where}: grid {name!r} repeats the one on "
-                                  f"line {first_line[name]}")
-            first_line[name] = line_no
-            blocks.append((line_no, name, n, cols, []))
-        elif line.strip():
-            if not blocks:
-                raise ConfigError(f"{where}: a grid row before the first header")
-            _, name, n, cols, rows = blocks[-1]
-            try:
-                row = [float(x) for x in line.split("\t")]
-            except ValueError as e:
-                raise ConfigError(f"{where}: grid {name!r}: {e}") from None
-            if len(row) != cols or len(rows) == n:
-                raise ConfigError(f"{where}: grid {name!r} is {n} x {cols} by its "
-                                  f"header; row {len(rows) + 1} here has width {len(row)}")
-            rows.append(row)
-    for line_no, name, n, _, rows in blocks:
-        if len(rows) != n:
-            raise ConfigError(f"{path}:{line_no}: grid {name!r} has {len(rows)} "
-                              f"rows; its header says {n}")
-    return {name: np.array(rows, dtype=np.float64).reshape(n, cols)
-            for _, name, n, cols, rows in blocks}
+def save_attention_grids(grids: Mapping[str, np.ndarray], path: str) -> None:
+    """One .npz archive at exactly path, each grid an array under its name,
+    as np.load reads it. Through a file handle, since np.savez given a name
+    without the .npz suffix would add one."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **grids)
 
 
 _MAGIC = b"SDM1"

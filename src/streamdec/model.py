@@ -36,7 +36,8 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import DEFAULT_FRAME_PERIOD_SEC, EOS_ID, ContractViolation, Vocab, check_int
+from .core import (DEFAULT_FRAME_PERIOD_SEC, EOS_ID, ContractViolation, Vocab, check_int,
+                   check_real)
 from .data import Alignment, SyntheticTaskSpec, gen_with_alignments, task_vocab
 
 # the synthetic oracle's default unstable tail of a truncated stream, in frames
@@ -69,7 +70,7 @@ class SequenceModel(Protocol):
         prior: EncoderStates | None = None,
         *,
         utt_id: str | None = None,
-        frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
+        frame_period_sec: float | None = None,
     ) -> EncoderStates: ...
 
     def dec_init(
@@ -111,17 +112,29 @@ def _check_owner(model: Any, made: Any, what: str) -> None:
 
 def _check_prior(
     model: Any, prior: EncoderStates | None, n_frames: int,
-    utt_id: str | None, frame_period_sec: float,
+    utt_id: str | None, frame_period_sec: float | None,
 ) -> tuple[str | None, float]:
     """(utt_id, frame_period_sec) of an n_frames encoding that extends prior:
-    the prior's, but a given utt_id wins; a prior it cannot extend raises."""
+    the prior's, but a given utt_id wins. A given period must be a positive
+    finite number equal to the prior's; an omitted one is the prior's, or
+    DEFAULT_FRAME_PERIOD_SEC with no prior. A prior it cannot extend raises."""
     if prior is None:
+        if frame_period_sec is None:
+            return utt_id, DEFAULT_FRAME_PERIOD_SEC
+        check_real("frame_period_sec", frame_period_sec, "(0, inf)")
         return utt_id, frame_period_sec
     _check_owner(model, prior, "prior states")
     if prior.frames_covered > n_frames:
         raise ContractViolation("prior states cover more frames than were provided")
     if utt_id is not None and prior.utt_id is not None and utt_id != prior.utt_id:
         raise ContractViolation("prior states belong to a different utterance")
+    # the prior's period was checked when it was made
+    if frame_period_sec is not None and frame_period_sec != prior.frame_period_sec:
+        check_real("frame_period_sec", frame_period_sec, "(0, inf)")
+        raise ContractViolation(
+            f"frame_period_sec {frame_period_sec!r} differs from the prior "
+            f"states' {prior.frame_period_sec!r}"
+        )
     return (prior.utt_id if utt_id is None else utt_id), prior.frame_period_sec
 
 
@@ -194,7 +207,7 @@ class SyntheticAlignedModel:
         prior: EncoderStates | None = None,
         *,
         utt_id: str | None = None,
-        frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
+        frame_period_sec: float | None = None,
     ) -> EncoderStates:
         n = len(frames)
         utt_id, frame_period_sec = _check_prior(

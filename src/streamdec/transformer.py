@@ -53,8 +53,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import (BOS_ID, DEFAULT_FRAME_PERIOD_SEC, ConfigError, ContractViolation,
-                   Vocab, check_int)
+from .core import BOS_ID, ConfigError, ContractViolation, Vocab, check_int
 from .model import (
     EncoderStates,
     _check_block,
@@ -445,13 +444,13 @@ class TinyTransformer:
 
     def encode(
         self, frames: np.ndarray, prior: TransformerEncoding | None = None, *,
-        utt_id: str | None = None, frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
+        utt_id: str | None = None, frame_period_sec: float | None = None,
     ) -> TransformerEncoding:
         return self._encode(frames, prior, utt_id, frame_period_sec)
 
     def _encode(
         self, frames: np.ndarray, prior: TransformerEncoding | None = None,
-        utt_id: str | None = None, frame_period_sec: float = DEFAULT_FRAME_PERIOD_SEC,
+        utt_id: str | None = None, frame_period_sec: float | None = None,
         parts: list | None = None,
     ) -> TransformerEncoding:
         """encode; with parts, each layer's self-attention weights of the

@@ -11,7 +11,6 @@ from streamdec.data import SyntheticTaskSpec
 from streamdec.decoder import BeamConfig, Session
 from streamdec.harness import SweepSpec
 from streamdec.io import (
-    load_attention_grids,
     load_commit_logs,
     load_model,
     load_utterances,
@@ -168,17 +167,21 @@ class TestPipeline:
         assert set(seen) == {BeamConfig(beam_width=2, length_normalize=True)}
 
     def test_dump_attention_writes_grids(self, work):
-        out = work / "attn.tsv"
+        out = work / "attn.npz"
         assert main([
             "dump-attention", "--model", str(work / "model.bin"),
             "--in", str(work / "eval.jsonl"), "--out", str(out),
         ]) == 0
-        grids = load_attention_grids(str(out))
-        assert any(name.startswith("cross.") for name in grids)
-        for g in grids.values():
-            np.testing.assert_allclose(
-                g.sum(axis=-1), np.ones(g.shape[0]), atol=1e-5
-            )
+        model = load_model(str(work / "model.bin"))
+        want = model.dump_attention(load_utterances(str(work / "eval.jsonl"))[0].frames, ())
+        with np.load(out) as grids:
+            assert sorted(grids.files) == sorted(want)
+            assert any(name.startswith("cross.") for name in grids.files)
+            for name, g in want.items():
+                assert (grids[name].shape, grids[name].tobytes()) == (g.shape, g.tobytes())
+                np.testing.assert_allclose(
+                    g.sum(axis=-1), np.ones(g.shape[0]), rtol=0, atol=1e-12
+                )
 
     def test_adapt_round_trip(self, work):
         out = work / "adapted.bin"

@@ -110,6 +110,18 @@ class TestUtterance:
         with pytest.raises(ConfigError, match=f"{side} holds reserved token '{token}'"):
             Utterance("u1", np.zeros((3, 2)), **{"reference_tokens": ("a",), side: ("a", token, "b")})
 
+    @pytest.mark.parametrize("side", ["reference_tokens", "target_tokens"])
+    @pytest.mark.parametrize("tokens", ["abc", ("a", 3), 5], ids=["string", "non-string", "int"])
+    def test_tokens_must_be_a_sequence_of_strings(self, side, tokens):
+        """A string is refused, not split into its characters."""
+        with pytest.raises(ConfigError, match=f"{side} must be a sequence of strings"):
+            Utterance("u1", np.zeros((3, 2)), **{"reference_tokens": ("a",), side: tokens})
+
+    @pytest.mark.parametrize("utt_id", [5, None, ("u",)], ids=["int", "none", "tuple"])
+    def test_id_must_be_a_string(self, utt_id):
+        with pytest.raises(ConfigError, match="id must be a string"):
+            Utterance(utt_id, np.zeros((3, 2)), ("a",))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frames_rejected(self, bad):
         frames = np.zeros((3, 2))

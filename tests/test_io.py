@@ -6,7 +6,6 @@ import pytest
 
 from streamdec.core import CommitLog, ConfigError, Utterance
 from streamdec.io import (
-    load_attention_grids,
     load_commit_logs,
     load_utterances,
     save_attention_grids,
@@ -89,66 +88,87 @@ class TestUtteranceFiles:
             load_utterances(path)
 
     @pytest.mark.parametrize("line, why", [
-        (f'{{"frames": {F}, "ref": ["x"]}}', "missing key 'id'"),
-        ('{"id": "b", "ref": ["x"]}', "missing key 'frames'"),
-        (f'{{"id": "b", "frames": {F}}}', "missing key 'ref'"),
-        (f'{{"id": "b", "frames": {frames_json([0.1, 0.2, 0.3], [2, 2])}, "ref": ["x"]}}',
-         "must be a string of 64 hex digits for shape \\[2, 2\\], got 48"),
-        (f'{{"id": "b", "frames": {frames_json([0.1, 0.2])}, "ref": ["x"]}}',
-         "two non-negative integers"),
-        (f'{{"id": "b", "frames": {frames_json([[[0.1]]])}, "ref": ["x"]}}',
-         "two non-negative integers"),
-        (f'{{"id": "b", "frames": {frames_json([[0.1]], [-1, -1])}, "ref": ["x"]}}',
-         "two non-negative integers"),
-        (f'{{"id": "b", "frames": {frames_json([[0.1]], [True, 1])}, "ref": ["x"]}}',
-         "two non-negative integers"),
-        (f'{{"id": "b", "frames": {frames_json([[0.1]], [1.0, 1])}, "ref": ["x"]}}',
-         "two non-negative integers"),
-        (f'{{"id": "b", "frames": {frames_json([[np.nan]])}, "ref": ["x"]}}', "finite"),
-        (f'{{"id": "b", "frames": {frames_json([[np.inf]])}, "ref": ["x"]}}', "finite"),
-        (f'{{"id": "b", "frames": {frames_json([[-np.inf]])}, "ref": ["x"]}}', "finite"),
-        (f'{{"id": "b", "frames": {frames_json(np.zeros((0, 3)))}, "ref": ["x"]}}',
-         "at least one frame"),
-        (f'{{"id": "b", "frames": {frames_json(np.zeros((2, 0)))}, "ref": ["x"]}}',
-         "at least one frame"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93"}, "ref": ["x"]}',
-         "must be a string of 16 hex digits for shape \\[1, 1\\], got 15"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93g"}, "ref": ["x"]}',
-         "float64le_hex is not hex: non-hexadecimal number"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a99 9999 99b93f"}, "ref": ["x"]}',
-         "float64le_hex is not hex: whitespace among the digits"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93\u00e9"}, "ref": ["x"]}',
-         "float64le_hex is not hex: non-hexadecimal number"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": 7}, "ref": ["x"]}',
-         "must be a string of 16 hex digits for shape \\[1, 1\\], got int"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": ["9a9999999999b93f"]}, "ref": ["x"]}',
-         "must be a string of 16 hex digits for shape \\[1, 1\\], got list"),
-        ('{"id": "b", "frames": "9a9999999999b93f", "ref": ["x"]}', "exactly the keys"),
-        ('{"id": "b", "frames": 0.1, "ref": ["x"]}', "exactly the keys"),
-        ('{"id": "b", "frames": {"shape": [1, 1]}, "ref": ["x"]}', "exactly the keys"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93f", '
-         '"dtype": "f8"}, "ref": ["x"]}', "exactly the keys"),
-        ('{"id": "b", "frames": [[0.1]], "ref": ["x"]}',
-         "nested lists, .* regenerate the corpus with `streamdec gen-data`"),
-        ('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8="}, "ref": ["x"]}',
-         'base64 \\("float64le"\\), .* regenerate the corpus with `streamdec gen-data`'),
-        ('["b", [[0.1]], ["x"]]', "not a JSON object"),
-        (f'{{"id": 7, "frames": {F}, "ref": ["x"]}}', "id must be a string"),
-        (f'{{"id": "b", "frames": {F}, "ref": "w01 w02"}}',
-         "ref must be a list of strings"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x", 3]}}',
-         "ref must be a list of strings"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "tgt": "w01 w02"}}',
-         "tgt must be a list of strings"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": true}}',
-         "frame_period_sec must be a positive finite number"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": "0.01"}}',
-         "frame_period_sec must be a positive finite number"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": 0}}',
-         "frame_period_sec must be a positive finite number"),
-        (f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": NaN}}',
-         "frame_period_sec must be a positive finite number"),
-        (b"\xff\xfe", "not valid UTF-8"),
+        pytest.param(f'{{"frames": {F}, "ref": ["x"]}}', "missing key 'id'", id="missing-id"),
+        pytest.param('{"id": "b", "ref": ["x"]}', "missing key 'frames'", id="missing-frames"),
+        pytest.param(f'{{"id": "b", "frames": {F}}}', "missing key 'ref'", id="missing-ref"),
+        pytest.param(
+            f'{{"id": "b", "frames": {frames_json([0.1, 0.2, 0.3], [2, 2])}, "ref": ["x"]}}',
+            "must be a string of 64 hex digits for shape \\[2, 2\\], got 48",
+            id="hex-short-for-shape"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([0.1, 0.2])}, "ref": ["x"]}}',
+                     "two non-negative integers", id="shape-1d"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[[0.1]]])}, "ref": ["x"]}}',
+                     "two non-negative integers", id="shape-3d"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[0.1]], [-1, -1])}, "ref": ["x"]}}',
+                     "two non-negative integers", id="shape-negative"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[0.1]], [True, 1])}, "ref": ["x"]}}',
+                     "two non-negative integers", id="shape-bool"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[0.1]], [1.0, 1])}, "ref": ["x"]}}',
+                     "two non-negative integers", id="shape-float"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[np.nan]])}, "ref": ["x"]}}',
+                     "finite", id="frames-nan"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[np.inf]])}, "ref": ["x"]}}',
+                     "finite", id="frames-inf"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json([[-np.inf]])}, "ref": ["x"]}}',
+                     "finite", id="frames-minus-inf"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json(np.zeros((0, 3)))}, "ref": ["x"]}}',
+                     "at least one frame", id="frames-no-rows"),
+        pytest.param(f'{{"id": "b", "frames": {frames_json(np.zeros((2, 0)))}, "ref": ["x"]}}',
+                     "at least one frame", id="frames-no-width"),
+        pytest.param(
+            '{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93"}, "ref": ["x"]}',
+            "must be a string of 16 hex digits for shape \\[1, 1\\], got 15", id="hex-15-digits"),
+        pytest.param(
+            '{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93g"}, "ref": ["x"]}',
+            "float64le_hex is not hex: non-hexadecimal number", id="hex-non-digit"),
+        pytest.param(
+            '{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a99 9999 99b93f"}, "ref": ["x"]}',
+            "float64le_hex is not hex: whitespace among the digits", id="hex-whitespace"),
+        pytest.param(
+            '{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93\u00e9"}, "ref": ["x"]}',
+            "float64le_hex is not hex: non-hexadecimal number", id="hex-non-ascii"),
+        pytest.param('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": 7}, "ref": ["x"]}',
+                     "must be a string of 16 hex digits for shape \\[1, 1\\], got int",
+                     id="hex-number"),
+        pytest.param(
+            '{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": ["9a9999999999b93f"]}, "ref": ["x"]}',
+            "must be a string of 16 hex digits for shape \\[1, 1\\], got list", id="hex-list"),
+        pytest.param('{"id": "b", "frames": "9a9999999999b93f", "ref": ["x"]}', "exactly the keys",
+                     id="frames-string"),
+        pytest.param('{"id": "b", "frames": 0.1, "ref": ["x"]}', "exactly the keys",
+                     id="frames-number"),
+        pytest.param('{"id": "b", "frames": {"shape": [1, 1]}, "ref": ["x"]}', "exactly the keys",
+                     id="frames-no-hex"),
+        pytest.param('{"id": "b", "frames": {"shape": [1, 1], "float64le_hex": "9a9999999999b93f", '
+                     '"dtype": "f8"}, "ref": ["x"]}', "exactly the keys", id="frames-extra-key"),
+        pytest.param('{"id": "b", "frames": [[0.1]], "ref": ["x"]}',
+                     "nested lists, .* regenerate the corpus with `streamdec gen-data`",
+                     id="frames-nested-lists"),
+        pytest.param('{"id": "b", "frames": {"shape": [1, 1], "float64le": "mpmZmZmZuT8="}, "ref": ["x"]}',
+                     'base64 \\("float64le"\\), .* regenerate the corpus with `streamdec gen-data`',
+                     id="frames-base64"),
+        pytest.param('["b", [[0.1]], ["x"]]', "not a JSON object", id="not-an-object"),
+        pytest.param(f'{{"id": 7, "frames": {F}, "ref": ["x"]}}', "id must be a string",
+                     id="id-not-string"),
+        pytest.param(f'{{"id": ["b"], "frames": {F}, "ref": ["x"]}}',
+                     "id must be a string, got \\['b'\\]", id="id-list"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": "w01 w02"}}',
+                     "reference_tokens must be a sequence of strings", id="ref-string"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x", 3]}}',
+                     "reference_tokens must be a sequence of strings", id="ref-non-string"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x"], "tgt": "w01 w02"}}',
+                     "target_tokens must be a sequence of strings", id="tgt-string"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": true}}',
+                     "frame_period_sec must be a number, got True", id="period-bool"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": "0.01"}}',
+                     "frame_period_sec must be a number, got '0.01'", id="period-string"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": 0}}',
+                     "frame_period_sec must be a finite number in \\(0, inf\\), got 0",
+                     id="period-zero"),
+        pytest.param(f'{{"id": "b", "frames": {F}, "ref": ["x"], "frame_period_sec": NaN}}',
+                     "frame_period_sec must be a finite number in \\(0, inf\\), got nan",
+                     id="period-nan"),
+        pytest.param(b"\xff\xfe", "not valid UTF-8", id="not-utf8"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, line, why):
         path = str(tmp_path / "bad.jsonl")
@@ -284,52 +304,28 @@ class TestEvalSummary:
 
 
 class TestAttentionGrids:
-    def test_round_trip(self, tmp_path, rng):
+    def test_archive_round_trip_is_exact(self, tmp_path, rng):
+        """Every grid, empty ones of either width included, loads back
+        bit for bit under its name."""
         grids = {
             "cross.layer0.head0": rng.random((3, 5)),
             "encoder_self.layer1.head1": rng.random((4, 4)),
+            "decoder_self.layer0.head0": np.zeros((0, 4)),
+            "decoder_self.layer0.head1": np.zeros((3, 0)),
         }
-        path = str(tmp_path / "attn.tsv")
+        path = str(tmp_path / "attn.npz")
         save_attention_grids(grids, path)
-        back = load_attention_grids(path)
-        assert sorted(back) == sorted(grids)
-        for name in grids:
-            assert back[name].shape == grids[name].shape
-            np.testing.assert_allclose(back[name], grids[name], atol=5e-7)
+        with np.load(path) as back:
+            assert sorted(back.files) == sorted(grids)
+            for name, g in grids.items():
+                assert back[name].dtype == np.float64
+                assert back[name].shape == g.shape
+                assert back[name].tobytes() == g.tobytes()
 
-    def test_empty_grid_keeps_its_width(self, tmp_path):
-        path = str(tmp_path / "attn.tsv")
-        save_attention_grids({"empty": np.zeros((0, 4)), "one": np.ones((1, 2))}, path)
-        back = load_attention_grids(path)
-        assert back["empty"].shape == (0, 4)
-        assert back["one"].shape == (1, 2)
-
-    @pytest.mark.parametrize("shape", [(3,), (3, 0)])
-    def test_grid_without_rows_of_cells_is_refused(self, tmp_path, shape):
-        """A 0-wide row would be written as a blank line, which reads back
-        as the end of the block."""
-        with pytest.raises(ConfigError, match="attention grid g must be 2-D, 1 column or more"):
-            save_attention_grids({"g": np.zeros(shape)}, str(tmp_path / "attn.tsv"))
-
-    @pytest.mark.parametrize("lines, line_no, why", [
-        (["# g\t2\t2", "0.5\tx", "0.5\t0.5"], 2,
-         "grid 'g': could not convert string to float: 'x'"),
-        (["# g\t2\t2", "0.5\t0.5", "0.5"], 3,
-         "grid 'g' is 2 x 2 by its header; row 2 here has width 1"),
-        (["# g\t3\t2", "0.5\t0.5", "0.5\t0.5", "", "# h\t1\t1", "0.5"], 1,
-         "grid 'g' has 2 rows; its header says 3"),
-        (["# g\t1\t2", "0.5\t0.5", "0.5\t0.5"], 3,
-         "grid 'g' is 1 x 2 by its header; row 2 here has width 2"),
-        (["0.5\t0.5", "# g\t1\t2", "0.5\t0.5"], 1,
-         "a grid row before the first header"),
-        (["# g\t1\t1", "0.5", "", "# g\t1\t1", "0.25"], 4,
-         "grid 'g' repeats the one on line 1"),
-        (["# g\t1", "0.5"], 1, "a grid header is"),
-        (["# g\t-1\t1"], 1, "a grid header is"),
-    ], ids=["non-number", "ragged", "short-block", "long-block",
-            "row-before-header", "repeated-name", "header-count", "header-sign"])
-    def test_malformed_file_reports_line(self, tmp_path, lines, line_no, why):
-        path = str(tmp_path / "attn.tsv")
-        write_lines(path, *lines)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:{line_no}: {re.escape(why)}"):
-            load_attention_grids(path)
+    def test_archive_is_written_at_exactly_the_path(self, tmp_path):
+        """np.savez given a file name without the suffix would add .npz."""
+        path = tmp_path / "attn.grids"
+        save_attention_grids({"g": np.eye(2)}, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["attn.grids"]
+        with np.load(path) as back:
+            np.testing.assert_array_equal(back["g"], np.eye(2))

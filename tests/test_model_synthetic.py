@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdec.core import EOS_ID, ConfigError, ContractViolation
+from streamdec.core import DEFAULT_FRAME_PERIOD_SEC, EOS_ID, ConfigError, ContractViolation
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_with_alignments,
@@ -230,6 +230,39 @@ class TestEncodeContract:
                     )
         with pytest.raises(ContractViolation, match="token id 99 out of range"):
             m.dec_init(enc, [ids[0], 99])
+
+
+@pytest.mark.parametrize("which", ["stable_model", "micro_model"])
+class TestFramePeriod:
+    """Both models settle an encoding's frame period in one check: a given
+    one must be a positive finite number equal to the prior's, and an
+    omitted one is the prior's."""
+
+    @staticmethod
+    def frames(n=6):
+        return np.zeros((n, 4))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, np.nan, True])
+    def test_bad_period_refused(self, request, which, bad):
+        model = request.getfixturevalue(which)
+        with pytest.raises(ConfigError, match="frame_period_sec must be"):
+            model.encode(self.frames(), utt_id="u0", frame_period_sec=bad)
+        prior = model.encode(self.frames(3), utt_id="u0")
+        with pytest.raises(ConfigError, match="frame_period_sec must be"):
+            model.encode(self.frames(), prior, frame_period_sec=bad)
+
+    def test_period_differing_from_prior_refused(self, request, which):
+        model = request.getfixturevalue(which)
+        prior = model.encode(self.frames(3), utt_id="u0", frame_period_sec=0.02)
+        with pytest.raises(ContractViolation, match="0.05 differs from the prior states' 0.02"):
+            model.encode(self.frames(), prior, frame_period_sec=0.05)
+
+    def test_omitted_period_keeps_the_priors(self, request, which):
+        model = request.getfixturevalue(which)
+        assert model.encode(self.frames(), utt_id="u0").frame_period_sec == DEFAULT_FRAME_PERIOD_SEC
+        prior = model.encode(self.frames(3), utt_id="u0", frame_period_sec=0.02)
+        assert model.encode(self.frames(), prior).frame_period_sec == 0.02
+        assert model.encode(self.frames(), prior, frame_period_sec=0.02).frame_period_sec == 0.02
 
 
 class TestPerSlotInvariants:
