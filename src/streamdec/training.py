@@ -5,6 +5,16 @@ folds the parameters' leaf tensors into the weight set the layers run
 (transformer.fold), so the gradients reach the stored parameters; Adam,
 with linear warmup followed by inverse-square-root decay, updates a working
 copy of them, and a model is built from that copy where one is needed.
+
+A step's batch splits into two fixed shards of rows, each shard one graph
+whose gradient is that of its summed loss over the whole batch's token
+count; the step adds shard 1's gradient to shard 0's. The loop (``_fit``)
+keeps one worker process for its whole length when two CPUs are usable,
+and the worker computes shard 1 while the calling process computes shard
+0; on one CPU both shards run in the calling process, one after the other.
+Either way the numbers are the same bits. The calling process still makes
+every batch and takes every Adam step.
+
 Adaptation fine-tunes on an even mix of full utterances and proportionally
 truncated frame/token pairs, at ADAPT_LR_FACTOR of the base learning rate,
 keeping the checkpoint with the best full-sequence dev token error rate.
@@ -17,8 +27,14 @@ reference side otherwise (core.eval_tokens).
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from multiprocessing.connection import Connection
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -133,18 +149,122 @@ def make_batch(
     }
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_loss_and_grads(
+    cfg: tfm.TransformerConfig,
+    params: Mapping[str, np.ndarray],
+    shard: dict[str, np.ndarray],
+    label_smoothing: float,
+    tokens: float,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """A shard's summed cross entropy, and the gradient by parameter name
+    of that sum divided by tokens."""
+    pt = tfm.leaf_tensors(params)
+    summed = tfm.training_loss(cfg, pt, shard, label_smoothing, tokens=1.0)
+    (summed * (1.0 / tokens)).backward()
+    return float(summed.data), {k: t.grad for k, t in pt.items() if t.grad is not None}
+
+
+def _serve_shards(conn: Connection, parent_end: Connection) -> None:
+    """A shard worker's loop: it answers each (cfg, params, shard,
+    label_smoothing, tokens) it receives with (error, result), and exits
+    when the caller closes its end of the pipe. It closes its own copy of
+    the caller's end first, or it would never see that close. Ctrl-C is
+    left to the caller, which then closes the pipe."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = None, _shard_loss_and_grads(*job)
+        except Exception as e:
+            reply = e, None
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has gone
+            return
+
+
+_WORKER: ContextVar[Connection | None] = ContextVar("shard worker", default=None)
+
+
+@contextmanager
+def _shard_worker() -> Iterator[None]:
+    """For the block, when two CPUs are usable, a worker process computes
+    the second shard of every ``batch_loss_and_grads`` call this context
+    makes. The worker is joined when the block ends, however it ends."""
+    if _usable_cpus() < 2:
+        yield
+        return
+    conn, child_end = multiprocessing.Pipe()
+    proc = multiprocessing.Process(
+        target=_serve_shards, args=(child_end, conn), daemon=True)
+    proc.start()
+    child_end.close()
+    token = _WORKER.set(conn)
+    try:
+        yield
+    finally:
+        _WORKER.reset(token)
+        conn.close()
+        proc.join(timeout=10)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+
+
 def batch_loss_and_grads(
     cfg: tfm.TransformerConfig,
     params: Mapping[str, np.ndarray],
     batch: dict[str, np.ndarray],
     label_smoothing: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """The batch's loss under params and its gradient by parameter name."""
-    pt = tfm.leaf_tensors(params)
-    loss = tfm.training_loss(cfg, pt, batch, label_smoothing)
-    loss.backward()
-    grads = {k: t.grad for k, t in pt.items() if t.grad is not None}
-    return float(loss.data), grads
+    """The batch's loss under params and its gradient by parameter name.
+
+    The batch's rows split into two fixed shards, the first ceil(B/2) rows
+    and the rest. Each shard's gradient is that of its summed cross entropy
+    divided by the whole batch's token count; the step's gradient is shard
+    0's plus shard 1's, in that order, and its loss is shard 0's sum plus
+    shard 1's, divided once, as the one-graph loss is. Inside
+    ``_shard_worker`` shard 1 runs in the worker while shard 0 runs here;
+    otherwise both run here, one after the other, with the same numbers."""
+    tokens = max(batch["label_mask"].sum(), 1.0)
+    cut = (len(batch["labels"]) + 1) // 2
+    shard0, shard1 = ({k: v[rows] for k, v in batch.items()}
+                      for rows in (slice(None, cut), slice(cut, None)))
+
+    def here(shard):
+        return _shard_loss_and_grads(cfg, params, shard, label_smoothing, tokens)
+
+    if not len(shard1["labels"]):  # a one-row batch is one shard
+        sum0, grads = here(shard0)
+        return sum0 * (1.0 / tokens), grads
+    conn = _WORKER.get()
+    if conn is None:
+        (sum0, grads0), (sum1, grads1) = here(shard0), here(shard1)
+    else:
+        conn.send((cfg, dict(params), shard1, label_smoothing, tokens))
+        try:
+            sum0, grads0 = here(shard0)
+        finally:  # the reply is read even if shard 0 failed
+            try:
+                error, result = conn.recv()
+            except EOFError:
+                raise RuntimeError("the training shard worker exited") from None
+        if error is not None:
+            raise error
+        sum1, grads1 = result
+    return (sum0 + sum1) * (1.0 / tokens), {k: g + grads1[k] for k, g in grads0.items()}
 
 
 def token_error_rate(model: TinyTransformer, utts: Sequence[Utterance]) -> float:
@@ -188,22 +308,24 @@ def _fit(
     if dev:
         best = snapshot()
         best_ter = token_error_rate(best, dev)
-    for step in range(1, cfg.total_steps + 1):
-        batch = make_batch(draw(), model.vocab, model.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(model.cfg, params, batch, LABEL_SMOOTHING)
-        if not math.isfinite(loss):
-            raise RuntimeError(
-                f"training diverged at step {step}: loss={loss}; last lr "
-                f"{lr_at(step - 1, cfg):.3g}"
-            )
-        lr = lr_at(step, cfg)
-        opt.step(grads, lr)
-        curve.append((step, loss, lr))
-        if dev and (step % cfg.eval_every == 0 or step == cfg.total_steps):
-            candidate = snapshot()
-            ter = token_error_rate(candidate, dev)
-            if ter <= best_ter:
-                best, best_ter = candidate, ter
+    with _shard_worker():
+        for step in range(1, cfg.total_steps + 1):
+            batch = make_batch(draw(), model.vocab, model.cfg.frame_dim)
+            loss, grads = batch_loss_and_grads(
+                model.cfg, params, batch, LABEL_SMOOTHING)
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"training diverged at step {step}: loss={loss}; last lr "
+                    f"{lr_at(step - 1, cfg):.3g}"
+                )
+            lr = lr_at(step, cfg)
+            opt.step(grads, lr)
+            curve.append((step, loss, lr))
+            if dev and (step % cfg.eval_every == 0 or step == cfg.total_steps):
+                candidate = snapshot()
+                ter = token_error_rate(candidate, dev)
+                if ter <= best_ter:
+                    best, best_ter = candidate, ter
     return (best if dev else snapshot()), curve
 
 

@@ -12,8 +12,7 @@ and autodiff ops that also take plain arrays, so inference runs it on
 float64 numpy and training on Tensors; the callers differ only in the
 attention kernel they hand it. Inference has one kernel, ``_attend``,
 masked by ``_future``, the one causal-mask formula; the normalized weights
-are formed only where something reads them: the attention dump and the
-backward pass of the training node.
+are formed only where something reads them, the attention dump.
 
 Every key/value cache is per layer and split by head, laid out once where
 it is made, so no decoder call makes a head view of one; ``_grow``, which
@@ -617,6 +616,15 @@ def leaf_tensors(params: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
+def _segment_rows(off: np.ndarray, segs: list, n: int):
+    """The rows of segments segs, each n rows from its offset in off, in
+    segment order: a slice when the segments are adjacent, else indices."""
+    first, last = segs[0], segs[-1]
+    if last - first == len(segs) - 1:
+        return slice(int(off[first]), int(off[last + 1]))
+    return (off[segs][:, None] + np.arange(n)).ravel()
+
+
 def attention(
     q: Tensor,
     heads: int,
@@ -635,41 +643,46 @@ def attention(
     Segment b's query rows q_off[b]:q_off[b+1] attend only to its key rows
     k_off[b]:k_off[b+1], and with ``causal`` its t-th query only to its keys
     0..t. The output is (..., d). No score between two segments is made, so
-    a row gets exactly zero gradient from every other segment. The
-    normalized weights are formed in the backward pass, which reads them."""
+    a row gets exactly zero gradient from every other segment. Segments of
+    one query length and one key length run as one batched ``_attend`` call
+    (every decoder self-attention segment is one length), forward and
+    backward. The backward works from the unnormalized weights e and their
+    row sums that the forward kept: with the incoming gradient divided by
+    the row sums, e stands where the normalized weights would."""
     fused = kv is None
     d = q.shape[-1] // 3 if fused else q.shape[-1]
     qa = q.data.reshape(-1, q.shape[-1])
     ka = qa[:, d:] if fused else kv.data.reshape(-1, 2 * d)
     qd, kd, vd = qa[:, :d], ka[:, :d], ka[:, d:]
-    spans = [tuple(map(int, s)) for s in zip(q_off, q_off[1:], k_off, k_off[1:])]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b, shape in enumerate(zip(np.diff(q_off).tolist(), np.diff(k_off).tolist())):
+        groups.setdefault(shape, []).append(b)
     out = np.zeros(qd.shape)
-    saved = []  # per segment: (context, e, row sums), head-split
-    for qs, qe, ks, ke in spans:
-        future = _future(0, ke - ks) if causal else None
+    saved = []  # per group: its rows, then head-split q, k, v, context, e, sums
+    for (n, m), segs in groups.items():
+        qr, kr = _segment_rows(q_off, segs, n), _segment_rows(k_off, segs, m)
+        qb = _heads(qd[qr].reshape(len(segs), n, d), heads)
+        kb, vb = (_heads(a[kr].reshape(len(segs), m, d), heads) for a in (kd, vd))
         parts: list = []
-        ctx = _attend(_heads(qd[qs:qe], heads),
-                      _heads(kd[ks:ke], heads).swapaxes(-1, -2),
-                      _heads(vd[ks:ke], heads), future, parts)
-        out[qs:qe] = _merge(ctx)
-        saved.append((ctx, *parts[0]))
+        ctx = _attend(qb, kb.swapaxes(-1, -2), vb,
+                      _future(0, m) if causal else None, parts)
+        out[qr] = _merge(ctx)
+        saved.append((qr, kr, qb, kb, vb, ctx, *parts[0]))
 
     def bw(g):
         g = g.reshape(-1, d)
         gqa = np.zeros(qa.shape)
         gka = gqa[:, d:] if fused else np.zeros(ka.shape)
         gq, gk, gv = gqa[:, :d], gka[:, :d], gka[:, d:]
-        for (qs, qe, ks, ke), (ctx, e, sums) in zip(spans, saved):
-            w = e / sums
-            qb, gb = (_heads(a[qs:qe], heads) for a in (qd, g))
-            kb, vb = (_heads(a[ks:ke], heads) for a in (kd, vd))
-            gv[ks:ke] = _merge(w.swapaxes(-1, -2) @ gb)
+        for qr, kr, qb, kb, vb, ctx, e, sums in saved:
+            gb = _heads(g[qr].reshape(qb.shape[0], -1, d), heads) / sums
+            gv[kr] = _merge(e.swapaxes(-1, -2) @ gb)
             # softmax backward: sum_j dw_ij w_ij is gb_i . ctx_i
             gs = gb @ vb.swapaxes(-1, -2)
             gs -= (gb * ctx).sum(axis=-1, keepdims=True)
-            gs *= w
-            gq[qs:qe] = _merge(gs @ kb)
-            gk[ks:ke] = _merge(gs.swapaxes(-1, -2) @ qb)
+            gs *= e
+            gq[qr] = _merge(gs @ kb)
+            gk[kr] = _merge(gs.swapaxes(-1, -2) @ qb)
         if q.requires_grad:
             q._accum(gqa.reshape(q.shape))
         if not fused and kv.requires_grad:
@@ -752,8 +765,12 @@ def training_loss(
     pt: dict[str, Tensor],
     batch: dict[str, np.ndarray],
     label_smoothing: float,
+    tokens: float | None = None,
 ) -> Tensor:
-    """Label-smoothed cross entropy per real target token."""
+    """Label-smoothed cross entropy summed over the real target tokens and
+    divided by tokens, by default the batch's own count of them; a shard of
+    a batch divides by the whole batch's, so that the shards' losses add up
+    to the batch's."""
     logp = training_logits(
         cfg, pt, batch["frames"], batch["frame_mask"], batch["dec_in"]
     )
@@ -765,5 +782,6 @@ def training_loss(
     bi, ti = np.indices((b_sz, td))
     w[bi, ti, labels] += 1.0 - label_smoothing
     w *= label_mask[:, :, None]
-    n_tokens = max(label_mask.sum(), 1.0)
-    return ad.sum_all(logp * w) * (-1.0 / n_tokens)
+    if tokens is None:
+        tokens = max(label_mask.sum(), 1.0)
+    return ad.sum_all(logp * w) * (-1.0 / tokens)

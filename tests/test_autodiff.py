@@ -290,6 +290,19 @@ ATTENTION_CASES = {
     "cross-one-head": (2, 6, 3, 4, 1, [3, 2], None, False),
 }
 
+# as ATTENTION_CASES: self-attention, both ways, whose segments are all one
+# length or of two lengths each held by two non-adjacent segments, and
+# cross attention from equal query segments to equal or ragged keys
+EQUAL, RAGGED = [5, 5, 5, 5], [6, 2, 6, 2, 3]
+GROUPED_CASES = {
+    "equal-self": (4, 5, 5, 6, 2, EQUAL, EQUAL, False),
+    "equal-causal-self": (4, 5, 5, 6, 2, EQUAL, EQUAL, True),
+    "ragged-self": (5, 6, 6, 6, 2, RAGGED, RAGGED, False),
+    "ragged-causal-self": (5, 6, 6, 6, 2, RAGGED, RAGGED, True),
+    "equal-cross": (3, 4, 6, 6, 3, [6, 6, 6], None, False),
+    "ragged-cross": (4, 4, 7, 6, 2, [7, 2, 7, 5], None, False),
+}
+
 
 class TestAttention:
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
@@ -308,6 +321,21 @@ class TestAttention:
             np.testing.assert_allclose(
                 g, ref, rtol=1e-10, atol=1e-14, err_msg=name
             )
+
+    @pytest.mark.parametrize("case", sorted(GROUPED_CASES))
+    def test_grouped_segments_match_padded_oracle(self, rng, case):
+        # segments of one query length and one key length run as one
+        # batched kernel call, adjacent or not, next to segments of other
+        # lengths; output and gradients stay those of the padded oracle
+        b_sz, tq, tk, d, heads, k_len, q_len, causal = GROUPED_CASES[case]
+        q, k, v = _ragged(rng, b_sz, tq, tk, d, q_len, k_len)
+        w = rng.normal(size=(b_sz, tq, d))
+        args = (q, k, v, w, heads, k_len, q_len, causal)
+        got, got_g = _run_attention(attention, *args)
+        want, want_g = _run_attention(padded_attention, *args)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for name, g, ref in zip("qkv", got_g, want_g):
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_padded_positions_are_exact_zeros(self, rng, case):

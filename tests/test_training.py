@@ -1,4 +1,6 @@
+import contextlib
 import math
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +31,12 @@ from streamdec.training import (
     train,
     write_curve,
 )
-from streamdec.transformer import UNIDIRECTIONAL, TinyTransformer, TransformerConfig
+from streamdec.transformer import (
+    BIDIRECTIONAL,
+    UNIDIRECTIONAL,
+    TinyTransformer,
+    TransformerConfig,
+)
 
 from .oracles import normalize_fresh, padded_training_logits
 
@@ -297,6 +304,119 @@ class TestLengthAwareGraph:
         for name, g in got.items():
             assert np.isfinite(g).all(), name
             assert np.array_equal(g, grads[name]), name
+
+
+def _two_cpus(monkeypatch, n: int = 2) -> None:
+    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
+
+
+class TestShardedStep:
+    """A step's batch runs as two shards, the second in a worker process
+    when two CPUs are usable; the numbers must not depend on which."""
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["here", "worker"])
+    @pytest.mark.parametrize("b_sz", [1, 2, 3, 16])
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_equals_one_graph(self, tiny_world, monkeypatch, mode, b_sz, worker):
+        _, data, vocab, cfg = tiny_world
+        cfg = replace(cfg, mode=mode)
+        # full utterances and proportional truncations, alternating, so
+        # both shards hold ragged frames and ragged labels
+        pairs = [
+            (u.frames, u.reference_tokens) if i % 2 == 0
+            else make_partial_pair(u, 0.1 + 0.3 * i / b_sz)
+            for i, u in enumerate(data[:b_sz])
+        ]
+        batch = make_batch(pairs, vocab, cfg.frame_dim)
+        params = TinyTransformer(cfg, vocab).params
+        pt = transformer.leaf_tensors(params)
+        want_loss = transformer.training_loss(cfg, pt, batch, 0.1)
+        want_loss.backward()
+        _two_cpus(monkeypatch)
+        with training._shard_worker() if worker else contextlib.nullcontext():
+            loss, grads = batch_loss_and_grads(cfg, params, batch, 0.1)
+        assert loss == pytest.approx(float(want_loss.data), rel=1e-12, abs=0)
+        assert sorted(grads) == sorted(pt)
+        for name, g in grads.items():
+            np.testing.assert_allclose(
+                g, pt[name].grad, rtol=1e-10, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("loop", ["train", "adapt"])
+    def test_curve_bit_identical_on_one_cpu_or_two(
+        self, tiny_world, monkeypatch, loop
+    ):
+        _, data, vocab, cfg = tiny_world
+        step = Adam.step
+        children = []  # live child processes at each step
+
+        def step_spy(self, grads, lr):
+            children.append(len(multiprocessing.active_children()))
+            step(self, grads, lr)
+
+        monkeypatch.setattr(Adam, "step", step_spy)
+        runs = []
+        for cpus in (1, 2):
+            _two_cpus(monkeypatch, cpus)
+            model = TinyTransformer(cfg, vocab)
+            if loop == "train":
+                runs.append(train(model, data, small_train_cfg()))
+            else:
+                runs.append(adapt(model, data[6:], small_train_cfg(), data[:4]))
+        (one, one_curve), (two, two_curve) = runs
+        assert one_curve == two_curve
+        for k in one.params:
+            assert one.params[k].tobytes() == two.params[k].tobytes(), k
+        # no worker on one CPU, one worker for the whole loop on two
+        assert children == [0] * 8 + [1] * 8
+
+    def test_worker_error_reaches_caller(self, tiny_world, monkeypatch):
+        # a label id past the vocabulary in the second shard only
+        _, data, vocab, cfg = tiny_world
+        batch = make_batch(
+            [(u.frames, u.reference_tokens) for u in data[:4]], vocab, cfg.frame_dim)
+        batch["labels"][3, 0] = 99
+        params = TinyTransformer(cfg, vocab).params
+        errors = []
+        for cpus in (1, 2):
+            _two_cpus(monkeypatch, cpus)
+            with training._shard_worker():
+                with pytest.raises(IndexError, match="index 99 is out of bounds") as e:
+                    batch_loss_and_grads(cfg, params, batch, 0.1)
+                # the pipe stays in step: the next call is answered
+                loss, _ = batch_loss_and_grads(
+                    cfg, params, dict(batch, labels=np.minimum(batch["labels"], 5)), 0.1)
+            errors.append(str(e.value))
+            assert math.isfinite(loss)
+        assert errors[0] == errors[1]
+
+    def test_worker_exits_on_close(self, monkeypatch):
+        _two_cpus(monkeypatch)
+        with training._shard_worker():
+            (proc,) = multiprocessing.active_children()
+        assert not proc.is_alive()
+        assert proc.exitcode == 0  # it left its loop; it was not terminated
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("ending", ["returns", "raises", "diverges"])
+    def test_no_process_outlives_train(self, tiny_world, monkeypatch, ending):
+        _, data, vocab, cfg = tiny_world
+        params = TinyTransformer(cfg, vocab).params
+        if ending == "raises":  # make_batch refuses a frame width in the loop
+            data = [data[0], data[1], replace(data[2], frames=data[2].frames[:, :3])]
+        if ending == "diverges":
+            k = sorted(params)[0]
+            params = {**params, k: np.full_like(params[k], np.inf)}
+        _two_cpus(monkeypatch)
+        model = TinyTransformer(cfg, vocab, params)
+        tcfg = small_train_cfg(total_steps=4, batch_size=2)
+        if ending == "returns":
+            train(model, data, tcfg)
+        else:
+            error, match = {"raises": (ConfigError, "frames of shape"),
+                            "diverges": (RuntimeError, "diverged")}[ending]
+            with pytest.raises(error, match=match):
+                train(model, data, tcfg)
+        assert multiprocessing.active_children() == []
 
 
 class TestTrain:
