@@ -238,6 +238,8 @@ def batch_loss_and_grads(
     shard 1's, divided once, as the one-graph loss is. Inside
     ``_shard_worker`` shard 1 runs in the worker while shard 0 runs here;
     otherwise both run here, one after the other, with the same numbers."""
+    # checked whole, so that a bad row is named by its row in the batch
+    tfm._frame_lengths(batch["frame_mask"], batch["frames"].shape[:2])
     tokens = max(batch["label_mask"].sum(), 1.0)
     cut = (len(batch["labels"]) + 1) // 2
     shard0, shard1 = ({k: v[rows] for k, v in batch.items()}

@@ -616,12 +616,9 @@ def leaf_tensors(params: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
-def _segment_rows(off: np.ndarray, segs: list, n: int):
-    """The rows of segments segs, each n rows from its offset in off, in
-    segment order: a slice when the segments are adjacent, else indices."""
-    first, last = segs[0], segs[-1]
-    if last - first == len(segs) - 1:
-        return slice(int(off[first]), int(off[last + 1]))
+def _segment_rows(off: np.ndarray, segs: list, n: int) -> np.ndarray:
+    """The row indices of segments segs, each n rows from its offset in
+    off, in segment order."""
     return (off[segs][:, None] + np.arange(n)).ravel()
 
 
@@ -768,9 +765,9 @@ def training_loss(
     tokens: float | None = None,
 ) -> Tensor:
     """Label-smoothed cross entropy summed over the real target tokens and
-    divided by tokens, by default the batch's own count of them; a shard of
-    a batch divides by the whole batch's, so that the shards' losses add up
-    to the batch's."""
+    divided by tokens, by default the batch's own count of them; with
+    tokens 1 it is the sum, which a training step adds over the shards of
+    its batch."""
     logp = training_logits(
         cfg, pt, batch["frames"], batch["frame_mask"], batch["dec_in"]
     )

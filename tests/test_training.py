@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from streamdec import autodiff, training, transformer
-from streamdec.core import BOS_ID, EOS_ID, PAD_ID, ConfigError, Utterance, Vocab
+from streamdec.core import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    ConfigError,
+    ContractViolation,
+    Utterance,
+    Vocab,
+)
 from streamdec.data import (
     SyntheticTaskSpec,
     gen_dataset,
@@ -388,6 +396,15 @@ class TestShardedStep:
             errors.append(str(e.value))
             assert math.isfinite(loss)
         assert errors[0] == errors[1]
+
+    def test_bad_frame_mask_named_by_its_batch_row(self, tiny_world):
+        _, data, vocab, cfg = tiny_world
+        batch = make_batch(
+            [(u.frames, u.reference_tokens) for u in data[:4]], vocab, cfg.frame_dim)
+        batch["frame_mask"][3, 1] = 0.0  # a gap in the second shard's last row
+        params = TinyTransformer(cfg, vocab).params
+        with pytest.raises(ContractViolation, match="frame_mask row 3 is not"):
+            batch_loss_and_grads(cfg, params, batch, 0.1)
 
     def test_worker_exits_on_close(self, monkeypatch):
         _two_cpus(monkeypatch)
