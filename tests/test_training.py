@@ -391,8 +391,8 @@ class TestShardedStep:
                 with pytest.raises(IndexError, match="index 99 is out of bounds") as e:
                     batch_loss_and_grads(cfg, params, batch, 0.1)
                 # the pipe stays in step: the next call is answered
-                loss, _ = batch_loss_and_grads(
-                    cfg, params, dict(batch, labels=np.minimum(batch["labels"], 5)), 0.1)
+                good = dict(batch, labels=np.minimum(batch["labels"], 5))
+                loss, _ = batch_loss_and_grads(cfg, params, good, 0.1)
             errors.append(str(e.value))
             assert math.isfinite(loss)
         assert errors[0] == errors[1]
