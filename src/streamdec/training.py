@@ -30,6 +30,7 @@ import math
 import multiprocessing
 import os
 import signal
+import traceback
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -167,14 +168,15 @@ def _shard_loss_and_grads(
     """A shard's summed cross entropy, and the gradient by parameter name
     of that sum divided by tokens."""
     pt = tfm.leaf_tensors(params)
-    summed = tfm.training_loss(cfg, pt, shard, label_smoothing, tokens=1.0)
+    summed = tfm.training_loss(cfg, pt, shard, label_smoothing)
     (summed * (1.0 / tokens)).backward()
     return float(summed.data), {k: t.grad for k, t in pt.items() if t.grad is not None}
 
 
 def _serve_shards(conn: Connection, parent_end: Connection) -> None:
     """A shard worker's loop: it answers each (cfg, params, shard,
-    label_smoothing, tokens) it receives with (error, result), and exits
+    label_smoothing, tokens) it receives with (error, result), the error
+    carrying the worker's traceback as a note, and exits
     when the caller closes its end of the pipe. It closes its own copy of
     the caller's end first, or it would never see that close. Ctrl-C is
     left to the caller, which then closes the pipe."""
@@ -188,6 +190,7 @@ def _serve_shards(conn: Connection, parent_end: Connection) -> None:
         try:
             reply = None, _shard_loss_and_grads(*job)
         except Exception as e:
+            e.add_note(f"in the shard worker:\n{traceback.format_exc()}")
             reply = e, None
         try:
             conn.send(reply)

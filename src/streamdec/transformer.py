@@ -762,12 +762,10 @@ def training_loss(
     pt: dict[str, Tensor],
     batch: dict[str, np.ndarray],
     label_smoothing: float,
-    tokens: float | None = None,
 ) -> Tensor:
-    """Label-smoothed cross entropy summed over the real target tokens and
-    divided by tokens, by default the batch's own count of them; with
-    tokens 1 it is the sum, which a training step adds over the shards of
-    its batch."""
+    """Label-smoothed cross entropy summed over the real target tokens; a
+    training step adds it over the shards of its batch and divides by the
+    batch's token count."""
     logp = training_logits(
         cfg, pt, batch["frames"], batch["frame_mask"], batch["dec_in"]
     )
@@ -779,6 +777,4 @@ def training_loss(
     bi, ti = np.indices((b_sz, td))
     w[bi, ti, labels] += 1.0 - label_smoothing
     w *= label_mask[:, :, None]
-    if tokens is None:
-        tokens = max(label_mask.sum(), 1.0)
-    return ad.sum_all(logp * w) * (-1.0 / tokens)
+    return ad.sum_all(logp * w) * -1.0

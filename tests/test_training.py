@@ -1,6 +1,7 @@
 import contextlib
 import math
 import multiprocessing
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,6 +340,7 @@ class TestShardedStep:
         params = TinyTransformer(cfg, vocab).params
         pt = transformer.leaf_tensors(params)
         want_loss = transformer.training_loss(cfg, pt, batch, 0.1)
+        want_loss = want_loss * (1.0 / max(batch["label_mask"].sum(), 1.0))
         want_loss.backward()
         _two_cpus(monkeypatch)
         with training._shard_worker() if worker else contextlib.nullcontext():
@@ -395,6 +397,9 @@ class TestShardedStep:
                 loss, _ = batch_loss_and_grads(cfg, params, good, 0.1)
             errors.append(str(e.value))
             assert math.isfinite(loss)
+            # the report names the failing frame, from either process
+            report = "".join(traceback.format_exception(e.value))
+            assert "in _shard_loss_and_grads" in report
         assert errors[0] == errors[1]
 
     def test_bad_frame_mask_named_by_its_batch_row(self, tiny_world):
