@@ -26,6 +26,9 @@ reference side otherwise (core.eval_tokens).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import multiprocessing
 import os
@@ -158,6 +161,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None when this numpy has none that can be asked."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Holds numpy's BLAS to one thread for the block and yields True, or
+    yields False when its thread count cannot be reached. Two processes
+    that each keep a BLAS pool as wide as the machine fight over its CPUs:
+    on two CPUs a step of criterion 4's training ran 2.5 to 3.5 times
+    slower than in one process with such a pool."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    was = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(was)
+
+
 def _shard_loss_and_grads(
     cfg: tfm.TransformerConfig,
     params: Mapping[str, np.ndarray],
@@ -182,20 +223,21 @@ def _serve_shards(conn: Connection, parent_end: Connection) -> None:
     left to the caller, which then closes the pipe."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            job = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = None, _shard_loss_and_grads(*job)
-        except Exception as e:
-            e.add_note(f"in the shard worker:\n{traceback.format_exc()}")
-            reply = e, None
-        try:
-            conn.send(reply)
-        except OSError:  # the caller has gone
-            return
+    with _one_blas_thread():  # a forked worker has it so already
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = None, _shard_loss_and_grads(*job)
+            except Exception as e:
+                e.add_note(f"in the shard worker:\n{traceback.format_exc()}")
+                reply = e, None
+            try:
+                conn.send(reply)
+            except OSError:  # the caller has gone
+                return
 
 
 _WORKER: ContextVar[Connection | None] = ContextVar("shard worker", default=None)
@@ -203,27 +245,33 @@ _WORKER: ContextVar[Connection | None] = ContextVar("shard worker", default=None
 
 @contextmanager
 def _shard_worker() -> Iterator[None]:
-    """For the block, when two CPUs are usable, a worker process computes
-    the second shard of every ``batch_loss_and_grads`` call this context
-    makes. The worker is joined when the block ends, however it ends."""
+    """For the block, when two CPUs are usable and numpy's BLAS can be
+    held to one thread, a worker process computes the second shard of
+    every ``batch_loss_and_grads`` call this context makes, and both
+    processes run BLAS on one thread. The worker is joined and the BLAS
+    thread count restored when the block ends, however it ends."""
     if _usable_cpus() < 2:
         yield
         return
-    conn, child_end = multiprocessing.Pipe()
-    proc = multiprocessing.Process(
-        target=_serve_shards, args=(child_end, conn), daemon=True)
-    proc.start()
-    child_end.close()
-    token = _WORKER.set(conn)
-    try:
-        yield
-    finally:
-        _WORKER.reset(token)
-        conn.close()
-        proc.join(timeout=10)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
+    with _one_blas_thread() as held:
+        if not held:
+            yield
+            return
+        conn, child_end = multiprocessing.Pipe()
+        proc = multiprocessing.Process(
+            target=_serve_shards, args=(child_end, conn), daemon=True)
+        proc.start()
+        child_end.close()
+        token = _WORKER.set(conn)
+        try:
+            yield
+        finally:
+            _WORKER.reset(token)
+            conn.close()
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
 
 def batch_loss_and_grads(

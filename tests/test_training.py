@@ -356,6 +356,7 @@ class TestShardedStep:
         self, tiny_world, monkeypatch, loop
     ):
         _, data, vocab, cfg = tiny_world
+        blas = training._openblas()
         step = Adam.step
         children = []  # live child processes at each step
 
@@ -365,19 +366,47 @@ class TestShardedStep:
 
         monkeypatch.setattr(Adam, "step", step_spy)
         runs = []
-        for cpus in (1, 2):
+        # one CPU; two; two with a BLAS whose threads cannot be reached
+        for cpus, reach in ((1, blas), (2, blas), (2, None)):
             _two_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(training, "_openblas", lambda: reach)
             model = TinyTransformer(cfg, vocab)
             if loop == "train":
                 runs.append(train(model, data, small_train_cfg()))
             else:
                 runs.append(adapt(model, data[6:], small_train_cfg(), data[:4]))
-        (one, one_curve), (two, two_curve) = runs
-        assert one_curve == two_curve
-        for k in one.params:
-            assert one.params[k].tobytes() == two.params[k].tobytes(), k
-        # no worker on one CPU, one worker for the whole loop on two
-        assert children == [0] * 8 + [1] * 8
+        (one, one_curve), *others = runs
+        for other, other_curve in others:
+            assert other_curve == one_curve
+            for k in one.params:
+                assert other.params[k].tobytes() == one.params[k].tobytes(), k
+        # no worker on one CPU, one worker for the whole loop on two, and
+        # none when the BLAS pool could not be held to one thread
+        assert children == [0] * 8 + [1 if blas else 0] * 8 + [0] * 8
+
+    def test_blas_held_to_one_thread_for_the_loop(self, tiny_world, monkeypatch):
+        blas = training._openblas()
+        if blas is None:
+            pytest.skip("this numpy has no bundled OpenBLAS to ask")
+        get, put = blas
+        _, data, vocab, cfg = tiny_world
+        step = Adam.step
+        threads = []  # the calling process's BLAS threads at each step
+
+        def step_spy(self, grads, lr):
+            threads.append(get())
+            step(self, grads, lr)
+
+        monkeypatch.setattr(Adam, "step", step_spy)
+        _two_cpus(monkeypatch)
+        was = get()
+        put(2)
+        try:
+            train(TinyTransformer(cfg, vocab), data, small_train_cfg())
+            assert threads == [1] * 8
+            assert get() == 2  # restored when the loop ends
+        finally:
+            put(was)
 
     def test_worker_error_reaches_caller(self, tiny_world, monkeypatch):
         # a label id past the vocabulary in the second shard only
