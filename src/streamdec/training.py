@@ -11,9 +11,10 @@ whose gradient is that of its summed loss over the whole batch's token
 count; the step adds shard 1's gradient to shard 0's. The loop (``_fit``)
 keeps one worker process for its whole length when two CPUs are usable,
 and the worker computes shard 1 while the calling process computes shard
-0; on one CPU both shards run in the calling process, one after the other.
-Either way the numbers are the same bits. The calling process still makes
-every batch and takes every Adam step.
+0, both with numpy's BLAS held to one thread; on one CPU, or when the BLAS
+thread count cannot be reached, both shards run in the calling process,
+one after the other. Either way the numbers are the same bits. The calling
+process still makes every batch and takes every Adam step.
 
 Adaptation fine-tunes on an even mix of full utterances and proportionally
 truncated frame/token pairs, at ADAPT_LR_FACTOR of the base learning rate,
@@ -173,8 +174,8 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
             get = getattr(lib, name.format("get"), None)
             put = getattr(lib, name.format("set"), None)
             if get is not None and put is not None:
-                get.restype = ctypes.c_int
-                put.argtypes = [ctypes.c_int]
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
     return None
 
@@ -184,7 +185,7 @@ def _one_blas_thread() -> Iterator[bool]:
     """Holds numpy's BLAS to one thread for the block and yields True, or
     yields False when its thread count cannot be reached. Two processes
     that each keep a BLAS pool as wide as the machine fight over its CPUs:
-    on two CPUs a step of criterion 4's training ran 2.5 to 3.5 times
+    on two CPUs a step of criterion 4's training ran about three times
     slower than in one process with such a pool."""
     blas = _openblas()
     if blas is None:
