@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("gen-data", help="synthesize an aligned utterance corpus")
-    p.add_argument("--out", required=True, help="output utterances JSONL")
+    p.add_argument("--out", required=True, help="output utterance archive (.npz)")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     for name in ("vocab_size", "min_tokens", "max_tokens", "min_frames_per_token",
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "--translation", SyntheticTaskSpec, "translation", help="reorder the output side")
 
     p = sub.add_parser("train", help="train a transformer from scratch")
-    p.add_argument("--data", required=True, help="training utterances JSONL")
+    p.add_argument("--data", required=True, help="training utterance archive (.npz)")
     p.add_argument("--out", required=True, help="output model file")
     _add_train_opts(p)
     for name in ("d_model", "heads", "ff_dim", "enc_layers", "dec_layers"):
@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt", help="fine-tune a model on full + truncated pairs")
     p.add_argument("--model", required=True, help="input model file")
-    p.add_argument("--data", required=True, help="adaptation utterances JSONL")
-    p.add_argument("--dev", required=True, help="dev utterances JSONL for checkpoint selection")
+    p.add_argument("--data", required=True, help="adaptation utterance archive (.npz)")
+    p.add_argument("--dev", required=True,
+                   help="dev utterance archive (.npz) for checkpoint selection")
     p.add_argument("--out", required=True, help="output model file")
     _add_train_opts(p)
     p.set_defaults(total_steps=200)
@@ -129,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="stream utterances and write commit logs")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--in", dest="inp", required=True, help="utterances JSONL")
+    p.add_argument("--in", dest="inp", required=True, help="utterance archive (.npz)")
     p.add_argument("--out", required=True, help="commit-log JSONL")
     p.add_argument("--strategy", required=True, help="one of " + spec_usage())
     _add_session_opts(p)
 
     p = sub.add_parser("sweep", help="accuracy-latency grid over models and strategies")
     p.add_argument("--model", action="append", required=True, metavar="NAME=PATH", help="repeatable")
-    p.add_argument("--in", dest="inp", required=True, help="utterances JSONL")
+    p.add_argument("--in", dest="inp", required=True, help="utterance archive (.npz)")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument(
         "--strategies",
@@ -147,14 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "--workers", SweepSpec, "workers")
 
     p = sub.add_parser("eval", help="score a commit log against references")
-    p.add_argument("--refs", required=True, help="reference utterances JSONL")
+    p.add_argument("--refs", required=True, help="reference utterance archive (.npz)")
     p.add_argument("--hyps", required=True, help="commit-log JSONL")
     p.add_argument("--baseline", help="optional baseline commit-log JSONL")
     p.add_argument("--out", help="optional summary JSON")
 
     p = sub.add_parser("dump-attention", help="write attention grids for one utterance")
     p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="inp", required=True)
+    p.add_argument("--in", dest="inp", required=True, help="utterance archive (.npz)")
     p.add_argument("--utt", help="utterance id, default first in file")
     p.add_argument("--prefix", default="", help="space-separated forced tokens")
     p.add_argument("--out", required=True, help="output .npz archive, one array per grid")
@@ -224,7 +225,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_corpus(path: str) -> list[Utterance]:
-    """The utterances of a JSONL file; a file with none is a ConfigError."""
+    """The utterances of an archive; one with none is a ConfigError."""
     utts = sio.load_utterances(path)
     if not utts:
         raise ConfigError(f"no utterances in {path}")

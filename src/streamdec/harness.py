@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
+from . import training
 from .core import (DEFAULT_CHUNK_SEC, ConfigError, Utterance, check_int,
                    check_real, frames_per_chunk)
 from .core import eval_tokens  # noqa: F401  (harness.eval_tokens is public)
@@ -75,6 +76,20 @@ def _cell_job(args):
         return None, None, repr(e)
 
 
+def _one_blas_thread_for_life() -> None:
+    """A sweep worker's initializer: its BLAS runs on one thread, where the
+    thread count can be reached, so that the pool's processes do not each
+    keep a BLAS pool as wide as the machine and fight over its CPUs."""
+    blas = training._openblas()
+    if blas is not None:
+        blas[1](1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The sweep's worker processes, each with BLAS held to one thread."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_for_life)
+
+
 def sweep(
     models: Mapping[str, SequenceModel],
     utts: Sequence[Utterance],
@@ -104,7 +119,7 @@ def sweep(
         for name, strat in jobs
     ]
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with _pool(spec.workers) as pool:
             outs = list(pool.map(_cell_job, args))
     else:
         outs = [_cell_job(a) for a in args]

@@ -1,24 +1,22 @@
-"""File formats: transformer model files, JSONL utterances and commit logs,
-JSON eval summaries and attention-grid archives.
+"""File formats: transformer model files, utterance archives, JSONL commit
+logs, JSON eval summaries and attention-grid archives.
 
 A model file is the magic ``SDM1``, a u32-length-prefixed JSON header (format
 version, ``"model_type": "transformer"``, config and vocab) and a u32 count of
 parameter blocks, each a u32-length-prefixed JSON block header (name, dtype,
 shape) followed by the array's bytes, in name order.
 
-An utterance line keeps its id, tokens and frame period as plain JSON and
-its frames as ``{"shape": [n, dim], "float64le_hex": <hex>}``: the hex of
-the frame matrix's little-endian float64 bytes in row-major order, 16 digits
-a value. That round-trips every float64 bit for bit, like float text, but
-loads without parsing one number per frame value, and several times faster
-than base64 for 1.5 times the bytes. A commit log is one line per displayed
-token and loads back as the ``CommitLog`` it was saved from; this module is
-the only code that knows the JSONL keys. ``Utterance`` checks each record's
-fields; a failed check names the file and line.
-
-Attention grids are one numpy ``.npz`` archive holding each grid's exact
-float64 array under its ``dump_attention`` name (``cross.layer0.head1``);
-``np.load(path)[name]`` reads one back.
+An utterance corpus is one uncompressed numpy ``.npz`` archive: ``frames``,
+each utterance's float64 frame matrix in row order, in corpus order, as one
+flat little-endian array; ``shapes``, each utterance's (frames, width) as an
+(n, 2) int64 array; and ``records``, a 0-d string holding a JSON list of one
+object per utterance (``id``, ``ref``, ``tgt`` if it has a target side,
+``frame_period_sec``). It is known by its content, never by its suffix. A
+commit log is one JSON line per displayed token. This module is the only
+code that knows these layouts; a malformed file is a ConfigError naming it,
+and the utterance's index and id, or the log's line, where one record is at
+fault. Attention grids are one ``.npz`` archive holding each grid's exact
+float64 array under its ``dump_attention`` name (``cross.layer0.head1``).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,67 +40,117 @@ from .core import (
 from .transformer import TinyTransformer, TransformerConfig, param_shapes
 
 
-def _encode_frames(frames: np.ndarray) -> dict:
-    data = frames.astype("<f8", copy=False).tobytes()
-    return {"shape": list(frames.shape), "float64le_hex": data.hex()}
-
-
-def _decode_frames(frames) -> np.ndarray:
-    """The inverse of _encode_frames: a native, C-contiguous, writable
-    float64 matrix that owns its memory. A malformed value is a ConfigError;
-    the nested-list and base64 spellings of earlier versions are refused,
-    not read."""
-    if isinstance(frames, list) or (isinstance(frames, dict) and "float64le" in frames):
-        old = "nested lists" if isinstance(frames, list) else 'base64 ("float64le")'
-        raise ConfigError(f"frames are {old}, a spelling this version no longer "
-                          f"reads; regenerate the corpus with `streamdec gen-data`")
-    if not isinstance(frames, dict) or set(frames) != {"shape", "float64le_hex"}:
-        raise ConfigError(
-            'frames must be an object with exactly the keys "shape" and '
-            '"float64le_hex"'
-        )
-    shape, digits = frames["shape"], frames["float64le_hex"]
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(d) is int and d >= 0 for d in shape)):
-        raise ConfigError(
-            f"frames shape must be two non-negative integers, got {shape!r}"
-        )
-    n, dim = shape
-    if not isinstance(digits, str) or len(digits) != 16 * n * dim:
-        got = len(digits) if isinstance(digits, str) else type(digits).__name__
-        raise ConfigError(f"frames float64le_hex must be a string of "
-                          f"{16 * n * dim} hex digits for shape {shape}, got {got}")
-    try:
-        raw = bytearray.fromhex(digits)
-        if 2 * len(raw) != len(digits):  # fromhex skipped whitespace
-            raise ValueError("whitespace among the digits")
-    except ValueError as e:
-        raise ConfigError(f"frames float64le_hex is not hex: {e}") from None
-    # a bytearray is writable, so the array uses it in place
-    return np.frombuffer(raw, "<f8").astype(np.float64, copy=False).reshape(n, dim)
+def _read_npz(path: str, members: Mapping[str, tuple[type, int]],
+              hint: str = "") -> dict[str, np.ndarray]:
+    """The arrays of the numpy archive at path by name, which must be those
+    of members, each of its (dtype, rank); pickled members are refused. A
+    file that is not an archive (hint follows that message), a truncated or
+    malformed one, bytes after its end record, or a missing, extra or
+    mistyped member is a ConfigError naming the path."""
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+        fh.seek(max(fh.seek(0, 2) - 22, 0))
+        tail = fh.read()
+        if head not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ConfigError(f"{path} is not a numpy .npz archive{hint}")
+        # np.load finds the end record by searching back, so it would skip
+        # bytes after it: here the record, with no comment, must end the file
+        if len(tail) != 22 or tail[:4] != b"PK\x05\x06" or tail[-2:] != b"\0\0":
+            raise ConfigError(f"{path}: archive truncated, or bytes after its end")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                names = set(npz.files)
+                arrays = {name: npz[name] for name in names & members.keys()}
+        except Exception as e:  # any failure of the zip or .npy reader
+            raise ConfigError(f"{path}: malformed archive ({type(e).__name__}: {e})") from None
+    if names != members.keys():
+        raise ConfigError(f"{path}: the members must be {sorted(members)}, got {sorted(names)}")
+    for name, (dtype, rank) in members.items():
+        a = arrays[name]
+        if not (isinstance(a, np.ndarray) and np.issubdtype(a.dtype, dtype) and a.ndim == rank):
+            got = f"{a.dtype} of rank {a.ndim}" if isinstance(a, np.ndarray) else "not an array"
+            raise ConfigError(f"{path}: member {name} must be {dtype.__name__} "
+                              f"of rank {rank}, got {got}")
+    return arrays
 
 
 def save_utterances(utts: Iterable[Utterance], path: str) -> None:
-    with open(path, "w") as fh:
-        for u in utts:
-            rec = {
-                "id": u.id,
-                "frames": _encode_frames(u.frames),
-                "ref": list(u.reference_tokens),
-                "frame_period_sec": u.frame_period_sec,
-            }
-            if u.target_tokens is not None:
-                rec["tgt"] = list(u.target_tokens)
-            fh.write(json.dumps(rec) + "\n")
+    """One uncompressed .npz archive at exactly path, as np.savez given a
+    file name without the .npz suffix would not write it."""
+    utts, records = list(utts), []
+    for u in utts:
+        records.append({"id": u.id, "ref": list(u.reference_tokens),
+                        "frame_period_sec": u.frame_period_sec})
+        if u.target_tokens is not None:
+            records[-1]["tgt"] = list(u.target_tokens)
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            frames=np.concatenate([u.frames.ravel() for u in utts] or [[]], dtype="<f8"),
+            shapes=np.array([u.frames.shape for u in utts], dtype="<i8").reshape(-1, 2),
+            records=np.array(json.dumps(records)),
+        )
+
+
+def load_utterances(path: str) -> list[Utterance]:
+    """Utterances in file order, the inverse of save_utterances. A malformed
+    archive is a ConfigError naming the path; one that also names the index
+    and id of a malformed record, or of one that repeats an earlier id. A
+    JSONL corpus is refused with the advice to regenerate it."""
+    arrays = _read_npz(
+        path, {"frames": (np.float64, 1), "shapes": (np.int64, 2), "records": (np.str_, 0)},
+        "; a JSONL corpus of an earlier version must be regenerated with `streamdec gen-data`")
+    frames = arrays["frames"].astype(np.float64, copy=False)
+    if arrays["shapes"].shape[1] != 2:
+        raise ConfigError(f"{path}: shapes must be (n, 2), got {arrays['shapes'].shape}")
+    shapes = arrays["shapes"].tolist()
+    for i, shape in enumerate(shapes):
+        if min(shape) < 0:
+            raise ConfigError(f"{path}: utterance {i}'s shape {shape} is negative")
+    total = sum(n * dim for n, dim in shapes)
+    if total != len(frames):
+        raise ConfigError(f"{path}: shapes add up to {total} frame values, "
+                          f"but frames holds {len(frames)}")
+    try:
+        records = json.loads(arrays["records"].item())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: records are not JSON: {e}") from None
+    if not isinstance(records, list) or len(records) != len(shapes):
+        raise ConfigError(f"{path}: records must be a JSON list of {len(shapes)} "
+                          f"objects, one per row of shapes, got {records!r:.80}")
+    out, first, start = [], {}, 0  # first: utterance id -> its first index
+    for i, (rec, (n, dim)) in enumerate(zip(records, shapes)):
+        where = f"{path}: utterance {i}"
+        try:
+            if not isinstance(rec, dict):
+                raise ConfigError(f"not a JSON object: {rec!r:.80}")
+            where += f" ({rec['id']!r})" if "id" in rec else ""
+            missing = [k for k in ("id", "ref") if k not in rec]
+            if missing:
+                raise ConfigError(f"missing key {missing[0]!r}")
+            utt = Utterance(
+                id=rec["id"],
+                frames=frames[start : start + n * dim].reshape(n, dim),
+                reference_tokens=rec["ref"],
+                target_tokens=rec.get("tgt"),
+                frame_period_sec=rec.get("frame_period_sec", DEFAULT_FRAME_PERIOD_SEC),
+            )
+        except (TypeError, ValueError) as e:  # ConfigError included
+            raise ConfigError(f"{where}: {e}") from e
+        # after Utterance, which refuses an id that is not a string
+        if utt.id in first:
+            raise ConfigError(f"{where}: repeats the id of utterance {first[utt.id]}")
+        first[utt.id] = i
+        out.append(utt)
+        start += n * dim
+    return out
 
 
 def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, text) for each line of a UTF-8 text file; a line that
     is not UTF-8 is a ConfigError naming path:line."""
-    # an utterance line holds its frames as hex, 1.5 times base64's length:
-    # 77 KB for 3 s of 16-dimension frames at 10 ms, 192 KB for 7.5 s. A
-    # buffer larger than a line lets readline take it in one piece
-    with open(path, "rb", buffering=1 << 18) as fh:
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8")
@@ -111,75 +159,13 @@ def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def _records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSONL file; a line
-    that is not a JSON object holding every required key is a ConfigError
-    naming path:line."""
-    for line_no, line in numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
-        if not isinstance(rec, dict):
-            raise ConfigError(f"{path}:{line_no}: not a JSON object")
-        missing = [k for k in required if k not in rec]
-        if missing:
-            raise ConfigError(f"{path}:{line_no}: missing key {missing[0]!r}")
-        yield line_no, rec
-
-
-def _check_fields(path: str, line_no: int, rec: dict, fields: Sequence) -> None:
-    """Each (key, kind, check) of fields whose key the record holds must pass
-    its check; the first that fails is a ConfigError naming path:line."""
-    for key, kind, ok in fields:
-        if key in rec and not ok(rec[key]):
-            raise ConfigError(
-                f"{path}:{line_no}: {key} must be {kind}, got {rec[key]!r}"
-            )
-
-
-def load_utterances(path: str) -> list[Utterance]:
-    """Utterances in file order, the inverse of save_utterances. A malformed
-    record, or an id an earlier record already used, is a ConfigError naming
-    path:line."""
-    out = []
-    first_line: dict[str, int] = {}  # utterance id -> line that used it
-    for line_no, rec in _records(path, ("id", "frames", "ref")):
-        try:
-            utt = Utterance(
-                id=rec["id"],
-                frames=_decode_frames(rec["frames"]),
-                reference_tokens=rec["ref"],
-                target_tokens=rec.get("tgt"),
-                frame_period_sec=rec.get("frame_period_sec", DEFAULT_FRAME_PERIOD_SEC),
-            )
-        except (TypeError, ValueError) as e:  # ConfigError included
-            raise ConfigError(f"{path}:{line_no}: {e}") from e
-        # after Utterance, which refuses an id that is not a string
-        if utt.id in first_line:
-            raise ConfigError(
-                f"{path}:{line_no}: utterance id {utt.id!r} repeats the one "
-                f"on line {first_line[utt.id]}"
-            )
-        first_line[utt.id] = line_no
-        out.append(utt)
-    return out
-
-
 def save_commit_logs(logs: Mapping[str, CommitLog], path: str) -> None:
     """One line per committed token, in commit order within each utterance."""
     with open(path, "w") as fh:
         for utt_id in sorted(logs):
             for t in logs[utt_id].entries:
-                rec = {
-                    "utt": utt_id,
-                    "token": t.token,
-                    "chunk": t.chunk_index,
-                    "t_out": t.output_time_sec,
-                }
+                rec = {"utt": utt_id, "token": t.token, "chunk": t.chunk_index,
+                       "t_out": t.output_time_sec}
                 fh.write(json.dumps(rec) + "\n")
 
 
@@ -195,12 +181,26 @@ _COMMIT_FIELDS = (
 
 
 def load_commit_logs(path: str) -> dict[str, CommitLog]:
-    """Commit logs by utterance id, the inverse of save_commit_logs. A
-    malformed record, or a chunk index that goes backwards within one
-    utterance, is a ConfigError naming path:line."""
+    """Commit logs by utterance id, the inverse of save_commit_logs. A line
+    that is not a JSON object holding each key of _COMMIT_FIELDS with a
+    value that passes its check, or a chunk index that goes backwards
+    within one utterance, is a ConfigError naming path:line; blank lines
+    are skipped."""
     out: dict[str, CommitLog] = {}
-    for line_no, rec in _records(path, [k for k, _, _ in _COMMIT_FIELDS]):
-        _check_fields(path, line_no, rec, _COMMIT_FIELDS)
+    for line_no, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{line_no}: bad JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}:{line_no}: not a JSON object")
+        for key, kind, ok in _COMMIT_FIELDS:
+            if key not in rec:
+                raise ConfigError(f"{path}:{line_no}: missing key {key!r}")
+            if not ok(rec[key]):
+                raise ConfigError(f"{path}:{line_no}: {key} must be {kind}, got {rec[key]!r}")
         entry = TimedToken(rec["token"], rec["chunk"], float(rec["t_out"]))
         try:
             out.setdefault(rec["utt"], CommitLog()).append(entry)

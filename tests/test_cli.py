@@ -37,17 +37,17 @@ def work(tmp_path_factory):
             "--frame-dim", "4",
         ]
 
-    assert main(gen_args(str(d / "data.jsonl"), "9")) == 0
-    assert main(gen_args(str(d / "eval.jsonl"), "11")) == 0
+    assert main(gen_args(str(d / "data.npz"), "9")) == 0
+    assert main(gen_args(str(d / "eval.npz"), "11")) == 0
     assert main([
-        "train", "--data", str(d / "data.jsonl"), "--out", str(d / "model.bin"),
+        "train", "--data", str(d / "data.npz"), "--out", str(d / "model.bin"),
         "--steps", "6", "--batch-size", "4", "--lr", "3e-3", "--warmup", "3",
         "--d-model", "8", "--heads", "2", "--ff-dim", "12",
         "--enc-layers", "1", "--dec-layers", "1", "--seed", "1",
         "--curve", str(d / "curve.csv"),
     ]) == 0
     assert main([
-        "run", "--model", str(d / "model.bin"), "--in", str(d / "eval.jsonl"),
+        "run", "--model", str(d / "model.bin"), "--in", str(d / "eval.npz"),
         "--out", str(d / "hyps.jsonl"), "--strategy", "hold-n:0",
         "--beam", "2",
     ]) == 0
@@ -56,13 +56,13 @@ def work(tmp_path_factory):
 
 class TestPipeline:
     def test_gen_data_wrote_utterances(self, work):
-        utts = load_utterances(str(work / "data.jsonl"))
+        utts = load_utterances(str(work / "data.npz"))
         assert len(utts) == 14
         assert utts[0].frames.shape[1] == 4
         assert 2 <= len(utts[0].reference_tokens) <= 3
 
     def test_gen_data_deterministic(self, work, tmp_path):
-        again = tmp_path / "again.jsonl"
+        again = tmp_path / "again.npz"
         assert main([
             "gen-data", "--out", str(again),
             "--count", "14", "--seed", "9", "--vocab-size", "6",
@@ -70,7 +70,7 @@ class TestPipeline:
             "--min-frames-per-token", "6", "--max-frames-per-token", "8",
             "--frame-dim", "4",
         ]) == 0
-        assert again.read_text() == (work / "data.jsonl").read_text()
+        assert again.read_bytes() == (work / "data.npz").read_bytes()
 
     def test_train_wrote_model_and_curve(self, work):
         assert (work / "model.bin").stat().st_size > 0
@@ -81,11 +81,11 @@ class TestPipeline:
     def test_run_prints_mean_of_written_logs(self, work, tmp_path, capsys):
         out = tmp_path / "hyps.jsonl"
         assert main([
-            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
+            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.npz"),
             "--out", str(out), "--strategy", "offline", "--beam", "2",
         ]) == 0
         logs = load_commit_logs(str(out))
-        refs = load_utterances(str(work / "eval.jsonl"))
+        refs = load_utterances(str(work / "eval.npz"))
         breakdown, report = score_logs(refs, logs)
         printed = capsys.readouterr().out
         assert f"committed {sum(len(log) for log in logs.values())} tokens" in printed
@@ -95,7 +95,7 @@ class TestPipeline:
     def test_run_with_no_commits_prints_nan(self, work, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_session", lambda *args: CommitLog())
         assert main([
-            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.jsonl"),
+            "run", "--model", str(work / "model.bin"), "--in", str(work / "eval.npz"),
             "--out", str(tmp_path / "none.jsonl"), "--strategy", "hold-0",
         ]) == 0
         assert (
@@ -105,7 +105,7 @@ class TestPipeline:
 
     def test_run_wrote_commit_logs(self, work):
         logs = load_commit_logs(str(work / "hyps.jsonl"))
-        refs = load_utterances(str(work / "eval.jsonl"))
+        refs = load_utterances(str(work / "eval.npz"))
         assert set(logs) <= {u.id for u in refs}
         first = next(iter(logs.values())).entries[0]
         assert first.output_time_sec > 0
@@ -113,7 +113,7 @@ class TestPipeline:
     def test_eval_scores_hyps(self, work, capsys):
         out = work / "summary.json"
         assert main([
-            "eval", "--refs", str(work / "eval.jsonl"),
+            "eval", "--refs", str(work / "eval.npz"),
             "--hyps", str(work / "hyps.jsonl"), "--out", str(out),
         ]) == 0
         summary = json.loads(out.read_text())
@@ -123,7 +123,7 @@ class TestPipeline:
 
     def test_eval_with_baseline_reports_delta(self, work, capsys):
         assert main([
-            "eval", "--refs", str(work / "eval.jsonl"),
+            "eval", "--refs", str(work / "eval.npz"),
             "--hyps", str(work / "hyps.jsonl"),
             "--baseline", str(work / "hyps.jsonl"),
         ]) == 0
@@ -134,7 +134,7 @@ class TestPipeline:
         out = work / "rows.csv"
         assert main([
             "sweep", "--model", f"m={work / 'model.bin'}",
-            "--in", str(work / "eval.jsonl"), "--out", str(out),
+            "--in", str(work / "eval.npz"), "--out", str(out),
             "--strategies", "hold-0,hold-n:2,offline", "--beam", "2",
         ]) == 0
         lines = out.read_text().strip().splitlines()
@@ -160,7 +160,7 @@ class TestPipeline:
         monkeypatch.setattr(decoder, "beam_search", spy)
         assert main([
             command, "--model", model_arg.format(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", str(tmp_path / "out"),
+            "--in", str(work / "eval.npz"), "--out", str(tmp_path / "out"),
             strategy, "hold-0", "--beam", "2", "--length-norm",
         ]) == 0
         assert seen
@@ -170,10 +170,10 @@ class TestPipeline:
         out = work / "attn.npz"
         assert main([
             "dump-attention", "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", str(out),
+            "--in", str(work / "eval.npz"), "--out", str(out),
         ]) == 0
         model = load_model(str(work / "model.bin"))
-        want = model.dump_attention(load_utterances(str(work / "eval.jsonl"))[0].frames, ())
+        want = model.dump_attention(load_utterances(str(work / "eval.npz"))[0].frames, ())
         with np.load(out) as grids:
             assert sorted(grids.files) == sorted(want)
             assert any(name.startswith("cross.") for name in grids.files)
@@ -187,8 +187,8 @@ class TestPipeline:
         out = work / "adapted.bin"
         assert main([
             "adapt", "--model", str(work / "model.bin"),
-            "--data", str(work / "data.jsonl"),
-            "--dev", str(work / "eval.jsonl"), "--out", str(out),
+            "--data", str(work / "data.npz"),
+            "--dev", str(work / "eval.npz"), "--out", str(out),
             "--steps", "4", "--batch-size", "4", "--lr", "3e-3",
             "--warmup", "2", "--eval-every", "2",
         ]) == 0
@@ -208,7 +208,7 @@ class TestEvalScope:
                     ) + "\n")
 
     def test_stray_hyp_utterances_ignored(self, tmp_path, capsys):
-        refs = tmp_path / "refs.jsonl"
+        refs = tmp_path / "refs.npz"
         words = tuple(f"w{i:02d}" for i in range(9))
         save_utterances([Utterance("a", np.zeros((3, 2)), words)], str(refs))
         hyps, base = tmp_path / "hyps.jsonl", tmp_path / "base.jsonl"
@@ -226,7 +226,7 @@ class TestEvalScope:
         assert summary["delta_vs_baseline"] == -0.5
 
     def test_no_commits_leave_latency_and_delta_undefined(self, tmp_path, capsys):
-        refs = tmp_path / "refs.jsonl"
+        refs = tmp_path / "refs.npz"
         save_utterances([Utterance("a", np.zeros((3, 2)), ("w00", "w01"))], str(refs))
         hyps, base = tmp_path / "hyps.jsonl", tmp_path / "base.jsonl"
         self._log(hyps, [("stray", 2, 0.5)])
@@ -246,7 +246,7 @@ class TestEvalScope:
     def test_mean_is_the_library_mean(self, tmp_path, capsys):
         """eval prints score_logs' mean of the loaded logs, to the last bit;
         on this 0.1 s-chunk log numpy's pairwise mean rounds differently."""
-        refs = tmp_path / "refs.jsonl"
+        refs = tmp_path / "refs.npz"
         utts = [Utterance("a", np.zeros((3, 2)), ("w00",))]
         save_utterances(utts, str(refs))
         log = CommitLog()
@@ -271,19 +271,19 @@ class TestTranslationPipeline:
         d = tmp_path_factory.mktemp("cli-tx")
         for name, seed in (("data", "3"), ("eval", "4")):
             assert main([
-                "gen-data", "--out", str(d / f"{name}.jsonl"), "--translation",
+                "gen-data", "--out", str(d / f"{name}.npz"), "--translation",
                 "--count", "6", "--seed", seed, "--vocab-size", "6",
                 "--min-tokens", "2", "--max-tokens", "3", "--frame-dim", "4",
             ]) == 0
         assert main([
-            "train", "--data", str(d / "data.jsonl"), "--out", str(d / "model.bin"),
+            "train", "--data", str(d / "data.npz"), "--out", str(d / "model.bin"),
             "--steps", "2", "--batch-size", "4", "--d-model", "8", "--heads", "2",
             "--ff-dim", "12", "--enc-layers", "1", "--dec-layers", "1",
         ]) == 0
         return d
 
     def test_model_vocab_is_target_side(self, tx):
-        data = load_utterances(str(tx / "data.jsonl"))
+        data = load_utterances(str(tx / "data.npz"))
         assert all(u.target_tokens is not None for u in data)
         targets = sorted({t for u in data for t in u.target_tokens})
         vocab = load_model(str(tx / "model.bin")).vocab
@@ -291,16 +291,16 @@ class TestTranslationPipeline:
 
     def test_adapt_run_and_eval(self, tx, capsys):
         assert main([
-            "adapt", "--model", str(tx / "model.bin"), "--data", str(tx / "data.jsonl"),
-            "--dev", str(tx / "eval.jsonl"), "--out", str(tx / "adapted.bin"),
+            "adapt", "--model", str(tx / "model.bin"), "--data", str(tx / "data.npz"),
+            "--dev", str(tx / "eval.npz"), "--out", str(tx / "adapted.bin"),
             "--steps", "2", "--batch-size", "4", "--eval-every", "1",
         ]) == 0
         assert main([
-            "run", "--model", str(tx / "adapted.bin"), "--in", str(tx / "eval.jsonl"),
+            "run", "--model", str(tx / "adapted.bin"), "--in", str(tx / "eval.npz"),
             "--out", str(tx / "hyps.jsonl"), "--strategy", "offline", "--beam", "2",
         ]) == 0
         assert main([
-            "eval", "--refs", str(tx / "eval.jsonl"), "--hyps", str(tx / "hyps.jsonl"),
+            "eval", "--refs", str(tx / "eval.npz"), "--hyps", str(tx / "hyps.jsonl"),
         ]) == 0
         assert "wer: " in capsys.readouterr().out
 
@@ -314,7 +314,7 @@ class TestConfigFile:
             "max-frames-per-token = 8\nframe-dim = 4\n"
             "# a comment line\n"
         )
-        out = tmp_path / "cfg-data.jsonl"
+        out = tmp_path / "cfg-data.npz"
         assert main(
             ["--config", str(cfg), "gen-data", "--out", str(out)]
         ) == 0
@@ -323,7 +323,7 @@ class TestConfigFile:
     def test_flag_overrides_config(self, work, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("count = 5\nframe-dim = 4\nvocab-size = 6\n")
-        out = tmp_path / "cfg-data2.jsonl"
+        out = tmp_path / "cfg-data2.npz"
         assert main([
             "--config", str(cfg), "gen-data", "--out", str(out),
             "--count", "3",
@@ -333,7 +333,7 @@ class TestConfigFile:
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no-such-option = 1\n")
-        rc = main(["--config", str(cfg), "gen-data", "--out", "x.jsonl"])
+        rc = main(["--config", str(cfg), "gen-data", "--out", "x.npz"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
@@ -353,7 +353,7 @@ class TestConfigFile:
         out = tmp_path / "logs.jsonl"
         assert main([
             "run", "--config", str(cfg), "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", str(out),
+            "--in", str(work / "eval.npz"), "--out", str(out),
         ]) == 0
         assert out.exists()
 
@@ -362,7 +362,7 @@ class TestConfigFile:
         cfg.write_text("enc_mode = sideways\n")
         out = tmp_path / "never.bin"
         rc = main([
-            "--config", str(cfg), "train", "--data", str(work / "data.jsonl"),
+            "--config", str(cfg), "train", "--data", str(work / "data.npz"),
             "--out", str(out), "--steps", "1",
         ])
         assert rc == 2
@@ -377,7 +377,7 @@ class TestConfigFile:
         out = tmp_path / "rows.csv"
         assert main([
             "--config", str(cfg), "sweep", "--model", f"b={work / 'model.bin'}",
-            "--in", str(work / "eval.jsonl"), "--out", str(out),
+            "--in", str(work / "eval.npz"), "--out", str(out),
             "--strategies", "hold-0", "--beam", "2",
         ]) == 0
         rows = out.read_text().strip().splitlines()[1:]
@@ -388,7 +388,7 @@ class TestConfigFile:
         cfg.write_text(f"model = bidi={work / 'model.bin'}\n")
         out = tmp_path / "rows.csv"
         assert main([
-            "--config", str(cfg), "sweep", "--in", str(work / "eval.jsonl"),
+            "--config", str(cfg), "sweep", "--in", str(work / "eval.npz"),
             "--out", str(out), "--strategies", "hold-0", "--beam", "2",
         ]) == 0
         rows = out.read_text().strip().splitlines()[1:]
@@ -397,13 +397,13 @@ class TestConfigFile:
     def test_keys_are_option_names(self, work, tmp_path, capsys):
         """`in` is the option --in; the internal name `inp` is no option."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"in = {work / 'eval.jsonl'}\n")
+        cfg.write_text(f"in = {work / 'eval.npz'}\n")
         out = tmp_path / "logs.jsonl"
         argv = ["run", "--model", str(work / "model.bin"), "--out", str(out),
                 "--strategy", "hold-0", "--beam", "2"]
         assert main(["--config", str(cfg), *argv]) == 0
         assert out.exists()
-        cfg.write_text(f"inp = {work / 'eval.jsonl'}\n")
+        cfg.write_text(f"inp = {work / 'eval.npz'}\n")
         assert main(["--config", str(cfg), *argv]) == 2
         assert "unknown config key 'inp'" in capsys.readouterr().err
 
@@ -555,7 +555,7 @@ def _built_configs(monkeypatch, work, tmp_path, command, extra=()):
     monkeypatch.setattr(cli, "run_session", lambda model, u, strategy, chunk_len_sec, beam:
                         keep(beam, Session(model, u, strategy, chunk_len_sec, beam)))
     monkeypatch.setattr(cli, "sweep", lambda models, utts, spec: keep(spec, spec.beam))
-    model, data, out = str(work / "model.bin"), str(work / "data.jsonl"), str(tmp_path / "out")
+    model, data, out = str(work / "model.bin"), str(work / "data.npz"), str(tmp_path / "out")
     argv = {
         "gen-data": ["--out", out],
         "train": ["--data", data, "--out", out],
@@ -604,7 +604,7 @@ class TestErrorPaths:
     def test_eval_rejects_malformed_hyps(self, work, tmp_path, capsys, line, why):
         hyps = tmp_path / "hyps.jsonl"
         write_commit_log_with(hyps, line)
-        rc = main(["eval", "--refs", str(work / "eval.jsonl"), "--hyps", str(hyps)])
+        rc = main(["eval", "--refs", str(work / "eval.npz"), "--hyps", str(hyps)])
         assert rc == 2
         assert f"{hyps}:2: " in capsys.readouterr().err
 
@@ -615,7 +615,7 @@ class TestErrorPaths:
     def test_missing_model_file(self, work, capsys):
         rc = main([
             "run", "--model", str(work / "nope.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--in", str(work / "eval.npz"), "--out", "x",
             "--strategy", "offline",
         ])
         assert rc == 2
@@ -627,7 +627,7 @@ class TestErrorPaths:
         2 and one error line, not an IsADirectoryError traceback."""
         d, out = str(tmp_path), tmp_path / "never.jsonl"
         argv = ["run", "--model", str(work / "model.bin"), "--in",
-                str(work / "eval.jsonl"), "--out", str(out), "--strategy", "hold-0"]
+                str(work / "eval.npz"), "--out", str(out), "--strategy", "hold-0"]
         if option == "--refs":
             argv = ["eval", "--refs", d, "--hyps", str(work / "hyps.jsonl")]
         elif option == "--config":
@@ -647,9 +647,9 @@ class TestErrorPaths:
     ])
     def test_empty_corpus_exits_2(self, work, tmp_path, capsys, command, option):
         """An empty corpus is refused, not scored as a perfect WER 0."""
-        empty, out = tmp_path / "empty.jsonl", tmp_path / "never.out"
-        empty.write_text("")
-        model, corpus = str(work / "model.bin"), str(work / "eval.jsonl")
+        empty, out = tmp_path / "empty.npz", tmp_path / "never.out"
+        save_utterances([], str(empty))
+        model, corpus = str(work / "model.bin"), str(work / "eval.npz")
         argv = {
             "train": ["train", "--data", corpus, "--steps", "1"],
             "adapt": ["adapt", "--model", model, "--data", corpus, "--dev", corpus,
@@ -665,10 +665,20 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: no utterances in {empty}\n"
         assert not out.exists()
 
+    def test_zero_byte_corpus_exits_2(self, work, tmp_path, capsys):
+        """A zero-byte file is no archive at all, not an empty corpus."""
+        zero, out = tmp_path / "zero.npz", tmp_path / "never.jsonl"
+        zero.write_bytes(b"")
+        rc = main(["run", "--model", str(work / "model.bin"), "--in", str(zero),
+                   "--out", str(out), "--strategy", "hold-0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {zero} is not a numpy .npz archive")
+        assert not out.exists()
+
     def test_bad_sweep_model_spec(self, work, capsys):
         rc = main([
             "sweep", "--model", "justapath",
-            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--in", str(work / "eval.npz"), "--out", "x",
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
@@ -690,11 +700,11 @@ class TestErrorPaths:
     def test_non_finite_numbers_exit_2(self, work, capsys, argv):
         paths = {
             "run": ["--model", str(work / "model.bin"),
-                    "--in", str(work / "eval.jsonl")],
-            "train": ["--data", str(work / "data.jsonl")],
+                    "--in", str(work / "eval.npz")],
+            "train": ["--data", str(work / "data.npz")],
             "adapt": ["--model", str(work / "model.bin"),
-                      "--data", str(work / "data.jsonl"),
-                      "--dev", str(work / "eval.jsonl")],
+                      "--data", str(work / "data.npz"),
+                      "--dev", str(work / "eval.npz")],
             "gen-data": [],
         }[argv[0]]
         rc = main(argv + paths + ["--out", str(work / "never")])
@@ -706,7 +716,7 @@ class TestErrorPaths:
         """train checks its training config before its model config, so a
         bad --seed is named seed, as adapt and gen-data name it."""
         rc = main([
-            "train", "--data", str(work / "data.jsonl"),
+            "train", "--data", str(work / "data.npz"),
             "--out", str(work / "never.bin"), "--seed", "-1",
         ])
         assert rc == 2
@@ -731,8 +741,8 @@ class TestErrorPaths:
         rate factor are fixed by the recipe: no flag or config key sets them."""
         argv = {
             "adapt": ["adapt", "--model", str(work / "model.bin"), "--data",
-                      str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl")],
-            "train": ["train", "--data", str(work / "data.jsonl")],
+                      str(work / "data.npz"), "--dev", str(work / "eval.npz")],
+            "train": ["train", "--data", str(work / "data.npz")],
         }[command] + ["--out", str(tmp_path / "never.bin")]
         if isinstance(extra, list):
             assert main(argv + extra) == 2
@@ -759,7 +769,7 @@ class TestErrorPaths:
         rc = main([
             *(config if before else []), "run", *([] if before else config),
             "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", str(tmp_path / "never"),
+            "--in", str(work / "eval.npz"), "--out", str(tmp_path / "never"),
             "--strategy", "hold-0",
         ])
         assert rc == 2
@@ -769,7 +779,7 @@ class TestErrorPaths:
     def test_wait_k_needs_positive_rate(self, work, capsys):
         rc = main([
             "run", "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--in", str(work / "eval.npz"), "--out", "x",
             "--strategy", "wait-k:1:0",
         ])
         assert rc == 2
@@ -779,7 +789,7 @@ class TestErrorPaths:
     def test_dump_attention_rejects_reserved_prefix(self, work, capsys, prefix):
         rc = main([
             "dump-attention", "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", str(work / "never.tsv"),
+            "--in", str(work / "eval.npz"), "--out", str(work / "never.tsv"),
             "--prefix", prefix,
         ])
         assert rc == 2
@@ -802,7 +812,7 @@ class TestErrorPaths:
                 "--strategies", f"offline,{spec}",
             ],
         }[command]
-        rc = main([*argv, "--in", str(work / "eval.jsonl"), "--out", "x"])
+        rc = main([*argv, "--in", str(work / "eval.npz"), "--out", "x"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -811,7 +821,7 @@ class TestErrorPaths:
     def test_removed_strategy_flags_rejected(self, work, capsys):
         rc = main([
             "run", "--model", str(work / "model.bin"),
-            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--in", str(work / "eval.npz"), "--out", "x",
             "--strategy", "hold-0", "--n", "5", "--k", "9",
         ])
         assert rc == 2
@@ -820,7 +830,7 @@ class TestErrorPaths:
     def test_duplicate_sweep_strategy(self, work, capsys):
         rc = main([
             "sweep", "--model", f"m={work / 'model.bin'}",
-            "--in", str(work / "eval.jsonl"), "--out", "x",
+            "--in", str(work / "eval.npz"), "--out", "x",
             "--strategies", "hold-0,hold-n:0",
         ])
         assert rc == 2
@@ -829,7 +839,7 @@ class TestErrorPaths:
     @pytest.fixture(scope="class")
     def wide_data(self, work):
         """Utterances 8 frames wide, twice the workspace's width."""
-        path = work / "wide.jsonl"
+        path = work / "wide.npz"
         assert main([
             "gen-data", "--out", str(path), "--count", "3", "--seed", "9",
             "--vocab-size", "6", "--min-tokens", "2", "--max-tokens", "3",
@@ -838,12 +848,11 @@ class TestErrorPaths:
         return path
 
     def test_train_rejects_mixed_frame_widths(self, work, wide_data, tmp_path, capsys):
-        mixed = tmp_path / "mixed.jsonl"
-        # both corpora are drawn with seed 9, so the wide record takes a
+        mixed = tmp_path / "mixed.npz"
+        # both corpora are drawn with seed 9, so the wide utterance takes a
         # fresh id: a repeated one is refused before any batch is built
-        wide = json.loads(wide_data.read_text().splitlines()[0])
-        wide["id"] = "wide-0"
-        mixed.write_text((work / "data.jsonl").read_text() + json.dumps(wide) + "\n")
+        wide = dataclasses.replace(load_utterances(str(wide_data))[0], id="wide-0")
+        save_utterances([*load_utterances(str(work / "data.npz")), wide], str(mixed))
         rc = main([
             "train", "--data", str(mixed), "--out", str(tmp_path / "m.bin"),
             "--steps", "1", "--batch-size", "32", "--d-model", "8",
@@ -859,7 +868,7 @@ class TestErrorPaths:
     def test_adapt_rejects_non_positive_eval_every(self, work, tmp_path, capsys, every):
         rc = main([
             "adapt", "--model", str(work / "model.bin"),
-            "--data", str(work / "data.jsonl"), "--dev", str(work / "eval.jsonl"),
+            "--data", str(work / "data.npz"), "--dev", str(work / "eval.npz"),
             "--out", str(tmp_path / "a.bin"), "--steps", "1",
             "--batch-size", "4", "--eval-every", every,
         ])
@@ -870,19 +879,20 @@ class TestErrorPaths:
     def test_eval_rejects_repeated_utterance_id(self, work, tmp_path, capsys):
         """Logs are kept per id, so a reference whose id repeats would be
         scored against the other reference's log."""
-        first = (work / "eval.jsonl").read_text().splitlines()[0]
-        refs = tmp_path / "refs.jsonl"
-        refs.write_text((work / "eval.jsonl").read_text() + first + "\n")
+        utts = load_utterances(str(work / "eval.npz"))
+        refs = tmp_path / "refs.npz"
+        save_utterances([*utts, utts[0]], str(refs))
         rc = main(["eval", "--refs", str(refs), "--hyps", str(work / "hyps.jsonl")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{refs}:15: utterance id " in err and "the one on line 1" in err
+        assert err == (f"error: {refs}: utterance 14 ({utts[0].id!r}): "
+                       f"repeats the id of utterance 0\n")
 
     def test_sweep_rejects_repeated_model_name(self, work, capsys):
         rc = main([
             "sweep", "--model", f"a={work / 'model.bin'}",
             "--model", f"a={work / 'model.bin'}",
-            "--in", str(work / "eval.jsonl"), "--out", str(work / "never.csv"),
+            "--in", str(work / "eval.npz"), "--out", str(work / "never.csv"),
         ])
         assert rc == 2
         assert "error: --model names 'a' more than once" in capsys.readouterr().err
@@ -902,7 +912,7 @@ class TestErrorPaths:
                       "--strategies", "hold-0"],
         }[command]
         rc = main([
-            *argv, "--in", str(work / "eval.jsonl"),
+            *argv, "--in", str(work / "eval.npz"),
             "--out", str(work / "never.csv"), "--chunk-sec", chunk_sec,
         ])
         assert rc == 2
@@ -912,7 +922,7 @@ class TestErrorPaths:
     def test_adapt_rejects_data_of_another_width(self, work, wide_data, tmp_path, capsys):
         rc = main([
             "adapt", "--model", str(work / "model.bin"),
-            "--data", str(wide_data), "--dev", str(work / "eval.jsonl"),
+            "--data", str(wide_data), "--dev", str(work / "eval.npz"),
             "--out", str(tmp_path / "a.bin"), "--steps", "1",
             "--batch-size", "4",
         ])

@@ -1,11 +1,13 @@
 import importlib.util
 import math
+import multiprocessing
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from streamdec import harness, training
 from streamdec.core import EOS_ID, ConfigError
 from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig
@@ -234,15 +236,39 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_tradeoff_sweep_matches_its_golden_table(capsys):
-    """scripts/tradeoff_sweep.py prints its checked-in table byte for byte."""
+    """scripts/tradeoff_sweep.py prints its checked-in table byte for byte,
+    with one worker or two, and leaves no worker process behind."""
     spec = importlib.util.spec_from_file_location(
         "tradeoff_sweep", SCRIPTS / "tradeoff_sweep.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--utts", "8", "--seed", "11"]) == 0
     golden = (SCRIPTS / "tradeoff_sweep_utts8_seed11.txt").read_text()
-    assert capsys.readouterr().out == golden
+    for workers in ("1", "2"):
+        assert script.main(["--utts", "8", "--seed", "11", "--workers", workers]) == 0
+        assert capsys.readouterr().out == golden, workers
+        assert multiprocessing.active_children() == []
+
+
+def _blas_threads(_) -> int:
+    return training._openblas()[0]()
+
+
+def test_sweep_workers_hold_blas_to_one_thread():
+    """Each worker of the sweep's pool runs BLAS on one thread, even when
+    the caller's pool, which a forked worker would inherit, is wider."""
+    blas = training._openblas()
+    if blas is None:
+        pytest.skip("this numpy has no bundled OpenBLAS to ask")
+    get, put = blas
+    was = get()
+    put(2)
+    try:
+        with harness._pool(2) as pool:
+            assert list(pool.map(_blas_threads, range(4))) == [1] * 4
+        assert get() == 2  # the caller's own count is left alone
+    finally:
+        put(was)
 
 
 class TestCsv:
