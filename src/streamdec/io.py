@@ -95,9 +95,9 @@ def save_utterances(utts: Iterable[Utterance], path: str) -> None:
 
 def load_utterances(path: str) -> list[Utterance]:
     """Utterances in file order, the inverse of save_utterances. A malformed
-    archive is a ConfigError naming the path; one that also names the index
-    and id of a malformed record, or of one that repeats an earlier id. A
-    JSONL corpus is refused with the advice to regenerate it."""
+    archive is a ConfigError naming the path, and a malformed record, or one
+    that repeats an earlier record's id, one that also names its index and
+    id. A JSONL corpus is refused with the advice to regenerate it."""
     arrays = _read_npz(
         path, {"frames": (np.float64, 1), "shapes": (np.int64, 2), "records": (np.str_, 0)},
         "; a JSONL corpus of an earlier version must be regenerated with `streamdec gen-data`")

@@ -375,6 +375,7 @@ class TestShardedStep:
                 runs.append(train(model, data, small_train_cfg()))
             else:
                 runs.append(adapt(model, data[6:], small_train_cfg(), data[:4]))
+            assert multiprocessing.active_children() == []  # the worker is joined
         (one, one_curve), *others = runs
         for other, other_curve in others:
             assert other_curve == one_curve
