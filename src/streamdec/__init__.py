@@ -54,13 +54,7 @@ from .strategies import (
     parse_strategy,
     select_prefix,
 )
-from .training import (
-    Adam,
-    TrainConfig,
-    adapt,
-    token_error_rate,
-    train,
-)
+from .training import Adam, TrainConfig, adapt, token_error_rate, train
 from .transformer import BIDIRECTIONAL, UNIDIRECTIONAL, TinyTransformer, TransformerConfig
 
 __version__ = "0.1.0"

@@ -6,15 +6,12 @@ folds the parameters' leaf tensors into the weight set the layers run
 with linear warmup followed by inverse-square-root decay, updates a working
 copy of them, and a model is built from that copy where one is needed.
 
-A step's batch splits into two fixed shards of rows, each shard one graph
-whose gradient is that of its summed loss over the whole batch's token
-count; the step adds shard 1's gradient to shard 0's. The loop (``_fit``)
-keeps one worker process for its whole length when two CPUs are usable,
-and the worker computes shard 1 while the calling process computes shard
-0, both with numpy's BLAS held to one thread; on one CPU, or when the BLAS
-thread count cannot be reached, both shards run in the calling process,
-one after the other. Either way the numbers are the same bits. The calling
-process still makes every batch and takes every Adam step.
+A step's batch splits into two fixed shards of rows, each one graph whose
+gradient is that of its summed loss over the whole batch's token count.
+The step sends shard 1 as a job to ``cpus.pair``, which runs it in the
+worker the loop (``_fit``) keeps through ``cpus.shard_worker``, or here;
+the numbers are the same bits either way. This process makes every batch
+and takes every Adam step.
 
 Adaptation fine-tunes on an even mix of full utterances and proportionally
 truncated frame/token pairs, at ADAPT_LR_FACTOR of the base learning rate,
@@ -27,22 +24,13 @@ reference side otherwise (core.eval_tokens).
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import multiprocessing
-import os
-import signal
-import traceback
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from multiprocessing.connection import Connection
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import cpus
 from . import transformer as tfm
 from .core import (
     BOS_ID,
@@ -154,170 +142,45 @@ def make_batch(
     }
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
-    None when this numpy has none that can be asked."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            put = getattr(lib, name.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[bool]:
-    """Holds numpy's BLAS to one thread for the block and yields True, or
-    yields False when its thread count cannot be reached. Two processes
-    that each keep a BLAS pool as wide as the machine fight over its CPUs:
-    on two CPUs a step of criterion 4's training ran about three times
-    slower than in one process with such a pool."""
-    blas = _openblas()
-    if blas is None:
-        yield False
-        return
-    get, put = blas
-    was = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(was)
-
-
 def _shard_loss_and_grads(
     cfg: tfm.TransformerConfig,
     params: Mapping[str, np.ndarray],
     shard: dict[str, np.ndarray],
-    label_smoothing: float,
     tokens: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """A shard's summed cross entropy, and the gradient by parameter name
     of that sum divided by tokens."""
     pt = tfm.leaf_tensors(params)
-    summed = tfm.training_loss(cfg, pt, shard, label_smoothing)
+    summed = tfm.training_loss(cfg, pt, shard, LABEL_SMOOTHING)
     (summed * (1.0 / tokens)).backward()
     return float(summed.data), {k: t.grad for k, t in pt.items() if t.grad is not None}
-
-
-def _serve_shards(conn: Connection, parent_end: Connection) -> None:
-    """A shard worker's loop: it answers each (cfg, params, shard,
-    label_smoothing, tokens) it receives with (error, result), the error
-    carrying the worker's traceback as a note, and exits
-    when the caller closes its end of the pipe. It closes its own copy of
-    the caller's end first, or it would never see that close. Ctrl-C is
-    left to the caller, which then closes the pipe."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with _one_blas_thread():  # a forked worker has it so already
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = None, _shard_loss_and_grads(*job)
-            except Exception as e:
-                e.add_note(f"in the shard worker:\n{traceback.format_exc()}")
-                reply = e, None
-            try:
-                conn.send(reply)
-            except OSError:  # the caller has gone
-                return
-
-
-_WORKER: ContextVar[Connection | None] = ContextVar("shard worker", default=None)
-
-
-@contextmanager
-def _shard_worker() -> Iterator[None]:
-    """For the block, when two CPUs are usable and numpy's BLAS can be
-    held to one thread, a worker process computes the second shard of
-    every ``batch_loss_and_grads`` call this context makes, and both
-    processes run BLAS on one thread. The worker is joined and the BLAS
-    thread count restored when the block ends, however it ends."""
-    if _usable_cpus() < 2:
-        yield
-        return
-    with _one_blas_thread() as held:
-        if not held:
-            yield
-            return
-        conn, child_end = multiprocessing.Pipe()
-        proc = multiprocessing.Process(
-            target=_serve_shards, args=(child_end, conn), daemon=True)
-        proc.start()
-        child_end.close()
-        token = _WORKER.set(conn)
-        try:
-            yield
-        finally:
-            _WORKER.reset(token)
-            conn.close()
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
 
 
 def batch_loss_and_grads(
     cfg: tfm.TransformerConfig,
     params: Mapping[str, np.ndarray],
     batch: dict[str, np.ndarray],
-    label_smoothing: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """The batch's loss under params and its gradient by parameter name.
+    """The batch's loss under params, labels smoothed by LABEL_SMOOTHING,
+    and its gradient by parameter name.
 
     The batch's rows split into two fixed shards, the first ceil(B/2) rows
     and the rest. Each shard's gradient is that of its summed cross entropy
     divided by the whole batch's token count; the step's gradient is shard
     0's plus shard 1's, in that order, and its loss is shard 0's sum plus
-    shard 1's, divided once, as the one-graph loss is. Inside
-    ``_shard_worker`` shard 1 runs in the worker while shard 0 runs here;
-    otherwise both run here, one after the other, with the same numbers."""
+    shard 1's, divided once, as the one-graph loss is. Shard 1 is a
+    ``cpus.pair`` job, with the same numbers wherever it runs."""
     # checked whole, so that a bad row is named by its row in the batch
     tfm._frame_lengths(batch["frame_mask"], batch["frames"].shape[:2])
     tokens = max(batch["label_mask"].sum(), 1.0)
     cut = (len(batch["labels"]) + 1) // 2
-    shard0, shard1 = ({k: v[rows] for k, v in batch.items()}
+    params = dict(params)  # a mapping proxy does not pickle
+    shard0, shard1 = ((cfg, params, {k: v[rows] for k, v in batch.items()}, tokens)
                       for rows in (slice(None, cut), slice(cut, None)))
-
-    def here(shard):
-        return _shard_loss_and_grads(cfg, params, shard, label_smoothing, tokens)
-
-    if not len(shard1["labels"]):  # a one-row batch is one shard
-        sum0, grads = here(shard0)
+    if cut == len(batch["labels"]):  # a one-row batch is one shard
+        sum0, grads = _shard_loss_and_grads(*shard0)
         return sum0 * (1.0 / tokens), grads
-    conn = _WORKER.get()
-    if conn is None:
-        (sum0, grads0), (sum1, grads1) = here(shard0), here(shard1)
-    else:
-        conn.send((cfg, dict(params), shard1, label_smoothing, tokens))
-        try:
-            sum0, grads0 = here(shard0)
-        finally:  # the reply is read even if shard 0 failed
-            try:
-                error, result = conn.recv()
-            except EOFError:
-                raise RuntimeError("the training shard worker exited") from None
-        if error is not None:
-            raise error
-        sum1, grads1 = result
+    (sum0, grads0), (sum1, grads1) = cpus.pair(_shard_loss_and_grads, shard0, shard1)
     return (sum0 + sum1) * (1.0 / tokens), {k: g + grads1[k] for k, g in grads0.items()}
 
 
@@ -362,11 +225,10 @@ def _fit(
     if dev:
         best = snapshot()
         best_ter = token_error_rate(best, dev)
-    with _shard_worker():
+    with cpus.shard_worker():
         for step in range(1, cfg.total_steps + 1):
             batch = make_batch(draw(), model.vocab, model.cfg.frame_dim)
-            loss, grads = batch_loss_and_grads(
-                model.cfg, params, batch, LABEL_SMOOTHING)
+            loss, grads = batch_loss_and_grads(model.cfg, params, batch)
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged at step {step}: loss={loss}; last lr "

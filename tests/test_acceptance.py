@@ -410,13 +410,13 @@ def test_c07_gradient_check():
     batch = make_batch(
         [(u.frames, u.reference_tokens) for u in data[:3]], vocab, 4
     )
-    _, grads = batch_loss_and_grads(cfg, model.params, batch, 0.1)
+    _, grads = batch_loss_and_grads(cfg, model.params, batch)
 
     def loss_with(name, idx, delta):
         params = dict(model.params)
         params[name] = params[name].copy()
         params[name].reshape(-1)[idx] += delta
-        loss, _ = batch_loss_and_grads(cfg, params, batch, 0.1)
+        loss, _ = batch_loss_and_grads(cfg, params, batch)
         return loss
 
     rng = np.random.default_rng(55)

@@ -183,6 +183,32 @@ class TestPipeline:
                     g.sum(axis=-1), np.ones(g.shape[0]), rtol=0, atol=1e-12
                 )
 
+    def test_dump_attention_of_a_named_utterance(self, work, tmp_path):
+        utt = load_utterances(str(work / "eval.npz"))[3]
+        out = tmp_path / "attn.npz"
+        assert main([
+            "dump-attention", "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.npz"), "--out", str(out), "--utt", utt.id,
+        ]) == 0
+        want = load_model(str(work / "model.bin")).dump_attention(utt.frames, ())
+        with np.load(out) as grids:
+            assert sorted(grids.files) == sorted(want)
+            for name, g in want.items():
+                assert (grids[name].shape, grids[name].tobytes()) == (g.shape, g.tobytes())
+
+    def test_adapt_writes_its_curve(self, work, tmp_path):
+        curve = tmp_path / "adapt-curve.csv"
+        assert main([
+            "adapt", "--model", str(work / "model.bin"),
+            "--data", str(work / "data.npz"),
+            "--dev", str(work / "eval.npz"), "--out", str(tmp_path / "adapted.bin"),
+            "--steps", "3", "--batch-size", "4", "--eval-every", "3",
+            "--curve", str(curve),
+        ]) == 0
+        lines = curve.read_text().strip().splitlines()
+        assert lines[0] == "step,loss,lr"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
     def test_adapt_round_trip(self, work):
         out = work / "adapted.bin"
         assert main([
@@ -318,6 +344,13 @@ class TestConfigFile:
         assert main(
             ["--config", str(cfg), "gen-data", "--out", str(out)]
         ) == 0
+        assert len(load_utterances(str(out))) == 5
+
+    def test_config_equals_spelling(self, work, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("count = 5\nframe-dim = 4\nvocab-size = 6\n")
+        out = tmp_path / "cfg-data3.npz"
+        assert main([f"--config={cfg}", "gen-data", "--out", str(out)]) == 0
         assert len(load_utterances(str(out))) == 5
 
     def test_flag_overrides_config(self, work, tmp_path):
@@ -611,6 +644,22 @@ class TestErrorPaths:
     def test_missing_required_flag(self, capsys):
         assert main(["gen-data"]) == 2
         assert "error: the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_no_command_prints_help_and_exits_2(self, capsys):
+        assert main([]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("usage:")
+        assert "dump-attention" in out
+
+    def test_dump_attention_unknown_utterance_exits_2(self, work, tmp_path, capsys):
+        out = tmp_path / "never.npz"
+        rc = main([
+            "dump-attention", "--model", str(work / "model.bin"),
+            "--in", str(work / "eval.npz"), "--out", str(out), "--utt", "nope",
+        ])
+        assert rc == 2
+        assert f"error: utterance 'nope' not in {work / 'eval.npz'}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_file(self, work, capsys):
         rc = main([

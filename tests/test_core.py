@@ -57,6 +57,10 @@ class TestVocab:
         v = Vocab.build(["x", "y"])
         assert list(v.word_ids()) == [3, 4]
 
+    def test_repeated_surface_form_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate surface forms"):
+            Vocab(("<pad>", "<s>", "</s>", "a", "b", "a"))
+
     def test_reserved_first_enforced(self):
         with pytest.raises(ConfigError):
             Vocab(("a", "<s>", "</s>"))

@@ -29,6 +29,10 @@ class TestTaskSpec:
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(noise_std=-0.1)
 
+    def test_min_frames_above_max_rejected(self):
+        with pytest.raises(ConfigError, match="min/max frames per token"):
+            SyntheticTaskSpec(min_frames_per_token=9, max_frames_per_token=8)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["noise_std", "frame_period_sec"])
     def test_non_finite_rejected(self, field, bad):

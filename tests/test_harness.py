@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamdec import harness, training
+from streamdec import cpus
 from streamdec.core import EOS_ID, ConfigError
 from streamdec.data import SyntheticTaskSpec, gen_dataset
 from streamdec.decoder import BeamConfig
@@ -164,6 +164,14 @@ class TestSweep:
         assert math.isfinite(ok.wer)
         assert rows[-1].model == "broken"  # nan rows sort last
 
+    def test_no_worker_outlives_a_failing_sweep(self, unstable_model, small_corpus):
+        spec = SweepSpec(strategies=(Offline(), HoldN(2)), workers=2)
+        with pytest.warns(UserWarning, match="sweep cell broken/"):
+            rows = sweep({"ok": unstable_model, "broken": Boom(unstable_model)},
+                         small_corpus[:2], spec)
+        assert [r.model for r in rows[-2:]] == ["broken", "broken"]
+        assert multiprocessing.active_children() == []
+
     def test_failed_baseline_model_leaves_no_delta(
         self, unstable_model, small_corpus
     ):
@@ -251,20 +259,20 @@ def test_tradeoff_sweep_matches_its_golden_table(capsys):
 
 
 def _blas_threads(_) -> int:
-    return training._openblas()[0]()
+    return cpus.openblas()[0]()
 
 
 def test_sweep_workers_hold_blas_to_one_thread():
     """Each worker of the sweep's pool runs BLAS on one thread, even when
     the caller's pool, which a forked worker would inherit, is wider."""
-    blas = training._openblas()
+    blas = cpus.openblas()
     if blas is None:
         pytest.skip("this numpy has no bundled OpenBLAS to ask")
     get, put = blas
     was = get()
     put(2)
     try:
-        with harness._pool(2) as pool:
+        with cpus.pool(2) as pool:
             assert list(pool.map(_blas_threads, range(4))) == [1] * 4
         assert get() == 2  # the caller's own count is left alone
     finally:
@@ -355,3 +363,50 @@ class TestCompareModes:
         assert d.chunk_index >= 1
         assert d.field_name in ("tokens", "log_probs", "commit")
         assert d.forced != d.buffered
+
+    def test_log_prob_divergence_reported(self, unstable_model, small_corpus):
+        class Shifted:
+            """Delegates everything but lowers the whole distribution the
+            beam starts from on every second dec_init by the same amount,
+            so both sessions pick the same tokens with other log-probs."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self.vocab = inner.vocab
+                self._calls = 0
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def dec_init(self, enc, prefix=()):
+                state, lps = self._inner.dec_init(enc, prefix)
+                self._calls += 1
+                return state, lps - 1e-3 if self._calls % 2 == 0 else lps
+
+        cmp = compare_modes(
+            Shifted(unstable_model), small_corpus[:2], HoldN(0),
+            beam=BeamConfig(beam_width=2),
+        )
+        d = cmp.divergence
+        assert d.field_name == "log_probs"
+        assert d.forced != d.buffered
+        assert len(d.forced) == len(d.buffered) > 0
+
+    def test_commit_divergence_reported(self, unstable_model, small_corpus, monkeypatch):
+        # the rule keeps back the last token on every second call: the
+        # lockstep sessions decode alike but commit differently
+        calls = [0]
+        select = HoldN.select
+
+        def every_second_holds_one(self, w, chunk, state):
+            calls[0] += 1
+            got, state = select(self, w, chunk, state)
+            return (got[:-1] if calls[0] % 2 == 0 else got), state
+
+        monkeypatch.setattr(HoldN, "select", every_second_holds_one)
+        cmp = compare_modes(
+            unstable_model, small_corpus[:2], HoldN(0), beam=BeamConfig(beam_width=2)
+        )
+        d = cmp.divergence
+        assert d.field_name == "commit"
+        assert d.forced[:-1] == d.buffered

@@ -108,6 +108,14 @@ class TestUtteranceFiles:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: records are not JSON"):
             load_utterances(path)
 
+    def test_records_not_a_list_refused(self, tmp_path):
+        # an object of as many keys as the corpus has utterances
+        path = str(tmp_path / "bad.npz")
+        write_archive(path, corpus(records=np.array('{"id": "a", "ref": ["x"]}')))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: records must be "
+                                              r"a JSON list of 2 objects"):
+            load_utterances(path)
+
     # Each id names the case of the JSONL spelling that this archive case
     # stands in for: a hex string the wrong length for its shape became a
     # frames array the wrong length for the shapes, a bad "shape" value a
@@ -334,6 +342,15 @@ class TestCommitLogFiles:
         path = str(tmp_path / "logs.jsonl")
         save_commit_logs(logs, path)
         assert load_commit_logs(path) == logs
+
+    def test_blank_lines_skipped(self, tmp_path):
+        log = CommitLog()
+        log.commit(("x", "y"), chunk_index=1, chunk_len_sec=0.5)
+        path = str(tmp_path / "logs.jsonl")
+        save_commit_logs({"u": log}, path)
+        first, second = open(path).read().splitlines()
+        write_lines(path, "", first, "  ", second, "")
+        assert load_commit_logs(path) == {"u": log}
 
     def test_file_is_one_json_object_per_line(self, tmp_path):
         log = CommitLog()

@@ -167,6 +167,13 @@ class TestEncodeContract:
         with pytest.raises(ContractViolation):
             m2.encode(utts[0].frames, enc)
 
+    def test_prior_of_another_utterance_rejected(self, world):
+        spec, utts, _ = world
+        m = SyntheticAlignedModel.from_task(spec, 8, seed=13)
+        enc = m.encode(utts[0].frames[:30], utt_id=utts[0].id)
+        with pytest.raises(ContractViolation, match="belong to a different utterance"):
+            m.encode(utts[0].frames, enc, utt_id=utts[1].id)
+
     def test_foreign_encoding_rejected(self, world):
         """Two oracles of one dataset share their alignments, but neither
         decodes the other's encoding."""

@@ -1,6 +1,8 @@
 import contextlib
 import math
 import multiprocessing
+import os
+import signal
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamdec import autodiff, training, transformer
+from streamdec import autodiff, cpus, training, transformer
 from streamdec.core import (
     BOS_ID,
     EOS_ID,
@@ -212,10 +214,10 @@ class TestGradients:
             (u.frames, u.reference_tokens) for u in data[:3]
         ]
         batch = make_batch(pairs, vocab, cfg.frame_dim)
-        _, grads = batch_loss_and_grads(cfg, model.params, batch, 0.1)
+        _, grads = batch_loss_and_grads(cfg, model.params, batch)
 
         def loss_of(params):
-            return batch_loss_and_grads(cfg, params, batch, 0.1)[0]
+            return batch_loss_and_grads(cfg, params, batch)[0]
 
         names = list(grads)
         for name in [names[0], names[len(names) // 2], names[-1]]:
@@ -250,12 +252,12 @@ class TestGradients:
             for k, v in TinyTransformer(cfg, vocab).params.items()
         }
         batch = _ragged_batch(data, vocab, cfg.frame_dim)
-        _, grads = batch_loss_and_grads(cfg, base, batch, 0.1)
+        _, grads = batch_loss_and_grads(cfg, base, batch)
 
         def loss_of(idx, delta):
             params = {k: v.copy() for k, v in base.items()}
             params[name].reshape(-1)[idx] += delta
-            return batch_loss_and_grads(cfg, params, batch, 0.1)[0]
+            return batch_loss_and_grads(cfg, params, batch)[0]
 
         for idx in rng.choice(base[name].size, size=2, replace=False):
             h = 1e-4 * max(abs(base[name].reshape(-1)[idx]), 0.1)
@@ -291,9 +293,9 @@ class TestLengthAwareGraph:
         batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
         lengths = batch["frame_mask"].sum(axis=1)
         assert len(set(lengths)) == len(lengths)  # really ragged
-        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
+        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch)
         monkeypatch.setattr(transformer, "training_logits", padded_training_logits)
-        want_loss, want = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
+        want_loss, want = batch_loss_and_grads(model.cfg, model.params, batch)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert sorted(grads) == sorted(want)
         for name, g in grads.items():
@@ -304,10 +306,10 @@ class TestLengthAwareGraph:
     def test_padded_frame_values_do_not_reach_gradients(self, model_and_data):
         model, data = model_and_data
         batch = _ragged_batch(data, model.vocab, model.cfg.frame_dim)
-        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch, 0.1)
+        loss, grads = batch_loss_and_grads(model.cfg, model.params, batch)
         poisoned = dict(batch, frames=batch["frames"].copy())
         poisoned["frames"][batch["frame_mask"] == 0] = np.nan
-        got_loss, got = batch_loss_and_grads(model.cfg, model.params, poisoned, 0.1)
+        got_loss, got = batch_loss_and_grads(model.cfg, model.params, poisoned)
         assert got_loss == loss
         assert sorted(got) == sorted(grads)
         for name, g in got.items():
@@ -315,8 +317,14 @@ class TestLengthAwareGraph:
             assert np.array_equal(g, grads[name]), name
 
 
+def _exit_unless(pid: int) -> None:
+    """Ends the process it runs in unless that is process pid."""
+    if os.getpid() != pid:
+        os._exit(1)
+
+
 def _two_cpus(monkeypatch, n: int = 2) -> None:
-    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: n)
 
 
 class TestShardedStep:
@@ -343,8 +351,8 @@ class TestShardedStep:
         want_loss = want_loss * (1.0 / max(batch["label_mask"].sum(), 1.0))
         want_loss.backward()
         _two_cpus(monkeypatch)
-        with training._shard_worker() if worker else contextlib.nullcontext():
-            loss, grads = batch_loss_and_grads(cfg, params, batch, 0.1)
+        with cpus.shard_worker() if worker else contextlib.nullcontext():
+            loss, grads = batch_loss_and_grads(cfg, params, batch)
         assert loss == pytest.approx(float(want_loss.data), rel=1e-12, abs=0)
         assert sorted(grads) == sorted(pt)
         for name, g in grads.items():
@@ -356,7 +364,7 @@ class TestShardedStep:
         self, tiny_world, monkeypatch, loop
     ):
         _, data, vocab, cfg = tiny_world
-        blas = training._openblas()
+        blas = cpus.openblas()
         step = Adam.step
         children = []  # live child processes at each step
 
@@ -367,9 +375,9 @@ class TestShardedStep:
         monkeypatch.setattr(Adam, "step", step_spy)
         runs = []
         # one CPU; two; two with a BLAS whose threads cannot be reached
-        for cpus, reach in ((1, blas), (2, blas), (2, None)):
-            _two_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(training, "_openblas", lambda: reach)
+        for n, reach in ((1, blas), (2, blas), (2, None)):
+            _two_cpus(monkeypatch, n)
+            monkeypatch.setattr(cpus, "openblas", lambda: reach)
             model = TinyTransformer(cfg, vocab)
             if loop == "train":
                 runs.append(train(model, data, small_train_cfg()))
@@ -386,7 +394,7 @@ class TestShardedStep:
         assert children == [0] * 8 + [1 if blas else 0] * 8 + [0] * 8
 
     def test_blas_held_to_one_thread_for_the_loop(self, tiny_world, monkeypatch):
-        blas = training._openblas()
+        blas = cpus.openblas()
         if blas is None:
             pytest.skip("this numpy has no bundled OpenBLAS to ask")
         get, put = blas
@@ -417,14 +425,14 @@ class TestShardedStep:
         batch["labels"][3, 0] = 99
         params = TinyTransformer(cfg, vocab).params
         errors = []
-        for cpus in (1, 2):
-            _two_cpus(monkeypatch, cpus)
-            with training._shard_worker():
+        for n in (1, 2):
+            _two_cpus(monkeypatch, n)
+            with cpus.shard_worker():
                 with pytest.raises(IndexError, match="index 99 is out of bounds") as e:
-                    batch_loss_and_grads(cfg, params, batch, 0.1)
+                    batch_loss_and_grads(cfg, params, batch)
                 # the pipe stays in step: the next call is answered
                 good = dict(batch, labels=np.minimum(batch["labels"], 5))
-                loss, _ = batch_loss_and_grads(cfg, params, good, 0.1)
+                loss, _ = batch_loss_and_grads(cfg, params, good)
             errors.append(str(e.value))
             assert math.isfinite(loss)
             # the report names the failing frame, from either process
@@ -439,11 +447,38 @@ class TestShardedStep:
         batch["frame_mask"][3, 1] = 0.0  # a gap in the second shard's last row
         params = TinyTransformer(cfg, vocab).params
         with pytest.raises(ContractViolation, match="frame_mask row 3 is not"):
-            batch_loss_and_grads(cfg, params, batch, 0.1)
+            batch_loss_and_grads(cfg, params, batch)
+
+    def test_killed_worker_is_reported(self, tiny_world, monkeypatch):
+        if cpus.openblas() is None:
+            pytest.skip("no worker starts where BLAS cannot be held to one thread")
+        _, data, vocab, cfg = tiny_world
+        batch = make_batch(
+            [(u.frames, u.reference_tokens) for u in data[:4]], vocab, cfg.frame_dim)
+        params = TinyTransformer(cfg, vocab).params
+        _two_cpus(monkeypatch)
+        with cpus.shard_worker():
+            loss, _ = batch_loss_and_grads(cfg, params, batch)
+            assert math.isfinite(loss)
+            (proc,) = multiprocessing.active_children()
+            os.kill(proc.pid, signal.SIGKILL)  # between two steps
+            proc.join()
+            with pytest.raises(RuntimeError, match="^the training shard worker exited$"):
+                batch_loss_and_grads(cfg, params, batch)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_in_a_job_is_reported(self, monkeypatch):
+        if cpus.openblas() is None:
+            pytest.skip("no worker starts where BLAS cannot be held to one thread")
+        _two_cpus(monkeypatch)
+        with cpus.shard_worker():
+            with pytest.raises(RuntimeError, match="^the training shard worker exited$"):
+                cpus.pair(_exit_unless, (os.getpid(),), (os.getpid(),))
+        assert multiprocessing.active_children() == []
 
     def test_worker_exits_on_close(self, monkeypatch):
         _two_cpus(monkeypatch)
-        with training._shard_worker():
+        with cpus.shard_worker():
             (proc,) = multiprocessing.active_children()
         assert not proc.is_alive()
         assert proc.exitcode == 0  # it left its loop; it was not terminated
@@ -639,19 +674,20 @@ class TestRecipe:
     def test_every_step_smooths_by_the_constant(self, tiny_world, monkeypatch, loop):
         _, data, vocab, cfg = tiny_world
         seen = []
-        grads = training.batch_loss_and_grads
+        loss = transformer.training_loss
 
         def spy(model_cfg, params, batch, label_smoothing):
             seen.append(label_smoothing)
-            return grads(model_cfg, params, batch, label_smoothing)
+            return loss(model_cfg, params, batch, label_smoothing)
 
-        monkeypatch.setattr(training, "batch_loss_and_grads", spy)
+        monkeypatch.setattr(transformer, "training_loss", spy)
+        _two_cpus(monkeypatch, 1)  # both shards in this process, where the spy sees them
         model = TinyTransformer(cfg, vocab)
         if loop == "train":
             train(model, data, small_train_cfg())
         else:
             adapt(model, data[6:], small_train_cfg(), data[:4])
-        assert seen == [LABEL_SMOOTHING] * 8
+        assert seen == [LABEL_SMOOTHING] * 16  # two shards a step
 
     def test_adapt_draws_ratios_from_the_range(self, tiny_world, monkeypatch):
         _, data, vocab, cfg = tiny_world

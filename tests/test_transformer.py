@@ -91,6 +91,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="init_seed must be >= 0"):
             replace(micro_cfg, init_seed=-1)
 
+    def test_unknown_encoder_mode_rejected(self, micro_cfg):
+        with pytest.raises(ConfigError, match="unknown encoder mode 'sideways'"):
+            replace(micro_cfg, mode="sideways")
+
+    def test_vocab_size_must_match_config(self, micro_cfg, micro_vocab):
+        cfg = replace(micro_cfg, vocab_size=len(micro_vocab) + 1)
+        with pytest.raises(ConfigError, match=f"vocab has {len(micro_vocab)} entries, "
+                                              f"config says {len(micro_vocab) + 1}"):
+            TinyTransformer(cfg, micro_vocab)
+
     def test_param_init_deterministic(self, micro_cfg, micro_vocab):
         a = TinyTransformer(micro_cfg, micro_vocab)
         b = TinyTransformer(micro_cfg, micro_vocab)
